@@ -1298,7 +1298,10 @@ let e16 ?(smoke = false) () =
      in-memory state is gone), so build the target outside the timed
      window — the row measures recovery, not machine construction. *)
   let recover_iters = if smoke then 1 else 3 in
-  let time_recover ~wal ~snap =
+  (* [replayed] is the deterministic gate on the two twins: checkpoint
+     recovery must replay nothing and the replay-all twin the whole
+     history. The timings are printed but gate nothing. *)
+  let time_recover ~wal ~snap ~replayed =
     let total = ref 0.0 in
     for _ = 1 to recover_iters do
       let machine = Hw.Machine.create ~arch:Hw.Cpu.X86_64 ~cores:4 ~mem_size:mem_size_b () in
@@ -1321,14 +1324,18 @@ let e16 ?(smoke = false) () =
         if report.Tyche.Monitor.rr_seq <> final_seq_b then
           failwith
             (Printf.sprintf "e16: recovered seq %d, wanted %d" report.Tyche.Monitor.rr_seq
-               final_seq_b)
+               final_seq_b);
+        if report.Tyche.Monitor.rr_replayed <> replayed then
+          failwith
+            (Printf.sprintf "e16: recovery replayed %d records, wanted %d"
+               report.Tyche.Monitor.rr_replayed replayed)
       | Error e -> failwith ("e16 recover: " ^ e));
       total := !total +. (Unix.gettimeofday () -. start)
     done;
     !total /. float_of_int recover_iters *. 1e9
   in
-  let chk_recover_ns = time_recover ~wal:"" ~snap:snap_b_chk in
-  let replay_recover_ns = time_recover ~wal:wal_b ~snap:snap_b_base in
+  let chk_recover_ns = time_recover ~wal:"" ~snap:snap_b_chk ~replayed:0 in
+  let replay_recover_ns = time_recover ~wal:wal_b ~snap:snap_b_base ~replayed:final_seq_b in
   let rows = ref [] in
   let add size op ~fast ~baseline =
     rows := { size; op; indexed_ns = fast; reference_ns = baseline } :: !rows;
@@ -1348,16 +1355,11 @@ let e16 ?(smoke = false) () =
    - wal append: a record is ~100 bytes framed; the snapshot it defers
      serializes the whole tree. Thousands of times cheaper in practice;
      10x only trips if the append path starts doing per-op snapshots.
-   - recover: checkpoint restore skips replaying the history through
-     the full monitor machinery. Smoke's 1k-op history shows ~1.7x (the
-     shared fixed cost — EPT rebuild + signer setup — compresses it);
-     the full 10k-op run is far higher. 1.3x only trips if checkpoints
-     stop short-circuiting replay.
+   - recover: no timing floor. One wall-clock sample per side is too
+     noisy to gate on (smoke's 1k-op history shows only ~1.7x); [e16]
+     instead checks the replayed-record counts, which are exact.
    - snapshot: informational, no floor (NaN reference). *)
-let e16_floor op =
-  if op = "e16 wal append" then Some 10.0
-  else if op = "e16 recover@10k" then Some 1.3
-  else None
+let e16_floor op = if op = "e16 wal append" then Some 10.0 else None
 
 (* E17: what observability costs. One row: the journaled monitor
    share+revoke pair (WAL append + fsync every commit — the op shape

@@ -19,11 +19,16 @@ type state = {
   mutable deferred : (unit -> unit) list;
 }
 
-let registry : (Tyche.Backend_intf.t * state) list ref = ref []
+(* Associates the opaque backend records handed to the monitor with
+   their internal state, for test/bench introspection. Keyed weakly: a
+   plain list would pin every machine ever booted (its whole physical
+   memory) for the life of the process. *)
+let registry : (Tyche.Backend_intf.t, state) Ephemeron.K1.Bucket.t =
+  Ephemeron.K1.Bucket.make ()
 
 let state_of backend =
-  match List.find_opt (fun (b, _) -> b == backend) !registry with
-  | Some (_, s) -> s
+  match Ephemeron.K1.Bucket.find registry backend with
+  | Some s -> s
   | None -> invalid_arg "Backend_riscv: not a backend created by this module"
 
 (* --- transactions --------------------------------------------------- *)
@@ -411,7 +416,7 @@ let create machine ~monitor_range ?(alloc_strategy = Merge_adjacent) () =
       txn_commit = (fun () -> txn_commit s);
       txn_rollback = (fun () -> txn_rollback s) }
   in
-  registry := (backend, s) :: !registry;
+  Ephemeron.K1.Bucket.add registry backend s;
   backend
 
 let layout_of backend domain = !(layout_ref (state_of backend) domain)

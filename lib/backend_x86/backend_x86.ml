@@ -24,12 +24,15 @@ type state = {
 }
 
 (* Associates the opaque backend records handed to the monitor with
-   their internal state, for test/bench introspection. *)
-let registry : (Tyche.Backend_intf.t * state) list ref = ref []
+   their internal state, for test/bench introspection. Keyed weakly: a
+   plain list would pin every machine ever booted (its whole physical
+   memory) for the life of the process. *)
+let registry : (Tyche.Backend_intf.t, state) Ephemeron.K1.Bucket.t =
+  Ephemeron.K1.Bucket.make ()
 
 let state_of backend =
-  match List.find_opt (fun (b, _) -> b == backend) !registry with
-  | Some (_, s) -> s
+  match Ephemeron.K1.Bucket.find registry backend with
+  | Some s -> s
   | None -> invalid_arg "Backend_x86: not a backend created by this module"
 
 (* --- transactions --------------------------------------------------- *)
@@ -485,7 +488,7 @@ let create machine ?(tlb_strategy = Full_shootdown) ?mktme () =
       txn_commit = (fun () -> txn_commit s);
       txn_rollback = (fun () -> txn_rollback s) }
   in
-  registry := (backend, s) :: !registry;
+  Ephemeron.K1.Bucket.add registry backend s;
   backend
 
 let ept_of backend domain = Hashtbl.find_opt (state_of backend).epts domain

@@ -12,6 +12,15 @@ let strongest a b =
 
 let equal a b = a = b
 
+let to_code = function Keep -> 0 | Zero -> 1 | Flush_cache -> 2 | Zero_and_flush -> 3
+
+let of_code = function
+  | 0 -> Some Keep
+  | 1 -> Some Zero
+  | 2 -> Some Flush_cache
+  | 3 -> Some Zero_and_flush
+  | _ -> None
+
 let to_string = function
   | Keep -> "keep"
   | Zero -> "zero"

@@ -20,6 +20,13 @@ val strongest : t -> t -> t
     (used when merged capabilities disagree). *)
 
 val equal : t -> t -> bool
+
+val to_code : t -> int
+(** The policy's one-byte wire code (0 = [Keep] .. 3 = [Zero_and_flush]). *)
+
+val of_code : int -> t option
+(** Inverse of {!to_code}; [None] for any other byte. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -26,4 +26,13 @@ val attenuates : parent:t -> child:t -> bool
 (** True when [child] is no stronger than [parent] in every dimension. *)
 
 val equal : t -> t -> bool
+
+val to_bits : t -> int
+(** The rights as one byte: read | write≪1 | exec≪2 | share≪3 | grant≪4.
+    The write-ahead log, snapshots, fleet frames and migration manifests
+    all carry this code. *)
+
+val of_bits : int -> t option
+(** Inverse of {!to_bits}; [None] if any bit above the low five is set. *)
+
 val pp : Format.formatter -> t -> unit

@@ -243,8 +243,6 @@ module Wire : sig
     | Ack of { upto : int }
     | Data of { chan : string; payload : string }
 
-  val rights_bits : Cap.Rights.t -> int
-  val rights_of_bits : int -> Cap.Rights.t
   val encode_body : origin:string -> seq:int -> msg -> string
   val decode_body : string -> (string * int * msg, string) result
   val seal : key:string -> string -> string

@@ -599,35 +599,6 @@ let image_digest ~state ~pages =
 
 (* --- domain enumeration ------------------------------------------------ *)
 
-let kind_to_int = function
-  | Tyche.Domain.Os -> 0
-  | Tyche.Domain.Sandbox -> 1
-  | Tyche.Domain.Enclave -> 2
-  | Tyche.Domain.Confidential_vm -> 3
-  | Tyche.Domain.Io_domain -> 4
-  | Tyche.Domain.Remote -> 5
-
-let kind_of_int = function
-  | 0 -> Some Tyche.Domain.Os
-  | 1 -> Some Tyche.Domain.Sandbox
-  | 2 -> Some Tyche.Domain.Enclave
-  | 3 -> Some Tyche.Domain.Confidential_vm
-  | 4 -> Some Tyche.Domain.Io_domain
-  | 5 -> Some Tyche.Domain.Remote
-  | _ -> None
-
-let cleanup_to_int = function
-  | Cap.Revocation.Keep -> 0
-  | Cap.Revocation.Zero -> 1
-  | Cap.Revocation.Flush_cache -> 2
-  | Cap.Revocation.Zero_and_flush -> 3
-
-let cleanup_of_int = function
-  | 0 -> Cap.Revocation.Keep
-  | 1 -> Cap.Revocation.Zero
-  | 2 -> Cap.Revocation.Flush_cache
-  | _ -> Cap.Revocation.Zero_and_flush
-
 (* The domain's active memory caps as portable tuples. *)
 let mem_caps m domain =
   let tree = Tyche.Monitor.tree m in
@@ -637,12 +608,12 @@ let mem_caps m domain =
       | Some (Cap.Resource.Memory r) ->
         let rights =
           match Cap.Captree.rights tree cap with
-          | Some rt -> Fleet.Wire.rights_bits rt
+          | Some rt -> Cap.Rights.to_bits rt
           | None -> 0
         in
         let cleanup =
           match Cap.Captree.cleanup tree cap with
-          | Some c -> cleanup_to_int c
+          | Some c -> Cap.Revocation.to_code c
           | None -> 0
         in
         Some (Hw.Addr.Range.base r, Hw.Addr.Range.len r, rights, cleanup)
@@ -689,7 +660,7 @@ let local_digests m domain =
       in
       let state =
         state_digest ~name:(Tyche.Domain.name dom)
-          ~kind:(kind_to_int (Tyche.Domain.kind dom))
+          ~kind:(Tyche.Domain.kind_to_code (Tyche.Domain.kind dom))
           ~entry:(Option.value (Tyche.Domain.entry_point dom) ~default:(-1))
           ~flush:(Tyche.Domain.flush_on_transition dom)
           ~measurement:(Crypto.Sha256.to_raw meas) ~caps ~measured
@@ -764,14 +735,14 @@ let build_manifest t src =
           let entry = Option.value (Tyche.Domain.entry_point dom) ~default:(-1) in
           let state =
             state_digest ~name:(Tyche.Domain.name dom)
-              ~kind:(kind_to_int (Tyche.Domain.kind dom))
+              ~kind:(Tyche.Domain.kind_to_code (Tyche.Domain.kind dom))
               ~entry ~flush:(Tyche.Domain.flush_on_transition dom)
               ~measurement:(Crypto.Sha256.to_raw meas) ~caps ~measured
           in
           let image = image_digest ~state ~pages in
           let mf =
             { Wire.mf_name = Tyche.Domain.name dom;
-              mf_kind = kind_to_int (Tyche.Domain.kind dom);
+              mf_kind = Tyche.Domain.kind_to_code (Tyche.Domain.kind dom);
               mf_entry = entry;
               mf_flush = Tyche.Domain.flush_on_transition dom;
               mf_measurement = Crypto.Sha256.to_raw meas;
@@ -1096,6 +1067,23 @@ let adopt_cleanup m domain =
     let caller = Option.value (Tyche.Domain.created_by dom) ~default:Tyche.Domain.initial in
     ignore (Tyche.Monitor.destroy_domain m ~caller ~domain)
 
+(* The manifest's caps with their codes decoded, or [None] if any cap
+   or delegation carries an unknown rights or clean-up code. Decoding
+   is strict and happens before anything is applied, so such a manifest
+   is refused up front instead of failing the post-adoption digest
+   check after carves, grants and page writes. *)
+let manifest_caps (mf : Wire.manifest) =
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | (base, len, rights, cleanup) :: rest -> (
+      match (Cap.Rights.of_bits rights, Cap.Revocation.of_code cleanup) with
+      | Some rights, Some cleanup -> go ((base, len, rights, cleanup) :: acc) rest
+      | _ -> None)
+  in
+  if List.exists (fun (_, _, _, rights) -> Cap.Rights.of_bits rights = None) mf.mf_dels
+  then None
+  else go [] mf.mf_caps
+
 (* Reassemble the domain through the public logged API, so the target's
    own WAL replays the whole adoption. *)
 let adopt t tg (mf : Wire.manifest) =
@@ -1123,10 +1111,11 @@ let adopt t tg (mf : Wire.manifest) =
     match verify_manifest t ~origin:tg.tm_origin mf with
     | Error e -> Error e
     | Ok _att ->
-      (match kind_of_int mf.mf_kind with
-      | None | Some Tyche.Domain.Os | Some Tyche.Domain.Remote ->
+      (match (Tyche.Domain.kind_of_code mf.mf_kind, manifest_caps mf) with
+      | (None | Some Tyche.Domain.Os | Some Tyche.Domain.Remote), _ ->
         Error "manifest names an inadmissible domain kind"
-      | Some kind ->
+      | Some _, None -> Error "manifest carries an unknown rights or clean-up code"
+      | Some kind, Some caps ->
         jput t (MT_adopting { mig = tg.tm_mig });
         jsync t;
         let result =
@@ -1156,14 +1145,13 @@ let adopt t tg (mf : Wire.manifest) =
                 | Error e -> fail_mon e
                 | Ok piece ->
                   (match
-                     Tyche.Monitor.grant m ~caller:os_ ~cap:piece ~to_:domain
-                       ~rights:(Fleet.Wire.rights_of_bits rights)
-                       ~cleanup:(cleanup_of_int cleanup)
+                     Tyche.Monitor.grant m ~caller:os_ ~cap:piece ~to_:domain ~rights
+                       ~cleanup
                    with
                   | Error e -> fail_mon e
                   | Ok _ -> caps_loop rest)))
           in
-          let* () = caps_loop mf.mf_caps in
+          let* () = caps_loop caps in
           List.iter
             (fun (base, _, h) -> Hw.Physmem.write mem base (Hashtbl.find t.chunks h))
             mf.mf_pages;
@@ -1291,12 +1279,12 @@ let try_redelegate t tg domain =
                 | _ -> false)
               (Cap.Captree.caps_of_domain tree domain)
           in
-          match cap with
-          | None -> false (* range no longer held; drop the entry *)
-          | Some cap ->
+          match (cap, Cap.Rights.of_bits rights) with
+          | None, _ -> false (* range no longer held; drop the entry *)
+          | _, None -> false (* unreachable: [adopt] refused unknown rights *)
+          | Some cap, Some rights ->
             (match
-               Fleet.delegate t.fleet ~caller:domain ~cap ~peer ~subrange:range
-                 ~rights:(Fleet.Wire.rights_of_bits rights) ()
+               Fleet.delegate t.fleet ~caller:domain ~cap ~peer ~subrange:range ~rights ()
              with
             | Ok _ -> false
             | Error _ -> true (* peer not connected yet; retry on tick *)))

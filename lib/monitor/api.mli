@@ -11,65 +11,24 @@
     unauthorized call returns an error value, which the property tests
     check against arbitrary call sequences. *)
 
-type call =
-  | Create_domain of { name : string; kind : Domain.kind }
-  | Set_entry_point of { domain : Domain.id; entry : Hw.Addr.t }
-  | Set_flush_policy of { domain : Domain.id; flush : bool }
-  | Mark_measured of { domain : Domain.id; range : Hw.Addr.Range.t }
-  | Seal of { domain : Domain.id }
-  | Destroy of { domain : Domain.id }
-  | Share of {
-      cap : Cap.Captree.cap_id;
-      to_ : Domain.id;
-      rights : Cap.Rights.t;
-      cleanup : Cap.Revocation.t;
-      subrange : Hw.Addr.Range.t option;
-    }
-  | Grant of {
-      cap : Cap.Captree.cap_id;
-      to_ : Domain.id;
-      rights : Cap.Rights.t;
-      cleanup : Cap.Revocation.t;
-    }
-  | Split of { cap : Cap.Captree.cap_id; at : Hw.Addr.t }
-  | Carve of { cap : Cap.Captree.cap_id; subrange : Hw.Addr.Range.t }
-  | Revoke of { cap : Cap.Captree.cap_id }
-  | Enumerate (** List the caller's own capabilities. *)
-  | Attest of { domain : Domain.id; nonce : string }
-  | Call of { target : Domain.id }
-  | Return
+(** The call type, its records and its wire format, from {!Op}.
 
-type result_value =
-  | R_unit
-  | R_domain of Domain.id
-  | R_cap of Cap.Captree.cap_id
-  | R_cap_pair of Cap.Captree.cap_id * Cap.Captree.cap_id
-  | R_caps of Cap.Captree.cap_id list
-  | R_attestation of Attestation.t
-  | R_path of Backend_intf.transition_path
+    {!Op.encode} writes one {!Op.record} — a call plus who issued it —
+    as an opcode byte followed by fixed-width little-endian operands:
+    the register/shared-page layout a guest ABI would use, and byte for
+    byte the payload the write-ahead log stores for the same call.
+    {!Op.decode} is the total parser for it. *)
+include module type of struct
+  include Op
+end
 
 type response = (result_value, Monitor.error) result
 
-val pp_call : Format.formatter -> call -> unit
 val pp_response : Format.formatter -> response -> unit
-
-val op_name : call -> string
-(** Stable lower-case operation name ("share", "revoke", ...), used as
-    the span/metric key suffix for per-op observability. *)
 
 val dispatch : Monitor.t -> caller:Domain.id -> core:int -> call -> response
 (** Execute one call on behalf of [caller] (as identified by the
-    trapping hardware on [core]). Total: no exceptions escape. Every
-    dispatch runs inside a balanced [Obs.Profile.span] named
-    ["api." ^ op_name call], tagged with the caller domain and the
-    backend name. *)
-
-(** {2 Wire format}
-
-    A compact binary encoding (opcode byte + fixed-width operands) — the
-    exact register/shared-page layout a guest ABI would use. *)
-
-val encode : call -> string
-
-val decode : string -> (call, string) result
-(** Total parser: never raises, rejects trailing garbage. *)
+    trapping hardware on [core]) through {!Monitor.exec}. Total: no
+    exceptions escape. Every dispatch runs inside a balanced
+    [Obs.Profile.span] named ["api." ^ op_name call], tagged with the
+    caller domain and the backend name. *)

@@ -14,6 +14,23 @@ let kind_to_string = function
 
 let pp_kind fmt k = Format.pp_print_string fmt (kind_to_string k)
 
+let kind_to_code = function
+  | Os -> 0
+  | Sandbox -> 1
+  | Enclave -> 2
+  | Confidential_vm -> 3
+  | Io_domain -> 4
+  | Remote -> 5
+
+let kind_of_code = function
+  | 0 -> Some Os
+  | 1 -> Some Sandbox
+  | 2 -> Some Enclave
+  | 3 -> Some Confidential_vm
+  | 4 -> Some Io_domain
+  | 5 -> Some Remote
+  | _ -> None
+
 type t = {
   id : id;
   name : string;

@@ -32,6 +32,13 @@ type kind =
 val pp_kind : Format.formatter -> kind -> unit
 val kind_to_string : kind -> string
 
+val kind_to_code : kind -> int
+(** The kind's one-byte wire code (0 = [Os] .. 5 = [Remote]), shared by
+    the write-ahead log, snapshots and migration manifests. *)
+
+val kind_of_code : int -> kind option
+(** Inverse of {!kind_to_code}; [None] for any other byte. *)
+
 type t
 
 val make : id:id -> name:string -> kind:kind -> created_by:id option -> t

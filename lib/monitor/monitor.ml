@@ -200,36 +200,6 @@ let cap_result t = function
 
 (* --- conversions to the persist layer's neutral types --------------- *)
 
-let kind_to_int = function
-  | Domain.Os -> 0
-  | Domain.Sandbox -> 1
-  | Domain.Enclave -> 2
-  | Domain.Confidential_vm -> 3
-  | Domain.Io_domain -> 4
-  | Domain.Remote -> 5
-
-let kind_of_int = function
-  | 0 -> Some Domain.Os
-  | 1 -> Some Domain.Sandbox
-  | 2 -> Some Domain.Enclave
-  | 3 -> Some Domain.Confidential_vm
-  | 4 -> Some Domain.Io_domain
-  | 5 -> Some Domain.Remote
-  | _ -> None
-
-let cleanup_to_int = function
-  | Cap.Revocation.Keep -> 0
-  | Cap.Revocation.Zero -> 1
-  | Cap.Revocation.Flush_cache -> 2
-  | Cap.Revocation.Zero_and_flush -> 3
-
-let cleanup_of_int = function
-  | 0 -> Some Cap.Revocation.Keep
-  | 1 -> Some Cap.Revocation.Zero
-  | 2 -> Some Cap.Revocation.Flush_cache
-  | 3 -> Some Cap.Revocation.Zero_and_flush
-  | _ -> None
-
 let origin_to_int = function
   | Cap.Captree.Orig_root -> 0
   | Cap.Captree.Orig_shared -> 1
@@ -254,19 +224,6 @@ let state_of_int = function
   | 2 -> Some Cap.Captree.Inactive_split
   | _ -> None
 
-let rights_to_wire (r : Cap.Rights.t) =
-  { Persist.Op.r_read = r.perm.Hw.Perm.read;
-    r_write = r.perm.Hw.Perm.write;
-    r_exec = r.perm.Hw.Perm.exec;
-    r_share = r.can_share;
-    r_grant = r.can_grant }
-
-let rights_of_wire (w : Persist.Op.rights) =
-  { Cap.Rights.perm =
-      { Hw.Perm.read = w.Persist.Op.r_read; write = w.r_write; exec = w.r_exec };
-    can_share = w.r_share;
-    can_grant = w.r_grant }
-
 let range_pair r = (Hw.Addr.Range.base r, Hw.Addr.Range.len r)
 let pair_range (base, len) = Hw.Addr.Range.make ~base ~len
 
@@ -284,7 +241,7 @@ let resource_of_wire = function
 let domain_spec d =
   { Persist.Snapshot.d_id = Domain.id d;
     d_name = Domain.name d;
-    d_kind = kind_to_int (Domain.kind d);
+    d_kind = Domain.kind_to_code (Domain.kind d);
     d_created_by = (match Domain.created_by d with Some c -> c | None -> -1);
     d_sealed = Domain.is_sealed d;
     d_entry = (match Domain.entry_point d with Some e -> e | None -> -1);
@@ -298,9 +255,9 @@ let domain_spec d =
 let node_to_wire (ns : Cap.Captree.node_spec) =
   { Persist.Snapshot.n_id = ns.ns_id;
     n_resource = resource_to_wire ns.ns_resource;
-    n_rights = rights_to_wire ns.ns_rights;
+    n_rights = Cap.Rights.to_bits ns.ns_rights;
     n_owner = ns.ns_owner;
-    n_cleanup = cleanup_to_int ns.ns_cleanup;
+    n_cleanup = Cap.Revocation.to_code ns.ns_cleanup;
     n_parent = (match ns.ns_parent with Some p -> p | None -> -1);
     n_origin = origin_to_int ns.ns_origin;
     n_state = state_to_int ns.ns_state;
@@ -308,15 +265,16 @@ let node_to_wire (ns : Cap.Captree.node_spec) =
 
 let node_of_wire (n : Persist.Snapshot.node_spec) =
   match
-    ( cleanup_of_int n.Persist.Snapshot.n_cleanup,
+    ( Cap.Rights.of_bits n.Persist.Snapshot.n_rights,
+      Cap.Revocation.of_code n.n_cleanup,
       origin_of_int n.n_origin,
       state_of_int n.n_state )
   with
-  | Some cleanup, Some origin, Some state ->
+  | Some rights, Some cleanup, Some origin, Some state ->
     Ok
       { Cap.Captree.ns_id = n.n_id;
         ns_resource = resource_of_wire n.n_resource;
-        ns_rights = rights_of_wire n.n_rights;
+        ns_rights = rights;
         ns_owner = n.n_owner;
         ns_cleanup = cleanup;
         ns_parent = (if n.n_parent < 0 then None else Some n.n_parent);
@@ -487,7 +445,7 @@ let log_op t op =
   | Some cfg ->
     let seq = cfg.p_seq + 1 in
     cfg.p_seq <- seq;
-    Persist.Group.append cfg.p_group ~seq (Persist.Op.encode op);
+    Persist.Group.append cfg.p_group ~seq (Op.encode op);
     cfg.p_since_snapshot <- cfg.p_since_snapshot + 1;
     if cfg.p_since_snapshot >= cfg.p_snapshot_every then write_checkpoint t cfg
 
@@ -623,7 +581,7 @@ let create_domain t ~caller ~name ~kind =
   Hashtbl.replace t.domains id d;
   t.backend.Backend_intf.domain_created d;
   Log.debug (fun m -> m "created %a by domain#%d" Domain.pp d caller);
-  log_op t (Persist.Op.Create_domain { caller; name; kind = kind_to_int kind });
+  log_op t (Op.issued caller (Op.Create_domain { name; kind }));
   Ok id
 
 let creator_or_self ~caller ~domain d =
@@ -642,11 +600,15 @@ let configurable ~caller ~domain d =
 let set_entry_point t ~caller ~domain addr =
   let* d = get_domain t domain in
   let* () = configurable ~caller ~domain d in
-  match Domain.set_entry_point d addr with
-  | Ok () ->
-    log_op t (Persist.Op.Set_entry_point { caller; domain; entry = addr });
-    Ok ()
-  | Error e -> Error (Domain_config e)
+  (* Addresses are non-negative everywhere else (the log's codec rejects
+     a negative operand), so refuse one here rather than log it. *)
+  if addr < 0 then Error (Domain_config "negative entry point")
+  else
+    match Domain.set_entry_point d addr with
+    | Ok () ->
+      log_op t (Op.issued caller (Op.Set_entry_point { domain; entry = addr }));
+      Ok ()
+    | Error e -> Error (Domain_config e)
 
 let set_flush_policy t ~caller ~domain flush =
   let* d = get_domain t domain in
@@ -654,7 +616,7 @@ let set_flush_policy t ~caller ~domain flush =
   if Domain.is_sealed d then Error (Domain_config "domain is sealed")
   else begin
     Domain.set_flush_on_transition d flush;
-    log_op t (Persist.Op.Set_flush_policy { caller; domain; flush });
+    log_op t (Op.issued caller (Op.Set_flush_policy { domain; flush }));
     Ok ()
   end
 
@@ -674,11 +636,7 @@ let mark_measured t ~caller ~domain range =
   else
     match Domain.add_measured_range d range with
     | Ok () ->
-      log_op t
-        (Persist.Op.Mark_measured
-           { caller; domain;
-             base = Hw.Addr.Range.base range;
-             len = Hw.Addr.Range.len range });
+      log_op t (Op.issued caller (Op.Mark_measured { domain; range }));
       Ok ()
     | Error e -> Error (Domain_config e)
 
@@ -773,7 +731,8 @@ let seal t ~caller ~domain =
       (* The digest hashes memory contents, which are not durable: the
          record carries the result so replay can install it verbatim. *)
       log_op t
-        (Persist.Op.Seal { caller; domain; measurement = Crypto.Sha256.to_raw digest });
+        (Op.Issued
+           { by = caller; call = Op.Seal { domain }; digest = Crypto.Sha256.to_raw digest });
       Ok ()
     | Error e -> Error (Domain_config e))
 
@@ -822,7 +781,7 @@ let destroy_domain t ~caller ~domain =
      the revocation cascade must leave every capability (and the
      hardware) exactly as before the call. The table removals are
      infallible and run last, so they need no undo. *)
-  with_txn ~op:(Persist.Op.Destroy_domain { caller; domain }) t (fun () ->
+  with_txn ~op:(Op.issued caller (Op.Destroy { domain })) t (fun () ->
       let* () = revoke_all_of t ~domain in
       forget_domain t d;
       Ok ())
@@ -898,12 +857,7 @@ let share t ~caller ~cap ~to_ ~rights ~cleanup ?subrange () =
   let* () = validate_attach t target resource in
   with_txn t (fun () ->
       cap_result t (Cap.Captree.share t.tree cap ~to_ ~rights ~cleanup ?subrange ()))
-    ~op:
-      (Persist.Op.Share
-         { caller; cap; to_;
-           rights = rights_to_wire rights;
-           cleanup = cleanup_to_int cleanup;
-           sub = Option.map range_pair subrange })
+    ~op:(Op.issued caller (Op.Share { cap; to_; rights; cleanup; subrange }))
 
 let grant t ~caller ~cap ~to_ ~rights ~cleanup =
   let* () = owned_by t ~caller cap in
@@ -915,15 +869,11 @@ let grant t ~caller ~cap ~to_ ~rights ~cleanup =
   let* target = attach_target t ~caller ~to_ ~resource in
   let* () = validate_attach t target resource in
   with_txn t (fun () -> cap_result t (Cap.Captree.grant t.tree cap ~to_ ~rights ~cleanup))
-    ~op:
-      (Persist.Op.Grant
-         { caller; cap; to_;
-           rights = rights_to_wire rights;
-           cleanup = cleanup_to_int cleanup })
+    ~op:(Op.issued caller (Op.Grant { cap; to_; rights; cleanup }))
 
 let split t ~caller ~cap ~at =
   let* () = owned_by t ~caller cap in
-  with_txn ~op:(Persist.Op.Split { caller; cap; at }) t (fun () ->
+  with_txn ~op:(Op.issued caller (Op.Split { cap; at })) t (fun () ->
       match Cap.Captree.split t.tree cap ~at with
       | Ok (l, r, effects) ->
         let* () = apply_effects t effects in
@@ -933,11 +883,7 @@ let split t ~caller ~cap ~at =
 let carve t ~caller ~cap ~subrange =
   let* () = owned_by t ~caller cap in
   with_txn t (fun () -> cap_result t (Cap.Captree.carve t.tree cap ~subrange))
-    ~op:
-      (Persist.Op.Carve
-         { caller; cap;
-           base = Hw.Addr.Range.base subrange;
-           len = Hw.Addr.Range.len subrange })
+    ~op:(Op.issued caller (Op.Carve { cap; subrange }))
 
 let may_revoke t ~caller cap =
   let rec walk id =
@@ -988,7 +934,7 @@ let revoke t ~caller ~cap =
      cost scales with fanout — deterministic, unlike wall time. *)
   let c0 = if obs then Hw.Machine.cycles t.machine else 0 in
   let r =
-    with_txn ~op:(Persist.Op.Revoke { caller; cap }) t (fun () ->
+    with_txn ~op:(Op.issued caller (Op.Revoke { cap })) t (fun () ->
         cap_result t (Result.map (fun e -> ((), e)) (Cap.Captree.revoke t.tree cap)))
   in
   if obs && Result.is_ok r then begin
@@ -1047,7 +993,7 @@ let call t ~core ~target =
   else if not (holds_core t target core) then
     Error (Bad_transition "target domain holds no capability for this core")
   else
-    with_txn ~op:(Persist.Op.Call { core; target }) t (fun () ->
+    with_txn ~op:(Op.issued core (Op.Call { target })) t (fun () ->
         let* path = do_transition t ~core ~from_ ~to_ in
         t.stacks.(core) <- from_id :: t.stacks.(core);
         t.current.(core) <- target;
@@ -1066,7 +1012,7 @@ let ret t ~core =
   let* prev, rest = pop t.stacks.(core) in
   let* from_ = get_domain t t.current.(core) in
   let* to_ = get_domain t prev in
-  with_txn ~op:(Persist.Op.Ret { core }) t (fun () ->
+  with_txn ~op:(Op.issued core Op.Return) t (fun () ->
       let* path = do_transition t ~core ~from_ ~to_ in
       t.stacks.(core) <- rest;
       t.current.(core) <- prev;
@@ -1091,7 +1037,7 @@ let timer_tick t ~core =
     let* to_ = get_domain t heir in
     (* Only the eviction branch mutates state, so only it is logged;
        the no-op fast path above leaves the log untouched. *)
-    with_txn ~op:(Persist.Op.Timer_tick { core }) t (fun () ->
+    with_txn ~op:(Op.Evicted { core }) t (fun () ->
         let* _path = do_transition t ~core ~from_ ~to_ in
         t.stacks.(core) <- [];
         t.current.(core) <- heir;
@@ -1276,6 +1222,49 @@ let attest_reference t ~caller ~domain ~nonce =
 let boot_quote t ~nonce =
   Rot.Tpm.Quote.generate t.tpm ~pcrs:[ 0; 4; Rot.Tpm.drtm_pcr; key_binding_pcr ] ~nonce
 
+(* The call interface: the one mapping from an [Op.call] onto the entry
+   points above. [Api.dispatch] wraps it in a span and WAL replay calls
+   it bare. Total: the only exceptions the entry points let escape
+   become [Denied]. *)
+
+let exec t ~caller ~core (op : Op.call) : (Op.result_value, error) result =
+  try
+    match op with
+    | Op.Create_domain { name; kind } ->
+      Result.map (fun d -> Op.R_domain d) (create_domain t ~caller ~name ~kind)
+    | Op.Set_entry_point { domain; entry } ->
+      Result.map (fun () -> Op.R_unit) (set_entry_point t ~caller ~domain entry)
+    | Op.Set_flush_policy { domain; flush } ->
+      Result.map (fun () -> Op.R_unit) (set_flush_policy t ~caller ~domain flush)
+    | Op.Mark_measured { domain; range } ->
+      Result.map (fun () -> Op.R_unit) (mark_measured t ~caller ~domain range)
+    | Op.Seal { domain } -> Result.map (fun () -> Op.R_unit) (seal t ~caller ~domain)
+    | Op.Destroy { domain } ->
+      Result.map (fun () -> Op.R_unit) (destroy_domain t ~caller ~domain)
+    | Op.Share { cap; to_; rights; cleanup; subrange } ->
+      Result.map (fun c -> Op.R_cap c) (share t ~caller ~cap ~to_ ~rights ~cleanup ?subrange ())
+    | Op.Grant { cap; to_; rights; cleanup } ->
+      Result.map (fun c -> Op.R_cap c) (grant t ~caller ~cap ~to_ ~rights ~cleanup)
+    | Op.Split { cap; at } ->
+      Result.map (fun (a, b) -> Op.R_cap_pair (a, b)) (split t ~caller ~cap ~at)
+    | Op.Carve { cap; subrange } ->
+      Result.map (fun c -> Op.R_cap c) (carve t ~caller ~cap ~subrange)
+    | Op.Revoke { cap } -> Result.map (fun () -> Op.R_unit) (revoke t ~caller ~cap)
+    | Op.Enumerate -> Ok (Op.R_caps (caps_of t caller))
+    | Op.Attest { domain; nonce } ->
+      Result.map (fun a -> Op.R_attestation a) (attest t ~caller ~domain ~nonce)
+    | Op.Call { target } ->
+      if current_domain t ~core <> caller then
+        Error (Bad_transition "caller is not current on this core")
+      else Result.map (fun p -> Op.R_path p) (call t ~core ~target)
+    | Op.Return ->
+      if current_domain t ~core <> caller then
+        Error (Bad_transition "caller is not current on this core")
+      else Result.map (fun p -> Op.R_path p) (ret t ~core)
+  with
+  | Invalid_argument msg -> Error (Denied ("invalid argument: " ^ msg))
+  | Failure msg -> Error (Denied ("failure: " ^ msg))
+
 (* Telemetry *)
 
 type attest_telemetry = {
@@ -1407,21 +1396,17 @@ let pp_recovery_report fmt r =
     | None -> "")
     r.rr_seq
 
-(* Replay a [Seal] record. The normal [seal] path re-measures memory,
-   but memory contents are not durable — the record carries the digest
-   the original call produced, and replay installs it verbatim. *)
-let replay_seal t ~caller ~domain ~measurement =
+(* Install a seal digest verbatim, with no re-measurement. Memory
+   contents are not durable, so a logged [Seal] carries the digest the
+   original call measured and replay installs it here; the sharded
+   monitor does the same with the digest it folds from ranges measured
+   on several shards. *)
+let install_seal t ~caller ~domain ~measurement =
   let* d = Result.map_error error_to_string (get_domain t domain) in
   let* () = Result.map_error error_to_string (creator_or_self ~caller ~domain d) in
   if String.length measurement <> Crypto.Sha256.digest_size then
     Error "seal record carries a malformed digest"
   else Domain.seal d ~measurement:(Crypto.Sha256.of_raw measurement)
-
-(* Verbatim digest install for coordinators that measured elsewhere:
-   the sharded monitor measures each global range on its owning shard,
-   folds one digest at the front end and installs it on every shard.
-   Validation is identical to replay. *)
-let install_seal = replay_seal
 
 (* Seal an adopted (migrated-in) domain under the measurement the source
    machine took: the bytes were copied verbatim, so re-measuring here
@@ -1431,52 +1416,34 @@ let install_seal = replay_seal
    crash-restart of the adopting monitor recovers the sealed domain. *)
 let adopt_seal t ~caller ~domain ~measurement =
   let raw = Crypto.Sha256.to_raw measurement in
-  match replay_seal t ~caller ~domain ~measurement:raw with
+  match install_seal t ~caller ~domain ~measurement:raw with
   | Ok () ->
-    log_op t (Persist.Op.Seal { caller; domain; measurement = raw });
+    log_op t (Op.Issued { by = caller; call = Op.Seal { domain }; digest = raw });
     Ok ()
   | Error e -> Error (Domain_config e)
 
-(* Re-execute one logged operation through the normal API (logging is
-   muted by [p_replaying]). Every record was appended only after the
-   original call committed, so replay against the same starting state
-   must succeed; a failure means the log and snapshot disagree and
-   replay stops at the last consistent prefix. *)
-let replay_op t (op : Persist.Op.t) =
-  let mon r = Result.map_error error_to_string (Result.map ignore r) in
-  match op with
-  | Persist.Op.Create_domain { caller; name; kind } -> (
-    match kind_of_int kind with
-    | None -> Error (Printf.sprintf "unknown domain kind %d" kind)
-    | Some kind -> mon (create_domain t ~caller ~name ~kind))
-  | Persist.Op.Set_entry_point { caller; domain; entry } ->
-    mon (set_entry_point t ~caller ~domain entry)
-  | Persist.Op.Set_flush_policy { caller; domain; flush } ->
-    mon (set_flush_policy t ~caller ~domain flush)
-  | Persist.Op.Mark_measured { caller; domain; base; len } ->
-    mon (mark_measured t ~caller ~domain (pair_range (base, len)))
-  | Persist.Op.Seal { caller; domain; measurement } ->
-    replay_seal t ~caller ~domain ~measurement
-  | Persist.Op.Destroy_domain { caller; domain } -> mon (destroy_domain t ~caller ~domain)
-  | Persist.Op.Share { caller; cap; to_; rights; cleanup; sub } -> (
-    match cleanup_of_int cleanup with
-    | None -> Error (Printf.sprintf "unknown cleanup policy %d" cleanup)
-    | Some cleanup -> (
-      let rights = rights_of_wire rights in
-      match sub with
-      | Some s -> mon (share t ~caller ~cap ~to_ ~rights ~cleanup ~subrange:(pair_range s) ())
-      | None -> mon (share t ~caller ~cap ~to_ ~rights ~cleanup ())))
-  | Persist.Op.Grant { caller; cap; to_; rights; cleanup } -> (
-    match cleanup_of_int cleanup with
-    | None -> Error (Printf.sprintf "unknown cleanup policy %d" cleanup)
-    | Some cleanup -> mon (grant t ~caller ~cap ~to_ ~rights:(rights_of_wire rights) ~cleanup))
-  | Persist.Op.Split { caller; cap; at } -> mon (split t ~caller ~cap ~at)
-  | Persist.Op.Carve { caller; cap; base; len } ->
-    mon (carve t ~caller ~cap ~subrange:(pair_range (base, len)))
-  | Persist.Op.Revoke { caller; cap } -> mon (revoke t ~caller ~cap)
-  | Persist.Op.Call { core; target } -> mon (call t ~core ~target)
-  | Persist.Op.Ret { core } -> mon (ret t ~core)
-  | Persist.Op.Timer_tick { core } -> mon (timer_tick t ~core)
+(* Re-execute one logged record (logging is muted by [p_replaying]).
+   Every record was appended only after the original call committed, so
+   replay against the same starting state must succeed; a failure means
+   the log and snapshot disagree and replay stops at the last consistent
+   prefix. [Seal] installs its digest, an eviction re-runs the timer,
+   and every other call goes through [exec] as its caller — for
+   [Call]/[Return], whoever is current on the logged core. *)
+let replay_record t payload =
+  let mon call r =
+    Result.map_error
+      (fun e -> Format.asprintf "%a: %s" Op.pp_call call (error_to_string e))
+      (Result.map ignore r)
+  in
+  match Op.decode payload with
+  | Error why -> Error ("undecodable record: " ^ why)
+  | Ok (Op.Evicted { core }) ->
+    Result.map_error error_to_string (Result.map ignore (timer_tick t ~core))
+  | Ok (Op.Issued { by; call = Op.Seal { domain }; digest }) ->
+    install_seal t ~caller:by ~domain ~measurement:digest
+  | Ok (Op.Issued { by; call = (Op.Call _ | Op.Return) as call; _ }) ->
+    mon call (exec t ~caller:(current_domain t ~core:by) ~core:by call)
+  | Ok (Op.Issued { by; call; _ }) -> mon call (exec t ~caller:by ~core:0 call)
 
 (* Child lists travel implicitly: the wire format carries only parent
    pointers (Snapshot.node_spec.n_children is [] off the wire), because
@@ -1514,7 +1481,7 @@ let restore_state t (s : Persist.Snapshot.t) =
   let rec conv_domains = function
     | [] -> Ok ()
     | (d : Persist.Snapshot.domain_spec) :: rest -> (
-      match kind_of_int d.d_kind with
+      match Domain.kind_of_code d.d_kind with
       | None -> Error (Printf.sprintf "snapshot: unknown kind %d for domain %d" d.d_kind d.d_id)
       | Some kind ->
         let* measurement =
@@ -1658,40 +1625,6 @@ let rebuild_hardware t specs =
   | Some e -> Error e
   | None -> attach_all (mem_effects @ other_effects)
 
-(* Replay the WAL suffix after [base_seq]. Stops (never fails) at a
-   sequence gap, an undecodable record, or a replay mismatch — the
-   state is then the longest prefix-consistent history the durable
-   bytes support, which is the strongest sound answer. *)
-let replay_wal t cfg ~base_seq records =
-  cfg.p_replaying <- true;
-  Fun.protect
-    ~finally:(fun () -> cfg.p_replaying <- false)
-    (fun () ->
-      let rec go expected applied = function
-        | [] -> (applied, None)
-        | (seq, _) :: rest when seq <= base_seq -> go expected applied rest
-        | (seq, payload) :: rest ->
-          if seq <> expected then
-            (applied, Some (Printf.sprintf "sequence gap: expected %d, found %d" expected seq))
-          else (
-            match Persist.Op.decode payload with
-            | exception Persist.Wire.Corrupt why ->
-              (applied, Some (Printf.sprintf "undecodable record at seq %d: %s" seq why))
-            | op -> (
-              match replay_op t op with
-              | Ok () ->
-                cfg.p_seq <- seq;
-                go (seq + 1) (applied + 1) rest
-              | Error why ->
-                (applied,
-                 Some
-                   (Format.asprintf "replay of %a (seq %d) failed: %s" Persist.Op.pp op seq why))
-              | exception e ->
-                (applied,
-                 Some (Printf.sprintf "replay raised at seq %d: %s" seq (Printexc.to_string e)))))
-      in
-      go (base_seq + 1) 0 records)
-
 let recover ?(signer_height = 6) ?keypool ?(snapshot_every = 1000) ?(fsync_every = 1)
     ?(latency_bound = max_int) machine ~store ~backend ~tpm ~rng ~monitor_range =
   let loaded = Persist.Snapshot.load_latest_ex store in
@@ -1737,10 +1670,15 @@ let recover ?(signer_height = 6) ?keypool ?(snapshot_every = 1000) ?(fsync_every
             endow_initial t ~monitor_range;
             Ok 0
         in
-        cfg.p_seq <- base_seq;
         t.persist <- Some cfg;
-        let applied, stopped = replay_wal t cfg ~base_seq wal.Persist.Wal.records in
-        Ok (applied, stopped))
+        cfg.p_replaying <- true;
+        let r =
+          Fun.protect
+            ~finally:(fun () -> cfg.p_replaying <- false)
+            (fun () -> Persist.Wal.replay wal ~after:base_seq (replay_record t))
+        in
+        cfg.p_seq <- r.Persist.Wal.last_seq;
+        Ok (r.Persist.Wal.applied, r.Persist.Wal.stopped))
   in
   match setup with
   | Error why -> Error why

@@ -70,7 +70,8 @@ val domains : t -> Domain.t list
 
 val set_entry_point :
   t -> caller:Domain.id -> domain:Domain.id -> Hw.Addr.t -> (unit, error) result
-(** Creator or the domain itself, before sealing. *)
+(** Creator or the domain itself, before sealing; the address must be
+    non-negative. *)
 
 val set_flush_policy :
   t -> caller:Domain.id -> domain:Domain.id -> bool -> (unit, error) result
@@ -290,6 +291,15 @@ val boot_quote : t -> nonce:string -> Rot.Tpm.Quote.t
 val transition_count : t -> int
 (** Total mediated transitions since boot (statistics). *)
 
+(** {2 The call interface} *)
+
+val exec : t -> caller:Domain.id -> core:int -> Op.call -> (Op.result_value, error) result
+(** Run one call as [caller], trapping on [core], through the entry
+    point it names — the only mapping from {!Op.call} onto this module.
+    {!Api.dispatch} wraps it in a span; WAL replay calls it directly.
+    [Call] and [Return] require [caller] to be current on [core]. Total:
+    no exception escapes. *)
+
 (** {2 Durability (crash-restart recovery)}
 
     A logical redo layer: every committed mutating API call appends a
@@ -426,8 +436,9 @@ val attest_body_of :
 val install_seal :
   t -> caller:Domain.id -> domain:Domain.id -> measurement:string -> (unit, string) result
 (** Install a seal digest verbatim (creator-or-self and digest-length
-    checks, no re-measurement) — for coordinators that measured the
-    domain's ranges on other monitors, and for WAL replay. *)
+    checks, no re-measurement) — for WAL replay of a logged [Seal], and
+    for coordinators that measured the domain's ranges on other
+    monitors. *)
 
 val adopt_seal :
   t ->

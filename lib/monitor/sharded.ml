@@ -116,54 +116,6 @@ let tr_error ~shard = function
   | Monitor.Cap_error e -> Monitor.Cap_error (tr_cap_error ~shard e)
   | e -> e
 
-(* --- wire-op conversions (duplicating Monitor's private helpers) ---- *)
-
-let kind_to_int = function
-  | Domain.Os -> 0
-  | Domain.Sandbox -> 1
-  | Domain.Enclave -> 2
-  | Domain.Confidential_vm -> 3
-  | Domain.Io_domain -> 4
-  | Domain.Remote -> 5
-
-let kind_of_int = function
-  | 0 -> Some Domain.Os
-  | 1 -> Some Domain.Sandbox
-  | 2 -> Some Domain.Enclave
-  | 3 -> Some Domain.Confidential_vm
-  | 4 -> Some Domain.Io_domain
-  | 5 -> Some Domain.Remote
-  | _ -> None
-
-let cleanup_to_int = function
-  | Cap.Revocation.Keep -> 0
-  | Cap.Revocation.Zero -> 1
-  | Cap.Revocation.Flush_cache -> 2
-  | Cap.Revocation.Zero_and_flush -> 3
-
-let cleanup_of_int = function
-  | 0 -> Some Cap.Revocation.Keep
-  | 1 -> Some Cap.Revocation.Zero
-  | 2 -> Some Cap.Revocation.Flush_cache
-  | 3 -> Some Cap.Revocation.Zero_and_flush
-  | _ -> None
-
-let rights_to_wire (r : Cap.Rights.t) =
-  { Persist.Op.r_read = r.perm.Hw.Perm.read;
-    r_write = r.perm.Hw.Perm.write;
-    r_exec = r.perm.Hw.Perm.exec;
-    r_share = r.can_share;
-    r_grant = r.can_grant }
-
-let rights_of_wire (w : Persist.Op.rights) =
-  { Cap.Rights.perm =
-      { Hw.Perm.read = w.Persist.Op.r_read; write = w.r_write; exec = w.r_exec };
-    can_share = w.r_share;
-    can_grant = w.r_grant }
-
-let range_pair r = (Hw.Addr.Range.base r, Hw.Addr.Range.len r)
-let pair_range (base, len) = Hw.Addr.Range.make ~base ~len
-
 (* --- locking -------------------------------------------------------- *)
 
 let locked s f = Mutex.protect s.s_lock f
@@ -274,7 +226,7 @@ let boot_quote t ~nonce = Monitor.boot_quote (shard0 t).s_monitor ~nonce
 
 (* --- front-end redo log --------------------------------------------- *)
 
-let log_op t op =
+let log_record t record =
   match t.persist with
   | None -> ()
   | Some fp when fp.fp_replaying -> ()
@@ -282,7 +234,9 @@ let log_op t op =
     Mutex.protect fp.fp_lock (fun () ->
         let seq = fp.fp_seq + 1 in
         fp.fp_seq <- seq;
-        Persist.Group.append fp.fp_group ~seq (Persist.Op.encode op))
+        Persist.Group.append fp.fp_group ~seq (Op.encode record))
+
+let log_op t ~by call = log_record t (Op.issued by call)
 
 (* --- domain lifecycle (broadcast) ----------------------------------- *)
 
@@ -316,7 +270,7 @@ let create_domain t ~caller ~name ~kind =
               | Ok id' when id' = id -> ()
               | _ -> divergence "create_domain")
           t.shards;
-        log_op t (Persist.Op.Create_domain { caller; name; kind = kind_to_int kind });
+        log_op t ~by:caller (Op.Create_domain { name; kind });
         Ok id)
 
 let set_entry_point t ~caller ~domain entry =
@@ -330,7 +284,7 @@ let set_entry_point t ~caller ~domain entry =
             Monitor.set_entry_point m ~caller ~domain entry)
       with
       | Ok () ->
-        log_op t (Persist.Op.Set_entry_point { caller; domain; entry });
+        log_op t ~by:caller (Op.Set_entry_point { domain; entry });
         Ok ()
       | Error _ as e -> e)
 
@@ -341,7 +295,7 @@ let set_flush_policy t ~caller ~domain flush =
             Monitor.set_flush_policy m ~caller ~domain flush)
       with
       | Ok () ->
-        log_op t (Persist.Op.Set_flush_policy { caller; domain; flush });
+        log_op t ~by:caller (Op.Set_flush_policy { domain; flush });
         Ok ()
       | Error _ as e -> e)
 
@@ -366,9 +320,7 @@ let mark_measured t ~caller ~domain range =
                   l
               in
               l := range :: !l);
-          log_op t
-            (Persist.Op.Mark_measured
-               { caller; domain; base = b; len = Hw.Addr.Range.len range });
+          log_op t ~by:caller (Op.Mark_measured { domain; range });
           Ok ()
         | Error e -> Error (tr_error ~shard:sh e))
 
@@ -436,7 +388,7 @@ let seal t ~caller ~domain =
                   (Monitor.install_seal m ~caller ~domain ~measurement:raw))
           with
           | Ok () ->
-            log_op t (Persist.Op.Seal { caller; domain; measurement = raw });
+            log_record t (Op.Issued { by = caller; call = Op.Seal { domain }; digest = raw });
             Ok ()
           | Error _ as e -> e
         end)
@@ -513,7 +465,7 @@ let destroy_domain t ~caller ~domain =
           Array.iteri (fun i s -> Monitor.forget_domain s.s_monitor ds.(i)) t.shards;
           Mutex.protect t.meas_lock (fun () -> Hashtbl.remove t.measured domain);
           Obs.Metrics.incr tpc_commit_c;
-          log_op t (Persist.Op.Destroy_domain { caller; domain });
+          log_op t ~by:caller (Op.Destroy { domain });
           Ok ()
         | Error _ as e ->
           rollback_all ();
@@ -553,12 +505,7 @@ let share t ~caller ~cap ~to_ ~rights ~cleanup ?subrange () =
               ?subrange:sub ()
           with
           | Ok c ->
-            log_op t
-              (Persist.Op.Share
-                 { caller; cap; to_;
-                   rights = rights_to_wire rights;
-                   cleanup = cleanup_to_int cleanup;
-                   sub = Option.map range_pair subrange });
+            log_op t ~by:caller (Op.Share { cap; to_; rights; cleanup; subrange });
             Ok (gcap ~shard:sh c)
           | Error e -> Error (tr_error ~shard:sh e)))
 
@@ -567,11 +514,7 @@ let grant t ~caller ~cap ~to_ ~rights ~cleanup =
       write s (fun () ->
           match Monitor.grant s.s_monitor ~caller ~cap:(cap_local cap) ~to_ ~rights ~cleanup with
           | Ok c ->
-            log_op t
-              (Persist.Op.Grant
-                 { caller; cap; to_;
-                   rights = rights_to_wire rights;
-                   cleanup = cleanup_to_int cleanup });
+            log_op t ~by:caller (Op.Grant { cap; to_; rights; cleanup });
             Ok (gcap ~shard:sh c)
           | Error e -> Error (tr_error ~shard:sh e)))
 
@@ -584,7 +527,7 @@ let split t ~caller ~cap ~at =
         write s (fun () ->
             match Monitor.split s.s_monitor ~caller ~cap:(cap_local cap) ~at:at_local with
             | Ok (a, b) ->
-              log_op t (Persist.Op.Split { caller; cap; at });
+              log_op t ~by:caller (Op.Split { cap; at });
               Ok (gcap ~shard:sh a, gcap ~shard:sh b)
             | Error e -> Error (tr_error ~shard:sh e)))
 
@@ -596,11 +539,7 @@ let carve t ~caller ~cap ~subrange =
         write s (fun () ->
             match Monitor.carve s.s_monitor ~caller ~cap:(cap_local cap) ~subrange:sub with
             | Ok c ->
-              log_op t
-                (Persist.Op.Carve
-                   { caller; cap;
-                     base = Hw.Addr.Range.base subrange;
-                     len = Hw.Addr.Range.len subrange });
+              log_op t ~by:caller (Op.Carve { cap; subrange });
               Ok (gcap ~shard:sh c)
             | Error e -> Error (tr_error ~shard:sh e)))
 
@@ -609,7 +548,7 @@ let revoke t ~caller ~cap =
       write s (fun () ->
           match Monitor.revoke s.s_monitor ~caller ~cap:(cap_local cap) with
           | Ok () ->
-            log_op t (Persist.Op.Revoke { caller; cap });
+            log_op t ~by:caller (Op.Revoke { cap });
             Ok ()
           | Error e -> Error (tr_error ~shard:sh e)))
 
@@ -655,7 +594,7 @@ let call t ~core ~target =
       write s (fun () ->
           match Monitor.call s.s_monitor ~core:lc ~target with
           | Ok p ->
-            log_op t (Persist.Op.Call { core; target });
+            log_op t ~by:core (Op.Call { target });
             Ok p
           | Error e -> Error (tr_error ~shard:sh e)))
 
@@ -664,7 +603,7 @@ let ret t ~core =
       write s (fun () ->
           match Monitor.ret s.s_monitor ~core:lc with
           | Ok p ->
-            log_op t (Persist.Op.Ret { core });
+            log_op t ~by:core Op.Return;
             Ok p
           | Error e -> Error (tr_error ~shard:sh e)))
 
@@ -675,7 +614,7 @@ let timer_tick t ~core =
           | Ok d ->
             (* Logged unconditionally (the single-monitor path logs only
                evictions); replaying a no-op tick is itself a no-op. *)
-            log_op t (Persist.Op.Timer_tick { core });
+            log_record t (Op.Evicted { core });
             Ok d
           | Error e -> Error (tr_error ~shard:sh e)))
 
@@ -853,53 +792,30 @@ let flush t = match t.persist with None -> () | Some fp -> Persist.Group.flush f
 let persist_seq t = Option.map (fun fp -> fp.fp_seq) t.persist
 let durable_seq t = Option.map (fun fp -> Persist.Group.durable_seq fp.fp_group) t.persist
 
-(* Replay one global-id record through the normal sharded entry points
-   (logging muted by [fp_replaying]) — the sharded mirror of
-   [Monitor.replay_op]. *)
-let replay_op t (op : Persist.Op.t) =
-  let mon r = Result.map_error Monitor.error_to_string (Result.map ignore r) in
-  match op with
-  | Persist.Op.Create_domain { caller; name; kind } -> (
-    match kind_of_int kind with
-    | None -> Error (Printf.sprintf "unknown domain kind %d" kind)
-    | Some kind -> mon (create_domain t ~caller ~name ~kind))
-  | Persist.Op.Set_entry_point { caller; domain; entry } ->
-    mon (set_entry_point t ~caller ~domain entry)
-  | Persist.Op.Set_flush_policy { caller; domain; flush } ->
-    mon (set_flush_policy t ~caller ~domain flush)
-  | Persist.Op.Mark_measured { caller; domain; base; len } ->
-    mon (mark_measured t ~caller ~domain (pair_range (base, len)))
-  | Persist.Op.Seal { caller; domain; measurement } ->
-    (* Memory contents are not durable: install the recorded digest
-       verbatim on every shard, as the single-monitor replay does. *)
+(* Replay one global-id record (logging muted by [fp_replaying]) through
+   [dispatch], as [Monitor]'s replay does through [Monitor.exec]. Memory
+   contents are not durable, so a [Seal] installs the recorded digest
+   on every shard instead of re-measuring. *)
+let replay_record t payload =
+  let mon call r =
     Result.map_error
-      (fun e -> Monitor.error_to_string e)
+      (fun e -> Format.asprintf "%a: %s" Op.pp_call call (Monitor.error_to_string e))
+      (Result.map ignore r)
+  in
+  match Op.decode payload with
+  | Error why -> Error ("undecodable record: " ^ why)
+  | Ok (Op.Evicted { core }) ->
+    Result.map_error Monitor.error_to_string (Result.map ignore (timer_tick t ~core))
+  | Ok (Op.Issued { by = caller; call = Op.Seal { domain }; digest }) ->
+    Result.map_error Monitor.error_to_string
       (write_all t (fun () ->
            broadcast t "seal replay" (fun m ->
                Result.map_error
                  (fun e -> Monitor.Domain_config e)
-                 (Monitor.install_seal m ~caller ~domain ~measurement))))
-  | Persist.Op.Destroy_domain { caller; domain } -> mon (destroy_domain t ~caller ~domain)
-  | Persist.Op.Share { caller; cap; to_; rights; cleanup; sub } -> (
-    match cleanup_of_int cleanup with
-    | None -> Error (Printf.sprintf "unknown cleanup policy %d" cleanup)
-    | Some cleanup -> (
-      let rights = rights_of_wire rights in
-      match sub with
-      | Some p -> mon (share t ~caller ~cap ~to_ ~rights ~cleanup ~subrange:(pair_range p) ())
-      | None -> mon (share t ~caller ~cap ~to_ ~rights ~cleanup ())))
-  | Persist.Op.Grant { caller; cap; to_; rights; cleanup } -> (
-    match cleanup_of_int cleanup with
-    | None -> Error (Printf.sprintf "unknown cleanup policy %d" cleanup)
-    | Some cleanup ->
-      mon (grant t ~caller ~cap ~to_ ~rights:(rights_of_wire rights) ~cleanup))
-  | Persist.Op.Split { caller; cap; at } -> mon (split t ~caller ~cap ~at)
-  | Persist.Op.Carve { caller; cap; base; len } ->
-    mon (carve t ~caller ~cap ~subrange:(pair_range (base, len)))
-  | Persist.Op.Revoke { caller; cap } -> mon (revoke t ~caller ~cap)
-  | Persist.Op.Call { core; target } -> mon (call t ~core ~target)
-  | Persist.Op.Ret { core } -> mon (ret t ~core)
-  | Persist.Op.Timer_tick { core } -> mon (timer_tick t ~core)
+                 (Monitor.install_seal m ~caller ~domain ~measurement:digest))))
+  | Ok (Op.Issued { by; call = (Op.Call _ | Op.Return) as call; _ }) ->
+    mon call (dispatch t ~caller:(current_domain t ~core:by) ~core:by call)
+  | Ok (Op.Issued { by; call; _ }) -> mon call (dispatch t ~caller:by ~core:0 call)
 
 type recovery_report = {
   sr_wal_records : int;
@@ -919,42 +835,21 @@ let recover ?shards ?signer_height ?keypool ~rng ~mk ~store () =
   enable_persistence t ~store ();
   let fp = Option.get t.persist in
   fp.fp_replaying <- true;
-  let applied, stopped =
+  let r =
     Fun.protect
       ~finally:(fun () -> fp.fp_replaying <- false)
       (fun () ->
-        Fault.suspend (fun () ->
-            let rec go expected applied = function
-              | [] -> (applied, None)
-              | (seq, payload) :: rest ->
-                if seq <> expected then
-                  ( applied,
-                    Some (Printf.sprintf "sequence gap: expected %d, found %d" expected seq) )
-                else (
-                  match Persist.Op.decode payload with
-                  | exception Persist.Wire.Corrupt why ->
-                    (applied, Some (Printf.sprintf "undecodable record at seq %d: %s" seq why))
-                  | op -> (
-                    match replay_op t op with
-                    | Ok () ->
-                      fp.fp_seq <- seq;
-                      go (seq + 1) (applied + 1) rest
-                    | Error why ->
-                      ( applied,
-                        Some
-                          (Format.asprintf "replay of %a (seq %d) failed: %s" Persist.Op.pp
-                             op seq why) )
-                    | exception e ->
-                      ( applied,
-                        Some
-                          (Printf.sprintf "replay raised at seq %d: %s" seq
-                             (Printexc.to_string e)) )))
-            in
-            go 1 0 wal.Persist.Wal.records))
+        Fault.suspend (fun () -> Persist.Wal.replay wal ~after:0 (replay_record t)))
   in
+  (* No checkpoint retires this log, so cut a torn or unreplayable tail
+     before the first new append: a frame written behind it would be
+     durable but unreachable to the next recovery's prefix scan. *)
+  if wal.Persist.Wal.truncated || r.Persist.Wal.applied_bytes < wal.Persist.Wal.valid_bytes
+  then Persist.Store.truncate store Persist.Store.wal_blob r.Persist.Wal.applied_bytes;
+  fp.fp_seq <- r.Persist.Wal.last_seq;
   Persist.Group.note_durable fp.fp_group ~seq:fp.fp_seq;
   ( t,
     { sr_wal_records = List.length wal.Persist.Wal.records;
-      sr_replayed = applied;
+      sr_replayed = r.Persist.Wal.applied;
       sr_wal_truncated = wal.Persist.Wal.truncated;
-      sr_stopped_early = stopped } )
+      sr_stopped_early = r.Persist.Wal.stopped } )

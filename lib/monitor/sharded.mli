@@ -192,6 +192,11 @@ val recover :
   store:Persist.Store.t ->
   unit ->
   t * recovery_report
+(** Crash-restart: boot a fresh federation with [mk] and replay the
+    front-end WAL through {!dispatch} (a [Seal] record installs its
+    recorded digest on every shard), stopping at the first record that
+    cannot be trusted. The blob is then cut back to the replayed prefix,
+    so operations acknowledged after recovery survive the next crash. *)
 
 (** {2 Telemetry} *)
 

@@ -18,7 +18,7 @@ type resource_spec =
 type node_spec = {
   n_id : int;
   n_resource : resource_spec;
-  n_rights : Op.rights;
+  n_rights : int;
   n_owner : int;
   n_cleanup : int;
   n_parent : int;
@@ -102,7 +102,7 @@ let dec_resource r =
 let enc_node b n =
   Wire.i64 b n.n_id;
   enc_resource b n.n_resource;
-  Wire.u8 b (Op.rights_bits n.n_rights);
+  Wire.u8 b n.n_rights;
   Wire.i64 b n.n_owner;
   Wire.u8 b n.n_cleanup;
   Wire.i64 b n.n_parent;
@@ -119,7 +119,7 @@ let enc_node b n =
 let dec_node r =
   let n_id = Wire.get_i64 r in
   let n_resource = dec_resource r in
-  let n_rights = Op.rights_of_bits (Wire.get_u8 r) in
+  let n_rights = Wire.get_u8 r in
   let n_owner = Wire.get_i64 r in
   let n_cleanup = Wire.get_u8 r in
   let n_parent = Wire.get_i64 r in

@@ -43,7 +43,7 @@ type resource_spec =
 type node_spec = {
   n_id : int;
   n_resource : resource_spec;
-  n_rights : Op.rights;
+  n_rights : int; (** The rights byte ([Cap.Rights.to_bits]). *)
   n_owner : int;
   n_cleanup : int;
   n_parent : int; (** -1 = root. *)

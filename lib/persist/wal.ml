@@ -4,7 +4,8 @@ type read_result = {
   truncated : bool;
 }
 
-(* body = i64 seq ^ payload, so a valid body is at least 8 bytes. *)
+(* body = i64 seq ^ payload, so a valid body is at least 8 bytes, and
+   a whole frame is 16 bytes longer than its payload. *)
 let frame ~seq payload =
   let body_len = 8 + String.length payload in
   let b = Buffer.create (body_len + 8) in
@@ -41,6 +42,35 @@ let parse data =
     { records = List.rev acc; valid_bytes = pos; truncated = pos < n }
   in
   go 0 []
+
+type replay = {
+  applied : int;
+  last_seq : int;
+  applied_bytes : int;
+  stopped : string option;
+}
+
+let replay { records; _ } ~after apply =
+  let rec go ~expected ~bytes ~applied = function
+    | (seq, payload) :: rest when seq <= after ->
+      go ~expected ~bytes:(bytes + 16 + String.length payload) ~applied rest
+    | (seq, payload) :: rest ->
+      let stop why =
+        { applied; last_seq = expected - 1; applied_bytes = bytes; stopped = Some why }
+      in
+      if seq <> expected then
+        stop (Printf.sprintf "sequence gap: expected %d, found %d" expected seq)
+      else (
+        match apply payload with
+        | Ok () ->
+          go ~expected:(seq + 1) ~bytes:(bytes + 16 + String.length payload)
+            ~applied:(applied + 1) rest
+        | Error why -> stop (Printf.sprintf "replay of seq %d failed: %s" seq why)
+        | exception e ->
+          stop (Printf.sprintf "replay raised at seq %d: %s" seq (Printexc.to_string e)))
+    | [] -> { applied; last_seq = expected - 1; applied_bytes = bytes; stopped = None }
+  in
+  go ~expected:(after + 1) ~bytes:0 ~applied:0 records
 
 let append store ~blob ~seq payload = Store.append store blob (frame ~seq payload)
 let read store ~blob = parse (Store.read store blob)

@@ -23,6 +23,28 @@ val frame : seq:int -> string -> string
 val parse : string -> read_result
 (** Decode a blob's durable bytes. Total: never raises. *)
 
+(** {2 Replay} *)
+
+type replay = {
+  applied : int; (** Records re-applied. *)
+  last_seq : int; (** Sequence number of the last record applied ([after] if none). *)
+  applied_bytes : int;
+      (** Length of the log prefix replay accepted: every record before
+          the one it stopped at. The whole trusted prefix when replay ran
+          to the end. *)
+  stopped : string option; (** Why replay stopped before the end, if it did. *)
+}
+
+val replay : read_result -> after:int -> (string -> (unit, string) result) -> replay
+(** [replay r ~after apply] feeds the payloads numbered [after + 1],
+    [after + 2], ... to [apply] in log order, skipping records at or
+    below [after] (a checkpoint covers them). It stops — never fails —
+    at a sequence gap, at an [Error], or when [apply] raises, so the
+    state is the longest prefix-consistent history the durable bytes
+    support. A writer that keeps appending after recovery must first
+    cut the blob back to [applied_bytes]: a frame written behind a torn
+    or rejected tail would be durable but unreachable. *)
+
 val append : Store.t -> blob:string -> seq:int -> string -> unit
 (** Frame and append one record (durable only after [Store.fsync]). *)
 

@@ -60,10 +60,11 @@ let arb_call = QCheck.make ~print:(Format.asprintf "%a" Tyche.Api.pp_call) gen_c
 (* Wire format *)
 
 let prop_roundtrip =
-  QCheck.Test.make ~name:"api: encode/decode roundtrip" ~count:500 arb_call (fun call ->
-      match Tyche.Api.decode (Tyche.Api.encode call) with
-      | Ok call' -> call = call'
-      | Error _ -> false)
+  QCheck.Test.make ~name:"api: encode/decode roundtrip" ~count:500
+    QCheck.(pair (int_bound 8) arb_call)
+    (fun (caller, call) ->
+      let r = Tyche.Api.issued caller call in
+      Tyche.Api.decode (Tyche.Api.encode r) = Ok r)
 
 let prop_decode_total =
   QCheck.Test.make ~name:"api: decode never raises on garbage" ~count:500
@@ -74,17 +75,49 @@ let prop_decode_total =
 let prop_decode_truncation =
   QCheck.Test.make ~name:"api: truncated encodings are rejected" ~count:200 arb_call
     (fun call ->
-      let wire = Tyche.Api.encode call in
+      let wire = Tyche.Api.encode (Tyche.Api.issued os call) in
       String.length wire <= 1
       ||
       let cut = String.sub wire 0 (String.length wire - 1) in
       match Tyche.Api.decode cut with Error _ -> true | Ok _ -> false)
 
 let test_decode_trailing_garbage () =
-  let wire = Tyche.Api.encode Tyche.Api.Enumerate ^ "x" in
+  let wire = Tyche.Api.encode (Tyche.Api.issued os Tyche.Api.Enumerate) ^ "x" in
   match Tyche.Api.decode wire with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing bytes accepted"
+
+(* Enum operands decode strictly: a reserved rights bit, or a kind or
+   clean-up code with no meaning, is an error — never silently dropped or
+   mapped onto some other value. Each case patches one code byte of a
+   valid encoding: a share's rights (byte 25) and clean-up (byte 26)
+   after its opcode, caller, cap and target, or a create's trailing
+   kind. *)
+let prop_strict_codes =
+  QCheck.Test.make ~name:"api: reserved rights bits, unknown kind and cleanup codes rejected"
+    ~count:300
+    QCheck.(pair (int_bound 2) (int_bound 255))
+    (fun (field, code) ->
+      let patched call pos =
+        let b = Bytes.of_string (Tyche.Api.encode (Tyche.Api.issued os call)) in
+        let pos = if pos < 0 then Bytes.length b + pos else pos in
+        Bytes.set b pos (Char.chr code);
+        Bytes.to_string b
+      in
+      let share =
+        Tyche.Api.Share
+          { cap = 7; to_ = 3; rights = Cap.Rights.rw; cleanup = Cap.Revocation.Zero;
+            subrange = None }
+      in
+      let wire, meaningful =
+        match field with
+        | 0 -> (patched share 25, code < 32)
+        | 1 -> (patched share 26, code < 4)
+        | _ ->
+          let create = Tyche.Api.Create_domain { name = "d"; kind = Tyche.Domain.Enclave } in
+          (patched create (-1), code < 6)
+      in
+      match Tyche.Api.decode wire with Ok _ -> meaningful | Error _ -> not meaningful)
 
 (* End-to-end dispatch over the wire *)
 
@@ -92,10 +125,11 @@ let test_dispatch_over_wire () =
   let w = boot_x86 () in
   let m = w.monitor in
   let send caller call =
-    let wire = Tyche.Api.encode call in
+    let wire = Tyche.Api.encode (Tyche.Api.issued caller call) in
     match Tyche.Api.decode wire with
     | Error e -> Alcotest.failf "decode failed: %s" e
-    | Ok call -> Tyche.Api.dispatch m ~caller ~core:0 call
+    | Ok (Tyche.Api.Issued { call; _ }) -> Tyche.Api.dispatch m ~caller ~core:0 call
+    | Ok (Tyche.Api.Evicted _) -> Alcotest.fail "a request decoded as an eviction"
   in
   (* A full enclave lifecycle driven purely through the byte ABI. *)
   let d =
@@ -194,6 +228,7 @@ let () =
         [ qt prop_roundtrip;
           qt prop_decode_total;
           qt prop_decode_truncation;
+          qt prop_strict_codes;
           Alcotest.test_case "trailing garbage" `Quick test_decode_trailing_garbage ] );
       ( "dispatch",
         [ Alcotest.test_case "enclave lifecycle over the wire" `Quick test_dispatch_over_wire;

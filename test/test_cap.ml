@@ -620,6 +620,19 @@ let prop_frozen_tracks_delegations =
              (Captree.error_to_string e));
       true)
 
+(* The rights byte is the one codec the WAL, snapshots, fleet frames and
+   migration manifests share: every 5-bit pattern round-trips, and a
+   reserved bit (5-7) is refused rather than dropped. *)
+let test_rights_bits () =
+  for b = 0 to 31 do
+    match Rights.of_bits b with
+    | Some r -> Alcotest.(check int) "rights bits round-trip" b (Rights.to_bits r)
+    | None -> Alcotest.failf "rights bits %d refused" b
+  done;
+  for b = 32 to 255 do
+    if Rights.of_bits b <> None then Alcotest.failf "reserved rights bits %d accepted" b
+  done
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "cap"
@@ -641,6 +654,7 @@ let () =
           Alcotest.test_case "circular sharing" `Quick test_circular_sharing_revocation;
           Alcotest.test_case "circular revocation index agreement" `Quick
             test_circular_revocation_index_agreement ] );
+      ("codes", [ Alcotest.test_case "rights bits" `Quick test_rights_bits ]);
       ( "refcounts",
         [ Alcotest.test_case "Fig. 4 region map" `Quick test_fig4_region_map;
           Alcotest.test_case "region map merging" `Quick test_region_map_merging ] );

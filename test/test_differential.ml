@@ -19,6 +19,14 @@ let worlds () = (boot_x86 ~cores:2 (), boot_riscv ~cores:2 ())
 
 let dispatch w call = Tyche.Api.dispatch w.monitor ~caller:os ~core call
 
+(* Traces hold each call as domain 0 issues it, in the wire format. *)
+let encode call = Tyche.Api.encode (Tyche.Api.issued os call)
+
+let decode bytes =
+  match get_ok_str ~msg:"decode recorded call" (Tyche.Api.decode bytes) with
+  | Tyche.Api.Issued { call; _ } -> call
+  | Tyche.Api.Evicted _ -> Alcotest.fail "recorded trace holds an eviction"
+
 (* Record the trace on a scratch x86 world: the script needs real cap
    ids (carve's result feeds share, share's feeds revoke), so each call
    is dispatched as it is recorded. Only the encoded bytes survive. *)
@@ -26,7 +34,7 @@ let recorded_trace () =
   let w = boot_x86 ~cores:2 () in
   let trace = ref [] in
   let run call =
-    trace := Tyche.Api.encode call :: !trace;
+    trace := encode call :: !trace;
     dispatch w call
   in
   let cap_of = function
@@ -84,7 +92,7 @@ let replay w trace =
   let responses =
     List.map
       (fun bytes ->
-        let call = get_ok_str ~msg:"decode recorded call" (Tyche.Api.decode bytes) in
+        let call = decode bytes in
         let resp = dispatch w call in
         (match resp with
         | Ok (Tyche.Api.R_attestation a) -> attests := a :: !attests
@@ -155,7 +163,7 @@ let sharded_trace () =
   let t = boot_sharded ~shards:1 () in
   let trace = ref [] in
   let run call =
-    trace := Tyche.Api.encode call :: !trace;
+    trace := encode call :: !trace;
     sharded_dispatch t call
   in
   let cap_of = function
@@ -218,7 +226,7 @@ let sharded_replay t sbx trace =
   let responses =
     List.map
       (fun bytes ->
-        let call = get_ok_str ~msg:"decode recorded call" (Tyche.Api.decode bytes) in
+        let call = decode bytes in
         let resp = sharded_dispatch t call in
         (match resp with
         | Ok (Tyche.Api.R_attestation a) -> attests := a :: !attests

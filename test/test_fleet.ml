@@ -598,12 +598,6 @@ let prop_tamper =
       done;
       !ok)
 
-let test_rights_bits () =
-  for b = 0 to 31 do
-    Alcotest.(check int) "rights bits round-trip" b
-      (Distributed.Fleet.Wire.rights_bits (Distributed.Fleet.Wire.rights_of_bits b))
-  done
-
 let () =
   Alcotest.run "fleet"
     [ ( "delegation",
@@ -640,5 +634,4 @@ let () =
             test_fleet_attestation ] );
       ( "wire",
         [ QCheck_alcotest.to_alcotest prop_roundtrip;
-          QCheck_alcotest.to_alcotest prop_tamper;
-          Alcotest.test_case "rights bits" `Quick test_rights_bits ] ) ]
+          QCheck_alcotest.to_alcotest prop_tamper ] ) ]

@@ -129,34 +129,59 @@ let test_frame_roundtrip () =
   Alcotest.(check int) "valid bytes" (String.length blob) r.Persist.Wal.valid_bytes;
   Alcotest.(check (list (pair int string))) "records" records r.Persist.Wal.records
 
+(* The WAL's on-disk format, pinned byte for byte: one record of every
+   logged shape, with the hex the log has always written for it. Stores
+   written before the codec moved into [Tyche.Op] must still recover,
+   and a changed byte would also move every store-bytes figure. *)
 let test_op_roundtrip () =
+  let open Cap.Revocation in
   let rights =
-    { Persist.Op.r_read = true; r_write = false; r_exec = true; r_share = false; r_grant = true }
+    { Cap.Rights.perm = { Hw.Perm.read = true; write = false; exec = true };
+      can_share = false;
+      can_grant = true }
   in
-  let ops =
-    [ Persist.Op.Create_domain { caller = 0; name = "enclave-1"; kind = 2 };
-      Persist.Op.Set_entry_point { caller = 0; domain = 3; entry = 0x40_0000 };
-      Persist.Op.Set_flush_policy { caller = 1; domain = 3; flush = true };
-      Persist.Op.Mark_measured { caller = 0; domain = 3; base = 4096; len = 8192 };
-      Persist.Op.Seal { caller = 0; domain = 3; measurement = String.make 32 '\x7f' };
-      Persist.Op.Destroy_domain { caller = 0; domain = 3 };
-      Persist.Op.Share { caller = 0; cap = 7; to_ = 3; rights; cleanup = 1; sub = Some (0, 4096) };
-      Persist.Op.Share { caller = 0; cap = 7; to_ = 3; rights; cleanup = 0; sub = None };
-      Persist.Op.Grant { caller = 2; cap = 9; to_ = 4; rights; cleanup = 3 };
-      Persist.Op.Split { caller = 0; cap = 5; at = 12288 };
-      Persist.Op.Carve { caller = 0; cap = 5; base = 4096; len = 4096 };
-      Persist.Op.Revoke { caller = 0; cap = 11 };
-      Persist.Op.Call { core = 1; target = 3 };
-      Persist.Op.Ret { core = 1 };
-      Persist.Op.Timer_tick { core = 0 } ]
+  let range base len = Hw.Addr.Range.make ~base ~len in
+  let issued = Tyche.Op.issued in
+  let hex s =
+    String.concat ""
+      (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+  in
+  let golden : (Tyche.Op.record * string) list =
+    [ ( issued 0 (Create_domain { name = "enclave-1"; kind = Tyche.Domain.Enclave }),
+        "01000000000000000009000000656e636c6176652d3102" );
+      ( issued 0 (Set_entry_point { domain = 3; entry = 0x40_0000 }),
+        "02000000000000000003000000000000000000400000000000" );
+      ( issued 1 (Set_flush_policy { domain = 3; flush = true }),
+        "030100000000000000030000000000000001" );
+      ( issued 0 (Mark_measured { domain = 3; range = range 4096 8192 }),
+        "040000000000000000030000000000000000100000000000000020000000000000" );
+      ( Tyche.Op.Issued { by = 0; call = Seal { domain = 3 }; digest = String.make 32 '\x7f' },
+        "050000000000000000030000000000000020000000"
+        ^ "7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f" );
+      (issued 0 (Destroy { domain = 3 }), "0600000000000000000300000000000000");
+      ( issued 0
+          (Share { cap = 7; to_ = 3; rights; cleanup = Zero; subrange = Some (range 0 4096) }),
+        "0700000000000000000700000000000000030000000000000015010100000000000000000010000000000000"
+      );
+      ( issued 0 (Share { cap = 7; to_ = 3; rights; cleanup = Keep; subrange = None }),
+        "07000000000000000007000000000000000300000000000000150000" );
+      ( issued 2 (Grant { cap = 9; to_ = 4; rights; cleanup = Zero_and_flush }),
+        "080200000000000000090000000000000004000000000000001503" );
+      ( issued 0 (Split { cap = 5; at = 12288 }),
+        "09000000000000000005000000000000000030000000000000" );
+      ( issued 0 (Carve { cap = 5; subrange = range 4096 4096 }),
+        "0a0000000000000000050000000000000000100000000000000010000000000000" );
+      (issued 0 (Revoke { cap = 11 }), "0b00000000000000000b00000000000000");
+      (issued 1 (Call { target = 3 }), "0c01000000000000000300000000000000");
+      (issued 1 Return, "0d0100000000000000");
+      (Tyche.Op.Evicted { core = 0 }, "0e0000000000000000") ]
   in
   List.iter
-    (fun op ->
-      let back = Persist.Op.decode (Persist.Op.encode op) in
-      Alcotest.(check bool)
-        (Format.asprintf "%a" Persist.Op.pp op)
-        true (op = back))
-    ops
+    (fun (record, bytes) ->
+      let wire = Tyche.Op.encode record in
+      Alcotest.(check string) "golden bytes" bytes (hex wire);
+      Alcotest.(check bool) (bytes ^ " decodes back") true (Tyche.Op.decode wire = Ok record))
+    golden
 
 (* A pool of valid framed records to cut and corrupt. *)
 let sample_blob n =

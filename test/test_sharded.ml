@@ -280,6 +280,15 @@ let test_seal_and_attest () =
 
 (* ---------------- durability ---------------- *)
 
+(* Fresh per-shard worlds for recovery to rebuild onto, matching
+   [boot_sharded ~seed]'s shards. *)
+let recovery_mk seed ~shard =
+  let machine = Hw.Machine.create ~arch:Hw.Cpu.X86_64 ~cores:2 ~mem_size:(8 * 1024 * 1024) () in
+  let srng = Crypto.Rng.create ~seed:(Int64.add seed (Int64.of_int (shard * 7919))) in
+  let tpm = Rot.Tpm.create srng in
+  let report = Rot.Boot.measured_boot tpm machine ~firmware ~loader:loader_blob ~monitor_image in
+  (machine, Backend_x86.create machine (), tpm, srng, report.Rot.Boot.monitor_range)
+
 let test_persist_recover () =
   let store = Persist.Store.mem () in
   let seed = 0x5AADL in
@@ -296,16 +305,7 @@ let test_persist_recover () =
   let before = (fp 0, fp 1) in
   (* Rebuild the federation from the front-end WAL alone. *)
   let rng = Crypto.Rng.create ~seed in
-  let mk ~shard =
-    let machine = Hw.Machine.create ~arch:Hw.Cpu.X86_64 ~cores:2 ~mem_size:(8 * 1024 * 1024) () in
-    let srng = Crypto.Rng.create ~seed:(Int64.add seed (Int64.of_int (shard * 7919))) in
-    let tpm = Rot.Tpm.create srng in
-    let report =
-      Rot.Boot.measured_boot tpm machine ~firmware ~loader:loader_blob ~monitor_image
-    in
-    (machine, Backend_x86.create machine (), tpm, srng, report.Rot.Boot.monitor_range)
-  in
-  let t', rep = Tyche.Sharded.recover ~shards:2 ~rng ~mk ~store () in
+  let t', rep = Tyche.Sharded.recover ~shards:2 ~rng ~mk:(recovery_mk seed) ~store () in
   (match rep.Tyche.Sharded.sr_stopped_early with
   | None -> ()
   | Some why -> Alcotest.failf "recovery stopped early: %s" why);
@@ -321,6 +321,49 @@ let test_persist_recover () =
   | Some dd -> Alcotest.(check string) "surviving domain" "keep" (Tyche.Domain.name dd)
   | None -> Alcotest.fail "surviving domain lost");
   check_shards t'
+
+(* The front end keeps no checkpoints, so nothing compacts a torn WAL
+   tail away: recovery must cut it before appending, or every frame
+   written behind the tear is durable yet unreachable, and a second
+   crash loses every operation acknowledged since the first. *)
+let test_torn_tail_recovery () =
+  let store = Persist.Store.mem () in
+  let seed = 0x7EA7L in
+  let recover () =
+    Tyche.Sharded.recover ~shards:2 ~rng:(Crypto.Rng.create ~seed) ~mk:(recovery_mk seed)
+      ~store ()
+  in
+  let create t name =
+    get_ok (Tyche.Sharded.create_domain t ~caller:os ~name ~kind:Tyche.Domain.Sandbox)
+  in
+  let t = boot_sharded ~seed ~shards:2 () in
+  Tyche.Sharded.enable_persistence t ~store ();
+  ignore (create t "a");
+  ignore (create t "b");
+  (match Fault.with_plan (Fault.nth "wal.append" 1) (fun () -> create t "torn") with
+  | _ -> Alcotest.fail "the injected power failure did not crash the append"
+  | exception Persist.Store.Crash _ -> ());
+  let t1, rep1 = recover () in
+  Alcotest.(check bool) "first recovery found a torn tail" true
+    rep1.Tyche.Sharded.sr_wal_truncated;
+  Alcotest.(check int) "durable prefix replayed" 2 rep1.Tyche.Sharded.sr_replayed;
+  let names = List.init 5 (Printf.sprintf "after-%d") in
+  let ids = List.map (create t1) names in
+  Tyche.Sharded.flush t1;
+  Alcotest.(check (option int)) "acknowledged" (Some 7) (Tyche.Sharded.durable_seq t1);
+  Persist.Store.power_fail store;
+  let t2, rep2 = recover () in
+  Alcotest.(check (option string)) "replay ran to the end" None
+    rep2.Tyche.Sharded.sr_stopped_early;
+  Alcotest.(check (option int)) "every acknowledged op recovered" (Some 7)
+    (Tyche.Sharded.persist_seq t2);
+  List.iter2
+    (fun id name ->
+      match Tyche.Sharded.find_domain t2 id with
+      | Some d -> Alcotest.(check string) "domain survives" name (Tyche.Domain.name d)
+      | None -> Alcotest.failf "acknowledged domain %s lost" name)
+    ids names;
+  check_shards t2
 
 let () =
   Alcotest.run "sharded"
@@ -344,5 +387,6 @@ let () =
       ( "attest",
         [ Alcotest.test_case "seal and aggregate attestation" `Quick test_seal_and_attest ] );
       ( "durability",
-        [ Alcotest.test_case "WAL recovery rebuilds the federation" `Quick test_persist_recover ] );
+        [ Alcotest.test_case "WAL recovery rebuilds the federation" `Quick test_persist_recover;
+          Alcotest.test_case "recovery cuts a torn WAL tail" `Quick test_torn_tail_recovery ] );
     ]
