@@ -102,10 +102,17 @@ let make_domain ?(flush = false) ?(kind = Tyche.Domain.Enclave) w ~name ~base ~n
 
 (* --- bechamel ------------------------------------------------------- *)
 
+(* No per-sample GC stabilization: it runs [Gc.compact] before every
+   sample, and under OCaml 5.1 that many compactions leave the memory
+   later experiments free resident (RSS 1.4 GB after E6 against a 68 MB
+   live heap); the full suite then grew past 7.8 GB and was killed on an
+   8 GB machine. Without it the suite peaks near 3 GB. *)
 let run_bechamel ~name tests =
   let open Bechamel in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) ~kde:None () in
+  let cfg =
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) ~kde:None ~stabilize:false ()
+  in
   let grouped = Test.make_grouped ~name ~fmt:"%s/%s" tests in
   let raw = Benchmark.all cfg instances grouped in
   let results =
@@ -1453,7 +1460,8 @@ let e17 ?(smoke = false) () =
    starts allocating or scanning per event. *)
 let e17_ceiling op = if op = "e17 journaled pair, tracing on" then Some 1.2 else None
 
-(* E18: what durable *throughput* costs. Four row groups:
+(* E18: what durable *throughput* costs. Three row groups here, plus
+   the revocation cascade in {!e18_cascade}:
    - "e18 group commit(64)": per-record cost of the redo log on a real
      filesystem when 64 records share one fsync, against the per-op
      fsync discipline the group queue replaces. Runs at the persist
@@ -1464,11 +1472,7 @@ let e17_ceiling op = if op = "e17 journaled pair, tracing on" then Some 1.2 else
      against the full snapshot it replaces.
    - "e18 ckpt bytes@10k": bytes appended to the snapshot/segment
      streams by that incremental checkpoint vs the full snapshot
-     record.
-   - "e18 revoke cascade fanout=N": revocation-cascade latency with a
-     per-victim breakdown at fanouts 10/100/1000 (informational, no
-     twin — the per-victim histogram lives in Obs as
-     [revoke.cascade_cycles_per_victim]). *)
+     record. *)
 let e18 ?(smoke = false) () =
   if smoke then header "E18: durable throughput [smoke]"
   else header "E18: durable throughput — group commit, incremental checkpoints";
@@ -1603,53 +1607,99 @@ let e18 ?(smoke = false) () =
   add n_ops "e18 ckpt bytes@10k" ~fast:incr_bytes ~baseline:full_bytes
     (Printf.sprintf "%.0f B incremental vs %.0f B full, %.1fx smaller" incr_bytes full_bytes
        (full_bytes /. incr_bytes));
-  (* --- revocation cascade, per-fanout breakdown --- *)
-  let wr = boot ~mem_size:(128 * 1024 * 1024) () in
-  let mr = wr.monitor in
-  let bigr = os_memory_cap wr in
+  List.rev !rows
+
+(* E18 revoke cascade: one parent share with [fanout] one-page
+   sub-shares hanging off it, revoked in one call. Two spreads: the
+   children go to seven domains in turn, or all to one domain (the
+   shape where each victim used to rescan and rewrite its domain's
+   remaining holdings). Per victim: wall ns (informational), simulated
+   cycles, and words allocated ([Gc.counters]: minor + major -
+   promoted), the count that repeats exactly and that bench-smoke holds
+   flat in fanout. Rows: "e18 revoke cascade fanout=N" (seven domains)
+   and "... fanout=N one-domain", ns per revoke. *)
+type cascade = { c_domains : int; c_fanout : int; c_words : float }
+
+let e18_cascade ?(smoke = false) () =
+  if smoke then header "E18: revoke cascade per victim [smoke]"
+  else header "E18: revoke cascade per victim — seven domains vs one";
+  let w = boot ~mem_size:(128 * 1024 * 1024) () in
+  let m = w.monitor in
+  let big = os_memory_cap w in
   let peers =
     Array.init 8 (fun i ->
         ok
-          (Tyche.Monitor.create_domain mr ~caller:os ~name:(Printf.sprintf "v%d" i)
+          (Tyche.Monitor.create_domain m ~caller:os ~name:(Printf.sprintf "v%d" i)
              ~kind:Tyche.Domain.Sandbox))
   in
   let next_base = ref 0x400000 in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
   let fanouts = if smoke then [ 10; 100 ] else [ 10; 100; 1000 ] in
+  let rows = ref [] and shapes = ref [] in
+  (* A minor collection landing inside a measured window inflates
+     [Gc.counters] by about a minor heap: empty the minor heap before
+     each window and make it big enough (8 MiB) for the largest
+     cascade. *)
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = 1 lsl 20 };
+  Fun.protect ~finally:(fun () -> Gc.set gc) @@ fun () ->
   List.iter
-    (fun fanout ->
-      let iters = if smoke then 3 else if fanout >= 1000 then 5 else 20 in
-      let total = ref 0.0 in
-      for _ = 1 to iters do
-        (* One parent share, [fanout] sub-shares hanging off it: the
-           revoke walks the whole subtree. *)
-        let base = !next_base in
-        next_base := base + ((fanout + 1) * page);
-        let parent =
-          ok
-            (Tyche.Monitor.share mr ~caller:os ~cap:bigr ~to_:peers.(0)
-               ~rights:Cap.Rights.rw ~cleanup:Cap.Revocation.Keep
-               ~subrange:(range ~base ~len:((fanout + 1) * page)) ())
-        in
-        for k = 0 to fanout - 1 do
-          ignore
-            (ok
-               (Tyche.Monitor.share mr ~caller:peers.(0) ~cap:parent
-                  ~to_:peers.(1 + (k mod 7)) ~rights:Cap.Rights.read_only
-                  ~cleanup:Cap.Revocation.Keep
-                  ~subrange:(range ~base:(base + (k * page)) ~len:page) ()))
-        done;
-        let t0 = Unix.gettimeofday () in
-        ok (Tyche.Monitor.revoke mr ~caller:os ~cap:parent);
-        total := !total +. (Unix.gettimeofday () -. t0)
-      done;
-      let ns = !total /. float_of_int iters *. 1e9 in
-      add fanout
-        (Printf.sprintf "e18 revoke cascade fanout=%d" fanout)
-        ~fast:ns ~baseline:Float.nan
-        (Printf.sprintf "%.0f ns/victim, %d victims" (ns /. float_of_int (fanout + 1))
-           (fanout + 1)))
-    fanouts;
-  List.rev !rows
+    (fun domains ->
+      List.iter
+        (fun fanout ->
+          let iters = if smoke then 5 else if fanout >= 1000 then 5 else 20 in
+          let victims = fanout + 1 in
+          let total = ref 0.0 and min_words = ref infinity and cycles = ref 0 in
+          for _ = 1 to iters do
+            let base = !next_base in
+            next_base := base + (victims * page);
+            let parent =
+              ok
+                (Tyche.Monitor.share m ~caller:os ~cap:big ~to_:peers.(0) ~rights:Cap.Rights.rw
+                   ~cleanup:Cap.Revocation.Keep ~subrange:(range ~base ~len:(victims * page)) ())
+            in
+            for k = 0 to fanout - 1 do
+              ignore
+                (ok
+                   (Tyche.Monitor.share m ~caller:peers.(0) ~cap:parent
+                      ~to_:peers.(1 + (k mod domains)) ~rights:Cap.Rights.read_only
+                      ~cleanup:Cap.Revocation.Keep
+                      ~subrange:(range ~base:(base + (k * page)) ~len:page) ()))
+            done;
+            Gc.minor ();
+            let c0 = Hw.Machine.cycles w.machine in
+            let w0 = words () in
+            let t0 = Unix.gettimeofday () in
+            ok (Tyche.Monitor.revoke m ~caller:os ~cap:parent);
+            let dt = Unix.gettimeofday () -. t0 in
+            min_words := Float.min !min_words (words () -. w0);
+            cycles := Hw.Machine.cycles w.machine - c0;
+            total := !total +. dt
+          done;
+          let ns = !total /. float_of_int iters *. 1e9 in
+          let per_victim = !min_words /. float_of_int victims in
+          let op =
+            Printf.sprintf "e18 revoke cascade fanout=%d%s" fanout
+              (if domains = 1 then " one-domain" else "")
+          in
+          rows := { size = fanout; op; indexed_ns = ns; reference_ns = Float.nan } :: !rows;
+          shapes := { c_domains = domains; c_fanout = fanout; c_words = per_victim } :: !shapes;
+          row3 op
+            (Printf.sprintf "%.0f ns/op" ns)
+            (Printf.sprintf "%.0f ns, %d cycles, %.0f words per victim (%d victims)"
+               (ns /. float_of_int victims) (!cycles / victims) per_victim victims))
+        fanouts)
+    [ 7; 1 ];
+  (List.rev !rows, List.rev !shapes)
+
+(* O(victims) revocation, gated on a deterministic count: words
+   allocated per victim at fanout 100 may be at most this multiple of
+   the fanout-10 figure, in both spreads. A per-victim rescan of the
+   domain's holdings makes the one-domain spread grow linearly. *)
+let e18_words_ceiling = 1.5
 
 (* Floors for the E18 ratios (same busy-CI discipline as {!e16_floor}):
    - group commit: 64 records per fsync amortizes the dominant barrier
@@ -1662,8 +1712,7 @@ let e18 ?(smoke = false) () =
      acceptance point.
    - ckpt bytes: one manifest + one segment vs the full record. The
      manifest's (bucket, hash) table keeps the ratio lower than the
-     pause ratio; 5x holds from 1k caps up.
-   - revoke cascade rows: informational (NaN reference). *)
+     pause ratio; 5x holds from 1k caps up. *)
 let e18_floor op =
   if op = "e18 group commit(64) file store" then Some 5.0
   else if op = "e18 ckpt pause@10k" then Some 10.0
@@ -2330,6 +2379,24 @@ let capops_smoke () =
               r.reference_ns floor
             :: !failures)
     (e18 ~smoke:true ());
+  (* A cascade's allocation per victim must stay flat in fanout. *)
+  let _, shapes = e18_cascade ~smoke:true () in
+  List.iter
+    (fun domains ->
+      let at fanout =
+        List.find_opt (fun c -> c.c_domains = domains && c.c_fanout = fanout) shapes
+      in
+      match (at 10, at 100) with
+      | Some a, Some b ->
+        if b.c_words > e18_words_ceiling *. a.c_words then
+          failures :=
+            Printf.sprintf
+              "e18 revoke cascade (%d domain(s)): %.0f words/victim at fanout 100 vs %.0f at \
+               fanout 10 (> %.1fx)"
+              domains b.c_words a.c_words e18_words_ceiling
+            :: !failures
+      | _ -> failures := "e18 revoke cascade rows missing" :: !failures)
+    [ 7; 1 ];
   (* Share+revoke must stay flat in tree size (the E5b regression). *)
   let srows = capops_scaling ~smoke:true () in
   let ns_at size =
@@ -2441,7 +2508,8 @@ let () =
     micro ();
     let rows, _ = capops () in
     let rows =
-      rows @ e14 () @ e16 () @ e17 () @ e18 () @ capops_scaling () @ e19 () @ e20 ()
+      rows @ e14 () @ e16 () @ e17 () @ e18 () @ fst (e18_cascade ()) @ capops_scaling ()
+      @ e19 () @ e20 ()
       @ e21 () @ e22 ()
     in
     write_capops_json rows;

@@ -113,8 +113,16 @@ let journal_iommu s device =
     record s (fun () -> Hw.Iommu.set_windows iommu ~device ws)
   end
 
-(* Keep layouts sorted by base; Merge_adjacent folds touching ranges of
-   equal permission into a single PMP segment. *)
+(* Keep layouts sorted by base. Merge_adjacent folds touching ranges of
+   equal permission into a single PMP segment — even across a range of
+   another permission lying between them — so the layout is each
+   permission's union, ordered by base, length, then strength: a
+   function of what every permission covers, never of the order the
+   pieces arrived in. Where two holdings overlap, the subsuming
+   permission comes first, so the PMP's first match grants it. *)
+let strength (p : Hw.Perm.t) =
+  Bool.to_int p.read + (2 * Bool.to_int p.write) + (4 * Bool.to_int p.exec)
+
 let normalize strategy pieces =
   let sorted =
     List.sort (fun (a, _) (b, _) -> Hw.Addr.Range.compare a b) pieces
@@ -122,15 +130,25 @@ let normalize strategy pieces =
   match strategy with
   | First_fit -> sorted
   | Merge_adjacent ->
-    let rec fold = function
-      | (r1, p1) :: (r2, p2) :: rest
-        when Hw.Perm.equal p1 p2
-             && (Hw.Addr.Range.adjacent r1 r2 || Hw.Addr.Range.overlaps r1 r2) ->
-        fold ((Option.get (Hw.Addr.Range.merge r1 r2), p1) :: rest)
-      | x :: rest -> x :: fold rest
-      | [] -> []
-    in
-    fold sorted
+    (* The last run of each permission stays open while pieces touch it. *)
+    let open_runs = ref [] and out = ref [] in
+    List.iter
+      (fun (r, p) ->
+        match List.find_opt (fun (q, _) -> Hw.Perm.equal p q) !open_runs with
+        | Some (_, run) when Hw.Addr.Range.base r <= Hw.Addr.Range.limit !run ->
+          run :=
+            Hw.Addr.Range.of_bounds ~lo:(Hw.Addr.Range.base !run)
+              ~hi:(max (Hw.Addr.Range.limit !run) (Hw.Addr.Range.limit r))
+        | _ ->
+          let run = ref r in
+          open_runs := (p, run) :: List.filter (fun (q, _) -> not (Hw.Perm.equal p q)) !open_runs;
+          out := (run, p) :: !out)
+      sorted;
+    List.rev_map (fun (run, p) -> (!run, p)) !out
+    |> List.sort (fun (a, p) (b, q) ->
+           match Hw.Addr.Range.compare a b with
+           | 0 -> Int.compare (strength q) (strength p)
+           | c -> c)
 
 let layout_add s domain range perm =
   let l = layout_ref s domain in

@@ -9,18 +9,21 @@ type state = {
   mutable next_keyid : int;
   epts : (Tyche.Domain.id, Hw.Ept.t) Hashtbl.t;
   eptp_lists : (Tyche.Domain.id, Hw.Ept.Eptp_list.t) Hashtbl.t;
-  domain_mem : (Tyche.Domain.id, (Hw.Addr.Range.t * Hw.Perm.t) list ref) Hashtbl.t;
   domain_devices : (Tyche.Domain.id, int list ref) Hashtbl.t;
   mutable fast : int;
   mutable trap : int;
   (* Hardware undo journal (see Backend_riscv for the discipline):
      while [journaling], every EPT/MKTME/IOMMU/table mutation prepends
      its inverse; destructive clean-ups (zeroing) wait in [deferred]
-     until commit. TLB and cache flushes need no undo — over-flushing
-     is always safe. *)
+     until commit. TLB invalidation waits too: [stale] collects the
+     domains whose translations a detach invalidated, and commit pays
+     one shootdown (or one ASID flush per domain) for the whole call.
+     A rollback restores every mapping, so the cached translations are
+     valid again and nothing is flushed. *)
   mutable journal : (unit -> unit) list;
   mutable journaling : bool;
   mutable deferred : (unit -> unit) list;
+  stale : (Tyche.Domain.id, unit) Hashtbl.t;
 }
 
 (* Associates the opaque backend records handed to the monitor with
@@ -51,11 +54,26 @@ let txn_begin s =
     s.fast <- fast;
     s.trap <- trap)
 
+let flush_tlb s domains =
+  let tlb = s.machine.Hw.Machine.tlb in
+  match s.tlb_strategy with
+  | Full_shootdown ->
+    Hw.Tlb.shootdown tlb ~remote_cores:(Array.length s.machine.Hw.Machine.cores - 1)
+  | Asid_flush -> List.iter (fun asid -> Hw.Tlb.flush_asid tlb ~asid) domains
+
+(* A detach left [domain]'s translations stale: invalidate now outside a
+   transaction, at commit inside one. *)
+let invalidate_tlb s domain =
+  if s.journaling then Hashtbl.replace s.stale domain () else flush_tlb s [ domain ]
+
 let txn_commit s =
   let cleanups = List.rev s.deferred in
+  let stale = List.sort Int.compare (Hashtbl.fold (fun d () acc -> d :: acc) s.stale []) in
   s.journaling <- false;
   s.journal <- [];
   s.deferred <- [];
+  Hashtbl.reset s.stale;
+  if stale <> [] then flush_tlb s stale;
   List.iter (fun f -> f ()) cleanups
 
 let txn_rollback s =
@@ -63,6 +81,7 @@ let txn_rollback s =
   s.journaling <- false;
   s.journal <- [];
   s.deferred <- [];
+  Hashtbl.reset s.stale;
   (* Undo closures replay EPT/IOMMU writes; they must not re-trip the
      fault plan that caused the rollback. *)
   Fault.suspend (fun () -> List.iter (fun f -> f ()) undos)
@@ -72,14 +91,6 @@ let fault_error = function
     Printf.sprintf "fault injected at %s (trip %d)" point trip
   | e -> raise e
 
-let mem_of s domain =
-  match Hashtbl.find_opt s.domain_mem domain with
-  | Some l -> l
-  | None ->
-    let l = ref [] in
-    Hashtbl.add s.domain_mem domain l;
-    l
-
 let devices_of s domain =
   match Hashtbl.find_opt s.domain_devices domain with
   | Some l -> l
@@ -87,13 +98,6 @@ let devices_of s domain =
     let l = ref [] in
     Hashtbl.add s.domain_devices domain l;
     l
-
-let journal_mem s domain =
-  if s.journaling then begin
-    let l = mem_of s domain in
-    let old = !l in
-    record s (fun () -> l := old)
-  end
 
 let journal_devices s domain =
   if s.journaling then begin
@@ -186,9 +190,6 @@ let attach_memory s domain range perm =
     end;
     Hw.Ept.map_range ept ~gpa:(Hw.Addr.Range.base range) range perm;
     mktme_on_attach s domain range;
-    journal_mem s domain;
-    let mem = mem_of s domain in
-    mem := (range, perm) :: !mem;
     List.iter
       (fun bdf ->
         journal_iommu s bdf;
@@ -196,21 +197,14 @@ let attach_memory s domain range perm =
       !(devices_of s domain);
     Ok ()
 
-let flush_tlb_after_detach s domain =
-  match s.tlb_strategy with
-  | Full_shootdown ->
-    let remote = Array.length s.machine.Hw.Machine.cores - 1 in
-    Hw.Tlb.shootdown s.machine.Hw.Machine.tlb ~remote_cores:remote
-  | Asid_flush -> Hw.Tlb.flush_asid s.machine.Hw.Machine.tlb ~asid:domain
-
 (* Mark what the victim leaves behind — its pages, its resident cache
    lines, its live translations — with its id before any clean-up runs.
    The clean-up primitives the policy promises (deferred zero, cache
    flush, TLB shootdown) erase exactly the taint they clean, so
    whatever taint survives the transaction is clean-up that did not
    happen — which the access paths and the fsck taint pass then catch
-   (see Hw.Taint). Must run before the unmap/flush below: the TLB
-   victim set has to be captured while the entries still exist. *)
+   (see Hw.Taint). Must run before the unmap below: the TLB victim set
+   has to be captured while the entries still exist. *)
 let taint_detach s domain range cleanup =
   let m = s.machine in
   let tt = m.Hw.Machine.taint in
@@ -248,19 +242,12 @@ let detach_memory s domain range cleanup =
     end;
     let (_ : int) = Hw.Ept.unmap_hpa_range ept range in
     mktme_on_detach s range;
-    flush_tlb_after_detach s domain;
+    invalidate_tlb s domain;
     List.iter
       (fun bdf ->
         journal_iommu s bdf;
         Hw.Iommu.revoke_range s.machine.Hw.Machine.iommu ~device:bdf range)
       !(devices_of s domain);
-    journal_mem s domain;
-    let mem = mem_of s domain in
-    mem :=
-      List.concat_map
-        (fun (r, perm) ->
-          List.map (fun piece -> (piece, perm)) (Hw.Addr.Range.subtract r range))
-        !mem;
     (* Zeroing is destructive: stage it so a later failure in the same
        transaction never needs to un-zero memory. *)
     defer s (fun () ->
@@ -268,16 +255,31 @@ let detach_memory s domain range cleanup =
         ~cache:s.machine.Hw.Machine.cache ~counter:s.machine.Hw.Machine.counter range);
     Ok ()
 
+(* The domain's EPT as host-physical windows: runs of consecutive host
+   pages mapped with one permission, in gpa order. What a device of the
+   domain may reach by DMA is exactly what the domain itself reaches. *)
+let ept_windows ept =
+  let runs = ref [] in
+  Hw.Ept.iter_mappings ept (fun ~gpa:_ ~hpa perm ->
+      match !runs with
+      | (base, limit, p) :: rest when limit = hpa && Hw.Perm.equal p perm ->
+        runs := (base, limit + Hw.Addr.page_size, p) :: rest
+      | _ -> runs := (hpa, hpa + Hw.Addr.page_size, perm) :: !runs);
+  List.rev_map (fun (lo, hi, perm) -> (Hw.Addr.Range.of_bounds ~lo ~hi, perm)) !runs
+
 let attach_device s domain bdf =
   Obs.Profile.span_h ~domain ~backend:bk_x86 h_iommu_grant @@ fun () ->
   journal_devices s domain;
   let devices = devices_of s domain in
   devices := bdf :: !devices;
   journal_iommu s bdf;
-  List.iter
-    (fun (range, perm) ->
-      Hw.Iommu.grant s.machine.Hw.Machine.iommu ~device:bdf range (dma_perm perm))
-    !(mem_of s domain);
+  Option.iter
+    (fun ept ->
+      List.iter
+        (fun (range, perm) ->
+          Hw.Iommu.grant s.machine.Hw.Machine.iommu ~device:bdf range (dma_perm perm))
+        (ept_windows ept))
+    (Hashtbl.find_opt s.epts domain);
   Ok ()
 
 let detach_device s domain bdf =
@@ -424,13 +426,13 @@ let create machine ?(tlb_strategy = Full_shootdown) ?mktme () =
       next_keyid = 0;
       epts = Hashtbl.create 16;
       eptp_lists = Hashtbl.create 16;
-      domain_mem = Hashtbl.create 16;
       domain_devices = Hashtbl.create 16;
       fast = 0;
       trap = 0;
       journal = [];
       journaling = false;
-      deferred = [] }
+      deferred = [];
+      stale = Hashtbl.create 8 }
   in
   let backend =
     { Tyche.Backend_intf.backend_name = "x86_64-vtx";
@@ -457,21 +459,18 @@ let create machine ?(tlb_strategy = Full_shootdown) ?mktme () =
           if s.journaling then begin
             let ept = Hashtbl.find_opt s.epts id
             and eptp = Hashtbl.find_opt s.eptp_lists id
-            and mem = Hashtbl.find_opt s.domain_mem id
             and devices = Hashtbl.find_opt s.domain_devices id
             and conf = Hashtbl.mem s.confidential id
             and keyid = Hashtbl.find_opt s.keyids id in
             record s (fun () ->
               Option.iter (Hashtbl.replace s.epts id) ept;
               Option.iter (Hashtbl.replace s.eptp_lists id) eptp;
-              Option.iter (Hashtbl.replace s.domain_mem id) mem;
               Option.iter (Hashtbl.replace s.domain_devices id) devices;
               if conf then Hashtbl.replace s.confidential id ();
               Option.iter (Hashtbl.replace s.keyids id) keyid)
           end;
           Hashtbl.remove s.epts id;
           Hashtbl.remove s.eptp_lists id;
-          Hashtbl.remove s.domain_mem id;
           Hashtbl.remove s.domain_devices id;
           Hashtbl.remove s.confidential id;
           Hashtbl.remove s.keyids id);

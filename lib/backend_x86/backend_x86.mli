@@ -5,16 +5,21 @@
     fast path (an EPTP switch with no VM exit, ~134 cycles) when the
     target's EPT is pre-registered in the source's EPTP list, or the
     VMCALL trap path through the monitor (~1,300 cycles) otherwise —
-    the cost structure behind claim C7.
+    the cost structure behind claim C7. A device's DMA windows mirror
+    its domain's EPT.
 
     Memory is mapped guest-physical = host-physical (identity): the
     monitor deals in physical names (§3.2), and domains see the machine's
     real address space minus what they don't own. *)
 
+(** How a detach's stale translations are invalidated. Inside a
+    transaction the invalidation waits for commit and covers the whole
+    call; a rollback invalidates nothing. *)
 type tlb_strategy =
-  | Full_shootdown (** Flush every core's TLB on detach (safe default). *)
-  | Asid_flush (** Flush only the detached domain's tagged entries —
-                   ablation a4. *)
+  | Full_shootdown (** Flush every core's TLB, once per committed call
+                       (safe default). *)
+  | Asid_flush (** Flush only the affected domains' tagged entries, once
+                   per domain per call — ablation a4. *)
 
 val create :
   Hw.Machine.t ->

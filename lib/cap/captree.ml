@@ -863,6 +863,28 @@ let region_map t =
     t.region_cache <- Some merged;
     merged
 
+(* The domain's active memory caps overlapping [r]. The segment index
+   settles the common case — the domain holds nothing there any more —
+   in O(log n + segments overlapped); only a real survivor pays the
+   root-interval descent. *)
+let holdings_overlapping t domain r =
+  let base = Hw.Addr.Range.base r and limit = Hw.Addr.Range.limit r in
+  let start =
+    match IntMap.find_last_opt (fun b -> b <= base) t.segments with
+    | Some (b, s) when s.seg_limit > base -> b
+    | _ -> base
+  in
+  let rec held seq =
+    match seq () with
+    | Seq.Cons ((b, s), rest) when b < limit -> List.mem_assoc domain s.counts || held rest
+    | _ -> false
+  in
+  if not (held (IntMap.to_seq_from start t.segments)) then []
+  else
+    active_nodes_overlapping t (Resource.Memory r)
+    |> List.filter_map (fun (n : node) -> if n.owner = domain then Some n.id else None)
+    |> List.sort Int.compare
+
 let active_overlapping t resource =
   active_nodes_overlapping t resource
   |> List.map (fun (n : node) -> n.id)

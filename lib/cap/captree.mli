@@ -187,6 +187,12 @@ val active_overlapping : t -> Resource.t -> cap_id list
 (** Sorted ids of active capabilities overlapping the resource, answered
     from the root interval index with range-nesting pruning. *)
 
+val holdings_overlapping : t -> domain_id -> Hw.Addr.Range.t -> cap_id list
+(** Sorted ids of the domain's active memory capabilities overlapping
+    the range. The segment index answers "none" without touching a node;
+    otherwise the root interval index finds them — never a scan of the
+    domain's holdings. *)
+
 (** {2 Reference counting and the Fig. 4 view} *)
 
 val refcount : t -> Resource.t -> int

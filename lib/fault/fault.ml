@@ -84,9 +84,14 @@ let random ~seed ~rate =
 (* --- arming and injection ------------------------------------------ *)
 
 let current : plan option ref = ref None
-let suspend_depth = ref 0
 
-let enabled () = !current <> None && !suspend_depth = 0
+(* Per OCaml domain: rollbacks on parallel shards suspend concurrently,
+   and one shared unsynchronised counter could lose an update and stay
+   suspended for the rest of the process. *)
+let suspend_depth = Domain.DLS.new_key (fun () -> ref 0)
+let depth () = !(Domain.DLS.get suspend_depth)
+
+let enabled () = !current <> None && depth () = 0
 
 let with_plan p f =
   let previous = !current in
@@ -96,10 +101,11 @@ let with_plan p f =
   Fun.protect ~finally:(fun () -> current := previous) f
 
 let suspend f =
-  incr suspend_depth;
-  Fun.protect ~finally:(fun () -> decr suspend_depth) f
+  let d = Domain.DLS.get suspend_depth in
+  incr d;
+  Fun.protect ~finally:(fun () -> decr d) f
 
-let suspended () = !suspend_depth > 0
+let suspended () = depth () > 0
 
 (* splitmix64: a tiny, deterministic stream for [Rate] rules. *)
 let splitmix64 state =
@@ -118,7 +124,7 @@ let fault_trips_c = Obs.Metrics.counter "fault.trips"
 let fires point =
   match !current with
   | None -> false
-  | Some _ when !suspend_depth > 0 -> false
+  | Some _ when depth () > 0 -> false
   | Some p ->
     point.hits <- point.hits + 1;
     let counter =

@@ -79,9 +79,9 @@ val with_plan : plan -> (unit -> 'a) -> 'a
     behaves identically. *)
 
 val suspend : (unit -> 'a) -> 'a
-(** Disable injection for the scope of the callback (nestable).
-    Rollback paths run under [suspend] so that undoing a faulted
-    operation cannot itself fault. *)
+(** Disable injection on the calling OCaml domain for the scope of the
+    callback (nestable). Rollback paths run under [suspend] so that
+    undoing a faulted operation cannot itself fault. *)
 
 val suspended : unit -> bool
 

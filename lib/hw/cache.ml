@@ -25,12 +25,23 @@ let resident_lines t = Hashtbl.length t.lines
 let lines_tagged t ~tag =
   Hashtbl.fold (fun _ owner acc -> if owner = tag then acc + 1 else acc) t.lines 0
 
+(* Probes the range's lines or folds the resident set, whichever is
+   smaller: a revocation's clean-up query costs O(pages revoked), not
+   O(cache). *)
 let resident_lines_in t range =
   let first = Addr.Range.base range / line_size
   and last = Addr.Range.last range / line_size in
-  Hashtbl.fold
-    (fun line _ acc -> if line >= first && line <= last then line :: acc else acc)
-    t.lines []
+  if last - first < Hashtbl.length t.lines then begin
+    let acc = ref [] in
+    for line = last downto first do
+      if Hashtbl.mem t.lines line then acc := line :: !acc
+    done;
+    !acc
+  end
+  else
+    Hashtbl.fold
+      (fun line _ acc -> if line >= first && line <= last then line :: acc else acc)
+      t.lines []
 
 let lines_of_tag t ~tag =
   Hashtbl.fold (fun line owner acc -> if owner = tag then line :: acc else acc) t.lines []

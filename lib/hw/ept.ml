@@ -2,6 +2,12 @@ type entry = { hpa : Addr.t; perm : Perm.t }
 
 type t = {
   pages : (int, entry) Hashtbl.t; (* key: gpa page index *)
+  (* Reverse index for the non-identity mappings only: hpa page index ->
+     the gpa page indices that map it. An identity mapping (gpa = hpa,
+     all the backends install) is answered by [pages] itself, so the
+     index stays empty on the common path and costs no memory, while
+     host-range queries never fold the whole table. *)
+  aliases : (int, int list) Hashtbl.t;
   counter : Cycles.counter;
   id : int;
 }
@@ -16,16 +22,57 @@ let next_id = ref 0
 
 let create ~counter =
   incr next_id;
-  { pages = Hashtbl.create 64; counter; id = !next_id }
+  { pages = Hashtbl.create 64; aliases = Hashtbl.create 8; counter; id = !next_id }
 
 let page_index a = a / Addr.page_size
+
+let alias_add t ~gpa_idx ~hpa_idx =
+  if gpa_idx <> hpa_idx then
+    Hashtbl.replace t.aliases hpa_idx
+      (gpa_idx :: Option.value ~default:[] (Hashtbl.find_opt t.aliases hpa_idx))
+
+let alias_remove t ~gpa_idx ~hpa_idx =
+  if gpa_idx <> hpa_idx then
+    match Hashtbl.find_opt t.aliases hpa_idx with
+    | None -> ()
+    | Some l -> (
+      match List.filter (fun g -> g <> gpa_idx) l with
+      | [] -> Hashtbl.remove t.aliases hpa_idx
+      | l -> Hashtbl.replace t.aliases hpa_idx l)
+
+let remove_entry t gpa_idx =
+  match Hashtbl.find_opt t.pages gpa_idx with
+  | None -> ()
+  | Some { hpa; _ } ->
+    alias_remove t ~gpa_idx ~hpa_idx:(page_index hpa);
+    Hashtbl.remove t.pages gpa_idx
+
+(* Every [(gpa_idx, entry)] whose target page base lies in the host
+   range, in host-page order: O(pages in the range), not O(table). *)
+let mappings_in t range =
+  let first = (Addr.Range.base range + Addr.page_size - 1) / Addr.page_size
+  and last = (Addr.Range.limit range - 1) / Addr.page_size in
+  let acc = ref [] in
+  let add gpa_idx = acc := (gpa_idx, Hashtbl.find t.pages gpa_idx) :: !acc in
+  for hpa_idx = last downto first do
+    (match Hashtbl.find_opt t.aliases hpa_idx with Some l -> List.iter add l | None -> ());
+    match Hashtbl.find_opt t.pages hpa_idx with
+    | Some e when page_index e.hpa = hpa_idx -> acc := (hpa_idx, e) :: !acc
+    | _ -> ()
+  done;
+  !acc
 
 let map_page t ~gpa ~hpa perm =
   if not (Addr.is_page_aligned gpa && Addr.is_page_aligned hpa) then
     invalid_arg "Ept.map_page: unaligned address";
   Fault.hit map_fault;
   Cycles.charge t.counter Cycles.Cost.ept_map_page;
-  Hashtbl.replace t.pages (page_index gpa) { hpa; perm }
+  let gpa_idx = page_index gpa in
+  (match Hashtbl.find_opt t.pages gpa_idx with
+  | Some old -> alias_remove t ~gpa_idx ~hpa_idx:(page_index old.hpa)
+  | None -> ());
+  alias_add t ~gpa_idx ~hpa_idx:(page_index hpa);
+  Hashtbl.replace t.pages gpa_idx { hpa; perm }
 
 let map_range t ~gpa range perm =
   if not (Addr.Range.is_page_aligned range) || not (Addr.is_page_aligned gpa) then
@@ -37,20 +84,15 @@ let map_range t ~gpa range perm =
 let unmap_page t ~gpa =
   Fault.hit unmap_fault;
   Cycles.charge t.counter Cycles.Cost.ept_unmap_page;
-  Hashtbl.remove t.pages (page_index gpa)
+  remove_entry t (page_index gpa)
 
 let unmap_hpa_range t range =
-  let victims =
-    Hashtbl.fold
-      (fun gpa_idx { hpa; _ } acc ->
-        if Addr.Range.contains range hpa then gpa_idx :: acc else acc)
-      t.pages []
-  in
+  let victims = mappings_in t range in
   List.iter
-    (fun gpa_idx ->
+    (fun (gpa_idx, _) ->
       Fault.hit unmap_fault;
       Cycles.charge t.counter Cycles.Cost.ept_unmap_page;
-      Hashtbl.remove t.pages gpa_idx)
+      remove_entry t gpa_idx)
     victims;
   List.length victims
 
@@ -68,11 +110,9 @@ let entry_at t ~gpa =
   | None -> None
 
 let mappings_to t range =
-  Hashtbl.fold
-    (fun gpa_idx { hpa; perm } acc ->
-      if Addr.Range.contains range hpa then (gpa_idx * Addr.page_size, hpa, perm) :: acc
-      else acc)
-    t.pages []
+  List.map
+    (fun (gpa_idx, { hpa; perm }) -> (gpa_idx * Addr.page_size, hpa, perm))
+    (mappings_in t range)
 
 let mapped_pages t = Hashtbl.length t.pages
 

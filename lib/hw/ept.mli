@@ -26,7 +26,10 @@ val map_range : t -> gpa:Addr.t -> Addr.Range.t -> Perm.t -> unit
 val unmap_page : t -> gpa:Addr.t -> unit
 val unmap_hpa_range : t -> Addr.Range.t -> int
 (** Remove every mapping whose target lies in the host range; returns the
-    number of pages unmapped. Used on revocation. *)
+    number of pages unmapped. Used on revocation. Costs O(pages in the
+    range) — a reverse index answers it — and charges one
+    [ept_unmap_page] (and one [ept.unmap] fault-point hit) per page
+    actually unmapped. *)
 
 val translate : t -> gpa:Addr.t -> access:[ `Read | `Write | `Exec ] -> Addr.t
 (** Translate a guest-physical address, checking permissions.

@@ -52,4 +52,5 @@ let stale_for_hpa t range =
     t.entries []
 
 let entries_into t ~asid range =
-  List.filter (fun (a, _) -> a = asid) (stale_for_hpa t range)
+  if Hashtbl.length t.entries = 0 then []
+  else List.filter (fun (a, _) -> a = asid) (stale_for_hpa t range)

@@ -21,8 +21,9 @@ type t = {
   domain_destroyed : Domain.t -> unit;
   apply_effect : Cap.Captree.effect -> (unit, string) result;
   (** Make hardware match a capability-tree change. [Detach] must leave
-      the resource unreachable (including TLB shootdown) and run the
-      clean-up policy. *)
+      the resource unreachable (including TLB invalidation, which a
+      backend may defer to {!txn_commit} inside a transaction) and run
+      the clean-up policy. *)
   validate_attach : Domain.t -> Cap.Resource.t -> (unit, string) result;
   (** Pre-flight check before the monitor mutates the tree: the PMP
       backend rejects layouts that exceed the entry budget (C8); the
@@ -52,9 +53,10 @@ type t = {
       (memory zeroing) are deferred. The monitor brackets each mutating
       API call with these, mirroring {!Cap.Captree.txn_begin}. *)
   txn_commit : unit -> unit;
-  (** Discard the journal and run the deferred destructive clean-ups. *)
+  (** Discard the journal, invalidate the translations the transaction's
+      detaches left stale, and run the deferred destructive clean-ups. *)
   txn_rollback : unit -> unit;
   (** Undo every journaled hardware effect (newest first) and drop the
-      deferred clean-ups; hardware state must equal the state at
-      [txn_begin]. Runs with fault injection suspended. *)
+      deferred clean-ups and invalidations; hardware state must equal
+      the state at [txn_begin]. Runs with fault injection suspended. *)
 }

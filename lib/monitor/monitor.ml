@@ -115,12 +115,19 @@ let get_domain t id =
    applied after the tree mutation, so the tree at this point lists
    exactly the surviving active holdings.
 
-   Rewrite every memory Detach into canonical form:
-   - pieces no surviving capability covers detach with the original
-     clean-up policy (destructive clean-up only ever touches memory the
-     domain genuinely lost);
-   - covered pieces detach with [Keep] and are immediately re-attached
-     under each surviving holder's own permission.
+   [canonical_effects] rewrites a call's whole effect list in one pass,
+   grouping the memory Detaches by domain:
+   - the union of a domain's detached ranges is cut along the union of
+     its survivors (found through the captree's indexes, never a scan
+     of the domain's holdings);
+   - pieces no survivor covers detach once, with the strongest clean-up
+     among the removed caps covering them (destructive clean-up only
+     ever touches memory the domain genuinely lost);
+   - covered pieces detach with [Keep] and are re-attached under each
+     surviving holder's own permission (ascending cap id, so where
+     survivors overlap the newest one's permission lands last);
+   - every Detach is applied before any Attach.
+   A cascade therefore costs O(victims), not O(victims x holdings).
 
    Merely suppressing the covered pieces (keeping whatever entries the
    historical attach order produced) is not enough: a stale fragment
@@ -131,49 +138,124 @@ let get_domain t id =
    recovery re-derives exactly that canonical union from a snapshot;
    keeping the live layout canonical too is what guarantees recovery's
    re-attach fits any budget the live run fit. *)
-let trim_detach t eff =
-  match eff with
-  | Cap.Captree.Detach { domain; resource = Cap.Resource.Memory r; cleanup } ->
-    let survivors =
-      List.filter_map
-        (fun c ->
-          match (Cap.Captree.resource t.tree c, Cap.Captree.rights t.tree c) with
-          | Some (Cap.Resource.Memory held), Some rights
-            when Hw.Addr.Range.overlaps held r ->
-            Some (held, rights.Cap.Rights.perm)
-          | _ -> None)
-        (Cap.Captree.caps_of_domain t.tree domain)
-    in
-    let uncovered =
-      List.fold_left
-        (fun pieces (held, _) ->
-          List.concat_map (fun p -> Hw.Addr.Range.subtract p held) pieces)
-        [ r ] survivors
-    in
-    let covered =
-      List.fold_left
-        (fun pieces unc ->
-          List.concat_map (fun p -> Hw.Addr.Range.subtract p unc) pieces)
-        [ r ] uncovered
-    in
-    let detach ~cleanup piece =
-      Cap.Captree.Detach { domain; resource = Cap.Resource.Memory piece; cleanup }
-    in
-    let reattach =
-      List.filter_map
-        (fun (held, perm) ->
-          match Hw.Addr.Range.intersect held r with
-          | Some piece ->
-            Some
-              (Cap.Captree.Attach
-                 { domain; resource = Cap.Resource.Memory piece; perm })
-          | None -> None)
-        survivors
-    in
-    List.map (detach ~cleanup) uncovered
-    @ List.map (detach ~cleanup:Cap.Revocation.Keep) covered
-    @ reattach
-  | eff -> [ eff ]
+
+(* Sorted disjoint [(lo, hi, cleanup)] pieces covering the victims'
+   union, each with the strongest clean-up among the victims over it;
+   touching pieces with equal clean-up merge. One endpoint sweep. *)
+let victim_pieces victims =
+  let events =
+    List.concat_map
+      (fun (r, c) -> [ (Hw.Addr.Range.base r, true, c); (Hw.Addr.Range.limit r, false, c) ])
+      victims
+    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+  in
+  let rec close c = function
+    | [] -> []
+    | x :: xs -> if Cap.Revocation.equal x c then xs else x :: close c xs
+  in
+  let rec sweep prev open_ acc = function
+    | [] -> List.rev acc
+    | (pos, opens, c) :: rest ->
+      let acc =
+        match open_ with
+        | o :: os when pos > prev -> (
+          let cleanup = List.fold_left Cap.Revocation.strongest o os in
+          match acc with
+          | (lo, hi, pc) :: tl when hi = prev && Cap.Revocation.equal pc cleanup ->
+            (lo, pos, pc) :: tl
+          | _ -> (prev, pos, cleanup) :: acc)
+        | _ -> acc
+      in
+      sweep pos (if opens then c :: open_ else close c open_) acc rest
+  in
+  sweep min_int [] [] events
+
+(* Sorted [(lo, hi)] union of intervals, touching ones merged. *)
+let union intervals =
+  List.sort compare intervals
+  |> List.fold_left
+       (fun acc (lo, hi) ->
+         match acc with
+         | (plo, phi) :: rest when lo <= phi -> (plo, max hi phi) :: rest
+         | _ -> (lo, hi) :: acc)
+       []
+  |> List.rev
+
+(* Cut sorted disjoint [pieces] along the sorted disjoint [cover]:
+   [(outside, inside)], each part keeping its piece's tag. *)
+let cut pieces cover =
+  let rec go pieces cover out inn =
+    match pieces, cover with
+    | [], _ -> (List.rev out, List.rev inn)
+    | p :: ps, [] -> go ps [] (p :: out) inn
+    | (lo, hi, c) :: ps, (clo, chi) :: cs ->
+      if chi <= lo then go pieces cs out inn
+      else if hi <= clo then go ps cover ((lo, hi, c) :: out) inn
+      else if lo < clo then go ((clo, hi, c) :: ps) cover ((lo, clo, c) :: out) inn
+      else
+        let m = min hi chi in
+        go (if m < hi then (m, hi, c) :: ps else ps) cover out ((lo, m, c) :: inn)
+  in
+  go pieces cover [] []
+
+let bounds r = (Hw.Addr.Range.base r, Hw.Addr.Range.limit r)
+let range_of (lo, hi) = Hw.Addr.Range.of_bounds ~lo ~hi
+let span (lo, hi, _) = (lo, hi)
+
+(* One domain's share of the pass: (detaches, re-attaches). *)
+let canonical_domain tree domain victims =
+  let pieces = victim_pieces victims in
+  let survivors =
+    List.concat_map
+      (fun run -> Cap.Captree.holdings_overlapping tree domain (range_of run))
+      (union (List.map span pieces))
+    |> List.sort_uniq Int.compare
+    |> List.filter_map (fun c ->
+           match (Cap.Captree.resource tree c, Cap.Captree.rights tree c) with
+           | Some (Cap.Resource.Memory held), Some rights -> Some (held, rights.Cap.Rights.perm)
+           | _ -> None)
+  in
+  let uncovered, covered = cut pieces (union (List.map (fun (r, _) -> bounds r) survivors)) in
+  let covered = union (List.map span covered) in
+  let detach cleanup run =
+    Cap.Captree.Detach { domain; resource = Cap.Resource.Memory (range_of run); cleanup }
+  in
+  let reattach (held, perm) =
+    List.filter_map
+      (fun run ->
+        Option.map
+          (fun piece -> Cap.Captree.Attach { domain; resource = Cap.Resource.Memory piece; perm })
+          (Hw.Addr.Range.intersect held (range_of run)))
+      covered
+  in
+  ( List.map (fun (lo, hi, c) -> detach c (lo, hi)) uncovered
+    @ List.map (detach Cap.Revocation.Keep) covered,
+    List.concat_map reattach survivors )
+
+let canonical_effects tree effects =
+  let victims = Hashtbl.create 8 and order = ref [] in
+  let other_detaches, attaches =
+    List.fold_left
+      (fun (dets, atts) eff ->
+        match eff with
+        | Cap.Captree.Detach { domain; resource = Cap.Resource.Memory r; cleanup } ->
+          (match Hashtbl.find_opt victims domain with
+          | Some vs -> vs := (r, cleanup) :: !vs
+          | None ->
+            Hashtbl.add victims domain (ref [ (r, cleanup) ]);
+            order := domain :: !order);
+          (dets, atts)
+        | Cap.Captree.Detach _ -> (eff :: dets, atts)
+        | Cap.Captree.Attach _ -> (dets, eff :: atts))
+      ([], []) effects
+  in
+  let per_domain =
+    List.rev_map (fun d -> canonical_domain tree d !(Hashtbl.find victims d)) !order
+  in
+  List.concat_map fst per_domain
+  @ List.rev other_detaches
+  @ List.concat_map snd per_domain
+  @ List.rev attaches
 
 (* Apply backend effects in order, stopping at the first failure. The
    typed [Backend_failure] error replaces the old invalid_arg escape
@@ -190,7 +272,7 @@ let apply_effects t effects =
         Log.warn (fun m -> m "backend effect failed, rolling back: %s" msg);
         Error (Backend_failure msg))
   in
-  go (List.concat_map (trim_detach t) effects)
+  go (canonical_effects t.tree effects)
 
 let cap_result t = function
   | Ok (value, effects) ->
@@ -757,18 +839,21 @@ let destroy_guard t ~caller ~domain =
   else Ok d
 
 let revoke_all_of t ~domain =
-  let rec revoke_all () =
-    (* Inactive capabilities too: delegations the domain made from
-       granted-away pieces must cascade with it. *)
-    match Cap.Captree.all_caps_of_domain t.tree domain with
-    | [] -> Ok ()
-    | cap :: _ ->
-      let* () =
-        cap_result t (Result.map (fun e -> ((), e)) (Cap.Captree.revoke t.tree cap))
-      in
-      revoke_all ()
+  (* Inactive capabilities too: delegations the domain made from
+     granted-away pieces must cascade with it. Ascending ids revoke
+     every ancestor before its descendants, so a cap already swept away
+     by an earlier cascade is simply gone. The whole teardown's effects
+     go through one canonicalising pass. *)
+  let rec revoke_all acc = function
+    | [] -> apply_effects t (List.concat (List.rev acc))
+    | cap :: rest -> (
+      if Cap.Captree.owner t.tree cap = None then revoke_all acc rest
+      else
+        match Cap.Captree.revoke t.tree cap with
+        | Ok effects -> revoke_all (effects :: acc) rest
+        | Error e -> Error (Cap_error e))
   in
-  revoke_all ()
+  revoke_all [] (Cap.Captree.all_caps_of_domain t.tree domain)
 
 let forget_domain t d =
   t.backend.Backend_intf.domain_destroyed d;

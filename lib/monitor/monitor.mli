@@ -58,6 +58,19 @@ val attestation_root : t -> Crypto.Sha256.digest
 val key_binding_pcr : int
 (** PCR 18: extended at boot with the monitor's attestation root. *)
 
+val canonical_effects : Cap.Captree.t -> Cap.Captree.effect list -> Cap.Captree.effect list
+(** The one pass every call's effect list goes through before the
+    backend sees it, given the post-mutation tree. Memory Detaches are
+    grouped by domain: the union of a domain's detached ranges is cut
+    along its surviving holdings (found through the captree's indexes);
+    uncovered pieces detach once with the strongest clean-up among the
+    removed caps over them, covered pieces detach with [Keep] and are
+    re-attached at each survivor's own permission, in ascending cap id.
+    Every Detach comes before any Attach; the other effects keep their
+    relative order. The hardware layout this produces is the canonical
+    per-(domain, perm) union of active holdings that crash recovery
+    rebuilds. *)
+
 (** {2 Domain lifecycle} *)
 
 val create_domain :

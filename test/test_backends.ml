@@ -96,6 +96,108 @@ let test_x86_tlb_strategies () =
   let asid = cost_of Backend_x86.Asid_flush in
   Alcotest.(check bool) "shootdown costlier than asid flush" true (full > asid)
 
+(* One revoke whose cascade detaches 16 pages across three domains: a
+   parent share of 8 pages to [a], which re-shares them two pages at a
+   time, two shares each to [b] and [c] — five victims in three
+   domains. Every victim page has a cached translation under its
+   domain's ASID, and the victims' clean-up is [Keep], so the revoke
+   charges exactly its EPT unmaps plus whatever TLB invalidation it
+   pays. *)
+let cascade_pages = 16
+
+let cascade_world tlb_strategy =
+  let w = boot_x86 ~tlb_strategy () in
+  let m = w.monitor in
+  let sandbox name =
+    get_ok (Tyche.Monitor.create_domain m ~caller:os ~name ~kind:Tyche.Domain.Sandbox)
+  in
+  let a = sandbox "a" and b = sandbox "b" and c = sandbox "c" in
+  let base = 0x400000 in
+  let share ~caller ~cap ~to_ ~rights sub =
+    get_ok
+      (Tyche.Monitor.share m ~caller ~cap ~to_ ~rights ~cleanup:Cap.Revocation.Keep
+         ~subrange:sub ())
+  in
+  let parent =
+    share ~caller:os ~cap:(os_memory_cap w) ~to_:a ~rights:Cap.Rights.full
+      (range ~base ~len:(8 * page))
+  in
+  List.iteri
+    (fun i to_ ->
+      ignore
+        (share ~caller:a ~cap:parent ~to_ ~rights:Cap.Rights.rw
+           (range ~base:(base + (i * 2 * page)) ~len:(2 * page))))
+    [ b; b; c; c ];
+  let half i = range ~base:(base + (i * 4 * page)) ~len:(4 * page) in
+  let cached = [ (a, range ~base ~len:(8 * page)); (b, half 0); (c, half 1) ] in
+  List.iter
+    (fun (asid, r) ->
+      List.iter
+        (fun gpa -> Hw.Tlb.fill w.machine.Hw.Machine.tlb ~asid ~gpa ~hpa:gpa)
+        (Hw.Addr.Range.pages r))
+    cached;
+  (w, parent, cached)
+
+let revoke_cycles w parent =
+  Hw.Machine.reset_cycles w.machine;
+  get_ok (Tyche.Monitor.revoke w.monitor ~caller:os ~cap:parent);
+  Hw.Machine.cycles w.machine
+
+let test_x86_one_shootdown_per_call () =
+  let w, parent, _ = cascade_world Backend_x86.Full_shootdown in
+  let remote = Array.length w.machine.Hw.Machine.cores - 1 in
+  Alcotest.(check int) "16 unmaps + one shootdown"
+    ((cascade_pages * Hw.Cycles.Cost.ept_unmap_page)
+    + (remote * Hw.Cycles.Cost.tlb_shootdown_ipi)
+    + Hw.Cycles.Cost.tlb_flush_full)
+    (revoke_cycles w parent);
+  Alcotest.(check int) "no cached translation survives" 0
+    (Hw.Tlb.entries w.machine.Hw.Machine.tlb)
+
+let test_x86_one_asid_flush_per_domain () =
+  let w, parent, cached = cascade_world Backend_x86.Asid_flush in
+  Alcotest.(check int) "16 unmaps + one ASID flush per affected domain"
+    ((cascade_pages * Hw.Cycles.Cost.ept_unmap_page)
+    + (List.length cached * Hw.Cycles.Cost.tlb_flush_asid))
+    (revoke_cycles w parent);
+  Alcotest.(check int) "no cached translation survives" 0
+    (Hw.Tlb.entries w.machine.Hw.Machine.tlb)
+
+(* A fault at the k-th page unmap rolls the revoke back: the restored
+   mappings' cached translations stay valid, so none is invalidated —
+   the rolled-back call costs the same under either strategy — and a
+   hit on each of them is no leak to the oracle. *)
+let test_x86_rollback_keeps_tlb () =
+  let failed_revoke tlb_strategy =
+    let w, parent, cached = cascade_world tlb_strategy in
+    Hw.Taint.set_mode w.machine.Hw.Machine.taint Hw.Taint.Enforce;
+    let tlb = w.machine.Hw.Machine.tlb in
+    let before = Hw.Tlb.entries tlb in
+    Hw.Machine.reset_cycles w.machine;
+    Fault.with_plan (Fault.nth "ept.unmap" 10) (fun () ->
+        match Tyche.Monitor.revoke w.monitor ~caller:os ~cap:parent with
+        | Error (Tyche.Monitor.Backend_failure _) -> ()
+        | Error e -> Alcotest.failf "wrong error: %s" (Tyche.Monitor.error_to_string e)
+        | Ok () -> Alcotest.fail "the injected unmap fault did not fail the revoke");
+    let cycles = Hw.Machine.cycles w.machine in
+    Alcotest.(check int) "every cached translation kept" before (Hw.Tlb.entries tlb);
+    List.iter
+      (fun (asid, r) ->
+        List.iter
+          (fun gpa ->
+            Alcotest.(check (option int)) "translation still cached" (Some gpa)
+              (Hw.Tlb.lookup tlb ~asid ~gpa))
+          (Hw.Addr.Range.pages r))
+      cached;
+    let r = Tyche.Fsck.check w.monitor in
+    if not (Tyche.Fsck.ok r) then Alcotest.failf "fsck not clean: %a" Tyche.Fsck.pp r;
+    check_no_violations w.monitor;
+    cycles
+  in
+  Alcotest.(check int) "no invalidation charged under either strategy"
+    (failed_revoke Backend_x86.Full_shootdown)
+    (failed_revoke Backend_x86.Asid_flush)
+
 let test_x86_iommu_follows_memory () =
   let gpu = Hw.Device.create ~kind:Hw.Device.Gpu ~bus:3 ~dev:0 ~fn:0 () in
   let w = boot_x86 ~devices:[ gpu ] () in
@@ -258,6 +360,10 @@ let () =
           Alcotest.test_case "eptp registration" `Quick test_x86_eptp_registration;
           Alcotest.test_case "transition cycle costs" `Quick test_x86_transition_cycle_costs;
           Alcotest.test_case "tlb strategy ablation" `Quick test_x86_tlb_strategies;
+          Alcotest.test_case "one shootdown per call" `Quick test_x86_one_shootdown_per_call;
+          Alcotest.test_case "one asid flush per domain" `Quick
+            test_x86_one_asid_flush_per_domain;
+          Alcotest.test_case "rollback keeps the tlb" `Quick test_x86_rollback_keeps_tlb;
           Alcotest.test_case "iommu follows memory" `Quick test_x86_iommu_follows_memory ] );
       ( "riscv-pmp",
         [ Alcotest.test_case "entry budget enforced" `Quick test_riscv_entry_budget;

@@ -262,10 +262,255 @@ let test_sharded_differential () =
     (o1.s_fingerprint = o4.s_fingerprint);
   Alcotest.(check bool) "sandbox capability sets agree" true (o1.s_sbx_caps = o4.s_sbx_caps)
 
+(* ---------------- canonical detach vs. its per-effect twin ----------------
+
+   [trim_detach_reference] is the monitor's former per-effect rewrite,
+   kept here as the executable specification of the canonical layout:
+   each memory Detach rescans the domain's whole holdings, detaches the
+   uncovered pieces with its own clean-up, detaches the covered pieces
+   with [Keep] and re-attaches every survivor over them. The one-pass
+   [Monitor.canonical_effects] must leave the hardware exactly as the
+   twin does — per-domain EPT entries and permissions, PMP layouts, and
+   which bytes were zeroed and which cache lines flushed — on random
+   trees full of overlapping aliases, self-shares, circular shares and
+   mixed clean-up policies. *)
+
+let trim_detach_reference tree eff =
+  match eff with
+  | Cap.Captree.Detach { domain; resource = Cap.Resource.Memory r; cleanup } ->
+    let survivors =
+      List.filter_map
+        (fun c ->
+          match (Cap.Captree.resource tree c, Cap.Captree.rights tree c) with
+          | Some (Cap.Resource.Memory held), Some rights
+            when Hw.Addr.Range.overlaps held r ->
+            Some (held, rights.Cap.Rights.perm)
+          | _ -> None)
+        (Cap.Captree.caps_of_domain tree domain)
+    in
+    let uncovered =
+      List.fold_left
+        (fun pieces (held, _) ->
+          List.concat_map (fun p -> Hw.Addr.Range.subtract p held) pieces)
+        [ r ] survivors
+    in
+    let covered =
+      List.fold_left
+        (fun pieces unc ->
+          List.concat_map (fun p -> Hw.Addr.Range.subtract p unc) pieces)
+        [ r ] uncovered
+    in
+    let detach ~cleanup piece =
+      Cap.Captree.Detach { domain; resource = Cap.Resource.Memory piece; cleanup }
+    in
+    let reattach =
+      List.filter_map
+        (fun (held, perm) ->
+          match Hw.Addr.Range.intersect held r with
+          | Some piece ->
+            Some (Cap.Captree.Attach { domain; resource = Cap.Resource.Memory piece; perm })
+          | None -> None)
+        survivors
+    in
+    List.map (detach ~cleanup) uncovered
+    @ List.map (detach ~cleanup:Cap.Revocation.Keep) covered
+    @ reattach
+  | eff -> [ eff ]
+
+(* The playground: 16 pages of domain 0's memory, three sandboxes. *)
+let window_base = 0x100000
+let window_pages = 16
+let window = Hw.Addr.Range.make ~base:window_base ~len:(window_pages * page)
+let n_domains = 4
+
+let policy_choices =
+  [| Cap.Revocation.Keep; Cap.Revocation.Zero; Cap.Revocation.Flush_cache;
+     Cap.Revocation.Zero_and_flush |]
+
+let rights_choices = [| Cap.Rights.full; Cap.Rights.rw; Cap.Rights.read_only; Cap.Rights.rx |]
+
+(* The property boots hundreds of worlds: 2 MiB machines, a one-key
+   signer, and one TPM shared by all (its key generation dominates a
+   boot; PCR extends from many monitors are harmless here). *)
+let shared_tpm = lazy (Rot.Tpm.create (Crypto.Rng.create ~seed:0x3cL))
+
+let small_world arch =
+  let machine =
+    Hw.Machine.create
+      ~arch:(match arch with `X86 -> Hw.Cpu.X86_64 | `Riscv -> Hw.Cpu.Riscv64)
+      ~cores:2 ~mem_size:(2 * 1024 * 1024) ()
+  in
+  let rng = Crypto.Rng.create ~seed:0x3dL in
+  let tpm = Lazy.force shared_tpm in
+  let boot_report =
+    Rot.Boot.measured_boot tpm machine ~firmware ~loader:loader_blob ~monitor_image
+  in
+  let monitor_range = boot_report.Rot.Boot.monitor_range in
+  let backend =
+    match arch with
+    | `X86 -> Backend_x86.create machine ()
+    | `Riscv -> Backend_riscv.create machine ~monitor_range ()
+  in
+  let monitor = Tyche.Monitor.boot ~signer_height:1 machine ~backend ~tpm ~rng ~monitor_range in
+  let w = { machine; tpm; rng; boot_report; backend; monitor } in
+  for i = 1 to n_domains - 1 do
+    ignore
+      (get_ok
+         (Tyche.Monitor.create_domain w.monitor ~caller:os ~name:(Printf.sprintf "s%d" i)
+            ~kind:Tyche.Domain.Sandbox))
+  done;
+  w
+
+(* Memory caps overlapping the window, sorted by id; [active] filters. *)
+let window_caps ?(active = true) tree =
+  List.filter_map
+    (fun (ns : Cap.Captree.node_spec) ->
+      match ns.ns_resource with
+      | Cap.Resource.Memory r
+        when Hw.Addr.Range.overlaps r window
+             && ((not active) || ns.ns_state = Cap.Captree.Active) ->
+        Some (ns.ns_id, r)
+      | _ -> None)
+    (Cap.Captree.dump tree)
+
+(* Interpret one generated step against the world; failures (rights
+   that do not attenuate, a PMP budget refusal, ...) are part of the
+   script and happen identically in both copies. *)
+let step w (kind, a, b, c, d) =
+  let m = w.monitor in
+  let tree = Tyche.Monitor.tree m in
+  match window_caps tree with
+  | [] -> ()
+  | caps ->
+    let cap, r = List.nth caps (a mod List.length caps) in
+    let owner = Option.get (Cap.Captree.owner tree cap) in
+    let to_ = b mod n_domains in
+    let r = Option.get (Hw.Addr.Range.intersect r window) in
+    let base = Hw.Addr.Range.base r and pages = Hw.Addr.Range.len r / page in
+    let first = c mod pages in
+    let subrange =
+      Hw.Addr.Range.make ~base:(base + (first * page)) ~len:((1 + (d mod (pages - first))) * page)
+    in
+    let rights = rights_choices.(c mod Array.length rights_choices) in
+    let cleanup = policy_choices.(d mod Array.length policy_choices) in
+    let drop r = Result.map ignore r in
+    ignore
+      (match kind mod 8 with
+      | 0 | 1 | 2 | 3 ->
+        drop (Tyche.Monitor.share m ~caller:owner ~cap ~to_ ~rights ~cleanup ~subrange ())
+      | 4 -> drop (Tyche.Monitor.grant m ~caller:owner ~cap ~to_ ~rights ~cleanup)
+      | 5 -> drop (Tyche.Monitor.carve m ~caller:owner ~cap ~subrange)
+      | 6 when pages > 1 ->
+        drop (Tyche.Monitor.split m ~caller:owner ~cap ~at:(base + (max 1 first * page)))
+      | _ -> Tyche.Monitor.revoke m ~caller:owner ~cap)
+
+(* Everything a canonical detach may touch, in comparable form. *)
+let hardware_state arch w =
+  let table d =
+    match arch with
+    | `X86 ->
+      let acc = ref [] in
+      Option.iter
+        (fun ept ->
+          Hw.Ept.iter_mappings ept (fun ~gpa ~hpa perm ->
+              acc := (gpa, hpa, Hw.Perm.to_string perm) :: !acc))
+        (Backend_x86.ept_of w.backend d);
+      List.rev !acc
+    | `Riscv ->
+      List.map
+        (fun (r, perm) ->
+          (Hw.Addr.Range.base r, Hw.Addr.Range.limit r, Hw.Perm.to_string perm))
+        (Backend_riscv.layout_of w.backend d)
+  in
+  ( List.init n_domains table,
+    Hw.Physmem.read w.machine.Hw.Machine.mem window,
+    List.sort Int.compare (Hw.Cache.resident_lines_in w.machine.Hw.Machine.cache window) )
+
+(* Revoke [pick] in both copies of the world, once through the pass and
+   once through the twin, and compare the hardware. *)
+let agree arch script pick =
+  let run rewrite =
+    let w = small_world arch in
+    List.iter (step w) script;
+    let m = w.monitor in
+    let tree = Tyche.Monitor.tree m in
+    match
+      List.filter (fun (id, _) -> Cap.Captree.parent tree id <> None)
+        (window_caps ~active:false tree)
+    with
+    | [] -> None
+    | victims ->
+      let cap, _ = List.nth victims (pick mod List.length victims) in
+      (* Residue the clean-ups must erase: bytes in every page, every
+         cache line resident. *)
+      let mem = w.machine.Hw.Machine.mem and cache = w.machine.Hw.Machine.cache in
+      Hw.Physmem.write mem window_base (String.make (window_pages * page) '\x5a');
+      for i = 0 to (window_pages * page / Hw.Cache.line_size) - 1 do
+        Hw.Cache.touch cache ~tag:os (window_base + (i * Hw.Cache.line_size))
+      done;
+      Tyche.Monitor.txn_begin m;
+      let effects =
+        match Cap.Captree.revoke tree cap with
+        | Ok effects -> effects
+        | Error e -> Alcotest.failf "revoke: %s" (Cap.Captree.error_to_string e)
+      in
+      let apply eff = (Tyche.Monitor.backend m).Tyche.Backend_intf.apply_effect eff in
+      if List.for_all (fun eff -> Result.is_ok (apply eff)) (rewrite tree effects) then begin
+        Tyche.Monitor.txn_commit m;
+        Some (hardware_state arch w)
+      end
+      else begin
+        Tyche.Monitor.txn_rollback m;
+        None
+      end
+  in
+  let twin tree = List.concat_map (trim_detach_reference tree) in
+  match (run Tyche.Monitor.canonical_effects, run twin) with
+  | Some (ta, ma, ca), Some (tb, mb, cb) ->
+    let show entries =
+      String.concat " "
+        (List.map (fun (a, b, perm) -> Printf.sprintf "%x:%x:%s" a b perm) entries)
+    in
+    List.iteri
+      (fun d (la, lb) ->
+        if la <> lb then
+          QCheck.Test.fail_reportf "domain %d: %s differs:\n pass: %s\n twin: %s" d
+            (match arch with `X86 -> "EPT" | `Riscv -> "PMP layout")
+            (show la) (show lb))
+      (List.combine ta tb);
+    if ma <> mb then QCheck.Test.fail_reportf "zeroed bytes differ";
+    if ca <> cb then QCheck.Test.fail_reportf "flushed cache lines differ";
+    true
+  | None, None -> true
+  (* A PMP budget refusal part-way through is order-dependent; the
+     final layouts are what must agree. *)
+  | _ -> QCheck.assume_fail ()
+
+let gen_script =
+  QCheck.Gen.(
+    pair
+      (list_size (int_range 6 20)
+         (map (fun (k, a, b, (c, d)) -> (k, a, b, c, d))
+            (quad nat nat nat (pair nat nat))))
+      nat)
+
+let prop_canonical arch =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "canonical detach = per-effect twin (%s)"
+         (match arch with `X86 -> "x86" | `Riscv -> "riscv"))
+    ~count:60
+    (QCheck.make gen_script)
+    (fun (script, pick) -> agree arch script pick)
+
 let () =
+  let rand = Random.State.make [| 0x7c4e |] in
   Alcotest.run "differential"
     [
       ("backends", [ Alcotest.test_case "x86 vs riscv replay" `Quick test_differential ]);
       ( "sharding",
         [ Alcotest.test_case "1 shard vs 4 shards replay" `Quick test_sharded_differential ] );
+      ( "canonical-detach",
+        [ QCheck_alcotest.to_alcotest ~rand (prop_canonical `X86);
+          QCheck_alcotest.to_alcotest ~rand (prop_canonical `Riscv) ] );
     ]

@@ -701,6 +701,25 @@ let test_suspend_restores_on_raise () =
       | () -> Alcotest.fail "plan should still be armed after suspended raise"
       | exception Fault.Injected _ -> ())
 
+(* Parallel shards roll back — and so suspend — at the same time. Each
+   domain's suspension is its own: a shared counter raced by concurrent
+   rollbacks is left off zero, silently disabling later injection. *)
+let test_suspend_per_domain () =
+  let churn () =
+    for _ = 1 to 200_000 do
+      Fault.suspend ignore
+    done
+  in
+  let others = List.init 2 (fun _ -> Stdlib.Domain.spawn churn) in
+  churn ();
+  List.iter Stdlib.Domain.join others;
+  Fault.with_plan (Fault.plan []) (fun () ->
+      Alcotest.(check bool) "injection still enabled" true (Fault.enabled ());
+      let elsewhere =
+        Fault.suspend (fun () -> Stdlib.Domain.join (Stdlib.Domain.spawn Fault.enabled))
+      in
+      Alcotest.(check bool) "another domain is not suspended" true elsewhere)
+
 let test_with_plan_restores_on_raise () =
   let inert = Fault.plan [] in
   Fault.with_plan (Fault.always "test.persist.reentry") (fun () ->
@@ -764,5 +783,6 @@ let () =
       ( "fault re-entrancy",
         [ Alcotest.test_case "suspend nests" `Quick test_suspend_nests;
           Alcotest.test_case "suspend restores on raise" `Quick test_suspend_restores_on_raise;
+          Alcotest.test_case "suspend is per domain" `Quick test_suspend_per_domain;
           Alcotest.test_case "with_plan restores on raise" `Quick test_with_plan_restores_on_raise;
           Alcotest.test_case "store points registered" `Quick test_store_points_registered ] ) ]
