@@ -9,8 +9,7 @@
      fsck         recover from an on-disk store and audit the result
      migrate      live-migrate a sealed enclave between two machines
      stats        run a journaled workload, print the observability report
-     trace        run a journaled workload, dump the trace ring as JSON lines
-     loc          print the trusted-computing-base line counts *)
+     trace        run a journaled workload, dump the trace ring as JSON lines *)
 
 open Cmdliner
 
@@ -632,49 +631,6 @@ let cmd_trace =
           (span begin/end pairs with cycle stamps, domain, backend, trace id).")
     Term.(const run $ arch $ cores $ mem_mib $ ops_arg $ capacity)
 
-(* loc *)
-
-let cmd_loc =
-  let run () =
-    let count_loc dir =
-      let rec walk dir acc =
-        Array.fold_left
-          (fun acc entry ->
-            let path = Filename.concat dir entry in
-            if Sys.is_directory path then walk path acc
-            else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
-            then begin
-              let ic = open_in path in
-              let lines = ref 0 in
-              (try
-                 while true do
-                   if String.trim (input_line ic) <> "" then incr lines
-                 done
-               with End_of_file -> ());
-              close_in ic;
-              acc + !lines
-            end
-            else acc)
-          acc (Sys.readdir dir)
-      in
-      if Sys.file_exists dir && Sys.is_directory dir then walk dir 0 else 0
-    in
-    let trusted = [ "lib/cap"; "lib/monitor"; "lib/backend_x86"; "lib/backend_riscv"; "lib/crypto" ] in
-    let total =
-      List.fold_left
-        (fun acc dir ->
-          let n = count_loc dir in
-          Printf.printf "%-20s %6d (trusted)\n" dir n;
-          acc + n)
-        0 trusted
-    in
-    Printf.printf "%-20s %6d  -> %s\n" "TRUSTED CORE" total
-      (if total < 10_000 then "< 10K LOC (claim C3 holds)" else ">= 10K LOC")
-  in
-  Cmd.v
-    (Cmd.info "loc" ~doc:"Count the trusted computing base (run from the repo root).")
-    Term.(const run $ const ())
-
 let () =
   let info =
     Cmd.info "tyche-cli" ~version:"0.1"
@@ -684,6 +640,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ cmd_boot; cmd_fig4; cmd_attest; cmd_transitions; cmd_recover; cmd_fsck;
-            cmd_migrate; cmd_stats; cmd_trace; cmd_loc ]))
+            cmd_migrate; cmd_stats; cmd_trace ]))
 
 let _ = ok_str

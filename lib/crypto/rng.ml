@@ -13,14 +13,6 @@ type t = { state : int64 Atomic.t }
 
 let create ~seed = { state = Atomic.make seed }
 
-let of_string_seed s =
-  let d = Sha256.to_raw (Sha256.string s) in
-  let seed = ref 0L in
-  for i = 0 to 7 do
-    seed := Int64.logor (Int64.shift_left !seed 8) (Int64.of_int (Char.code d.[i]))
-  done;
-  create ~seed:!seed
-
 let next_int64 t =
   let rec claim () =
     let cur = Atomic.get t.state in

@@ -7,8 +7,6 @@
 type t
 
 val create : seed:int64 -> t
-val of_string_seed : string -> t
-(** Seed from arbitrary bytes by hashing them. *)
 
 val next_int64 : t -> int64
 val int : t -> int -> int

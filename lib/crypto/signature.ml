@@ -14,8 +14,6 @@ type signature = {
   proof : Merkle.proof;
 }
 
-let pp_signature fmt s = Format.fprintf fmt "<sig ots-key=%d>" s.index
-
 let create ?(height = 6) ?pool rng =
   if height < 0 || height > 16 then invalid_arg "Signature.create: height out of range";
   let n = 1 lsl height in

@@ -10,8 +10,6 @@
 type signer
 type signature
 
-val pp_signature : Format.formatter -> signature -> unit
-
 val create : ?height:int -> ?pool:Keypool.t -> Rng.t -> signer
 (** [create ~height rng] builds a signer with [2^height] one-time keys
     (default height 6 = 64 signatures — enough for the test scenarios;

@@ -359,10 +359,6 @@ let of_wire wire =
   | Bad msg -> Error ("Attestation.of_wire: " ^ msg)
   | Invalid_argument msg -> Error ("Attestation.of_wire: " ^ msg)
 
-let exclusive_regions t = List.filter (fun r -> r.refcount = 1) t.regions
-
-let shared_with t other = List.filter (fun r -> List.mem other r.holders) t.regions
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>attestation for domain#%d (%s, %a%s)@," t.domain t.domain_name
     Domain.pp_kind t.kind

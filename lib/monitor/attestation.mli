@@ -113,11 +113,5 @@ val of_wire : string -> (t, string) result
     reported rather than raised; a parsed report still carries its
     evidence, so {!verify} decides trust. *)
 
-val exclusive_regions : t -> region_report list
-(** Regions with refcount 1 — confidential memory candidates. *)
-
-val shared_with : t -> Domain.id -> region_report list
-(** Regions this attestation shows as reachable by the given domain. *)
-
 val pp : Format.formatter -> t -> unit
 (** Render the report as the Fig. 4-style table. *)

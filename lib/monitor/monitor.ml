@@ -1613,38 +1613,19 @@ let restore_state t (s : Persist.Snapshot.t) =
 (* Hardware is deliberately not serialized: the tree is the source of
    truth, so EPT/PMP/IOMMU/MMIO state is re-derived by registering every
    domain and re-attaching every *active* capability — minus the
-   detach/attach churn of the history. Memory holdings are coalesced per
-   (owner, permission) before attaching: a long history fragments the
-   tree into many small active nodes whose live hardware footprint was
-   nevertheless a few merged translation entries, and re-attaching them
-   one-by-one can exceed a finite budget (PMP entries) the live layout
-   never needed. The coalesced union is the minimal representation of
-   exactly the same coverage. [Fsck.check] then cross-checks the result
-   against the tree, exactly as the runtime invariant does. *)
-let coalesce ranges =
-  let sorted =
-    List.sort (fun a b -> Int.compare (Hw.Addr.Range.base a) (Hw.Addr.Range.base b)) ranges
-  in
-  match sorted with
-  | [] -> []
-  | first :: rest ->
-    let merged, last =
-      List.fold_left
-        (fun (done_, cur) r ->
-          if Hw.Addr.Range.base r <= Hw.Addr.Range.limit cur then
-            let limit = max (Hw.Addr.Range.limit cur) (Hw.Addr.Range.limit r) in
-            ( done_,
-              Hw.Addr.Range.make ~base:(Hw.Addr.Range.base cur)
-                ~len:(limit - Hw.Addr.Range.base cur) )
-          else (cur :: done_, r))
-        ([], first) rest
-    in
-    List.rev (last :: merged)
-
+   detach/attach churn of the history. Memory holdings are merged per
+   (owner, permission) with [union] before attaching: a long history
+   fragments the tree into many small active nodes whose live hardware
+   footprint was nevertheless a few merged translation entries, and
+   re-attaching them one-by-one can exceed a finite budget (PMP
+   entries) the live layout never needed. The union is the minimal
+   representation of exactly the same coverage. [Fsck.check] then
+   cross-checks the result against the tree, exactly as the runtime
+   invariant does. *)
 let rebuild_hardware t specs =
   List.iter (fun d -> t.backend.Backend_intf.domain_created d) (domains t);
   let active = List.filter (fun (ns : Cap.Captree.node_spec) -> ns.ns_state = Cap.Captree.Active) specs in
-  (* Memory attaches, grouped by (owner, perm) and coalesced; group
+  (* Memory attaches, grouped by (owner, perm) and merged; group
      order follows the first node of each group, keeping the rebuild
      deterministic. *)
   let groups = ref [] in
@@ -1675,7 +1656,7 @@ let rebuild_hardware t specs =
             ( Format.asprintf "domain %d memory %a" owner Hw.Addr.Range.pp r,
               Cap.Captree.Attach
                 { domain = owner; resource = Cap.Resource.Memory r; perm } ))
-          (coalesce !rs))
+          (List.map range_of (union (List.map bounds !rs))))
       !groups
   in
   let other_effects =

@@ -1,6 +1,5 @@
 (* The sharded monitor: a federation of per-OCaml-Domain monitors
-   behind one global namespace (ROADMAP items 3-5; the "millions of
-   users" scaling unit).
+   behind one global namespace (the "millions of users" scaling unit).
 
    Layout. Shard [s] is a complete world — its own machine, backend,
    TPM and {!Monitor.t} — so every hardware write stays shard-local by
@@ -19,6 +18,13 @@
    under 1 shard and under N — which is exactly what the differential
    harness replays.
 
+   Calls. [dispatch] is a router, not a second monitor: a capability
+   call or a transition runs [Monitor.exec] on the one shard that owns
+   it, in that shard's local ids; a domain-configuration call runs it on
+   every shard. Only the calls that need front-end state (global
+   measured ranges, the federation signer) or span shards (the 2PC
+   destroy) have bodies here.
+
    Concurrency. Each shard has a mutex (writers) and a seqlock-style
    write sequence (readers): the indexed queries (refcount, holders,
    caps_of) read optimistically against a pinned sequence and retry on
@@ -28,7 +34,8 @@
    [txn_rollback]: prepare the journals on every shard, then commit
    all or roll all back. The WAL contract survives unchanged: one
    front-end redo log (global ids, group commit), appended only after
-   an operation fully commits. *)
+   an operation fully commits and before its locks are released, so
+   the log orders two calls on one shard as they ran. *)
 
 let shard_bits = 6
 let max_shards = 1 lsl shard_bits
@@ -60,9 +67,8 @@ type t = {
   signer_lock : Mutex.t;
   (* Global measured ranges per domain, in declaration order — the
      per-shard domain records only know their local slices. *)
-  measured : (Domain.id, Hw.Addr.Range.t list ref) Hashtbl.t;
+  measured : (Domain.id, Hw.Addr.Range.t list) Hashtbl.t;
   meas_lock : Mutex.t;
-  mutable attests : int;
   mutable persist : persist_front option;
 }
 
@@ -73,11 +79,12 @@ let ( let* ) = Result.bind
 let gcap ~shard local = (local lsl shard_bits) lor shard
 let cap_shard c = c land (max_shards - 1)
 let cap_local c = c lsr shard_bits
-let gaddr ~shard a = (shard * addr_stride) + a
 let addr_shard a = a / addr_stride
 
 let grange ~shard r =
-  Hw.Addr.Range.make ~base:(gaddr ~shard (Hw.Addr.Range.base r)) ~len:(Hw.Addr.Range.len r)
+  Hw.Addr.Range.make
+    ~base:((shard * addr_stride) + Hw.Addr.Range.base r)
+    ~len:(Hw.Addr.Range.len r)
 
 let lrange ~shard r =
   Hw.Addr.Range.make
@@ -87,9 +94,9 @@ let lrange ~shard r =
 (* A global subrange is usable only if it sits entirely inside one
    shard's address window. *)
 let local_sub ~shard r =
-  let b = Hw.Addr.Range.base r and l = Hw.Addr.Range.len r in
-  if addr_shard b <> shard || addr_shard (b + l - 1) <> shard then None
-  else Some (Hw.Addr.Range.make ~base:(b - (shard * addr_stride)) ~len:l)
+  if addr_shard (Hw.Addr.Range.base r) <> shard || addr_shard (Hw.Addr.Range.limit r - 1) <> shard
+  then None
+  else Some (lrange ~shard r)
 
 let core_shard t core = core / t.cores_per_shard
 let core_local t core = core mod t.cores_per_shard
@@ -166,16 +173,7 @@ let write_all t f =
 
 (* --- boot ----------------------------------------------------------- *)
 
-let default_shards () =
-  match Sys.getenv_opt "TYCHE_SHARDS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 && n <= max_shards -> n
-    | _ -> 1)
-  | None -> 1
-
-let boot ?shards ?(signer_height = 6) ?keypool ~rng ~mk () =
-  let n = match shards with Some n -> n | None -> default_shards () in
+let boot ~shards:n ?(signer_height = 6) ?keypool ~rng ~mk () =
   if n < 1 || n > max_shards then
     invalid_arg (Printf.sprintf "Sharded.boot: shard count must be in 1..%d" max_shards);
   let tpm0 = ref None in
@@ -200,8 +198,9 @@ let boot ?shards ?(signer_height = 6) ?keypool ~rng ~mk () =
     shards;
   let signer = Crypto.Signature.create ~height:signer_height ?pool:keypool rng in
   (* Bind the federation's aggregate-attestation key into shard 0's TPM
-     alongside shard 0's own signer root: one tier-one quote then
-     certifies both tiers of the sharded deployment. *)
+     after shard 0's own signer root: PCR 18 then holds the chain
+     [shard-0 root; federation root], and one tier-one quote certifies
+     both tiers of the sharded deployment. *)
   Rot.Tpm.extend (Option.get !tpm0) ~pcr:Monitor.key_binding_pcr
     (Crypto.Signature.public_root signer);
   (* Every shard boot re-pointed the trace clock at its own machine;
@@ -213,7 +212,6 @@ let boot ?shards ?(signer_height = 6) ?keypool ~rng ~mk () =
     signer_lock = Mutex.create ();
     measured = Hashtbl.create 16;
     meas_lock = Mutex.create ();
-    attests = 0;
     persist = None }
 
 let shard_count t = Array.length t.shards
@@ -223,6 +221,7 @@ let shard_monitor t i = t.shards.(i).s_monitor
 let attestation_root t = Crypto.Signature.public_root t.signer
 let shard0 t = t.shards.(0)
 let boot_quote t ~nonce = Monitor.boot_quote (shard0 t).s_monitor ~nonce
+let find_domain t id = Monitor.find_domain (shard0 t).s_monitor id
 
 (* --- front-end redo log --------------------------------------------- *)
 
@@ -238,7 +237,7 @@ let log_record t record =
 
 let log_op t ~by call = log_record t (Op.issued by call)
 
-(* --- domain lifecycle (broadcast) ----------------------------------- *)
+(* --- broadcast, and the calls with front-end bodies -------------------- *)
 
 let divergence what =
   invalid_arg ("Sharded: shard state diverged during " ^ what)
@@ -246,103 +245,55 @@ let divergence what =
 (* Replicated-table ops succeed or fail identically on every shard (the
    decision reads only the domain tables, which broadcast keeps in
    lockstep): run shard 0 first, surface its verdict, and require the
-   rest to agree. *)
+   rest to return the same value. *)
 let broadcast t what f =
   match f (shard0 t).s_monitor with
   | Error _ as e -> e
-  | Ok () ->
+  | Ok v as r ->
     Array.iter
       (fun s ->
         if s.s_index > 0 then
-          match f s.s_monitor with Ok () -> () | Error _ -> divergence what)
+          match f s.s_monitor with Ok v' when v' = v -> () | _ -> divergence what)
       t.shards;
-    Ok ()
+    r
 
-let create_domain t ~caller ~name ~kind =
-  write_all t (fun () ->
-      match Monitor.create_domain (shard0 t).s_monitor ~caller ~name ~kind with
-      | Error _ as e -> e
-      | Ok id ->
-        Array.iter
-          (fun s ->
-            if s.s_index > 0 then
-              match Monitor.create_domain s.s_monitor ~caller ~name ~kind with
-              | Ok id' when id' = id -> ()
-              | _ -> divergence "create_domain")
-          t.shards;
-        log_op t ~by:caller (Op.Create_domain { name; kind });
-        Ok id)
-
-let set_entry_point t ~caller ~domain entry =
-  write_all t (fun () ->
-      (* The entry address is global configuration data: stored verbatim
-         on every shard (it feeds the seal digest and the transition
-         target); callers must run the domain on a core of the shard
-         holding the entry's backing memory. *)
-      match
-        broadcast t "set_entry_point" (fun m ->
-            Monitor.set_entry_point m ~caller ~domain entry)
-      with
-      | Ok () ->
-        log_op t ~by:caller (Op.Set_entry_point { domain; entry });
-        Ok ()
-      | Error _ as e -> e)
-
-let set_flush_policy t ~caller ~domain flush =
-  write_all t (fun () ->
-      match
-        broadcast t "set_flush_policy" (fun m ->
-            Monitor.set_flush_policy m ~caller ~domain flush)
-      with
-      | Ok () ->
-        log_op t ~by:caller (Op.Set_flush_policy { domain; flush });
-        Ok ()
-      | Error _ as e -> e)
+let measured_of t domain = Option.value ~default:[] (Hashtbl.find_opt t.measured domain)
 
 let mark_measured t ~caller ~domain range =
-  let b = Hw.Addr.Range.base range in
-  let sh = addr_shard b in
-  if sh < 0 || sh >= Array.length t.shards
-     || addr_shard (Hw.Addr.Range.limit range - 1) <> sh
-  then Error (Monitor.Denied "measured range not held by the domain")
-  else
+  let sh = addr_shard (Hw.Addr.Range.base range) in
+  match local_sub ~shard:sh range with
+  | Some local when sh >= 0 && sh < Array.length t.shards ->
     let s = t.shards.(sh) in
     write s (fun () ->
-        match Monitor.mark_measured s.s_monitor ~caller ~domain (lrange ~shard:sh range) with
+        match Monitor.mark_measured s.s_monitor ~caller ~domain local with
         | Ok () ->
           Mutex.protect t.meas_lock (fun () ->
-              let l =
-                match Hashtbl.find_opt t.measured domain with
-                | Some l -> l
-                | None ->
-                  let l = ref [] in
-                  Hashtbl.replace t.measured domain l;
-                  l
-              in
-              l := range :: !l);
+              Hashtbl.replace t.measured domain (range :: measured_of t domain));
           log_op t ~by:caller (Op.Mark_measured { domain; range });
-          Ok ()
+          Ok Op.R_unit
         | Error e -> Error (tr_error ~shard:sh e))
+  | _ -> Error (Monitor.Denied "measured range not held by the domain")
 
+(* Global measured ranges, in declaration order. *)
 let global_measured t domain =
-  Mutex.protect t.meas_lock (fun () ->
-      match Hashtbl.find_opt t.measured domain with
-      | Some l -> List.rev !l
-      | None -> [])
+  Mutex.protect t.meas_lock (fun () -> List.rev (measured_of t domain))
+
+(* Install a seal digest on every shard through the validated
+   {!Monitor.install_seal} path. *)
+let install_seal t ~caller ~domain raw =
+  broadcast t "seal" (fun m ->
+      Result.map_error
+        (fun e -> Monitor.Domain_config e)
+        (Monitor.install_seal m ~caller ~domain ~measurement:raw))
 
 (* Seal. Validation and measurement happen at the front end — each
    global measured range is hashed on its owning shard's machine — then
-   the folded digest is installed on every shard through the validated
-   {!Monitor.install_seal} path. [Domain.seal] mutates only the
-   (replicated) domain record, never the captree, so this is a
+   the folded digest is installed on every shard. [Domain.seal] mutates
+   only the (replicated) domain record, never the captree, so this is a
    deterministic broadcast, not a 2PC. *)
 let seal t ~caller ~domain =
   write_all t (fun () ->
-      let* d0 =
-        match Monitor.find_domain (shard0 t).s_monitor domain with
-        | Some d -> Ok d
-        | None -> Error (Monitor.Unknown_domain domain)
-      in
+      let* d0 = Option.to_result ~none:(Monitor.Unknown_domain domain) (find_domain t domain) in
       let* () =
         if caller = domain || Domain.created_by d0 = Some caller then Ok ()
         else Error (Monitor.Denied "only the domain or its creator may configure it")
@@ -381,16 +332,9 @@ let seal t ~caller ~domain =
               ~flush_on_transition:(Domain.flush_on_transition d0) ~ranges
           in
           let raw = Crypto.Sha256.to_raw digest in
-          match
-            broadcast t "seal" (fun m ->
-                Result.map_error
-                  (fun e -> Monitor.Domain_config e)
-                  (Monitor.install_seal m ~caller ~domain ~measurement:raw))
-          with
-          | Ok () ->
-            log_record t (Op.Issued { by = caller; call = Op.Seal { domain }; digest = raw });
-            Ok ()
-          | Error _ as e -> e
+          let* () = install_seal t ~caller ~domain raw in
+          log_record t (Op.Issued { by = caller; call = Op.Seal { domain }; digest = raw });
+          Ok Op.R_unit
         end)
 
 (* --- two-phase commit: domain destruction --------------------------- *)
@@ -416,7 +360,7 @@ let tpc_commit_c = Obs.Metrics.counter "sharded.2pc.commit"
         has passed its commit point;
      4. post-commit: the un-journaled table removals, then the WAL
         append (redo contract: only fully committed ops reach the log). *)
-let destroy_domain t ~caller ~domain =
+let destroy t ~caller ~domain =
   write_all t (fun () ->
       let guards =
         Array.fold_left
@@ -466,7 +410,7 @@ let destroy_domain t ~caller ~domain =
           Mutex.protect t.meas_lock (fun () -> Hashtbl.remove t.measured domain);
           Obs.Metrics.incr tpc_commit_c;
           log_op t ~by:caller (Op.Destroy { domain });
-          Ok ()
+          Ok Op.R_unit
         | Error _ as e ->
           rollback_all ();
           Obs.Metrics.incr tpc_abort_c;
@@ -481,77 +425,6 @@ let destroy_domain t ~caller ~domain =
           Obs.Metrics.incr tpc_abort_c;
           raise e))
 
-(* --- capability operations (single shard) --------------------------- *)
-
-let with_cap_shard t cap f =
-  let sh = cap_shard cap in
-  if sh >= Array.length t.shards then
-    Error (Monitor.Cap_error (Cap.Captree.No_such_capability cap))
-  else f sh t.shards.(sh)
-
-let share t ~caller ~cap ~to_ ~rights ~cleanup ?subrange () =
-  with_cap_shard t cap (fun sh s ->
-      let* sub =
-        match subrange with
-        | None -> Ok None
-        | Some r -> (
-          match local_sub ~shard:sh r with
-          | Some l -> Ok (Some l)
-          | None -> Error (Monitor.Cap_error Cap.Captree.Bad_subrange))
-      in
-      write s (fun () ->
-          match
-            Monitor.share s.s_monitor ~caller ~cap:(cap_local cap) ~to_ ~rights ~cleanup
-              ?subrange:sub ()
-          with
-          | Ok c ->
-            log_op t ~by:caller (Op.Share { cap; to_; rights; cleanup; subrange });
-            Ok (gcap ~shard:sh c)
-          | Error e -> Error (tr_error ~shard:sh e)))
-
-let grant t ~caller ~cap ~to_ ~rights ~cleanup =
-  with_cap_shard t cap (fun sh s ->
-      write s (fun () ->
-          match Monitor.grant s.s_monitor ~caller ~cap:(cap_local cap) ~to_ ~rights ~cleanup with
-          | Ok c ->
-            log_op t ~by:caller (Op.Grant { cap; to_; rights; cleanup });
-            Ok (gcap ~shard:sh c)
-          | Error e -> Error (tr_error ~shard:sh e)))
-
-let split t ~caller ~cap ~at =
-  with_cap_shard t cap (fun sh s ->
-      let at_local = at - (sh * addr_stride) in
-      if at_local < 0 || at_local >= addr_stride then
-        Error (Monitor.Cap_error Cap.Captree.Bad_subrange)
-      else
-        write s (fun () ->
-            match Monitor.split s.s_monitor ~caller ~cap:(cap_local cap) ~at:at_local with
-            | Ok (a, b) ->
-              log_op t ~by:caller (Op.Split { cap; at });
-              Ok (gcap ~shard:sh a, gcap ~shard:sh b)
-            | Error e -> Error (tr_error ~shard:sh e)))
-
-let carve t ~caller ~cap ~subrange =
-  with_cap_shard t cap (fun sh s ->
-      match local_sub ~shard:sh subrange with
-      | None -> Error (Monitor.Cap_error Cap.Captree.Bad_subrange)
-      | Some sub ->
-        write s (fun () ->
-            match Monitor.carve s.s_monitor ~caller ~cap:(cap_local cap) ~subrange:sub with
-            | Ok c ->
-              log_op t ~by:caller (Op.Carve { cap; subrange });
-              Ok (gcap ~shard:sh c)
-            | Error e -> Error (tr_error ~shard:sh e)))
-
-let revoke t ~caller ~cap =
-  with_cap_shard t cap (fun sh s ->
-      write s (fun () ->
-          match Monitor.revoke s.s_monitor ~caller ~cap:(cap_local cap) with
-          | Ok () ->
-            log_op t ~by:caller (Op.Revoke { cap });
-            Ok ()
-          | Error e -> Error (tr_error ~shard:sh e)))
-
 (* --- indexed queries (epoch/seqlock read path) ---------------------- *)
 
 let caps_of t domain =
@@ -560,118 +433,16 @@ let caps_of t domain =
          read s (fun () -> Monitor.caps_of s.s_monitor domain)
          |> List.map (gcap ~shard:s.s_index))
 
-let refcount t res =
+(* [query] on the tree of the shard that owns [res]; [none] off the map. *)
+let on_resource t res ~none query =
   let sh = resource_shard t res in
-  if sh < 0 || sh >= Array.length t.shards then 0
+  if sh < 0 || sh >= Array.length t.shards then none
   else
     let s = t.shards.(sh) in
-    read s (fun () ->
-        Cap.Captree.refcount (Monitor.tree s.s_monitor) (local_resource t ~shard:sh res))
+    read s (fun () -> query (Monitor.tree s.s_monitor) (local_resource t ~shard:sh res))
 
-let holders t res =
-  let sh = resource_shard t res in
-  if sh < 0 || sh >= Array.length t.shards then []
-  else
-    let s = t.shards.(sh) in
-    read s (fun () ->
-        Cap.Captree.holders (Monitor.tree s.s_monitor) (local_resource t ~shard:sh res))
-
-(* --- transitions and domain-context access -------------------------- *)
-
-let with_core t core f =
-  let sh = core_shard t core in
-  if core < 0 || sh >= Array.length t.shards then
-    Error (Monitor.Bad_transition (Printf.sprintf "no such core: %d" core))
-  else f sh t.shards.(sh) (core_local t core)
-
-let current_domain t ~core =
-  Monitor.current_domain
-    t.shards.(core_shard t core).s_monitor
-    ~core:(core_local t core)
-
-let call t ~core ~target =
-  with_core t core (fun sh s lc ->
-      write s (fun () ->
-          match Monitor.call s.s_monitor ~core:lc ~target with
-          | Ok p ->
-            log_op t ~by:core (Op.Call { target });
-            Ok p
-          | Error e -> Error (tr_error ~shard:sh e)))
-
-let ret t ~core =
-  with_core t core (fun sh s lc ->
-      write s (fun () ->
-          match Monitor.ret s.s_monitor ~core:lc with
-          | Ok p ->
-            log_op t ~by:core Op.Return;
-            Ok p
-          | Error e -> Error (tr_error ~shard:sh e)))
-
-let timer_tick t ~core =
-  with_core t core (fun sh s lc ->
-      write s (fun () ->
-          match Monitor.timer_tick s.s_monitor ~core:lc with
-          | Ok d ->
-            (* Logged unconditionally (the single-monitor path logs only
-               evictions); replaying a no-op tick is itself a no-op. *)
-            log_record t (Op.Evicted { core });
-            Ok d
-          | Error e -> Error (tr_error ~shard:sh e)))
-
-let route_interrupt t ~caller ~device ~vector ~core =
-  with_core t core (fun _sh s lc ->
-      let s0 = shard0 t in
-      let holds_dev =
-        read s0 (fun () ->
-            List.mem caller
-              (Cap.Captree.holders (Monitor.tree s0.s_monitor) (Cap.Resource.Device device)))
-      in
-      if not holds_dev then Error (Monitor.Denied "caller holds no capability for the device")
-      else
-        let holds_core =
-          read s (fun () ->
-              List.mem caller
-                (Cap.Captree.holders (Monitor.tree s.s_monitor) (Cap.Resource.Cpu_core lc)))
-        in
-        if not holds_core then
-          Error (Monitor.Denied "caller holds no capability for the target core")
-        else
-          locked s (fun () ->
-              let ic = s.s_machine.Hw.Machine.interrupts in
-              Hw.Interrupt.permit ic ~device ~vector;
-              Hw.Interrupt.route ic ~vector ~core:lc;
-              Ok ()))
-
-let on_shard_addr t core addr f =
-  with_core t core (fun sh s lc ->
-      if addr_shard addr <> sh then
-        Error
-          (Monitor.Denied
-             (Printf.sprintf "address 0x%x is not on core %d's shard" addr core))
-      else f s lc (addr - (sh * addr_stride)))
-
-let load t ~core addr =
-  on_shard_addr t core addr (fun s lc a -> locked s (fun () -> Monitor.load s.s_monitor ~core:lc a))
-
-let store t ~core addr v =
-  on_shard_addr t core addr (fun s lc a ->
-      locked s (fun () -> Monitor.store s.s_monitor ~core:lc a v))
-
-let load_string t ~core r =
-  on_shard_addr t core (Hw.Addr.Range.base r) (fun s lc a ->
-      locked s (fun () ->
-          Monitor.load_string s.s_monitor ~core:lc
-            (Hw.Addr.Range.make ~base:a ~len:(Hw.Addr.Range.len r))))
-
-let store_string t ~core addr str =
-  on_shard_addr t core addr (fun s lc a ->
-      locked s (fun () -> Monitor.store_string s.s_monitor ~core:lc a str))
-
-let get_reg t ~core i =
-  with_core t core (fun _sh s lc -> locked s (fun () -> Monitor.get_reg s.s_monitor ~core:lc i))
-
-let set_reg t ~core i v =
-  with_core t core (fun _sh s lc -> locked s (fun () -> Monitor.set_reg s.s_monitor ~core:lc i v))
+let refcount t res = on_resource t res ~none:0 Cap.Captree.refcount
+let holders t res = on_resource t res ~none:[] Cap.Captree.holders
 
 (* --- aggregate attestation ------------------------------------------ *)
 
@@ -704,7 +475,7 @@ let attest_body t ~domain =
 (* The global view of a domain record: shard 0's replica plus the
    front end's global measured-range list. *)
 let global_domain t domain =
-  match Monitor.find_domain (shard0 t).s_monitor domain with
+  match find_domain t domain with
   | None -> Error (Monitor.Unknown_domain domain)
   | Some d ->
     Ok
@@ -716,63 +487,101 @@ let global_domain t domain =
           ~measurement:(Domain.measurement d) )
 
 let attest t ~caller ~domain ~nonce =
-  let* _ =
-    match Monitor.find_domain (shard0 t).s_monitor caller with
-    | Some d -> Ok d
-    | None -> Error (Monitor.Unknown_domain caller)
-  in
+  let* _ = Option.to_result ~none:(Monitor.Unknown_domain caller) (find_domain t caller) in
   let* d0, global = global_domain t domain in
   let* regions, cores, devices = attest_body t ~domain in
   let encrypted =
     (Monitor.backend (shard0 t).s_monitor).Backend_intf.domain_encrypted d0
   in
   Mutex.protect t.signer_lock (fun () ->
-      t.attests <- t.attests + 1;
       Ok
         (Attestation.sign ~signer:t.signer ~domain:global ~regions ~cores ~devices
            ~memory_encrypted:encrypted ~nonce))
 
-let find_domain t id = Monitor.find_domain (shard0 t).s_monitor id
-let attest_count t = t.attests
-let observe (_ : t) = Obs.report ()
+(* --- the timer tick -------------------------------------------------- *)
 
-(* --- API dispatch (mirrors Api.dispatch over the global namespace) -- *)
+let current_domain t ~core =
+  Monitor.current_domain
+    t.shards.(core_shard t core).s_monitor
+    ~core:(core_local t core)
 
-let dispatch t ~caller ~core (call_ : Api.call) : Api.response =
+let timer_tick t ~core =
+  let sh = core_shard t core in
+  if core < 0 || sh >= Array.length t.shards then
+    Error (Monitor.Bad_transition (Printf.sprintf "no such core: %d" core))
+  else
+    let s = t.shards.(sh) in
+    write s (fun () ->
+        match Monitor.timer_tick s.s_monitor ~core:(core_local t core) with
+        | Ok d ->
+          (* Logged unconditionally (the single-monitor path logs only
+             evictions); replaying a no-op tick is itself a no-op. *)
+          log_record t (Op.Evicted { core });
+          Ok d
+        | Error e -> Error (tr_error ~shard:sh e))
+
+(* --- routed calls ----------------------------------------------------- *)
+
+(* Shard-local results carry local capability ids. *)
+let tr_result ~shard = function
+  | Ok (Op.R_cap c) -> Ok (Op.R_cap (gcap ~shard c))
+  | Ok (Op.R_cap_pair (a, b)) -> Ok (Op.R_cap_pair (gcap ~shard a, gcap ~shard b))
+  | Ok _ as r -> r
+  | Error e -> Error (tr_error ~shard e)
+
+let dispatch t ~caller ~core (call : Api.call) : Api.response =
+  (* The one log point of a routed or broadcast call: inside its locks. *)
+  let logged ~by r =
+    if Result.is_ok r then log_op t ~by call;
+    r
+  in
+  (* Run [local], the call in shard [s]'s ids, on [s]. *)
+  let on_shard s ~by ~core local =
+    write s (fun () ->
+        logged ~by (tr_result ~shard:s.s_index (Monitor.exec s.s_monitor ~caller ~core local)))
+  in
+  (* A capability call runs on the capability's shard; [localise] puts
+     its other operands in that shard's ids. A subrange or split point
+     must sit inside the shard's address window. *)
+  let on_cap cap localise =
+    let sh = cap_shard cap in
+    if sh >= Array.length t.shards then
+      Error (Monitor.Cap_error (Cap.Captree.No_such_capability cap))
+    else Result.bind (localise sh (cap_local cap)) (on_shard t.shards.(sh) ~by:caller ~core)
+  in
+  let bad = Monitor.Cap_error Cap.Captree.Bad_subrange in
+  let sub sh r = Option.to_result ~none:bad (local_sub ~shard:sh r) in
   try
-    match call_ with
-    | Api.Create_domain { name; kind } ->
-      Result.map (fun d -> Api.R_domain d) (create_domain t ~caller ~name ~kind)
-    | Api.Set_entry_point { domain; entry } ->
-      Result.map (fun () -> Api.R_unit) (set_entry_point t ~caller ~domain entry)
-    | Api.Set_flush_policy { domain; flush } ->
-      Result.map (fun () -> Api.R_unit) (set_flush_policy t ~caller ~domain flush)
-    | Api.Mark_measured { domain; range } ->
-      Result.map (fun () -> Api.R_unit) (mark_measured t ~caller ~domain range)
-    | Api.Seal { domain } -> Result.map (fun () -> Api.R_unit) (seal t ~caller ~domain)
-    | Api.Destroy { domain } ->
-      Result.map (fun () -> Api.R_unit) (destroy_domain t ~caller ~domain)
-    | Api.Share { cap; to_; rights; cleanup; subrange } ->
-      Result.map (fun c -> Api.R_cap c)
-        (share t ~caller ~cap ~to_ ~rights ~cleanup ?subrange ())
-    | Api.Grant { cap; to_; rights; cleanup } ->
-      Result.map (fun c -> Api.R_cap c) (grant t ~caller ~cap ~to_ ~rights ~cleanup)
-    | Api.Split { cap; at } ->
-      Result.map (fun (a, b) -> Api.R_cap_pair (a, b)) (split t ~caller ~cap ~at)
-    | Api.Carve { cap; subrange } ->
-      Result.map (fun c -> Api.R_cap c) (carve t ~caller ~cap ~subrange)
-    | Api.Revoke { cap } -> Result.map (fun () -> Api.R_unit) (revoke t ~caller ~cap)
-    | Api.Enumerate -> Ok (Api.R_caps (caps_of t caller))
-    | Api.Attest { domain; nonce } ->
-      Result.map (fun a -> Api.R_attestation a) (attest t ~caller ~domain ~nonce)
-    | Api.Call { target } ->
-      if current_domain t ~core <> caller then
-        Error (Monitor.Bad_transition "caller is not current on this core")
-      else Result.map (fun p -> Api.R_path p) (call t ~core ~target)
-    | Api.Return ->
-      if current_domain t ~core <> caller then
-        Error (Monitor.Bad_transition "caller is not current on this core")
-      else Result.map (fun p -> Api.R_path p) (ret t ~core)
+    match call with
+    | Op.Create_domain _ | Op.Set_entry_point _ | Op.Set_flush_policy _ ->
+      (* An entry point is global configuration data, stored verbatim on
+         every shard: the domain must run on a core of the shard that
+         holds the entry's backing memory. *)
+      write_all t (fun () ->
+          logged ~by:caller
+            (broadcast t (Op.op_name call) (fun m -> Monitor.exec m ~caller ~core call)))
+    | Op.Share r ->
+      on_cap r.cap (fun sh cap ->
+          match r.subrange with
+          | None -> Ok (Op.Share { r with cap })
+          | Some s -> Result.map (fun l -> Op.Share { r with cap; subrange = Some l }) (sub sh s))
+    | Op.Grant r -> on_cap r.cap (fun _ cap -> Ok (Op.Grant { r with cap }))
+    | Op.Split { cap; at } ->
+      on_cap cap (fun sh cap ->
+          let at = at - (sh * addr_stride) in
+          if at < 0 || at >= addr_stride then Error bad else Ok (Op.Split { cap; at }))
+    | Op.Carve { cap; subrange } ->
+      on_cap cap (fun sh cap ->
+          Result.map (fun subrange -> Op.Carve { cap; subrange }) (sub sh subrange))
+    | Op.Revoke { cap } -> on_cap cap (fun _ cap -> Ok (Op.Revoke { cap }))
+    | Op.Call _ | Op.Return ->
+      on_shard t.shards.(core_shard t core) ~by:core ~core:(core_local t core) call
+    | Op.Mark_measured { domain; range } -> mark_measured t ~caller ~domain range
+    | Op.Seal { domain } -> seal t ~caller ~domain
+    | Op.Destroy { domain } -> destroy t ~caller ~domain
+    | Op.Enumerate -> Ok (Op.R_caps (caps_of t caller))
+    | Op.Attest { domain; nonce } ->
+      Result.map (fun a -> Op.R_attestation a) (attest t ~caller ~domain ~nonce)
   with
   | Invalid_argument msg -> Error (Monitor.Denied ("invalid argument: " ^ msg))
   | Failure msg -> Error (Monitor.Denied ("failure: " ^ msg))
@@ -808,11 +617,7 @@ let replay_record t payload =
     Result.map_error Monitor.error_to_string (Result.map ignore (timer_tick t ~core))
   | Ok (Op.Issued { by = caller; call = Op.Seal { domain }; digest }) ->
     Result.map_error Monitor.error_to_string
-      (write_all t (fun () ->
-           broadcast t "seal replay" (fun m ->
-               Result.map_error
-                 (fun e -> Monitor.Domain_config e)
-                 (Monitor.install_seal m ~caller ~domain ~measurement:digest))))
+      (write_all t (fun () -> install_seal t ~caller ~domain digest))
   | Ok (Op.Issued { by; call = (Op.Call _ | Op.Return) as call; _ }) ->
     mon call (dispatch t ~caller:(current_domain t ~core:by) ~core:by call)
   | Ok (Op.Issued { by; call; _ }) -> mon call (dispatch t ~caller:by ~core:0 call)
@@ -829,8 +634,8 @@ type recovery_report = {
    front end keeps no snapshots — its log is the full history; shard
    checkpointing is future work). Fault injection is masked during
    replay, as in [Monitor.recover]. *)
-let recover ?shards ?signer_height ?keypool ~rng ~mk ~store () =
-  let t = boot ?shards ?signer_height ?keypool ~rng ~mk () in
+let recover ~shards ?signer_height ?keypool ~rng ~mk ~store () =
+  let t = boot ~shards ?signer_height ?keypool ~rng ~mk () in
   let wal = Persist.Wal.read store ~blob:Persist.Store.wal_blob in
   enable_persistence t ~store ();
   let fp = Option.get t.persist in

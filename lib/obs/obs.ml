@@ -296,12 +296,6 @@ module Metrics = struct
   let set_gauge g v = if !enabled_flag then Atomic.set g v
   let zero_gauge g = Atomic.set g 0
 
-  let gauge_value name =
-    locked (fun () ->
-        match Hashtbl.find_opt registry name with
-        | Some (Gauge g) -> Atomic.get g
-        | _ -> 0)
-
   let histogram_unlocked name =
     match Hashtbl.find_opt registry name with
     | Some (Histogram h) -> h

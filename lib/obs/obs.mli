@@ -106,7 +106,6 @@ module Metrics : sig
 
   val gauge : string -> gauge
   val set_gauge : gauge -> int -> unit
-  val gauge_value : string -> int
 
   val zero_gauge : gauge -> unit
   (** Gauge twin of {!zero_counter}. *)

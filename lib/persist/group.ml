@@ -36,7 +36,6 @@ let create ?(max_batch = 1) ?(latency_bound = max_int) ?(now = fun () -> 0) stor
 
 let pending t = t.pending
 let durable_seq t = t.durable_seq
-let tail_seq t = t.tail_seq
 
 let flush t =
   if t.pending > 0 then begin

@@ -53,6 +53,3 @@ val pending : t -> int
 
 val durable_seq : t -> int
 (** Highest sequence number known durable (the acknowledgement floor). *)
-
-val tail_seq : t -> int
-(** Highest sequence number appended (durable or pending). *)

@@ -259,22 +259,6 @@ let seg_decode payload =
       | nodes -> Some (h, nodes)
       | exception Wire.Corrupt _ -> None
 
-(* Content-addressed envelope for opaque bytes — the same [raw sha256 ^
-   body] shape as captree segments, but carrying arbitrary payloads
-   (live migration ships a domain's memory pages this way). Pure codec:
-   callers pick the blob, so these never collide with the checkpoint
-   segment GC. *)
-let export_blob body =
-  let h = Crypto.Sha256.(to_raw (string body)) in
-  (h, h ^ body)
-
-let import_blob payload =
-  if String.length payload < 32 then None
-  else
-    let h = String.sub payload 0 32 in
-    let body = String.sub payload 32 (String.length payload - 32) in
-    if Crypto.Sha256.(to_raw (string body)) <> h then None else Some (h, body)
-
 let append_segment store ~bucket payload =
   Wal.append store ~blob:Store.seg_blob ~seq:bucket payload
 
@@ -386,7 +370,3 @@ let load_latest_ex store =
     torn = truncated || skipped > 0;
     manifest_segments = segs;
   }
-
-let load_latest store =
-  let l = load_latest_ex store in
-  (l.snapshot, l.scanned, l.torn)

@@ -78,14 +78,6 @@ val write : Store.t -> t -> unit
     it durable. May raise {!Store.Crash} at the [snapshot.write] fault
     point. *)
 
-val load_latest : Store.t -> t option * int * bool
-(** [(newest decodable snapshot, snapshots scanned, tail-corruption
-    seen)]. Never raises: an undecodable entry is skipped in favor of
-    the next-older valid one. Understands both full snapshots and
-    incremental manifests (materialized through {!seg_blob} segments —
-    a manifest whose segments are missing is skipped like any other
-    corrupt record). *)
-
 (** {1 Incremental checkpoints}
 
     An incremental checkpoint writes only the captree buckets dirtied
@@ -124,17 +116,6 @@ val seg_decode : string -> (string * node_spec list) option
 (** Validate a segment payload against its embedded hash. [None] on any
     mismatch or malformed body — never raises. *)
 
-val export_blob : string -> string * string
-(** [(raw hash, payload)] content-addressed envelope for opaque bytes —
-    the segment shape ([raw sha256 ^ body]) without the node-list
-    schema. Live migration ships memory pages this way; callers choose
-    the blob they append to, keeping these out of the checkpoint
-    segment GC. *)
-
-val import_blob : string -> (string * string) option
-(** Validate an {!export_blob} payload against its embedded hash.
-    [None] on mismatch or truncation — never raises. *)
-
 val append_segment : Store.t -> bucket:int -> string -> unit
 (** Append one segment payload to {!Store.seg_blob} (durable only after
     {!fsync_segments}). May raise {!Store.Crash} at [segment.write]. *)
@@ -164,6 +145,12 @@ type loaded = {
 }
 
 val load_latest_ex : Store.t -> loaded
-(** {!load_latest} plus the winning manifest's segment list (empty when
-    the newest valid record is a full snapshot or nothing loaded) — the
-    monitor seeds its dedup cache from it. *)
+(** The newest decodable snapshot, how many snapshot records were
+    scanned, whether tail corruption was seen, and the winning
+    manifest's segment list (empty when the newest valid record is a
+    full snapshot or nothing loaded) — the monitor seeds its dedup
+    cache from it. Never raises: an undecodable entry is skipped in
+    favor of the next-older valid one. Understands both full snapshots
+    and incremental manifests (materialized through {!Store.seg_blob}
+    segments — a manifest whose segments are missing is skipped like
+    any other corrupt record). *)

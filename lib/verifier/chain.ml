@@ -1,9 +1,9 @@
 let ( let* ) = Result.bind
 
-let expected_key_binding_pcr ~monitor_root =
-  Crypto.Sha256.concat [ Crypto.Sha256.zero; monitor_root ]
+let expected_key_binding_pcr roots =
+  List.fold_left (fun pcr root -> Crypto.Sha256.concat [ pcr; root ]) Crypto.Sha256.zero roots
 
-let verify_boot ~tpm_root ~expected_pcrs ~claimed_monitor_root ~nonce quote =
+let verify_boot_chain ~tpm_root ~expected_pcrs ~bound ~nonce quote =
   let* () =
     if Rot.Tpm.Quote.verify ~root:tpm_root quote then Ok ()
     else Error "quote signature does not verify under the TPM endorsement root"
@@ -28,10 +28,12 @@ let verify_boot ~tpm_root ~expected_pcrs ~claimed_monitor_root ~nonce quote =
   in
   match quoted Tyche.Monitor.key_binding_pcr with
   | Some actual
-    when Crypto.Sha256.equal actual (expected_key_binding_pcr ~monitor_root:claimed_monitor_root)
-    -> Ok ()
+    when Crypto.Sha256.equal actual (expected_key_binding_pcr bound) -> Ok ()
   | Some _ -> Error "PCR 18 does not bind the claimed monitor attestation key"
   | None -> Error "quote does not cover the key-binding PCR"
+
+let verify_boot ~tpm_root ~expected_pcrs ~claimed_monitor_root ~nonce quote =
+  verify_boot_chain ~tpm_root ~expected_pcrs ~bound:[ claimed_monitor_root ] ~nonce quote
 
 let verify_domain ~monitor_root ~nonce att =
   let* () =

@@ -152,10 +152,12 @@ let test_differential () =
 
    The global-id encoding is shard-count invariant for shard 0: a
    workload confined to shard 0's resources must produce identical
-   responses, attestation bodies and shard-0 captree fingerprints
-   whether the federation has 1 shard or 4. The trace is recorded on a
-   scratch 1-shard world (ops need real ids, as above) and replayed
-   verbatim through both. *)
+   responses, attestation bodies, shard-0 captree fingerprints and
+   write-ahead logs whether the federation has 1 shard or 4. A 1-shard
+   federation must in turn answer as a plain monitor booted like its
+   shard 0 does, up to the global encoding of capability ids. The
+   trace is recorded on a scratch 1-shard world (ops need real ids, as
+   above) and replayed verbatim through all three. *)
 
 let sharded_dispatch t call = Tyche.Sharded.dispatch t ~caller:os ~core call
 
@@ -166,24 +168,16 @@ let sharded_trace () =
     trace := encode call :: !trace;
     sharded_dispatch t call
   in
-  let cap_of = function
-    | Ok (Tyche.Api.R_cap c) -> c
-    | _ -> Alcotest.fail "recording: expected a capability result"
-  in
-  let dom_of = function
-    | Ok (Tyche.Api.R_domain d) -> d
-    | _ -> Alcotest.fail "recording: expected a domain result"
-  in
   let mem = sharded_os_memory_cap t ~shard:0 in
-  let sbx = dom_of (run (Create_domain { name = "diff-sbx"; kind = Tyche.Domain.Sandbox })) in
-  let piece = cap_of (run (Carve { cap = mem; subrange = Hw.Addr.Range.make ~base:0x400000 ~len:(2 * page) })) in
+  let sbx = id_of (run (Create_domain { name = "diff-sbx"; kind = Tyche.Domain.Sandbox })) in
+  let piece = id_of (run (Carve { cap = mem; subrange = Hw.Addr.Range.make ~base:0x400000 ~len:(2 * page) })) in
   let left, _right =
     match run (Split { cap = piece; at = 0x400000 + page }) with
     | Ok (Tyche.Api.R_cap_pair (a, b)) -> (a, b)
     | _ -> Alcotest.fail "recording: expected a cap pair"
   in
   let shared =
-    cap_of
+    id_of
       (run
          (Share
             { cap = left; to_ = sbx; rights = Cap.Rights.rw;
@@ -198,11 +192,11 @@ let sharded_trace () =
   ignore (run (Revoke { cap = shared }));
   (* A short-lived second domain: Destroy exercises the 2PC broadcast
      path on the N-shard side and the degenerate 1-shard path. *)
-  let tmp = dom_of (run (Create_domain { name = "diff-tmp"; kind = Tyche.Domain.Sandbox })) in
+  let tmp = id_of (run (Create_domain { name = "diff-tmp"; kind = Tyche.Domain.Sandbox })) in
   (* Carving invalidated the old root: re-query the OS's largest piece
      (deterministic, so the recorded id means the same on replay). *)
   let mem2 = sharded_os_memory_cap t ~shard:0 in
-  let piece2 = cap_of (run (Carve { cap = mem2; subrange = Hw.Addr.Range.make ~base:0x100000 ~len:page })) in
+  let piece2 = id_of (run (Carve { cap = mem2; subrange = Hw.Addr.Range.make ~base:0x100000 ~len:page })) in
   ignore
     (run
        (Share
@@ -212,55 +206,119 @@ let sharded_trace () =
   ignore (run (Attest { domain = sbx; nonce = "shard-nonce-2" }));
   (* Denied calls must be denied identically at every shard count. *)
   ignore (run (Seal { domain = 7777 }));
+  ignore (run (Revoke { cap = shared }));
   (sbx, List.rev !trace)
 
 type sharded_outcome = {
   s_responses : string list;
   s_attest_bodies : Tyche.Attestation.t list;
   s_fingerprint : Cap.Captree.node_spec list * Cap.Captree.cap_id;
-  s_sbx_caps : Cap.Captree.cap_id list;
+  s_wal : string;
 }
 
-let sharded_replay t sbx trace =
+(* Replay [trace] through [exec], logging to [store] (one fsync per
+   record, so the blob holds every committed call); [monitor]'s final
+   captree is fingerprinted. *)
+let replay_logged ~exec ~store ~monitor trace =
   let attests = ref [] in
   let responses =
     List.map
       (fun bytes ->
-        let call = decode bytes in
-        let resp = sharded_dispatch t call in
-        (match resp with
-        | Ok (Tyche.Api.R_attestation a) -> attests := a :: !attests
-        | _ -> ());
-        summarize_response resp)
+        match exec (decode bytes) with
+        | Ok (Tyche.Api.R_attestation a) ->
+          attests := a :: !attests;
+          "ok <attestation>"
+        | resp -> summarize_response resp)
       trace
   in
-  let tree = Tyche.Monitor.tree (Tyche.Sharded.shard_monitor t 0) in
+  let tree = Tyche.Monitor.tree monitor in
   { s_responses = responses;
     s_attest_bodies = List.rev !attests;
     s_fingerprint = (Cap.Captree.dump tree, Cap.Captree.next_id tree);
-    s_sbx_caps = Tyche.Sharded.caps_of t sbx }
+    s_wal = Persist.Store.read store Persist.Store.wal_blob }
+
+let sharded_replay t trace =
+  let store = Persist.Store.mem () in
+  Tyche.Sharded.enable_persistence t ~store ();
+  replay_logged ~exec:(sharded_dispatch t) ~store ~monitor:(Tyche.Sharded.shard_monitor t 0)
+    trace
+
+(* A 1-shard federation's calls in shard 0's local capability ids. *)
+let local_call : Tyche.Api.call -> Tyche.Api.call =
+  let l = Tyche.Sharded.cap_local in
+  function
+  | Share r -> Share { r with cap = l r.cap }
+  | Grant r -> Grant { r with cap = l r.cap }
+  | Split r -> Split { r with cap = l r.cap }
+  | Carve r -> Carve { r with cap = l r.cap }
+  | Revoke { cap } -> Revoke { cap = l cap }
+  | call -> call
+
+(* A plain monitor's response with its capability ids in the global
+   encoding of shard 0. *)
+let global_response : Tyche.Api.response -> Tyche.Api.response =
+  let g = Tyche.Sharded.gcap ~shard:0 in
+  let cap_error : Cap.Captree.error -> Cap.Captree.error = function
+    | No_such_capability c -> No_such_capability (g c)
+    | Capability_inactive c -> Capability_inactive (g c)
+    | e -> e
+  in
+  function
+  | Ok (R_cap c) -> Ok (R_cap (g c))
+  | Ok (R_cap_pair (a, b)) -> Ok (R_cap_pair (g a, g b))
+  | Ok (R_caps cs) -> Ok (R_caps (List.map g cs))
+  | Error (Tyche.Monitor.Cap_error e) -> Error (Tyche.Monitor.Cap_error (cap_error e))
+  | r -> r
+
+let plain_replay trace =
+  let machine, backend, tpm, rng, monitor_range = shard_world ~shard:0 () in
+  let m = Tyche.Monitor.boot machine ~backend ~tpm ~rng ~monitor_range in
+  let store = Persist.Store.mem () in
+  Tyche.Monitor.enable_persistence m ~store ();
+  replay_logged ~store ~monitor:m
+    ~exec:(fun call -> global_response (Tyche.Api.dispatch m ~caller:os ~core (local_call call)))
+    trace
+
+let records wal =
+  List.map
+    (fun (seq, payload) -> (seq, get_ok_str ~msg:"decode logged record" (Tyche.Op.decode payload)))
+    (Persist.Wal.parse wal).Persist.Wal.records
+
+(* A logged record with its capability operands in local ids. *)
+let local_record : Tyche.Op.record -> Tyche.Op.record = function
+  | Issued r -> Issued { r with call = local_call r.call }
+  | record -> record
+
+let check_same_replay ~what a b =
+  List.iteri
+    (fun i (x, y) ->
+      if x <> y then Alcotest.failf "step %d: %s answered %s and %s" i what x y)
+    (List.combine a.s_responses b.s_responses);
+  Alcotest.(check int) (what ^ ": attestation count") (List.length a.s_attest_bodies)
+    (List.length b.s_attest_bodies);
+  List.iteri
+    (fun i (x, y) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: attestation %d body identical" what i)
+        true (Tyche.Fsck.body_equal x y))
+    (List.combine a.s_attest_bodies b.s_attest_bodies);
+  Alcotest.(check string) (what ^ ": captree dumps byte-identical")
+    (Marshal.to_string a.s_fingerprint [ Marshal.No_sharing ])
+    (Marshal.to_string b.s_fingerprint [ Marshal.No_sharing ])
 
 let test_sharded_differential () =
   let sbx, trace = sharded_trace () in
-  let o1 = sharded_replay (boot_sharded ~shards:1 ()) sbx trace in
-  let o4 = sharded_replay (boot_sharded ~shards:4 ()) sbx trace in
-  List.iteri
-    (fun i (a, b) ->
-      if a <> b then
-        Alcotest.failf "step %d: 1-shard answered %s, 4-shard answered %s" i a b)
-    (List.combine o1.s_responses o4.s_responses);
-  Alcotest.(check int) "attestation count" (List.length o1.s_attest_bodies)
-    (List.length o4.s_attest_bodies);
-  List.iteri
-    (fun i (a, b) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "attestation %d body identical" i)
-        true
-        (Tyche.Fsck.body_equal a b))
-    (List.combine o1.s_attest_bodies o4.s_attest_bodies);
-  Alcotest.(check bool) "shard-0 captree fingerprints agree" true
-    (o1.s_fingerprint = o4.s_fingerprint);
-  Alcotest.(check bool) "sandbox capability sets agree" true (o1.s_sbx_caps = o4.s_sbx_caps)
+  let t1 = boot_sharded ~shards:1 () and t4 = boot_sharded ~shards:4 () in
+  let o1 = sharded_replay t1 trace and o4 = sharded_replay t4 trace in
+  check_same_replay ~what:"1 shard vs 4 shards" o1 o4;
+  Alcotest.(check bool) "sandbox capability sets agree" true
+    (Tyche.Sharded.caps_of t1 sbx = Tyche.Sharded.caps_of t4 sbx);
+  Alcotest.(check bool) "the logs hold the trace" true (List.length (records o1.s_wal) > 10);
+  Alcotest.(check string) "WAL blobs byte-identical" o1.s_wal o4.s_wal;
+  let om = plain_replay trace in
+  check_same_replay ~what:"plain monitor vs 1 shard" om o1;
+  Alcotest.(check bool) "WAL records agree in local ids" true
+    (records om.s_wal = List.map (fun (seq, r) -> (seq, local_record r)) (records o1.s_wal))
 
 (* ---------------- canonical detach vs. its per-effect twin ----------------
 

@@ -32,12 +32,17 @@ let snapshot t =
 
 (* ---------------- namespace routing ---------------- *)
 
+let create t ?(kind = Tyche.Domain.Sandbox) name = id_of (fed t (Create_domain { name; kind }))
+
+let share t ?(rights = Cap.Rights.rw) ?(cleanup = Cap.Revocation.Zero) ?subrange cap to_ =
+  fed t (Share { cap; to_; rights; cleanup; subrange })
+
 let test_global_ids () =
   let t = boot_sharded ~shards:3 () in
   Alcotest.(check int) "shards" 3 (Tyche.Sharded.shard_count t);
   Alcotest.(check int) "cores" 6 (Tyche.Sharded.cores t);
   (* Domain creation broadcasts: ids agree on every shard. *)
-  let d = get_ok (Tyche.Sharded.create_domain t ~caller:os ~name:"worker" ~kind:Tyche.Domain.Sandbox) in
+  let d = create t "worker" in
   for i = 0 to 2 do
     match Tyche.Monitor.find_domain (Tyche.Sharded.shard_monitor t i) d with
     | Some dd -> Alcotest.(check string) "name" "worker" (Tyche.Domain.name dd)
@@ -48,16 +53,12 @@ let test_global_ids () =
   let c1 = sharded_os_memory_cap t ~shard:1 in
   Alcotest.(check int) "cap shard" 1 (Tyche.Sharded.cap_shard c1);
   let sub = range ~base:(stride + (16 * page)) ~len:(4 * page) in
-  let carved = get_ok (Tyche.Sharded.carve t ~caller:os ~cap:c1 ~subrange:sub) in
+  let carved = id_of (fed t (Carve { cap = c1; subrange = sub })) in
   Alcotest.(check int) "carved cap shard" 1 (Tyche.Sharded.cap_shard carved);
   (* The indexed queries translate back and forth. *)
   Alcotest.(check int) "refcount" 1
     (Tyche.Sharded.refcount t (Cap.Resource.Memory sub));
-  let shared =
-    get_ok
-      (Tyche.Sharded.share t ~caller:os ~cap:carved ~to_:d ~rights:Cap.Rights.rw
-         ~cleanup:Cap.Revocation.Zero ())
-  in
+  let shared = id_of (share t carved d) in
   Alcotest.(check int) "refcount after share" 2
     (Tyche.Sharded.refcount t (Cap.Resource.Memory sub));
   Alcotest.(check (list int)) "holders" [ os; d ]
@@ -65,14 +66,11 @@ let test_global_ids () =
   Alcotest.(check (list int)) "caps_of worker" [ shared ] (Tyche.Sharded.caps_of t d);
   (* A subrange that straddles two shard windows is rejected, not
      silently clipped. *)
-  (match
-     Tyche.Sharded.carve t ~caller:os ~cap:c1
-       ~subrange:(range ~base:(stride - page) ~len:(2 * page))
-   with
+  (match fed t (Carve { cap = c1; subrange = range ~base:(stride - page) ~len:(2 * page) }) with
   | Error (Tyche.Monitor.Cap_error Cap.Captree.Bad_subrange) -> ()
   | _ -> Alcotest.fail "cross-window carve should be Bad_subrange");
   (* Unknown shard bits surface as No_such_capability with the global id. *)
-  (match Tyche.Sharded.revoke t ~caller:os ~cap:63 with
+  (match fed t (Revoke { cap = 63 }) with
   | Error (Tyche.Monitor.Cap_error (Cap.Captree.No_such_capability 63)) -> ()
   | _ -> Alcotest.fail "shard-63 cap should be No_such_capability 63");
   check_shards t
@@ -83,19 +81,11 @@ let test_shard_count_invariance () =
   let run shards =
     let t = boot_sharded ~shards () in
     let c0 = sharded_os_memory_cap t ~shard:0 in
-    let d = get_ok (Tyche.Sharded.create_domain t ~caller:os ~name:"inv" ~kind:Tyche.Domain.Enclave) in
-    let carved =
-      get_ok
-        (Tyche.Sharded.carve t ~caller:os ~cap:c0
-           ~subrange:(range ~base:(64 * page) ~len:(8 * page)))
-    in
-    let shared =
-      get_ok
-        (Tyche.Sharded.share t ~caller:os ~cap:carved ~to_:d ~rights:Cap.Rights.rw
-           ~cleanup:Cap.Revocation.Zero_and_flush ())
-    in
-    let a, b = get_ok (Tyche.Sharded.split t ~caller:os ~cap:carved ~at:(68 * page)) in
-    (d, carved, shared, a, b, Tyche.Sharded.caps_of t d)
+    let d = create t ~kind:Tyche.Domain.Enclave "inv" in
+    let carved = id_of (fed t (Carve { cap = c0; subrange = range ~base:(64 * page) ~len:(8 * page) })) in
+    let shared = id_of (share t ~cleanup:Cap.Revocation.Zero_and_flush carved d) in
+    let pair = get_ok (fed t (Split { cap = carved; at = 68 * page })) in
+    (d, carved, shared, pair, Tyche.Sharded.caps_of t d)
   in
   let r1 = run 1 and r4 = run 4 in
   if r1 <> r4 then Alcotest.fail "shard-0-confined ids diverge between 1 and 4 shards"
@@ -106,23 +96,19 @@ let test_shard_count_invariance () =
    the revocation cascade on each of them atomically. *)
 let spread_domain t =
   let n = Tyche.Sharded.shard_count t in
-  let d = get_ok (Tyche.Sharded.create_domain t ~caller:os ~name:"spread" ~kind:Tyche.Domain.Sandbox) in
+  let d = create t "spread" in
   let subs =
     List.init n (fun i ->
         let sub = range ~base:((i * stride) + (32 * page)) ~len:(4 * page) in
         let carved =
-          get_ok ~msg:"carve"
-            (Tyche.Sharded.carve t ~caller:os ~cap:(sharded_os_memory_cap t ~shard:i)
-               ~subrange:sub)
+          id_of ~msg:"carve" (fed t (Carve { cap = sharded_os_memory_cap t ~shard:i; subrange = sub }))
         in
-        let _ =
-          get_ok ~msg:"share"
-            (Tyche.Sharded.share t ~caller:os ~cap:carved ~to_:d ~rights:Cap.Rights.rw
-               ~cleanup:Cap.Revocation.Zero ())
-        in
+        ignore (id_of ~msg:"share" (share t carved d));
         sub)
   in
   (d, subs)
+
+let destroy t d = fed t (Destroy { domain = d })
 
 let test_destroy_spans_shards () =
   let t = boot_sharded ~shards:3 () in
@@ -131,7 +117,7 @@ let test_destroy_spans_shards () =
     (fun sub ->
       Alcotest.(check int) "shared refcount" 2 (Tyche.Sharded.refcount t (Cap.Resource.Memory sub)))
     subs;
-  get_ok ~msg:"destroy" (Tyche.Sharded.destroy_domain t ~caller:os ~domain:d);
+  ignore (get_ok ~msg:"destroy" (destroy t d));
   List.iter
     (fun sub ->
       Alcotest.(check int) "refcount after destroy" 1
@@ -150,8 +136,8 @@ let test_2pc_prepare_fault () =
   (* Lose the coordinator after every shard prepared its journal but
      before the commit decision: every shard must roll back. *)
   Fault.with_plan (Fault.nth "shard.prepare" 1) (fun () ->
-      match Tyche.Sharded.destroy_domain t ~caller:os ~domain:d with
-      | Ok () -> Alcotest.fail "destroy should abort on a prepare fault"
+      match destroy t d with
+      | Ok _ -> Alcotest.fail "destroy should abort on a prepare fault"
       | Error (Tyche.Monitor.Backend_failure msg) ->
         if not (contains_substring msg "rolled back") then
           Alcotest.failf "unexpected abort message: %s" msg
@@ -169,7 +155,7 @@ let test_2pc_prepare_fault () =
   done;
   check_shards t;
   (* The federation is fully functional after the abort. *)
-  get_ok ~msg:"destroy after abort" (Tyche.Sharded.destroy_domain t ~caller:os ~domain:d);
+  ignore (get_ok ~msg:"destroy after abort" (destroy t d));
   check_shards t
 
 let test_2pc_commit_fault () =
@@ -178,7 +164,7 @@ let test_2pc_commit_fault () =
   (* A fault after the commit decision must not yield a partial state:
      post-decision per-shard commits are absorbed and completed. *)
   Fault.with_plan (Fault.nth "shard.commit" 1) (fun () ->
-      get_ok ~msg:"destroy past commit point" (Tyche.Sharded.destroy_domain t ~caller:os ~domain:d));
+      ignore (get_ok ~msg:"destroy past commit point" (destroy t d)));
   for i = 0 to 2 do
     if Tyche.Monitor.find_domain (Tyche.Sharded.shard_monitor t i) d <> None then
       Alcotest.failf "domain survived on shard %d past the commit point" i
@@ -197,22 +183,19 @@ let test_2pc_commit_fault () =
 let test_parallel_writers () =
   let shards = 2 in
   let t = boot_sharded ~shards ~mem_size:(4 * 1024 * 1024) () in
-  let d = get_ok (Tyche.Sharded.create_domain t ~caller:os ~name:"load" ~kind:Tyche.Domain.Sandbox) in
+  let d = create t "load" in
   let iters = 200 in
   let writer shard () =
     let base_cap = sharded_os_memory_cap t ~shard in
     for i = 0 to iters - 1 do
       let sub = range ~base:((shard * stride) + ((256 + (i mod 64)) * page)) ~len:page in
-      match Tyche.Sharded.carve t ~caller:os ~cap:base_cap ~subrange:sub with
-      | Error _ -> ()
-      | Ok carved ->
-        (match
-           Tyche.Sharded.share t ~caller:os ~cap:carved ~to_:d ~rights:Cap.Rights.read_only
-             ~cleanup:Cap.Revocation.Keep ()
-         with
-        | Ok shared -> ignore (Tyche.Sharded.revoke t ~caller:os ~cap:shared)
-        | Error _ -> ());
-        ignore (Tyche.Sharded.revoke t ~caller:os ~cap:carved)
+      match fed t (Carve { cap = base_cap; subrange = sub }) with
+      | Ok (Tyche.Api.R_cap carved) ->
+        (match share t ~rights:Cap.Rights.read_only ~cleanup:Cap.Revocation.Keep carved d with
+        | Ok (Tyche.Api.R_cap shared) -> ignore (fed t (Revoke { cap = shared }))
+        | _ -> ());
+        ignore (fed t (Revoke { cap = carved }))
+      | _ -> ()
     done
   in
   let reader () =
@@ -230,34 +213,47 @@ let test_parallel_writers () =
   in
   List.iter Stdlib.Domain.join spawned;
   check_shards t;
-  get_ok ~msg:"destroy after load" (Tyche.Sharded.destroy_domain t ~caller:os ~domain:d);
+  ignore (get_ok ~msg:"destroy after load" (destroy t d));
   check_shards t
 
 (* ---------------- seal + aggregate attestation ---------------- *)
 
+(* A sealed enclave whose code sits on shard 0 and which holds [core]
+   (a global id, possibly on another shard); returns it with the core
+   capability it was given. *)
+let sealed_enclave t ~core =
+  let d = create t ~kind:Tyche.Domain.Enclave "encl" in
+  let code = range ~base:(128 * page) ~len:(2 * page) in
+  let carved = id_of (fed t (Carve { cap = sharded_os_memory_cap t ~shard:0; subrange = code })) in
+  ignore
+    (get_ok
+       (fed t
+          (Grant { cap = carved; to_ = d; rights = Cap.Rights.rx; cleanup = Cap.Revocation.Zero })));
+  let core_cap =
+    id_of
+      (share t ~rights:Cap.Rights.exclusive_use ~cleanup:Cap.Revocation.Keep
+         (sharded_os_core_cap t core) d)
+  in
+  ignore (get_ok (fed t (Set_entry_point { domain = d; entry = Hw.Addr.Range.base code })));
+  ignore (get_ok (fed t (Mark_measured { domain = d; range = code })));
+  ignore (get_ok ~msg:"seal" (fed t (Seal { domain = d })));
+  (d, code, core_cap)
+
 let test_seal_and_attest () =
-  let t = boot_sharded ~shards:2 () in
-  let d = get_ok (Tyche.Sharded.create_domain t ~caller:os ~name:"encl" ~kind:Tyche.Domain.Enclave) in
+  (* The verifier knows shard 0's TPM endorsement root out of band. *)
+  let tpm0 = ref None in
+  let t =
+    Tyche.Sharded.boot ~shards:2 ~rng:(Crypto.Rng.create ~seed:0x71L)
+      ~mk:(fun ~shard ->
+        let ((_, _, tpm, _, _) as world) = shard_world ~shard () in
+        if shard = 0 then tpm0 := Some tpm;
+        world)
+      ()
+  in
   (* Code on shard 0, a core capability from shard 1: the attestation
      must aggregate resources across shards. *)
-  let code = range ~base:(128 * page) ~len:(2 * page) in
-  let carved =
-    get_ok (Tyche.Sharded.carve t ~caller:os ~cap:(sharded_os_memory_cap t ~shard:0) ~subrange:code)
-  in
-  let _ =
-    get_ok
-      (Tyche.Sharded.grant t ~caller:os ~cap:carved ~to_:d ~rights:Cap.Rights.rx
-         ~cleanup:Cap.Revocation.Zero)
-  in
   let far_core = Tyche.Sharded.cores_per_shard t in
-  let _ =
-    get_ok
-      (Tyche.Sharded.share t ~caller:os ~cap:(sharded_os_core_cap t far_core) ~to_:d
-         ~rights:Cap.Rights.exclusive_use ~cleanup:Cap.Revocation.Keep ())
-  in
-  get_ok (Tyche.Sharded.set_entry_point t ~caller:os ~domain:d (Hw.Addr.Range.base code));
-  get_ok (Tyche.Sharded.mark_measured t ~caller:os ~domain:d code);
-  get_ok ~msg:"seal" (Tyche.Sharded.seal t ~caller:os ~domain:d);
+  let d, code, _ = sealed_enclave t ~core:far_core in
   (* Sealed on every shard, same measurement. *)
   let meas i =
     match Tyche.Monitor.find_domain (Tyche.Sharded.shard_monitor t i) d with
@@ -265,7 +261,11 @@ let test_seal_and_attest () =
     | None -> Alcotest.failf "domain missing on shard %d" i
   in
   Alcotest.(check bool) "sealed measurement replicated" true (meas 0 = meas 1 && meas 0 <> None);
-  let att = get_ok ~msg:"attest" (Tyche.Sharded.attest t ~caller:os ~domain:d ~nonce:"n-1") in
+  let att =
+    match fed t (Attest { domain = d; nonce = "n-1" }) with
+    | Ok (Tyche.Api.R_attestation a) -> a
+    | r -> Alcotest.failf "attest: %a" Tyche.Api.pp_response r
+  in
   (* The aggregate body sees the shard-0 region under its global range
      and the shard-1 core under its global id. *)
   let has_code =
@@ -276,18 +276,36 @@ let test_seal_and_attest () =
   Alcotest.(check bool) "code region attested" true has_code;
   Alcotest.(check bool) "far core attested" true
     (List.mem_assoc far_core att.Tyche.Attestation.cores);
+  (* One shard-0 quote certifies both tiers: its PCR 18 binds shard 0's
+     monitor root and then the federation root that signs aggregates. *)
+  let nonce = "fed-quote" in
+  let quote = Tyche.Sharded.boot_quote t ~nonce in
+  let verify bound =
+    Verifier.Chain.verify_boot_chain
+      ~tpm_root:(Rot.Tpm.endorsement_root (Option.get !tpm0))
+      ~expected_pcrs:(Rot.Boot.expected_pcrs ~firmware ~loader:loader_blob ~monitor_image)
+      ~bound ~nonce quote
+  in
+  let shard0_root = Tyche.Monitor.attestation_root (Tyche.Sharded.shard_monitor t 0) in
+  let fed_root = Tyche.Sharded.attestation_root t in
+  get_ok_str ~msg:"federation quote" (verify [ shard0_root; fed_root ]);
+  get_ok_str ~msg:"aggregate attestation"
+    (Verifier.Chain.verify_domain ~monitor_root:fed_root ~nonce:"n-1" att);
+  List.iter
+    (fun (what, bound) ->
+      match verify bound with
+      | Ok () -> Alcotest.failf "quote verified against %s" what
+      | Error _ -> ())
+    [ ("the federation root alone", [ fed_root ]);
+      ("the shard-0 root alone", [ shard0_root ]);
+      ("the reversed chain", [ fed_root; shard0_root ]) ];
   check_shards t
 
 (* ---------------- durability ---------------- *)
 
 (* Fresh per-shard worlds for recovery to rebuild onto, matching
    [boot_sharded ~seed]'s shards. *)
-let recovery_mk seed ~shard =
-  let machine = Hw.Machine.create ~arch:Hw.Cpu.X86_64 ~cores:2 ~mem_size:(8 * 1024 * 1024) () in
-  let srng = Crypto.Rng.create ~seed:(Int64.add seed (Int64.of_int (shard * 7919))) in
-  let tpm = Rot.Tpm.create srng in
-  let report = Rot.Boot.measured_boot tpm machine ~firmware ~loader:loader_blob ~monitor_image in
-  (machine, Backend_x86.create machine (), tpm, srng, report.Rot.Boot.monitor_range)
+let recovery_mk seed ~shard = shard_world ~seed ~shard ()
 
 let test_persist_recover () =
   let store = Persist.Store.mem () in
@@ -295,8 +313,18 @@ let test_persist_recover () =
   let t = boot_sharded ~seed ~shards:2 () in
   Tyche.Sharded.enable_persistence t ~store ();
   let d, _ = spread_domain t in
-  let d2 = get_ok (Tyche.Sharded.create_domain t ~caller:os ~name:"keep" ~kind:Tyche.Domain.Sandbox) in
-  get_ok (Tyche.Sharded.destroy_domain t ~caller:os ~domain:d);
+  let d2 = create t "keep" in
+  ignore (get_ok (destroy t d));
+  (* A sealed enclave runs on a shard-1 core until its core capability
+     is revoked; the next timer tick evicts it in favour of domain 0. *)
+  let far_core = Tyche.Sharded.cores_per_shard t in
+  let current t = Tyche.Monitor.current_domain (Tyche.Sharded.shard_monitor t 1) ~core:0 in
+  let e, _, core_cap = sealed_enclave t ~core:far_core in
+  ignore (get_ok ~msg:"call" (fed t ~core:far_core (Call { target = e })));
+  Alcotest.(check int) "enclave running" e (current t);
+  ignore (get_ok (fed t (Revoke { cap = core_cap })));
+  Alcotest.(check int) "evicted to domain 0" os
+    (get_ok (Tyche.Sharded.timer_tick t ~core:far_core));
   Tyche.Sharded.flush t;
   let fp i =
     let tree = Tyche.Monitor.tree (Tyche.Sharded.shard_monitor t i) in
@@ -320,6 +348,8 @@ let test_persist_recover () =
   (match Tyche.Sharded.find_domain t' d2 with
   | Some dd -> Alcotest.(check string) "surviving domain" "keep" (Tyche.Domain.name dd)
   | None -> Alcotest.fail "surviving domain lost");
+  (* Replaying the eviction record hands the core back to the heir. *)
+  Alcotest.(check int) "heir current after recovery" os (current t');
   check_shards t'
 
 (* The front end keeps no checkpoints, so nothing compacts a torn WAL
@@ -332,9 +362,6 @@ let test_torn_tail_recovery () =
   let recover () =
     Tyche.Sharded.recover ~shards:2 ~rng:(Crypto.Rng.create ~seed) ~mk:(recovery_mk seed)
       ~store ()
-  in
-  let create t name =
-    get_ok (Tyche.Sharded.create_domain t ~caller:os ~name ~kind:Tyche.Domain.Sandbox)
   in
   let t = boot_sharded ~seed ~shards:2 () in
   Tyche.Sharded.enable_persistence t ~store ();

@@ -49,24 +49,24 @@ let boot_riscv ?(seed = 0x51L) ?(cores = 2) ?(mem_size = 16 * 1024 * 1024) ?allo
   in
   { machine; tpm; rng; boot_report; backend; monitor }
 
+(* Shard [shard]'s world in a federation booted from [seed]: an x86
+   machine, its backend, TPM, rng and monitor range. [devices] attach
+   to shard 0 (the sharded monitor routes device capabilities there). *)
+let shard_world ?(seed = 0x71L) ?(cores = 2) ?(mem_size = 8 * 1024 * 1024) ?(devices = [])
+    ~shard () =
+  let machine = Hw.Machine.create ~arch:Hw.Cpu.X86_64 ~cores ~mem_size () in
+  if shard = 0 then List.iter (Hw.Machine.attach_device machine) devices;
+  let srng = Crypto.Rng.create ~seed:(Int64.add seed (Int64.of_int (shard * 7919))) in
+  let tpm = Rot.Tpm.create srng in
+  let report = Rot.Boot.measured_boot tpm machine ~firmware ~loader:loader_blob ~monitor_image in
+  (machine, Backend_x86.create machine (), tpm, srng, report.Rot.Boot.monitor_range)
+
 (* A sharded federation: [shards] independent x86 worlds behind one
-   global namespace. [devices] attach to shard 0 (the sharded monitor
-   routes device capabilities there). *)
-let boot_sharded ?(seed = 0x71L) ?(shards = 2) ?(cores = 2)
-    ?(mem_size = 8 * 1024 * 1024) ?(devices = []) () =
-  let rng = Crypto.Rng.create ~seed in
-  let mk ~shard =
-    let machine = Hw.Machine.create ~arch:Hw.Cpu.X86_64 ~cores ~mem_size () in
-    if shard = 0 then List.iter (Hw.Machine.attach_device machine) devices;
-    let srng = Crypto.Rng.create ~seed:(Int64.add seed (Int64.of_int (shard * 7919))) in
-    let tpm = Rot.Tpm.create srng in
-    let report =
-      Rot.Boot.measured_boot tpm machine ~firmware ~loader:loader_blob ~monitor_image
-    in
-    let backend = Backend_x86.create machine () in
-    (machine, backend, tpm, srng, report.Rot.Boot.monitor_range)
-  in
-  Tyche.Sharded.boot ~shards ~rng ~mk ()
+   global namespace. *)
+let boot_sharded ?(seed = 0x71L) ?(shards = 2) ?cores ?mem_size ?devices () =
+  Tyche.Sharded.boot ~shards ~rng:(Crypto.Rng.create ~seed)
+    ~mk:(fun ~shard -> shard_world ~seed ?cores ?mem_size ?devices ~shard ())
+    ()
 
 (* The OS's largest memory capability on one shard, as a global id. *)
 let sharded_os_memory_cap t ~shard =
@@ -95,6 +95,14 @@ let sharded_os_core_cap t core =
        (Tyche.Monitor.caps_of m Tyche.Domain.initial))
 
 let os = Tyche.Domain.initial
+
+(* One call on a federation, as [caller] trapping on global [core]. *)
+let fed ?(caller = os) ?(core = 0) t call = Tyche.Sharded.dispatch t ~caller ~core call
+
+(* The domain or capability id a successful call returned. *)
+let id_of ?(msg = "expected an id") = function
+  | Ok (Tyche.Api.R_domain id | Tyche.Api.R_cap id) -> id
+  | r -> Alcotest.failf "%s: %a" msg Tyche.Api.pp_response r
 
 (* The OS's largest memory capability (carves keep splitting it, so
    re-query rather than caching). *)
