@@ -704,11 +704,22 @@ let ablations () =
     domains;
   row3 "a2: 2nd-pass calls taking VMFUNC" (Printf.sprintf "%d/%d" !fast_calls n)
     (Printf.sprintf "EPTP list capacity %d" Hw.Ept.Eptp_list.max_entries);
-  (* a4: revocation cost under the two TLB strategies. *)
-  let revoke_cost strategy =
+  (* a4: revocation cost under the two TLB strategies. The domain first
+     runs on core 0 and reads each of its pages, so every page has a
+     cached translation the revoke must invalidate; a domain that never
+     ran caches none, and its revoke invalidates nothing. *)
+  let revoke_cost ?(ran = true) strategy =
     let w = boot ?tlb_strategy:(Some strategy) ~mem_size:(64 * 1024 * 1024) () in
     let m = w.monitor in
-    let d = make_domain w ~name:"v" ~base:0x400000 ~n_pages:64 in
+    let base = 0x400000 and n_pages = 64 in
+    let d = make_domain w ~name:"v" ~base ~n_pages in
+    if ran then begin
+      ignore (ok (Tyche.Monitor.call m ~core:0 ~target:d));
+      for i = 0 to n_pages - 1 do
+        ignore (ok (Tyche.Monitor.load m ~core:0 (base + (i * page))))
+      done;
+      ignore (ok (Tyche.Monitor.ret m ~core:0))
+    end;
     let cap = List.hd (Tyche.Monitor.caps_of m d) in
     Hw.Machine.reset_cycles w.machine;
     ok (Tyche.Monitor.revoke m ~caller:os ~cap);
@@ -720,6 +731,9 @@ let ablations () =
   row3 "a4: revoke 256 KiB, ASID flush"
     (string_of_int (revoke_cost Backend_x86.Asid_flush))
     "sim cycles";
+  row3 "a4: revoke 256 KiB, never ran"
+    (string_of_int (revoke_cost ~ran:false Backend_x86.Full_shootdown))
+    "sim cycles, nothing cached to invalidate";
   (* a1: refcount queries right after a mutation vs on a quiescent
      tree. The segment index is patched in place by each mutation, so
      the post-mutation query pays only the delta maintenance — there is
@@ -1691,28 +1705,40 @@ let e18_cascade ?(smoke = false) () =
           (Tyche.Monitor.create_domain m ~caller:os ~name:(Printf.sprintf "v%d" i)
              ~kind:Tyche.Domain.Sandbox))
   in
-  let next_base = ref 0x400000 in
+  let first_base = 0x400000 in
+  let next_base = ref first_base in
+  let window_limit =
+    match Cap.Captree.resource (Tyche.Monitor.tree m) big with
+    | Some (Cap.Resource.Memory r) -> Hw.Addr.Range.limit r
+    | _ -> failwith "e18: domain 0's largest capability is not memory"
+  in
   let words () =
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
   in
-  let fanouts = if smoke then [ 10; 100 ] else [ 10; 100; 1000 ] in
+  let fanouts = if smoke then [ 10; 100 ] else [ 10; 100; 1000; 10_000 ] in
   let rows = ref [] and shapes = ref [] in
   (* A minor collection landing inside a measured window inflates
      [Gc.counters] by about a minor heap: empty the minor heap before
-     each window and make it big enough (8 MiB) for the largest
-     cascade. *)
+     each window and make it big enough for the largest cascade — 8 MiB
+     for fanout 100, 64 MiB for fanout 10k (at 32 MiB a collection
+     still lands in that window and reads as 5-7x the words). *)
   let gc = Gc.get () in
-  Gc.set { gc with Gc.minor_heap_size = 1 lsl 20 };
+  Gc.set { gc with Gc.minor_heap_size = (if smoke then 1 lsl 20 else 1 lsl 23) };
   Fun.protect ~finally:(fun () -> Gc.set gc) @@ fun () ->
   List.iter
     (fun domains ->
       List.iter
         (fun fanout ->
-          let iters = if smoke then 5 else if fanout >= 1000 then 5 else 20 in
+          let iters =
+            if smoke then 5 else if fanout >= 10_000 then 2 else if fanout >= 1000 then 5 else 20
+          in
           let victims = fanout + 1 in
           let total = ref 0.0 and min_words = ref infinity and cycles = ref 0 in
           for _ = 1 to iters do
+            (* Every earlier parent share is revoked by now, so its range
+               is free again: wrap when the address window runs out. *)
+            if !next_base + (victims * page) > window_limit then next_base := first_base;
             let base = !next_base in
             next_base := base + (victims * page);
             let parent =

@@ -17,13 +17,21 @@ type state = {
      its inverse; destructive clean-ups (zeroing) wait in [deferred]
      until commit. TLB invalidation waits too: [stale] collects the
      domains whose translations a detach invalidated, and commit pays
-     one shootdown (or one ASID flush per domain) for the whole call.
-     A rollback restores every mapping, so the cached translations are
+     one shootdown (or one ASID flush per domain) for the whole call,
+     or nothing if no core can cache any of them (see [cached]). A
+     rollback restores every mapping, so the cached translations are
      valid again and nothing is flushed. *)
   mutable journal : (unit -> unit) list;
   mutable journaling : bool;
   mutable deferred : (unit -> unit) list;
   stale : (Tyche.Domain.id, unit) Hashtbl.t;
+  (* The domains whose translations some core may cache: a core
+     entered the domain since its last flush, or was running it when
+     that flush ran. This is the per-domain set of such cores reduced to
+     the one thing the flush asks of it, whether it is empty. A domain
+     absent here holds no TLB entry, so its stale translations need no
+     invalidation. *)
+  cached : (Tyche.Domain.id, unit) Hashtbl.t;
 }
 
 (* Associates the opaque backend records handed to the monitor with
@@ -54,12 +62,29 @@ let txn_begin s =
     s.fast <- fast;
     s.trap <- trap)
 
+(* Invalidate the stale domains' translations. A domain no core can
+   cache holds none, so it is dropped; when none is left, nothing is
+   flushed or charged. After a flush only the cores still running a
+   domain (its ASID is the domain id) can cache it again. Runs only
+   outside a transaction, so no rollback can put a core back on a domain
+   this just dropped from [cached]. *)
 let flush_tlb s domains =
-  let tlb = s.machine.Hw.Machine.tlb in
-  match s.tlb_strategy with
-  | Full_shootdown ->
-    Hw.Tlb.shootdown tlb ~remote_cores:(Array.length s.machine.Hw.Machine.cores - 1)
-  | Asid_flush -> List.iter (fun asid -> Hw.Tlb.flush_asid tlb ~asid) domains
+  let tlb = s.machine.Hw.Machine.tlb and cores = s.machine.Hw.Machine.cores in
+  match List.filter (Hashtbl.mem s.cached) domains with
+  | [] -> ()
+  | live -> (
+    match s.tlb_strategy with
+    | Full_shootdown ->
+      Hw.Tlb.shootdown tlb ~remote_cores:(Array.length cores - 1);
+      Hashtbl.reset s.cached;
+      Array.iter (fun core -> Hashtbl.replace s.cached (Hw.Cpu.asid core) ()) cores
+    | Asid_flush ->
+      List.iter
+        (fun asid ->
+          Hw.Tlb.flush_asid tlb ~asid;
+          if not (Array.exists (fun core -> Hw.Cpu.asid core = asid) cores) then
+            Hashtbl.remove s.cached asid)
+        live)
 
 (* A detach left [domain]'s translations stale: invalidate now outside a
    transaction, at commit inside one. *)
@@ -343,7 +368,10 @@ let enter s ~core d =
   end;
   Hw.Cpu.set_active_ept core (Hashtbl.find_opt s.epts id);
   Hw.Cpu.set_asid core (Tyche.Domain.asid d);
-  Hw.Cpu.set_mode core (mode_for d)
+  Hw.Cpu.set_mode core (mode_for d);
+  (* Not journaled: a domain left in [cached] after a rollback costs at
+     most one flush that was not needed. *)
+  Hashtbl.replace s.cached id ()
 
 let transition s ~core ~from_ ~to_ ~flush_microarch =
   let counter = s.machine.Hw.Machine.counter in
@@ -432,7 +460,8 @@ let create machine ?(tlb_strategy = Full_shootdown) ?mktme () =
       journal = [];
       journaling = false;
       deferred = [];
-      stale = Hashtbl.create 8 }
+      stale = Hashtbl.create 8;
+      cached = Hashtbl.create 16 }
   in
   let backend =
     { Tyche.Backend_intf.backend_name = "x86_64-vtx";
@@ -473,6 +502,8 @@ let create machine ?(tlb_strategy = Full_shootdown) ?mktme () =
           Hashtbl.remove s.eptp_lists id;
           Hashtbl.remove s.domain_devices id;
           Hashtbl.remove s.confidential id;
+          (* [cached] keeps the domain: the teardown's detaches commit
+             after this, and their flush must still see it cached. *)
           Hashtbl.remove s.keyids id);
       apply_effect = (fun eff -> apply_effect s eff);
       validate_attach = (fun d r -> validate_attach d r);

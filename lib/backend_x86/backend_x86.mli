@@ -14,12 +14,19 @@
 
 (** How a detach's stale translations are invalidated. Inside a
     transaction the invalidation waits for commit and covers the whole
-    call; a rollback invalidates nothing. *)
+    call; a rollback invalidates nothing.
+
+    Either way only domains that may still be cached are invalidated: a
+    domain no core entered since its last flush, and none was running
+    at that flush — a fleet proxy, a domain that never ran — holds no
+    translation, so its detaches cost no invalidation, and a call that
+    detaches only from such domains flushes nothing. *)
 type tlb_strategy =
-  | Full_shootdown (** Flush every core's TLB, once per committed call
+  | Full_shootdown (** Flush the TLB of every core by IPI, once per
+                       committed call that leaves a cached domain stale
                        (safe default). *)
-  | Asid_flush (** Flush only the affected domains' tagged entries, once
-                   per domain per call — ablation a4. *)
+  | Asid_flush (** Flush only the stale cached domains' tagged entries,
+                   once per domain per call — ablation a4. *)
 
 val create :
   Hw.Machine.t ->

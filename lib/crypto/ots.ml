@@ -6,7 +6,7 @@
 
    Chain walking dominates the cost of every sign/verify (~500 SHA-256
    calls per signature), so [hash_times] runs on a single scratch buffer
-   via [Sha256.hash32_into] — one compression and zero allocations per
+   via [Sha256.hash32_sub] — one compression and zero allocations per
    chain step — instead of allocating a fresh string per step.
 
    Key generation must walk every chain to its end anyway (the public
@@ -38,21 +38,21 @@ let hash_times s n =
     go s n
   end
   else begin
-    let buf = Bytes.of_string s in
+    let buf = Bytes.of_string s and chain = Sha256.chain_scratch () in
     for _ = 1 to n do
-      Sha256.hash32_into ~src:buf ~dst:buf
+      Sha256.hash32_sub chain ~src:buf ~src_off:0 ~dst:buf ~dst_off:0
     done;
     Bytes.unsafe_to_string buf
   end
 
 let generate rng =
-  let links = Bytes.create (chain_count * stride) in
+  let links = Bytes.create (chain_count * stride) and chain = Sha256.chain_scratch () in
   let pk =
     Array.init chain_count (fun i ->
         let base = i * stride in
         Bytes.blit_string (Rng.bytes rng 32) 0 links base 32;
         for c = 1 to chain_length do
-          Sha256.hash32_sub ~src:links ~src_off:(base + ((c - 1) * 32)) ~dst:links
+          Sha256.hash32_sub chain ~src:links ~src_off:(base + ((c - 1) * 32)) ~dst:links
             ~dst_off:(base + (c * 32))
         done;
         Bytes.sub_string links (base + (chain_length * 32)) 32)

@@ -195,13 +195,16 @@ module Ctx = struct
     state_to_digest t.h
 end
 
-(* One-shot entry points share a single scratch context: the whole
-   system is a single-threaded simulation, so reusing it is safe and
-   saves a context allocation per call (these are the hottest calls in
-   the attestation path). *)
-let scratch = Ctx.create ()
+(* One-shot entry points reuse a scratch context, which saves a context
+   allocation per call (these are the hottest calls in the attestation
+   path). There is one per OCaml domain: a keypool replenisher and the
+   attests of several monitor shards hash concurrently, and a shared
+   context would interleave their blocks. Within a domain no hash nests
+   inside another, so reuse is safe. *)
+let scratch_key = Domain.DLS.new_key Ctx.create
 
 let digest_bytes b ~off ~len =
+  let scratch = Domain.DLS.get scratch_key in
   Ctx.reset scratch;
   Ctx.feed_bytes scratch b ~off ~len;
   Ctx.finalize scratch
@@ -212,6 +215,7 @@ let string s =
   digest_bytes (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
 let digest_strings ss =
+  let scratch = Domain.DLS.get scratch_key in
   Ctx.reset scratch;
   List.iter (Ctx.feed_string scratch) ss;
   Ctx.finalize scratch
@@ -220,30 +224,33 @@ let concat ds = digest_strings ds
 
 (* Hash-chain kernel: digest exactly 32 bytes in one compression. The
    padded block is constant except for the message, so it is prepared
-   once: msg(32) | 0x80 | zeros | bit length 256 = 0x100 at offset 62. *)
-let chain_block =
-  let b = Bytes.make 64 '\x00' in
-  Bytes.set b 32 '\x80';
-  Bytes.set b 62 '\x01';
-  b
+   once per OCaml domain: msg(32) | 0x80 | zeros | bit length 256 =
+   0x100 at offset 62. *)
+type chain_scratch = { block : Bytes.t; h : Bytes.t; w : Bytes.t }
 
-let chain_h = Bytes.create 32
-let chain_w = Bytes.create 256
+let chain_key =
+  Domain.DLS.new_key (fun () ->
+      let block = Bytes.make 64 '\x00' in
+      Bytes.set block 32 '\x80';
+      Bytes.set block 62 '\x01';
+      { block; h = Bytes.create 32; w = Bytes.create 256 })
 
-let hash32_sub ~src ~src_off ~dst ~dst_off =
+let chain_scratch () = Domain.DLS.get chain_key
+
+let hash32_sub c ~src ~src_off ~dst ~dst_off =
   if
     src_off < 0 || dst_off < 0
     || Bytes.length src < src_off + 32
     || Bytes.length dst < dst_off + 32
   then invalid_arg "Sha256.hash32_into: need 32-byte buffers";
-  Bytes.blit src src_off chain_block 0 32;
-  init_state chain_h;
-  compress chain_h chain_w chain_block 0;
+  Bytes.blit src src_off c.block 0 32;
+  init_state c.h;
+  compress c.h c.w c.block 0;
   for i = 0 to 7 do
-    Bytes.set_int32_be dst (dst_off + (i * 4)) (unsafe_get_32 chain_h (i * 4))
+    Bytes.set_int32_be dst (dst_off + (i * 4)) (unsafe_get_32 c.h (i * 4))
   done
 
-let hash32_into ~src ~dst = hash32_sub ~src ~src_off:0 ~dst ~dst_off:0
+let hash32_into ~src ~dst = hash32_sub (chain_scratch ()) ~src ~src_off:0 ~dst ~dst_off:0
 
 let to_raw d = d
 

@@ -7,8 +7,9 @@
 
     The compression core runs on unboxed [Int32] words held in
     preallocated scratch buffers accessed with the unsafe 32-bit
-    primitives, and the one-shot entry points reuse a single scratch
-    context, so hashing allocates nothing but the returned digest. The
+    primitives, and the one-shot entry points reuse a scratch context
+    per OCaml domain, so hashing allocates nothing but the returned
+    digest and is safe from any number of domains at once. The
     original Int32 transliteration is preserved as {!Spec} and
     cross-checked in tests. *)
 
@@ -47,7 +48,15 @@ val hash32_into : src:Bytes.t -> dst:Bytes.t -> unit
     chains.
     @raise Invalid_argument if either buffer is shorter than 32 bytes. *)
 
-val hash32_sub : src:Bytes.t -> src_off:int -> dst:Bytes.t -> dst_off:int -> unit
+type chain_scratch
+(** The buffers one chain step compresses in. *)
+
+val chain_scratch : unit -> chain_scratch
+(** The calling OCaml domain's chain buffers. Fetch them once for a run
+    of {!hash32_sub} steps and never hand them to another domain. *)
+
+val hash32_sub :
+  chain_scratch -> src:Bytes.t -> src_off:int -> dst:Bytes.t -> dst_off:int -> unit
 (** {!hash32_into} at explicit offsets, so a whole hash chain can live
     in one flat buffer (see {!Ots.generate}).
     @raise Invalid_argument if either 32-byte slice is out of bounds. *)

@@ -465,6 +465,7 @@ let channel_of t peer =
   match Hashtbl.find_opt t.channels peer with
   | Some ch -> ch
   | None ->
+    let link = "fleet.link." ^ t.name ^ "." ^ peer in
     let ch =
       { ch_peer = peer;
         ch_key = None;
@@ -476,15 +477,16 @@ let channel_of t peer =
         backoff = base_backoff;
         due = 0;
         ch_state = Healthy;
-        l_retries = Obs.Metrics.counter ("fleet.link." ^ peer ^ ".retries");
-        l_backlog = Obs.Metrics.gauge ("fleet.link." ^ peer ^ ".backlog");
-        l_timeouts = Obs.Metrics.counter ("fleet.link." ^ peer ^ ".timeouts") }
+        l_retries = Obs.Metrics.counter (link ^ ".retries");
+        l_backlog = Obs.Metrics.gauge (link ^ ".backlog");
+        l_timeouts = Obs.Metrics.counter (link ^ ".timeouts") }
     in
-    (* The registry is process-global and the names are stable per peer,
-       so a channel recreated by crash-restart (or the next chaos
-       episode) would otherwise keep accumulating into its predecessor's
-       handles — double-counting retries and reporting a stale backlog.
-       A new channel starts its incarnation at zero. *)
+    (* The registry is process-global: the names carry both endpoints,
+       so two endpoints that talk to one peer count apart, and are
+       stable per link, so a channel recreated by crash-restart (or the
+       next chaos episode) would otherwise keep accumulating into its
+       predecessor's handles — double-counting retries and reporting a
+       stale backlog. A new channel starts its incarnation at zero. *)
     Obs.Metrics.zero_counter ch.l_retries;
     Obs.Metrics.zero_gauge ch.l_backlog;
     Obs.Metrics.zero_counter ch.l_timeouts;

@@ -7,6 +7,18 @@ open Testkit
 let range ~base ~len = Hw.Addr.Range.make ~base ~len
 let page = Hw.Addr.page_size
 
+(* Let [d] run on [core]: a core capability, an entry point and the
+   seal. Memory must be shared to [d] before this — a sealed domain's
+   memory cannot be extended. *)
+let make_runnable w d ~core ~entry =
+  let m = w.monitor in
+  ignore
+    (get_ok
+       (Tyche.Monitor.share m ~caller:os ~cap:(os_core_cap w core) ~to_:d
+          ~rights:Cap.Rights.exclusive_use ~cleanup:Cap.Revocation.Keep ()));
+  get_ok (Tyche.Monitor.set_entry_point m ~caller:os ~domain:d entry);
+  get_ok (Tyche.Monitor.seal m ~caller:os ~domain:d)
+
 (* Build a sealed domain with [n_pages] of memory at [base] and core 0. *)
 let make_domain w ~name ~base ~n_pages =
   let m = w.monitor in
@@ -18,13 +30,7 @@ let make_domain w ~name ~base ~n_pages =
       (Tyche.Monitor.grant m ~caller:os ~cap:piece ~to_:d ~rights:Cap.Rights.full
          ~cleanup:Cap.Revocation.Zero)
   in
-  let _ =
-    get_ok
-      (Tyche.Monitor.share m ~caller:os ~cap:(os_core_cap w 0) ~to_:d
-         ~rights:Cap.Rights.exclusive_use ~cleanup:Cap.Revocation.Keep ())
-  in
-  get_ok (Tyche.Monitor.set_entry_point m ~caller:os ~domain:d base);
-  get_ok (Tyche.Monitor.seal m ~caller:os ~domain:d);
+  make_runnable w d ~core:0 ~entry:base;
   d
 
 let test_x86_ept_per_domain () =
@@ -81,12 +87,27 @@ let test_x86_transition_cycle_costs () =
   Alcotest.(check int) "fast = vmfunc" Hw.Cycles.Cost.vmfunc fast_cost;
   Alcotest.(check bool) "paper ratio: ~10x" true (trap_cost / fast_cost >= 5)
 
+(* Enter [d] on [core], read each page of [ranges] through the core's
+   EPT walk (every load fills the TLB under [d]'s ASID, as a running
+   domain would), then return to domain 0. *)
+let run_and_touch w d ~core ranges =
+  let m = w.monitor in
+  let (_ : Tyche.Backend_intf.transition_path) = get_ok (Tyche.Monitor.call m ~core ~target:d) in
+  List.iter
+    (fun r ->
+      List.iter (fun gpa -> ignore (get_ok (Tyche.Monitor.load m ~core gpa) : int))
+        (Hw.Addr.Range.pages r))
+    ranges;
+  let (_ : Tyche.Backend_intf.transition_path) = get_ok (Tyche.Monitor.ret m ~core) in
+  ()
+
 let test_x86_tlb_strategies () =
   (* Full shootdown pays IPIs; ASID flush doesn't. *)
   let cost_of strategy =
     let w = boot_x86 ~tlb_strategy:strategy () in
     let m = w.monitor in
     let d = make_domain w ~name:"d" ~base:0x10000 ~n_pages:4 in
+    run_and_touch w d ~core:0 [ range ~base:0x10000 ~len:(4 * page) ];
     let cap = List.hd (Tyche.Monitor.caps_of m d) in
     Hw.Machine.reset_cycles w.machine;
     get_ok (Tyche.Monitor.revoke m ~caller:os ~cap);
@@ -99,8 +120,9 @@ let test_x86_tlb_strategies () =
 (* One revoke whose cascade detaches 16 pages across three domains: a
    parent share of 8 pages to [a], which re-shares them two pages at a
    time, two shares each to [b] and [c] — five victims in three
-   domains. Every victim page has a cached translation under its
-   domain's ASID, and the victims' clean-up is [Keep], so the revoke
+   domains. Each domain then runs on a core of its own and reads every
+   page it holds, so every victim page has a cached translation under
+   its domain's ASID. The victims' clean-up is [Keep], so the revoke
    charges exactly its EPT unmaps plus whatever TLB invalidation it
    pays. *)
 let cascade_pages = 16
@@ -130,17 +152,16 @@ let cascade_world tlb_strategy =
     [ b; b; c; c ];
   let half i = range ~base:(base + (i * 4 * page)) ~len:(4 * page) in
   let cached = [ (a, range ~base ~len:(8 * page)); (b, half 0); (c, half 1) ] in
-  List.iter
-    (fun (asid, r) ->
-      List.iter
-        (fun gpa -> Hw.Tlb.fill w.machine.Hw.Machine.tlb ~asid ~gpa ~hpa:gpa)
-        (Hw.Addr.Range.pages r))
+  List.iteri
+    (fun i (d, r) ->
+      make_runnable w d ~core:(i + 1) ~entry:(Hw.Addr.Range.base r);
+      run_and_touch w d ~core:(i + 1) [ r ])
     cached;
   (w, parent, cached)
 
-let revoke_cycles w parent =
+let revoke_cycles w cap =
   Hw.Machine.reset_cycles w.machine;
-  get_ok (Tyche.Monitor.revoke w.monitor ~caller:os ~cap:parent);
+  get_ok (Tyche.Monitor.revoke w.monitor ~caller:os ~cap);
   Hw.Machine.cycles w.machine
 
 let test_x86_one_shootdown_per_call () =
@@ -197,6 +218,173 @@ let test_x86_rollback_keeps_tlb () =
   Alcotest.(check int) "no invalidation charged under either strategy"
     (failed_revoke Backend_x86.Full_shootdown)
     (failed_revoke Backend_x86.Asid_flush)
+
+(* --- which domains a revoke must invalidate ---------------------------
+
+   The backend tracks which domains some core may cache: a core entered
+   the domain since its last flush, or was running it then. A detach
+   from any other domain cannot leave a stale translation, so the
+   commit skips the invalidation; one that some core may cache still
+   pays it. Each case runs under both strategies with the taint oracle
+   enforcing, so a skipped invalidation that left a translation behind
+   would raise. *)
+
+let strategies =
+  [ ("full shootdown", Backend_x86.Full_shootdown); ("asid flush", Backend_x86.Asid_flush) ]
+
+(* [n] one-page shares from domain 0 to [d], each its own capability. *)
+let share_pages w d ~base n =
+  List.init n (fun i ->
+      get_ok
+        (Tyche.Monitor.share w.monitor ~caller:os ~cap:(os_memory_cap w) ~to_:d
+           ~rights:Cap.Rights.rw ~cleanup:Cap.Revocation.Keep
+           ~subrange:(range ~base:(base + (i * page)) ~len:page) ()))
+
+(* Domain 0 grants the page at [base] to a fresh domain. The grant
+   detaches it from domain 0, which runs on every core, so the commit
+   invalidates domain 0's translations. *)
+let grant_page_away w ~base =
+  let m = w.monitor in
+  let sink =
+    get_ok (Tyche.Monitor.create_domain m ~caller:os ~name:"sink" ~kind:Tyche.Domain.Sandbox)
+  in
+  let piece =
+    get_ok
+      (Tyche.Monitor.carve m ~caller:os ~cap:(os_memory_cap w) ~subrange:(range ~base ~len:page))
+  in
+  ignore
+    (get_ok
+       (Tyche.Monitor.grant m ~caller:os ~cap:piece ~to_:sink ~rights:Cap.Rights.rw
+          ~cleanup:Cap.Revocation.Keep))
+
+let check_clean w where =
+  let r = Tyche.Fsck.check w.monitor in
+  if not (Tyche.Fsck.ok r) then Alcotest.failf "%s: fsck not clean: %a" where Tyche.Fsck.pp r;
+  check_no_violations w.monitor
+
+(* A domain that never ran — a fleet proxy or a fresh sandbox — caches
+   no translation: revoking its memory costs exactly the EPT unmaps. *)
+let test_x86_never_ran_skips_invalidation strategy () =
+  let w = boot_x86 ~tlb_strategy:strategy () in
+  Hw.Taint.set_mode w.machine.Hw.Machine.taint Hw.Taint.Enforce;
+  List.iteri
+    (fun i kind ->
+      let d =
+        get_ok
+          (Tyche.Monitor.create_domain w.monitor ~caller:os ~name:(Printf.sprintf "idle%d" i) ~kind)
+      in
+      let caps = share_pages w d ~base:(0x400000 + (i * 0x10000)) 3 in
+      List.iter
+        (fun cap ->
+          Alcotest.(check int) "one EPT unmap, no invalidation" Hw.Cycles.Cost.ept_unmap_page
+            (revoke_cycles w cap))
+        caps)
+    [ Tyche.Domain.Remote; Tyche.Domain.Sandbox ];
+  check_clean w "after revoking never-run domains"
+
+(* A tenant runs on core 2 and returns; domain 0, which runs on every
+   core, then grants a page away. Under [Full_shootdown] that commit
+   empties the whole TLB, so the tenant's revokes invalidate nothing.
+   Under [Asid_flush] it flushes domain 0 only: the tenant's first
+   revoke still flushes its ASID, and the second invalidates nothing. *)
+let test_x86_flushed_domain_skips_invalidation strategy () =
+  let w = boot_x86 ~tlb_strategy:strategy () in
+  let m = w.monitor in
+  let tlb = w.machine.Hw.Machine.tlb in
+  Hw.Taint.set_mode w.machine.Hw.Machine.taint Hw.Taint.Enforce;
+  let tenant =
+    get_ok (Tyche.Monitor.create_domain m ~caller:os ~name:"tenant" ~kind:Tyche.Domain.Sandbox)
+  in
+  let base = 0x400000 in
+  let caps = share_pages w tenant ~base 2 in
+  make_runnable w tenant ~core:2 ~entry:base;
+  run_and_touch w tenant ~core:2 [ range ~base ~len:(2 * page) ];
+  Alcotest.(check int) "the tenant's walks are cached" 2 (Hw.Tlb.entries tlb);
+  grant_page_away w ~base:0x500000;
+  let first, second = match caps with [ c1; c2 ] -> (c1, c2) | _ -> assert false in
+  let unmap = Hw.Cycles.Cost.ept_unmap_page in
+  (match strategy with
+  | Backend_x86.Full_shootdown ->
+    Alcotest.(check int) "the grant's shootdown emptied the TLB" 0 (Hw.Tlb.entries tlb);
+    Alcotest.(check int) "first revoke: no invalidation" unmap (revoke_cycles w first)
+  | Backend_x86.Asid_flush ->
+    Alcotest.(check int) "domain 0's flush kept the tenant's entries" 2 (Hw.Tlb.entries tlb);
+    Alcotest.(check int) "first revoke: one ASID flush" (unmap + Hw.Cycles.Cost.tlb_flush_asid)
+      (revoke_cycles w first));
+  Alcotest.(check int) "no cached translation survives" 0 (Hw.Tlb.entries tlb);
+  Alcotest.(check int) "second revoke: no invalidation" unmap (revoke_cycles w second);
+  check_clean w "after the tenant's revokes"
+
+(* Guard: a domain current on a core may cache its translations at any
+   time — also after a flush that emptied them — so revoking its memory
+   still pays the invalidation, and the core's next access walks the
+   EPT instead of hitting a stale entry. *)
+let test_x86_running_domain_still_invalidated strategy () =
+  let w = boot_x86 ~tlb_strategy:strategy () in
+  let m = w.monitor in
+  Hw.Taint.set_mode w.machine.Hw.Machine.taint Hw.Taint.Enforce;
+  let tenant =
+    get_ok (Tyche.Monitor.create_domain m ~caller:os ~name:"tenant" ~kind:Tyche.Domain.Sandbox)
+  in
+  let base = 0x400000 in
+  let caps = share_pages w tenant ~base 2 in
+  make_runnable w tenant ~core:1 ~entry:base;
+  let (_ : Tyche.Backend_intf.transition_path) =
+    get_ok (Tyche.Monitor.call m ~core:1 ~target:tenant)
+  in
+  let touch () =
+    List.iter
+      (fun gpa -> ignore (get_ok (Tyche.Monitor.load m ~core:1 gpa) : int))
+      [ base; base + page ]
+  in
+  touch ();
+  (* Domain 0 grants a page away: its invalidation runs while the
+     tenant stays current, and the tenant walks again. *)
+  grant_page_away w ~base:0x500000;
+  touch ();
+  let invalidation =
+    match strategy with
+    | Backend_x86.Full_shootdown ->
+      ((Array.length w.machine.Hw.Machine.cores - 1) * Hw.Cycles.Cost.tlb_shootdown_ipi)
+      + Hw.Cycles.Cost.tlb_flush_full
+    | Backend_x86.Asid_flush -> Hw.Cycles.Cost.tlb_flush_asid
+  in
+  let denied gpa =
+    match Tyche.Monitor.load m ~core:1 gpa with
+    | Error (Tyche.Monitor.Denied _) -> ()
+    | Error e -> Alcotest.failf "wrong error: %s" (Tyche.Monitor.error_to_string e)
+    | Ok _ -> Alcotest.fail "a revoked page is still readable"
+  in
+  (* Each revoke follows a fresh walk of the page it takes away; the
+     second also follows the first's own invalidation. *)
+  List.iteri
+    (fun i cap ->
+      Alcotest.(check int) "unmap + invalidation" (Hw.Cycles.Cost.ept_unmap_page + invalidation)
+        (revoke_cycles w cap);
+      denied (base + (i * page));
+      if i = 0 then
+        Alcotest.(check int) "the kept page still reads" 0
+          (get_ok (Tyche.Monitor.load m ~core:1 (base + page))))
+    caps;
+  check_clean w "after revoking a running domain"
+
+(* Guard: the teardown's detaches commit after the backend forgot the
+   domain, and still invalidate the translations it cached. *)
+let test_x86_destroy_invalidates strategy () =
+  let w = boot_x86 ~tlb_strategy:strategy () in
+  let m = w.monitor in
+  Hw.Taint.set_mode w.machine.Hw.Machine.taint Hw.Taint.Enforce;
+  let tenant =
+    get_ok (Tyche.Monitor.create_domain m ~caller:os ~name:"tenant" ~kind:Tyche.Domain.Sandbox)
+  in
+  let base = 0x400000 in
+  ignore (share_pages w tenant ~base 2);
+  make_runnable w tenant ~core:1 ~entry:base;
+  run_and_touch w tenant ~core:1 [ range ~base ~len:(2 * page) ];
+  get_ok (Tyche.Monitor.destroy_domain m ~caller:os ~domain:tenant);
+  Alcotest.(check int) "no cached translation survives" 0
+    (Hw.Tlb.entries w.machine.Hw.Machine.tlb);
+  check_clean w "after destroying a domain that ran"
 
 let test_x86_iommu_follows_memory () =
   let gpu = Hw.Device.create ~kind:Hw.Device.Gpu ~bus:3 ~dev:0 ~fn:0 () in
@@ -365,6 +553,18 @@ let () =
             test_x86_one_asid_flush_per_domain;
           Alcotest.test_case "rollback keeps the tlb" `Quick test_x86_rollback_keeps_tlb;
           Alcotest.test_case "iommu follows memory" `Quick test_x86_iommu_follows_memory ] );
+      ( "x86-tlb-cores",
+        List.concat_map
+          (fun (name, strategy) ->
+            [ Alcotest.test_case ("never ran: no invalidation, " ^ name) `Quick
+                (test_x86_never_ran_skips_invalidation strategy);
+              Alcotest.test_case ("flushed since it ran: no invalidation, " ^ name) `Quick
+                (test_x86_flushed_domain_skips_invalidation strategy);
+              Alcotest.test_case ("running domain still invalidated, " ^ name) `Quick
+                (test_x86_running_domain_still_invalidated strategy);
+              Alcotest.test_case ("destroy still invalidates, " ^ name) `Quick
+                (test_x86_destroy_invalidates strategy) ])
+          strategies );
       ( "riscv-pmp",
         [ Alcotest.test_case "entry budget enforced" `Quick test_riscv_entry_budget;
           Alcotest.test_case "merging ablation" `Quick test_riscv_merging_extends_budget;

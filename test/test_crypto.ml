@@ -254,6 +254,54 @@ let test_sha256_hash32_into () =
     (Invalid_argument "Sha256.hash32_into: need 32-byte buffers") (fun () ->
       Sha256.hash32_into ~src:(Bytes.create 31) ~dst:(Bytes.create 32))
 
+(* Two OCaml domains hash at once through every one-shot entry point
+   and the chain kernel; each digest must match the specification twin.
+   Shared scratch buffers would interleave the two hashers' blocks. *)
+let test_sha256_domain_safe () =
+  let inputs =
+    List.init 48 (fun i -> String.init (i * 7) (fun j -> Char.chr ((i + j) land 0xff)))
+  in
+  let parts s = [ s; "|"; String.sub s 0 (String.length s / 2) ] in
+  let cases =
+    Array.of_list
+      (List.map
+         (fun s ->
+           let raw = Sha256.to_raw (Sha256.Spec.string s) in
+           ( s,
+             Sha256.Spec.string s,
+             Sha256.Spec.string (String.concat "" (parts s)),
+             raw,
+             Sha256.to_raw (Sha256.Spec.string raw) ))
+         inputs)
+  in
+  let hasher offset () =
+    let bad = ref 0 in
+    let buf = Bytes.create 32 in
+    for round = 0 to 400 do
+      Array.iteri
+        (fun i _ ->
+          let s, d, dp, raw, chained = cases.((i + offset + round) mod Array.length cases) in
+          if not (Sha256.equal (Sha256.string s) d) then incr bad;
+          if not (Sha256.equal (Sha256.digest_strings (parts s)) dp) then incr bad;
+          Bytes.blit_string raw 0 buf 0 32;
+          Sha256.hash32_into ~src:buf ~dst:buf;
+          if Bytes.to_string buf <> chained then incr bad)
+        cases
+    done;
+    !bad
+  in
+  (* Both hashers finish before any check, so a raise in one cannot
+     leave the other running into later tests. *)
+  let run offset () =
+    match hasher offset () with n -> Ok n | exception e -> Error (Printexc.to_string e)
+  in
+  let other = Domain.spawn (run 17) in
+  let here = run 0 () in
+  let there = Domain.join other in
+  let mismatches = Alcotest.(result int string) in
+  Alcotest.check mismatches "main domain: every digest matches the spec" (Ok 0) here;
+  Alcotest.check mismatches "spawned domain: every digest matches the spec" (Ok 0) there
+
 let test_ots_verify_total () =
   let rng = Rng.create ~seed:21L in
   let sk, pk = Ots.generate rng in
@@ -390,6 +438,7 @@ let () =
           Alcotest.test_case "digest_strings" `Quick test_sha256_digest_strings;
           Alcotest.test_case "ctx reset" `Quick test_sha256_ctx_reset;
           Alcotest.test_case "hash32_into" `Quick test_sha256_hash32_into;
+          Alcotest.test_case "two domains hash at once" `Quick test_sha256_domain_safe;
           qt prop_sha256_fast_equals_spec;
           qt prop_sha256_chunking ] );
       ( "hmac",

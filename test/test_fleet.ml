@@ -315,7 +315,33 @@ let test_partition_degraded_and_heal () =
   let c name = List.assoc_opt name r.Obs.r_counters in
   Alcotest.(check bool) "fleet.retries surfaced" true (c "fleet.retries" <> None);
   Alcotest.(check bool) "per-link retries surfaced" true
-    (c "fleet.link.beta.retries" <> None)
+    (c "fleet.link.alpha.beta.retries" <> None)
+
+(* Per-link metrics are named by both endpoints: a second endpoint in
+   the process connecting to the same peer neither shares alpha's
+   counters nor zeroes them. *)
+let test_link_metrics_per_endpoint () =
+  let net, a, b = mk_pair () in
+  Distributed.Network.partition net "alpha" "beta";
+  let _ = delegate_page a ~peer:"beta" ~page:13 in
+  for _ = 1 to 8 do
+    Distributed.Fleet.tick a.fleet
+  done;
+  let counter name =
+    let r = Tyche.Monitor.observe a.w.Testkit.monitor in
+    Option.value ~default:(-1) (List.assoc_opt name r.Obs.r_counters)
+  in
+  let retries = counter "fleet.link.alpha.beta.retries" in
+  Alcotest.(check bool) "alpha retried against the partition" true (retries > 0);
+  let g = mk_node net "gamma" 0x73L in
+  ignore (fok (Distributed.Fleet.connect g.fleet ~peer:"beta" ~key));
+  Alcotest.(check int) "gamma's connect leaves alpha's retries intact" retries
+    (counter "fleet.link.alpha.beta.retries");
+  Alcotest.(check int) "gamma's link counts from zero" 0 (counter "fleet.link.gamma.beta.retries");
+  Distributed.Network.heal net "alpha" "beta";
+  pump a b;
+  check_clean a;
+  check_clean b
 
 let test_duplicate_reorder_absorbed () =
   let net, a, b = mk_pair () in
@@ -617,6 +643,8 @@ let () =
       ( "faults",
         [ Alcotest.test_case "partition: degraded mode, convergence on heal" `Quick
             test_partition_degraded_and_heal;
+          Alcotest.test_case "link metrics are per endpoint" `Quick
+            test_link_metrics_per_endpoint;
           Alcotest.test_case "duplicates and reorder are absorbed" `Quick
             test_duplicate_reorder_absorbed;
           Alcotest.test_case "crash before journal: reconciliation" `Quick
