@@ -1292,15 +1292,18 @@ let e14_floor op =
 (* E16: what durability costs. Three rows on a world with [n] committed
    share operations in the log:
    - "e16 wal append": framing + appending + fsyncing one record — the
-     per-op price of the redo log — against taking a full snapshot at
-     the same state, the alternative the log exists to amortize.
-   - "e16 snapshot@10k": the checkpoint itself (informational, no twin).
-   - "e16 recover@10k": crash-restart from a fresh checkpoint (snapshot
-     decode + hardware rebuild) against replaying the entire history
-     from the seq-0 baseline — why checkpoint cadence matters. *)
+     per-op price of the redo log — against a cold checkpoint of the
+     same state (the first one into an empty store, which serializes
+     every bucket), the alternative the log exists to amortize.
+   - "e16 cold checkpoint@10k": that checkpoint itself (informational,
+     no twin).
+   - "e16 recover@10k": crash-restart from a fresh checkpoint (manifest
+     and segment decode + hardware rebuild) against replaying the
+     entire history from the seq-0 checkpoint — why checkpoint cadence
+     matters. *)
 let e16 ?(smoke = false) () =
-  if smoke then header "E16: durability — WAL, snapshots, recovery [smoke]"
-  else header "E16: durability — WAL append, snapshot checkpoint, crash recovery";
+  if smoke then header "E16: durability — WAL, checkpoints, recovery [smoke]"
+  else header "E16: durability — WAL append, cold checkpoint, crash recovery";
   let n_ops = if smoke then 1_000 else 10_000 in
   let mem_size = 128 * 1024 * 1024 in
   let w = boot ~mem_size () in
@@ -1339,15 +1342,18 @@ let e16 ?(smoke = false) () =
         Persist.Wal.append scratch ~blob:Persist.Store.wal_blob ~seq:1 payload;
         Persist.Store.fsync scratch Persist.Store.wal_blob)
   in
-  let snapshot_ns =
+  (* Re-arming persistence on an empty store takes a cold checkpoint. *)
+  let cold_ns =
     timed_loop
       ~n:(if smoke then 3 else 20)
-      (fun () -> Tyche.Monitor.persist_snapshot m)
+      (fun () ->
+        Tyche.Monitor.enable_persistence m ~store:(Persist.Store.mem ())
+          ~snapshot_every:max_int ())
   in
   (* Recovery world: a long history that nets a small tree (share+revoke
      churn). Replay re-executes the whole history through the monitor;
      checkpoint recovery restores only the surviving state — the case
-     snapshot cadence exists for. (The big-tree world above would hide
+     checkpoint cadence exists for. (The big-tree world above would hide
      the difference: there, history length equals state size and both
      paths bottom out in the same hardware rebuild.) *)
   let mem_size_b = 16 * 1024 * 1024 in
@@ -1370,10 +1376,15 @@ let e16 ?(smoke = false) () =
     ok (Tyche.Monitor.revoke mb ~caller:os ~cap:c)
   done;
   let final_seq_b = Option.get (Tyche.Monitor.persist_seq mb) in
-  let wal_b = Persist.Store.read store_b Persist.Store.wal_blob in
-  let snap_b_base = Persist.Store.read store_b Persist.Store.snap_blob in
-  Tyche.Monitor.persist_snapshot mb;
-  let snap_b_chk = Persist.Store.read store_b Persist.Store.snap_blob in
+  (* Copies of the whole store: a checkpoint lives in two blobs. *)
+  let image () =
+    List.map
+      (fun blob -> (blob, Persist.Store.read store_b blob))
+      Persist.Store.[ wal_blob; snap_blob; seg_blob ]
+  in
+  let replay_image = image () in
+  Tyche.Monitor.checkpoint mb;
+  let chk_image = image () in
   (* Each restart consumes a fresh machine + backend (the crashed one's
      in-memory state is gone), so build the target outside the timed
      window — the row measures recovery, not machine construction. *)
@@ -1381,7 +1392,7 @@ let e16 ?(smoke = false) () =
   (* [replayed] is the deterministic gate on the two twins: checkpoint
      recovery must replay nothing and the replay-all twin the whole
      history. The timings are printed but gate nothing. *)
-  let time_recover ~wal ~snap ~replayed =
+  let time_recover preload ~replayed =
     let total = ref 0.0 in
     for _ = 1 to recover_iters do
       let machine = Hw.Machine.create ~arch:Hw.Cpu.X86_64 ~cores:4 ~mem_size:mem_size_b () in
@@ -1391,7 +1402,7 @@ let e16 ?(smoke = false) () =
         Rot.Boot.measured_boot tpm machine ~firmware ~loader:loader_blob ~monitor_image
       in
       let backend = Backend_x86.create machine () in
-      let store = Persist.Store.mem ~wal ~snap () in
+      let store = Persist.Store.mem ~preload () in
       (* A tiny signer: keygen is a fixed ~40 ms boot cost paid
          identically by both recovery paths and would drown the row
          being measured. *)
@@ -1414,8 +1425,8 @@ let e16 ?(smoke = false) () =
     done;
     !total /. float_of_int recover_iters *. 1e9
   in
-  let chk_recover_ns = time_recover ~wal:"" ~snap:snap_b_chk ~replayed:0 in
-  let replay_recover_ns = time_recover ~wal:wal_b ~snap:snap_b_base ~replayed:final_seq_b in
+  let chk_recover_ns = time_recover chk_image ~replayed:0 in
+  let replay_recover_ns = time_recover replay_image ~replayed:final_seq_b in
   let rows = ref [] in
   let add size op ~fast ~baseline =
     rows := { size; op; indexed_ns = fast; reference_ns = baseline } :: !rows;
@@ -1425,20 +1436,21 @@ let e16 ?(smoke = false) () =
     in
     row3 (Printf.sprintf "%s (%d ops)" op size) (Printf.sprintf "%.0f ns/op" fast) note
   in
-  add n_ops "e16 wal append" ~fast:append_ns ~baseline:snapshot_ns;
-  add n_ops "e16 snapshot@10k" ~fast:snapshot_ns ~baseline:Float.nan;
+  add n_ops "e16 wal append" ~fast:append_ns ~baseline:cold_ns;
+  add n_ops "e16 cold checkpoint@10k" ~fast:cold_ns ~baseline:Float.nan;
   add n_ops "e16 recover@10k" ~fast:chk_recover_ns ~baseline:replay_recover_ns;
   List.rev !rows
 
 (* Floors for the E16 ratios, loose for the same busy-CI reasons as
    {!e14_floor}:
-   - wal append: a record is ~100 bytes framed; the snapshot it defers
-     serializes the whole tree. Thousands of times cheaper in practice;
-     10x only trips if the append path starts doing per-op snapshots.
+   - wal append: a record is ~100 bytes framed; the cold checkpoint it
+     defers serializes the whole tree. Thousands of times cheaper in
+     practice; 10x only trips if the append path starts checkpointing
+     per op.
    - recover: no timing floor. One wall-clock sample per side is too
      noisy to gate on (smoke's 1k-op history shows only ~1.7x); [e16]
      instead checks the replayed-record counts, which are exact.
-   - snapshot: informational, no floor (NaN reference). *)
+   - cold checkpoint: informational, no floor (NaN reference). *)
 let e16_floor op = if op = "e16 wal append" then Some 10.0 else None
 
 (* E17: what observability costs. One row: the journaled monitor
@@ -1542,10 +1554,10 @@ let e17_ceiling op = if op = "e17 journaled pair, tracing on" then Some 1.2 else
      op execution.
    - "e18 ckpt pause@10k": the stop-the-world pause of an incremental
      checkpoint at steady state (one dirty bucket) on a 10k-cap world,
-     against the full snapshot it replaces.
-   - "e18 ckpt bytes@10k": bytes appended to the snapshot/segment
-     streams by that incremental checkpoint vs the full snapshot
-     record. *)
+     against a cold checkpoint of the same world (the first one into an
+     empty store, which serializes every bucket).
+   - "e18 ckpt bytes@10k": bytes appended to the manifest and segment
+     streams by that incremental checkpoint vs the cold one. *)
 let e18 ?(smoke = false) () =
   if smoke then header "E18: durable throughput [smoke]"
   else header "E18: durable throughput — group commit, incremental checkpoints";
@@ -1584,10 +1596,10 @@ let e18 ?(smoke = false) () =
   if Sys.file_exists dir then Sys.rmdir dir;
   add n_rec "e18 group commit(64) file store" ~fast:batched_ns ~baseline:per_op_ns
     (Printf.sprintf "vs %.0f ns per-op fsync, %.1fx" per_op_ns (per_op_ns /. batched_ns));
-  (* --- incremental checkpoint vs full snapshot on a 10k-cap world ---
+  (* --- incremental vs cold checkpoint on a 10k-cap world ---
      Smoke keeps the full 10k-cap world: building it is plain shares
      (cheap), and the acceptance ratio is defined at 10k — a smaller
-     world shrinks the full-snapshot baseline while the incremental
+     world shrinks the cold-checkpoint baseline while the incremental
      pause stays constant, understating the ratio. Only the timed
      iteration counts shrink in smoke. *)
   let n_ops = 10_000 in
@@ -1632,14 +1644,14 @@ let e18 ?(smoke = false) () =
   (* Pause comparison: wall time over *equal-length windows*, min over
      windows. bench-smoke runs under `dune runtest` next to other test
      binaries, and preemption taxes a short section proportionally more
-     than a long one — timing single ~1 ms checkpoints against ~20 ms
-     snapshots deflates the ratio on a busy machine. A window of 10
+     than a long one — timing single sub-ms checkpoints against ~15 ms
+     cold ones deflates the ratio on a busy machine. A window of 10
      mutate+checkpoint cycles is the same order of wall length as one
-     full snapshot, so ambient load inflates both sides alike and
+     cold checkpoint, so ambient load inflates both sides alike and
      cancels; the min then picks each side's calmest window. The
-     share_one inside the window costs ~3 µs against a ~1 ms
-     checkpoint — noise. (CPU time is no alternative: the full
-     snapshot's allocation burst spends a large fraction of its pause
+     share_one inside the window costs ~3 µs against a sub-ms
+     checkpoint — noise. (CPU time is no alternative: the cold
+     checkpoint's allocation burst spends a large fraction of its pause
      in kernel time that Sys.time does not see.) *)
   let ckpt_blocks = if smoke then 4 else 8 in
   let cycles_per_block = 10 in
@@ -1656,30 +1668,30 @@ let e18 ?(smoke = false) () =
     done;
     !best *. 1e9
   in
-  let snap_b0 = String.length (Persist.Store.read store Persist.Store.snap_blob) in
-  let full_iters = if smoke then 4 else 10 in
-  let full_pause_ns =
+  (* Re-arming persistence on an empty store takes a cold checkpoint. *)
+  let cold_iters = if smoke then 4 else 10 in
+  let cold_bytes = ref 0 in
+  let cold_pause_ns =
     let best = ref infinity in
-    for _ = 1 to full_iters do
+    for _ = 1 to cold_iters do
+      let fresh = Persist.Store.mem () in
       let t0 = Unix.gettimeofday () in
-      Tyche.Monitor.persist_snapshot m;
+      Tyche.Monitor.enable_persistence m ~store:fresh ~snapshot_every:max_int ();
       let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
+      if dt < !best then best := dt;
+      cold_bytes :=
+        String.length (Persist.Store.read fresh Persist.Store.snap_blob)
+        + String.length (Persist.Store.read fresh Persist.Store.seg_blob)
     done;
     !best *. 1e9
   in
-  let full_bytes =
-    (* The snapshot stream is append-only: growth per record is the full
-       record size. *)
-    let grown = String.length (Persist.Store.read store Persist.Store.snap_blob) - snap_b0 in
-    float_of_int (grown / full_iters)
-  in
-  add n_ops "e18 ckpt pause@10k" ~fast:incr_pause_ns ~baseline:full_pause_ns
-    (Printf.sprintf "vs %.0f ns full snapshot, %.1fx smaller" full_pause_ns
-       (full_pause_ns /. incr_pause_ns));
-  add n_ops "e18 ckpt bytes@10k" ~fast:incr_bytes ~baseline:full_bytes
-    (Printf.sprintf "%.0f B incremental vs %.0f B full, %.1fx smaller" incr_bytes full_bytes
-       (full_bytes /. incr_bytes));
+  let cold_bytes = float_of_int !cold_bytes in
+  add n_ops "e18 ckpt pause@10k" ~fast:incr_pause_ns ~baseline:cold_pause_ns
+    (Printf.sprintf "vs %.0f ns cold checkpoint, %.1fx smaller" cold_pause_ns
+       (cold_pause_ns /. incr_pause_ns));
+  add n_ops "e18 ckpt bytes@10k" ~fast:incr_bytes ~baseline:cold_bytes
+    (Printf.sprintf "%.0f B incremental vs %.0f B cold, %.1fx smaller" incr_bytes cold_bytes
+       (cold_bytes /. incr_bytes));
   List.rev !rows
 
 (* E18 revoke cascade: one parent share with [fanout] one-page
@@ -1791,13 +1803,13 @@ let e18_words_ceiling = 1.5
      cost; healthy runs sit far above 10x on a real filesystem, so 5x
      only trips if batching stops deferring the fsync.
    - ckpt pause: steady state re-serializes one dirty 64-id bucket out
-     of ~160; the full snapshot serializes every node. The acceptance
-     target is >= 10x smaller at 10k caps; smoke runs the same 10k
-     world with fewer timed iterations, so the floor guards the real
-     acceptance point.
-   - ckpt bytes: one manifest + one segment vs the full record. The
-     manifest's (bucket, hash) table keeps the ratio lower than the
-     pause ratio; 5x holds from 1k caps up. *)
+     of ~160; the cold checkpoint serializes every bucket. The
+     acceptance target is >= 10x smaller at 10k caps; smoke runs the
+     same 10k world with fewer timed iterations, so the floor guards
+     the real acceptance point.
+   - ckpt bytes: one manifest + one segment vs the manifest and every
+     segment. The manifest's (bucket, hash) table keeps the ratio lower
+     than the pause ratio; 5x holds from 1k caps up. *)
 let e18_floor op =
   if op = "e18 group commit(64) file store" then Some 5.0
   else if op = "e18 ckpt pause@10k" then Some 10.0
@@ -2152,7 +2164,7 @@ let e21_node net ~mem_size name seed =
   let store = Persist.Store.mem () in
   Tyche.Monitor.enable_persistence w.monitor ~store ();
   let fleet = Distributed.Fleet.create ~store ~monitor:w.monitor ~name ~net () in
-  let mig = Distributed.Migrate.attach ~fleet ~store () in
+  let mig = Distributed.Migrate.attach ~fleet ~store in
   { mn_name = name; mn_store = store; mn_monitor = w.monitor; mn_fleet = fleet;
     mn_mig = mig }
 
@@ -2184,7 +2196,7 @@ let e21_recover net ~mem_size node =
     node.mn_monitor <- m;
     node.mn_fleet <-
       Distributed.Fleet.create ~store:node.mn_store ~monitor:m ~name:node.mn_name ~net ();
-    node.mn_mig <- Distributed.Migrate.attach ~fleet:node.mn_fleet ~store:node.mn_store ()
+    node.mn_mig <- Distributed.Migrate.attach ~fleet:node.mn_fleet ~store:node.mn_store
 
 let e21_os_cap_over m sub =
   let tree = Tyche.Monitor.tree m in

@@ -280,7 +280,7 @@ let cmd_transitions =
 let store_dir =
   Arg.(value & opt string "./tyche-store"
        & info [ "store" ] ~docv:"DIR"
-           ~doc:"Directory for the file-backed WAL + snapshot store.")
+           ~doc:"Directory for the file-backed WAL + checkpoint store.")
 
 let boot_persistent_world ~arch ~cores ~mem_mib ~dir =
   let w = boot_world ~arch ~cores ~mem_mib in
@@ -288,7 +288,7 @@ let boot_persistent_world ~arch ~cores ~mem_mib ~dir =
   Tyche.Monitor.enable_persistence w.monitor ~store ~snapshot_every:16 ~fsync_every:1 ();
   (w, store)
 
-(* A small mixed workload: enough churn that the WAL, a snapshot and the
+(* A small mixed workload: enough churn that the WAL, a checkpoint and the
    replay suffix all participate in the recovery that follows. *)
 let persisted_workload w =
   let m = w.monitor in
@@ -370,7 +370,8 @@ let cmd_recover =
       crash_at;
     (match
        Fault.with_plan (Fault.always crash_at) (fun () ->
-           if crash_at = "snapshot.write" then Tyche.Monitor.persist_snapshot w.monitor
+           (* A checkpoint's manifest append passes snapshot.write. *)
+           if crash_at = "snapshot.write" then Tyche.Monitor.checkpoint w.monitor
            else
              (* Any committing operation appends to the WAL (and, with
                 fsync_every = 1, syncs it) — carve a fresh page. *)
@@ -436,7 +437,7 @@ let cmd_migrate =
       let store = Persist.Store.mem () in
       Tyche.Monitor.enable_persistence w.monitor ~store ();
       let fleet = Distributed.Fleet.create ~store ~monitor:w.monitor ~name ~net () in
-      let mig = Distributed.Migrate.attach ~fleet ~store () in
+      let mig = Distributed.Migrate.attach ~fleet ~store in
       (w, fleet, mig)
     in
     let wa, fa, ma = boot_node "alpha" in

@@ -106,7 +106,7 @@ type t = {
      [thaw]. Small (proportional to in-flight remote revokes), so the
      guards iterate/walk it directly; the zero-size fast path keeps
      machine-local workloads paying one [Hashtbl.length] per op. Not
-     serialized in snapshots — the fleet journal is the durable record
+     serialized in checkpoints — the fleet journal is the durable record
      of pending revocations and re-freezes on recovery. *)
   frozen : (cap_id, unit) Hashtbl.t;
 }
@@ -134,7 +134,7 @@ let touch t =
   t.generation <- t.generation + 1;
   t.region_cache <- None
 
-(* Bucket width for incremental snapshots: segment [b] covers ids in
+(* Bucket width for incremental checkpoints: segment [b] covers ids in
    [b*span, (b+1)*span). 64 nodes a segment keeps segments big enough to
    amortize framing and small enough that one mutation re-serializes a
    sliver of a 10k-cap tree. *)
@@ -984,7 +984,17 @@ let check_invariants t =
             List.for_all (fun r' -> not (Hw.Addr.Range.overlaps r r')) rest
             && disjoint rest
         in
-        if not (disjoint split_children) then
+        let strays =
+          IntSet.filter
+            (fun c ->
+              match Hashtbl.find_opt t.nodes c with
+              | Some child -> child.parent <> Some n.id
+              | None -> true)
+            n.children
+        in
+        if not (IntSet.is_empty strays) then
+          fail "node %d lists %d as a child, whose parent it is not" n.id (IntSet.min_elt strays)
+        else if not (disjoint split_children) then
           fail "split children of node %d overlap" n.id
         else if n.state <> Active && IntSet.is_empty n.children then
           fail "inactive node %d has no children" n.id
@@ -1120,7 +1130,6 @@ type node_spec = {
   ns_parent : cap_id option;
   ns_origin : origin;
   ns_state : state;
-  ns_children : cap_id list;
 }
 
 let next_id t = t.next_id
@@ -1133,8 +1142,7 @@ let spec_of_node (n : node) =
     ns_cleanup = n.node_cleanup;
     ns_parent = n.parent;
     ns_origin = n.origin;
-    ns_state = n.state;
-    ns_children = children_list n }
+    ns_state = n.state }
 
 let dump t =
   Hashtbl.fold (fun _ n acc -> spec_of_node n :: acc) t.nodes []
@@ -1156,11 +1164,10 @@ let restore ~next_id ~generation specs =
   let t = create () in
   t.next_id <- next_id;
   t.generation <- generation;
-  (* Children lists come from the specs verbatim (revocation order
-     depends on them); every index is rebuilt from scratch through the
-     same helpers the incremental paths use, so a restored tree is
-     indistinguishable from one that was never serialized —
-     [check_index_consistency] cross-checks this after recovery. *)
+  (* Every index is rebuilt from scratch through the same helpers the
+     incremental paths use, so a restored tree is indistinguishable from
+     one that was never serialized — [check_index_consistency]
+     cross-checks this after recovery. *)
   List.iter
     (fun s ->
       let n =
@@ -1171,7 +1178,7 @@ let restore ~next_id ~generation specs =
           node_cleanup = s.ns_cleanup;
           parent = s.ns_parent;
           origin = s.ns_origin;
-          children = IntSet.of_list s.ns_children;
+          children = IntSet.empty;
           state = s.ns_state }
       in
       Hashtbl.replace t.nodes n.id n;
@@ -1183,6 +1190,14 @@ let restore ~next_id ~generation specs =
         root_index_add t n
       | Some _ -> ())
     specs;
+  (* Child sets are id-ordered, so the parent pointers determine them;
+     a dangling parent is left for [check_invariants] to report. *)
+  Hashtbl.iter
+    (fun _ n ->
+      match Option.bind n.parent (Hashtbl.find_opt t.nodes) with
+      | Some p -> p.children <- IntSet.add n.id p.children
+      | None -> ())
+    t.nodes;
   t
 
 (* --- deliberate corruption (test hooks) ------------------------------ *)
@@ -1211,6 +1226,13 @@ module Corrupt = struct
     | Some (b, s) when List.mem_assoc domain s.counts ->
       t.segments <- IntMap.add b { s with counts = List.remove_assoc domain s.counts } t.segments;
       t.region_cache <- None;
+      true
+    | _ -> false
+
+  let add_stray_child t ~parent ~child =
+    match Hashtbl.find_opt t.nodes parent with
+    | Some p when not (IntSet.mem child p.children) ->
+      p.children <- IntSet.add child p.children;
       true
     | _ -> false
 

@@ -109,7 +109,7 @@ val revoke_children : t -> cap_id -> (effect list, error) result
     {!revoke_children} refuse when any frozen cap lies inside the
     target subtree — all with [Error (Frozen id)]. Freezing is
     journaled under an open transaction like every other mutation, but
-    is {e not} serialized in snapshots: the fleet journal is the
+    is {e not} serialized in checkpoints: the fleet journal is the
     durable record and re-freezes during recovery. *)
 
 val freeze : t -> cap_id -> (unit, error) result
@@ -230,11 +230,14 @@ val region_map_reference : t -> (Hw.Addr.Range.t * domain_id list) list
 (** {2 Structural invariants (for tests and the judiciary)} *)
 
 val check_invariants : t -> (unit, string) result
-(** Verify: child resources are contained in their parent's; child
-    rights attenuate; split children partition their parent exactly;
-    inactive nodes have children or are roots whose resource moved;
-    the parent links are acyclic; every frozen id names an existing
-    node. Returns a description of the first violation. *)
+(** Verify: every node is in its parent's child set, and every child
+    set names exactly nodes whose parent is its owner, so the parent
+    pointers alone determine the tree; child resources are contained
+    in their parent's; child rights attenuate; split children partition
+    their parent exactly; inactive nodes have children or are roots
+    whose resource moved; the parent links are acyclic; every frozen id
+    names an existing node. Returns a description of the first
+    violation. *)
 
 val check_index_consistency : t -> (unit, string) result
 (** Cross-check every incremental index (per-domain cap sets, the
@@ -244,12 +247,12 @@ val check_index_consistency : t -> (unit, string) result
 
 (** {2 Serialization (crash-restart recovery)}
 
-    [Persist] snapshots dump the tree and recovery rebuilds it. The
-    dump is *logical*: node contents, lineage links and activation
-    state — none of the incremental indexes, which {!restore} re-derives
-    through the same maintenance helpers the mutating operations use.
-    Children lists are preserved verbatim because revocation-cascade
-    order follows them. *)
+    Checkpoints dump the tree and recovery rebuilds it. The dump is
+    *logical*: node contents, parent links and activation state. Child
+    sets are id-ordered, so the parent links determine them, and none
+    of the incremental indexes is dumped either: {!restore} re-derives
+    all of them through the same maintenance helpers the mutating
+    operations use. *)
 
 type origin =
   | Orig_root (** Created by {!root} at boot. *)
@@ -276,14 +279,13 @@ type node_spec = {
   ns_parent : cap_id option;
   ns_origin : origin;
   ns_state : state;
-  ns_children : cap_id list; (** Most-recent first, as maintained live. *)
 }
 
 val dump : t -> node_spec list
 (** Every node, sorted by id (= creation order). *)
 
 val seg_span : int
-(** Bucket width for incremental snapshots: bucket [b] covers ids in
+(** Bucket width for incremental checkpoints: bucket [b] covers ids in
     [b*seg_span, (b+1)*seg_span). *)
 
 val bucket_generation : t -> int -> int
@@ -298,14 +300,15 @@ val dump_bucket : t -> int -> node_spec list
     [n = (next_id t - 1) / seg_span] reproduces {!dump}. *)
 
 val next_id : t -> cap_id
-(** The id the next created capability will receive — snapshotted so
+(** The id the next created capability will receive — checkpointed so
     replayed operations reproduce identical ids. *)
 
 val restore : next_id:cap_id -> generation:int -> node_spec list -> t
 (** Rebuild a tree from a dump: node table and lineage from the specs,
-    every incremental index re-derived. The caller (recovery) is
-    expected to run {!check_index_consistency} and the invariant sweep
-    afterwards — a snapshot is never trusted blindly. *)
+    child sets from the parent links, every incremental index
+    re-derived. The caller (recovery) is expected to run
+    {!check_index_consistency} and the invariant sweep afterwards — a
+    checkpoint is never trusted blindly. *)
 
 (** {2 Deliberate corruption (test hooks)}
 
@@ -322,6 +325,10 @@ module Corrupt : sig
   val remove_holder : t -> base:Hw.Addr.t -> domain:domain_id -> bool
   (** Delete a legitimate holder from the segment covering [base]:
       refcounts and holders now under-report. *)
+
+  val add_stray_child : t -> parent:cap_id -> child:cap_id -> bool
+  (** List [child] in [parent]'s child set although [child]'s parent
+      link (if [child] exists at all) names another node. *)
 
   val drop_domain_index_entry : t -> domain:domain_id -> bool
   (** Remove one capability from the per-domain ownership index while

@@ -29,7 +29,7 @@ val equal : t -> t -> bool
 
 val to_bits : t -> int
 (** The rights as one byte: read | write≪1 | exec≪2 | share≪3 | grant≪4.
-    The write-ahead log, snapshots, fleet frames and migration manifests
+    The write-ahead log, checkpoints, fleet frames and migration manifests
     all carry this code. *)
 
 val of_bits : int -> t option

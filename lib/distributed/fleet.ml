@@ -393,21 +393,11 @@ type channel = {
   l_timeouts : Obs.Metrics.counter;
 }
 
-(* Compaction policy, tunable per endpoint (tests and the migration
-   journal exercise compaction without thousands of warm-up records). *)
-type config = {
-  compact_min : int; (* never compact below this many journal records *)
-  compact_ratio : int; (* rewrite once dead records outnumber live state this many to one *)
-}
-
-let default_config = { compact_min = 128; compact_ratio = 4 }
-
 type t = {
   monitor : Tyche.Monitor.t;
   name : Network.endpoint;
   net : Network.t;
   store : Persist.Store.t option;
-  config : config;
   mutable jseq : int;
   mutable jrecs : int; (* records currently in the fleet blob *)
   channels : (Network.endpoint, channel) Hashtbl.t;
@@ -969,16 +959,18 @@ let compact t =
     ignore (Persist.Wal.compact s ~blob:fleet_blob ~upto);
     t.jrecs <- List.length recs
 
-(* Auto-compaction bounds, from the endpoint's {!config}: never bother
-   below [compact_min] records, and only rewrite once dead records
-   dominate live state [compact_ratio]:1. *)
+(* Auto-compaction bounds: never bother below [compact_min] records, and
+   only rewrite once the journal outnumbers live state [compact_ratio]:1. *)
+let compact_min = 128
+let compact_ratio = 4
+
 let maybe_compact t =
-  if t.store <> None && t.jrecs >= t.config.compact_min then begin
+  if t.store <> None && t.jrecs >= compact_min then begin
     let live =
       Hashtbl.length t.proxies + Hashtbl.length t.channels + Hashtbl.length t.dels
       + Hashtbl.length t.imports + Hashtbl.length t.pending + Hashtbl.length t.sends
     in
-    if t.jrecs > t.config.compact_ratio * live then compact t
+    if t.jrecs > compact_ratio * live then compact t
   end
 
 (* --- retry / degraded mode ------------------------------------------ *)
@@ -1212,13 +1204,12 @@ let replay t =
           | None -> ()))
       records
 
-let create ?store ?(config = default_config) ~monitor ~name ~net () =
+let create ?store ~monitor ~name ~net () =
   let t =
     { monitor;
       name;
       net;
       store;
-      config;
       jseq = 0;
       jrecs = 0;
       channels = Hashtbl.create 4;

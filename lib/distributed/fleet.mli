@@ -54,22 +54,8 @@ val error_to_string : error -> string
 
 type t
 
-(** Journal-compaction policy. {!tick} rewrites the fleet journal to a
-    live-state snapshot once it holds at least [compact_min] records
-    {e and} dead records outnumber live state [compact_ratio]:1.
-    Tunable so tests and the migration journal can exercise compaction
-    without thousands of warm-up operations. *)
-type config = {
-  compact_min : int;
-  compact_ratio : int;
-}
-
-val default_config : config
-(** [{ compact_min = 128; compact_ratio = 4 }]. *)
-
 val create :
   ?store:Persist.Store.t ->
-  ?config:config ->
   monitor:Tyche.Monitor.t ->
   name:Network.endpoint ->
   net:Network.t ->
@@ -155,7 +141,8 @@ val tick : t -> unit
 (** Advance logical time one step: retransmit due outboxes (capped
     exponential backoff), demote silent peers to {!Degraded}, retry
     pending revocations whose acks are all in, and compact the journal
-    when dead records dominate live state. *)
+    once it holds at least 128 records and they outnumber live state
+    4:1. *)
 
 val compact : t -> unit
 (** Rewrite the fleet journal to a snapshot of live state (peers,
@@ -163,8 +150,7 @@ val compact : t -> unit
     dropping records that recovery no longer needs — completed
     delegations, retired imports, superseded ack floors. Durable
     (snapshot is fsynced before the old prefix is dropped); a no-op
-    without a store. {!tick} calls this automatically once the journal
-    exceeds a size floor and outnumbers live state 4:1. *)
+    without a store. {!tick} calls this automatically (see there). *)
 
 (** {2 Inspection} *)
 

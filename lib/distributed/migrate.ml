@@ -456,7 +456,6 @@ type tgt = {
 type t = {
   fleet : Fleet.t;
   store : Persist.Store.t;
-  window : int;
   mutable jseq : int;
   chunks : (string, string) Hashtbl.t; (* hash -> bytes, durable mirror. *)
   srcs : (string, src) Hashtbl.t;
@@ -880,9 +879,12 @@ let maybe_final t src =
     | None -> ()
   end
 
+(* Unacked chunks a source streams at a time. *)
+let window = 4
+
 let pump t src =
   let rec go () =
-    if List.length src.sm_inflight < t.window then
+    if List.length src.sm_inflight < window then
       match src.sm_todo with
       | [] -> ()
       | h :: rest ->
@@ -1591,9 +1593,9 @@ let resume_target t mig (r : tgt_replay) =
       tg.tm_cleanup <- r.r_adopting;
       tg.tm_adopt_due <- tg.tm_manifest <> None)
 
-let attach ?(window = 4) ~fleet ~store () =
+let attach ~fleet ~store =
   let t =
-    { fleet; store; window; jseq = 0; chunks = Hashtbl.create 64;
+    { fleet; store; jseq = 0; chunks = Hashtbl.create 64;
       srcs = Hashtbl.create 4; tgts = Hashtbl.create 4; counter = 0;
       peer_roots = Hashtbl.create 4; deferred = Queue.create () }
   in

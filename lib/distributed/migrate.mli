@@ -94,12 +94,12 @@ end
 
 type t
 
-val attach : ?window:int -> fleet:Fleet.t -> store:Persist.Store.t -> unit -> t
+val attach : fleet:Fleet.t -> store:Persist.Store.t -> t
 (** Attach the migration engine to [fleet], journaling in [store]'s
-    ["migrate"] blob, streaming at most [window] (default 4) unacked
-    chunks at a time. Registers the ["migrate"] data handler —
-    attachment {e is} recovery, see above. Attach after every
-    {!Fleet.create} (handlers are volatile), before polling. *)
+    ["migrate"] blob, streaming at most 4 unacked chunks at a time.
+    Registers the ["migrate"] data handler — attachment {e is}
+    recovery, see above. Attach after every {!Fleet.create} (handlers
+    are volatile), before polling. *)
 
 val set_peer_root : t -> peer:Network.endpoint -> Crypto.Sha256.digest -> unit
 (** Install [peer]'s monitor attestation root (obtained out of band,

@@ -69,11 +69,10 @@ let establish_error_to_string = function
    (resending identical evidence cannot change the verdict), so it
    rejects immediately. The TPM quotes travel the machine-local attested
    path (see the module doc) and are taken from [a]/[b] directly. *)
-let establish_over net ~broker ?(max_attempts = 5) ?(base_backoff = 1) ?(max_backoff = 8)
-    ?(adversary = fun _ -> ()) ~nonce ~a ~b () =
-  if max_attempts < 1 then invalid_arg "Session.establish_over: max_attempts < 1";
-  if base_backoff < 1 || max_backoff < base_backoff then
-    invalid_arg "Session.establish_over: bad backoff bounds";
+let max_attempts = 5
+let max_backoff = 8
+
+let establish_over net ~broker ?(adversary = fun _ -> ()) ~nonce ~a ~b () =
   let party_a, ev_a = a and party_b, ev_b = b in
   (* One trace id spans the whole establishment: every retry, drain and
      verification event across both monitors' evidence carries it, so a
@@ -121,7 +120,7 @@ let establish_over net ~broker ?(max_attempts = 5) ?(base_backoff = 1) ?(max_bac
           Error (Rejected reasons))
     end
   in
-  attempt 1 ~backoff:base_backoff ~waited:0
+  attempt 1 ~backoff:1 ~waited:0
 
 type link = {
   net : Network.t;

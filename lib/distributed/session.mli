@@ -61,9 +61,6 @@ val establish_error_to_string : establish_error -> string
 val establish_over :
   Network.t ->
   broker:Network.endpoint ->
-  ?max_attempts:int ->
-  ?base_backoff:int ->
-  ?max_backoff:int ->
   ?adversary:(int -> unit) ->
   nonce:string ->
   a:party * evidence ->
@@ -75,11 +72,10 @@ val establish_over :
     retries: each attempt sends both attestations, then tries to
     receive and parse both; a drop (the ["net.deliver"] fault point, or
     the adversary's {!Network.drop_head}) or in-flight tampering makes
-    the whole exchange retry after a backoff that doubles from
-    [base_backoff] (default 1) up to [max_backoff] (default 8) units,
-    at most [max_attempts] (default 5) times. [adversary] runs between
-    send and receive on each attempt (its argument is the 1-based
-    attempt number) — tests use it to drop or tamper queued datagrams.
+    the whole exchange retry after a backoff that doubles from 1 up to
+    8 units, at most 5 times. [adversary] runs between send and
+    receive on each attempt (its argument is the 1-based attempt
+    number) — tests use it to drop or tamper queued datagrams.
     On success returns the session keys and the attempt number that
     made it through. Stale datagrams from earlier partial exchanges are
     drained before each attempt, so a late duplicate can never satisfy

@@ -52,7 +52,7 @@ let make ~id ~name ~kind ~created_by =
   { id; name; kind; created_by; sealed = false; entry_point = None; measured = [];
     flush_on_transition = false; measurement = None; migrating = false }
 
-(* Recovery-only constructor: rebuilds a domain from a snapshot,
+(* Recovery-only constructor: rebuilds a domain from a checkpoint,
    including post-seal state [make] can never produce. [measured] is in
    declaration order, as [measured_ranges] reports it; storage is
    most-recent-first. *)

@@ -34,7 +34,7 @@ val kind_to_string : kind -> string
 
 val kind_to_code : kind -> int
 (** The kind's one-byte wire code (0 = [Os] .. 5 = [Remote]), shared by
-    the write-ahead log, snapshots and migration manifests. *)
+    the write-ahead log, checkpoints and migration manifests. *)
 
 val kind_of_code : int -> kind option
 (** Inverse of {!kind_to_code}; [None] for any other byte. *)
@@ -54,9 +54,9 @@ val restore :
   flush_on_transition:bool ->
   measurement:Crypto.Sha256.digest option ->
   t
-(** Recovery-only: rebuild a domain exactly as a snapshot recorded it,
-    including sealed state. [measured] in declaration order (what
-    {!measured_ranges} reported at snapshot time). *)
+(** Recovery-only: rebuild a domain exactly as a checkpoint recorded
+    it, including sealed state. [measured] in declaration order (what
+    {!measured_ranges} reported at checkpoint time). *)
 
 val id : t -> id
 val name : t -> string

@@ -1,5 +1,5 @@
 (* Post-recovery consistency check ("monitor fsck"). Recovery never
-   trusts a store blindly: after the snapshot is restored and the WAL
+   trusts a store blindly: after the checkpoint is restored and the WAL
    suffix replayed, this pass cross-checks the rebuilt state against
    every runtime invariant, the incremental indexes' full-scan
    references, and — when the caller kept pre-crash attestations — the

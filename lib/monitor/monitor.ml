@@ -37,35 +37,20 @@ type attest_entry = {
 
 (* Durable redo layer (armed by [enable_persistence] or [recover]).
    [p_seq] numbers committed operations; the WAL holds records
-   [snapshot_seq+1 .. p_seq] (minus an unsynced or torn tail), and each
-   snapshot in the store records the seq it captures, so recovery can
-   replay exactly the suffix. [p_replaying] mutes logging while recovery
+   [checkpoint seq+1 .. p_seq] (minus an unsynced or torn tail), and
+   each checkpoint records the seq it covers, so recovery can replay
+   exactly the suffix. [p_replaying] mutes logging while recovery
    re-executes the suffix through the normal API. *)
 type persist_cfg = {
-  p_store : Persist.Store.t;
   p_snapshot_every : int;
   (* Group-commit queue over the WAL blob: appends accumulate and one
      fsync acknowledges the whole batch (its [durable_seq] is the
      acknowledgement floor recovery must honor). *)
   p_group : Persist.Group.t;
+  p_ckpt : Checkpoint.writer;
   mutable p_seq : int;
   mutable p_since_snapshot : int;
   mutable p_replaying : bool;
-  (* Incremental-checkpoint bookkeeping. [p_ckpt_gen] is the captree
-     generation the last checkpoint covered; a bucket is dirty iff its
-     [Captree.bucket_generation] is newer (or it was never serialized).
-     [p_seg_cache] maps bucket -> segment hash as of that checkpoint
-     ([""] marks an empty bucket); [p_seg_durable] is the set of segment
-     hashes known durable in the segment blob, the dedup filter. *)
-  mutable p_ckpt_gen : int;
-  p_seg_cache : (int, string) Hashtbl.t;
-  p_seg_durable : (string, unit) Hashtbl.t;
-  (* False when the snapshot/segment streams may end in a torn frame
-     (fresh store, or a checkpoint died mid-write). Checkpoints repair
-     the tails only then: the repair scan parses both blobs end to end,
-     which would otherwise put an O(total state) term in every
-     checkpoint pause. *)
-  mutable p_tails_ok : bool;
 }
 
 type t = {
@@ -135,7 +120,7 @@ let get_domain t id =
    disjoint active holdings into one hardware entry, so the live layout
    can need *fewer* finite hardware slots (PMP entries) than the
    canonical per-(domain, perm) union of active holdings. Crash
-   recovery re-derives exactly that canonical union from a snapshot;
+   recovery re-derives exactly that canonical union from a checkpoint;
    keeping the live layout canonical too is what guarantees recovery's
    re-attach fits any budget the live run fit. *)
 
@@ -280,241 +265,18 @@ let cap_result t = function
     Ok value
   | Error e -> Error (Cap_error e)
 
-(* --- conversions to the persist layer's neutral types --------------- *)
-
-let origin_to_int = function
-  | Cap.Captree.Orig_root -> 0
-  | Cap.Captree.Orig_shared -> 1
-  | Cap.Captree.Orig_granted -> 2
-  | Cap.Captree.Orig_split -> 3
-
-let origin_of_int = function
-  | 0 -> Some Cap.Captree.Orig_root
-  | 1 -> Some Cap.Captree.Orig_shared
-  | 2 -> Some Cap.Captree.Orig_granted
-  | 3 -> Some Cap.Captree.Orig_split
-  | _ -> None
-
-let state_to_int = function
-  | Cap.Captree.Active -> 0
-  | Cap.Captree.Inactive_granted -> 1
-  | Cap.Captree.Inactive_split -> 2
-
-let state_of_int = function
-  | 0 -> Some Cap.Captree.Active
-  | 1 -> Some Cap.Captree.Inactive_granted
-  | 2 -> Some Cap.Captree.Inactive_split
-  | _ -> None
-
-let range_pair r = (Hw.Addr.Range.base r, Hw.Addr.Range.len r)
-let pair_range (base, len) = Hw.Addr.Range.make ~base ~len
-
-let resource_to_wire = function
-  | Cap.Resource.Memory r ->
-    Persist.Snapshot.Mem { base = Hw.Addr.Range.base r; len = Hw.Addr.Range.len r }
-  | Cap.Resource.Cpu_core c -> Persist.Snapshot.Core c
-  | Cap.Resource.Device d -> Persist.Snapshot.Dev d
-
-let resource_of_wire = function
-  | Persist.Snapshot.Mem { base; len } -> Cap.Resource.Memory (pair_range (base, len))
-  | Persist.Snapshot.Core c -> Cap.Resource.Cpu_core c
-  | Persist.Snapshot.Dev d -> Cap.Resource.Device d
-
-let domain_spec d =
-  { Persist.Snapshot.d_id = Domain.id d;
-    d_name = Domain.name d;
-    d_kind = Domain.kind_to_code (Domain.kind d);
-    d_created_by = (match Domain.created_by d with Some c -> c | None -> -1);
-    d_sealed = Domain.is_sealed d;
-    d_entry = (match Domain.entry_point d with Some e -> e | None -> -1);
-    d_measured = List.map range_pair (Domain.measured_ranges d);
-    d_flush = Domain.flush_on_transition d;
-    d_measurement =
-      (match Domain.measurement d with
-      | Some m -> Crypto.Sha256.to_raw m
-      | None -> "") }
-
-let node_to_wire (ns : Cap.Captree.node_spec) =
-  { Persist.Snapshot.n_id = ns.ns_id;
-    n_resource = resource_to_wire ns.ns_resource;
-    n_rights = Cap.Rights.to_bits ns.ns_rights;
-    n_owner = ns.ns_owner;
-    n_cleanup = Cap.Revocation.to_code ns.ns_cleanup;
-    n_parent = (match ns.ns_parent with Some p -> p | None -> -1);
-    n_origin = origin_to_int ns.ns_origin;
-    n_state = state_to_int ns.ns_state;
-    n_children = ns.ns_children }
-
-let node_of_wire (n : Persist.Snapshot.node_spec) =
-  match
-    ( Cap.Rights.of_bits n.Persist.Snapshot.n_rights,
-      Cap.Revocation.of_code n.n_cleanup,
-      origin_of_int n.n_origin,
-      state_of_int n.n_state )
-  with
-  | Some rights, Some cleanup, Some origin, Some state ->
-    Ok
-      { Cap.Captree.ns_id = n.n_id;
-        ns_resource = resource_of_wire n.n_resource;
-        ns_rights = rights;
-        ns_owner = n.n_owner;
-        ns_cleanup = cleanup;
-        ns_parent = (if n.n_parent < 0 then None else Some n.n_parent);
-        ns_origin = origin;
-        ns_state = state;
-        ns_children = n.n_children }
-  | _ -> Error (Printf.sprintf "snapshot: bad node encoding for cap %d" n.n_id)
-
-let snapshot_state t seq =
-  { Persist.Snapshot.seq;
-    next_domain = t.next_domain;
-    next_cap = Cap.Captree.next_id t.tree;
-    generation = Cap.Captree.generation t.tree;
-    domains = List.map domain_spec (domains t);
-    nodes = List.map node_to_wire (Cap.Captree.dump t.tree);
-    current = Array.to_list t.current;
-    stacks = Array.to_list t.stacks }
-
-(* A crash mid-snapshot-append leaves a torn frame at the blob's tail,
-   and the newest-valid scan cannot see past it — an append after the
-   tear would be durable but unreachable. Checkpoints repair the tail
-   first; retiring the WAL is only sound once the new record is
-   actually loadable. *)
-let repair_snap_tail cfg =
-  let scan = Persist.Wal.read cfg.p_store ~blob:Persist.Store.snap_blob in
-  if scan.Persist.Wal.truncated then
-    Persist.Store.truncate cfg.p_store Persist.Store.snap_blob
-      scan.Persist.Wal.valid_bytes
-
-(* The segment stream has the same hazard: a crash mid-segment-append
-   leaves a torn frame, and anything appended after it would be durable
-   but invisible to the CRC-framed parse — a later manifest would then
-   reference a segment recovery cannot find, poisoning the fallback
-   chain. Repair before appending. *)
-let repair_seg_tail cfg =
-  let scan = Persist.Wal.read cfg.p_store ~blob:Persist.Store.seg_blob in
-  if scan.Persist.Wal.truncated then
-    Persist.Store.truncate cfg.p_store Persist.Store.seg_blob
-      scan.Persist.Wal.valid_bytes
-
-(* Full checkpoint: make the snapshot durable FIRST, then retire the WAL
-   it subsumes. A crash between the two leaves both the snapshot and the
-   (now-redundant) log — recovery replays records with seq ≤ snapshot
-   seq as no-ops by filtering, so every window is benign. *)
-let write_snapshot t cfg =
-  if not cfg.p_tails_ok then begin
-    repair_snap_tail cfg;
-    repair_seg_tail cfg
-  end;
-  (* Not-ok while this write is in flight: a crash inside it leaves a
-     torn tail the next writer must scan for. *)
-  cfg.p_tails_ok <- false;
-  Persist.Snapshot.write cfg.p_store (snapshot_state t cfg.p_seq);
-  cfg.p_tails_ok <- true;
-  Persist.Wal.reset cfg.p_store ~blob:Persist.Store.wal_blob;
-  Persist.Group.note_durable cfg.p_group ~seq:cfg.p_seq;
-  cfg.p_since_snapshot <- 0
-
-(* Incremental checkpoint. Crash-safe order:
-     1. serialize dirty buckets, append + fsync new segments;
-     2. append + fsync the version-2 manifest — the commit point;
-     3. compact the WAL prefix the manifest covers;
-     4. GC segment blobs the newest manifest no longer references.
-   A crash inside 1 leaves unreferenced garbage segments (harmless,
-   GC'd later); inside 2, a torn manifest the newest-valid scan skips;
-   inside 3 or 4, covered-but-present WAL records (replay filters them)
-   or an intact pre-GC segment blob. Every window recovers. *)
-let ckpt_pause_h = Obs.Metrics.histogram "persist.ckpt.pause_ns"
-let ckpt_bytes_h = Obs.Metrics.histogram "persist.ckpt.bytes"
-let ckpt_segs_h = Obs.Metrics.histogram "persist.ckpt.segments"
-let ckpt_c = Obs.Metrics.counter "persist.ckpt"
-let seg_gc_c = Obs.Metrics.counter "persist.seg_gc_dropped"
-
+(* Checkpoint the monitor's state at the current seq: {!Checkpoint}
+   owns the format and the crash-safe write order, the monitor only the
+   cadence. *)
 let write_checkpoint t cfg =
-  let t0 = Sys.time () in
-  if not cfg.p_tails_ok then begin
-    repair_snap_tail cfg;
-    repair_seg_tail cfg
-  end;
-  cfg.p_tails_ok <- false;
-  let tree = t.tree in
-  let span = Cap.Captree.seg_span in
-  let max_bucket = (Cap.Captree.next_id tree - 1) / span in
-  let entries = ref [] and fresh = ref [] and bytes = ref 0 in
-  for b = 0 to max_bucket do
-    let dirty =
-      match Hashtbl.find_opt cfg.p_seg_cache b with
-      | None -> true
-      | Some _ -> Cap.Captree.bucket_generation tree b > cfg.p_ckpt_gen
-    in
-    if dirty then begin
-      match Cap.Captree.dump_bucket tree b with
-      | [] -> Hashtbl.replace cfg.p_seg_cache b ""
-      | nodes ->
-        let h, payload = Persist.Snapshot.seg_encode (List.map node_to_wire nodes) in
-        if not (Hashtbl.mem cfg.p_seg_durable h) then fresh := (b, h, payload) :: !fresh;
-        Hashtbl.replace cfg.p_seg_cache b h
-    end;
-    match Hashtbl.find_opt cfg.p_seg_cache b with
-    | Some "" | None -> ()
-    | Some h -> entries := (b, h) :: !entries
-  done;
-  let entries = List.rev !entries in
-  (match List.rev !fresh with
-  | [] -> ()
-  | fresh ->
-    List.iter
-      (fun (b, _, payload) ->
-        bytes := !bytes + String.length payload;
-        Persist.Snapshot.append_segment cfg.p_store ~bucket:b payload)
-      fresh;
-    Persist.Snapshot.fsync_segments cfg.p_store;
-    (* Only now are these hashes safe to dedup against: marking them
-       before the fsync could let a later manifest reference bytes a
-       crash threw away. *)
-    List.iter (fun (_, h, _) -> Hashtbl.replace cfg.p_seg_durable h ()) fresh);
-  let m =
-    { Persist.Snapshot.m_seq = cfg.p_seq;
-      m_next_domain = t.next_domain;
-      m_next_cap = Cap.Captree.next_id tree;
-      m_generation = Cap.Captree.generation tree;
-      m_domains = List.map domain_spec (domains t);
-      m_current = Array.to_list t.current;
-      m_stacks = Array.to_list t.stacks;
-      m_span = span;
-      m_segments = entries }
-  in
-  bytes := !bytes + String.length (Persist.Snapshot.encode_manifest m);
-  Persist.Snapshot.write_manifest cfg.p_store m;
-  cfg.p_tails_ok <- true;
-  cfg.p_ckpt_gen <- Cap.Captree.generation tree;
-  cfg.p_since_snapshot <- 0;
-  Persist.Group.note_durable cfg.p_group ~seq:cfg.p_seq;
-  ignore
-    (Persist.Wal.compact cfg.p_store ~blob:Persist.Store.wal_blob ~upto:cfg.p_seq);
-  (* GC once dead blobs dominate: rewrite keeps exactly the hashes the
-     manifest just committed, so older manifests may stop materializing
-     — recovery then falls back past them, which the newest (durable)
-     manifest makes moot. *)
-  let live = Hashtbl.create (List.length entries) in
-  List.iter (fun (_, h) -> Hashtbl.replace live h ()) entries;
-  if Hashtbl.length cfg.p_seg_durable > (2 * Hashtbl.length live) + 8 then begin
-    let _kept, dropped =
-      Persist.Snapshot.gc_segments cfg.p_store ~live:(Hashtbl.mem live)
-    in
-    if dropped > 0 then begin
-      Obs.Metrics.incr ~by:dropped seg_gc_c;
-      Hashtbl.reset cfg.p_seg_durable;
-      List.iter (fun (_, h) -> Hashtbl.replace cfg.p_seg_durable h ()) entries
-    end
-  end;
-  Obs.Metrics.incr ckpt_c;
-  Obs.Metrics.observe ckpt_segs_h (List.length !fresh);
-  Obs.Metrics.observe ckpt_bytes_h !bytes;
-  (* Host CPU time, not simulated cycles: the checkpoint charges no
-     hardware events, and the pause we care about is real serialization
-     work. Observability only — never feeds back into control flow. *)
-  Obs.Metrics.observe ckpt_pause_h (int_of_float ((Sys.time () -. t0) *. 1e9))
+  Checkpoint.write cfg.p_ckpt ~group:cfg.p_group
+    { Checkpoint.seq = cfg.p_seq;
+      next_domain = t.next_domain;
+      domains = domains t;
+      current = Array.to_list t.current;
+      stacks = Array.to_list t.stacks;
+      tree = t.tree };
+  cfg.p_since_snapshot <- 0
 
 (* Log one committed operation. Called after the in-memory commit: if
    the append crashes, memory is ahead of the log by exactly the ops the
@@ -586,7 +348,7 @@ let with_txn ?op t f =
 
 (* The monitor shell: signer, TPM binding, empty tables. Shared by
    [boot] (which then endows domain 0) and [recover] (which instead
-   restores domains and the tree from a snapshot). *)
+   restores domains and the tree from a checkpoint). *)
 let make_monitor ~signer_height ?keypool machine ~backend ~tpm ~rng =
   let signer = Crypto.Signature.create ~height:signer_height ?pool:keypool rng in
   (* Bind the monitor's attestation key into the TPM so the tier-one
@@ -1404,7 +1166,7 @@ let observe t =
 
 (* Durability: enable, checkpoint, recover (crash-restart). *)
 
-let make_persist_cfg t ~store ~snapshot_every ~fsync_every ~latency_bound =
+let make_persist_cfg t ~store ~ckpt ~snapshot_every ~fsync_every ~latency_bound =
   if snapshot_every <= 0 then invalid_arg "Monitor.enable_persistence: snapshot_every";
   if fsync_every <= 0 then invalid_arg "Monitor.enable_persistence: fsync_every";
   if latency_bound <= 0 then invalid_arg "Monitor.enable_persistence: latency_bound";
@@ -1413,33 +1175,26 @@ let make_persist_cfg t ~store ~snapshot_every ~fsync_every ~latency_bound =
       ~now:(fun () -> Hw.Machine.cycles t.machine)
       store ~blob:Persist.Store.wal_blob ~durable_seq:0
   in
-  { p_store = store;
-    p_snapshot_every = snapshot_every;
+  { p_snapshot_every = snapshot_every;
     p_group = group;
+    p_ckpt = ckpt;
     p_seq = 0;
     p_since_snapshot = 0;
-    p_replaying = false;
-    p_ckpt_gen = 0;
-    p_seg_cache = Hashtbl.create 32;
-    p_seg_durable = Hashtbl.create 32;
-    p_tails_ok = false }
+    p_replaying = false }
 
 let enable_persistence t ~store ?(snapshot_every = 1000) ?(fsync_every = 1)
     ?(latency_bound = max_int) () =
-  let cfg = make_persist_cfg t ~store ~snapshot_every ~fsync_every ~latency_bound in
+  let cfg =
+    make_persist_cfg t ~store ~ckpt:(Checkpoint.writer store) ~snapshot_every ~fsync_every
+      ~latency_bound
+  in
   t.persist <- Some cfg;
   (* Baseline checkpoint at seq 0: from here on the store can always
-     answer "newest snapshot + WAL suffix", even before the first
-     cadence-driven checkpoint. Incremental, so it also seeds the
-     segment cache. *)
+     answer "newest checkpoint + WAL suffix", even before the first
+     cadence-driven one. *)
   write_checkpoint t cfg
 
 let persist_seq t = match t.persist with Some cfg -> Some cfg.p_seq | None -> None
-
-let persist_snapshot t =
-  match t.persist with
-  | None -> invalid_arg "Monitor.persist_snapshot: persistence is not enabled"
-  | Some cfg -> write_snapshot t cfg
 
 let checkpoint t =
   match t.persist with
@@ -1469,7 +1224,7 @@ type recovery_report = {
 
 let pp_recovery_report fmt r =
   Format.fprintf fmt
-    "@[<v>snapshot: seq %d (%d scanned%s)@,\
+    "@[<v>checkpoint: seq %d (%d scanned%s)@,\
      wal: %d records, %d replayed%s%s@,\
      recovered through seq %d@]"
     r.rr_snapshot_seq r.rr_snapshots_scanned
@@ -1510,7 +1265,7 @@ let adopt_seal t ~caller ~domain ~measurement =
 (* Re-execute one logged record (logging is muted by [p_replaying]).
    Every record was appended only after the original call committed, so
    replay against the same starting state must succeed; a failure means
-   the log and snapshot disagree and replay stops at the last consistent
+   the log and checkpoint disagree and replay stops at the last consistent
    prefix. [Seal] installs its digest, an eviction re-runs the timer,
    and every other call goes through [exec] as its caller — for
    [Call]/[Return], whoever is current on the logged core. *)
@@ -1530,84 +1285,21 @@ let replay_record t payload =
     mon call (exec t ~caller:(current_domain t ~core:by) ~core:by call)
   | Ok (Op.Issued { by; call; _ }) -> mon call (exec t ~caller:by ~core:0 call)
 
-(* Child lists travel implicitly: the wire format carries only parent
-   pointers (Snapshot.node_spec.n_children is [] off the wire), because
-   ids ascend with creation time and every live list is most-recent
-   first — so one ascending scan that prepends each node onto its
-   parent rebuilds exactly the order the tree maintained. The chaos
-   harness pins this equivalence: recovered dumps must equal the shadow
-   model's byte-for-byte, children included. *)
-let reconstruct_children nodes =
-  let children = Hashtbl.create 256 in
-  let sorted =
-    List.sort
-      (fun (a : Persist.Snapshot.node_spec) (b : Persist.Snapshot.node_spec) ->
-        Int.compare a.n_id b.n_id)
-      nodes
-  in
-  List.iter
-    (fun (n : Persist.Snapshot.node_spec) ->
-      if n.n_parent >= 0 then
-        Hashtbl.replace children n.n_parent
-          (n.n_id
-          :: (match Hashtbl.find_opt children n.n_parent with
-             | Some l -> l
-             | None -> [])))
-    sorted;
-  List.map
-    (fun (n : Persist.Snapshot.node_spec) ->
-      { n with
-        n_children =
-          (match Hashtbl.find_opt children n.n_id with Some l -> l | None -> []) })
-    nodes
-
-(* Install a decoded snapshot into a fresh monitor shell. *)
-let restore_state t (s : Persist.Snapshot.t) =
-  let rec conv_domains = function
-    | [] -> Ok ()
-    | (d : Persist.Snapshot.domain_spec) :: rest -> (
-      match Domain.kind_of_code d.d_kind with
-      | None -> Error (Printf.sprintf "snapshot: unknown kind %d for domain %d" d.d_kind d.d_id)
-      | Some kind ->
-        let* measurement =
-          if d.d_measurement = "" then Ok None
-          else if String.length d.d_measurement = Crypto.Sha256.digest_size then
-            Ok (Some (Crypto.Sha256.of_raw d.d_measurement))
-          else Error (Printf.sprintf "snapshot: malformed measurement for domain %d" d.d_id)
-        in
-        Hashtbl.replace t.domains d.d_id
-          (Domain.restore ~id:d.d_id ~name:d.d_name ~kind
-             ~created_by:(if d.d_created_by < 0 then None else Some d.d_created_by)
-             ~sealed:d.d_sealed
-             ~entry_point:(if d.d_entry < 0 then None else Some d.d_entry)
-             ~measured:(List.map pair_range d.d_measured)
-             ~flush_on_transition:d.d_flush ~measurement);
-        conv_domains rest)
-  in
-  let rec conv_nodes acc = function
-    | [] -> Ok (List.rev acc)
-    | n :: rest -> (
-      match node_of_wire n with
-      | Ok ns -> conv_nodes (ns :: acc) rest
-      | Error _ as e -> e)
-  in
+(* Install a loaded checkpoint into a fresh monitor shell. *)
+let restore_state t (s : Checkpoint.state) =
   let ncores = Array.length t.current in
-  if List.length s.Persist.Snapshot.current <> ncores
-     || List.length s.Persist.Snapshot.stacks <> ncores then
+  if List.length s.current <> ncores || List.length s.stacks <> ncores then
     Error
-      (Printf.sprintf "snapshot: recorded %d cores, this machine has %d"
-         (List.length s.Persist.Snapshot.current) ncores)
+      (Printf.sprintf "checkpoint: recorded %d cores, this machine has %d"
+         (List.length s.current) ncores)
   else begin
     Hashtbl.reset t.domains;
-    let* () = conv_domains s.Persist.Snapshot.domains in
-    t.next_domain <- s.Persist.Snapshot.next_domain;
-    let* specs = conv_nodes [] (reconstruct_children s.Persist.Snapshot.nodes) in
-    t.tree <-
-      Cap.Captree.restore ~next_id:s.Persist.Snapshot.next_cap
-        ~generation:s.Persist.Snapshot.generation specs;
-    List.iteri (fun i d -> t.current.(i) <- d) s.Persist.Snapshot.current;
-    List.iteri (fun i st -> t.stacks.(i) <- st) s.Persist.Snapshot.stacks;
-    Ok specs
+    List.iter (fun d -> Hashtbl.replace t.domains (Domain.id d) d) s.domains;
+    t.next_domain <- s.next_domain;
+    t.tree <- s.tree;
+    List.iteri (fun i d -> t.current.(i) <- d) s.current;
+    List.iteri (fun i st -> t.stacks.(i) <- st) s.stacks;
+    Ok ()
   end
 
 (* Hardware is deliberately not serialized: the tree is the source of
@@ -1622,9 +1314,13 @@ let restore_state t (s : Persist.Snapshot.t) =
    representation of exactly the same coverage. [Fsck.check] then
    cross-checks the result against the tree, exactly as the runtime
    invariant does. *)
-let rebuild_hardware t specs =
+let rebuild_hardware t =
   List.iter (fun d -> t.backend.Backend_intf.domain_created d) (domains t);
-  let active = List.filter (fun (ns : Cap.Captree.node_spec) -> ns.ns_state = Cap.Captree.Active) specs in
+  let active =
+    List.filter
+      (fun (ns : Cap.Captree.node_spec) -> ns.ns_state = Cap.Captree.Active)
+      (Cap.Captree.dump t.tree)
+  in
   (* Memory attaches, grouped by (owner, perm) and merged; group
      order follows the first node of each group, keeping the rebuild
      deterministic. *)
@@ -1693,44 +1389,31 @@ let rebuild_hardware t specs =
 
 let recover ?(signer_height = 6) ?keypool ?(snapshot_every = 1000) ?(fsync_every = 1)
     ?(latency_bound = max_int) machine ~store ~backend ~tpm ~rng ~monitor_range =
-  let loaded = Persist.Snapshot.load_latest_ex store in
-  let snap = loaded.Persist.Snapshot.snapshot in
-  let scanned = loaded.Persist.Snapshot.scanned in
-  let snap_torn = loaded.Persist.Snapshot.torn in
+  let loaded = Checkpoint.load store in
   let wal = Persist.Wal.read store ~blob:Persist.Store.wal_blob in
   let t = make_monitor ~signer_height ?keypool machine ~backend ~tpm ~rng in
   Obs.set_clock (fun () -> Hw.Machine.cycles machine);
-  let cfg = make_persist_cfg t ~store ~snapshot_every ~fsync_every ~latency_bound in
-  (* Seed the incremental-checkpoint caches from the durable segment
-     blob and the winning manifest, so the closing checkpoint below
-     re-serializes only what replay dirtied. A restored tree reports
-     every bucket clean ([bucket_generation] = 0), which is exactly
-     right: the manifest covers it. *)
-  Hashtbl.iter
-    (fun h _nodes -> Hashtbl.replace cfg.p_seg_durable h ())
-    (Persist.Snapshot.segment_index store);
-  List.iter
-    (fun (b, h) -> Hashtbl.replace cfg.p_seg_cache b h)
-    loaded.Persist.Snapshot.manifest_segments;
-  (match snap with
-  | Some s -> cfg.p_ckpt_gen <- s.Persist.Snapshot.generation
-  | None -> ());
+  (* The loaded writer re-serializes only what replay dirties. *)
+  let cfg =
+    make_persist_cfg t ~store ~ckpt:loaded.Checkpoint.writer ~snapshot_every ~fsync_every
+      ~latency_bound
+  in
   (* Reconstruction re-executes operations that already committed once;
      re-injecting API-level faults would fail them a second time and
      diverge from the durable history, so injection is masked — exactly
      like the backends' rollback paths. The closing checkpoint below
      runs unmasked: it is new durable work and may legitimately crash
-     (leaving the old snapshot and un-reset WAL, still recoverable). *)
+     (leaving the old checkpoint and uncompacted WAL, still recoverable). *)
   let setup =
     Fault.suspend (fun () ->
         let* base_seq =
-          match snap with
+          match loaded.Checkpoint.state with
           | Some s ->
-            let* specs = restore_state t s in
-            let* () = rebuild_hardware t specs in
-            Ok s.Persist.Snapshot.seq
+            let* () = restore_state t s in
+            let* () = rebuild_hardware t in
+            Ok s.Checkpoint.seq
           | None ->
-            (* No decodable snapshot: fall back to the boot baseline —
+            (* No decodable checkpoint: fall back to the boot baseline —
                the state [enable_persistence] captured at seq 0 — and
                replay the whole log. *)
             endow_initial t ~monitor_range;
@@ -1756,15 +1439,14 @@ let recover ?(signer_height = 6) ?keypool ?(snapshot_every = 1000) ?(fsync_every
       Log.warn (fun m ->
           m "recovery discarded a torn WAL tail after %d valid bytes"
             wal.Persist.Wal.valid_bytes);
-    (* Checkpoint the recovered state so the store is snapshot-current
-       and the (possibly torn) WAL suffix is retired. Incremental: with
-       the caches seeded above, only buckets the replay dirtied are
-       re-serialized. *)
+    (* Checkpoint the recovered state so the store is checkpoint-current
+       and the (possibly torn) WAL suffix is retired. *)
     write_checkpoint t cfg;
     let report =
-      { rr_snapshot_seq = (match snap with Some s -> s.Persist.Snapshot.seq | None -> -1);
-        rr_snapshots_scanned = scanned;
-        rr_snapshot_torn = snap_torn;
+      { rr_snapshot_seq =
+          (match loaded.Checkpoint.state with Some s -> s.Checkpoint.seq | None -> -1);
+        rr_snapshots_scanned = loaded.Checkpoint.scanned;
+        rr_snapshot_torn = loaded.Checkpoint.torn;
         rr_wal_records = List.length wal.Persist.Wal.records;
         rr_replayed = applied;
         rr_wal_truncated = wal.Persist.Wal.truncated || stopped <> None;

@@ -318,15 +318,14 @@ val exec : t -> caller:Domain.id -> core:int -> Op.call -> (Op.result_value, err
     A logical redo layer: every committed mutating API call appends a
     CRC-framed record to a {!Persist.Store} WAL through a group-commit
     queue ({!Persist.Group}), and periodic checkpoints bound the replay
-    distance. Checkpoints are *incremental*: only captree buckets
-    dirtied since the previous checkpoint are re-serialized, as
-    content-addressed segments a version-2 manifest references; the WAL
-    prefix the manifest covers is compacted away and unreferenced
-    segments are GC'd. {!recover} rebuilds a monitor from the newest
-    valid snapshot or manifest plus the trusted WAL suffix — a torn
-    tail (power loss mid-write) is detected by the framing and
-    discarded, never trusted. Run {!Fsck.check} on the result before
-    serving. *)
+    distance. Checkpoints are incremental ({!Checkpoint}): only captree
+    buckets dirtied since the previous checkpoint are re-serialized, as
+    content-addressed segments a manifest names; the WAL prefix the
+    manifest covers is compacted away and unreferenced segments are
+    collected. {!recover} rebuilds a monitor from the newest valid
+    checkpoint plus the trusted WAL suffix — a torn tail (power loss
+    mid-write) is detected by the framing and discarded, never
+    trusted. Run {!Fsck.check} on the result before serving. *)
 
 val enable_persistence :
   t ->
@@ -364,24 +363,19 @@ val flush : t -> unit
     [durable_seq = persist_seq]. No-op when persistence is off. May
     raise {!Persist.Store.Crash} under fault injection. *)
 
-val persist_snapshot : t -> unit
-(** Force a *full* (version-1, self-contained) checkpoint now
-    (snapshot, then WAL reset — crash-safe in that order). Raises
-    [Invalid_argument] if persistence is off. *)
-
 val checkpoint : t -> unit
-(** Force an *incremental* checkpoint now: serialize dirty captree
-    buckets as content-addressed segments, commit a manifest, compact
-    the covered WAL prefix, GC unreferenced segments. Raises
+(** Checkpoint now: serialize dirty captree buckets as
+    content-addressed segments, commit a manifest, compact the covered
+    WAL prefix, collect unreferenced segments. Raises
     [Invalid_argument] if persistence is off. May raise
     {!Persist.Store.Crash} at the [segment.write], [manifest.swap],
     [snapshot.write] or [store.dir_fsync] fault points — every crash
     window leaves a recoverable store. *)
 
 type recovery_report = {
-  rr_snapshot_seq : int; (** Seq of the snapshot used; -1 = none found. *)
-  rr_snapshots_scanned : int;
-  rr_snapshot_torn : bool; (** Snapshot stream had an undecodable tail. *)
+  rr_snapshot_seq : int; (** Seq of the checkpoint used; -1 = none found. *)
+  rr_snapshots_scanned : int; (** Manifest records in the checkpoint stream. *)
+  rr_snapshot_torn : bool; (** The checkpoint stream had an undecodable record or tail. *)
   rr_wal_records : int; (** Records in the trusted WAL prefix. *)
   rr_replayed : int; (** Records actually re-executed. *)
   rr_wal_truncated : bool; (** A torn/corrupt WAL tail was discarded. *)
@@ -405,7 +399,7 @@ val recover :
   monitor_range:Hw.Addr.Range.t ->
   (t * recovery_report, string) result
 (** Crash-restart: rebuild a monitor on a fresh machine/backend from the
-    store's durable bytes. Loads the newest decodable snapshot (or the
+    store's durable bytes. Loads the newest decodable checkpoint (or the
     boot baseline if none), re-derives hardware state from the restored
     tree, replays the WAL suffix (stopping, never failing, at the first
     record that cannot be trusted), re-arms persistence and writes a
@@ -413,8 +407,8 @@ val recover :
     one-time signing keys are deliberately not durable — so verifiers
     re-fetch the root via {!boot_quote}; attestation *bodies* are
     byte-identical to the pre-crash tree's. [Error] means the store and
-    machine disagree structurally (wrong core count, undecodable tree),
-    not a torn log. *)
+    machine disagree structurally (wrong core count, a re-attach the
+    backend refuses), not a torn log or an undecodable checkpoint. *)
 
 (** {2 Multi-monitor coordination}
 

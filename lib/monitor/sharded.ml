@@ -631,7 +631,7 @@ type recovery_report = {
 
 (* Crash-restart for a sharded deployment: boot a fresh federation and
    redo the whole front-end WAL through the sharded dispatch (the
-   front end keeps no snapshots — its log is the full history; shard
+   front end keeps no checkpoints — its log is the full history; shard
    checkpointing is future work). Fault injection is masked during
    replay, as in [Monitor.recover]. *)
 let recover ~shards ?signer_height ?keypool ~rng ~mk ~store () =

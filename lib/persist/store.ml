@@ -22,7 +22,7 @@ let seg_blob = "segs"
 
 let read t blob = t.read blob
 
-(* Durability choke points: every WAL append/fsync and snapshot write in
+(* Durability choke points: every WAL append/fsync and checkpoint write in
    the system funnels through these wrappers, so one span here profiles
    the whole persistence path. The span is exception-safe — a [Crash]
    raised by an injected torn write still closes it. Handles are hoisted
@@ -84,19 +84,14 @@ let torn_len ~bytes ~trip = Hashtbl.hash (bytes, trip) mod (String.length bytes 
 
 (* --- in-memory block device ---------------------------------------- *)
 
-let mem ?(wal = "") ?(snap = "") () =
-  let buffers preload =
-    let tbl = Hashtbl.create 4 in
-    List.iter
-      (fun (blob, contents) ->
-        let b = Buffer.create (String.length contents + 256) in
-        Buffer.add_string b contents;
-        Hashtbl.replace tbl blob b)
-      preload;
-    tbl
-  in
-  let durable = buffers [ (wal_blob, wal); (snap_blob, snap) ] in
-  let pending = buffers [ (wal_blob, ""); (snap_blob, "") ] in
+let mem ?(preload = []) () =
+  let durable = Hashtbl.create 4 and pending = Hashtbl.create 4 in
+  List.iter
+    (fun (blob, contents) ->
+      let b = Buffer.create (String.length contents + 256) in
+      Buffer.add_string b contents;
+      Hashtbl.replace durable blob b)
+    preload;
   let buf tbl blob =
     match Hashtbl.find_opt tbl blob with
     | Some b -> b

@@ -1,13 +1,14 @@
 (** Durable byte stores for the monitor's redo layer.
 
     A store holds named append-only blobs — {!wal_blob} for the
-    write-ahead log, {!snap_blob} for the snapshot/manifest stream,
-    {!seg_blob} for content-addressed snapshot segments. Appends land
+    write-ahead log, {!snap_blob} for checkpoint manifests, {!seg_blob}
+    for the content-addressed captree segments they name. Appends land
     in a volatile pending buffer; {!fsync} moves pending bytes to the
     durable medium; {!read} returns durable bytes only (what a restart
     would actually find). {!reset} durably truncates a blob (the WAL
-    after a successful snapshot); {!replace} atomically substitutes a
-    blob's entire durable contents (segment GC).
+    once a checkpoint covers all of it); {!replace} atomically
+    substitutes a blob's entire durable contents (WAL compaction,
+    segment collection).
 
     Two implementations:
     - {!mem}: an in-memory block device with *injectable torn writes*.
@@ -48,12 +49,13 @@ val wal_blob : string
 (** ["wal"] — the write-ahead log of committed operations. *)
 
 val snap_blob : string
-(** ["snap"] — the append-only snapshot/manifest stream (newest valid
-    wins). *)
+(** ["snap"] — the append-only checkpoint manifest stream (newest valid
+    wins). Appends to it, and to any blob other than {!wal_blob} and
+    {!seg_blob}, pass the [snapshot.write] fault point. *)
 
 val seg_blob : string
-(** ["segs"] — content-addressed captree segment stream referenced by
-    incremental-snapshot manifests. *)
+(** ["segs"] — the content-addressed captree segment stream checkpoint
+    manifests name. *)
 
 val read : t -> string -> string
 val append : t -> string -> string -> unit
@@ -87,10 +89,10 @@ val torn_len : bytes:string -> trip:int -> int
     exposed so other persistence layers (manifest swap) can tear their
     writes with the same replayable rule. *)
 
-val mem : ?wal:string -> ?snap:string -> unit -> t
-(** Fresh in-memory store; [?wal]/[?snap] preload durable contents
-    (tests use this to hand recovery an arbitrarily truncated or
-    corrupted log). *)
+val mem : ?preload:(string * string) list -> unit -> t
+(** Fresh in-memory store; [preload] gives blobs durable contents, as
+    [(blob, contents)] pairs (tests use this to hand recovery a copy of
+    a store, or an arbitrarily truncated or corrupted log). *)
 
 val file : dir:string -> t
 (** File-backed store rooted at [dir] (created if missing). Reopening

@@ -1,8 +1,8 @@
 (** Length-prefixed, CRC32-framed record log over a {!Store} blob.
 
     Frame layout: [u32 body-length | u32 crc32(body) | body], where
-    [body = i64 sequence-number ^ payload]. Both the write-ahead log
-    and the snapshot stream use this framing.
+    [body = i64 sequence-number ^ payload]. The write-ahead log and
+    both checkpoint streams (manifests and segments) use this framing.
 
     Reading truncates at the first record that cannot be trusted — a
     header that does not fit, a length pointing past the durable bytes,

@@ -478,6 +478,24 @@ let prop_invariants_hold =
   QCheck.Test.make ~name:"captree: invariants hold under random ops" ~count:200 arb_ops
     (fun ops -> Captree.check_invariants (run_ops ops) = Ok ())
 
+(* Child sets are not checkpointed: restore derives them from the
+   parent links and must land on the live sets exactly. *)
+let prop_restore_children =
+  QCheck.Test.make ~name:"captree: restore rebuilds every child set from parent links"
+    ~count:100 arb_ops
+    (fun ops ->
+      let t = run_ops ops in
+      let dump = Captree.dump t in
+      let r =
+        Captree.restore ~next_id:(Captree.next_id t) ~generation:(Captree.generation t) dump
+      in
+      Captree.dump r = dump
+      && List.for_all
+           (fun (n : Captree.node_spec) -> Captree.children r n.ns_id = Captree.children t n.ns_id)
+           dump
+      && Captree.check_invariants r = Ok ()
+      && Captree.check_index_consistency r = Ok ())
+
 let prop_refcount_consistent =
   QCheck.Test.make ~name:"captree: refcount equals region-map holders" ~count:100 arb_ops
     (fun ops ->
@@ -664,6 +682,7 @@ let () =
       ( "properties",
         [ qt prop_indexes_agree;
           qt prop_invariants_hold;
+          qt prop_restore_children;
           qt prop_refcount_consistent;
           qt prop_region_map_disjoint;
           qt prop_revoke_all_restores_root;

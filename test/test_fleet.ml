@@ -495,13 +495,15 @@ let test_journal_compaction_and_recovery () =
   check_clean a;
   check_clean b
 
-(* The compaction thresholds are configuration, not baked-in constants:
-   an endpoint created with an aggressive config auto-compacts on plain
-   ticks, while a default-config endpoint running the same workload has
-   not compacted yet. *)
-let test_compaction_config () =
-  let cycles a b =
-    for i = 1 to 10 do
+(* The compaction thresholds are built in: the ticks inside [pump]
+   compact the exporter's journal once it holds 128 records and they
+   outnumber live state 4:1, with no explicit [compact]. A cycle writes
+   about six records, so the journal grows through 20 cycles and has
+   been rewritten by 30. *)
+let test_tick_compacts () =
+  let _net, a, b = mk_pair () in
+  let cycles lo hi =
+    for i = lo to hi do
       let _del, _ = delegate_page a ~peer:"beta" ~page:i in
       pump a b;
       let d = List.hd (Distributed.Fleet.delegations a.fleet) in
@@ -509,28 +511,13 @@ let test_compaction_config () =
       pump a b
     done
   in
-  let net = Distributed.Network.create () in
-  let w = Testkit.boot_x86 ~seed:0x71L () in
-  let store = Persist.Store.mem () in
-  Tyche.Monitor.enable_persistence w.Testkit.monitor ~store ();
-  let aggressive = { Distributed.Fleet.compact_min = 8; compact_ratio = 1 } in
-  let fleet =
-    Distributed.Fleet.create ~store ~config:aggressive ~monitor:w.Testkit.monitor
-      ~name:"alpha" ~net ()
-  in
-  let a = { w; fleet; store } in
-  let b = mk_node net "beta" 0x72L in
-  ignore (fok (Distributed.Fleet.connect a.fleet ~peer:"beta" ~key));
-  ignore (fok (Distributed.Fleet.connect b.fleet ~peer:"alpha" ~key));
-  cycles a b;
-  let _net2, a2, b2 = mk_pair () in
-  cycles a2 b2;
-  Alcotest.(check bool) "aggressive config compacted on tick" true (fleet_records a < 20);
-  Alcotest.(check bool) "default config has more journal left" true
-    (fleet_records a2 > fleet_records a);
-  Alcotest.(check bool) "defaults are lazier than the aggressive config" true
-    (Distributed.Fleet.default_config.Distributed.Fleet.compact_min
-     > aggressive.Distributed.Fleet.compact_min);
+  cycles 1 20;
+  let after_20 = fleet_records a in
+  cycles 21 30;
+  let after_30 = fleet_records a in
+  if after_30 >= after_20 then
+    Alcotest.failf "tick never compacted: %d records after 20 cycles, %d after 30" after_20
+      after_30;
   check_clean a;
   check_clean b
 
@@ -655,8 +642,8 @@ let () =
             test_importer_crash_redelivery;
           Alcotest.test_case "journal compaction bounds growth, survives recovery" `Quick
             test_journal_compaction_and_recovery;
-          Alcotest.test_case "compaction thresholds are configurable" `Quick
-            test_compaction_config ] );
+          Alcotest.test_case "tick compacts at the built-in thresholds" `Quick
+            test_tick_compacts ] );
       ( "attestation",
         [ Alcotest.test_case "fleet root binds member attestations" `Quick
             test_fleet_attestation ] );

@@ -1,8 +1,9 @@
 (* Property: the post-recovery fsck detects every injected
    inconsistency. A generator picks a mutation class — refcount
    over/under-reporting (phantom or removed segment holders), a dropped
-   per-domain index entry, or a hardware-table desync (EPT on x86, PMP
-   on riscv) — and applies it to a freshly recovered, fsck-clean
+   per-domain index entry, a child set naming a node whose parent link
+   disagrees, or a hardware-table desync (EPT on x86, PMP on riscv) —
+   and applies it to a freshly recovered, fsck-clean
    monitor. The audit must come back non-clean every time, for every
    class, on both backends. *)
 
@@ -53,14 +54,15 @@ let recovered arch =
   in
   m2
 
-type mutation = Phantom_holder | Removed_holder | Dropped_index | Hw_desync
+type mutation = Phantom_holder | Removed_holder | Dropped_index | Stray_child | Hw_desync
 
-let all_mutations = [ Phantom_holder; Removed_holder; Dropped_index; Hw_desync ]
+let all_mutations = [ Phantom_holder; Removed_holder; Dropped_index; Stray_child; Hw_desync ]
 
 let mutation_name = function
   | Phantom_holder -> "phantom-holder"
   | Removed_holder -> "removed-holder"
   | Dropped_index -> "dropped-index-entry"
+  | Stray_child -> "stray-child"
   | Hw_desync -> "hardware-desync"
 
 (* Apply one mutation, using [pick] to vary which region/holder is hit.
@@ -83,6 +85,22 @@ let apply mut m2 ~pick =
         ~domain:(List.nth hs (pick mod List.length hs)))
   | Dropped_index ->
     Cap.Captree.Corrupt.drop_domain_index_entry tree ~domain:Tyche.Domain.initial
+  | Stray_child -> (
+    (* A root listing another root or a node further down, or an id
+       never issued. *)
+    let nodes = Cap.Captree.dump tree in
+    let root = List.find (fun (n : Cap.Captree.node_spec) -> n.ns_parent = None) nodes in
+    match
+      List.filter
+        (fun (n : Cap.Captree.node_spec) -> n.ns_id <> root.ns_id && n.ns_parent <> Some root.ns_id)
+        nodes
+    with
+    | [] -> false
+    | others ->
+      let child =
+        if pick mod 2 = 0 then (nth others).Cap.Captree.ns_id else Cap.Captree.next_id tree
+      in
+      Cap.Captree.Corrupt.add_stray_child tree ~parent:root.ns_id ~child)
   | Hw_desync -> (
     (* Rip a mapping out of the hardware tables behind the tree's back:
        detach a non-OS holder's region directly through the backend. *)

@@ -37,7 +37,7 @@ let mk_node net name seed =
   let store = Persist.Store.mem () in
   Tyche.Monitor.enable_persistence w.Testkit.monitor ~store ();
   let fleet = Distributed.Fleet.create ~store ~monitor:w.Testkit.monitor ~name ~net () in
-  let mig = Distributed.Migrate.attach ~fleet ~store () in
+  let mig = Distributed.Migrate.attach ~fleet ~store in
   { name; w; fleet; mig; store }
 
 (* Sessions and peer attestation roots are both volatile: (re)establish
@@ -110,7 +110,7 @@ let crash_recover net node =
     node.w <- { node.w with Testkit.monitor = m; machine; backend };
     node.fleet <-
       Distributed.Fleet.create ~store:node.store ~monitor:m ~name:node.name ~net ();
-    node.mig <- Distributed.Migrate.attach ~fleet:node.fleet ~store:node.store ()
+    node.mig <- Distributed.Migrate.attach ~fleet:node.fleet ~store:node.store
 
 (* A sealed enclave with [pages] private pages at [base]; the first
    half carry content, the rest stay zero (so content-addressing has

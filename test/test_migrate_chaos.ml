@@ -56,7 +56,7 @@ let mk_node net name seed =
   let store = Persist.Store.mem () in
   Tyche.Monitor.enable_persistence w.Testkit.monitor ~store ();
   let fleet = Distributed.Fleet.create ~store ~monitor:w.Testkit.monitor ~name ~net () in
-  let mig = Distributed.Migrate.attach ~fleet ~store () in
+  let mig = Distributed.Migrate.attach ~fleet ~store in
   { name; store; monitor = w.Testkit.monitor; fleet; mig }
 
 (* Sessions, data handlers and peer attestation roots are all volatile:
@@ -96,7 +96,7 @@ let recover net node =
     node.monitor <- m;
     node.fleet <-
       Distributed.Fleet.create ~store:node.store ~monitor:m ~name:node.name ~net ();
-    node.mig <- Distributed.Migrate.attach ~fleet:node.fleet ~store:node.store ()
+    node.mig <- Distributed.Migrate.attach ~fleet:node.fleet ~store:node.store
 
 (* The os capability containing [sub] on this node. *)
 let cap_over m sub =

@@ -129,6 +129,10 @@ let test_frame_roundtrip () =
   Alcotest.(check int) "valid bytes" (String.length blob) r.Persist.Wal.valid_bytes;
   Alcotest.(check (list (pair int string))) "records" records r.Persist.Wal.records
 
+let hex s =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
 (* The WAL's on-disk format, pinned byte for byte: one record of every
    logged shape, with the hex the log has always written for it. Stores
    written before the codec moved into [Tyche.Op] must still recover,
@@ -142,10 +146,6 @@ let test_op_roundtrip () =
   in
   let range base len = Hw.Addr.Range.make ~base ~len in
   let issued = Tyche.Op.issued in
-  let hex s =
-    String.concat ""
-      (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
-  in
   let golden : (Tyche.Op.record * string) list =
     [ ( issued 0 (Create_domain { name = "enclave-1"; kind = Tyche.Domain.Enclave }),
         "01000000000000000009000000656e636c6176652d3102" );
@@ -182,6 +182,87 @@ let test_op_roundtrip () =
       Alcotest.(check string) "golden bytes" bytes (hex wire);
       Alcotest.(check bool) (bytes ^ " decodes back") true (Tyche.Op.decode wire = Ok record))
     golden
+
+let golden_segment =
+  String.concat ""
+    [ "92e2e97183775fad378ecdb65a932903db167f54caf3f751be745cbd36d83c570b000000";
+      "010000000000000000000000000000000000f0ff00000000001f000000000000000000ff";
+      "ffffffffffffff000202000000000000000100000000000000001f000000000000000000";
+      "ffffffffffffffff000003000000000000000200010000000000001f0000000000000000";
+      "00ffffffffffffffff000004000000000000000000000000000000000010000000000000";
+      "1f0000000000000000000100000000000000030005000000000000000000100000000000";
+      "0000e0ff00000000001f0000000000000000000100000000000000030206000000000000";
+      "0000000000000000000000100000000000000b0100000000000000010400000000000000";
+      "010007000000000000000100000000000000001f01000000000000000002000000000000";
+      "000100080000000000000000001000000000000000200000000000001f00000000000000";
+      "000005000000000000000301090000000000000000003000000000000000c0ff00000000";
+      "001f000000000000000000050000000000000003000a0000000000000000001000000000";
+      "0000002000000000000007020000000000000002080000000000000002000b0000000000";
+      "00000200010000000000000102000000000000000303000000000000000100" ]
+
+let golden_manifest =
+  String.concat ""
+    [ "020f0000000000000003000000000000000c000000000000000e00000000000000030000";
+      "000000000000000000020000006f7300ffffffffffffffff00ffffffffffffffff000000";
+      "000000000000010000000000000003000000736278010000000000000000010000000000";
+      "00000001000000000000000000000000100000000000000120000000c1fc22d2205675e9";
+      "179a867d9c412fe2b0e32361663b53fd1a839f53752381b9020000000000000003000000";
+      "656e6302000000000000000000ffffffffffffffff000000000000000000010000000100";
+      "000000000000010000000100000000000000000000004000000000000000010000000000";
+      "0000000000002000000092e2e97183775fad378ecdb65a932903db167f54caf3f751be74";
+      "5cbd36d83c57" ]
+
+(* The checkpoint's on-disk format, pinned byte for byte: a small tree
+   covering every resource kind, origin, activation state and clean-up
+   policy, plus sealed, measured and running domains, checkpointed into
+   a fresh store. Stores written by earlier builds must still recover,
+   and a changed byte would also move every store-bytes figure. *)
+let test_checkpoint_golden () =
+  let nic = Hw.Device.create ~kind:Hw.Device.Nic ~bus:1 ~dev:0 ~fn:0 () in
+  let w = boot_x86 ~cores:1 ~devices:[ nic ] () in
+  let m = w.monitor in
+  let store = Persist.Store.mem () in
+  Tyche.Monitor.enable_persistence m ~store ();
+  let sbx = workload w in
+  let enc =
+    get_ok (Tyche.Monitor.create_domain m ~caller:os ~name:"enc" ~kind:Tyche.Domain.Enclave)
+  in
+  let mem = os_memory_cap w in
+  let base =
+    match Cap.Captree.resource (Tyche.Monitor.tree m) mem with
+    | Some (Cap.Resource.Memory r) -> Hw.Addr.Range.base r
+    | _ -> Alcotest.fail "os memory cap is not memory"
+  in
+  let piece =
+    get_ok
+      (Tyche.Monitor.carve m ~caller:os ~cap:mem
+         ~subrange:(Hw.Addr.Range.make ~base ~len:8192))
+  in
+  ignore
+    (get_ok
+       (Tyche.Monitor.grant m ~caller:os ~cap:piece ~to_:enc ~rights:Cap.Rights.exclusive_use
+          ~cleanup:Cap.Revocation.Flush_cache));
+  let dev =
+    List.find
+      (fun c ->
+        match Cap.Captree.resource (Tyche.Monitor.tree m) c with
+        | Some (Cap.Resource.Device _) -> true
+        | _ -> false)
+      (Tyche.Monitor.caps_of m os)
+  in
+  ignore
+    (get_ok
+       (Tyche.Monitor.share m ~caller:os ~cap:dev ~to_:enc ~rights:Cap.Rights.read_only
+          ~cleanup:Cap.Revocation.Zero_and_flush ()));
+  ignore (get_ok (Tyche.Monitor.call m ~core:0 ~target:sbx));
+  Tyche.Monitor.checkpoint m;
+  let newest blob =
+    match List.rev (Persist.Wal.read store ~blob).Persist.Wal.records with
+    | (_, payload) :: _ -> hex payload
+    | [] -> Alcotest.failf "no record in %s" blob
+  in
+  Alcotest.(check string) "segment payload" golden_segment (newest Persist.Store.seg_blob);
+  Alcotest.(check string) "manifest body" golden_manifest (newest Persist.Store.snap_blob)
 
 (* A pool of valid framed records to cut and corrupt. *)
 let sample_blob n =
@@ -286,12 +367,12 @@ let test_crash_on_snapshot arch () =
   let baseline = attest_all w.monitor in
   (match
      Fault.with_plan (Fault.always "snapshot.write") (fun () ->
-         Tyche.Monitor.persist_snapshot w.monitor)
+         Tyche.Monitor.checkpoint w.monitor)
    with
-  | () -> Alcotest.fail "expected a crash during the snapshot"
+  | () -> Alcotest.fail "expected a crash during the manifest append"
   | exception Persist.Store.Crash _ -> ());
-  (* The torn snapshot is detected and skipped; the WAL was not yet
-     reset, so recovery lands on the exact pre-crash state — and a fresh
+  (* The torn manifest is detected and skipped; the WAL was not yet
+     compacted, so recovery lands on the exact pre-crash state — and a fresh
      attestation over it is byte-identical in body to one taken before
      the crash (the acceptance criterion, checked literally here). *)
   let m2, report = get_ok_str (recover_from arch store) in
@@ -335,21 +416,21 @@ let test_checkpoint_repairs_torn_tail arch () =
   let fp = fingerprint w.monitor in
   (match
      Fault.with_plan (Fault.always "snapshot.write") (fun () ->
-         Tyche.Monitor.persist_snapshot w.monitor)
+         Tyche.Monitor.checkpoint w.monitor)
    with
-  | () -> Alcotest.fail "expected a crash during the snapshot"
+  | () -> Alcotest.fail "expected a crash during the manifest append"
   | exception Persist.Store.Crash _ -> ());
-  (* The first restart replays the WAL past the torn snapshot tail and
+  (* The first restart replays the WAL past the torn manifest tail and
      closes with a checkpoint. That checkpoint must repair the tail
-     before appending: a snapshot left after the tear would be durable
-     yet invisible to the newest-valid scan, and the WAL reset that
-     follows it would destroy the only other copy of the history. *)
+     before appending: a manifest left after the tear would be durable
+     yet invisible to the newest-valid scan, and the WAL compaction
+     that follows it would destroy the only other copy of the history. *)
   let m2, report = get_ok_str (recover_from arch store) in
   Alcotest.(check int) "first restart: seq recovered" workload_ops report.Tyche.Monitor.rr_seq;
   check_fingerprint_eq fp (fingerprint m2);
   (* A second restart must land on the same state from the checkpoint
-     alone — before tail repair it found only the boot-time snapshot and
-     an empty WAL. *)
+     alone — before tail repair it found only the boot-time checkpoint
+     and an empty WAL. *)
   let m3, report = get_ok_str (recover_from arch store) in
   Alcotest.(check int) "second restart: seq recovered" workload_ops report.Tyche.Monitor.rr_seq;
   Alcotest.(check int) "second restart: nothing to replay" 0 report.Tyche.Monitor.rr_replayed;
@@ -366,8 +447,10 @@ let test_no_valid_snapshot arch () =
      fall back to the boot baseline and replay the whole log. *)
   let wrecked =
     Persist.Store.mem
-      ~wal:(Persist.Store.read store Persist.Store.wal_blob)
-      ~snap:"this is not a snapshot stream" ()
+      ~preload:
+        [ (Persist.Store.wal_blob, Persist.Store.read store Persist.Store.wal_blob);
+          (Persist.Store.snap_blob, "this is not a manifest stream") ]
+      ()
   in
   let m2, report = get_ok_str (recover_from arch wrecked) in
   Alcotest.(check int) "no snapshot used" (-1) report.Tyche.Monitor.rr_snapshot_seq;
@@ -375,6 +458,59 @@ let test_no_valid_snapshot arch () =
   Alcotest.(check int) "seq recovered" workload_ops report.Tyche.Monitor.rr_seq;
   check_fingerprint_eq fp (fingerprint m2);
   check_fsck m2
+
+(* A checkpoint record that passes its CRC (and, for a segment, its
+   hash) but carries a bad enum code or range is undecodable: recovery
+   skips it like a CRC mismatch and falls back to the previous
+   checkpoint plus the WAL, instead of failing. *)
+let test_bad_record_skipped arch () =
+  let w = boot_arch arch in
+  let store = Persist.Store.mem () in
+  Tyche.Monitor.enable_persistence w.monitor ~store ();
+  let _ = workload w in
+  let fp = fingerprint w.monitor in
+  let wal = Persist.Store.read store Persist.Store.wal_blob in
+  Tyche.Monitor.checkpoint w.monitor;
+  let records blob = (Persist.Wal.read store ~blob).Persist.Wal.records in
+  let base, (seq, manifest) =
+    match records Persist.Store.snap_blob with
+    | [ base; newest ] -> (base, newest)
+    | rs -> Alcotest.failf "expected two manifests, found %d" (List.length rs)
+  in
+  let segs = records Persist.Store.seg_blob in
+  let splice s pos by =
+    let after = pos + String.length by in
+    String.sub s 0 pos ^ by ^ String.sub s after (String.length s - after)
+  in
+  let recover_with ~newest ~segs =
+    let frames rs = String.concat "" (List.map (fun (seq, p) -> Persist.Wal.frame ~seq p) rs) in
+    let preload =
+      [ (Persist.Store.wal_blob, wal);
+        (Persist.Store.snap_blob, frames [ base; (seq, newest) ]);
+        (Persist.Store.seg_blob, frames segs) ]
+    in
+    let m2, report = get_ok_str (recover_from arch (Persist.Store.mem ~preload ())) in
+    Alcotest.(check int) "fell back to the seq-0 checkpoint" 0
+      report.Tyche.Monitor.rr_snapshot_seq;
+    Alcotest.(check bool) "bad record counted as torn" true report.Tyche.Monitor.rr_snapshot_torn;
+    Alcotest.(check int) "seq recovered" workload_ops report.Tyche.Monitor.rr_seq;
+    check_fingerprint_eq fp (fingerprint m2);
+    check_fsck m2
+  in
+  (* Domain 0's kind byte follows the version, four counters, the list
+     count, its id and its name "os". *)
+  recover_with ~newest:(splice manifest (1 + 32 + 4 + 8 + 4 + 2) "\xff") ~segs;
+  (* The newest segment's first node is domain 0's first memory root:
+     give it an empty range, re-hash, and point the manifest at it. *)
+  let bucket, payload = List.nth segs (List.length segs - 1) in
+  let old_hash = String.sub payload 0 32 in
+  let body = String.sub payload 32 (String.length payload - 32) in
+  let body = splice body (4 + 8 + 1 + 8) (String.make 8 '\000') in
+  let new_hash = Crypto.Sha256.(to_raw (string body)) in
+  let rec hash_at i = if String.sub manifest i 32 = old_hash then i else hash_at (i + 1) in
+  recover_with
+    ~newest:(splice manifest (hash_at 0) new_hash)
+    ~segs:(segs @ [ (bucket, new_hash ^ body) ])
 
 let test_destroy_and_snapshot_cadence arch () =
   let w = boot_arch arch in
@@ -511,7 +647,9 @@ let test_segment_gc arch () =
     in
     Tyche.Monitor.checkpoint w.monitor
   done;
-  let live = Hashtbl.length (Persist.Snapshot.segment_index store) in
+  let live =
+    List.length (Persist.Wal.read store ~blob:Persist.Store.seg_blob).Persist.Wal.records
+  in
   if live > 6 then Alcotest.failf "segment GC never ran: %d segment versions durable" live;
   let fp = fingerprint w.monitor in
   let m2, _ = get_ok_str (recover_from arch store) in
@@ -564,12 +702,12 @@ let test_crash_on_dir_fsync arch () =
   Tyche.Monitor.enable_persistence w.monitor ~store ();
   let _ = workload w in
   let fp = fingerprint w.monitor in
-  (* The checkpoint's WAL retirement dies before its rename/truncation
-     is durable: snapshot new, WAL old. Replay filters the covered
+  (* The checkpoint's WAL compaction dies before its rename/truncation
+     is durable: manifest new, WAL old. Replay filters the covered
      records, so the double coverage is benign. *)
   (match
      Fault.with_plan (Fault.nth "store.dir_fsync" 1) (fun () ->
-         Tyche.Monitor.persist_snapshot w.monitor)
+         Tyche.Monitor.checkpoint w.monitor)
    with
   | () -> Alcotest.fail "expected a crash at the directory barrier"
   | exception Persist.Store.Crash _ -> ());
@@ -591,25 +729,28 @@ let test_dir_fsync_on_file_store () =
   let store = Persist.Store.file ~dir in
   let before = Obs.Metrics.counter_value "store.dir_fsync" in
   Tyche.Monitor.enable_persistence w.monitor ~store ();
-  let _ = workload w in
-  Tyche.Monitor.persist_snapshot w.monitor;
+  let sbx = workload w in
+  Tyche.Monitor.checkpoint w.monitor;
   (* File creation and every WAL-retiring rename must be followed by a
      parent-directory fsync, or the checkpoint can vanish on power
      loss — the counter proves the barrier actually ran. *)
   let dir_fsyncs = Obs.Metrics.counter_value "store.dir_fsync" - before in
   if dir_fsyncs < 2 then
     Alcotest.failf "expected directory fsyncs on create+rename, saw %d" dir_fsyncs;
-  (* And the same crash window as the mem test, on the real filesystem. *)
+  (* And the same crash window as the mem test, on the real filesystem.
+     One more operation first: a checkpoint with no WAL prefix to retire
+     never reaches the rename barrier. *)
+  get_ok (Tyche.Monitor.destroy_domain w.monitor ~caller:os ~domain:sbx);
   let fp = fingerprint w.monitor in
   (match
      Fault.with_plan (Fault.nth "store.dir_fsync" 1) (fun () ->
-         Tyche.Monitor.persist_snapshot w.monitor)
+         Tyche.Monitor.checkpoint w.monitor)
    with
   | () -> Alcotest.fail "expected a crash at the directory barrier"
   | exception Persist.Store.Crash _ -> ());
   let reopened = Persist.Store.file ~dir in
   let m2, report = get_ok_str (recover_from `X86 reopened) in
-  Alcotest.(check int) "seq recovered" workload_ops report.Tyche.Monitor.rr_seq;
+  Alcotest.(check int) "seq recovered" (workload_ops + 1) report.Tyche.Monitor.rr_seq;
   check_fingerprint_eq fp (fingerprint m2);
   check_fsck m2;
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
@@ -635,21 +776,35 @@ let test_file_store_roundtrip () =
 
 (* Monitor-level truncation semantics: recovery from ANY prefix of the
    durable WAL (including mid-record cuts) and any single bit flip must
-   succeed, pass fsck, and recover at most the full history. *)
-let qcheck_monitor_truncation =
+   succeed from the seq-0 checkpoint, pass fsck, and recover at most the
+   full history. *)
+let stored_workload () =
   let w = boot_x86 () in
   let store = Persist.Store.mem () in
   Tyche.Monitor.enable_persistence w.monitor ~store ();
   let _ = workload w in
-  let wal = Persist.Store.read store Persist.Store.wal_blob in
-  let snap = Persist.Store.read store Persist.Store.snap_blob in
+  let read blob = Persist.Store.read store blob in
+  ( read Persist.Store.wal_blob,
+    (* A copy of the store with its WAL replaced. *)
+    fun wal ->
+      Persist.Store.mem
+        ~preload:
+          [ (Persist.Store.wal_blob, wal);
+            (Persist.Store.snap_blob, read Persist.Store.snap_blob);
+            (Persist.Store.seg_blob, read Persist.Store.seg_blob) ]
+        () )
+
+let qcheck_monitor_truncation =
+  let wal, with_wal = stored_workload () in
   QCheck.Test.make ~name:"monitor: recovery from any WAL cut is prefix-consistent" ~count:25
     QCheck.(int_bound (String.length wal))
     (fun cut ->
-      let cut_store = Persist.Store.mem ~wal:(String.sub wal 0 cut) ~snap () in
-      match recover_from `X86 cut_store with
+      match recover_from `X86 (with_wal (String.sub wal 0 cut)) with
       | Error e -> QCheck.Test.fail_reportf "cut %d: recovery failed: %s" cut e
       | Ok (m2, report) ->
+        if report.Tyche.Monitor.rr_snapshot_seq <> 0 then
+          QCheck.Test.fail_reportf "cut %d: recovered from checkpoint %d, not seq 0" cut
+            report.Tyche.Monitor.rr_snapshot_seq;
         if report.Tyche.Monitor.rr_seq > workload_ops then
           QCheck.Test.fail_reportf "cut %d: recovered beyond history" cut;
         let r = Tyche.Fsck.check m2 in
@@ -658,21 +813,18 @@ let qcheck_monitor_truncation =
         true)
 
 let qcheck_monitor_bitflip =
-  let w = boot_x86 () in
-  let store = Persist.Store.mem () in
-  Tyche.Monitor.enable_persistence w.monitor ~store ();
-  let _ = workload w in
-  let wal = Persist.Store.read store Persist.Store.wal_blob in
-  let snap = Persist.Store.read store Persist.Store.snap_blob in
+  let wal, with_wal = stored_workload () in
   QCheck.Test.make ~name:"monitor: recovery survives any WAL bit flip" ~count:25
     QCheck.(pair (int_bound (String.length wal - 1)) (int_bound 7))
     (fun (pos, bit) ->
       let b = Bytes.of_string wal in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
-      let flip_store = Persist.Store.mem ~wal:(Bytes.to_string b) ~snap () in
-      match recover_from `X86 flip_store with
+      match recover_from `X86 (with_wal (Bytes.to_string b)) with
       | Error e -> QCheck.Test.fail_reportf "flip %d.%d: recovery failed: %s" pos bit e
-      | Ok (m2, _) ->
+      | Ok (m2, report) ->
+        if report.Tyche.Monitor.rr_snapshot_seq <> 0 then
+          QCheck.Test.fail_reportf "flip %d.%d: recovered from checkpoint %d, not seq 0" pos bit
+            report.Tyche.Monitor.rr_snapshot_seq;
         let r = Tyche.Fsck.check m2 in
         if not (Tyche.Fsck.ok r) then
           QCheck.Test.fail_reportf "flip %d.%d: fsck: %s" pos bit
@@ -752,6 +904,7 @@ let () =
         [ Alcotest.test_case "crc32 vectors" `Quick test_crc_vectors;
           Alcotest.test_case "frame/parse roundtrip" `Quick test_frame_roundtrip;
           Alcotest.test_case "op codec roundtrip" `Quick test_op_roundtrip;
+          Alcotest.test_case "checkpoint golden bytes" `Quick test_checkpoint_golden;
           qt qcheck_truncation;
           qt qcheck_bitflip ] );
       ( "recovery",
@@ -762,6 +915,7 @@ let () =
         @ directed "crash during recovery checkpoint" test_crash_during_recovery
         @ directed "checkpoint repairs torn snapshot tail" test_checkpoint_repairs_torn_tail
         @ directed "no valid snapshot" test_no_valid_snapshot
+        @ directed "bad code or range skipped like a crc error" test_bad_record_skipped
         @ directed "destroy + snapshot cadence" test_destroy_and_snapshot_cadence
         @ [ Alcotest.test_case "file store cold reopen" `Quick test_file_store_roundtrip;
             qt qcheck_monitor_truncation;

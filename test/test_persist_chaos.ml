@@ -94,7 +94,9 @@ let fresh_target arch =
     (machine, backend, tpm, rng, br.Rot.Boot.monitor_range)
 
 (* Everything the durability layer promises to preserve, digested so the
-   per-seq shadow history stays small. *)
+   per-seq shadow history stays small. The dump carries parent links,
+   not child sets: the fsck after every recovery checks that each child
+   set agrees with them ([Captree.check_invariants]). *)
 let fingerprint m =
   let tree = Tyche.Monitor.tree m in
   let doms =
@@ -328,12 +330,10 @@ let run arch bk ~ops ~seed =
             Printf.eprintf "  shadow nodes %d, recovered %d\n" (List.length d1) (List.length d2);
             (try List.iter2 (fun (a : Cap.Captree.node_spec) b ->
               if a <> b then
-                Printf.eprintf "  cap %d vs %d: res=%b rights=%b owner=%d/%d cleanup=%b parent=%b origin=%b state=%b children=[%s]/[%s]\n"
+                Printf.eprintf "  cap %d vs %d: res=%b rights=%b owner=%d/%d cleanup=%b parent=%b origin=%b state=%b\n"
                   a.ns_id b.Cap.Captree.ns_id (a.ns_resource = b.ns_resource) (a.ns_rights = b.ns_rights)
                   a.ns_owner b.ns_owner (a.ns_cleanup = b.ns_cleanup) (a.ns_parent = b.ns_parent)
-                  (a.ns_origin = b.ns_origin) (a.ns_state = b.ns_state)
-                  (String.concat "," (List.map string_of_int a.ns_children))
-                  (String.concat "," (List.map string_of_int b.ns_children))) d1 d2
+                  (a.ns_origin = b.ns_origin) (a.ns_state = b.ns_state)) d1 d2
              with Invalid_argument _ -> ())
           end;
           if dm1 <> dm2 then
@@ -390,7 +390,7 @@ let run arch bk ~ops ~seed =
   (* Final clean restart: everything still durable must round-trip, and
      a fresh attestation body over the recovered tree must match one
      taken just before the "shutdown". *)
-  Tyche.Monitor.persist_snapshot !m;
+  Tyche.Monitor.checkpoint !m;
   let baseline =
     (* The signer holds 2^6 one-time keys and a long run can leave more
        live domains than that; attest a bounded sample (the recovered
