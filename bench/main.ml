@@ -142,6 +142,33 @@ let timed_loop ~n f =
 
 (* --- E4: transition-cost hierarchy (claim C7) ----------------------- *)
 
+(* Claim C7 under churn: domain 0 runs 600 tenant lifecycles (create,
+   call, return, destroy), more than its 512-slot EPTP list holds, then
+   calls one more domain once. The simulated cost of the next call+return
+   pair into that domain: two VMFUNCs, because each destroy freed its
+   tenant's slot. bench-smoke holds it to exactly that. *)
+let e4_churn_pair () =
+  let w = boot () in
+  let m = w.monitor in
+  let lifecycles = 600 in
+  let tenant i =
+    make_domain w ~name:(Printf.sprintf "t%d" i) ~base:(0x400000 + (i * page)) ~n_pages:1
+  in
+  let call_ret d =
+    ignore (ok (Tyche.Monitor.call m ~core:0 ~target:d));
+    ignore (ok (Tyche.Monitor.ret m ~core:0))
+  in
+  for i = 1 to lifecycles do
+    let d = tenant i in
+    call_ret d;
+    ok (Tyche.Monitor.destroy_domain m ~caller:os ~domain:d)
+  done;
+  let d = tenant (lifecycles + 1) in
+  call_ret d;
+  Hw.Machine.reset_cycles w.machine;
+  call_ret d;
+  Hw.Machine.cycles w.machine
+
 let e4 () =
   header "E4 (claim C7): domain-transition cost hierarchy";
   Printf.printf "  paper: VMFUNC transitions ~100 cycles; exits ~10x; processes/SGX far more\n\n";
@@ -203,6 +230,7 @@ let e4 () =
   show "Tyche x86 VMFUNC fast path" vmfunc_cost;
   show "Tyche x86 VMCALL trap" vmcall_plain;
   show "Tyche x86 VMCALL + microarch flush" vmcall_cost;
+  show "x86 call+ret, 600 lifecycles on" (e4_churn_pair ());
   show "Tyche RISC-V ecall + PMP reprogram" ecall_cost;
   show "process context switch" proc_cost;
   show "SGX EENTER+EEXIT" sgx_cost;
@@ -679,7 +707,7 @@ let ablations () =
   header "Ablations a2 (EPTP list overflow) and a4 (TLB flush strategy)";
   (* a2: more sibling domains than the OS's 512-entry EPTP list. With
      520 targets, the first 512 register VMFUNC fast paths; the rest
-     fall back to the trap path forever. *)
+     fall back to the trap path while all 512 stay alive. *)
   let w = boot ~mem_size:(128 * 1024 * 1024) () in
   let m = w.monitor in
   let n = Hw.Ept.Eptp_list.max_entries + 8 in
@@ -704,6 +732,27 @@ let ablations () =
     domains;
   row3 "a2: 2nd-pass calls taking VMFUNC" (Printf.sprintf "%d/%d" !fast_calls n)
     (Printf.sprintf "EPTP list capacity %d" Hw.Ept.Eptp_list.max_entries);
+  (* Destroying 8 of the 512 registered domains frees their slots: each
+     overflow domain registers on its next call and takes VMFUNC on the
+     one after. *)
+  let freed = n - Hw.Ept.Eptp_list.max_entries in
+  List.iteri
+    (fun i d -> if i < freed then ok (Tyche.Monitor.destroy_domain m ~caller:os ~domain:d))
+    domains;
+  let overflow = List.filteri (fun i _ -> i >= Hw.Ept.Eptp_list.max_entries) domains in
+  let call_ret d =
+    let path = ok (Tyche.Monitor.call m ~core:0 ~target:d) in
+    ignore (ok (Tyche.Monitor.ret m ~core:0));
+    path
+  in
+  List.iter (fun d -> ignore (call_ret d)) overflow;
+  let fast_overflow =
+    List.length (List.filter (fun d -> call_ret d = Tyche.Backend_intf.Fast_switch) overflow)
+  in
+  row3
+    (Printf.sprintf "a2: overflow 2nd calls, %d destroyed" freed)
+    (Printf.sprintf "%d/%d" fast_overflow (List.length overflow))
+    "taking VMFUNC in a freed slot";
   (* a4: revocation cost under the two TLB strategies. The domain first
      runs on core 0 and reads each of its pages, so every page has a
      cached translation the revoke must invalidate; a domain that never
@@ -2578,6 +2627,14 @@ let capops_smoke () =
           r.indexed_ns r.reference_ns r.size e21_incremental_floor
         :: !failures
   | None -> failures := "e21 incremental transfer row missing" :: !failures);
+  (* Claim C7 under churn, on a count: destroyed tenants free their
+     EPTP slots, so a call+return is two VMFUNCs after 600 lifecycles. *)
+  let churn = e4_churn_pair () in
+  if churn <> 2 * Hw.Cycles.Cost.vmfunc then
+    failures :=
+      Printf.sprintf "e4: call+ret after 600 lifecycles costs %d cycles (<> 2 x %d VMFUNC)"
+        churn Hw.Cycles.Cost.vmfunc
+      :: !failures;
   (* Claim C3: the trusted core stays under 10K lines. *)
   let tcb = e10 () in
   if tcb >= tcb_ceiling then

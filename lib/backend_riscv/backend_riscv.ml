@@ -430,6 +430,7 @@ let create machine ~monitor_range ?(alloc_strategy = Merge_adjacent) () =
           | Error msg -> invalid_arg ("Backend_riscv: " ^ msg));
       domain_reaches = (fun d r -> domain_reaches s d r);
       domain_encrypted = (fun _ -> false);
+      stale_switches = (fun () -> []);
       txn_begin = (fun () -> txn_begin s);
       txn_commit = (fun () -> txn_commit s);
       txn_rollback = (fun () -> txn_rollback s) }

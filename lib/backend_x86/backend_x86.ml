@@ -418,16 +418,20 @@ let transition s ~core ~from_ ~to_ ~flush_microarch =
         Hw.Tlb.flush_asid s.machine.Hw.Machine.tlb ~asid:from_id
       end
       else begin
-        (* First trap between this pair: the monitor pre-registers the
-           target EPT in the source's EPTP list so later transitions can
-           take the VMFUNC path (ablation a2: silently degrades to the
-           trap path forever once the 512-entry list is full). A
-           registration is not rolled back with a failed transaction:
-           keeping it is semantics-preserving (the pair still exists)
-           and not on the invariant surface. *)
-        match from_list, to_ept with
-        | Some l, Some e -> ignore (Hw.Ept.Eptp_list.register l e : int option)
-        | _ -> ()
+        (* First trap between this pair: the monitor registers each
+           domain's EPT in the other's EPTP list, since a call implies
+           its return, so later transitions either way take the VMFUNC
+           path (ablation a2: a list whose 512 slots all hold live EPTs
+           keeps trapping). A registration is not rolled back with a
+           failed transaction: both domains are live, so the entry
+           stays valid. *)
+        let register list ept =
+          match list, ept with
+          | Some l, Some e -> ignore (Hw.Ept.Eptp_list.register l e : int option)
+          | _ -> ()
+        in
+        register from_list to_ept;
+        register (Hashtbl.find_opt s.eptp_lists to_id) (Hashtbl.find_opt s.epts from_id)
       end;
       Tyche.Backend_intf.Trap_roundtrip
     end
@@ -441,6 +445,20 @@ let domain_reaches s d range =
   match Hashtbl.find_opt s.epts (Tyche.Domain.id d) with
   | Some ept -> Hw.Ept.reaches_hpa_range ept range
   | None -> false
+
+(* Per list, the slots whose EPT no live domain owns: the list's count
+   less the live EPTs it holds (an EPT takes at most one slot). *)
+let stale_switches s =
+  Hashtbl.fold
+    (fun id l acc ->
+      let live =
+        Hashtbl.fold
+          (fun _ e n -> if Hw.Ept.Eptp_list.slot_of l e = None then n else n + 1)
+          s.epts 0
+      in
+      match Hw.Ept.Eptp_list.count l - live with 0 -> acc | n -> (id, n) :: acc)
+    s.eptp_lists []
+  |> List.sort compare
 
 let create machine ?(tlb_strategy = Full_shootdown) ?mktme () =
   if machine.Hw.Machine.arch <> Hw.Cpu.X86_64 then
@@ -498,6 +516,18 @@ let create machine ?(tlb_strategy = Full_shootdown) ?mktme () =
               if conf then Hashtbl.replace s.confidential id ();
               Option.iter (Hashtbl.replace s.keyids id) keyid)
           end;
+          (* Free the dead EPT's slot in every list, so no domain can
+             VMFUNC into it and the slot serves the next callee. An undo
+             takes back the same slot: the journal unwinds newest first
+             and freed slots are reused newest first. *)
+          Option.iter
+            (fun ept ->
+              Hashtbl.iter
+                (fun _ l ->
+                  if Hw.Ept.Eptp_list.unregister l ept && s.journaling then
+                    record s (fun () -> ignore (Hw.Ept.Eptp_list.register l ept : int option)))
+                s.eptp_lists)
+            (Hashtbl.find_opt s.epts id);
           Hashtbl.remove s.epts id;
           Hashtbl.remove s.eptp_lists id;
           Hashtbl.remove s.domain_devices id;
@@ -514,6 +544,7 @@ let create machine ?(tlb_strategy = Full_shootdown) ?mktme () =
       domain_reaches = (fun d r -> domain_reaches s d r);
       domain_encrypted =
         (fun d -> s.mktme <> None && Hashtbl.mem s.keyids (Tyche.Domain.id d));
+      stale_switches = (fun () -> stale_switches s);
       txn_begin = (fun () -> txn_begin s);
       txn_commit = (fun () -> txn_commit s);
       txn_rollback = (fun () -> txn_rollback s) }

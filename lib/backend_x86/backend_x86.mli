@@ -8,6 +8,11 @@
     the cost structure behind claim C7. A device's DMA windows mirror
     its domain's EPT.
 
+    A trap between two domains with no flush policy registers the pair
+    in both directions, since a call implies its return. A destroy frees
+    the dead EPT's slot in every list; lookups are O(1). A list whose 512
+    slots all hold live EPTs keeps trapping: nothing is evicted (a2).
+
     Memory is mapped guest-physical = host-physical (identity): the
     monitor deals in physical names (§3.2), and domains see the machine's
     real address space minus what they don't own. *)

@@ -749,7 +749,10 @@ let active_nodes_overlapping_reference t resource =
 (* Indexed overlap query: find the memory roots that overlap, then
    descend with pruning — a node's range includes every descendant's
    (a checked invariant), so subtrees that miss [resource] are skipped
-   whole. Scalar resources come straight from the active index. *)
+   whole. Only a child whose parent link names the node is descended
+   into, so a corrupt child set (one listing its own node, say) cannot
+   loop the walk; fsck reports it. Scalar resources come straight from
+   the active index. *)
 let active_nodes_overlapping t resource =
   match resource with
   | Resource.Memory r ->
@@ -759,26 +762,37 @@ let active_nodes_overlapping t resource =
       | Some (b, (root_limit, _)) when root_limit > base -> b
       | _ -> base
     in
-    let rec root_ids seq acc =
+    let rec roots seq acc =
       match seq () with
-      | Seq.Cons ((b, (_, id)), rest) when b < limit -> root_ids rest (id :: acc)
+      | Seq.Cons ((b, (_, id)), rest) when b < limit -> (
+        match Hashtbl.find_opt t.nodes id with
+        | Some n -> roots rest (n :: acc)
+        | None -> roots rest acc)
       | _ -> acc
     in
+    (* [n]'s children on top of [stack], lowest id first. *)
+    let push_children n stack =
+      List.rev_append
+        (IntSet.fold
+           (fun c acc ->
+             match Hashtbl.find_opt t.nodes c with
+             | Some child when child.parent = Some n.id -> child :: acc
+             | _ -> acc)
+           n.children [])
+        stack
+    in
     let acc = ref [] in
-    let stack = ref (root_ids (IntMap.to_seq_from start t.mem_roots) []) in
+    let stack = ref (roots (IntMap.to_seq_from start t.mem_roots) []) in
     let continue_ = ref true in
     while !continue_ do
       match !stack with
       | [] -> continue_ := false
-      | x :: rest -> (
+      | n :: rest ->
         stack := rest;
-        match Hashtbl.find_opt t.nodes x with
-        | None -> ()
-        | Some n ->
-          if Resource.overlaps n.resource resource then begin
-            if n.state = Active then acc := n :: !acc;
-            stack := IntSet.elements n.children @ !stack
-          end)
+        if Resource.overlaps n.resource resource then begin
+          if n.state = Active then acc := n :: !acc;
+          stack := push_children n !stack
+        end
     done;
     !acc
   | Resource.Cpu_core _ | Resource.Device _ -> (

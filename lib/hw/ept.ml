@@ -144,34 +144,52 @@ let reaches_hpa_range t range =
 
 module Eptp_list = struct
   type ept = t
-  type nonrec t = { slots : ept option array; mutable used : int }
+
+  type nonrec t = {
+    slots : ept option array;
+    index : (int, int) Hashtbl.t; (* EPT id -> its slot *)
+    mutable free : int list; (* vacated slots, reused newest first *)
+    mutable fresh : int; (* slots from here up were never used *)
+  }
 
   let max_entries = 512
 
-  let create () = { slots = Array.make max_entries None; used = 0 }
+  let create () =
+    { slots = Array.make max_entries None; index = Hashtbl.create 16; free = []; fresh = 0 }
 
-  let slot_of t ept =
-    let rec find i =
-      if i >= t.used then None
-      else
-        match t.slots.(i) with
-        | Some e when e.id = ept.id -> Some i
-        | _ -> find (i + 1)
-    in
-    find 0
+  let slot_of t ept = Hashtbl.find_opt t.index ept.id
+
+  let take_slot t =
+    match t.free with
+    | i :: rest ->
+      t.free <- rest;
+      Some i
+    | [] when t.fresh < max_entries ->
+      t.fresh <- t.fresh + 1;
+      Some (t.fresh - 1)
+    | [] -> None
 
   let register t ept =
     match slot_of t ept with
     | Some i -> Some i
     | None ->
-      if t.used >= max_entries then None
-      else begin
-        let i = t.used in
-        t.slots.(i) <- Some ept;
-        t.used <- i + 1;
-        Some i
-      end
+      let slot = take_slot t in
+      Option.iter
+        (fun i ->
+          t.slots.(i) <- Some ept;
+          Hashtbl.replace t.index ept.id i)
+        slot;
+      slot
 
-  let get t i = if i < 0 || i >= t.used then None else t.slots.(i)
-  let count t = t.used
+  let unregister t ept =
+    match slot_of t ept with
+    | None -> false
+    | Some i ->
+      t.slots.(i) <- None;
+      Hashtbl.remove t.index ept.id;
+      t.free <- i :: t.free;
+      true
+
+  let get t i = if i < 0 || i >= max_entries then None else t.slots.(i)
+  let count t = Hashtbl.length t.index
 end

@@ -57,7 +57,11 @@ val reaches_hpa_range : t -> Addr.Range.t -> bool
     (single pass over the table, unlike per-page {!hpa_reachable}). *)
 
 (** VMFUNC EPTP list: a bounded table of EPTs between which a domain may
-    switch without a VM exit. *)
+    switch without a VM exit. A slot table: an index from EPT to slot
+    answers {!slot_of}, {!register} and {!unregister} in O(1), and a
+    vacated slot is reused before a never-used one. Nothing is ever
+    evicted: a list whose 512 slots all hold EPTs stays full until one
+    is unregistered. *)
 module Eptp_list : sig
   type ept := t
   type t
@@ -66,9 +70,15 @@ module Eptp_list : sig
 
   val create : unit -> t
   val register : t -> ept -> int option
-  (** Returns the slot index, or [None] if the list is full. *)
+  (** The EPT's slot: its existing one, else the most recently vacated
+      slot, else the lowest never-used one; [None] if all 512 are taken. *)
+
+  val unregister : t -> ept -> bool
+  (** Vacate the EPT's slot, making it the next one {!register} reuses;
+      [false] if the EPT is not in the list. *)
 
   val get : t -> int -> ept option
   val slot_of : t -> ept -> int option
   val count : t -> int
+  (** Slots that currently hold an EPT. *)
 end

@@ -16,6 +16,7 @@ type t = {
   launch : core:Hw.Cpu.t -> Domain.t -> unit;
   domain_reaches : Domain.t -> Hw.Addr.Range.t -> bool;
   domain_encrypted : Domain.t -> bool;
+  stale_switches : unit -> (Domain.id * int) list;
   txn_begin : unit -> unit;
   txn_commit : unit -> unit;
   txn_rollback : unit -> unit;

@@ -47,6 +47,11 @@ type t = {
   (** Whether the domain's confidential memory currently sits under a
       private memory-encryption key (MKTME/SEV-style) — the physical-
       attack posture attestations expose to remote verifiers. *)
+  stale_switches : unit -> (Domain.id * int) list;
+  (** Per domain, how many of its exit-less switch entries name no live
+      domain's translation context: x86 EPTP-list slots holding a
+      destroyed domain's EPT (RISC-V has none). Domains with none are
+      omitted; the list must be empty between calls. *)
   txn_begin : unit -> unit;
   (** Open a hardware transaction: until commit/rollback, every effect
       the backend applies journals an undo, and destructive clean-ups

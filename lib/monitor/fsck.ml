@@ -92,6 +92,7 @@ let check ?baseline t =
       of_violations "tlb" (Invariants.check_no_stale_tlb t);
       of_violations "refcounts" (Invariants.check_refcounts t);
       of_violations "remote" (Invariants.check_remote t);
+      of_violations "switches" (Invariants.check_switch_live t);
       check_taint t ]
   in
   let items =

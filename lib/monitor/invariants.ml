@@ -118,6 +118,15 @@ let check_remote m =
             cores)
     (Monitor.domains m)
 
+(* No exit-less switch into a dead domain: on real VT-x a VMFUNC slot
+   holding a destroyed domain's EPT lets the list's owner enter freed
+   translations without the monitor seeing it. *)
+let check_switch_live m =
+  List.map
+    (fun (d, n) ->
+      v "switch-live" "domain %d can switch without an exit into %d dead domain(s)" d n)
+    ((Monitor.backend m).Backend_intf.stale_switches ())
+
 let check_index m =
   match Cap.Captree.check_index_consistency (Monitor.tree m) with
   | Ok () -> []
@@ -126,4 +135,4 @@ let check_index m =
 let check_all m =
   check_tree m @ check_index m @ check_hardware_matches_tree m
   @ check_sealed_unextended m @ check_no_stale_tlb m @ check_refcounts m
-  @ check_remote m
+  @ check_remote m @ check_switch_live m

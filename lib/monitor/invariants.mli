@@ -50,3 +50,8 @@ val check_remote : Monitor.t -> violation list
 (** Remote proxy domains (standing in for peer machines in cross-machine
     delegation) stay inert: never sealed, no entry point, never
     scheduled on a core. *)
+
+val check_switch_live : Monitor.t -> violation list
+(** No domain can switch without an exit into a destroyed domain: every
+    exit-less switch entry the backend keeps names a live domain's
+    translation context ({!Backend_intf.t.stale_switches}). *)

@@ -58,6 +58,10 @@ let test_x86_unaligned_rejected () =
   | Error e -> Alcotest.failf "wrong error: %s" (Tyche.Monitor.error_to_string e)
   | Ok _ -> Alcotest.fail "unaligned share accepted by EPT backend"
 
+let path = Alcotest.testable Tyche.Backend_intf.pp_transition_path ( = )
+
+(* The first call traps and registers the pair both ways, since a call
+   implies its return: the return is already exit-less. *)
 let test_x86_eptp_registration () =
   let w = boot_x86 () in
   let m = w.monitor in
@@ -67,10 +71,72 @@ let test_x86_eptp_registration () =
   let _ = get_ok (Tyche.Monitor.call m ~core:0 ~target:d) in
   Alcotest.(check bool) "registered after first trap" true
     (Backend_x86.eptp_registered w.backend ~from_:os ~to_:d);
-  let _ = get_ok (Tyche.Monitor.ret m ~core:0) in
-  Alcotest.(check int) "counted traps" 2 (Backend_x86.trap_transitions w.backend);
+  Alcotest.(check bool) "reverse registered by the same trap" true
+    (Backend_x86.eptp_registered w.backend ~from_:d ~to_:os);
+  Alcotest.check path "first return is exit-less" Tyche.Backend_intf.Fast_switch
+    (get_ok (Tyche.Monitor.ret m ~core:0));
+  Alcotest.(check int) "counted traps" 1 (Backend_x86.trap_transitions w.backend);
   let _ = get_ok (Tyche.Monitor.call m ~core:0 ~target:d) in
-  Alcotest.(check int) "counted fast" 1 (Backend_x86.fast_transitions w.backend)
+  Alcotest.(check int) "counted fast" 2 (Backend_x86.fast_transitions w.backend)
+
+(* Claim C7 under churn: domain 0 runs more tenant lifecycles than its
+   EPTP list has slots. Each destroy frees the dead tenant's slot, so
+   the last tenant still gets one trap and then only VMFUNCs, and no
+   list ever names a dead EPT. *)
+let test_x86_eptp_churn () =
+  let w = boot_x86 () in
+  let m = w.monitor in
+  let lifecycles = 600 in
+  for i = 1 to lifecycles do
+    let d =
+      make_domain w ~name:(Printf.sprintf "t%d" i) ~base:(0x400000 + (i * page)) ~n_pages:1
+    in
+    let call () = get_ok (Tyche.Monitor.call m ~core:0 ~target:d) in
+    let ret () = get_ok (Tyche.Monitor.ret m ~core:0) in
+    let call1 = call () in
+    let ret1 = ret () in
+    let call2 = call () in
+    let ret2 = ret () in
+    get_ok (Tyche.Monitor.destroy_domain m ~caller:os ~domain:d);
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "no stale switch after destroy %d" i)
+      [] (w.backend.Tyche.Backend_intf.stale_switches ());
+    if i = lifecycles then
+      Alcotest.(check (list path)) "last lifecycle: one trap, then VMFUNC"
+        Tyche.Backend_intf.[ Trap_roundtrip; Fast_switch; Fast_switch; Fast_switch ]
+        [ call1; ret1; call2; ret2 ]
+  done
+
+(* A tenant entered from domain 0 and from a peer holds a slot in both
+   their lists. A destroy that rolls back gives both slots back; a
+   committed one frees both. *)
+let test_x86_destroy_frees_every_list () =
+  let w = boot_x86 () in
+  let m = w.monitor in
+  let b = w.backend in
+  let peer = make_domain w ~name:"peer" ~base:0x10000 ~n_pages:1 in
+  let d = make_domain w ~name:"d" ~base:0x20000 ~n_pages:1 in
+  let enter target = ignore (get_ok (Tyche.Monitor.call m ~core:0 ~target)) in
+  let leave () = ignore (get_ok (Tyche.Monitor.ret m ~core:0)) in
+  enter d;
+  leave ();
+  enter peer;
+  enter d;
+  leave ();
+  leave ();
+  let registered () =
+    ( Backend_x86.eptp_registered b ~from_:os ~to_:d,
+      Backend_x86.eptp_registered b ~from_:peer ~to_:d )
+  in
+  Alcotest.(check (pair bool bool)) "in both lists" (true, true) (registered ());
+  let dom = Option.get (Tyche.Monitor.find_domain m d) in
+  b.Tyche.Backend_intf.txn_begin ();
+  b.Tyche.Backend_intf.domain_destroyed dom;
+  b.Tyche.Backend_intf.txn_rollback ();
+  Alcotest.(check (pair bool bool)) "rollback restores both" (true, true) (registered ());
+  get_ok (Tyche.Monitor.destroy_domain m ~caller:os ~domain:d);
+  Alcotest.(check (list (pair int int))) "in neither list" []
+    (b.Tyche.Backend_intf.stale_switches ())
 
 let test_x86_transition_cycle_costs () =
   let w = boot_x86 () in
@@ -546,6 +612,8 @@ let () =
         [ Alcotest.test_case "per-domain EPT" `Quick test_x86_ept_per_domain;
           Alcotest.test_case "unaligned rejected" `Quick test_x86_unaligned_rejected;
           Alcotest.test_case "eptp registration" `Quick test_x86_eptp_registration;
+          Alcotest.test_case "eptp slots survive churn" `Quick test_x86_eptp_churn;
+          Alcotest.test_case "destroy frees every list" `Quick test_x86_destroy_frees_every_list;
           Alcotest.test_case "transition cycle costs" `Quick test_x86_transition_cycle_costs;
           Alcotest.test_case "tlb strategy ablation" `Quick test_x86_tlb_strategies;
           Alcotest.test_case "one shootdown per call" `Quick test_x86_one_shootdown_per_call;

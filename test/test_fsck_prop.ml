@@ -2,10 +2,10 @@
    inconsistency. A generator picks a mutation class — refcount
    over/under-reporting (phantom or removed segment holders), a dropped
    per-domain index entry, a child set naming a node whose parent link
-   disagrees, or a hardware-table desync (EPT on x86, PMP on riscv) —
-   and applies it to a freshly recovered, fsck-clean
-   monitor. The audit must come back non-clean every time, for every
-   class, on both backends. *)
+   disagrees (its own node included), or a hardware-table desync (EPT
+   on x86, PMP on riscv) — and applies it to a freshly recovered,
+   fsck-clean monitor. The audit must come back non-clean every time,
+   for every class, on both backends. *)
 
 open Testkit
 
@@ -86,8 +86,8 @@ let apply mut m2 ~pick =
   | Dropped_index ->
     Cap.Captree.Corrupt.drop_domain_index_entry tree ~domain:Tyche.Domain.initial
   | Stray_child -> (
-    (* A root listing another root or a node further down, or an id
-       never issued. *)
+    (* A root listing itself, another root or a node further down, or
+       an id never issued. *)
     let nodes = Cap.Captree.dump tree in
     let root = List.find (fun (n : Cap.Captree.node_spec) -> n.ns_parent = None) nodes in
     match
@@ -98,7 +98,10 @@ let apply mut m2 ~pick =
     | [] -> false
     | others ->
       let child =
-        if pick mod 2 = 0 then (nth others).Cap.Captree.ns_id else Cap.Captree.next_id tree
+        match pick mod 3 with
+        | 0 -> root.ns_id
+        | 1 -> (nth others).Cap.Captree.ns_id
+        | _ -> Cap.Captree.next_id tree
       in
       Cap.Captree.Corrupt.add_stray_child tree ~parent:root.ns_id ~child)
   | Hw_desync -> (
@@ -137,9 +140,13 @@ let prop_fsck_detects =
     (fun (mut, arch, pick) -> check_detects arch mut ~pick)
 
 (* Deterministic sweep so every class×backend pair runs even if qcheck
-   sampling misses one. *)
+   sampling misses one, and every stray-child shape (one per pick mod 3). *)
 let test_all_classes arch () =
-  List.iter (fun mut -> ignore (check_detects arch mut ~pick:0)) all_mutations
+  List.iter
+    (fun mut ->
+      let picks = if mut = Stray_child then [ 0; 1; 2 ] else [ 0 ] in
+      List.iter (fun pick -> ignore (check_detects arch mut ~pick)) picks)
+    all_mutations
 
 let () =
   Alcotest.run "fsck-prop"

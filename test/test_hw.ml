@@ -144,12 +144,29 @@ let test_eptp_list () =
   Alcotest.(check (option int)) "register second" (Some 1) (Ept.Eptp_list.register l e2);
   Alcotest.(check (option int)) "idempotent" (Some 0) (Ept.Eptp_list.register l e1);
   Alcotest.(check int) "count" 2 (Ept.Eptp_list.count l);
+  (* A vacated slot is the next one reused. *)
+  Alcotest.(check bool) "unregister" true (Ept.Eptp_list.unregister l e1);
+  Alcotest.(check (option int)) "slot freed" None (Ept.Eptp_list.slot_of l e1);
+  Alcotest.(check bool) "get freed slot" true (Option.is_none (Ept.Eptp_list.get l 0));
+  Alcotest.(check int) "count after unregister" 1 (Ept.Eptp_list.count l);
+  Alcotest.(check bool) "unregister absent" false (Ept.Eptp_list.unregister l e1);
+  let e3 = Ept.create ~counter:c in
+  Alcotest.(check (option int)) "reuses freed slot" (Some 0) (Ept.Eptp_list.register l e3);
+  Alcotest.(check (option int)) "fresh slot after reuse" (Some 2) (Ept.Eptp_list.register l e1);
+  Alcotest.(check int) "count after reuse" 3 (Ept.Eptp_list.count l);
   (* Fill to capacity. *)
-  for _ = 3 to Ept.Eptp_list.max_entries do
+  for _ = 4 to Ept.Eptp_list.max_entries do
     ignore (Ept.Eptp_list.register l (Ept.create ~counter:c))
   done;
-  Alcotest.(check (option int)) "full list rejects" None
-    (Ept.Eptp_list.register l (Ept.create ~counter:c))
+  Alcotest.(check int) "count when full" Ept.Eptp_list.max_entries (Ept.Eptp_list.count l);
+  let late = Ept.create ~counter:c in
+  Alcotest.(check (option int)) "full list rejects" None (Ept.Eptp_list.register l late);
+  (* One removal makes room in a full list. *)
+  Alcotest.(check bool) "unregister from full" true (Ept.Eptp_list.unregister l e2);
+  Alcotest.(check (option int)) "full list accepts after removal" (Some 1)
+    (Ept.Eptp_list.register l late);
+  Alcotest.(check bool) "slot holds the new EPT" true
+    (match Ept.Eptp_list.get l 1 with Some e -> e == late | None -> false)
 
 let test_pmp_priority_and_modes () =
   let c = counter () in
