@@ -1212,10 +1212,27 @@ let e14 ?(smoke = false) () =
       (timed_loop ~n:(iters 500) (fun () -> ignore (Crypto.Sha256.Spec.string msg4k)));
   let rng = Crypto.Rng.create ~seed:41L in
   let sk, _ = Crypto.Ots.generate rng in
+  let links = Crypto.Ots.links () in
+  ignore (Crypto.Ots.expand links sk);
   let digest = Crypto.Sha256.string "e14 message" in
   add 1 "e14 ots sign"
-    ~fast:(timed_loop ~n:(iters 500) (fun () -> ignore (Crypto.Ots.sign sk digest)))
+    ~fast:(timed_loop ~n:(iters 500) (fun () -> ignore (Crypto.Ots.sign links digest)))
     ~baseline:(timed_loop ~n:(iters 100) (fun () -> ignore (Crypto.Ots.sign_spec sk digest)));
+  (* Where signing's cost went: a signer keeps one seed per key and
+     expands the key it signs with, so a whole sign is one key expansion
+     plus the link copy above; the spec twin derives and walks the
+     chains on Sha256.Spec. No floor: the row reports the expansion
+     every attest now pays. The smoke run's best-of-3 loops sign 132
+     times, within the signer's 1,024 keys, whose footprint is counted
+     rather than timed. *)
+  let signer = Crypto.Signature.create ~height:10 (Crypto.Rng.create ~seed:42L) in
+  Printf.printf "  height-10 signer: %d bytes\n"
+    (Obj.reachable_words (Obj.repr signer) * (Sys.word_size / 8));
+  let msg = "e14 message" in
+  add 1 "e14 signature sign"
+    ~fast:(timed_loop ~n:(iters 100) (fun () -> ignore (Crypto.Signature.sign signer msg)))
+    ~baseline:
+      (timed_loop ~n:(iters 20) (fun () -> ignore (Crypto.Signature.sign_spec signer msg)));
   (* Single-domain attest on the E13 world shape (10k filler caps, the
      attested domain holding 64 regions): fast core vs Sha256.Spec,
      identical enumeration on both sides. Skipped in smoke — the 10k-cap
@@ -1325,13 +1342,15 @@ let e14 ?(smoke = false) () =
      transliteration (non-flambda OCaml compiles Spec's int32 locals to
      decent 32-bit code; the win is deallocation + unsafe access), so
      1.3x catches a revert without flaking.
-   - ots sign: precomputed chain links make sign ~300x the spec walk; a
-     regression to chain-walking lands under ~2x, so 10x is decisive.
+   - ots sign: copying expanded chain links makes sign ~300x the spec
+     derivation and walk; a regression to chain-walking lands under ~2x,
+     so 10x is decisive.
    - attest_batch: one root signature per 64 domains vs 64 spec-pipeline
      signs runs >50x; 5x only trips if batching or the fast crypto
      breaks. (The "vs fast sequential" row is informational, no floor:
-     with signing nearly free, batching's marginal latency win is small
-     — its real saving is 64x fewer one-time keys.) *)
+     every signature now expands its one-time key, ~1 ms, so 64
+     sequential attests pay 64 expansions where the batch pays one, and
+     the row reads tens of x; it also spends 64x fewer one-time keys.) *)
 let e14_floor op =
   if op = "e14 attest_batch(64) per-domain" then Some 5.0
   else if op = "e14 ots sign" then Some 10.0

@@ -1,15 +1,10 @@
-(* A stock of pregenerated one-time key pairs. Generating a WOTS pair
-   costs 67 chains x 15 hashes, so building a signer (2^height pairs) is
-   by far the most expensive step on the boot and key-rotation paths.
-   The pool lets that cost be paid ahead of time: [take] pops a
-   pregenerated pair (falling back to on-demand generation when empty),
-   and [replenish] — called eagerly by [Signature.sign] — refills the
-   stock back to [target] whenever it drops below [low_water], so by the
-   time a signer needs to be (re)built the keys already exist. *)
+(* A stock of (seed, leaf digest) handles: [take] pops one (generating
+   on demand when empty), and [replenish] — called eagerly by
+   [Signature.sign] — refills the stock to [target] below [low_water]. *)
 
 type t = {
   rng : Rng.t;
-  stock : (Ots.secret_key * Ots.public_key) Queue.t;
+  stock : (Ots.secret_key * Sha256.digest) Queue.t;
   (* Guards [stock], [hits] and [misses]: concurrent attests (one per
      monitor shard) all take from one pool. Key *generation* never runs
      under the lock — a take that misses and a replenish both generate
@@ -22,6 +17,10 @@ type t = {
 }
 
 let default_target = 128
+
+let generate rng =
+  let sk, pk = Ots.generate rng in
+  (sk, Ots.public_key_digest pk)
 
 (* Graceful-degradation injection points: a failed take degrades to
    on-demand generation (a miss, visible in [stats]); a failed
@@ -45,7 +44,7 @@ let create ?low_water ?(target = default_target) rng =
       hits = 0; misses = 0 }
   in
   for _ = 1 to target do
-    Queue.add (Ots.generate rng) t.stock
+    Queue.add (generate rng) t.stock
   done;
   t
 
@@ -65,13 +64,13 @@ let take t =
             p)
       in
       match popped with
-      | Some pair ->
+      | Some handle ->
           Obs.Metrics.incr hit_c;
-          pair
+          handle
       | None ->
           Obs.Metrics.incr miss_c;
           (* Miss: generate outside the lock, other takers keep going. *)
-          Ots.generate t.rng)
+          generate t.rng)
 
 let replenish t =
   Obs.Profile.span "keypool.replenish" (fun () ->
@@ -83,12 +82,12 @@ let replenish t =
               if n < t.low_water then t.target - n else 0)
         in
         if need > 0 then begin
-          (* The expensive part (WOTS chain precomputation) runs outside
-             the lock: concurrent signers keep taking from the stock
-             while one of them rebuilds it. *)
-          let fresh = List.init need (fun _ -> Ots.generate t.rng) in
+          (* The expensive part (walking every chain for the leaf) runs
+             outside the lock: concurrent signers keep taking from the
+             stock while one of them rebuilds it. *)
+          let fresh = List.init need (fun _ -> generate t.rng) in
           Mutex.protect t.lock (fun () ->
-              List.iter (fun pair -> Queue.add pair t.stock) fresh)
+              List.iter (fun handle -> Queue.add handle t.stock) fresh)
         end
       end;
       Obs.Metrics.set_gauge stock_g (size t))

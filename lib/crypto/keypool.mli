@@ -1,29 +1,32 @@
-(** Pregenerated one-time key pairs for the attestation signers.
+(** Pregenerated one-time keys for the attestation signers.
 
-    WOTS key generation (67 hash chains of 15 steps per pair) dominates
-    the cost of building a {!Signature.signer}, which needs [2^height]
-    pairs up front because the Merkle root commits to all of them. A
-    keypool moves that work off the boot / key-rotation path: pairs are
-    generated ahead of time, {!take} pops one in O(1), and
-    {!Signature.sign} eagerly calls {!replenish} after each signature so
-    the stock is already rebuilt by the time a fresh signer is needed.
+    A {!Signature.signer} needs the leaf digest of each of its
+    [2^height] keys up front (the Merkle root commits to all of them),
+    and each leaf walks 67 hash chains of 15 steps. A keypool moves that
+    work off the boot / key-rotation path: it stocks (seed, leaf digest)
+    handles, {!take} pops one in O(1), and {!Signature.sign} eagerly
+    calls {!replenish} after each signature so the stock is already
+    rebuilt by the time a fresh signer is needed.
 
     Security note: the pool changes *when* keys are generated, never
-    *how* — pairs come from the same [Rng] stream and each is still used
-    at most once (the signer enforces one-shot use). *)
+    *how* — seeds come from the same [Rng] stream and each key is still
+    used at most once (the signer enforces one-shot use). *)
 
 type t
 
 val create : ?low_water:int -> ?target:int -> Rng.t -> t
 (** [create ?low_water ?target rng] builds a pool and prefills it with
-    [target] pairs (default 128 — two default-height signers' worth).
+    [target] handles (default 128 — two default-height signers' worth).
     [low_water] (default [target / 2]) is the threshold below which
     {!replenish} refills back to [target].
     @raise Invalid_argument if [target < 0] or [low_water] is not within
     [0 .. target]. *)
 
-val take : t -> Ots.secret_key * Ots.public_key
-(** Pop a pregenerated pair; falls back to generating one on the spot
+val generate : Rng.t -> Ots.secret_key * Sha256.digest
+(** One handle generated on the spot, drawing the [Rng] as a pool does. *)
+
+val take : t -> Ots.secret_key * Sha256.digest
+(** Pop a pregenerated handle; falls back to generating one on the spot
     when the stock is empty (a miss, visible in {!stats}). *)
 
 val replenish : t -> unit
@@ -31,7 +34,7 @@ val replenish : t -> unit
     O(1) when the stock is healthy. *)
 
 val size : t -> int
-(** Pairs currently in stock. *)
+(** Handles currently in stock. *)
 
 val low_water : t -> int
 val target : t -> int

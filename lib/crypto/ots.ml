@@ -1,33 +1,34 @@
 (* WOTS with w = 16: a 256-bit digest is cut into 64 4-bit chunks, plus a
-   3-chunk checksum, giving 67 hash chains of length 15. The secret key is
-   67 random 32-byte values; the public key is each value hashed 15 times;
-   a signature walks each chain to the chunk value, and verification
-   completes the walk and compares.
+   3-chunk checksum, giving 67 hash chains of length 15. A secret key is
+   a 32-byte seed; chain j starts at SHA-256(seed || j), j one byte, and
+   the public key is each chain's start hashed 15 times. A signature
+   walks each chain to the chunk value; verification completes the walk
+   and compares.
 
-   Chain walking dominates the cost of every sign/verify (~500 SHA-256
-   calls per signature), so [hash_times] runs on a single scratch buffer
-   via [Sha256.hash32_sub] — one compression and zero allocations per
-   chain step — instead of allocating a fresh string per step.
-
-   Key generation must walk every chain to its end anyway (the public
-   key is the last link), so it keeps all the intermediate links in one
-   flat buffer: signing then just copies out the link each chunk selects
-   instead of recomputing hash chains, moving the entire chain-walking
-   cost of [sign] to [generate] — which {!Keypool} in turn runs ahead of
-   time, off the attestation path. The signature bytes are unchanged. *)
+   Chains run on flat buffers via [Sha256.hash32_sub]: one compression
+   and no allocation per step. [expand] writes every link of a key into
+   a caller-owned buffer (~1,070 compressions) and [sign] copies out the
+   link each chunk selects. Keeping only the seed until then is the
+   XMSS trade (RFC 8391): 32 bytes per key at rest, one expansion per
+   signature. *)
 
 let chain_count = 67 (* 64 message chunks + 3 checksum chunks *)
 let chain_length = 15
 
-(* All links of all chains: chain [i]'s link [c] (the seed hashed [c]
-   times) lives at offset [(i * 16 + c) * 32]. 67 * 16 * 32 = ~34 KiB
-   per key — the classic Winternitz time/memory trade. *)
-type secret_key = { links : Bytes.t }
+type secret_key = string (* the 32-byte seed *)
+
+(* All links of all chains of one expanded key: chain [i]'s link [c]
+   (the secret hashed [c] times) lives at offset [(i * 16 + c) * 32].
+   67 * 16 * 32 = ~34 KiB — the classic Winternitz time/memory trade. *)
+type links = Bytes.t
 
 type public_key = string array
 type signature = string array
 
 let stride = (chain_length + 1) * 32
+
+let index_bytes = Array.init chain_count (fun j -> String.make 1 (Char.chr j))
+let secret seed j = Sha256.to_raw (Sha256.digest_strings [ seed; index_bytes.(j) ])
 
 let hash_times s n =
   if n = 0 then s
@@ -45,19 +46,22 @@ let hash_times s n =
     Bytes.unsafe_to_string buf
   end
 
+let links () = Bytes.create (chain_count * stride)
+
+let expand links seed =
+  let chain = Sha256.chain_scratch () in
+  Array.init chain_count (fun i ->
+      let base = i * stride in
+      Bytes.blit_string (secret seed i) 0 links base 32;
+      for c = 1 to chain_length do
+        Sha256.hash32_sub chain ~src:links ~src_off:(base + ((c - 1) * 32)) ~dst:links
+          ~dst_off:(base + (c * 32))
+      done;
+      Bytes.sub_string links (base + (chain_length * 32)) 32)
+
 let generate rng =
-  let links = Bytes.create (chain_count * stride) and chain = Sha256.chain_scratch () in
-  let pk =
-    Array.init chain_count (fun i ->
-        let base = i * stride in
-        Bytes.blit_string (Rng.bytes rng 32) 0 links base 32;
-        for c = 1 to chain_length do
-          Sha256.hash32_sub chain ~src:links ~src_off:(base + ((c - 1) * 32)) ~dst:links
-            ~dst_off:(base + (c * 32))
-        done;
-        Bytes.sub_string links (base + (chain_length * 32)) 32)
-  in
-  ({ links }, pk)
+  let seed = Rng.bytes rng 32 in
+  (seed, Array.init chain_count (fun i -> hash_times (secret seed i) chain_length))
 
 (* 4-bit chunks of the digest, most-significant nibble first, then a
    base-16 checksum of (15 - chunk) values to prevent chain extension. *)
@@ -71,9 +75,9 @@ let chunks_of_digest digest =
   let cs = Array.init 3 (fun i -> (checksum lsr (4 * (2 - i))) land 0xF) in
   Array.append msg cs
 
-let sign sk digest =
+let sign links digest =
   let chunks = chunks_of_digest digest in
-  Array.mapi (fun i c -> Bytes.sub_string sk.links ((i * stride) + (c * 32)) 32) chunks
+  Array.mapi (fun i c -> Bytes.sub_string links ((i * stride) + (c * 32)) 32) chunks
 
 (* Total on malformed input: a signature with the wrong number of chains
    or chain values that are not 32 bytes is simply invalid, never an
@@ -106,16 +110,15 @@ let signature_to_string = join
 let signature_of_string = split
 
 (* Specification twin built on [Sha256.Spec]: byte-identical output to
-   [sign] for the same key and digest (the scheme is deterministic), used
-   by tests as a cross-check and by the E14 bench as the baseline. *)
+   [expand] then [sign] for the same key and digest (the scheme is
+   deterministic), used by tests as a cross-check of the derivation and
+   the chains, and by the E14 bench as the baseline. *)
 let hash_times_spec s n =
   let rec go s n =
     if n = 0 then s else go (Sha256.to_raw (Sha256.Spec.string s)) (n - 1)
   in
   go s n
 
-let sign_spec sk digest =
-  let chunks = chunks_of_digest digest in
-  Array.mapi
-    (fun i c -> hash_times_spec (Bytes.sub_string sk.links (i * stride) 32) c)
-    chunks
+let sign_spec seed digest =
+  let secret_spec i = Sha256.to_raw (Sha256.Spec.string (seed ^ index_bytes.(i))) in
+  Array.mapi (fun i c -> hash_times_spec (secret_spec i) c) (chunks_of_digest digest)

@@ -6,7 +6,12 @@
     exactly one message; {!Signature} lifts this to a many-time scheme. *)
 
 type secret_key
+(** A 32-byte seed: chain [j]'s secret is SHA-256(seed || j), [j] one byte. *)
+
 type public_key
+
+type links
+(** Every link of one expanded key (~34 KiB), reused across {!expand}s. *)
 
 type signature = string array
 (** 67 chain values of 32 bytes each. The representation is exposed so
@@ -15,21 +20,25 @@ type signature = string array
     {!signature_of_string}. *)
 
 val generate : Rng.t -> secret_key * public_key
-(** Derive a fresh one-time key pair from the generator. The secret key
-    retains every intermediate chain link (~34 KiB), so {!sign} selects
-    links instead of recomputing hash chains — generation already had to
-    walk each chain to its end to produce the public key. *)
+(** Draw a fresh seed; the public key walks its chains, keeping no links. *)
 
-val sign : secret_key -> Sha256.digest -> signature
-(** Sign a 32-byte message digest by copying out precomputed chain
-    links (no hashing; see {!generate}). Signing twice with the same key
-    leaks key material in a real deployment; callers must treat keys as
-    one-shot (enforced by {!Signature}). *)
+val links : unit -> links
+
+val expand : links -> secret_key -> public_key
+(** Write every link of the key into the buffer (~1,070 SHA-256
+    compressions) and return its public key. *)
+
+val sign : links -> Sha256.digest -> signature
+(** Sign a 32-byte message digest with the key last {!expand}ed into the
+    buffer, by copying out the links the chunks select (no hashing).
+    Signing twice with the same key leaks key material in a real
+    deployment; callers must treat keys as one-shot (enforced by
+    {!Signature}). *)
 
 val sign_spec : secret_key -> Sha256.digest -> signature
-(** [sign] computed with the {!Sha256.Spec} executable specification:
-    byte-identical output (the scheme is deterministic), used as a
-    cross-check and as the E14 benchmark baseline. *)
+(** [expand] then [sign] on the {!Sha256.Spec} executable specification:
+    byte-identical output, used as a cross-check of the derivation and
+    the chains and as the E14 benchmark baseline. *)
 
 val verify : public_key -> Sha256.digest -> signature -> bool
 (** Total on malformed signatures: a wrong chain count or non-32-byte

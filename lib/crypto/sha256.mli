@@ -58,7 +58,7 @@ val chain_scratch : unit -> chain_scratch
 val hash32_sub :
   chain_scratch -> src:Bytes.t -> src_off:int -> dst:Bytes.t -> dst_off:int -> unit
 (** {!hash32_into} at explicit offsets, so a whole hash chain can live
-    in one flat buffer (see {!Ots.generate}).
+    in one flat buffer (see {!Ots.expand}).
     @raise Invalid_argument if either 32-byte slice is out of bounds. *)
 
 val to_raw : digest -> string

@@ -1,6 +1,9 @@
 type signer = {
-  keys : (Ots.secret_key * Ots.public_key) array;
+  seeds : Ots.secret_key array;
   tree : Merkle.t;
+  links : Ots.links;
+      (* The one expansion buffer: [sign] regenerates each key into it,
+         so the signer holds a seed per key, not every chain link. *)
   mutable next : int;
   pool : Keypool.t option;
       (* When present, [create] drew the keys from it and [sign] eagerly
@@ -16,40 +19,41 @@ type signature = {
 
 let create ?(height = 6) ?pool rng =
   if height < 0 || height > 16 then invalid_arg "Signature.create: height out of range";
-  let n = 1 lsl height in
-  let keys =
-    match pool with
-    | None -> Array.init n (fun _ -> Ots.generate rng)
-    | Some p -> Array.init n (fun _ -> Keypool.take p)
-  in
-  let leaves = Array.to_list (Array.map (fun (_, pk) -> Ots.public_key_digest pk) keys) in
-  { keys; tree = Merkle.build leaves; next = 0; pool }
+  let take () = match pool with Some p -> Keypool.take p | None -> Keypool.generate rng in
+  let keys = Array.init (1 lsl height) (fun _ -> take ()) in
+  { seeds = Array.map fst keys;
+    tree = Merkle.build (Array.to_list (Array.map snd keys));
+    links = Ots.links ();
+    next = 0;
+    pool }
 
 let public_root t = Merkle.root t.tree
-let remaining t = Array.length t.keys - t.next
+let remaining t = Array.length t.seeds - t.next
 
-let sign t msg =
-  if t.next >= Array.length t.keys then failwith "Signature.sign: signer exhausted";
+let claim t =
+  if t.next >= Array.length t.seeds then failwith "Signature.sign: signer exhausted";
   let index = t.next in
   t.next <- index + 1;
-  let sk, pk = t.keys.(index) in
+  index
+
+let sign t msg =
+  let index = claim t in
+  let ots_pk = Ots.expand t.links t.seeds.(index) in
   let sg =
     { index;
-      ots_pk = pk;
-      ots_sig = Ots.sign sk (Sha256.string msg);
+      ots_pk;
+      ots_sig = Ots.sign t.links (Sha256.string msg);
       proof = Merkle.prove t.tree index }
   in
   (match t.pool with Some p -> Keypool.replenish p | None -> ());
   sg
 
 let sign_spec t msg =
-  if t.next >= Array.length t.keys then failwith "Signature.sign: signer exhausted";
-  let index = t.next in
-  t.next <- index + 1;
-  let sk, pk = t.keys.(index) in
+  let index = claim t in
+  let seed = t.seeds.(index) in
   { index;
-    ots_pk = pk;
-    ots_sig = Ots.sign_spec sk (Sha256.Spec.string msg);
+    ots_pk = Ots.expand t.links seed;
+    ots_sig = Ots.sign_spec seed (Sha256.Spec.string msg);
     proof = Merkle.prove t.tree index }
 
 let verify ~root msg sg =

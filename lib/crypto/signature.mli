@@ -5,7 +5,9 @@
     and by the isolation monitor's attestation key. A signer is created
     with a capacity of [2^height] signatures; each [sign] consumes one
     one-time key and embeds its Merkle inclusion proof, so a verifier only
-    needs the 32-byte public root. *)
+    needs the 32-byte public root. A signer holds a 32-byte seed per key,
+    the Merkle tree and one ~34 KiB link buffer (about 200 KiB at height
+    10); each [sign] pays one {!Ots.expand} into that buffer. *)
 
 type signer
 type signature
@@ -29,9 +31,9 @@ val sign : signer -> string -> signature
     @raise Failure if the signer is exhausted. *)
 
 val sign_spec : signer -> string -> signature
-(** [sign] computed with the {!Sha256.Spec} / {!Ots.sign_spec}
-    executable specification; byte-identical to [sign] for the same key
-    index and message (the scheme is deterministic). Consumes one key.
+(** [sign] with the one-time signature computed by {!Ots.sign_spec};
+    byte-identical to [sign] for the same key index and message (the
+    scheme is deterministic). Consumes one key.
     Used as a cross-check and as the E14 benchmark baseline.
     @raise Failure if the signer is exhausted. *)
 

@@ -1021,9 +1021,14 @@ let attest_body_of t ~domain =
   let* d = get_domain t domain in
   Ok (memoized_body t d domain)
 
+(* Each signature spends a one-time key; a spent signer denies, never raises. *)
+let key_left t =
+  if Crypto.Signature.remaining t.signer > 0 then Ok () else Error (Denied "signer exhausted")
+
 let attest t ~caller ~domain ~nonce =
   let* _ = get_domain t caller in
   let* d = get_domain t domain in
+  let* () = key_left t in
   let regions, cores, devices = memoized_body t d domain in
   t.attests <- t.attests + 1;
   Ok
@@ -1033,6 +1038,7 @@ let attest t ~caller ~domain ~nonce =
 let attest_spec t ~caller ~domain ~nonce =
   let* _ = get_domain t caller in
   let* d = get_domain t domain in
+  let* () = key_left t in
   let regions, cores, devices = memoized_body t d domain in
   t.attests <- t.attests + 1;
   Ok
@@ -1051,12 +1057,14 @@ let attest_batch t ~caller ~domains ~nonce =
         rest
   in
   let* entries = collect [] domains in
+  let* () = if domains = [] then Ok () else key_left t in
   t.attests <- t.attests + 1;
   Ok (Attestation.sign_batch ~signer:t.signer ~nonce entries)
 
 let attest_reference t ~caller ~domain ~nonce =
   let* _ = get_domain t caller in
   let* d = get_domain t domain in
+  let* () = key_left t in
   let regions, cores, devices =
     attest_body t ~caps_of:Cap.Captree.caps_of_domain_reference
       ~refcount:Cap.Captree.refcount_reference ~holders:Cap.Captree.holders_reference

@@ -269,7 +269,8 @@ val attest :
     enumeration (regions, refcounts, holders) is memoized against the
     tree's {!Cap.Captree.generation}, so repeated attestations of a
     quiescent tree skip re-enumeration; the signature itself is always
-    fresh (one-time key, caller nonce). *)
+    fresh (one-time key, caller nonce). Once the signer's keys are spent,
+    every attest entry point returns [Denied]; none raises. *)
 
 val attest_batch :
   t -> caller:Domain.id -> domains:Domain.id list -> nonce:string ->

@@ -141,11 +141,20 @@ let test_merkle_errors () =
     (Invalid_argument "Merkle.prove: index out of range") (fun () ->
       ignore (Merkle.prove t 1))
 
+(* Expand a one-time key into a fresh link buffer and sign with it. *)
+let ots_sign sk msg =
+  let links = Ots.links () in
+  ignore (Ots.expand links sk);
+  Ots.sign links msg
+
 let test_ots_sign_verify () =
   let rng = Rng.create ~seed:11L in
   let sk, pk = Ots.generate rng in
+  let links = Ots.links () in
+  Alcotest.(check string) "expand agrees with generate" (Ots.public_key_to_string pk)
+    (Ots.public_key_to_string (Ots.expand links sk));
   let msg = Sha256.string "attestation payload" in
-  let sg = Ots.sign sk msg in
+  let sg = Ots.sign links msg in
   Alcotest.(check bool) "verifies" true (Ots.verify pk msg sg);
   Alcotest.(check bool) "wrong message rejected" false
     (Ots.verify pk (Sha256.string "other") sg)
@@ -154,7 +163,7 @@ let test_ots_serialization () =
   let rng = Rng.create ~seed:12L in
   let sk, pk = Ots.generate rng in
   let msg = Sha256.string "m" in
-  let sg = Ots.sign sk msg in
+  let sg = ots_sign sk msg in
   let pk' = Ots.public_key_of_string (Ots.public_key_to_string pk) in
   let sg' = Ots.signature_of_string (Ots.signature_to_string sg) in
   Alcotest.(check bool) "roundtrip verifies" true (Ots.verify pk' msg sg');
@@ -167,7 +176,7 @@ let test_ots_cross_key () =
   let sk1, _pk1 = Ots.generate rng in
   let _sk2, pk2 = Ots.generate rng in
   let msg = Sha256.string "m" in
-  Alcotest.(check bool) "foreign key rejected" false (Ots.verify pk2 msg (Ots.sign sk1 msg))
+  Alcotest.(check bool) "foreign key rejected" false (Ots.verify pk2 msg (ots_sign sk1 msg))
 
 let test_signature_many () =
   let rng = Rng.create ~seed:14L in
@@ -306,8 +315,8 @@ let test_ots_verify_total () =
   let rng = Rng.create ~seed:21L in
   let sk, pk = Ots.generate rng in
   let msg = Sha256.string "total" in
-  let sg = Ots.sign sk msg in
-  let wrong_len = Array.sub (Ots.sign sk msg) 0 10 in
+  let sg = ots_sign sk msg in
+  let wrong_len = Array.sub sg 0 10 in
   Alcotest.(check bool) "wrong chain count -> false" false (Ots.verify pk msg wrong_len);
   let bad_value = Array.copy sg in
   bad_value.(3) <- "not a digest";
@@ -321,18 +330,26 @@ let test_ots_sign_spec_identity () =
   let rng = Rng.create ~seed:22L in
   let sk, pk = Ots.generate rng in
   let msg = Sha256.string "spec twin" in
-  let fast = Ots.sign sk msg and spec = Ots.sign_spec sk msg in
+  let fast = ots_sign sk msg and spec = Ots.sign_spec sk msg in
   Alcotest.(check string) "byte-identical signatures"
     (Ots.signature_to_string fast) (Ots.signature_to_string spec);
   Alcotest.(check bool) "spec signature verifies" true (Ots.verify pk msg spec)
+
+(* A pooled handle's leaf is the digest of the public key its seed
+   expands to, and the expanded key signs. *)
+let check_handle what (sk, leaf) =
+  let links = Ots.links () in
+  let pk = Ots.expand links sk in
+  check_hex (what ^ ": leaf is the expanded key's digest") (hex (Ots.public_key_digest pk)) leaf;
+  let msg = Sha256.string what in
+  Alcotest.(check bool) (what ^ ": expanded key signs") true
+    (Ots.verify pk msg (Ots.sign links msg))
 
 let test_keypool_basic () =
   let rng = Rng.create ~seed:23L in
   let pool = Keypool.create ~low_water:2 ~target:4 rng in
   Alcotest.(check int) "prefilled" 4 (Keypool.size pool);
-  let sk, pk = Keypool.take pool in
-  let msg = Sha256.string "pooled" in
-  Alcotest.(check bool) "pooled key signs" true (Ots.verify pk msg (Ots.sign sk msg));
+  check_handle "pooled" (Keypool.take pool);
   Alcotest.(check int) "one taken" 3 (Keypool.size pool);
   Keypool.replenish pool;
   Alcotest.(check int) "above low water: no refill" 3 (Keypool.size pool);
@@ -345,9 +362,7 @@ let test_keypool_basic () =
 let test_keypool_miss () =
   let rng = Rng.create ~seed:24L in
   let pool = Keypool.create ~target:0 rng in
-  let sk, pk = Keypool.take pool in
-  let msg = Sha256.string "miss" in
-  Alcotest.(check bool) "on-demand key works" true (Ots.verify pk msg (Ots.sign sk msg));
+  check_handle "on-demand" (Keypool.take pool);
   Alcotest.(check (pair int int)) "recorded as miss" (0, 1) (Keypool.stats pool)
 
 let test_keypool_signer () =
@@ -357,20 +372,44 @@ let test_keypool_signer () =
   (* create drew all 8 keys; the pool is empty and below low water. *)
   Alcotest.(check int) "drained by create" 0 (Keypool.size pool);
   let root = Signature.public_root signer in
+  (* The pool changes when keys are generated, never which: an unpooled
+     signer drawn from an equally seeded Rng commits to the same keys. *)
+  check_hex "same root as an unpooled signer" (hex root)
+    (Signature.public_root (Signature.create ~height:3 (Rng.create ~seed:25L)));
   let sg = Signature.sign signer "pooled signer" in
   Alcotest.(check bool) "verifies" true (Signature.verify ~root "pooled signer" sg);
   (* The first sign eagerly replenished the stock back to target. *)
   Alcotest.(check int) "sign replenished" 8 (Keypool.size pool)
 
 let test_signature_sign_spec_identity () =
-  let s1 = Signature.create ~height:2 (Rng.create ~seed:26L) in
-  let s2 = Signature.create ~height:2 (Rng.create ~seed:26L) in
-  let fast = Signature.sign s1 "twin message" in
-  let spec = Signature.sign_spec s2 "twin message" in
-  Alcotest.(check string) "byte-identical signatures"
-    (Signature.signature_to_string fast) (Signature.signature_to_string spec);
-  Alcotest.(check bool) "spec verifies under fast root" true
-    (Signature.verify ~root:(Signature.public_root s1) "twin message" spec)
+  (* Every key, not just the first: [sign] reuses one link buffer, so a
+     key left stale in it would show at the second index. [sign_spec]
+     derives the chain secrets with Sha256.Spec, checking the
+     derivation too. *)
+  let s1 = Signature.create ~height:3 (Rng.create ~seed:26L) in
+  let s2 = Signature.create ~height:3 (Rng.create ~seed:26L) in
+  let root = Signature.public_root s1 in
+  for i = 0 to 7 do
+    let msg = Printf.sprintf "twin message %d" i in
+    let fast = Signature.sign s1 msg and spec = Signature.sign_spec s2 msg in
+    Alcotest.(check string) (Printf.sprintf "key %d: byte-identical signatures" i)
+      (Signature.signature_to_string fast) (Signature.signature_to_string spec);
+    Alcotest.(check bool) (Printf.sprintf "key %d: both verify under one root" i) true
+      (Signature.verify ~root msg fast && Signature.verify ~root msg spec)
+  done
+
+(* The signer's footprint, counted rather than timed: a seed per key,
+   the Merkle tree and one link buffer, where expanded keys took 34 KiB
+   each (38 MB at height 10). *)
+let test_signer_footprint () =
+  let kib v = Obj.reachable_words (Obj.repr v) * (Sys.word_size / 8) / 1024 in
+  let pool = Keypool.create ~low_water:0 ~target:1024 (Rng.create ~seed:27L) in
+  let pool_kib = kib pool in
+  Alcotest.(check bool) (Printf.sprintf "1,024-key pool: %d KiB <= 256" pool_kib) true
+    (pool_kib <= 256);
+  let signer = Signature.create ~height:10 ~pool (Rng.create ~seed:27L) in
+  Alcotest.(check bool) (Printf.sprintf "height-10 signer: %d KiB <= 512" (kib signer)) true
+    (kib signer <= 512)
 
 (* Property tests *)
 
@@ -471,4 +510,5 @@ let () =
         [ Alcotest.test_case "many-time + exhaustion" `Quick test_signature_many;
           Alcotest.test_case "serialization" `Quick test_signature_serialization;
           Alcotest.test_case "cross signer" `Quick test_signature_cross_signer;
-          Alcotest.test_case "sign_spec identity" `Quick test_signature_sign_spec_identity ] ) ]
+          Alcotest.test_case "sign_spec identity" `Quick test_signature_sign_spec_identity;
+          Alcotest.test_case "footprint" `Quick test_signer_footprint ] ) ]

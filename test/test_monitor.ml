@@ -495,6 +495,25 @@ let test_attest_batch_one_key () =
       (Tyche.Attestation.verify ~monitor_root:root forged)
   | _ -> Alcotest.fail "expected three reports"
 
+let test_attest_exhausted_denied () =
+  (* A height-0 signer holds one key. Once it is spent, every attest
+     entry point returns a denial to its direct caller; none raises. *)
+  let w = boot_x86 ~signer_height:0 () in
+  let m = w.monitor in
+  ignore (get_ok (Tyche.Monitor.attest m ~caller:os ~domain:os ~nonce:"first"));
+  let denied what = function
+    | Error (Tyche.Monitor.Denied _) -> ()
+    | Ok _ -> Alcotest.failf "%s: signed with a spent signer" what
+    | Error e -> Alcotest.failf "%s: %s" what (Tyche.Monitor.error_to_string e)
+  in
+  denied "attest" (Tyche.Monitor.attest m ~caller:os ~domain:os ~nonce:"second");
+  denied "attest_spec" (Tyche.Monitor.attest_spec m ~caller:os ~domain:os ~nonce:"s");
+  denied "attest_reference"
+    (Tyche.Monitor.attest_reference m ~caller:os ~domain:os ~nonce:"r");
+  denied "attest_batch" (Tyche.Monitor.attest_batch m ~caller:os ~domains:[ os ] ~nonce:"b");
+  Alcotest.(check bool) "an empty batch needs no key" true
+    (get_ok (Tyche.Monitor.attest_batch m ~caller:os ~domains:[] ~nonce:"e") = [])
+
 let test_attest_spec_agrees () =
   let w, enclave, _ = with_enclave () in
   let m = w.monitor in
@@ -644,6 +663,7 @@ let () =
           Alcotest.test_case "batch" `Quick test_attest_batch;
           Alcotest.test_case "batch consumes one key" `Quick test_attest_batch_one_key;
           Alcotest.test_case "spec stack agrees" `Quick test_attest_spec_agrees;
+          Alcotest.test_case "exhausted signer denies" `Quick test_attest_exhausted_denied;
           Alcotest.test_case "NUL name rejected" `Quick test_attest_nul_name_rejected;
           Alcotest.test_case "position independence" `Quick
             test_measurement_position_independence ] );

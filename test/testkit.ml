@@ -17,7 +17,8 @@ let firmware = "firmware-v1"
 let loader_blob = "loader-v1"
 let monitor_image = "tyche-monitor-image-v1"
 
-let boot_x86 ?(seed = 0x71L) ?(cores = 4) ?(mem_size = 16 * 1024 * 1024) ?(devices = []) ?tlb_strategy () =
+let boot_x86 ?(seed = 0x71L) ?(cores = 4) ?(mem_size = 16 * 1024 * 1024) ?(devices = []) ?tlb_strategy
+    ?signer_height () =
   let machine = Hw.Machine.create ~arch:Hw.Cpu.X86_64 ~cores ~mem_size () in
   List.iter (Hw.Machine.attach_device machine) devices;
   let rng = Crypto.Rng.create ~seed in
@@ -27,7 +28,7 @@ let boot_x86 ?(seed = 0x71L) ?(cores = 4) ?(mem_size = 16 * 1024 * 1024) ?(devic
   in
   let backend = Backend_x86.create machine ?tlb_strategy () in
   let monitor =
-    Tyche.Monitor.boot machine ~backend ~tpm ~rng
+    Tyche.Monitor.boot ?signer_height machine ~backend ~tpm ~rng
       ~monitor_range:boot_report.Rot.Boot.monitor_range
   in
   { machine; tpm; rng; boot_report; backend; monitor }
