@@ -5,18 +5,10 @@ type state = {
   monitor_range : Hw.Addr.Range.t;
   strategy : alloc_strategy;
   layouts : (Tyche.Domain.id, (Hw.Addr.Range.t * Hw.Perm.t) list ref) Hashtbl.t;
-  domain_devices : (Tyche.Domain.id, int list ref) Hashtbl.t;
   core_domain : int array;
   mutable transitions : int;
   mutable pmp_writes : int;
-  (* Hardware undo journal. While [journaling], every mutation of
-     backend or hardware state (layouts, device lists, PMP files, IOMMU
-     windows, remap table, core context) prepends its inverse;
-     destructive clean-ups (memory zeroing) go to [deferred] and only
-     run at commit, so a rollback never has to un-zero memory. *)
-  mutable journal : (unit -> unit) list;
-  mutable journaling : bool;
-  mutable deferred : (unit -> unit) list;
+  hw : Tyche.Hw_txn.t;
 }
 
 (* Associates the opaque backend records handed to the monitor with
@@ -31,46 +23,8 @@ let state_of backend =
   | Some s -> s
   | None -> invalid_arg "Backend_riscv: not a backend created by this module"
 
-(* --- transactions --------------------------------------------------- *)
-
-(* Call sites guard with [if s.journaling then record s (fun () -> ...)]
-   so the fault-free path allocates no closures. *)
-let record s undo = s.journal <- undo :: s.journal
-
-(* Stage a destructive clean-up: run at commit inside a transaction,
-   immediately outside one (boot-time paths). *)
-let defer s cleanup = if s.journaling then s.deferred <- cleanup :: s.deferred else cleanup ()
-
-let txn_begin s =
-  if s.journaling then invalid_arg "Backend_riscv.txn_begin: transaction already open";
-  s.journal <- [];
-  s.deferred <- [];
-  s.journaling <- true;
-  let transitions = s.transitions and pmp_writes = s.pmp_writes in
-  record s (fun () ->
-    s.transitions <- transitions;
-    s.pmp_writes <- pmp_writes)
-
-let txn_commit s =
-  let cleanups = List.rev s.deferred in
-  s.journaling <- false;
-  s.journal <- [];
-  s.deferred <- [];
-  List.iter (fun f -> f ()) cleanups
-
-let txn_rollback s =
-  let undos = s.journal in
-  s.journaling <- false;
-  s.journal <- [];
-  s.deferred <- [];
-  (* Undo closures re-execute PMP/IOMMU writes; they must not trip the
-     very fault plan that caused the rollback. *)
-  Fault.suspend (fun () -> List.iter (fun f -> f ()) undos)
-
-let fault_error = function
-  | Fault.Injected { point; trip } ->
-    Printf.sprintf "fault injected at %s (trip %d)" point trip
-  | e -> raise e
+let journaling s = Tyche.Hw_txn.journaling s.hw
+let record s undo = Tyche.Hw_txn.record s.hw undo
 
 let usable_entries machine =
   (* Entry 0 is locked over the monitor image on every hart. *)
@@ -84,33 +38,11 @@ let layout_ref s domain =
     Hashtbl.add s.layouts domain l;
     l
 
-let devices_of s domain =
-  match Hashtbl.find_opt s.domain_devices domain with
-  | Some l -> l
-  | None ->
-    let l = ref [] in
-    Hashtbl.add s.domain_devices domain l;
-    l
-
 let journal_layout s domain =
-  if s.journaling then begin
+  if journaling s then begin
     let l = layout_ref s domain in
     let old = !l in
     record s (fun () -> l := old)
-  end
-
-let journal_devices s domain =
-  if s.journaling then begin
-    let l = devices_of s domain in
-    let old = !l in
-    record s (fun () -> l := old)
-  end
-
-let journal_iommu s device =
-  if s.journaling then begin
-    let iommu = s.machine.Hw.Machine.iommu in
-    let ws = Hw.Iommu.windows iommu ~device in
-    record s (fun () -> Hw.Iommu.set_windows iommu ~device ws)
   end
 
 (* Keep layouts sorted by base. Merge_adjacent folds touching ranges of
@@ -150,24 +82,9 @@ let normalize strategy pieces =
            | 0 -> Int.compare (strength q) (strength p)
            | c -> c)
 
-let layout_add s domain range perm =
-  let l = layout_ref s domain in
-  l := normalize s.strategy ((range, perm) :: !l)
-
-let layout_remove s domain range =
-  let l = layout_ref s domain in
-  l :=
-    normalize s.strategy
-      (List.concat_map
-         (fun (r, p) ->
-           List.map (fun piece -> (piece, p)) (Hw.Addr.Range.subtract r range))
-         !l)
-
 (* Hoisted span handles: one registry lookup per process, not per
    hardware write (see {!Obs.Profile.handle}). *)
 let h_pmp_reprogram = Obs.Profile.handle "pmp.reprogram"
-let h_iommu_grant = Obs.Profile.handle "iommu.grant"
-let h_iommu_revoke = Obs.Profile.handle "iommu.revoke"
 let bk_riscv = Obs.intern "riscv-pmp"
 
 let reprogram s ~core domain =
@@ -182,7 +99,7 @@ let reprogram s ~core domain =
       (Printf.sprintf "domain %d needs %d PMP entries but only %d are usable" domain
          (List.length layout) (usable_entries s.machine))
   else begin
-    if s.journaling then begin
+    if journaling s then begin
       let snapshot =
         List.filter_map
           (fun (i, range, perm, locked) -> if locked then None else Some (i, range, perm))
@@ -227,86 +144,23 @@ let reprogram_running s domain =
   in
   go 0
 
-let dma_perm perm = Hw.Perm.inter perm Hw.Perm.rw
+let map_memory s domain range perm =
+  journal_layout s domain;
+  let l = layout_ref s domain in
+  l := normalize s.strategy ((range, perm) :: !l);
+  Ok ()
 
-let apply_effect_unsafe s = function
-  | Cap.Captree.Attach { domain; resource = Cap.Resource.Memory r; perm } ->
-    journal_layout s domain;
-    layout_add s domain r perm;
-    List.iter
-      (fun bdf ->
-        journal_iommu s bdf;
-        Hw.Iommu.grant s.machine.Hw.Machine.iommu ~device:bdf r (dma_perm perm))
-      !(devices_of s domain);
-    reprogram_running s domain
-  | Cap.Captree.Detach { domain; resource = Cap.Resource.Memory r; cleanup } ->
-    (* Taint the victim's residue before any clean-up runs: the
-       deferred Revocation.apply erases exactly the taint the policy
-       promises to clean, so surviving taint = a missing clean-up (see
-       Hw.Taint). No TLB surface on RISC-V — PMP checks every access. *)
-    let tt = s.machine.Hw.Machine.taint in
-    let u_pages =
-      Hw.Taint.taint_pages tt r ~prior:domain
-        ~guarded:(Cap.Revocation.zeroes_memory cleanup)
-    in
-    let u_lines =
-      Hw.Taint.taint_lines tt
-        (Hw.Cache.resident_lines_in s.machine.Hw.Machine.cache r)
-        ~prior:domain
-        ~guarded:(Cap.Revocation.flushes_cache cleanup)
-    in
-    if s.journaling then
-      record s (fun () ->
-        Hw.Taint.undo tt u_lines;
-        Hw.Taint.undo tt u_pages);
-    journal_layout s domain;
-    layout_remove s domain r;
-    List.iter
-      (fun bdf ->
-        journal_iommu s bdf;
-        Hw.Iommu.revoke_range s.machine.Hw.Machine.iommu ~device:bdf r)
-      !(devices_of s domain);
-    (match reprogram_running s domain with
-    | Error _ as e -> e
-    | Ok () ->
-      (* Zeroing is destructive and has no inverse: stage it so a later
-         failure in the same transaction never needs to un-zero. *)
-      defer s (fun () ->
-        Cap.Revocation.apply cleanup ~mem:s.machine.Hw.Machine.mem
-          ~cache:s.machine.Hw.Machine.cache ~counter:s.machine.Hw.Machine.counter r);
-      Ok ())
-  | Cap.Captree.Attach { domain; resource = Cap.Resource.Device bdf; _ } ->
-    Obs.Profile.span_h ~domain ~backend:bk_riscv h_iommu_grant @@ fun () ->
-    journal_devices s domain;
-    let devices = devices_of s domain in
-    devices := bdf :: !devices;
-    journal_iommu s bdf;
-    List.iter
-      (fun (r, perm) ->
-        Hw.Iommu.grant s.machine.Hw.Machine.iommu ~device:bdf r (dma_perm perm))
-      !(layout_ref s domain);
-    Ok ()
-  | Cap.Captree.Detach { domain; resource = Cap.Resource.Device bdf; _ } ->
-    Obs.Profile.span_h ~domain ~backend:bk_riscv h_iommu_revoke @@ fun () ->
-    journal_iommu s bdf;
-    if s.journaling then begin
-      let interrupts = s.machine.Hw.Machine.interrupts in
-      let vectors = Hw.Interrupt.permitted interrupts ~device:bdf in
-      record s (fun () ->
-        List.iter (fun vector -> Hw.Interrupt.permit interrupts ~device:bdf ~vector) vectors)
-    end;
-    Hw.Iommu.revoke_all s.machine.Hw.Machine.iommu ~device:bdf;
-    Hw.Interrupt.revoke_device s.machine.Hw.Machine.interrupts ~device:bdf;
-    journal_devices s domain;
-    let devices = devices_of s domain in
-    devices := List.filter (fun d -> d <> bdf) !devices;
-    Ok ()
-  | Cap.Captree.Attach { resource = Cap.Resource.Cpu_core _; _ }
-  | Cap.Captree.Detach { resource = Cap.Resource.Cpu_core _; _ } ->
-    Ok ()
-
-let apply_effect s eff =
-  try apply_effect_unsafe s eff with Fault.Injected _ as e -> Error (fault_error e)
+(* No TLB surface on RISC-V — PMP checks every access. *)
+let unmap_memory s domain range =
+  journal_layout s domain;
+  let l = layout_ref s domain in
+  l :=
+    normalize s.strategy
+      (List.concat_map
+         (fun (r, p) ->
+           List.map (fun piece -> (piece, p)) (Hw.Addr.Range.subtract r range))
+         !l);
+  Ok ()
 
 let validate_attach s d resource =
   match resource with
@@ -338,7 +192,7 @@ let enter s ~core d =
   | Error _ as e -> e
   | Ok () ->
     let core_id = Hw.Cpu.id core in
-    if s.journaling then begin
+    if journaling s then begin
       let old_asid = Hw.Cpu.asid core
       and old_mode = Hw.Cpu.mode core
       and old_domain = s.core_domain.(core_id) in
@@ -353,23 +207,11 @@ let enter s ~core d =
     Ok ()
 
 let transition s ~core ~from_ ~to_ ~flush_microarch =
-  let counter = s.machine.Hw.Machine.counter in
-  Hw.Cycles.charge counter Hw.Cycles.Cost.ecall_machine_mode;
-  if flush_microarch then begin
-    (* The outgoing domain's resident lines are promised gone: taint
-       them guarded, then flush — surviving taint means the flush
-       regressed (see Hw.Taint). *)
-    let tt = s.machine.Hw.Machine.taint in
-    let from_id = Tyche.Domain.id from_ in
-    let u_lines =
-      Hw.Taint.taint_lines tt
-        (Hw.Cache.lines_of_tag s.machine.Hw.Machine.cache ~tag:from_id)
-        ~prior:from_id ~guarded:true
-    in
-    if s.journaling then record s (fun () -> Hw.Taint.undo tt u_lines);
-    Hw.Cache.flush_all s.machine.Hw.Machine.cache
-  end;
-  match (try enter s ~core to_ with Fault.Injected _ as e -> Error (fault_error e)) with
+  Hw.Cycles.charge s.machine.Hw.Machine.counter Hw.Cycles.Cost.ecall_machine_mode;
+  if flush_microarch then Tyche.Hw_txn.flush_lines s.hw (Tyche.Domain.id from_);
+  match
+    try enter s ~core to_ with Fault.Injected _ as e -> Error (Tyche.Hw_txn.fault_error e)
+  with
   | Error _ as e -> e
   | Ok () ->
     s.transitions <- s.transitions + 1;
@@ -390,13 +232,10 @@ let create machine ~monitor_range ?(alloc_strategy = Merge_adjacent) () =
       monitor_range;
       strategy = alloc_strategy;
       layouts = Hashtbl.create 16;
-      domain_devices = Hashtbl.create 16;
       core_domain = Array.make (Array.length machine.Hw.Machine.cores) Tyche.Domain.initial;
       transitions = 0;
       pmp_writes = 0;
-      journal = [];
-      journaling = false;
-      deferred = [] }
+      hw = Tyche.Hw_txn.create machine ~backend:bk_riscv }
   in
   (* Lock the monitor's image out of reach on every hart. *)
   Array.iter
@@ -409,16 +248,16 @@ let create machine ~monitor_range ?(alloc_strategy = Merge_adjacent) () =
       domain_destroyed =
         (fun d ->
           let id = Tyche.Domain.id d in
-          if s.journaling then begin
+          Tyche.Hw_txn.domain_destroyed s.hw id;
+          if journaling s then begin
             let layout = Hashtbl.find_opt s.layouts id in
-            let devices = Hashtbl.find_opt s.domain_devices id in
-            record s (fun () ->
-              Option.iter (Hashtbl.replace s.layouts id) layout;
-              Option.iter (Hashtbl.replace s.domain_devices id) devices)
+            record s (fun () -> Option.iter (Hashtbl.replace s.layouts id) layout)
           end;
-          Hashtbl.remove s.layouts id;
-          Hashtbl.remove s.domain_devices id);
-      apply_effect = (fun eff -> apply_effect s eff);
+          Hashtbl.remove s.layouts id);
+      apply_effect =
+        Tyche.Hw_txn.apply_effect s.hw
+          ~holdings:(fun d -> !(layout_ref s d))
+          ~map:(map_memory s) ~unmap:(unmap_memory s) ~program:(reprogram_running s);
       validate_attach = (fun d r -> validate_attach s d r);
       transition =
         (fun ~core ~from_ ~to_ ~flush_microarch ->
@@ -431,9 +270,15 @@ let create machine ~monitor_range ?(alloc_strategy = Merge_adjacent) () =
       domain_reaches = (fun d r -> domain_reaches s d r);
       domain_encrypted = (fun _ -> false);
       stale_switches = (fun () -> []);
-      txn_begin = (fun () -> txn_begin s);
-      txn_commit = (fun () -> txn_commit s);
-      txn_rollback = (fun () -> txn_rollback s) }
+      txn_begin =
+        (fun () ->
+          Tyche.Hw_txn.txn_begin s.hw;
+          let transitions = s.transitions and pmp_writes = s.pmp_writes in
+          record s (fun () ->
+            s.transitions <- transitions;
+            s.pmp_writes <- pmp_writes));
+      txn_commit = (fun () -> Tyche.Hw_txn.txn_commit s.hw ignore);
+      txn_rollback = (fun () -> Tyche.Hw_txn.txn_rollback s.hw) }
   in
   Ephemeron.K1.Bucket.add registry backend s;
   backend

@@ -4,7 +4,10 @@
     domain transition: the entries describe exactly the memory the
     incoming domain holds, so S/U-mode code can touch nothing else.
     PMP entry 0 is locked over the monitor's own image at creation
-    (self-protection even against M-mode re-entry).
+    (self-protection even against M-mode re-entry). A device's DMA
+    windows are the union of its holders' layouts; the journal, the DMA
+    mirroring, the detach taint and the staged clean-ups are
+    {!Tyche.Hw_txn}'s, shared with {!Backend_x86}.
 
     PMP files have a fixed number of entries, so — unlike the EPT
     backend — this backend *rejects* capability layouts that do not fit

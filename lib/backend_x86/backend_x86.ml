@@ -9,21 +9,15 @@ type state = {
   mutable next_keyid : int;
   epts : (Tyche.Domain.id, Hw.Ept.t) Hashtbl.t;
   eptp_lists : (Tyche.Domain.id, Hw.Ept.Eptp_list.t) Hashtbl.t;
-  domain_devices : (Tyche.Domain.id, int list ref) Hashtbl.t;
   mutable fast : int;
   mutable trap : int;
-  (* Hardware undo journal (see Backend_riscv for the discipline):
-     while [journaling], every EPT/MKTME/IOMMU/table mutation prepends
-     its inverse; destructive clean-ups (zeroing) wait in [deferred]
-     until commit. TLB invalidation waits too: [stale] collects the
-     domains whose translations a detach invalidated, and commit pays
-     one shootdown (or one ASID flush per domain) for the whole call,
-     or nothing if no core can cache any of them (see [cached]). A
-     rollback restores every mapping, so the cached translations are
-     valid again and nothing is flushed. *)
-  mutable journal : (unit -> unit) list;
-  mutable journaling : bool;
-  mutable deferred : (unit -> unit) list;
+  hw : Tyche.Hw_txn.t;
+  (* TLB invalidation waits for commit inside a transaction: [stale]
+     collects the domains whose translations a detach invalidated, and
+     commit pays one shootdown (or one ASID flush per domain) for the
+     whole call, or nothing if no core can cache any of them (see
+     [cached]). A rollback restores every mapping, so the cached
+     translations are valid again and nothing is flushed. *)
   stale : (Tyche.Domain.id, unit) Hashtbl.t;
   (* The domains whose translations some core may cache: a core
      entered the domain since its last flush, or was running it when
@@ -46,21 +40,8 @@ let state_of backend =
   | Some s -> s
   | None -> invalid_arg "Backend_x86: not a backend created by this module"
 
-(* --- transactions --------------------------------------------------- *)
-
-let record s undo = s.journal <- undo :: s.journal
-
-let defer s cleanup = if s.journaling then s.deferred <- cleanup :: s.deferred else cleanup ()
-
-let txn_begin s =
-  if s.journaling then invalid_arg "Backend_x86.txn_begin: transaction already open";
-  s.journal <- [];
-  s.deferred <- [];
-  s.journaling <- true;
-  let fast = s.fast and trap = s.trap in
-  record s (fun () ->
-    s.fast <- fast;
-    s.trap <- trap)
+let journaling s = Tyche.Hw_txn.journaling s.hw
+let record s undo = Tyche.Hw_txn.record s.hw undo
 
 (* Invalidate the stale domains' translations. A domain no core can
    cache holds none, so it is dropped; when none is left, nothing is
@@ -89,56 +70,13 @@ let flush_tlb s domains =
 (* A detach left [domain]'s translations stale: invalidate now outside a
    transaction, at commit inside one. *)
 let invalidate_tlb s domain =
-  if s.journaling then Hashtbl.replace s.stale domain () else flush_tlb s [ domain ]
+  if journaling s then Hashtbl.replace s.stale domain () else flush_tlb s [ domain ]
 
-let txn_commit s =
-  let cleanups = List.rev s.deferred in
+(* Runs at commit, before the staged clean-ups. *)
+let flush_stale s () =
   let stale = List.sort Int.compare (Hashtbl.fold (fun d () acc -> d :: acc) s.stale []) in
-  s.journaling <- false;
-  s.journal <- [];
-  s.deferred <- [];
   Hashtbl.reset s.stale;
-  if stale <> [] then flush_tlb s stale;
-  List.iter (fun f -> f ()) cleanups
-
-let txn_rollback s =
-  let undos = s.journal in
-  s.journaling <- false;
-  s.journal <- [];
-  s.deferred <- [];
-  Hashtbl.reset s.stale;
-  (* Undo closures replay EPT/IOMMU writes; they must not re-trip the
-     fault plan that caused the rollback. *)
-  Fault.suspend (fun () -> List.iter (fun f -> f ()) undos)
-
-let fault_error = function
-  | Fault.Injected { point; trip } ->
-    Printf.sprintf "fault injected at %s (trip %d)" point trip
-  | e -> raise e
-
-let devices_of s domain =
-  match Hashtbl.find_opt s.domain_devices domain with
-  | Some l -> l
-  | None ->
-    let l = ref [] in
-    Hashtbl.add s.domain_devices domain l;
-    l
-
-let journal_devices s domain =
-  if s.journaling then begin
-    let l = devices_of s domain in
-    let old = !l in
-    record s (fun () -> l := old)
-  end
-
-let journal_iommu s device =
-  if s.journaling then begin
-    let iommu = s.machine.Hw.Machine.iommu in
-    let ws = Hw.Iommu.windows iommu ~device in
-    record s (fun () -> Hw.Iommu.set_windows iommu ~device ws)
-  end
-
-let dma_perm perm = Hw.Perm.inter perm Hw.Perm.rw
+  if stale <> [] then flush_tlb s stale
 
 (* MKTME: protect memory attached to a confidential domain under its
    key; memory attached to anyone else reverts to plaintext-on-bus. *)
@@ -149,12 +87,12 @@ let mktme_on_attach s domain range =
     if Hashtbl.mem s.confidential domain then begin
       match Hashtbl.find_opt s.keyids domain with
       | Some keyid ->
-        if s.journaling then record s (fun () -> Hw.Mktme.unprotect controller range);
+        if journaling s then record s (fun () -> Hw.Mktme.unprotect controller range);
         Hw.Mktme.protect controller ~keyid range
       | None ->
         if s.next_keyid < Hw.Mktme.slots controller then begin
           let keyid = s.next_keyid in
-          if s.journaling then
+          if journaling s then
             record s (fun () ->
               Hw.Mktme.unprotect controller range;
               Hashtbl.remove s.keyids domain;
@@ -174,7 +112,7 @@ let mktme_on_detach s range =
   match s.mktme with
   | None -> ()
   | Some controller ->
-    if s.journaling then begin
+    if journaling s then begin
       match Hw.Mktme.keyid_of controller (Hw.Addr.Range.base range) with
       | Some keyid -> record s (fun () -> Hw.Mktme.protect controller ~keyid range)
       | None -> ()
@@ -185,16 +123,16 @@ let mktme_on_detach s range =
    hardware write (see {!Obs.Profile.handle}). *)
 let h_ept_map = Obs.Profile.handle "ept.map"
 let h_ept_unmap = Obs.Profile.handle "ept.unmap"
-let h_iommu_grant = Obs.Profile.handle "iommu.grant"
-let h_iommu_revoke = Obs.Profile.handle "iommu.revoke"
 let bk_x86 = Obs.intern "x86_64-vtx"
 
-let attach_memory s domain range perm =
+let no_ept domain = Error (Printf.sprintf "no EPT for domain %d" domain)
+
+let map_memory s domain range perm =
   Obs.Profile.span_h ~domain ~backend:bk_x86 h_ept_map @@ fun () ->
   match Hashtbl.find_opt s.epts domain with
-  | None -> Error (Printf.sprintf "no EPT for domain %d" domain)
+  | None -> no_ept domain
   | Some ept ->
-    if s.journaling then begin
+    if journaling s then begin
       (* Eagerly capture each page's prior entry: the hypervisor may map
          non-identity gpas, so the undo cannot be rebuilt from the mem
          list. A mid-range injected fault leaves a prefix mapped; the
@@ -215,130 +153,49 @@ let attach_memory s domain range perm =
     end;
     Hw.Ept.map_range ept ~gpa:(Hw.Addr.Range.base range) range perm;
     mktme_on_attach s domain range;
-    List.iter
-      (fun bdf ->
-        journal_iommu s bdf;
-        Hw.Iommu.grant s.machine.Hw.Machine.iommu ~device:bdf range (dma_perm perm))
-      !(devices_of s domain);
     Ok ()
 
-(* Mark what the victim leaves behind — its pages, its resident cache
-   lines, its live translations — with its id before any clean-up runs.
-   The clean-up primitives the policy promises (deferred zero, cache
-   flush, TLB shootdown) erase exactly the taint they clean, so
-   whatever taint survives the transaction is clean-up that did not
-   happen — which the access paths and the fsck taint pass then catch
-   (see Hw.Taint). Must run before the unmap below: the TLB victim set
-   has to be captured while the entries still exist. *)
-let taint_detach s domain range cleanup =
-  let m = s.machine in
-  let tt = m.Hw.Machine.taint in
-  let u_pages =
-    Hw.Taint.taint_pages tt range ~prior:domain
-      ~guarded:(Cap.Revocation.zeroes_memory cleanup)
-  in
-  let u_lines =
-    Hw.Taint.taint_lines tt
-      (Hw.Cache.resident_lines_in m.Hw.Machine.cache range)
-      ~prior:domain
-      ~guarded:(Cap.Revocation.flushes_cache cleanup)
-  in
-  let u_tlb =
-    Hw.Taint.taint_tlb tt
-      (Hw.Tlb.entries_into m.Hw.Machine.tlb ~asid:domain range)
-      ~prior:domain
-  in
-  if s.journaling then
-    record s (fun () ->
-      Hw.Taint.undo tt u_tlb;
-      Hw.Taint.undo tt u_lines;
-      Hw.Taint.undo tt u_pages)
-
-let detach_memory s domain range cleanup =
+(* Besides the pages and lines {!Tyche.Hw_txn} taints, the victim's live
+   translations are marked; the TLB invalidation at commit erases them.
+   Must run before the unmap: the victim set has to be captured while
+   the entries still exist. *)
+let unmap_memory s domain range =
   Obs.Profile.span_h ~domain ~backend:bk_x86 h_ept_unmap @@ fun () ->
   match Hashtbl.find_opt s.epts domain with
-  | None -> Error (Printf.sprintf "no EPT for domain %d" domain)
+  | None -> no_ept domain
   | Some ept ->
-    taint_detach s domain range cleanup;
-    if s.journaling then begin
+    let tt = s.machine.Hw.Machine.taint in
+    let u_tlb =
+      Hw.Taint.taint_tlb tt
+        (Hw.Tlb.entries_into s.machine.Hw.Machine.tlb ~asid:domain range)
+        ~prior:domain
+    in
+    if journaling s then begin
       let victims = Hw.Ept.mappings_to ept range in
       record s (fun () ->
-        List.iter (fun (gpa, hpa, perm) -> Hw.Ept.map_page ept ~gpa ~hpa perm) victims)
+        List.iter (fun (gpa, hpa, perm) -> Hw.Ept.map_page ept ~gpa ~hpa perm) victims;
+        Hw.Taint.undo tt u_tlb)
     end;
     let (_ : int) = Hw.Ept.unmap_hpa_range ept range in
     mktme_on_detach s range;
     invalidate_tlb s domain;
-    List.iter
-      (fun bdf ->
-        journal_iommu s bdf;
-        Hw.Iommu.revoke_range s.machine.Hw.Machine.iommu ~device:bdf range)
-      !(devices_of s domain);
-    (* Zeroing is destructive: stage it so a later failure in the same
-       transaction never needs to un-zero memory. *)
-    defer s (fun () ->
-      Cap.Revocation.apply cleanup ~mem:s.machine.Hw.Machine.mem
-        ~cache:s.machine.Hw.Machine.cache ~counter:s.machine.Hw.Machine.counter range);
     Ok ()
 
 (* The domain's EPT as host-physical windows: runs of consecutive host
-   pages mapped with one permission, in gpa order. What a device of the
-   domain may reach by DMA is exactly what the domain itself reaches. *)
-let ept_windows ept =
-  let runs = ref [] in
-  Hw.Ept.iter_mappings ept (fun ~gpa:_ ~hpa perm ->
-      match !runs with
-      | (base, limit, p) :: rest when limit = hpa && Hw.Perm.equal p perm ->
-        runs := (base, limit + Hw.Addr.page_size, p) :: rest
-      | _ -> runs := (hpa, hpa + Hw.Addr.page_size, perm) :: !runs);
-  List.rev_map (fun (lo, hi, perm) -> (Hw.Addr.Range.of_bounds ~lo ~hi, perm)) !runs
+   pages mapped with one permission, in gpa order. *)
+let ept_windows s domain =
+  match Hashtbl.find_opt s.epts domain with
+  | None -> []
+  | Some ept ->
+    let runs = ref [] in
+    Hw.Ept.iter_mappings ept (fun ~gpa:_ ~hpa perm ->
+        match !runs with
+        | (base, limit, p) :: rest when limit = hpa && Hw.Perm.equal p perm ->
+          runs := (base, limit + Hw.Addr.page_size, p) :: rest
+        | _ -> runs := (hpa, hpa + Hw.Addr.page_size, perm) :: !runs);
+    List.rev_map (fun (lo, hi, perm) -> (Hw.Addr.Range.of_bounds ~lo ~hi, perm)) !runs
 
-let attach_device s domain bdf =
-  Obs.Profile.span_h ~domain ~backend:bk_x86 h_iommu_grant @@ fun () ->
-  journal_devices s domain;
-  let devices = devices_of s domain in
-  devices := bdf :: !devices;
-  journal_iommu s bdf;
-  Option.iter
-    (fun ept ->
-      List.iter
-        (fun (range, perm) ->
-          Hw.Iommu.grant s.machine.Hw.Machine.iommu ~device:bdf range (dma_perm perm))
-        (ept_windows ept))
-    (Hashtbl.find_opt s.epts domain);
-  Ok ()
-
-let detach_device s domain bdf =
-  Obs.Profile.span_h ~domain ~backend:bk_x86 h_iommu_revoke @@ fun () ->
-  journal_iommu s bdf;
-  if s.journaling then begin
-    let interrupts = s.machine.Hw.Machine.interrupts in
-    let vectors = Hw.Interrupt.permitted interrupts ~device:bdf in
-    record s (fun () ->
-      List.iter (fun vector -> Hw.Interrupt.permit interrupts ~device:bdf ~vector) vectors)
-  end;
-  Hw.Iommu.revoke_all s.machine.Hw.Machine.iommu ~device:bdf;
-  Hw.Interrupt.revoke_device s.machine.Hw.Machine.interrupts ~device:bdf;
-  journal_devices s domain;
-  let devices = devices_of s domain in
-  devices := List.filter (fun d -> d <> bdf) !devices;
-  Ok ()
-
-let apply_effect_unsafe s = function
-  | Cap.Captree.Attach { domain; resource = Cap.Resource.Memory r; perm } ->
-    attach_memory s domain r perm
-  | Cap.Captree.Detach { domain; resource = Cap.Resource.Memory r; cleanup } ->
-    detach_memory s domain r cleanup
-  | Cap.Captree.Attach { domain; resource = Cap.Resource.Device bdf; _ } ->
-    attach_device s domain bdf
-  | Cap.Captree.Detach { domain; resource = Cap.Resource.Device bdf; _ } ->
-    detach_device s domain bdf
-  | Cap.Captree.Attach { resource = Cap.Resource.Cpu_core _; _ }
-  | Cap.Captree.Detach { resource = Cap.Resource.Cpu_core _; _ } ->
-    (* Core eligibility is checked by the monitor at transition time. *)
-    Ok ()
-
-let apply_effect s eff =
-  try apply_effect_unsafe s eff with Fault.Injected _ as e -> Error (fault_error e)
+let programmed _ = Ok () (* cores walk the live EPT: nothing to reload *)
 
 let validate_attach _domain resource =
   match resource with
@@ -357,7 +214,7 @@ let mode_for d =
 
 let enter s ~core d =
   let id = Tyche.Domain.id d in
-  if s.journaling then begin
+  if journaling s then begin
     let old_ept = Hw.Cpu.active_ept core
     and old_asid = Hw.Cpu.asid core
     and old_mode = Hw.Cpu.mode core in
@@ -394,28 +251,20 @@ let transition s ~core ~from_ ~to_ ~flush_microarch =
       Hw.Cycles.charge counter Hw.Cycles.Cost.vmcall_roundtrip;
       s.trap <- s.trap + 1;
       if flush_microarch then begin
-        (* Everything the outgoing domain left in the caches and the
-           TLB is promised gone by this policy: taint it guarded, then
-           flush — surviving taint means the flush regressed. *)
+        (* The outgoing domain's TLB entries are promised gone with its
+           cache lines: taint them guarded, then flush — surviving taint
+           means the flush regressed. *)
+        Tyche.Hw_txn.flush_lines s.hw from_id;
         let m = s.machine in
         let tt = m.Hw.Machine.taint in
-        let u_lines =
-          Hw.Taint.taint_lines tt
-            (Hw.Cache.lines_of_tag m.Hw.Machine.cache ~tag:from_id)
-            ~prior:from_id ~guarded:true
-        in
         let u_tlb =
           Hw.Taint.taint_tlb tt
             (Hw.Tlb.entries_into m.Hw.Machine.tlb ~asid:from_id
                (Hw.Physmem.full_range m.Hw.Machine.mem))
             ~prior:from_id
         in
-        if s.journaling then
-          record s (fun () ->
-            Hw.Taint.undo tt u_tlb;
-            Hw.Taint.undo tt u_lines);
-        Hw.Cache.flush_all s.machine.Hw.Machine.cache;
-        Hw.Tlb.flush_asid s.machine.Hw.Machine.tlb ~asid:from_id
+        if journaling s then record s (fun () -> Hw.Taint.undo tt u_tlb);
+        Hw.Tlb.flush_asid m.Hw.Machine.tlb ~asid:from_id
       end
       else begin
         (* First trap between this pair: the monitor registers each
@@ -472,21 +321,19 @@ let create machine ?(tlb_strategy = Full_shootdown) ?mktme () =
       next_keyid = 0;
       epts = Hashtbl.create 16;
       eptp_lists = Hashtbl.create 16;
-      domain_devices = Hashtbl.create 16;
       fast = 0;
       trap = 0;
-      journal = [];
-      journaling = false;
-      deferred = [];
+      hw = Tyche.Hw_txn.create machine ~backend:bk_x86;
       stale = Hashtbl.create 8;
       cached = Hashtbl.create 16 }
   in
+  let flush_stale = flush_stale s in
   let backend =
     { Tyche.Backend_intf.backend_name = "x86_64-vtx";
       domain_created =
         (fun d ->
           let id = Tyche.Domain.id d in
-          if s.journaling then
+          if journaling s then
             (* A fresh domain has no prior backend state: undo removes
                everything this call creates. *)
             record s (fun () ->
@@ -503,16 +350,15 @@ let create machine ?(tlb_strategy = Full_shootdown) ?mktme () =
       domain_destroyed =
         (fun d ->
           let id = Tyche.Domain.id d in
-          if s.journaling then begin
+          Tyche.Hw_txn.domain_destroyed s.hw id;
+          if journaling s then begin
             let ept = Hashtbl.find_opt s.epts id
             and eptp = Hashtbl.find_opt s.eptp_lists id
-            and devices = Hashtbl.find_opt s.domain_devices id
             and conf = Hashtbl.mem s.confidential id
             and keyid = Hashtbl.find_opt s.keyids id in
             record s (fun () ->
               Option.iter (Hashtbl.replace s.epts id) ept;
               Option.iter (Hashtbl.replace s.eptp_lists id) eptp;
-              Option.iter (Hashtbl.replace s.domain_devices id) devices;
               if conf then Hashtbl.replace s.confidential id ();
               Option.iter (Hashtbl.replace s.keyids id) keyid)
           end;
@@ -524,18 +370,19 @@ let create machine ?(tlb_strategy = Full_shootdown) ?mktme () =
             (fun ept ->
               Hashtbl.iter
                 (fun _ l ->
-                  if Hw.Ept.Eptp_list.unregister l ept && s.journaling then
+                  if Hw.Ept.Eptp_list.unregister l ept && journaling s then
                     record s (fun () -> ignore (Hw.Ept.Eptp_list.register l ept : int option)))
                 s.eptp_lists)
             (Hashtbl.find_opt s.epts id);
           Hashtbl.remove s.epts id;
           Hashtbl.remove s.eptp_lists id;
-          Hashtbl.remove s.domain_devices id;
           Hashtbl.remove s.confidential id;
           (* [cached] keeps the domain: the teardown's detaches commit
              after this, and their flush must still see it cached. *)
           Hashtbl.remove s.keyids id);
-      apply_effect = (fun eff -> apply_effect s eff);
+      apply_effect =
+        Tyche.Hw_txn.apply_effect s.hw ~holdings:(ept_windows s) ~map:(map_memory s)
+          ~unmap:(unmap_memory s) ~program:programmed;
       validate_attach = (fun d r -> validate_attach d r);
       transition =
         (fun ~core ~from_ ~to_ ~flush_microarch ->
@@ -545,9 +392,18 @@ let create machine ?(tlb_strategy = Full_shootdown) ?mktme () =
       domain_encrypted =
         (fun d -> s.mktme <> None && Hashtbl.mem s.keyids (Tyche.Domain.id d));
       stale_switches = (fun () -> stale_switches s);
-      txn_begin = (fun () -> txn_begin s);
-      txn_commit = (fun () -> txn_commit s);
-      txn_rollback = (fun () -> txn_rollback s) }
+      txn_begin =
+        (fun () ->
+          Tyche.Hw_txn.txn_begin s.hw;
+          let fast = s.fast and trap = s.trap in
+          record s (fun () ->
+            s.fast <- fast;
+            s.trap <- trap));
+      txn_commit = (fun () -> Tyche.Hw_txn.txn_commit s.hw flush_stale);
+      txn_rollback =
+        (fun () ->
+          Hashtbl.reset s.stale;
+          Tyche.Hw_txn.txn_rollback s.hw) }
   in
   Ephemeron.K1.Bucket.add registry backend s;
   backend

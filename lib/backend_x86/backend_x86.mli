@@ -1,12 +1,14 @@
 (** The x86_64 VT-x enforcement backend (§4).
 
     Per-domain EPTs enforce memory isolation, the IOMMU confines DMA to
-    the owning domain's memory, and transitions take either the VMFUNC
+    the memory the device's holders hold, and transitions take either the VMFUNC
     fast path (an EPTP switch with no VM exit, ~134 cycles) when the
     target's EPT is pre-registered in the source's EPTP list, or the
     VMCALL trap path through the monitor (~1,300 cycles) otherwise —
-    the cost structure behind claim C7. A device's DMA windows mirror
-    its domain's EPT.
+    the cost structure behind claim C7. A device's DMA windows are the
+    union of what its holders' EPTs map; the journal, the DMA
+    mirroring, the detach taint and the staged clean-ups are
+    {!Tyche.Hw_txn}'s, shared with {!Backend_riscv}.
 
     A trap between two domains with no flush policy registers the pair
     in both directions, since a call implies its return. A destroy frees

@@ -5,8 +5,9 @@
     A backend is a record of operations the monitor invokes:
     capability-tree {!Cap.Captree.effect}s to apply, domain lifecycle
     notifications, and domain transitions. The two implementations are
-    {!Backend_x86} (VT-x: per-domain EPTs, VMFUNC fast path, IOMMU) and
-    {!Backend_riscv} (M-mode: per-hart PMP programming). *)
+    {!Backend_x86} (VT-x: per-domain EPTs, VMFUNC fast path) and
+    {!Backend_riscv} (M-mode: per-hart PMP programming). Both build their
+    journal, IOMMU mirroring and clean-up staging on {!Hw_txn}. *)
 
 type transition_path =
   | Fast_switch (** Exit-less switch (VMFUNC EPTP switch on x86). *)
@@ -23,7 +24,9 @@ type t = {
   (** Make hardware match a capability-tree change. [Detach] must leave
       the resource unreachable (including TLB invalidation, which a
       backend may defer to {!txn_commit} inside a transaction) and run
-      the clean-up policy. *)
+      the clean-up policy. A device's DMA windows are the union of the
+      memory its holders hold, each at [rw ∩ perm]: a detach from one
+      holder keeps what the others hold. *)
   validate_attach : Domain.t -> Cap.Resource.t -> (unit, string) result;
   (** Pre-flight check before the monitor mutates the tree: the PMP
       backend rejects layouts that exceed the entry budget (C8); the

@@ -88,6 +88,7 @@ let check ?baseline t =
     [ of_violations "tree" (Invariants.check_tree t);
       of_violations "indexes" (Invariants.check_index t @ index_refs);
       of_violations "hardware" (Invariants.check_hardware_matches_tree t);
+      of_violations "dma" (Invariants.check_dma t);
       of_violations "sealed" (Invariants.check_sealed_unextended t);
       of_violations "tlb" (Invariants.check_no_stale_tlb t);
       of_violations "refcounts" (Invariants.check_refcounts t);

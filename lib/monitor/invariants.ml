@@ -48,6 +48,40 @@ let check_hardware_matches_tree m =
         held)
     (Monitor.domains m)
 
+(* [r] less every range in [cover]. *)
+let uncovered r cover =
+  List.fold_left
+    (fun pieces c -> List.concat_map (fun p -> Hw.Addr.Range.subtract p c) pieces)
+    [ r ] cover
+
+let check_dma m =
+  let tree = Monitor.tree m and machine = Monitor.machine m in
+  let segments = Cap.Captree.region_map tree in
+  let pp = Format.asprintf "%a" Hw.Addr.Range.pp in
+  List.concat_map
+    (fun device ->
+      let bdf = Hw.Device.bdf device in
+      let holders = Cap.Captree.holders tree (Cap.Resource.Device bdf) in
+      let held =
+        List.filter_map
+          (fun (seg, hs) -> if List.exists (fun h -> List.mem h holders) hs then Some seg else None)
+          segments
+      in
+      let windows = List.map fst (Hw.Iommu.windows machine.Hw.Machine.iommu ~device:bdf) in
+      List.filter_map
+        (fun seg ->
+          if uncovered seg windows = [] then None
+          else Some (v "dma-matches-tree" "device 0x%x lost DMA to %s" bdf (pp seg)))
+        held
+      @ List.concat_map
+          (fun w ->
+            List.map
+              (fun piece ->
+                v "dma-matches-tree" "device 0x%x reaches %s that no holder holds" bdf (pp piece))
+              (uncovered w held))
+          windows)
+    machine.Hw.Machine.devices
+
 let check_sealed_unextended m =
   List.concat_map
     (fun d ->
@@ -133,6 +167,6 @@ let check_index m =
   | Error detail -> [ { rule = "index-consistency"; detail } ]
 
 let check_all m =
-  check_tree m @ check_index m @ check_hardware_matches_tree m
+  check_tree m @ check_index m @ check_hardware_matches_tree m @ check_dma m
   @ check_sealed_unextended m @ check_no_stale_tlb m @ check_refcounts m
   @ check_remote m @ check_switch_live m

@@ -30,6 +30,12 @@ val check_hardware_matches_tree : Monitor.t -> violation list
     Catches both leaks (hardware maps more than the tree granted) and
     lost access. *)
 
+val check_dma : Monitor.t -> violation list
+(** For every device on the machine: its IOMMU windows are the union of
+    the memory its holders hold. A region-map segment some holder of the
+    device holds must be fully reachable by DMA, and no window may reach
+    a byte no holder holds. *)
+
 val check_sealed_unextended : Monitor.t -> violation list
 (** Sealed domains' *exclusively held* measured regions (root/grant
     lineage — no foreign share anywhere up the chain) must only be

@@ -967,10 +967,8 @@ let store_string t ~core addr s =
 
 (* Attestation *)
 
-(* Enumerate a domain's Fig. 4 attestation body. Parameterized over the
-   query functions so the memoized fast path and [attest_reference]
-   (full-scan baseline) share one enumeration. *)
-let attest_body t ~caps_of ~refcount ~holders ~measured_ranges domain =
+(* Enumerate a domain's Fig. 4 attestation body. *)
+let attest_body t ~measured_ranges domain =
   List.fold_left
     (fun (regions, cores, devices) cap ->
       match Cap.Captree.resource t.tree cap, Cap.Captree.rights t.tree cap with
@@ -978,8 +976,8 @@ let attest_body t ~caps_of ~refcount ~holders ~measured_ranges domain =
         let report =
           { Attestation.range = r;
             perm = rights.Cap.Rights.perm;
-            refcount = refcount t.tree res;
-            holders = holders t.tree res;
+            refcount = Cap.Captree.refcount t.tree res;
+            holders = Cap.Captree.holders t.tree res;
             measured =
               List.exists
                 (fun m -> Hw.Addr.Range.includes ~outer:m ~inner:r
@@ -988,12 +986,12 @@ let attest_body t ~caps_of ~refcount ~holders ~measured_ranges domain =
         in
         (report :: regions, cores, devices)
       | Some (Cap.Resource.Cpu_core c as res), Some _ ->
-        (regions, (c, refcount t.tree res) :: cores, devices)
+        (regions, (c, Cap.Captree.refcount t.tree res) :: cores, devices)
       | Some (Cap.Resource.Device dev as res), Some _ ->
-        (regions, cores, (dev, refcount t.tree res) :: devices)
+        (regions, cores, (dev, Cap.Captree.refcount t.tree res) :: devices)
       | _ -> (regions, cores, devices))
     ([], [], [])
-    (caps_of t.tree domain)
+    (Cap.Captree.caps_of_domain t.tree domain)
 
 (* Memoized body lookup shared by the single and batched paths. *)
 let memoized_body t d domain =
@@ -1006,8 +1004,7 @@ let memoized_body t d domain =
   | _ ->
     t.body_misses <- t.body_misses + 1;
     let ((regions, cores, devices) as body) =
-      attest_body t ~caps_of:Cap.Captree.caps_of_domain ~refcount:Cap.Captree.refcount
-        ~holders:Cap.Captree.holders ~measured_ranges domain
+      attest_body t ~measured_ranges domain
     in
     Hashtbl.replace t.attest_cache domain
       { at_generation = generation; at_measured = measured_ranges;
@@ -1035,16 +1032,6 @@ let attest t ~caller ~domain ~nonce =
     (Attestation.sign ~signer:t.signer ~domain:d ~regions ~cores ~devices
        ~memory_encrypted:(t.backend.Backend_intf.domain_encrypted d) ~nonce)
 
-let attest_spec t ~caller ~domain ~nonce =
-  let* _ = get_domain t caller in
-  let* d = get_domain t domain in
-  let* () = key_left t in
-  let regions, cores, devices = memoized_body t d domain in
-  t.attests <- t.attests + 1;
-  Ok
-    (Attestation.sign_spec ~signer:t.signer ~domain:d ~regions ~cores ~devices
-       ~memory_encrypted:(t.backend.Backend_intf.domain_encrypted d) ~nonce)
-
 let attest_batch t ~caller ~domains ~nonce =
   let* _ = get_domain t caller in
   let rec collect acc = function
@@ -1060,19 +1047,6 @@ let attest_batch t ~caller ~domains ~nonce =
   let* () = if domains = [] then Ok () else key_left t in
   t.attests <- t.attests + 1;
   Ok (Attestation.sign_batch ~signer:t.signer ~nonce entries)
-
-let attest_reference t ~caller ~domain ~nonce =
-  let* _ = get_domain t caller in
-  let* d = get_domain t domain in
-  let* () = key_left t in
-  let regions, cores, devices =
-    attest_body t ~caps_of:Cap.Captree.caps_of_domain_reference
-      ~refcount:Cap.Captree.refcount_reference ~holders:Cap.Captree.holders_reference
-      ~measured_ranges:(Domain.measured_ranges d) domain
-  in
-  Ok
-    (Attestation.sign ~signer:t.signer ~domain:d ~regions ~cores ~devices
-       ~memory_encrypted:(t.backend.Backend_intf.domain_encrypted d) ~nonce)
 
 let boot_quote t ~nonce =
   Rot.Tpm.Quote.generate t.tpm ~pcrs:[ 0; 4; Rot.Tpm.drtm_pcr; key_binding_pcr ] ~nonce
@@ -1174,12 +1148,11 @@ let observe t =
 
 (* Durability: enable, checkpoint, recover (crash-restart). *)
 
-let make_persist_cfg t ~store ~ckpt ~snapshot_every ~fsync_every ~latency_bound =
+let make_persist_cfg t ~store ~ckpt ~snapshot_every ~fsync_every =
   if snapshot_every <= 0 then invalid_arg "Monitor.enable_persistence: snapshot_every";
   if fsync_every <= 0 then invalid_arg "Monitor.enable_persistence: fsync_every";
-  if latency_bound <= 0 then invalid_arg "Monitor.enable_persistence: latency_bound";
   let group =
-    Persist.Group.create ~max_batch:fsync_every ~latency_bound
+    Persist.Group.create ~max_batch:fsync_every
       ~now:(fun () -> Hw.Machine.cycles t.machine)
       store ~blob:Persist.Store.wal_blob ~durable_seq:0
   in
@@ -1190,11 +1163,9 @@ let make_persist_cfg t ~store ~ckpt ~snapshot_every ~fsync_every ~latency_bound 
     p_since_snapshot = 0;
     p_replaying = false }
 
-let enable_persistence t ~store ?(snapshot_every = 1000) ?(fsync_every = 1)
-    ?(latency_bound = max_int) () =
+let enable_persistence t ~store ?(snapshot_every = 1000) ?(fsync_every = 1) () =
   let cfg =
     make_persist_cfg t ~store ~ckpt:(Checkpoint.writer store) ~snapshot_every ~fsync_every
-      ~latency_bound
   in
   t.persist <- Some cfg;
   (* Baseline checkpoint at seq 0: from here on the store can always
@@ -1395,8 +1366,8 @@ let rebuild_hardware t =
   | Some e -> Error e
   | None -> attach_all (mem_effects @ other_effects)
 
-let recover ?(signer_height = 6) ?keypool ?(snapshot_every = 1000) ?(fsync_every = 1)
-    ?(latency_bound = max_int) machine ~store ~backend ~tpm ~rng ~monitor_range =
+let recover ?(signer_height = 6) ?keypool ?(snapshot_every = 1000) ?(fsync_every = 1) machine
+    ~store ~backend ~tpm ~rng ~monitor_range =
   let loaded = Checkpoint.load store in
   let wal = Persist.Wal.read store ~blob:Persist.Store.wal_blob in
   let t = make_monitor ~signer_height ?keypool machine ~backend ~tpm ~rng in
@@ -1404,7 +1375,6 @@ let recover ?(signer_height = 6) ?keypool ?(snapshot_every = 1000) ?(fsync_every
   (* The loaded writer re-serializes only what replay dirties. *)
   let cfg =
     make_persist_cfg t ~store ~ckpt:loaded.Checkpoint.writer ~snapshot_every ~fsync_every
-      ~latency_bound
   in
   (* Reconstruction re-executes operations that already committed once;
      re-injecting API-level faults would fail them a second time and

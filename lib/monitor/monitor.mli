@@ -238,8 +238,9 @@ val route_interrupt :
     [vector], steered to [core]. The caller must hold active
     capabilities for both the device and the core — interrupt routing is
     a resource delegation like any other, not a privileged operation.
-    Revoking the device capability tears its routes down (backends call
-    {!Hw.Interrupt.revoke_device} on device detach). *)
+    A device detach tears down every route of the device, even when
+    another holder keeps it ({!Hw_txn} calls {!Hw.Interrupt.revoke_device});
+    its DMA windows, by contrast, keep what the remaining holders hold. *)
 
 (** {2 Domain-context memory access}
 
@@ -283,21 +284,6 @@ val attest_batch :
     [Unknown_domain] if any requested domain does not exist (no key is
     consumed in that case). *)
 
-val attest_spec :
-  t -> caller:Domain.id -> domain:Domain.id -> nonce:string ->
-  (Attestation.t, error) result
-(** [attest] computed on the {!Crypto.Sha256.Spec} executable
-    specification (same memoized enumeration, slow crypto) — the
-    baseline the optimized crypto core is benchmarked and cross-checked
-    against in E14. Consumes one key. *)
-
-val attest_reference :
-  t -> caller:Domain.id -> domain:Domain.id -> nonce:string ->
-  (Attestation.t, error) result
-(** [attest] computed with the full-scan [_reference] capability
-    queries and no memoization — the baseline the indexed path is
-    benchmarked and cross-checked against. *)
-
 val boot_quote : t -> nonce:string -> Rot.Tpm.Quote.t
 (** Tier one: TPM quote over PCRs 0, 4, 17 and {!key_binding_pcr},
     proving which monitor booted and which attestation key it holds. *)
@@ -333,7 +319,6 @@ val enable_persistence :
   store:Persist.Store.t ->
   ?snapshot_every:int ->
   ?fsync_every:int ->
-  ?latency_bound:int ->
   unit ->
   unit
 (** Arm the redo log (call right after {!boot} — the WAL's implicit
@@ -341,9 +326,7 @@ val enable_persistence :
     seq-0 checkpoint). [snapshot_every] (default 1000) checkpoints and
     retires the WAL every N committed operations. [fsync_every]
     (default 1) is the group-commit batch size: one fsync acknowledges
-    up to N committed records; [latency_bound] (default [max_int],
-    simulated cycles) caps how long the oldest unacknowledged record
-    may wait before the batch flushes anyway. A crash loses at most the
+    up to N committed records. A crash loses at most the
     unacknowledged tail of one batch — {!durable_seq} is the floor
     recovery honors, and the framing guarantees the survivors are a
     consistent prefix. May raise {!Persist.Store.Crash} under fault
@@ -391,7 +374,6 @@ val recover :
   ?keypool:Crypto.Keypool.t ->
   ?snapshot_every:int ->
   ?fsync_every:int ->
-  ?latency_bound:int ->
   Hw.Machine.t ->
   store:Persist.Store.t ->
   backend:Backend_intf.t ->
@@ -478,7 +460,7 @@ val forget_domain : t -> Domain.t -> unit
 (** {2 Telemetry} *)
 
 type attest_telemetry = {
-  attests : int; (** Signed attestations (single, spec, batch, reference). *)
+  attests : int; (** Signed attestations, single and batched. *)
   body_cache_hits : int; (** Memoized bodies reused. *)
   body_cache_misses : int; (** Bodies re-enumerated. *)
   keypool_hits : int; (** Signer keys served from the pregenerated pool. *)

@@ -588,9 +588,9 @@ let dispatch t ~caller ~core (call : Api.call) : Api.response =
 
 (* --- durability ------------------------------------------------------ *)
 
-let enable_persistence t ~store ?(fsync_every = 1) ?(latency_bound = max_int) () =
+let enable_persistence t ~store ?(fsync_every = 1) () =
   let group =
-    Persist.Group.create ~max_batch:fsync_every ~latency_bound
+    Persist.Group.create ~max_batch:fsync_every
       ~now:(fun () -> Hw.Machine.cycles (shard0 t).s_machine)
       store ~blob:Persist.Store.wal_blob ~durable_seq:0
   in

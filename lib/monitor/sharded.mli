@@ -98,7 +98,7 @@ val boot_quote : t -> nonce:string -> Rot.Tpm.Quote.t
 (** {2 Durability} *)
 
 val enable_persistence :
-  t -> store:Persist.Store.t -> ?fsync_every:int -> ?latency_bound:int -> unit -> unit
+  t -> store:Persist.Store.t -> ?fsync_every:int -> unit -> unit
 
 val flush : t -> unit
 val persist_seq : t -> int option

@@ -2,7 +2,6 @@ type t = {
   store : Store.t;
   blob : string;
   max_batch : int;
-  latency_bound : int;
   now : unit -> int;
   instrument : bool;
   mutable pending : int;
@@ -15,19 +14,17 @@ let h_batch = Obs.Metrics.histogram "persist.group.batch"
 let h_wait = Obs.Metrics.histogram "persist.group.flush_wait"
 let c_flush = Obs.Metrics.counter "persist.group.flushes"
 
-let create ?(max_batch = 1) ?(latency_bound = max_int) ?(now = fun () -> 0) store ~blob
-    ~durable_seq =
+let create ?(max_batch = 1) ?(now = fun () -> 0) store ~blob ~durable_seq =
   let max_batch = max 1 max_batch in
   {
     store;
     blob;
     max_batch;
-    latency_bound;
     now;
-    (* A queue that never batches (max_batch 1, no latency bound) has no
-       amortization to report; skipping its metrics keeps the per-op
-       fsync path exactly as cheap as before group commit existed. *)
-    instrument = max_batch > 1 || latency_bound < max_int;
+    (* A queue that never batches (max_batch 1) has no amortization to
+       report; skipping its metrics keeps the per-op fsync path exactly
+       as cheap as before group commit existed. *)
+    instrument = max_batch > 1;
     pending = 0;
     first_stamp = 0;
     durable_seq;
@@ -58,10 +55,7 @@ let append t ~seq payload =
   Wal.append t.store ~blob:t.blob ~seq payload;
   t.pending <- t.pending + 1;
   t.tail_seq <- seq;
-  if
-    t.pending >= t.max_batch
-    || (t.latency_bound < max_int && t.now () - t.first_stamp >= t.latency_bound)
-  then flush t
+  if t.pending >= t.max_batch then flush t
 
 let note_durable t ~seq =
   if seq > t.tail_seq then t.tail_seq <- seq;

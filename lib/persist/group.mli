@@ -3,8 +3,7 @@
     The monitor commits an operation in memory, appends its redo record
     here, and the queue decides when the expensive durability barrier
     actually runs: after {!val-append} has accumulated [max_batch]
-    records, or when the oldest pending record has waited at least
-    [latency_bound] clock ticks, or on an explicit {!val-flush}. An
+    records, or on an explicit {!val-flush}. An
     operation counts as *acknowledged* only once its batch is durable —
     {!val-durable_seq} is the acknowledgement floor recovery must honor
     (the redo-log contract: acknowledged ops are never lost; pending
@@ -13,27 +12,24 @@
     Two histograms ([persist.group.batch], [persist.group.flush_wait])
     and a flush counter record the amortization actually achieved.
 
-    The clock is injected ([now]) so the monitor can drive the latency
-    bound off deterministic machine cycles — chaos runs replay. *)
+    The clock is injected ([now]) so the monitor can time the flush
+    wait in deterministic machine cycles — chaos runs replay. *)
 
 type t
 
 val create :
   ?max_batch:int ->
-  ?latency_bound:int ->
   ?now:(unit -> int) ->
   Store.t ->
   blob:string ->
   durable_seq:int ->
   t
 (** [max_batch] defaults to 1 (fsync per append — the pre-group-commit
-    behavior); [latency_bound] defaults to [max_int] (no time bound);
-    [now] defaults to a frozen clock. [durable_seq] seeds the
+    behavior); [now] defaults to a frozen clock. [durable_seq] seeds the
     acknowledgement floor (the checkpoint seq at creation). *)
 
 val append : t -> seq:int -> string -> unit
-(** Append one committed record; flush if the batch is full or the
-    oldest pending record has exceeded the latency bound. May raise
+(** Append one committed record; flush if the batch is full. May raise
     {!Store.Crash} from the underlying append or the triggered flush. *)
 
 val flush : t -> unit

@@ -487,6 +487,83 @@ let test_x86_iommu_follows_memory () =
     (fun () ->
       Hw.Device.dma_write gpu machine.Hw.Machine.iommu machine.Hw.Machine.mem 0x7000 "out")
 
+(* Domain 0's capability for [device]. *)
+let os_device_cap w device =
+  List.find
+    (fun c ->
+      Cap.Captree.resource (Tyche.Monitor.tree w.monitor) c
+      = Some (Cap.Resource.Device (Hw.Device.bdf device)))
+    (Tyche.Monitor.caps_of w.monitor os)
+
+(* A shared device's windows are the union of its holders' memory:
+   revoking one holder's copy of the device, or of memory another
+   holder of the device still holds, keeps the DMA the others hold. *)
+let test_shared_device_keeps_dma boot () =
+  let nic = Hw.Device.create ~kind:Hw.Device.Nic ~bus:1 ~dev:0 ~fn:0 () in
+  let w = boot [ nic ] in
+  let m = w.monitor and iommu = w.machine.Hw.Machine.iommu in
+  let bdf = Hw.Device.bdf nic and p = range ~base:0x400000 ~len:page in
+  let b = get_ok (Tyche.Monitor.create_domain m ~caller:os ~name:"b" ~kind:Tyche.Domain.Sandbox) in
+  let share_nic () =
+    get_ok
+      (Tyche.Monitor.share m ~caller:os ~cap:(os_device_cap w nic) ~to_:b
+         ~rights:Cap.Rights.exclusive_use ~cleanup:Cap.Revocation.Keep ())
+  in
+  let reaches what =
+    Alcotest.(check bool) what true (Hw.Iommu.device_reaches iommu ~device:bdf p);
+    check_no_violations m
+  in
+  (* Case 1: domain 0 still holds the NIC after b's copy goes. *)
+  let nic_b = share_nic () in
+  get_ok (Tyche.Monitor.revoke m ~caller:os ~cap:nic_b);
+  reaches "device copy revoked: NIC still reaches domain 0's page";
+  (* Case 2: b's copy of a page goes, domain 0 holds both. *)
+  let _ = share_nic () in
+  let page_b =
+    get_ok
+      (Tyche.Monitor.share m ~caller:os ~cap:(os_memory_cap w) ~to_:b ~rights:Cap.Rights.rw
+         ~cleanup:Cap.Revocation.Keep ~subrange:p ())
+  in
+  get_ok (Tyche.Monitor.revoke m ~caller:os ~cap:page_b);
+  reaches "memory copy revoked: NIC still reaches domain 0's page"
+
+(* [check_dma] catches the IOMMU disagreeing with the tree either way. *)
+let test_dma_damage_caught boot () =
+  let nic = Hw.Device.create ~kind:Hw.Device.Nic ~bus:1 ~dev:0 ~fn:0 () in
+  let w = boot [ nic ] in
+  let m = w.monitor and iommu = w.machine.Hw.Machine.iommu in
+  let bdf = Hw.Device.bdf nic in
+  check_no_violations m;
+  let dma_rules () =
+    List.filter
+      (fun v -> v.Tyche.Invariants.rule = "dma-matches-tree")
+      (Tyche.Invariants.check_all m)
+  in
+  let d = get_ok (Tyche.Monitor.create_domain m ~caller:os ~name:"d" ~kind:Tyche.Domain.Sandbox) in
+  let _ =
+    get_ok
+      (Tyche.Monitor.grant m ~caller:os ~cap:(os_device_cap w nic) ~to_:d
+         ~rights:Cap.Rights.exclusive_use ~cleanup:Cap.Revocation.Keep)
+  in
+  let p = range ~base:0x400000 ~len:page in
+  let _ =
+    get_ok
+      (Tyche.Monitor.share m ~caller:os ~cap:(os_memory_cap w) ~to_:d ~rights:Cap.Rights.rw
+         ~cleanup:Cap.Revocation.Keep ~subrange:p ())
+  in
+  check_no_violations m;
+  (* Lost: the holder's page drops out of the device's windows. *)
+  Hw.Iommu.revoke_range iommu ~device:bdf p;
+  Alcotest.(check int) "lost DMA caught" 1 (List.length (dma_rules ()));
+  (* Leaked: a window over a page only domain 0 holds, on top. *)
+  Hw.Iommu.grant iommu ~device:bdf (range ~base:0x500000 ~len:page) Hw.Perm.rw;
+  Alcotest.(check int) "both violations caught" 2 (List.length (dma_rules ()));
+  Alcotest.(check bool) "fsck's dma pass fails" false
+    (List.for_all (fun i -> i.Tyche.Fsck.f_ok) (Tyche.Fsck.check m).Tyche.Fsck.items)
+
+let on_x86 devices = boot_x86 ~devices ()
+let on_riscv devices = boot_riscv ~devices ()
+
 let test_riscv_entry_budget () =
   let w = boot_riscv () in
   let m = w.monitor in
@@ -621,6 +698,14 @@ let () =
             test_x86_one_asid_flush_per_domain;
           Alcotest.test_case "rollback keeps the tlb" `Quick test_x86_rollback_keeps_tlb;
           Alcotest.test_case "iommu follows memory" `Quick test_x86_iommu_follows_memory ] );
+      ( "dma",
+        List.concat_map
+          (fun (arch, boot) ->
+            [ Alcotest.test_case ("shared device keeps its holders' DMA, " ^ arch) `Quick
+                (test_shared_device_keeps_dma boot);
+              Alcotest.test_case ("damaged iommu caught both ways, " ^ arch) `Quick
+                (test_dma_damage_caught boot) ])
+          [ ("x86", on_x86); ("riscv", on_riscv) ] );
       ( "x86-tlb-cores",
         List.concat_map
           (fun (name, strategy) ->

@@ -386,11 +386,10 @@ let test_attestation_memoized () =
   Alcotest.(check bool) "both verify" true
     (Tyche.Attestation.verify ~monitor_root:(Tyche.Monitor.attestation_root m) a1
      && Tyche.Attestation.verify ~monitor_root:(Tyche.Monitor.attestation_root m) a2);
-  (* The full-scan baseline produces the identical body. *)
-  let ar = get_ok (Tyche.Monitor.attest_reference m ~caller:os ~domain:enclave ~nonce:"n3") in
-  Alcotest.(check bool) "reference body agrees" true (body ar = body a1);
-  Alcotest.(check bool) "reference verifies" true
-    (Tyche.Attestation.verify ~monitor_root:(Tyche.Monitor.attestation_root m) ar);
+  (* The full-scan baseline enumerates the identical body. *)
+  let indexed () = get_ok (Tyche.Monitor.attest_body_of m ~domain:enclave) in
+  Alcotest.(check bool) "reference body agrees" true
+    (reference_body m ~domain:enclave = indexed () && indexed () = body a1);
   (* A mutation anywhere in the tree invalidates the memo: share core 0
      with a third domain and the enclave's next attestation must see
      refcount 3. *)
@@ -403,8 +402,8 @@ let test_attestation_memoized () =
   let a3 = get_ok (Tyche.Monitor.attest m ~caller:os ~domain:enclave ~nonce:"n4") in
   Alcotest.(check (list (pair int int))) "core refcount updated" [ (0, 3) ]
     a3.Tyche.Attestation.cores;
-  let ar3 = get_ok (Tyche.Monitor.attest_reference m ~caller:os ~domain:enclave ~nonce:"n5") in
-  Alcotest.(check bool) "reference agrees after mutation" true (body ar3 = body a3)
+  Alcotest.(check bool) "reference agrees after mutation" true
+    (reference_body m ~domain:enclave = body a3)
 
 let test_attest_batch () =
   let w, enclave, _ = with_enclave () in
@@ -507,24 +506,26 @@ let test_attest_exhausted_denied () =
     | Error e -> Alcotest.failf "%s: %s" what (Tyche.Monitor.error_to_string e)
   in
   denied "attest" (Tyche.Monitor.attest m ~caller:os ~domain:os ~nonce:"second");
-  denied "attest_spec" (Tyche.Monitor.attest_spec m ~caller:os ~domain:os ~nonce:"s");
-  denied "attest_reference"
-    (Tyche.Monitor.attest_reference m ~caller:os ~domain:os ~nonce:"r");
   denied "attest_batch" (Tyche.Monitor.attest_batch m ~caller:os ~domains:[ os ] ~nonce:"b");
   Alcotest.(check bool) "an empty batch needs no key" true
     (get_ok (Tyche.Monitor.attest_batch m ~caller:os ~domains:[] ~nonce:"e") = [])
 
+(* The spec stack signs the monitor's own body byte for byte like the
+   fast one: two signers drawn from equal seeds, one per stack. *)
 let test_attest_spec_agrees () =
   let w, enclave, _ = with_enclave () in
   let m = w.monitor in
-  let body (a : Tyche.Attestation.t) =
-    (a.Tyche.Attestation.regions, a.Tyche.Attestation.cores, a.Tyche.Attestation.devices)
+  let regions, cores, devices = get_ok (Tyche.Monitor.attest_body_of m ~domain:enclave) in
+  let domain = Option.get (Tyche.Monitor.find_domain m enclave) in
+  let signer () = Crypto.Signature.create ~height:2 (Crypto.Rng.create ~seed:0x5eL) in
+  let sign f =
+    f ~signer:(signer ()) ~domain ~regions ~cores ~devices ~memory_encrypted:false ~nonce:"s"
   in
-  let fast = get_ok (Tyche.Monitor.attest m ~caller:os ~domain:enclave ~nonce:"s") in
-  let spec = get_ok (Tyche.Monitor.attest_spec m ~caller:os ~domain:enclave ~nonce:"s") in
-  Alcotest.(check bool) "same body" true (body fast = body spec);
+  let fast = sign Tyche.Attestation.sign and spec = sign Tyche.Attestation.sign_spec in
+  Alcotest.(check string) "identical reports" (Tyche.Attestation.to_wire fast)
+    (Tyche.Attestation.to_wire spec);
   Alcotest.(check bool) "spec-stack report verifies" true
-    (Tyche.Attestation.verify ~monitor_root:(Tyche.Monitor.attestation_root m) spec)
+    (Tyche.Attestation.verify ~monitor_root:(Crypto.Signature.public_root (signer ())) spec)
 
 let test_attest_nul_name_rejected () =
   let rng = Crypto.Rng.create ~seed:0x32L in

@@ -570,18 +570,6 @@ let test_group_commit_unacked_may_drop arch () =
     report.Tyche.Monitor.rr_seq;
   check_fsck m2
 
-let test_group_commit_latency_bound arch () =
-  let w = boot_arch arch in
-  let store = Persist.Store.mem () in
-  (* Huge batch, 1-cycle latency bound: the first append after any
-     simulated-cycle progress must flush the batch — the call at op 9
-     charges transition cycles, so by then everything is durable. *)
-  Tyche.Monitor.enable_persistence w.monitor ~store ~fsync_every:1000 ~latency_bound:1 ();
-  let _ = workload w in
-  let d = get_durable w.monitor in
-  if d < 9 || d > workload_ops then
-    Alcotest.failf "latency bound never flushed: durable_seq = %d" d
-
 (* --- incremental checkpoints, compaction, GC -------------------------- *)
 
 let test_wal_compaction arch () =
@@ -922,8 +910,7 @@ let () =
             qt qcheck_monitor_bitflip ] );
       ( "group commit",
         directed "ack floor + explicit flush" test_group_commit_ack_floor
-        @ directed "unacked batch may drop, never tear" test_group_commit_unacked_may_drop
-        @ directed "latency bound forces flush" test_group_commit_latency_bound );
+        @ directed "unacked batch may drop, never tear" test_group_commit_unacked_may_drop );
       ( "incremental checkpoints",
         directed "wal compaction" test_wal_compaction
         @ directed "content-addressed dedup" test_incremental_dedup

@@ -33,8 +33,10 @@ let boot_x86 ?(seed = 0x71L) ?(cores = 4) ?(mem_size = 16 * 1024 * 1024) ?(devic
   in
   { machine; tpm; rng; boot_report; backend; monitor }
 
-let boot_riscv ?(seed = 0x51L) ?(cores = 2) ?(mem_size = 16 * 1024 * 1024) ?alloc_strategy () =
+let boot_riscv ?(seed = 0x51L) ?(cores = 2) ?(mem_size = 16 * 1024 * 1024) ?(devices = [])
+    ?alloc_strategy () =
   let machine = Hw.Machine.create ~arch:Hw.Cpu.Riscv64 ~cores ~mem_size () in
+  List.iter (Hw.Machine.attach_device machine) devices;
   let rng = Crypto.Rng.create ~seed in
   let tpm = Rot.Tpm.create rng in
   let boot_report =
@@ -155,6 +157,41 @@ let tiny_image ?(name = "tiny") ?(shared_page = true) () =
     else b
   in
   Result.get_ok (Image.Builder.finish (Image.Builder.set_entry b 0))
+
+(* [domain]'s attestation body enumerated with the captree's full-scan
+   [_reference] queries and no memo: the baseline the indexed
+   [Monitor.attest_body_of] is cross-checked and benchmarked against. *)
+let reference_body m ~domain =
+  let tree = Tyche.Monitor.tree m in
+  let measured =
+    match Tyche.Monitor.find_domain m domain with
+    | Some d -> Tyche.Domain.measured_ranges d
+    | None -> []
+  in
+  List.fold_left
+    (fun (regions, cores, devices) cap ->
+      match Cap.Captree.resource tree cap, Cap.Captree.rights tree cap with
+      | Some (Cap.Resource.Memory r as res), Some rights ->
+        let report =
+          { Tyche.Attestation.range = r;
+            perm = rights.Cap.Rights.perm;
+            refcount = Cap.Captree.refcount_reference tree res;
+            holders = Cap.Captree.holders_reference tree res;
+            measured =
+              List.exists
+                (fun m ->
+                  Hw.Addr.Range.includes ~outer:m ~inner:r
+                  || Hw.Addr.Range.includes ~outer:r ~inner:m)
+                measured }
+        in
+        (report :: regions, cores, devices)
+      | Some (Cap.Resource.Cpu_core c as res), Some _ ->
+        (regions, (c, Cap.Captree.refcount_reference tree res) :: cores, devices)
+      | Some (Cap.Resource.Device dev as res), Some _ ->
+        (regions, cores, (dev, Cap.Captree.refcount_reference tree res) :: devices)
+      | _ -> (regions, cores, devices))
+    ([], [], [])
+    (Cap.Captree.caps_of_domain_reference tree domain)
 
 let contains_substring s sub =
   let n = String.length sub and m = String.length s in
