@@ -33,4 +33,3 @@ let overlaps a b =
 
 let memory_range = function Memory r -> Some r | Cpu_core _ | Device _ -> None
 let is_memory = function Memory _ -> true | Cpu_core _ | Device _ -> false
-let size_bytes = function Memory r -> Hw.Addr.Range.len r | Cpu_core _ | Device _ -> 0

@@ -21,6 +21,3 @@ val overlaps : t -> t -> bool
 val memory_range : t -> Hw.Addr.Range.t option
 val is_memory : t -> bool
 
-val size_bytes : t -> int
-(** Memory size in bytes; 0 for cores and devices (used by accounting
-    and attestation display). *)

@@ -176,8 +176,6 @@ module Ctx = struct
   let feed_string t s =
     feed_bytes t (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
-  let fed_length t = t.total_len
-
   let finalize t =
     let bit_len = t.total_len * 8 in
     (* Append 0x80, pad with zeros to 56 mod 64, then the 64-bit length. *)
@@ -203,16 +201,11 @@ end
    inside another, so reuse is safe. *)
 let scratch_key = Domain.DLS.new_key Ctx.create
 
-let digest_bytes b ~off ~len =
+let string s =
   let scratch = Domain.DLS.get scratch_key in
   Ctx.reset scratch;
-  Ctx.feed_bytes scratch b ~off ~len;
+  Ctx.feed_string scratch s;
   Ctx.finalize scratch
-
-let bytes b = digest_bytes b ~off:0 ~len:(Bytes.length b)
-
-let string s =
-  digest_bytes (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
 let digest_strings ss =
   let scratch = Domain.DLS.get scratch_key in
@@ -242,15 +235,13 @@ let hash32_sub c ~src ~src_off ~dst ~dst_off =
     src_off < 0 || dst_off < 0
     || Bytes.length src < src_off + 32
     || Bytes.length dst < dst_off + 32
-  then invalid_arg "Sha256.hash32_into: need 32-byte buffers";
+  then invalid_arg "Sha256.hash32_sub: need two 32-byte slices";
   Bytes.blit src src_off c.block 0 32;
   init_state c.h;
   compress c.h c.w c.block 0;
   for i = 0 to 7 do
     Bytes.set_int32_be dst (dst_off + (i * 4)) (unsafe_get_32 c.h (i * 4))
   done
-
-let hash32_into ~src ~dst = hash32_sub (chain_scratch ()) ~src ~src_off:0 ~dst ~dst_off:0
 
 let to_raw d = d
 
@@ -262,18 +253,6 @@ let to_hex d =
   let buf = Buffer.create 64 in
   String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
   Buffer.contents buf
-
-let of_hex s =
-  if String.length s <> 64 then invalid_arg "Sha256.of_hex: need 64 hex chars";
-  let nibble c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> invalid_arg "Sha256.of_hex: bad character"
-  in
-  String.init 32 (fun i ->
-      Char.chr ((nibble s.[2 * i] lsl 4) lor nibble s.[(2 * i) + 1]))
 
 let equal = String.equal
 let compare = String.compare

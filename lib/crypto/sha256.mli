@@ -23,14 +23,6 @@ val digest_size : int
 val string : string -> digest
 (** [string s] hashes the whole string [s]. *)
 
-val bytes : Bytes.t -> digest
-(** [bytes b] hashes the whole byte buffer [b]. *)
-
-val digest_bytes : Bytes.t -> off:int -> len:int -> digest
-(** [digest_bytes b ~off ~len] hashes the slice [b.[off .. off+len-1]]
-    without copying it or allocating a context.
-    @raise Invalid_argument if the slice is out of bounds. *)
-
 val digest_strings : string list -> digest
 (** [digest_strings ss] hashes the concatenation of [ss] without
     materializing it — the multi-buffer one-shot used by canonical
@@ -39,14 +31,6 @@ val digest_strings : string list -> digest
 val concat : digest list -> digest
 (** [concat ds] hashes the concatenation of the raw digests [ds]; used for
     PCR-style folds and Merkle interior nodes. *)
-
-val hash32_into : src:Bytes.t -> dst:Bytes.t -> unit
-(** [hash32_into ~src ~dst] writes SHA-256 of the first 32 bytes of
-    [src] into the first 32 bytes of [dst] ([src == dst] is allowed). A
-    32-byte message fits one padded block, so this is a single
-    compression with zero allocation — the kernel under {!Ots} hash
-    chains.
-    @raise Invalid_argument if either buffer is shorter than 32 bytes. *)
 
 type chain_scratch
 (** The buffers one chain step compresses in. *)
@@ -57,7 +41,11 @@ val chain_scratch : unit -> chain_scratch
 
 val hash32_sub :
   chain_scratch -> src:Bytes.t -> src_off:int -> dst:Bytes.t -> dst_off:int -> unit
-(** {!hash32_into} at explicit offsets, so a whole hash chain can live
+(** [hash32_sub c ~src ~src_off ~dst ~dst_off] writes SHA-256 of the
+    32 bytes of [src] at [src_off] into the 32 bytes of [dst] at
+    [dst_off] (the two slices may be the same). A 32-byte message fits
+    one padded block, so this is a single compression with zero
+    allocation — the kernel under {!Ots} hash chains, whose links live
     in one flat buffer (see {!Ots.expand}).
     @raise Invalid_argument if either 32-byte slice is out of bounds. *)
 
@@ -70,10 +58,6 @@ val of_raw : string -> digest
 
 val to_hex : digest -> string
 (** Lowercase hexadecimal rendering (64 chars). *)
-
-val of_hex : string -> digest
-(** Parse a 64-char hex string.
-    @raise Invalid_argument on malformed input. *)
 
 val equal : digest -> digest -> bool
 val compare : digest -> digest -> int
@@ -96,9 +80,6 @@ module Ctx : sig
   val reset : t -> unit
   (** Return the context to its freshly-created state so it can be
       reused without reallocating its buffers. *)
-
-  val fed_length : t -> int
-  (** Total number of bytes fed so far. *)
 end
 
 (** The executable specification: the original Int32 implementation,

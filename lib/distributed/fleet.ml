@@ -1281,20 +1281,16 @@ type attestation = {
   fa_tree : Crypto.Merkle.t;
 }
 
-(* One monitor's attest root: a batch attestation over every domain
-   (PR 2's Merkle machinery signs one root for the whole machine), then
-   a Merkle root over the canonical payloads. Remote proxy domains are
+(* One monitor's attest root: the root of a batch attestation over
+   every domain, whose one signature covers the whole machine. Domain 0
+   always exists, so the batch is never empty. Remote proxy domains are
    attested like any other — a verifier sees the delegation as a holder
    named "remote:<peer>" in the exporter's body. *)
 let member_root m ~nonce =
   let ids = List.map Tyche.Domain.id (Tyche.Monitor.domains m) in
   match Tyche.Monitor.attest_batch m ~caller:Tyche.Domain.initial ~domains:ids ~nonce with
   | Error e -> Error (Monitor_error e)
-  | Ok atts ->
-    let leaves =
-      List.map (fun a -> Crypto.Sha256.string (Tyche.Attestation.payload a)) atts
-    in
-    Ok (Crypto.Merkle.root (Crypto.Merkle.build leaves))
+  | Ok atts -> Ok (List.hd atts).Tyche.Attestation.evidence.batch_root
 
 let attest ~nonce members =
   let rec roots acc = function

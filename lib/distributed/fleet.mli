@@ -211,8 +211,10 @@ type attestation = {
 }
 
 val member_root : Tyche.Monitor.t -> nonce:string -> (Crypto.Sha256.digest, error) result
-(** One machine's attest root: Merkle root over the canonical payloads
-    of a batch attestation of all its domains. *)
+(** One machine's attest root: the batch root of one attestation of all
+    its domains (the Merkle root over their canonical payloads, which
+    the monitor signs). Every report of that batch proves its inclusion
+    under it. *)
 
 val attest : nonce:string -> (string * Tyche.Monitor.t) list -> (attestation, error) result
 

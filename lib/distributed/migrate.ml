@@ -726,11 +726,7 @@ let build_manifest t src =
         (match List.find_opt (fun a -> a.Tyche.Attestation.domain = src.sm_domain) atts with
         | None -> Error (Refused "domain missing from batch attestation")
         | Some att ->
-          let root =
-            match att.Tyche.Attestation.evidence with
-            | Tyche.Attestation.Batched { batch_root; _ } -> Crypto.Sha256.to_raw batch_root
-            | Tyche.Attestation.Signed _ -> sha_raw (Tyche.Attestation.payload att)
-          in
+          let root = Crypto.Sha256.to_raw att.Tyche.Attestation.evidence.batch_root in
           let entry = Option.value (Tyche.Domain.entry_point dom) ~default:(-1) in
           let state =
             state_digest ~name:(Tyche.Domain.name dom)
@@ -1015,51 +1011,49 @@ let verify_manifest t ?pinned_root ~origin (mf : Wire.manifest) =
     if att.Tyche.Attestation.measurement <> Some (Crypto.Sha256.of_raw mf.mf_measurement)
     then Error "measurement mismatch between manifest and attestation"
     else (
-      match att.Tyche.Attestation.evidence with
-      | Tyche.Attestation.Signed _ -> Error "attestation is not batch evidence"
-      | Tyche.Attestation.Batched { batch_root; proof; root_sig = _ } ->
-        if Crypto.Sha256.to_raw batch_root <> mf.mf_root then
-          Error "attestation batch root does not match transfer root"
-        else if
-          not
-            (Crypto.Merkle.verify ~root:batch_root
-               ~leaf:(Crypto.Sha256.string (Tyche.Attestation.payload att))
-               proof)
-        then Error "attestation not included in transfer root"
-        else (
-          let root =
-            match pinned_root with
-            | Some _ -> pinned_root
-            | None -> Hashtbl.find_opt t.peer_roots origin
+      let { Tyche.Attestation.batch_root; proof; _ } = att.evidence in
+      if Crypto.Sha256.to_raw batch_root <> mf.mf_root then
+        Error "attestation batch root does not match transfer root"
+      else if
+        not
+          (Crypto.Merkle.verify ~root:batch_root
+             ~leaf:(Crypto.Sha256.string (Tyche.Attestation.payload att))
+             proof)
+      then Error "attestation not included in transfer root"
+      else (
+        let root =
+          match pinned_root with
+          | Some _ -> pinned_root
+          | None -> Hashtbl.find_opt t.peer_roots origin
+        in
+        match root with
+        | Some root when not (Tyche.Attestation.verify ~monitor_root:root att) ->
+          Error "transfer root signature rejected"
+        | _ ->
+          (* Region agreement: the attested memory footprint covers
+             exactly the manifest's capability set. *)
+          let att_ranges =
+            List.map
+              (fun r ->
+                ( Hw.Addr.Range.base r.Tyche.Attestation.range,
+                  Hw.Addr.Range.len r.Tyche.Attestation.range ))
+              att.Tyche.Attestation.regions
+            |> List.sort compare
           in
-          match root with
-          | Some root when not (Tyche.Attestation.verify ~monitor_root:root att) ->
-            Error "transfer root signature rejected"
-          | _ ->
-            (* Region agreement: the attested memory footprint covers
-               exactly the manifest's capability set. *)
-            let att_ranges =
-              List.map
-                (fun r ->
-                  ( Hw.Addr.Range.base r.Tyche.Attestation.range,
-                    Hw.Addr.Range.len r.Tyche.Attestation.range ))
-                att.Tyche.Attestation.regions
-              |> List.sort compare
-            in
-            let cover ranges =
-              (* Merge sorted (base, len) into maximal extents. *)
-              List.fold_left
-                (fun acc (b, l) ->
-                  match acc with
-                  | (pb, pl) :: rest when pb + pl = b -> (pb, pl + l) :: rest
-                  | _ -> (b, l) :: acc)
-                [] (List.sort compare ranges)
-              |> List.rev
-            in
-            let mf_ranges = List.map (fun (b, l, _, _) -> (b, l)) mf.mf_caps in
-            if cover att_ranges <> cover mf_ranges then
-              Error "attested regions disagree with manifest capabilities"
-            else Ok att))
+          let cover ranges =
+            (* Merge sorted (base, len) into maximal extents. *)
+            List.fold_left
+              (fun acc (b, l) ->
+                match acc with
+                | (pb, pl) :: rest when pb + pl = b -> (pb, pl + l) :: rest
+                | _ -> (b, l) :: acc)
+              [] (List.sort compare ranges)
+            |> List.rev
+          in
+          let mf_ranges = List.map (fun (b, l, _, _) -> (b, l)) mf.mf_caps in
+          if cover att_ranges <> cover mf_ranges then
+            Error "attested regions disagree with manifest capabilities"
+          else Ok att))
 
 let adopt_cleanup m domain =
   ignore (Tyche.Monitor.thaw_domain m ~domain);

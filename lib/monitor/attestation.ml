@@ -6,19 +6,11 @@ type region_report = {
   measured : bool;
 }
 
-(* How a report is authenticated. [Signed] is the v1 form: the monitor
-   signed this report's canonical payload directly. [Batched] is the v2
-   form: the monitor built a Merkle tree over the payloads of a whole
-   batch of reports and signed only the root — this report carries the
-   root, its inclusion proof and the shared root signature, so N domains
-   cost one one-time key instead of N. *)
-type evidence =
-  | Signed of Crypto.Signature.signature
-  | Batched of {
-      batch_root : Crypto.Sha256.digest;
-      proof : Crypto.Merkle.proof;
-      root_sig : Crypto.Signature.signature;
-    }
+type evidence = {
+  batch_root : Crypto.Sha256.digest;
+  proof : Crypto.Merkle.proof;
+  root_sig : Crypto.Signature.signature;
+}
 
 type t = {
   domain : Domain.id;
@@ -77,9 +69,8 @@ let payload t =
     ~measurement:t.measurement ~regions:t.regions ~cores:t.cores ~devices:t.devices
     ~memory_encrypted:t.memory_encrypted ~nonce:t.nonce
 
-(* The message actually signed for a batch: domain-separated from v1
-   payloads so a batch-root signature can never be replayed as a direct
-   report signature or vice versa. *)
+(* The message actually signed: domain-separated from report payloads,
+   so a root signature can never pass for a signature over a payload. *)
 let batch_root_payload root =
   "tyche-attestation-batch-v2\x00" ^ Crypto.Sha256.to_raw root
 
@@ -91,7 +82,7 @@ let canonical_regions regions =
    non-canonical payload. Refuse at signing time. *)
 let check_domain_name domain =
   if String.contains (Domain.name domain) '\x00' then
-    invalid_arg "Attestation.sign: domain name contains NUL"
+    invalid_arg "Attestation.sign_batch: domain name contains NUL"
 
 (* Canonicalize one domain's report fields and build the signed body. *)
 let prepare ~domain ~regions ~cores ~devices ~memory_encrypted ~nonce =
@@ -119,15 +110,10 @@ let prepare ~domain ~regions ~cores ~devices ~memory_encrypted ~nonce =
   in
   (body, report)
 
-let sign ~signer ~domain ~regions ~cores ~devices ~memory_encrypted ~nonce =
-  let body, report = prepare ~domain ~regions ~cores ~devices ~memory_encrypted ~nonce in
-  report (Signed (Crypto.Signature.sign signer body))
-
-let sign_spec ~signer ~domain ~regions ~cores ~devices ~memory_encrypted ~nonce =
-  let body, report = prepare ~domain ~regions ~cores ~devices ~memory_encrypted ~nonce in
-  report (Signed (Crypto.Signature.sign_spec signer body))
-
-let sign_batch ~signer ~nonce entries =
+(* The one signing path, on the hash and signature functions given: the
+   fast stack for [sign_batch], the executable specification for
+   [sign_spec]. *)
+let sign_with ~hash ~sign ~nonce entries =
   let prepared =
     List.map
       (fun (domain, regions, cores, devices, memory_encrypted) ->
@@ -137,76 +123,66 @@ let sign_batch ~signer ~nonce entries =
   match prepared with
   | [] -> []
   | _ ->
-    let leaves = List.map (fun (body, _) -> Crypto.Sha256.string body) prepared in
-    let tree = Crypto.Merkle.build leaves in
+    let tree = Crypto.Merkle.build (List.map (fun (body, _) -> hash body) prepared) in
     let batch_root = Crypto.Merkle.root tree in
     (* One one-time key authenticates the whole batch. *)
-    let root_sig = Crypto.Signature.sign signer (batch_root_payload batch_root) in
+    let root_sig = sign (batch_root_payload batch_root) in
     List.mapi
       (fun i (_, report) ->
-        report (Batched { batch_root; proof = Crypto.Merkle.prove tree i; root_sig }))
+        report { batch_root; proof = Crypto.Merkle.prove tree i; root_sig })
       prepared
 
+let sign_batch ~signer ~nonce entries =
+  sign_with ~hash:Crypto.Sha256.string ~sign:(Crypto.Signature.sign signer) ~nonce entries
+
+let sign_spec ~signer ~domain ~regions ~cores ~devices ~memory_encrypted ~nonce =
+  List.hd
+    (sign_with ~hash:Crypto.Sha256.Spec.string ~sign:(Crypto.Signature.sign_spec signer)
+       ~nonce
+       [ (domain, regions, cores, devices, memory_encrypted) ])
+
 let verify ~monitor_root t =
-  match t.evidence with
-  | Signed sg -> Crypto.Signature.verify ~root:monitor_root (payload t) sg
-  | Batched { batch_root; proof; root_sig } ->
-    (* The monitor vouched for the root; the proof ties this report's
-       canonical payload to that root. Both checks are required: the
-       signature alone says nothing about this report, the proof alone
-       could hang off an attacker-built tree. *)
-    Crypto.Signature.verify ~root:monitor_root (batch_root_payload batch_root) root_sig
-    && Crypto.Merkle.verify ~root:batch_root ~leaf:(Crypto.Sha256.string (payload t))
-         proof
+  let { batch_root; proof; root_sig } = t.evidence in
+  (* The monitor vouched for the root; the proof ties this report's
+     canonical payload to that root. Both checks are required: the
+     signature alone says nothing about this report, the proof alone
+     could hang off an attacker-built tree. *)
+  Crypto.Signature.verify ~root:monitor_root (batch_root_payload batch_root) root_sig
+  && Crypto.Merkle.verify ~root:batch_root ~leaf:(Crypto.Sha256.string (payload t)) proof
 
-(* Wire formats.
-
-   v1: u32 payload length | payload | u32 signature length | signature.
-   v2: magic | u32 payload length | payload | 32-byte batch root |
-       u32 leaf index | u32 path length | path digests | u32 signature
-       length | root signature.
+(* Wire format: magic | u32 payload length | payload | 32-byte batch
+   root | u32 leaf index | u32 path length | path digests | u32
+   signature length | root signature.
 
    The payload is parsed back field-by-field (it was designed to be
    canonical, so re-serializing a parsed report reproduces the signed
-   bytes exactly). v2 is distinguished by a magic prefix that cannot
-   collide with v1: a v1 envelope starts with a u32 payload length,
-   which would have to be 0x74796368 ("tych") ≈ 1.9 GB — rejected by
-   the v1 sanity checks long before then. *)
+   bytes exactly). The magic names the envelope's version 2: version 1,
+   a directly signed report, is retired, and its bytes fail the magic
+   check. *)
 
-let wire_v2_magic = "tyche-attestation-wire-v2\x00"
+let wire_magic = "tyche-attestation-wire-v2\x00"
 
 let to_wire t =
   let body = payload t in
-  match t.evidence with
-  | Signed sg ->
-    let sg = Crypto.Signature.signature_to_string sg in
-    let buf = Buffer.create (String.length body + String.length sg + 8) in
-    Buffer.add_int32_be buf (Int32.of_int (String.length body));
-    Buffer.add_string buf body;
-    Buffer.add_int32_be buf (Int32.of_int (String.length sg));
-    Buffer.add_string buf sg;
-    Buffer.contents buf
-  | Batched { batch_root; proof; root_sig } ->
-    let sg = Crypto.Signature.signature_to_string root_sig in
-    let buf = Buffer.create (String.length body + String.length sg + 256) in
-    Buffer.add_string buf wire_v2_magic;
-    Buffer.add_int32_be buf (Int32.of_int (String.length body));
-    Buffer.add_string buf body;
-    Buffer.add_string buf (Crypto.Sha256.to_raw batch_root);
-    Buffer.add_int32_be buf (Int32.of_int proof.Crypto.Merkle.leaf_index);
-    Buffer.add_int32_be buf (Int32.of_int (List.length proof.Crypto.Merkle.path));
-    List.iter
-      (fun d -> Buffer.add_string buf (Crypto.Sha256.to_raw d))
-      proof.Crypto.Merkle.path;
-    Buffer.add_int32_be buf (Int32.of_int (String.length sg));
-    Buffer.add_string buf sg;
-    Buffer.contents buf
+  let { batch_root; proof = { Crypto.Merkle.leaf_index; path }; root_sig } = t.evidence in
+  let sg = Crypto.Signature.signature_to_string root_sig in
+  let buf = Buffer.create (String.length body + String.length sg + 256) in
+  Buffer.add_string buf wire_magic;
+  Buffer.add_int32_be buf (Int32.of_int (String.length body));
+  Buffer.add_string buf body;
+  Buffer.add_string buf (Crypto.Sha256.to_raw batch_root);
+  Buffer.add_int32_be buf (Int32.of_int leaf_index);
+  Buffer.add_int32_be buf (Int32.of_int (List.length path));
+  List.iter (fun d -> Buffer.add_string buf (Crypto.Sha256.to_raw d)) path;
+  Buffer.add_int32_be buf (Int32.of_int (String.length sg));
+  Buffer.add_string buf sg;
+  Buffer.contents buf
 
 let of_wire wire =
   let exception Bad of string in
   let fail msg = raise (Bad msg) in
   try
-    (* Parse the canonical payload shared by both envelope versions. *)
+    (* Parse the canonical payload. *)
     let parse_body body evidence =
       let pos = ref 0 in
       let take n =
@@ -301,60 +277,37 @@ let of_wire wire =
       if off + 4 > String.length wire then fail "truncated envelope";
       Int32.to_int (String.get_int32_be wire off)
     in
-    let magic_len = String.length wire_v2_magic in
-    if
-      String.length wire >= magic_len && String.sub wire 0 magic_len = wire_v2_magic
-    then begin
-      (* v2: proof-carrying batched report. *)
-      let body_len = read_u32 magic_len in
-      if body_len < 0 || magic_len + 4 + body_len > String.length wire then
-        fail "bad payload length";
-      let body = String.sub wire (magic_len + 4) body_len in
-      let pos = magic_len + 4 + body_len in
-      if pos + 32 > String.length wire then fail "truncated batch root";
-      let batch_root =
-        try Crypto.Sha256.of_raw (String.sub wire pos 32)
-        with Invalid_argument m -> fail m
-      in
-      let leaf_index = read_u32 (pos + 32) in
-      let path_len = read_u32 (pos + 36) in
-      if leaf_index < 0 then fail "bad leaf index";
-      if path_len < 0 || path_len > 64 then fail "bad path length";
-      let path_off = pos + 40 in
-      if path_off + (path_len * 32) > String.length wire then fail "truncated path";
-      let path =
-        List.init path_len (fun i ->
-            Crypto.Sha256.of_raw (String.sub wire (path_off + (i * 32)) 32))
-      in
-      let sig_off = path_off + (path_len * 32) in
-      let sig_len = read_u32 sig_off in
-      if sig_len < 0 || sig_off + 4 + sig_len <> String.length wire then
-        fail "bad signature length";
-      let root_sig =
-        try Crypto.Signature.signature_of_string (String.sub wire (sig_off + 4) sig_len)
-        with Invalid_argument m -> fail m
-      in
-      Ok
-        (parse_body body
-           (Batched
-              { batch_root; proof = { Crypto.Merkle.leaf_index; path }; root_sig }))
-    end
-    else begin
-      (* v1: directly signed report. *)
-      if String.length wire < 8 then fail "truncated envelope";
-      let body_len = read_u32 0 in
-      if body_len < 0 || 4 + body_len + 4 > String.length wire then
-        fail "bad payload length";
-      let body = String.sub wire 4 body_len in
-      let sig_len = read_u32 (4 + body_len) in
-      if sig_len < 0 || 8 + body_len + sig_len <> String.length wire then
-        fail "bad signature length";
-      let signature =
-        try Crypto.Signature.signature_of_string (String.sub wire (8 + body_len) sig_len)
-        with Invalid_argument m -> fail m
-      in
-      Ok (parse_body body (Signed signature))
-    end
+    let magic_len = String.length wire_magic in
+    if not (String.starts_with ~prefix:wire_magic wire) then fail "bad envelope magic";
+    let body_len = read_u32 magic_len in
+    if body_len < 0 || magic_len + 4 + body_len > String.length wire then
+      fail "bad payload length";
+    let body = String.sub wire (magic_len + 4) body_len in
+    let pos = magic_len + 4 + body_len in
+    if pos + 32 > String.length wire then fail "truncated batch root";
+    let batch_root =
+      try Crypto.Sha256.of_raw (String.sub wire pos 32) with Invalid_argument m -> fail m
+    in
+    let leaf_index = read_u32 (pos + 32) in
+    let path_len = read_u32 (pos + 36) in
+    if leaf_index < 0 then fail "bad leaf index";
+    if path_len < 0 || path_len > 64 then fail "bad path length";
+    let path_off = pos + 40 in
+    if path_off + (path_len * 32) > String.length wire then fail "truncated path";
+    let path =
+      List.init path_len (fun i ->
+          Crypto.Sha256.of_raw (String.sub wire (path_off + (i * 32)) 32))
+    in
+    let sig_off = path_off + (path_len * 32) in
+    let sig_len = read_u32 sig_off in
+    if sig_len < 0 || sig_off + 4 + sig_len <> String.length wire then
+      fail "bad signature length";
+    let root_sig =
+      try Crypto.Signature.signature_of_string (String.sub wire (sig_off + 4) sig_len)
+      with Invalid_argument m -> fail m
+    in
+    let proof = { Crypto.Merkle.leaf_index; path } in
+    Ok (parse_body body { batch_root; proof; root_sig })
   with
   | Bad msg -> Error ("Attestation.of_wire: " ^ msg)
   | Invalid_argument msg -> Error ("Attestation.of_wire: " ^ msg)
@@ -368,11 +321,8 @@ let pp fmt t =
   | None -> Format.fprintf fmt "measurement: <unsealed>@,");
   Format.fprintf fmt "memory encryption: %s@,"
     (if t.memory_encrypted then "private key (MKTME)" else "none");
-  (match t.evidence with
-  | Signed _ -> ()
-  | Batched { batch_root; proof; _ } ->
-    Format.fprintf fmt "batched: leaf %d of tree %a@," proof.Crypto.Merkle.leaf_index
-      Crypto.Sha256.pp batch_root);
+  Format.fprintf fmt "batched: leaf %d of tree %a@,"
+    t.evidence.proof.Crypto.Merkle.leaf_index Crypto.Sha256.pp t.evidence.batch_root;
   Format.fprintf fmt "regions:@,";
   List.iter
     (fun r ->

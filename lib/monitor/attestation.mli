@@ -17,20 +17,18 @@ type region_report = {
   measured : bool; (** Included in the seal-time measurement. *)
 }
 
-(** How a report is authenticated. [Signed] (wire v1): the monitor
-    signed this report's canonical payload directly. [Batched] (wire
-    v2): the monitor signed only the Merkle root over a whole batch of
-    payloads; the report carries the root, its inclusion proof and the
+(** How a report is authenticated. The monitor builds a Merkle tree
+    over the canonical payloads of a batch of reports and signs only
+    the root; each report carries the root, its inclusion proof and the
     shared root signature, so a 64-domain batch consumes one one-time
-    key instead of 64. The root is signed under a distinct domain
-    separator, so batch and direct signatures can never be confused. *)
-type evidence =
-  | Signed of Crypto.Signature.signature
-  | Batched of {
-      batch_root : Crypto.Sha256.digest;
-      proof : Crypto.Merkle.proof;
-      root_sig : Crypto.Signature.signature;
-    }
+    key instead of 64. A single attest is a batch of one. The root is
+    signed under its own domain separator, so a root signature can
+    never pass for a signature over a payload. *)
+type evidence = {
+  batch_root : Crypto.Sha256.digest;
+  proof : Crypto.Merkle.proof;
+  root_sig : Crypto.Signature.signature;
+}
 
 type t = {
   domain : Domain.id;
@@ -53,19 +51,19 @@ val payload : t -> string
     regions are reported in address order, cores and devices in id
     order. *)
 
-val sign :
+val sign_batch :
   signer:Crypto.Signature.signer ->
-  domain:Domain.t ->
-  regions:region_report list ->
-  cores:(int * int) list ->
-  devices:(int * int) list ->
-  memory_encrypted:bool ->
   nonce:string ->
-  t
-(** Canonicalize and sign one report, consuming one one-time key.
-    @raise Invalid_argument if the domain name contains ['\x00'] (the
-    payload encodes names NUL-terminated, so such a name could not be
-    re-parsed to the signed bytes). *)
+  (Domain.t * region_report list * (int * int) list * (int * int) list * bool) list ->
+  t list
+(** [sign_batch ~signer ~nonce entries] canonicalizes every entry
+    [(domain, regions, cores, devices, memory_encrypted)], builds a
+    Merkle tree over the canonical payloads, signs only the root, and
+    returns one report per entry (in input order), each carrying its
+    inclusion proof. Consumes exactly one one-time key for the whole
+    batch; returns [[]] for an empty batch without consuming anything.
+    @raise Invalid_argument if a domain name contains ['\x00'] (the
+    payload encodes names NUL-terminated). *)
 
 val sign_spec :
   signer:Crypto.Signature.signer ->
@@ -76,42 +74,24 @@ val sign_spec :
   memory_encrypted:bool ->
   nonce:string ->
   t
-(** [sign] on the {!Crypto.Sha256.Spec} executable-specification stack —
-    identical output for the same key index; the E14 baseline. *)
-
-val sign_batch :
-  signer:Crypto.Signature.signer ->
-  nonce:string ->
-  (Domain.t * region_report list * (int * int) list * (int * int) list * bool) list ->
-  t list
-(** [sign_batch ~signer ~nonce entries] canonicalizes every entry
-    [(domain, regions, cores, devices, memory_encrypted)], builds a
-    Merkle tree over the canonical payloads, signs only the root, and
-    returns one {!Batched} report per entry (in input order), each
-    carrying its inclusion proof. Consumes exactly one one-time key for
-    the whole batch; returns [[]] for an empty batch without consuming
-    anything.
-    @raise Invalid_argument on a NUL-containing domain name. *)
+(** {!sign_batch} of one on the {!Crypto.Sha256.Spec}
+    executable-specification stack — identical output for the same key
+    index; the E14 baseline. *)
 
 val verify : monitor_root:Crypto.Sha256.digest -> t -> bool
-(** Check the monitor's evidence for the report: the direct signature
-    ([Signed]), or the root signature plus this report's Merkle
-    inclusion proof ([Batched]). *)
+(** Check the monitor's evidence for the report: the root signature
+    and this report's Merkle inclusion proof under that root. *)
 
 val to_wire : t -> string
-(** Self-contained byte encoding, suitable for shipping to a remote
-    verifier over an untrusted network. [Signed] reports use the v1
-    envelope (payload + signature); [Batched] reports use the v2
-    envelope (magic + payload + batch root + inclusion proof + root
-    signature). *)
+(** Self-contained byte encoding (envelope version 2) for shipping to a
+    remote verifier: magic, payload, batch root, proof, root signature. *)
 
 val of_wire : string -> (t, string) result
-(** Total parser for both {!to_wire} envelopes (v2 is detected by its
-    magic prefix; anything else parses as v1). Any reconstruction
-    error — truncation, inconsistent refcounts vs holder lists,
+(** Total parser for {!to_wire}. Any reconstruction error — a missing
+    magic (as in the retired version-1 envelope of a directly signed
+    report), truncation, inconsistent refcounts vs holder lists,
     non-canonical permission characters, malformed signature — is
-    reported rather than raised; a parsed report still carries its
-    evidence, so {!verify} decides trust. *)
+    reported rather than raised; {!verify} decides trust. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render the report as the Fig. 4-style table. *)

@@ -67,7 +67,7 @@ type t = {
   mutable transitions : int;
   attest_cache : (Domain.id, attest_entry) Hashtbl.t;
   keypool : Crypto.Keypool.t option;
-  mutable attests : int; (* attestations signed (telemetry) *)
+  mutable attests : int; (* root signatures made (telemetry) *)
   mutable body_hits : int; (* memoized attestation bodies reused *)
   mutable body_misses : int; (* bodies re-enumerated *)
   mutable persist : persist_cfg option;
@@ -993,7 +993,7 @@ let attest_body t ~measured_ranges domain =
     ([], [], [])
     (Cap.Captree.caps_of_domain t.tree domain)
 
-(* Memoized body lookup shared by the single and batched paths. *)
+(* Memoized body lookup. *)
 let memoized_body t d domain =
   let measured_ranges = Domain.measured_ranges d in
   let generation = Cap.Captree.generation t.tree in
@@ -1022,16 +1022,6 @@ let attest_body_of t ~domain =
 let key_left t =
   if Crypto.Signature.remaining t.signer > 0 then Ok () else Error (Denied "signer exhausted")
 
-let attest t ~caller ~domain ~nonce =
-  let* _ = get_domain t caller in
-  let* d = get_domain t domain in
-  let* () = key_left t in
-  let regions, cores, devices = memoized_body t d domain in
-  t.attests <- t.attests + 1;
-  Ok
-    (Attestation.sign ~signer:t.signer ~domain:d ~regions ~cores ~devices
-       ~memory_encrypted:(t.backend.Backend_intf.domain_encrypted d) ~nonce)
-
 let attest_batch t ~caller ~domains ~nonce =
   let* _ = get_domain t caller in
   let rec collect acc = function
@@ -1044,9 +1034,15 @@ let attest_batch t ~caller ~domains ~nonce =
         rest
   in
   let* entries = collect [] domains in
-  let* () = if domains = [] then Ok () else key_left t in
-  t.attests <- t.attests + 1;
-  Ok (Attestation.sign_batch ~signer:t.signer ~nonce entries)
+  if domains = [] then Ok []
+  else
+    let* () = key_left t in
+    t.attests <- t.attests + 1;
+    Ok (Attestation.sign_batch ~signer:t.signer ~nonce entries)
+
+(* A single attest is a batch of one. *)
+let attest t ~caller ~domain ~nonce =
+  Result.map List.hd (attest_batch t ~caller ~domains:[ domain ] ~nonce)
 
 let boot_quote t ~nonce =
   Rot.Tpm.Quote.generate t.tpm ~pcrs:[ 0; 4; Rot.Tpm.drtm_pcr; key_binding_pcr ] ~nonce

@@ -265,13 +265,14 @@ val store_string : t -> core:int -> Hw.Addr.t -> string -> (unit, error) result
 val attest :
   t -> caller:Domain.id -> domain:Domain.id -> nonce:string ->
   (Attestation.t, error) result
-(** Produce the signed tier-two report for a domain. Any domain (and
-    the remote verifier, through one) may request it. The capability
-    enumeration (regions, refcounts, holders) is memoized against the
-    tree's {!Cap.Captree.generation}, so repeated attestations of a
-    quiescent tree skip re-enumeration; the signature itself is always
-    fresh (one-time key, caller nonce). Once the signer's keys are spent,
-    every attest entry point returns [Denied]; none raises. *)
+(** Produce the signed tier-two report for a domain: {!attest_batch} of
+    one. Any domain (and the remote verifier, through one) may request
+    it. The capability enumeration (regions, refcounts, holders) is
+    memoized against the tree's {!Cap.Captree.generation}, so repeated
+    attestations of a quiescent tree skip re-enumeration; the signature
+    itself is always fresh (one-time key, caller nonce). Once the
+    signer's keys are spent, every attest entry point returns [Denied];
+    none raises. *)
 
 val attest_batch :
   t -> caller:Domain.id -> domains:Domain.id list -> nonce:string ->
@@ -460,7 +461,7 @@ val forget_domain : t -> Domain.t -> unit
 (** {2 Telemetry} *)
 
 type attest_telemetry = {
-  attests : int; (** Signed attestations, single and batched. *)
+  attests : int; (** Root signatures made; an empty batch makes none. *)
   body_cache_hits : int; (** Memoized bodies reused. *)
   body_cache_misses : int; (** Bodies re-enumerated. *)
   keypool_hits : int; (** Signer keys served from the pregenerated pool. *)

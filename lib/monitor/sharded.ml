@@ -495,8 +495,9 @@ let attest t ~caller ~domain ~nonce =
   in
   Mutex.protect t.signer_lock (fun () ->
       Ok
-        (Attestation.sign ~signer:t.signer ~domain:global ~regions ~cores ~devices
-           ~memory_encrypted:encrypted ~nonce))
+        (List.hd
+           (Attestation.sign_batch ~signer:t.signer ~nonce
+              [ (global, regions, cores, devices, encrypted) ])))
 
 (* --- the timer tick -------------------------------------------------- *)
 

@@ -34,10 +34,8 @@ type reader
 
 val reader : string -> reader
 val pos : reader -> int
-val at_end : reader -> bool
 
 val get_u8 : reader -> int
-val get_u32 : reader -> int
 val get_i64 : reader -> int
 val get_bool : reader -> bool
 val get_str : reader -> string

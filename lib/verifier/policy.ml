@@ -8,7 +8,6 @@ type requirement =
   | Has_core of int
   | Holds_device of int
   | Memory_encrypted
-  | Batched_evidence
 
 let pp_requirement fmt = function
   | Sealed -> Format.pp_print_string fmt "sealed"
@@ -24,7 +23,6 @@ let pp_requirement fmt = function
   | Has_core c -> Format.fprintf fmt "has-core %d" c
   | Holds_device d -> Format.fprintf fmt "holds-device %04x" d
   | Memory_encrypted -> Format.pp_print_string fmt "memory-encrypted"
-  | Batched_evidence -> Format.pp_print_string fmt "batched-evidence"
 
 type t = requirement list
 
@@ -93,14 +91,6 @@ let check_one (att : Tyche.Attestation.t) req =
   | Memory_encrypted ->
     if att.memory_encrypted then Ok ()
     else fail "domain memory is not under a private encryption key"
-  | Batched_evidence -> (
-    (* Downgrade pin: a verifier that saw this monitor speak wire v2
-       refuses a v1 [Signed] envelope — a man-in-the-middle cannot
-       strip the Merkle batch and replay a direct signature. *)
-    match att.evidence with
-    | Tyche.Attestation.Batched _ -> Ok ()
-    | Tyche.Attestation.Signed _ ->
-      fail "evidence is a direct (wire v1) signature, batched (v2) required")
 
 let check t att =
   let failures =

@@ -24,11 +24,6 @@ type requirement =
   | Memory_encrypted
       (** The platform keeps the domain's memory under a private
           encryption key — required for physical-attack resistance. *)
-  | Batched_evidence
-      (** The report must carry wire-v2 Merkle-batched evidence. Pins
-          a verifier against downgrade: once it expects batched proofs,
-          an adversary replaying a v1 direct-signature envelope is
-          rejected even when that signature verifies. *)
 
 val pp_requirement : Format.formatter -> requirement -> unit
 

@@ -41,35 +41,18 @@ let establish_trust rv ~nonce ~boot_quote ~attestations =
   let failures = boot_failures @ domain_failures in
   { trusted = failures = []; failures }
 
-let attest_and_decide ?(batched = false) monitor rv ~nonce ~domains =
+let attest_and_decide monitor rv ~nonce ~domains =
   let boot_quote = Tyche.Monitor.boot_quote monitor ~nonce in
   let attestations, fetch_failures =
-    if batched then
-      (* One proof-carrying report per domain, one monitor signature for
-         the whole set (v2 evidence; verified by the same chain). *)
-      match
-        Tyche.Monitor.attest_batch monitor ~caller:Tyche.Domain.initial
-          ~domains:(List.map fst domains) ~nonce
-      with
-      | Ok atts -> (List.combine atts (List.map snd domains), [])
-      | Error e ->
-        ([], [ "batch attestation unavailable: " ^ Tyche.Monitor.error_to_string e ])
-    else
-      let atts, fails =
-        List.fold_left
-          (fun (atts, fails) (domain, policy) ->
-            match
-              Tyche.Monitor.attest monitor ~caller:Tyche.Domain.initial ~domain ~nonce
-            with
-            | Ok att -> ((att, policy) :: atts, fails)
-            | Error e ->
-              ( atts,
-                Printf.sprintf "domain %d: attestation unavailable: %s" domain
-                  (Tyche.Monitor.error_to_string e)
-                :: fails ))
-          ([], []) domains
-      in
-      (List.rev atts, List.rev fails)
+    List.partition_map
+      (fun (domain, policy) ->
+        match Tyche.Monitor.attest monitor ~caller:Tyche.Domain.initial ~domain ~nonce with
+        | Ok att -> Either.Left (att, policy)
+        | Error e ->
+          Either.Right
+            (Printf.sprintf "domain %d: attestation unavailable: %s" domain
+               (Tyche.Monitor.error_to_string e)))
+      domains
   in
   let d = establish_trust rv ~nonce ~boot_quote ~attestations in
   let failures = d.failures @ fetch_failures in

@@ -40,16 +40,11 @@ val establish_trust :
     policy. *)
 
 val attest_and_decide :
-  ?batched:bool ->
   Tyche.Monitor.t ->
   reference_values ->
   nonce:string ->
   domains:(Tyche.Domain.id * Policy.t) list ->
   decision
-(** Convenience for tests and examples: pull the quote and the
-    attestations straight from a live monitor (as domain 0 would relay
-    them to the remote verifier) and evaluate. With [~batched:true]
-    (default false) the monitor produces one {!Tyche.Monitor.attest_batch}
-    call — one root signature plus per-domain inclusion proofs — instead
-    of one directly signed report per domain; the verification chain is
-    unchanged. *)
+(** Convenience for tests and examples: pull the quote and one
+    {!Tyche.Monitor.attest} per domain straight from a live monitor (as
+    domain 0 would relay them to the remote verifier) and evaluate. *)

@@ -15,9 +15,9 @@
    - PMP-layout squeezes on RISC-V (claim C8: layout rejection must be
      a clean denial, never a panic or a half-applied layout),
    - attestation wire abuse (bit-flips, truncation, duplication,
-     spliced envelopes) and downgrade attempts (v2 batched evidence
-     re-wrapped as a v1 direct signature, proofs spliced across batch
-     roots),
+     spliced envelopes) and downgrade attempts (a batch-root signature
+     re-framed as a lone report, a report in the retired v1 envelope,
+     proofs spliced across batch roots),
    - freeze/thaw confusion against the migration latch.
 
    After every single step the engine audits the monitor: runtime
@@ -343,38 +343,37 @@ let op_wire_fuzz st =
         bug st "corrupted attestation envelope still verifies"
       else st.denied <- st.denied + 1)
 
-(* Downgrade: the monitor speaks wire v2 (batched evidence); the
-   adversary re-wraps the batch-root signature as a v1 direct
-   signature. The domain separator must make the signature fail, and a
-   [Batched_evidence] policy must refuse the envelope kind outright. *)
+(* Downgrade: every report is Merkle-batched, so there is no weaker
+   form to fall back to. Two attempts at one anyway: a batch-root
+   signature re-framed as a lone report (a one-leaf tree over the
+   payload) must not verify, and a report wrapped in the retired v1
+   envelope of a directly signed report must not parse. *)
 let op_downgrade st =
   let domains = os :: (match pick_dom st with Some d -> [ d ] | None -> []) in
   match Tyche.Monitor.attest_batch (m st) ~caller:os ~domains ~nonce:(nonce st) with
-  | Error _ -> ()
-  | Ok [] -> ()
-  | Ok (att :: _) -> (
+  | Error _ | Ok [] -> ()
+  | Ok (att :: rest) ->
     let root = Tyche.Monitor.attestation_root (m st) in
-    match att.Tyche.Attestation.evidence with
-    | Tyche.Attestation.Signed _ -> bug st "attest_batch returned direct evidence"
-    | Tyche.Attestation.Batched { root_sig; _ } ->
-      if not (Tyche.Attestation.verify ~monitor_root:root att) then
-        bug st "genuine batched attestation fails verification";
-      let downgraded =
-        { att with Tyche.Attestation.evidence = Tyche.Attestation.Signed root_sig }
+    if not (Tyche.Attestation.verify ~monitor_root:root att) then
+      bug st "genuine batched attestation fails verification";
+    (* A batch of one is its own one-leaf tree: only a larger batch's
+       root signature can be re-framed. *)
+    if rest <> [] then begin
+      let leaf = Crypto.Sha256.string (Tyche.Attestation.payload att) in
+      let lone =
+        { att.Tyche.Attestation.evidence with
+          batch_root = Crypto.Merkle.root (Crypto.Merkle.build [ leaf ]);
+          proof = { Crypto.Merkle.leaf_index = 0; path = [] } }
       in
       st.attacks <- st.attacks + 1;
-      if Tyche.Attestation.verify ~monitor_root:root downgraded then
-        bug st "downgraded (v1-wrapped) batch signature verifies"
-      else st.denied <- st.denied + 1;
-      (* The policy pin refuses the envelope kind before signatures
-         even enter the picture. *)
-      st.attacks <- st.attacks + 1;
-      (match Verifier.Policy.check [ Verifier.Policy.Batched_evidence ] downgraded with
-      | Error _ -> st.denied <- st.denied + 1
-      | Ok () -> bug st "Batched_evidence policy accepted direct evidence");
-      match Verifier.Policy.check [ Verifier.Policy.Batched_evidence ] att with
-      | Ok () -> ()
-      | Error _ -> bug st "Batched_evidence policy rejected genuine batched evidence")
+      if Tyche.Attestation.verify ~monitor_root:root { att with evidence = lone } then
+        bug st "batch-root signature re-framed as a lone report verifies"
+      else st.denied <- st.denied + 1
+    end;
+    st.attacks <- st.attacks + 1;
+    match Tyche.Attestation.of_wire (v1_envelope att) with
+    | Error _ -> st.denied <- st.denied + 1
+    | Ok _ -> bug st "report in the retired v1 envelope parses"
 
 (* Splice: inclusion proofs from one batch grafted onto a report from
    another. Both roots are genuinely signed — only the binding between

@@ -33,24 +33,14 @@ let test_sha256_block_boundaries () =
         (Sha256.equal whole (Sha256.Ctx.finalize ctx)))
     [ 0; 1; 54; 55; 56; 57; 63; 64; 65; 119; 120; 127; 128; 1000 ]
 
-let test_sha256_ctx_length () =
-  let ctx = Sha256.Ctx.create () in
-  Sha256.Ctx.feed_string ctx "hello";
-  Sha256.Ctx.feed_string ctx " world";
-  Alcotest.(check int) "fed length" 11 (Sha256.Ctx.fed_length ctx)
-
 let test_sha256_hex_roundtrip () =
   let d = Sha256.string "roundtrip" in
-  Alcotest.(check bool) "of_hex . to_hex" true (Sha256.equal d (Sha256.of_hex (hex d)));
   Alcotest.(check bool) "of_raw . to_raw" true
     (Sha256.equal d (Sha256.of_raw (Sha256.to_raw d)))
 
 let test_sha256_bad_parse () =
   Alcotest.check_raises "short raw" (Invalid_argument "Sha256.of_raw: need 32 bytes")
-    (fun () -> ignore (Sha256.of_raw "short"));
-  Alcotest.check_raises "bad hex char"
-    (Invalid_argument "Sha256.of_hex: bad character") (fun () ->
-      ignore (Sha256.of_hex (String.make 64 'z')))
+    (fun () -> ignore (Sha256.of_raw "short"))
 
 let test_hmac_rfc4231 () =
   (* RFC 4231 test cases 1, 2 and 7. *)
@@ -224,13 +214,6 @@ let test_sha256_spec_vectors () =
   check_hex "spec: abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     (Sha256.Spec.string "abc")
 
-let test_sha256_digest_bytes () =
-  let b = Bytes.of_string "xxhello worldyy" in
-  Alcotest.(check bool) "slice" true
-    (Sha256.equal (Sha256.digest_bytes b ~off:2 ~len:11) (Sha256.string "hello world"));
-  Alcotest.check_raises "bad slice" (Invalid_argument "Sha256.Ctx.feed_bytes")
-    (fun () -> ignore (Sha256.digest_bytes b ~off:10 ~len:10))
-
 let test_sha256_digest_strings () =
   Alcotest.(check bool) "multi-buffer == concatenated" true
     (Sha256.equal
@@ -244,24 +227,25 @@ let test_sha256_ctx_reset () =
   Sha256.Ctx.reset ctx;
   Sha256.Ctx.feed_string ctx "abc";
   Alcotest.(check bool) "reset context == fresh context" true
-    (Sha256.equal (Sha256.Ctx.finalize ctx) (Sha256.string "abc"));
-  Sha256.Ctx.reset ctx;
-  Alcotest.(check int) "reset clears fed length" 0 (Sha256.Ctx.fed_length ctx)
+    (Sha256.equal (Sha256.Ctx.finalize ctx) (Sha256.string "abc"))
 
-let test_sha256_hash32_into () =
+let test_sha256_hash32_sub () =
+  let c = Sha256.chain_scratch () in
   let d = Sha256.string "seed" in
   let buf = Bytes.of_string (Sha256.to_raw d) in
-  Sha256.hash32_into ~src:buf ~dst:buf;
+  let step () = Sha256.hash32_sub c ~src:buf ~src_off:0 ~dst:buf ~dst_off:0 in
+  step ();
   Alcotest.(check string) "one step, in place"
     (Sha256.to_hex (Sha256.string (Sha256.to_raw d)))
     (Sha256.to_hex (Sha256.of_raw (Bytes.to_string buf)));
-  Sha256.hash32_into ~src:buf ~dst:buf;
+  step ();
   Alcotest.(check string) "two steps"
     (Sha256.to_hex (Sha256.string (Sha256.to_raw (Sha256.string (Sha256.to_raw d)))))
     (Sha256.to_hex (Sha256.of_raw (Bytes.to_string buf)));
-  Alcotest.check_raises "wrong size"
-    (Invalid_argument "Sha256.hash32_into: need 32-byte buffers") (fun () ->
-      Sha256.hash32_into ~src:(Bytes.create 31) ~dst:(Bytes.create 32))
+  Alcotest.check_raises "short buffer"
+    (Invalid_argument "Sha256.hash32_sub: need two 32-byte slices") (fun () ->
+      Sha256.hash32_sub c ~src:(Bytes.create 31) ~src_off:0 ~dst:(Bytes.create 32)
+        ~dst_off:0)
 
 (* Two OCaml domains hash at once through every one-shot entry point
    and the chain kernel; each digest must match the specification twin.
@@ -285,6 +269,7 @@ let test_sha256_domain_safe () =
   in
   let hasher offset () =
     let bad = ref 0 in
+    let chain = Sha256.chain_scratch () in
     let buf = Bytes.create 32 in
     for round = 0 to 400 do
       Array.iteri
@@ -293,7 +278,7 @@ let test_sha256_domain_safe () =
           if not (Sha256.equal (Sha256.string s) d) then incr bad;
           if not (Sha256.equal (Sha256.digest_strings (parts s)) dp) then incr bad;
           Bytes.blit_string raw 0 buf 0 32;
-          Sha256.hash32_into ~src:buf ~dst:buf;
+          Sha256.hash32_sub chain ~src:buf ~src_off:0 ~dst:buf ~dst_off:0;
           if Bytes.to_string buf <> chained then incr bad)
         cases
     done;
@@ -469,14 +454,12 @@ let () =
     [ ( "sha256",
         [ Alcotest.test_case "NIST vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
-          Alcotest.test_case "ctx length" `Quick test_sha256_ctx_length;
           Alcotest.test_case "hex roundtrip" `Quick test_sha256_hex_roundtrip;
           Alcotest.test_case "bad parse" `Quick test_sha256_bad_parse;
           Alcotest.test_case "spec vectors" `Quick test_sha256_spec_vectors;
-          Alcotest.test_case "digest_bytes" `Quick test_sha256_digest_bytes;
           Alcotest.test_case "digest_strings" `Quick test_sha256_digest_strings;
           Alcotest.test_case "ctx reset" `Quick test_sha256_ctx_reset;
-          Alcotest.test_case "hash32_into" `Quick test_sha256_hash32_into;
+          Alcotest.test_case "hash32_sub" `Quick test_sha256_hash32_sub;
           Alcotest.test_case "two domains hash at once" `Quick test_sha256_domain_safe;
           qt prop_sha256_fast_equals_spec;
           qt prop_sha256_chunking ] );

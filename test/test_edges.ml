@@ -191,6 +191,22 @@ let test_attestation_wire_roundtrip () =
     Alcotest.(check string) "nonce preserved" att.Tyche.Attestation.nonce
       att'.Tyche.Attestation.nonce)
 
+(* The envelope's bytes are a format remote verifiers parse: the hex
+   SHA-256 of both reports of a fixed two-domain batch (fixed boot seed
+   and nonce) must not move. Never re-derive the digests from the code
+   under test. *)
+let test_attestation_wire_golden () =
+  let w = boot_x86 ~seed:0x60L () in
+  let m = w.monitor in
+  let d = get_ok (Tyche.Monitor.create_domain m ~caller:os ~name:"peer" ~kind:Tyche.Domain.Sandbox) in
+  let atts = get_ok (Tyche.Monitor.attest_batch m ~caller:os ~domains:[ os; d ] ~nonce:"golden") in
+  Alcotest.(check (list string)) "envelope digests"
+    [ "3369b3dda93cefe8201f7f12723a00e76cabdcb3ed4686c706c1b16f79ca4e54";
+      "aa8ecc4f50dbe9975ba231365dafc0efdfb4bd94f2fc6657c30148efa8bce330" ]
+    (List.map
+       (fun a -> Crypto.Sha256.to_hex (Crypto.Sha256.string (Tyche.Attestation.to_wire a)))
+       atts)
+
 (* Flip one byte at EVERY offset of an envelope: each flip must break
    the parse or the verification — no byte of the wire format may be
    unauthenticated (redundant index fields and ignored high bits were
@@ -212,32 +228,34 @@ let test_attestation_wire_tamper () =
   let root = Tyche.Monitor.attestation_root m in
   let att = get_ok (Tyche.Monitor.attest m ~caller:os ~domain:os ~nonce:"t") in
   let wire = Tyche.Attestation.to_wire att in
-  assert_every_byte_authenticated ~what:"v1" ~root wire;
-  (* Same property for the proof-carrying batched envelope. *)
+  assert_every_byte_authenticated ~what:"single" ~root wire;
+  (* Same property for the reports of a two-domain batch, whose proofs
+     are not empty. *)
   let d = get_ok (Tyche.Monitor.create_domain m ~caller:os ~name:"peer" ~kind:Tyche.Domain.Sandbox) in
   let atts = get_ok (Tyche.Monitor.attest_batch m ~caller:os ~domains:[ os; d ] ~nonce:"t2") in
   List.iter
-    (fun a -> assert_every_byte_authenticated ~what:"v2" ~root (Tyche.Attestation.to_wire a))
+    (fun a -> assert_every_byte_authenticated ~what:"batched" ~root (Tyche.Attestation.to_wire a))
     atts;
   (* Truncation is rejected outright. *)
   (match Tyche.Attestation.of_wire (String.sub wire 0 (String.length wire / 2)) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated wire parsed")
 
-(* Round-trip property over randomized reports: v1 and v2 envelopes
-   must reproduce the exact report (and hence the exact wire bytes).
-   The evidence is fixed — produced once by a real monitor — because
-   the property targets the codec, not the crypto. *)
+(* Round-trip property over randomized reports: the envelope of a
+   single report (a batch of one, with an empty proof) and of a batched
+   one must reproduce the exact report (and hence the exact wire
+   bytes). The evidence is fixed — produced once by a real monitor —
+   because the property targets the codec, not the crypto. *)
 let wire_evidence =
   lazy
     (let w = boot_x86 () in
      let m = w.monitor in
-     let v1 = get_ok (Tyche.Monitor.attest m ~caller:os ~domain:os ~nonce:"fix") in
+     let single = get_ok (Tyche.Monitor.attest m ~caller:os ~domain:os ~nonce:"fix") in
      let d =
        get_ok (Tyche.Monitor.create_domain m ~caller:os ~name:"d" ~kind:Tyche.Domain.Sandbox)
      in
      let batch = get_ok (Tyche.Monitor.attest_batch m ~caller:os ~domains:[ os; d ] ~nonce:"fix") in
-     (v1.Tyche.Attestation.evidence, (List.nth batch 1).Tyche.Attestation.evidence))
+     (single.Tyche.Attestation.evidence, (List.nth batch 1).Tyche.Attestation.evidence))
 
 let gen_report =
   QCheck.Gen.(
@@ -288,8 +306,8 @@ let prop_attestation_wire_roundtrip_random which =
     ~name:(Printf.sprintf "attestation: %s wire roundtrip on random reports" which)
     ~count:100
     (QCheck.make (fun st ->
-         let v1, v2 = Lazy.force wire_evidence in
-         gen_report (if which = "v1" then v1 else v2) st))
+         let single, batched = Lazy.force wire_evidence in
+         gen_report (if which = "single" then single else batched) st))
     (fun att ->
       let wire = Tyche.Attestation.to_wire att in
       match Tyche.Attestation.of_wire wire with
@@ -408,8 +426,10 @@ let () =
             test_attestation_wire_roundtrip;
           Alcotest.test_case "attestation tamper/truncation" `Quick
             test_attestation_wire_tamper;
-          qt (prop_attestation_wire_roundtrip_random "v1");
-          qt (prop_attestation_wire_roundtrip_random "v2");
+          Alcotest.test_case "attestation batch envelope golden bytes" `Quick
+            test_attestation_wire_golden;
+          qt (prop_attestation_wire_roundtrip_random "single");
+          qt (prop_attestation_wire_roundtrip_random "batched");
           QCheck_alcotest.to_alcotest prop_attestation_wire_garbage ] );
       ( "algebra",
         [ qt prop_rights_attenuation_reflexive_transitive;

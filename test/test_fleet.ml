@@ -542,7 +542,25 @@ let test_fleet_attestation () =
   Alcotest.(check bool) "wrong member root rejected" false
     (Distributed.Fleet.verify_member att ~name:"alpha" ~member_root:rb);
   Alcotest.(check bool) "unknown member rejected" false
-    (Distributed.Fleet.verify_member att ~name:"gamma" ~member_root:ra)
+    (Distributed.Fleet.verify_member att ~name:"gamma" ~member_root:ra);
+  (* A member root is its batch's root: every report of that batch
+     proves its inclusion under it. *)
+  List.iter
+    (fun (name, m, root) ->
+      let ids = List.map Tyche.Domain.id (Tyche.Monitor.domains m) in
+      let reports =
+        Testkit.get_ok (Tyche.Monitor.attest_batch m ~caller:os ~domains:ids ~nonce:"n1")
+      in
+      List.iter
+        (fun (r : Tyche.Attestation.t) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s domain %d included in member root" name r.domain)
+            true
+            (Crypto.Merkle.verify ~root
+               ~leaf:(Crypto.Sha256.string (Tyche.Attestation.payload r))
+               r.evidence.proof))
+        reports)
+    [ ("alpha", ma, ra); ("beta", mb, rb) ]
 
 (* --- wire properties (qcheck) ----------------------------------------- *)
 

@@ -420,32 +420,26 @@ let test_attest_batch () =
         (Tyche.Attestation.verify ~monitor_root:root att))
     atts;
   (* All reports hang off the same Merkle root. *)
-  let roots =
-    List.map
-      (fun a ->
-        match a.Tyche.Attestation.evidence with
-        | Tyche.Attestation.Batched { batch_root; _ } -> batch_root
-        | Tyche.Attestation.Signed _ -> Alcotest.fail "batched report carries v1 evidence")
-      atts
-  in
-  (match roots with
+  (match List.map (fun a -> a.Tyche.Attestation.evidence.batch_root) atts with
   | [ r1; r2 ] -> Alcotest.(check bool) "shared batch root" true (Crypto.Sha256.equal r1 r2)
   | _ -> Alcotest.fail "expected two reports");
-  (* The batched body equals the directly signed body. *)
+  (* A single attest is a batch of one: the same body, as the only leaf
+     of its own tree. *)
   let single = get_ok (Tyche.Monitor.attest m ~caller:os ~domain:enclave ~nonce:"b") in
-  (match single.Tyche.Attestation.evidence with
-  | Tyche.Attestation.Signed _ -> ()
-  | Tyche.Attestation.Batched _ -> Alcotest.fail "single report carries batch evidence");
+  Alcotest.(check bool) "single report is a one-leaf batch" true
+    (single.Tyche.Attestation.evidence.proof = { Crypto.Merkle.leaf_index = 0; path = [] });
+  Alcotest.(check bool) "single report verifies" true
+    (Tyche.Attestation.verify ~monitor_root:root single);
   let body (a : Tyche.Attestation.t) =
     (a.Tyche.Attestation.regions, a.Tyche.Attestation.cores, a.Tyche.Attestation.devices)
   in
-  Alcotest.(check bool) "batched body == signed body" true
+  Alcotest.(check bool) "batched body == single body" true
     (body (List.hd atts) = body single);
   (* A batched report survives the wire and cross-monitor roots reject it. *)
   (match Tyche.Attestation.of_wire (Tyche.Attestation.to_wire (List.hd atts)) with
-  | Error e -> Alcotest.failf "v2 wire roundtrip failed: %s" e
+  | Error e -> Alcotest.failf "wire roundtrip failed: %s" e
   | Ok att' ->
-    Alcotest.(check bool) "roundtripped v2 report verifies" true
+    Alcotest.(check bool) "roundtripped report verifies" true
       (Tyche.Attestation.verify ~monitor_root:root att'));
   let other = boot_x86 ~seed:0x98L () in
   Alcotest.(check bool) "foreign monitor root rejected" false
@@ -458,6 +452,24 @@ let test_attest_batch () =
   match Tyche.Monitor.attest_batch m ~caller:os ~domains:[ enclave; 999 ] ~nonce:"u" with
   | Error (Tyche.Monitor.Unknown_domain 999) -> ()
   | _ -> Alcotest.fail "unknown domain accepted in batch"
+
+let test_attest_telemetry_counts_root_signatures () =
+  (* [attests] counts root signatures: one per non-empty batch, whatever
+     its size, and none for a batch that signs nothing. *)
+  let w, enclave, _ = with_enclave () in
+  let m = w.monitor in
+  let attests () = (Tyche.Monitor.attest_telemetry m).Tyche.Monitor.attests in
+  let before = attests () in
+  ignore (get_ok (Tyche.Monitor.attest_batch m ~caller:os ~domains:[] ~nonce:"e"));
+  Alcotest.(check int) "an empty batch counts no signature" before (attests ());
+  ignore (get_ok (Tyche.Monitor.attest m ~caller:os ~domain:enclave ~nonce:"s"));
+  Alcotest.(check int) "a single attest counts one root signature" (before + 1) (attests ());
+  ignore (get_ok (Tyche.Monitor.attest_batch m ~caller:os ~domains:[ enclave; os ] ~nonce:"b"));
+  Alcotest.(check int) "a batch of two counts one root signature" (before + 2) (attests ());
+  (match Tyche.Monitor.attest_batch m ~caller:os ~domains:[ enclave; 999 ] ~nonce:"u" with
+  | Error (Tyche.Monitor.Unknown_domain 999) -> ()
+  | _ -> Alcotest.fail "unknown domain accepted in batch");
+  Alcotest.(check int) "a refused batch counts no signature" (before + 2) (attests ())
 
 let test_attest_batch_one_key () =
   (* A height-0 signer holds exactly one one-time key; a whole batch
@@ -518,10 +530,14 @@ let test_attest_spec_agrees () =
   let regions, cores, devices = get_ok (Tyche.Monitor.attest_body_of m ~domain:enclave) in
   let domain = Option.get (Tyche.Monitor.find_domain m enclave) in
   let signer () = Crypto.Signature.create ~height:2 (Crypto.Rng.create ~seed:0x5eL) in
-  let sign f =
-    f ~signer:(signer ()) ~domain ~regions ~cores ~devices ~memory_encrypted:false ~nonce:"s"
+  let fast =
+    List.hd
+      (Tyche.Attestation.sign_batch ~signer:(signer ()) ~nonce:"s"
+         [ (domain, regions, cores, devices, false) ])
+  and spec =
+    Tyche.Attestation.sign_spec ~signer:(signer ()) ~domain ~regions ~cores ~devices
+      ~memory_encrypted:false ~nonce:"s"
   in
-  let fast = sign Tyche.Attestation.sign and spec = sign Tyche.Attestation.sign_spec in
   Alcotest.(check string) "identical reports" (Tyche.Attestation.to_wire fast)
     (Tyche.Attestation.to_wire spec);
   Alcotest.(check bool) "spec-stack report verifies" true
@@ -535,14 +551,14 @@ let test_attest_nul_name_rejected () =
       ~created_by:(Some 0)
   in
   Alcotest.check_raises "NUL name rejected at sign time"
-    (Invalid_argument "Attestation.sign: domain name contains NUL") (fun () ->
+    (Invalid_argument "Attestation.sign_batch: domain name contains NUL") (fun () ->
       ignore
-        (Tyche.Attestation.sign ~signer ~domain:evil ~regions:[] ~cores:[] ~devices:[]
-           ~memory_encrypted:false ~nonce:"n"));
-  Alcotest.check_raises "NUL name rejected in batches"
-    (Invalid_argument "Attestation.sign: domain name contains NUL") (fun () ->
+        (Tyche.Attestation.sign_batch ~signer ~nonce:"n" [ (evil, [], [], [], false) ]));
+  Alcotest.check_raises "NUL name rejected on the spec stack"
+    (Invalid_argument "Attestation.sign_batch: domain name contains NUL") (fun () ->
       ignore
-        (Tyche.Attestation.sign_batch ~signer ~nonce:"n" [ (evil, [], [], [], false) ]))
+        (Tyche.Attestation.sign_spec ~signer ~domain:evil ~regions:[] ~cores:[] ~devices:[]
+           ~memory_encrypted:false ~nonce:"n"))
 
 let test_measurement_position_independence () =
   (* The same logical domain at two different load addresses measures
@@ -667,6 +683,8 @@ let () =
           Alcotest.test_case "exhausted signer denies" `Quick test_attest_exhausted_denied;
           Alcotest.test_case "NUL name rejected" `Quick test_attest_nul_name_rejected;
           Alcotest.test_case "position independence" `Quick
-            test_measurement_position_independence ] );
+            test_measurement_position_independence;
+          Alcotest.test_case "telemetry counts root signatures" `Quick
+            test_attest_telemetry_counts_root_signatures ] );
       ( "riscv",
         [ Alcotest.test_case "end to end on PMP" `Quick test_riscv_end_to_end ] ) ]

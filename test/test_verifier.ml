@@ -141,39 +141,25 @@ let test_policy_unsealed_detected () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "unsealed domain passed Sealed policy"
 
-(* The anti-downgrade pin (directed regression for the byzantine
-   fuzzer's downgrade attack class): a verifier that requires wire-v2
-   batched evidence refuses a v1 direct-signature envelope — even one
-   whose signature would verify — and refuses a batch-root signature
-   re-wrapped as a direct one. *)
-let test_policy_batched_evidence_pin () =
+(* The anti-downgrade check (directed regression for the byzantine
+   fuzzer's downgrade attack class): every report is Merkle-batched and
+   the v1 envelope of a directly signed report is retired, so a report
+   wrapped in it — around its genuine root signature — must not parse.
+   A verifier has no weaker form to be downgraded to. *)
+let test_retired_v1_envelope_rejected () =
   let w = boot_x86 () in
-  let direct = attest w os "v1" in
-  let batched =
-    List.hd
-      (get_ok (Tyche.Monitor.attest_batch w.monitor ~caller:os ~domains:[ os ] ~nonce:"v2"))
+  let m = w.monitor in
+  let d = get_ok (Tyche.Monitor.create_domain m ~caller:os ~name:"peer" ~kind:Tyche.Domain.Sandbox) in
+  let batches =
+    [ get_ok (Tyche.Monitor.attest_batch m ~caller:os ~domains:[ os ] ~nonce:"one");
+      get_ok (Tyche.Monitor.attest_batch m ~caller:os ~domains:[ os; d ] ~nonce:"two") ]
   in
-  let pin = [ Verifier.Policy.Batched_evidence ] in
-  (match Verifier.Policy.check pin batched with
-  | Ok () -> ()
-  | Error msgs -> Alcotest.failf "batched evidence rejected: %s" (String.concat "; " msgs));
-  (match Verifier.Policy.check pin direct with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "v1 direct evidence passed the batched pin");
-  (* A genuine direct signature still verifies cryptographically — the
-     pin is what refuses it; and the re-wrapped batch-root signature
-     fails even cryptographically (domain separation). *)
-  let root = Tyche.Monitor.attestation_root w.monitor in
-  Alcotest.(check bool) "direct verifies" true
-    (Tyche.Attestation.verify ~monitor_root:root direct);
-  match batched.Tyche.Attestation.evidence with
-  | Tyche.Attestation.Signed _ -> Alcotest.fail "batch produced direct evidence"
-  | Tyche.Attestation.Batched { root_sig; _ } ->
-    let rewrapped =
-      { batched with Tyche.Attestation.evidence = Tyche.Attestation.Signed root_sig }
-    in
-    Alcotest.(check bool) "rewrapped batch root does not verify" false
-      (Tyche.Attestation.verify ~monitor_root:root rewrapped)
+  List.iter
+    (List.iter (fun att ->
+         match Tyche.Attestation.of_wire (v1_envelope att) with
+         | Error _ -> ()
+         | Ok _ -> Alcotest.fail "report in the retired v1 envelope parsed"))
+    batches
 
 let test_establish_trust_end_to_end () =
   let w = boot_x86 () in
@@ -358,8 +344,8 @@ let () =
       ( "policy",
         [ Alcotest.test_case "requirements" `Quick test_policy_requirements;
           Alcotest.test_case "unsealed detected" `Quick test_policy_unsealed_detected;
-          Alcotest.test_case "batched-evidence downgrade pin" `Quick
-            test_policy_batched_evidence_pin ] );
+          Alcotest.test_case "retired v1 envelope is rejected" `Quick
+            test_retired_v1_envelope_rejected ] );
       ( "decision",
         [ Alcotest.test_case "end to end trusted" `Quick test_establish_trust_end_to_end;
           Alcotest.test_case "wrong binary rejected" `Quick

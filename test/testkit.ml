@@ -193,6 +193,25 @@ let reference_body m ~domain =
     ([], [], [])
     (Cap.Captree.caps_of_domain_reference tree domain)
 
+(* [att] re-wrapped in the retired version-1 envelope of a directly
+   signed report (u32 payload length, payload, u32 signature length,
+   signature), carrying its root signature. The signature is cut from
+   the tail of [att]'s own envelope: magic, u32 payload length, payload,
+   32-byte root, u32 leaf index, u32 path length, path digests, u32
+   signature length, signature. *)
+let v1_envelope att =
+  let wire = Tyche.Attestation.to_wire att and body = Tyche.Attestation.payload att in
+  let magic = String.length "tyche-attestation-wire-v2\x00" in
+  let path_at = magic + 4 + String.length body + 36 in
+  let sig_at = path_at + 4 + (32 * Int32.to_int (String.get_int32_be wire path_at)) + 4 in
+  let sg = String.sub wire sig_at (String.length wire - sig_at) in
+  let b = Buffer.create (String.length wire) in
+  Buffer.add_int32_be b (Int32.of_int (String.length body));
+  Buffer.add_string b body;
+  Buffer.add_int32_be b (Int32.of_int (String.length sg));
+  Buffer.add_string b sg;
+  Buffer.contents b
+
 let contains_substring s sub =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
