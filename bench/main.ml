@@ -1868,10 +1868,13 @@ let e18 ?(smoke = false) () =
    children go to seven domains in turn, or all to one domain (the
    shape where each victim used to rescan and rewrite its domain's
    remaining holdings). Per victim: wall ns (informational), simulated
-   cycles, and words allocated ([Gc.counters]: minor + major -
-   promoted), the count that repeats exactly and that bench-smoke holds
-   flat in fanout. Rows: "e18 revoke cascade fanout=N" (seven domains)
-   and "... fanout=N one-domain", ns per revoke. *)
+   cycles, and words allocated ([Gc.minor_words], exact on OCaml 5.1
+   where [Gc.counters] counts the current minor heap one eighth, plus
+   the words allocated straight into the major heap), the count that
+   repeats exactly, whether or not a collection lands in the window,
+   and that bench-smoke holds flat in fanout. Rows: "e18 revoke
+   cascade fanout=N" (seven domains) and "... fanout=N one-domain", ns
+   per revoke. *)
 type cascade = { c_domains : int; c_fanout : int; c_words : float }
 
 let e18_cascade ?(smoke = false) () =
@@ -1894,16 +1897,16 @@ let e18_cascade ?(smoke = false) () =
     | _ -> failwith "e18: domain 0's largest capability is not memory"
   in
   let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
   in
   let fanouts = if smoke then [ 10; 100 ] else [ 10; 100; 1000; 10_000 ] in
   let rows = ref [] and shapes = ref [] in
-  (* A minor collection landing inside a measured window inflates
-     [Gc.counters] by about a minor heap: empty the minor heap before
-     each window and make it big enough for the largest cascade — 8 MiB
-     for fanout 100, 64 MiB for fanout 10k (at 32 MiB a collection
-     still lands in that window and reads as 5-7x the words). *)
+  (* The words are exact whether or not a collection lands in a window;
+     the wall column is not, since a minor collection inside the window
+     charges the revoke with promoting what is live. So empty the minor
+     heap before each window and make it big enough for the largest
+     cascade: 8 MiB for fanout 100, 64 MiB for fanout 10k. *)
   let gc = Gc.get () in
   Gc.set { gc with Gc.minor_heap_size = (if smoke then 1 lsl 20 else 1 lsl 23) };
   Fun.protect ~finally:(fun () -> Gc.set gc) @@ fun () ->

@@ -1,4 +1,8 @@
-(** Simulated physical memory: a flat byte array addressed by {!Addr.t}.
+(** Simulated physical memory addressed by {!Addr.t}, held page by
+    page: every 4 KiB frame that has never been written shares one zero
+    page, and a frame gets its own bytes on its first write, so host
+    memory grows with the pages written, not with [size]. Clearing a
+    whole frame ({!zero_range}) hands it back to the zero page.
 
     This module performs no access control — it is the raw DRAM. All
     protection is enforced above it: CPU accesses go through {!Ept} or

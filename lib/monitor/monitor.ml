@@ -742,52 +742,28 @@ let may_revoke t ~caller cap =
   if walk cap then Ok ()
   else Error (Denied "caller owns neither the capability nor an ancestor")
 
-(* Cascade accounting for the revocation histograms: how deep and how
-   wide the lineage subtree about to be revoked is. Read-only, and only
-   when tracing is on — the disabled cost is one branch. *)
-let cascade_shape t cap =
-  let rec walk id depth (n, deepest) =
-    let acc = (n + 1, max depth deepest) in
-    List.fold_left
-      (fun acc child -> walk child (depth + 1) acc)
-      acc (Cap.Captree.children t.tree id)
-  in
-  walk cap 1 (0, 0)
-
-let cascade_depth_h = Obs.Metrics.histogram "revoke.cascade_depth"
 let cascade_size_h = Obs.Metrics.histogram "revoke.cascade_size"
 let cascade_cycles_h = Obs.Metrics.histogram "revoke.cascade_cycles"
 let cascade_cycles_per_victim_h = Obs.Metrics.histogram "revoke.cascade_cycles_per_victim"
 
 let revoke t ~caller ~cap =
   let* () = may_revoke t ~caller cap in
-  (* Only actual cascades (derived children exist) are worth the cycle
-     reads and histogram observes; a leaf revoke under tracing must stay
-     as cheap as it was before the cascade breakdown existed. *)
-  let obs = ref false in
-  let size = ref 0 in
-  if Obs.enabled () then begin
-    let s, depth = cascade_shape t cap in
-    if s > 1 then begin
-      obs := true;
-      size := s;
-      Obs.Metrics.observe cascade_depth_h depth;
-      Obs.Metrics.observe cascade_size_h s
-    end
-  end;
-  let obs = !obs in
   (* Simulated hardware cost of the cascade: the detach/reattach effects
      charge calibrated cycles, so the delta isolates how the per-victim
-     cost scales with fanout — deterministic, unlike wall time. *)
-  let c0 = if obs then Hw.Machine.cycles t.machine else 0 in
+     cost scales with fanout — deterministic, unlike wall time. The
+     cascade's size is the drop in the node count, so nothing walks the
+     subtree a second time; a leaf revoke observes nothing. *)
+  let n0 = Cap.Captree.node_count t.tree and c0 = Hw.Machine.cycles t.machine in
   let r =
     with_txn ~op:(Op.issued caller (Op.Revoke { cap })) t (fun () ->
         cap_result t (Result.map (fun e -> ((), e)) (Cap.Captree.revoke t.tree cap)))
   in
-  if obs && Result.is_ok r then begin
+  let size = n0 - Cap.Captree.node_count t.tree in
+  if size > 1 && Result.is_ok r then begin
     let dc = Hw.Machine.cycles t.machine - c0 in
+    Obs.Metrics.observe cascade_size_h size;
     Obs.Metrics.observe cascade_cycles_h dc;
-    if !size > 0 then Obs.Metrics.observe cascade_cycles_per_victim_h (dc / !size)
+    Obs.Metrics.observe cascade_cycles_per_victim_h (dc / size)
   end;
   r
 

@@ -93,6 +93,162 @@ let test_physmem_blit () =
     (Invalid_argument "Physmem.blit: overlapping ranges") (fun () ->
       Physmem.blit mem ~src:(range ~base:0 ~len:16) ~dst:8)
 
+let page = Addr.page_size
+let pm_pages = 16
+let pm_size = pm_pages * page
+
+(* Frames nobody wrote share one zero page: a write to one of them must
+   not show through any other, in this memory or in another one. *)
+let test_physmem_unwritten_pages_stay_zero () =
+  let other = Physmem.create ~size:pm_size in
+  let mem = Physmem.create ~size:pm_size in
+  Physmem.write mem ((3 * page) + 10) "residue";
+  Physmem.write_byte mem (5 * page) 0xAB;
+  Physmem.blit mem ~src:(range ~base:((3 * page) + 10) ~len:7) ~dst:((7 * page) - 3);
+  Physmem.zero_range mem (range ~base:(3 * page) ~len:page);
+  Physmem.write mem ((3 * page) + 20) "again";
+  let zeros = String.make page '\x00' in
+  let page_of m p = Physmem.read m (range ~base:(p * page) ~len:page) in
+  for p = 0 to pm_pages - 1 do
+    if not (List.mem p [ 3; 5; 6; 7 ]) then
+      Alcotest.(check string) (Printf.sprintf "page %d" p) zeros (page_of mem p);
+    Alcotest.(check string) (Printf.sprintf "other memory, page %d" p) zeros (page_of other p)
+  done;
+  Alcotest.(check string) "rewritten after zeroing" "\x00again\x00"
+    (Physmem.read mem (range ~base:((3 * page) + 19) ~len:7));
+  Alcotest.(check string) "blit across a boundary" "residue"
+    (Physmem.read mem (range ~base:((7 * page) - 3) ~len:7))
+
+(* Host memory follows the pages written, not the machine's size: a
+   flat 64 MiB buffer alone would be 8M words. *)
+let test_physmem_footprint () =
+  let words mem = Obj.reachable_words (Obj.repr mem) in
+  let mem = Physmem.create ~size:(64 * 1024 * 1024) in
+  let fresh = words mem in
+  Alcotest.(check bool) (Printf.sprintf "fresh 64 MiB: %d words <= 32Ki" fresh) true
+    (fresh <= 32 * 1024);
+  let first = 100 and written = 12 in
+  for p = first to first + written - 1 do
+    Physmem.write_byte mem ((p * page) + p) 1
+  done;
+  let grown = words mem - fresh in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d pages written: %d words <= 600 per page" written grown)
+    true
+    (grown <= 600 * written);
+  Physmem.zero_range mem (range ~base:(first * page) ~len:(written * page));
+  Alcotest.(check int) "zeroed pages are handed back" fresh (words mem)
+
+(* Differential test: random writes, zeroing and blits, with offsets
+   around page boundaries, on a 16-page memory and on a flat [Bytes]
+   model of it. *)
+type pm_op =
+  | Pm_write of int * int * int (* address, length, fill seed *)
+  | Pm_write_byte of int * int
+  | Pm_zero of int * int
+  | Pm_blit of int * int * int (* source, length, destination *)
+
+type pm_step = { op : pm_op; probes : int list; span : int * int }
+type pm_outcome = Done | Bus of int | Overlap
+
+let pm_data len seed = String.init len (fun i -> Char.chr ((seed + (i * 31)) land 0xFF))
+
+let gen_pm_addr =
+  QCheck.Gen.(
+    frequency
+      [ (3, map2 (fun p d -> max 0 ((p * page) + d)) (0 -- pm_pages) (-24 -- 24));
+        (1, 0 -- (pm_size + 64)) ])
+
+let gen_pm_len =
+  QCheck.Gen.(
+    frequency
+      [ (3, 1 -- 48); (2, map (fun d -> page + d) (-24 -- 24)); (1, 1 -- (3 * page)) ])
+
+let gen_pm_step =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [ (3, map3 (fun a l s -> Pm_write (a, l, s)) gen_pm_addr gen_pm_len (0 -- 255));
+        (2, map2 (fun a v -> Pm_write_byte (a, v)) gen_pm_addr (0 -- 511));
+        (1, map2 (fun p n -> Pm_zero (p * page, n * page)) (0 -- (pm_pages - 1)) (1 -- 4));
+        (2, map2 (fun a l -> Pm_zero (a, l)) gen_pm_addr gen_pm_len);
+        (2, map3 (fun s l d -> Pm_blit (s, l, d)) gen_pm_addr gen_pm_len gen_pm_addr) ]
+  in
+  map3
+    (fun op probes span -> { op; probes; span })
+    op
+    (list_size (1 -- 4) gen_pm_addr)
+    (pair gen_pm_addr gen_pm_len)
+
+let pm_print steps =
+  String.concat "; "
+    (List.map
+       (fun { op; _ } ->
+         match op with
+         | Pm_write (a, l, s) -> Printf.sprintf "write %#x len %d seed %d" a l s
+         | Pm_write_byte (a, v) -> Printf.sprintf "write_byte %#x %d" a v
+         | Pm_zero (a, l) -> Printf.sprintf "zero %#x len %d" a l
+         | Pm_blit (s, l, d) -> Printf.sprintf "blit %#x len %d to %#x" s l d)
+       steps)
+
+(* Apply one step to both memories; true when every observation agrees. *)
+let pm_step_agrees mem model { op; probes; span } =
+  let fault a len = if a + len > pm_size then Bus a else Done in
+  let run f =
+    match f () with
+    | () -> Done
+    | exception Physmem.Bus_error a -> Bus a
+    | exception Invalid_argument _ -> Overlap
+  in
+  let expected, got =
+    match op with
+    | Pm_write (a, len, seed) ->
+      let s = pm_data len seed in
+      let e = fault a len in
+      if e = Done then Bytes.blit_string s 0 model a len;
+      (e, run (fun () -> Physmem.write mem a s))
+    | Pm_write_byte (a, v) ->
+      let e = fault a 1 in
+      if e = Done then Bytes.set model a (Char.chr (v land 0xFF));
+      (e, run (fun () -> Physmem.write_byte mem a v))
+    | Pm_zero (a, len) ->
+      let e = fault a len in
+      if e = Done then Bytes.fill model a len '\x00';
+      (e, run (fun () -> Physmem.zero_range mem (range ~base:a ~len)))
+    | Pm_blit (s, len, d) ->
+      let e =
+        match (fault s len, fault d len) with
+        | (Bus _ as e), _ | Done, (Bus _ as e) -> e
+        | _ -> if s < d + len && d < s + len then Overlap else Done
+      in
+      if e = Done then Bytes.blit model s model d len;
+      (e, run (fun () -> Physmem.blit mem ~src:(range ~base:s ~len) ~dst:d))
+  in
+  let probe a =
+    match Physmem.read_byte mem a with
+    | v -> a < pm_size && v = Char.code (Bytes.get model a)
+    | exception Physmem.Bus_error b -> b = a && a >= pm_size
+  in
+  let base, len = span in
+  let measured =
+    match Physmem.measure mem (range ~base ~len) with
+    | d ->
+      base + len <= pm_size
+      && Crypto.Sha256.equal d (Crypto.Sha256.string (Bytes.sub_string model base len))
+    | exception Physmem.Bus_error b -> b = base && base + len > pm_size
+  in
+  expected = got
+  && Physmem.read mem (Physmem.full_range mem) = Bytes.to_string model
+  && List.for_all probe probes
+  && measured
+
+let prop_physmem_matches_flat =
+  QCheck.Test.make ~name:"physmem: page frames match a flat model" ~count:200
+    (QCheck.make ~print:pm_print QCheck.Gen.(list_size (1 -- 24) gen_pm_step))
+    (fun steps ->
+      let mem = Physmem.create ~size:pm_size and model = Bytes.make pm_size '\x00' in
+      List.for_all (pm_step_agrees mem model) steps)
+
 let test_perm () =
   Alcotest.(check bool) "rwx subsumes rx" true (Perm.subsumes Perm.rwx Perm.rx);
   Alcotest.(check bool) "rx !subsumes rw" false (Perm.subsumes Perm.rx Perm.rw);
@@ -420,7 +576,11 @@ let () =
       ( "physmem",
         [ Alcotest.test_case "read/write" `Quick test_physmem_rw;
           Alcotest.test_case "zero + measure" `Quick test_physmem_zero_measure;
-          Alcotest.test_case "blit" `Quick test_physmem_blit ] );
+          Alcotest.test_case "blit" `Quick test_physmem_blit;
+          Alcotest.test_case "unwritten pages stay zero" `Quick
+            test_physmem_unwritten_pages_stay_zero;
+          Alcotest.test_case "footprint follows pages written" `Quick test_physmem_footprint;
+          qt prop_physmem_matches_flat ] );
       ("perm", [ Alcotest.test_case "lattice" `Quick test_perm ]);
       ( "ept",
         [ Alcotest.test_case "map/translate" `Quick test_ept_map_translate;

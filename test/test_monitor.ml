@@ -293,6 +293,47 @@ let test_revoke_aliased_caps () =
            (Hw.Addr.Range.make ~base:a ~len:page)))
     [ base; quarter; half; base + len - page ]
 
+(* [revoke.cascade_size] counts the nodes a revoke removed: a 13-node
+   cascade adds 13; a leaf revoke, an unauthorized one and one refused
+   after authorization (a frozen victim) add nothing. *)
+let test_revoke_cascade_size () =
+  let w = boot_x86 () in
+  let m = w.monitor in
+  let tree = Tyche.Monitor.tree m in
+  let mem = os_memory_cap w in
+  let base =
+    match Cap.Captree.resource tree mem with
+    | Some (Cap.Resource.Memory r) -> Hw.Addr.Range.base r
+    | _ -> Alcotest.fail "os memory cap is not memory"
+  in
+  let domain name =
+    get_ok (Tyche.Monitor.create_domain m ~caller:os ~name ~kind:Tyche.Domain.Sandbox)
+  in
+  let a = domain "a" and b = domain "b" in
+  let share ?(rights = Cap.Rights.read_only) ~caller ~cap ~to_ ~base ~len () =
+    get_ok
+      (Tyche.Monitor.share m ~caller ~cap ~to_ ~rights ~cleanup:Cap.Revocation.Keep
+         ~subrange:(range ~base ~len) ())
+  in
+  let sum () = Obs.Metrics.histogram_sum "revoke.cascade_size" in
+  let s0 = sum () in
+  let leaf = share ~caller:os ~cap:mem ~to_:a ~base ~len:page () in
+  get_ok (Tyche.Monitor.revoke m ~caller:os ~cap:leaf);
+  Alcotest.(check int) "leaf revoke" s0 (sum ());
+  let parent = share ~rights:Cap.Rights.rw ~caller:os ~cap:mem ~to_:a ~base ~len:(12 * page) () in
+  let children =
+    List.init 12 (fun k ->
+        share ~caller:a ~cap:parent ~to_:b ~base:(base + (k * page)) ~len:page ())
+  in
+  expect_error (Tyche.Monitor.revoke m ~caller:b ~cap:parent);
+  let frozen = List.nth children 5 in
+  (match Cap.Captree.freeze tree frozen with Ok () -> () | Error _ -> Alcotest.fail "freeze");
+  expect_error (Tyche.Monitor.revoke m ~caller:os ~cap:parent);
+  Cap.Captree.thaw tree frozen;
+  Alcotest.(check int) "refused revokes" s0 (sum ());
+  get_ok (Tyche.Monitor.revoke m ~caller:os ~cap:parent);
+  Alcotest.(check int) "13-node cascade" (s0 + 13) (sum ())
+
 let test_destroy_domain () =
   let w, enclave, sub = with_enclave () in
   let m = w.monitor in
@@ -655,7 +696,8 @@ let () =
           Alcotest.test_case "sealed not extendable" `Quick
             test_sealed_domain_cannot_be_extended;
           Alcotest.test_case "revoke authorization" `Quick test_revoke_authorization;
-          Alcotest.test_case "aliased revoke keeps coverage" `Quick test_revoke_aliased_caps ] );
+          Alcotest.test_case "aliased revoke keeps coverage" `Quick test_revoke_aliased_caps;
+          Alcotest.test_case "revoke cascade size" `Quick test_revoke_cascade_size ] );
       ( "enforcement",
         [ Alcotest.test_case "os blocked from enclave" `Quick test_enforcement_os_blocked;
           Alcotest.test_case "revocation zeroes + restores" `Quick
