@@ -24,6 +24,12 @@
    ack leaves, so an acked message can never be lost to a crash. The
    sender fsyncs its journal record before the first transmission, so a
    message a peer might have seen is always re-sendable after a crash.
+   Nothing else pays a barrier: the records of a received ack (and of
+   the revocation it completes) ride the next one, since losing them
+   costs only a retransmission the peer absorbs as a duplicate. A
+   delegate therefore costs three barriers (the share's WAL record,
+   [J_delegate], [J_import]) and so does a revoke ([J_pending],
+   [J_unimport], the local revoke's WAL record).
 
    Remote-held caps are frozen in the local captree for the whole life
    of the delegation: the proxy's cap (and therefore any local attempt
@@ -173,9 +179,18 @@ let fleet_blob = "fleet"
    monitor's store (mem-store appends to it tear and crash through the
    [snapshot.write] fault point, file stores through real fsyncs).
    Records, in the order constraints matter:
-   - a record is fsynced before any message it makes re-sendable leaves
-     the machine (sender side), and before the ack for the message it
-     records leaves (receiver side);
+   - [J_peer], [J_delegate], [J_pending] and [J_send] are fsynced before
+     any message they make re-sendable leaves the machine (sender side);
+     [J_import], [J_unimport] and [J_recv] before the ack for the
+     message they record leaves (receiver side);
+   - [J_acked], [J_revoked] and [J_done] record a received ack and wait
+     for the next barrier: lost, the ack floor regresses and the peer
+     re-acks a retransmission it absorbs as a duplicate. Recovery
+     re-derives what they said — a durable ack floor confirms every
+     revocation at or below it, and a pending revocation whose frozen
+     cap is gone from the recovered tree ran its local cascade, which
+     only happens once every peer has acked. [J_done] keeps its own
+     barrier only when the revocation aborted and the cap survives;
    - [J_acked] precedes [J_revoked] for the same ack, so the WAL's
      longest-valid-prefix read can never see a confirmed revocation
      whose ack floor was lost. *)
@@ -402,6 +417,11 @@ type t = {
   mutable jrecs : int; (* records currently in the fleet blob *)
   channels : (Network.endpoint, channel) Hashtbl.t;
   dels : (int, delegation) Hashtbl.t;
+  (* Two views of [dels]: by proxy cap, so a revoke walks the revoked
+     subtree instead of testing every delegation against it; and the
+     [Revoking] ones, the only delegations an ack can confirm. *)
+  by_proxy : (Cap.Captree.cap_id, delegation) Hashtbl.t;
+  revoking : (int, delegation) Hashtbl.t;
   imports : (Network.endpoint * int, import) Hashtbl.t;
   proxies : (Network.endpoint, Tyche.Domain.id) Hashtbl.t;
   pending : (Cap.Captree.cap_id, pending_revoke) Hashtbl.t;
@@ -438,6 +458,23 @@ let jsync t =
        commit first, then make the fleet record durable. *)
     Tyche.Monitor.flush t.monitor;
     Persist.Store.fsync s fleet_blob
+
+let add_del t d =
+  Hashtbl.replace t.dels d.del_id d;
+  Hashtbl.replace t.by_proxy d.proxy_cap d
+
+let remove_del t del_id =
+  match Hashtbl.find_opt t.dels del_id with
+  | None -> ()
+  | Some d ->
+    Hashtbl.remove t.dels del_id;
+    Hashtbl.remove t.by_proxy d.proxy_cap;
+    Hashtbl.remove t.revoking del_id
+
+let set_state t d st =
+  d.del_state <- st;
+  if st = Revoking then Hashtbl.replace t.revoking d.del_id d
+  else Hashtbl.remove t.revoking d.del_id
 
 let total_backlog t =
   Hashtbl.fold (fun _ ch acc -> acc + Queue.length ch.outbox) t.channels 0
@@ -586,7 +623,7 @@ let delegate t ~caller ~cap ~peer ?subrange ~rights () =
              { del_id; peer; proxy_cap; base; len; rights = rights_b; seq = ch.c_next });
         jsync t;
         let seq = enqueue t ch body in
-        Hashtbl.replace t.dels del_id
+        add_del t
           { del_id; del_peer = peer; proxy_cap; del_base = base; del_len = len;
             del_rights = rights_b; del_seq = seq; del_state = Active; revoke_seq = 0 };
         transmit t ch body;
@@ -594,19 +631,26 @@ let delegate t ~caller ~cap ~peer ?subrange ~rights () =
 
 (* Delegations whose proxy cap is [cap] itself or lies anywhere in its
    subtree — the ones a cascading revoke of [cap] must first retire on
-   the remote side. *)
+   the remote side. A walk of the subtree the cascade itself will
+   visit, not a scan of every live delegation. *)
 let delegations_under t cap =
   let tr = tree t in
-  Hashtbl.fold
-    (fun _ d acc ->
-      match d.del_state with
-      | Revoked -> acc
-      | Active | Revoking ->
-        if d.proxy_cap = cap || Cap.Captree.is_ancestor tr ~ancestor:cap d.proxy_cap then
-          d :: acc
-        else acc)
-    t.dels []
-  |> List.sort (fun a b -> Int.compare a.del_id b.del_id)
+  let rec walk acc c =
+    let acc =
+      match Hashtbl.find_opt t.by_proxy c with
+      | Some d when d.del_state <> Revoked -> d :: acc
+      | Some _ | None -> acc
+    in
+    List.fold_left walk acc (Cap.Captree.children tr c)
+  in
+  walk [] cap |> List.sort (fun a b -> Int.compare a.del_id b.del_id)
+
+(* Retire a pending revocation: its delegations and the record itself.
+   [J_done] waits for the next barrier like the ack that led here. *)
+let finish_pending t (p : pending_revoke) =
+  journal t (J_done { cap = p.pr_cap });
+  List.iter (fun (_, del_id, _) -> remove_del t del_id) p.pr_dels;
+  Hashtbl.remove t.pending p.pr_cap
 
 let execute_pending t (p : pending_revoke) =
   (* Every peer confirmed: nothing remote holds the subtree any more.
@@ -619,60 +663,55 @@ let execute_pending t (p : pending_revoke) =
       | Some d -> Cap.Captree.thaw (tree t) d.proxy_cap
       | None -> ())
     p.pr_dels;
-  let done_ =
-    match Tyche.Monitor.revoke t.monitor ~caller:p.pr_caller ~cap:p.pr_cap with
-    | Ok () -> true
-    | Error (Tyche.Monitor.Cap_error (Cap.Captree.No_such_capability _)) -> true
-    | Error (Tyche.Monitor.Denied _) ->
-      (* Deterministic refusal: the caller's authority over the cap was
-         checked when the revocation was journaled, so ownership moved
-         while the acks were in flight. Retrying can never succeed —
-         it would wedge the subtree frozen behind a pending record that
-         never clears. Abort instead: the peers already dropped their
-         imports (their acks are all in), so retire each proxy cap with
-         its delegator's authority — exactly like [reconcile] — so the
-         local tree stops claiming remote holders that no longer exist,
-         then let the pending record complete below. *)
-      Obs.Metrics.incr aborted_c;
-      let tr = tree t in
-      List.iter
-        (fun (_, del_id, _) ->
-          match Hashtbl.find_opt t.dels del_id with
-          | None -> ()
-          | Some d ->
-            let caller =
-              match Cap.Captree.parent tr d.proxy_cap with
-              | Some pid ->
-                Option.value (Cap.Captree.owner tr pid) ~default:Tyche.Domain.initial
-              | None -> Tyche.Domain.initial
-            in
-            (match Tyche.Monitor.revoke t.monitor ~caller ~cap:d.proxy_cap with
-            | Ok () -> ()
-            | Error (Tyche.Monitor.Cap_error (Cap.Captree.No_such_capability _)) -> ()
-            | Error _ -> Obs.Metrics.incr reject_c))
-        p.pr_dels;
-      true
-    | Error _ ->
-      (* Transient (e.g. an injected backend fault rolled the cascade
-         back): re-freeze and leave the pending record; the next tick
-         retries. *)
-      (match Cap.Captree.freeze (tree t) p.pr_cap with Ok () | Error _ -> ());
-      List.iter
-        (fun (_, del_id, _) ->
-          match Hashtbl.find_opt t.dels del_id with
-          | Some d -> (
-            match Cap.Captree.freeze (tree t) d.proxy_cap with Ok () | Error _ -> ())
-          | None -> ())
-        p.pr_dels;
-      Obs.Metrics.incr reject_c;
-      false
-  in
-  if done_ then begin
-    journal t (J_done { cap = p.pr_cap });
-    jsync t;
-    List.iter (fun (_, del_id, _) -> Hashtbl.remove t.dels del_id) p.pr_dels;
-    Hashtbl.remove t.pending p.pr_cap
-  end
+  match Tyche.Monitor.revoke t.monitor ~caller:p.pr_caller ~cap:p.pr_cap with
+  | Ok () | Error (Tyche.Monitor.Cap_error (Cap.Captree.No_such_capability _)) ->
+    finish_pending t p
+  | Error (Tyche.Monitor.Denied _) ->
+    (* Deterministic refusal: the caller's authority over the cap was
+       checked when the revocation was journaled, so ownership moved
+       while the acks were in flight. Retrying can never succeed — it
+       would wedge the subtree frozen behind a pending record that never
+       clears. Abort instead: the peers already dropped their imports
+       (their acks are all in), so retire each proxy cap with its
+       delegator's authority — exactly like [reconcile] — so the local
+       tree stops claiming remote holders that no longer exist, then
+       complete the pending record. *)
+    Obs.Metrics.incr aborted_c;
+    let tr = tree t in
+    List.iter
+      (fun (_, del_id, _) ->
+        match Hashtbl.find_opt t.dels del_id with
+        | None -> ()
+        | Some d ->
+          let caller =
+            match Cap.Captree.parent tr d.proxy_cap with
+            | Some pid ->
+              Option.value (Cap.Captree.owner tr pid) ~default:Tyche.Domain.initial
+            | None -> Tyche.Domain.initial
+          in
+          (match Tyche.Monitor.revoke t.monitor ~caller ~cap:d.proxy_cap with
+          | Ok () -> ()
+          | Error (Tyche.Monitor.Cap_error (Cap.Captree.No_such_capability _)) -> ()
+          | Error _ -> Obs.Metrics.incr reject_c))
+      p.pr_dels;
+    finish_pending t p;
+    (* The cap survives an abort, so recovery cannot tell from the tree
+       that this revocation is over: its [J_done] must be durable
+       before the thawed subtree can be used again. *)
+    jsync t
+  | Error _ ->
+    (* Transient (e.g. an injected backend fault rolled the cascade
+       back): re-freeze and leave the pending record; the next tick
+       retries. *)
+    (match Cap.Captree.freeze (tree t) p.pr_cap with Ok () | Error _ -> ());
+    List.iter
+      (fun (_, del_id, _) ->
+        match Hashtbl.find_opt t.dels del_id with
+        | Some d -> (
+          match Cap.Captree.freeze (tree t) d.proxy_cap with Ok () | Error _ -> ())
+        | None -> ())
+      p.pr_dels;
+    Obs.Metrics.incr reject_c
 
 let revoke t ~caller ~cap =
   match overlapping_pending t cap with
@@ -707,7 +746,7 @@ let revoke t ~caller ~cap =
               Wire.encode_body ~origin:t.name ~seq (Wire.Revoke { del_id = d.del_id })
             in
             let seq = enqueue t ch body in
-            d.del_state <- Revoking;
+            set_state t d Revoking;
             d.revoke_seq <- seq;
             (d, ch, seq, body))
           chans
@@ -754,6 +793,35 @@ let set_data_handler t ~chan f = Hashtbl.replace t.handlers chan f
 
 (* --- receiving ------------------------------------------------------- *)
 
+(* Revocations the peer's ack floor covers: it dropped those imports.
+   The caller journals the [J_acked] that raised the floor first, so a
+   durable [J_revoked] always comes with a durable floor covering it. *)
+let confirm_revokes t ch =
+  let confirmed =
+    Hashtbl.fold
+      (fun _ d acc ->
+        if d.del_peer = ch.ch_peer && d.revoke_seq <= ch.c_acked then d :: acc else acc)
+      t.revoking []
+    |> List.sort (fun a b -> Int.compare a.del_id b.del_id)
+  in
+  List.iter
+    (fun d ->
+      set_state t d Revoked;
+      journal t (J_revoked { del_id = d.del_id });
+      Hashtbl.iter
+        (fun _ p ->
+          p.pr_waiting <-
+            List.filter (fun (peer, id) -> not (peer = ch.ch_peer && id = d.del_id))
+              p.pr_waiting)
+        t.pending)
+    confirmed
+
+(* Pending revocations whose acks are all in run their local cascade. *)
+let run_ready t =
+  Hashtbl.fold (fun _ p acc -> if p.pr_waiting = [] then p :: acc else acc) t.pending []
+  |> List.sort (fun a b -> Int.compare a.pr_cap b.pr_cap)
+  |> List.iter (execute_pending t)
+
 let on_ack t ch upto =
   Obs.Metrics.incr acks_rx_c;
   if upto > ch.c_acked then begin
@@ -780,35 +848,8 @@ let on_ack t ch upto =
       ch.ch_state <- Healthy;
       Obs.Metrics.set_gauge degraded_g (degraded_count t)
     | Healthy -> ());
-    (* Revocations this ack confirms. [J_acked] above precedes every
-       [J_revoked] below in the journal, preserving the invariant that a
-       durable confirmation implies a durable ack floor. *)
-    let confirmed =
-      Hashtbl.fold
-        (fun _ d acc ->
-          if d.del_state = Revoking && d.del_peer = ch.ch_peer && d.revoke_seq <= upto
-          then d :: acc
-          else acc)
-        t.dels []
-      |> List.sort (fun a b -> Int.compare a.del_id b.del_id)
-    in
-    List.iter
-      (fun d ->
-        d.del_state <- Revoked;
-        journal t (J_revoked { del_id = d.del_id });
-        Hashtbl.iter
-          (fun _ p ->
-            p.pr_waiting <-
-              List.filter (fun (peer, id) -> not (peer = ch.ch_peer && id = d.del_id))
-                p.pr_waiting)
-          t.pending)
-      confirmed;
-    if confirmed <> [] then jsync t;
-    let ready =
-      Hashtbl.fold (fun _ p acc -> if p.pr_waiting = [] then p :: acc else acc) t.pending []
-      |> List.sort (fun a b -> Int.compare a.pr_cap b.pr_cap)
-    in
-    List.iter (execute_pending t) ready
+    confirm_revokes t ch;
+    run_ready t
   end
 
 let apply_data t ch ~origin ~seq msg =
@@ -902,12 +943,11 @@ let poll t =
 (* The journal is a redo log: completed delegations, retired imports and
    superseded ack floors leave records behind that replay no longer
    needs, so an append-only blob (and its recovery replay) would grow
-   without bound over the endpoint's life. Compaction appends a snapshot
-   of live state in replay order, makes it durable, then drops the
-   prefix it supersedes — the same checkpoint-then-compact shape as the
-   monitor WAL. A crash between the two steps leaves prefix + snapshot,
-   which replays to the same state (every snapshot record is idempotent
-   under replay). *)
+   without bound over the endpoint's life. Compaction frames a snapshot
+   of live state in replay order and installs it as the whole blob with
+   one atomic [Store.replace]: a crash leaves either the old journal or
+   the snapshot, which replay to the same state. The snapshot subsumes
+   the records still waiting for a barrier, which the replace drops. *)
 let snapshot_records t =
   let recs = ref [] in
   let add r = recs := r :: !recs in
@@ -952,11 +992,17 @@ let compact t =
   match t.store with
   | None -> ()
   | Some s ->
-    let upto = t.jseq in
     let recs = snapshot_records t in
-    List.iter (journal t) recs;
-    jsync t;
-    ignore (Persist.Wal.compact s ~blob:fleet_blob ~upto);
+    let b = Buffer.create 4096 in
+    List.iter
+      (fun r ->
+        t.jseq <- t.jseq + 1;
+        Buffer.add_string b (Persist.Wal.frame ~seq:t.jseq (encode_jrec r)))
+      recs;
+    (* The snapshot names monitor state (proxy domains and caps), so that
+       state goes durable first, as in [jsync]. *)
+    Tyche.Monitor.flush t.monitor;
+    Persist.Store.replace s fleet_blob (Buffer.contents b);
     t.jrecs <- List.length recs
 
 (* Auto-compaction bounds: never bother below [compact_min] records, and
@@ -1008,11 +1054,7 @@ let tick t =
     t.channels;
   (* Retry pending revocations whose acks are all in but whose local
      execution was rolled back by a fault. *)
-  let ready =
-    Hashtbl.fold (fun _ p acc -> if p.pr_waiting = [] then p :: acc else acc) t.pending []
-    |> List.sort (fun a b -> Int.compare a.pr_cap b.pr_cap)
-  in
-  List.iter (execute_pending t) ready;
+  run_ready t;
   maybe_compact t
 
 (* --- construction and recovery -------------------------------------- *)
@@ -1116,19 +1158,13 @@ let replay t =
   match t.store with
   | None -> ()
   | Some s ->
-    let { Persist.Wal.records; truncated; _ } = Persist.Wal.read s ~blob:fleet_blob in
+    let { Persist.Wal.records; valid_bytes; truncated } = Persist.Wal.read s ~blob:fleet_blob in
     (* A crash can leave a torn frame at the end of the blob. Everything
        appended after it would be invisible to the longest-valid-prefix
        read of the NEXT recovery — which would silently roll back acked
-       imports. Rewrite the journal to its valid prefix before any new
-       record lands behind the tear. *)
-    if truncated then begin
-      Persist.Wal.reset s ~blob:fleet_blob;
-      List.iter
-        (fun (seq, payload) -> Persist.Wal.append s ~blob:fleet_blob ~seq payload)
-        records;
-      Persist.Store.fsync s fleet_blob
-    end;
+       imports. Cut the journal back to its valid prefix, atomically,
+       before any new record lands behind the tear. *)
+    if truncated then Persist.Store.truncate s fleet_blob valid_bytes;
     t.jrecs <- List.length records;
     List.iter
       (fun (seq, payload) ->
@@ -1142,7 +1178,7 @@ let replay t =
           let ch = channel_of t peer in
           ch.c_next <- max ch.c_next (seq + 1);
           t.next_del <- max t.next_del (del_id + 1);
-          Hashtbl.replace t.dels del_id
+          add_del t
             { del_id; del_peer = peer; proxy_cap; del_base = base; del_len = len;
               del_rights = rights; del_seq = seq; del_state = Active; revoke_seq = 0 }
         | J_import { origin; del_id; base; len; rights; applied } ->
@@ -1162,7 +1198,7 @@ let replay t =
               ch.c_next <- max ch.c_next (seq + 1);
               match Hashtbl.find_opt t.dels del_id with
               | Some d ->
-                d.del_state <- Revoking;
+                set_state t d Revoking;
                 d.revoke_seq <- seq
               | None -> ())
             dels;
@@ -1174,7 +1210,7 @@ let replay t =
         | J_revoked { del_id } -> (
           match Hashtbl.find_opt t.dels del_id with
           | Some d ->
-            d.del_state <- Revoked;
+            set_state t d Revoked;
             Hashtbl.iter
               (fun _ p ->
                 p.pr_waiting <-
@@ -1199,7 +1235,7 @@ let replay t =
         | J_done { cap } -> (
           match Hashtbl.find_opt t.pending cap with
           | Some p ->
-            List.iter (fun (_, del_id, _) -> Hashtbl.remove t.dels del_id) p.pr_dels;
+            List.iter (fun (_, del_id, _) -> remove_del t del_id) p.pr_dels;
             Hashtbl.remove t.pending cap
           | None -> ()))
       records
@@ -1214,6 +1250,8 @@ let create ?store ~monitor ~name ~net () =
       jrecs = 0;
       channels = Hashtbl.create 4;
       dels = Hashtbl.create 16;
+      by_proxy = Hashtbl.create 16;
+      revoking = Hashtbl.create 4;
       imports = Hashtbl.create 16;
       proxies = Hashtbl.create 4;
       pending = Hashtbl.create 4;
@@ -1223,6 +1261,20 @@ let create ?store ~monitor ~name ~net () =
       clock = 0 }
   in
   replay t;
+  (* The records of received acks wait for a barrier that a crash may
+     have beaten; re-derive what they said. A durable ack floor confirms
+     every revocation at or below it. A pending revocation whose frozen
+     cap is gone from the recovered tree ran its local cascade: that
+     runs only once every peer has acked, a frozen cap cannot leave the
+     tree any other way, and [jsync] flushes the monitor before the
+     journal, so the tree is never behind the journal. *)
+  Hashtbl.iter (fun _ ch -> confirm_revokes t ch) t.channels;
+  let tr = tree t in
+  Hashtbl.fold
+    (fun cap p acc -> if Cap.Captree.owner tr cap = None then p :: acc else acc)
+    t.pending []
+  |> List.sort (fun a b -> Int.compare a.pr_cap b.pr_cap)
+  |> List.iter (finish_pending t);
   (* Order matters: reconcile half-finished delegations while nothing is
      frozen (their revocations must not be refused), then re-freeze the
      journaled remote holders, then rebuild the retransmission window.
@@ -1231,11 +1283,7 @@ let create ?store ~monitor ~name ~net () =
   reconcile t;
   freeze_all t;
   rebuild_outboxes t;
-  let ready =
-    Hashtbl.fold (fun _ p acc -> if p.pr_waiting = [] then p :: acc else acc) t.pending []
-    |> List.sort (fun a b -> Int.compare a.pr_cap b.pr_cap)
-  in
-  List.iter (execute_pending t) ready;
+  run_ready t;
   t
 
 (* --- inspection ------------------------------------------------------ *)

@@ -65,7 +65,10 @@ val create :
     [net]. When [store] is given, the fleet journals into its ["fleet"]
     blob and — creation {e is} recovery — replays any existing journal:
     channels, delegations, imports and pending revocations are rebuilt,
-    remote-held caps are re-frozen, the unacked outbox is reconstructed
+    revocations the durable ack floor covers are confirmed, pending
+    revocations whose frozen cap is gone from the recovered tree (their
+    local cascade ran before the crash) are completed, remote-held caps
+    are re-frozen, the unacked outbox is reconstructed
     for retransmission, and half-finished delegations (shared to a proxy
     but never journaled, hence never sent) are reconciled by local
     revocation. Session keys are volatile: re-issue {!connect} for every
@@ -148,9 +151,13 @@ val compact : t -> unit
 (** Rewrite the fleet journal to a snapshot of live state (peers,
     channel counters, active delegations, imports, pending revocations),
     dropping records that recovery no longer needs — completed
-    delegations, retired imports, superseded ack floors. Durable
-    (snapshot is fsynced before the old prefix is dropped); a no-op
-    without a store. {!tick} calls this automatically (see there). *)
+    delegations, retired imports, superseded ack floors. The snapshot is
+    written once: framed and installed as the whole blob with one atomic
+    [Persist.Store.replace], after the monitor's pending writes are
+    flushed, so a crash leaves either the old journal or the snapshot.
+    May raise [Persist.Store.Crash] at the [store.dir_fsync] fault
+    point. A no-op without a store. {!tick} calls this automatically
+    (see there). *)
 
 (** {2 Inspection} *)
 

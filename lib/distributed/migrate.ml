@@ -1595,20 +1595,14 @@ let attach ~fleet ~store =
   in
   Fleet.set_data_handler fleet ~chan:migrate_blob (fun origin payload ->
       handle t origin payload);
-  let { Persist.Wal.records; truncated; _ } =
+  let { Persist.Wal.records; valid_bytes; truncated } =
     Persist.Wal.read store ~blob:migrate_blob
   in
   (* A crash can leave a torn frame at the end of the blob; anything
      appended after it would be invisible to the longest-valid-prefix
-     read of the NEXT recovery. Rewrite the journal to its valid prefix
-     before any new record lands behind the tear. *)
-  if truncated then begin
-    Persist.Wal.reset store ~blob:migrate_blob;
-    List.iter
-      (fun (seq, payload) -> Persist.Wal.append store ~blob:migrate_blob ~seq payload)
-      records;
-    Persist.Store.fsync store migrate_blob
-  end;
+     read of the NEXT recovery. Cut the journal back to its valid
+     prefix, atomically, before any new record lands behind the tear. *)
+  if truncated then Persist.Store.truncate store migrate_blob valid_bytes;
   let srcs : (string, src_replay) Hashtbl.t = Hashtbl.create 4 in
   let tgts : (string, tgt_replay) Hashtbl.t = Hashtbl.create 4 in
   let src_order = ref [] and tgt_order = ref [] in

@@ -178,13 +178,10 @@ let file ~dir =
     let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
     Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
   in
-  let write_out blob data =
+  let write_file pa flag data =
     (* Durable means fsynced: closing the channel only hands the bytes
        to the OS page cache, which power loss takes with it. *)
-    let fresh = not (Sys.file_exists (path blob)) in
-    let fd =
-      Unix.openfile (path blob) [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
-    in
+    let fd = Unix.openfile pa [ Unix.O_WRONLY; flag; Unix.O_CREAT ] 0o644 in
     Fun.protect
       ~finally:(fun () -> Unix.close fd)
       (fun () ->
@@ -194,7 +191,11 @@ let file ~dir =
         while !written < n do
           written := !written + Unix.write fd b !written (n - !written)
         done;
-        Unix.fsync fd);
+        Unix.fsync fd)
+  in
+  let write_out blob data =
+    let fresh = not (Sys.file_exists (path blob)) in
+    write_file (path blob) Unix.O_APPEND data;
     if fresh then dir_fsync ()
   in
   let power_fail () = Hashtbl.iter (fun _ b -> Buffer.clear b) pending in
@@ -229,9 +230,12 @@ let file ~dir =
     end
     else ""
   in
-  let rename_in blob tmp =
-    (* A crash before the rename is durable leaves the old name intact
-       and the tmp file as garbage — the new contents never happened. *)
+  let swap_in blob contents =
+    (* The temp file is fsynced before the rename publishes it. A crash
+       before the rename is durable leaves the old name intact and the
+       tmp file as garbage — the new contents never happened. *)
+    let tmp = path blob ^ ".tmp" in
+    write_file tmp Unix.O_TRUNC contents;
     if Fault.fires p_dir_fsync then begin
       (try Sys.remove tmp with Sys_error _ -> ());
       power_fail ();
@@ -244,29 +248,19 @@ let file ~dir =
     (* Atomic truncation: a crash between writing the empty temp file
        and the rename leaves either the old blob or the new empty one,
        never a half-truncated file. *)
-    let tmp = path blob ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    close_out oc;
-    rename_in blob tmp;
+    swap_in blob "";
     Buffer.clear (buf blob)
   in
   let truncate blob keep =
     (* Same atomic-rename discipline as [reset]: the durable file is
        either the old bytes or the kept prefix, never a partial copy. *)
     let contents = read blob in
-    if keep < String.length contents then begin
-      let tmp = path blob ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (String.sub contents 0 keep));
-      rename_in blob tmp
-    end
+    if keep < String.length contents then swap_in blob (String.sub contents 0 keep)
   in
   let replace blob contents =
-    let tmp = path blob ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents);
-    rename_in blob tmp
+    (* Like the mem device: bytes appended before the replace are not
+       part of the new contents, so a later fsync must not append them. *)
+    swap_in blob contents;
+    Buffer.clear (buf blob)
   in
   { store_name = "file:" ^ dir; read; append; fsync; reset; truncate; replace; power_fail }

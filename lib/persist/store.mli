@@ -73,8 +73,12 @@ val truncate : t -> string -> int -> unit
 
 val replace : t -> string -> string -> unit
 (** [replace t blob contents] atomically substitutes the blob's entire
-    durable contents — the segment-GC primitive. A crash leaves either
-    the old bytes or the new bytes, never a mixture. *)
+    durable contents — the segment-GC and fleet-journal compaction
+    primitive. A crash leaves either the old bytes or the new bytes,
+    never a mixture. The blob's pending (unflushed) bytes are dropped:
+    they are not part of [contents], so a later {!fsync} appends only
+    what is appended after the replace. A file store fsyncs the new
+    contents before the rename publishes them. *)
 
 val power_fail : t -> unit
 (** Drop every blob's pending (unflushed) buffer — what an actual power

@@ -74,7 +74,6 @@ let replay { records; _ } ~after apply =
 
 let append store ~blob ~seq payload = Store.append store blob (frame ~seq payload)
 let read store ~blob = parse (Store.read store blob)
-let reset store ~blob = Store.reset store blob
 
 let compact store ~blob ~upto =
   let { records; _ } = read store ~blob in

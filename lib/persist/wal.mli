@@ -49,7 +49,6 @@ val append : Store.t -> blob:string -> seq:int -> string -> unit
 (** Frame and append one record (durable only after [Store.fsync]). *)
 
 val read : Store.t -> blob:string -> read_result
-val reset : Store.t -> blob:string -> unit
 
 val compact : Store.t -> blob:string -> upto:int -> int
 (** [compact store ~blob ~upto] durably drops every record with

@@ -18,17 +18,16 @@ type node = {
   store : Persist.Store.t;
 }
 
-let mk_node net name seed =
+let mk_node ?(store = Persist.Store.mem ()) net name seed =
   let w = Testkit.boot_x86 ~seed () in
-  let store = Persist.Store.mem () in
   Tyche.Monitor.enable_persistence w.Testkit.monitor ~store ();
   let fleet = Distributed.Fleet.create ~store ~monitor:w.Testkit.monitor ~name ~net () in
   { w; fleet; store }
 
-let mk_pair () =
+let mk_pair ?store_a ?store_b () =
   let net = Distributed.Network.create () in
-  let a = mk_node net "alpha" 0x71L in
-  let b = mk_node net "beta" 0x72L in
+  let a = mk_node ?store:store_a net "alpha" 0x71L in
+  let b = mk_node ?store:store_b net "beta" 0x72L in
   ignore (fok (Distributed.Fleet.connect a.fleet ~peer:"beta" ~key));
   ignore (fok (Distributed.Fleet.connect b.fleet ~peer:"alpha" ~key));
   (net, a, b)
@@ -36,7 +35,7 @@ let mk_pair () =
 (* "Power comes back": fresh machine + backend, monitor recovery from
    the store, fleet recovery from the same store's journal. The session
    key is volatile, so the caller re-connects. *)
-let recover_node net name node =
+let recover_monitor store =
   let machine = Hw.Machine.create ~arch:Hw.Cpu.X86_64 ~cores:4 ~mem_size:(16 * 1024 * 1024) () in
   let rng = Crypto.Rng.create ~seed:0x99L in
   let tpm = Rot.Tpm.create rng in
@@ -46,13 +45,16 @@ let recover_node net name node =
   in
   let backend = Backend_x86.create machine () in
   match
-    Tyche.Monitor.recover machine ~store:node.store ~backend ~tpm ~rng
+    Tyche.Monitor.recover machine ~store ~backend ~tpm ~rng
       ~monitor_range:br.Rot.Boot.monitor_range
   with
   | Error e -> Alcotest.failf "recovery failed: %s" e
-  | Ok (m, _report) ->
-    let fleet = Distributed.Fleet.create ~store:node.store ~monitor:m ~name ~net () in
-    { node with w = { node.w with Testkit.monitor = m; machine; backend }; fleet }
+  | Ok (m, _report) -> (m, machine, backend)
+
+let recover_node net name node =
+  let m, machine, backend = recover_monitor node.store in
+  let fleet = Distributed.Fleet.create ~store:node.store ~monitor:m ~name ~net () in
+  { node with w = { node.w with Testkit.monitor = m; machine; backend }; fleet }
 
 let pump ?(rounds = 200) a b =
   let n = ref 0 in
@@ -521,6 +523,199 @@ let test_tick_compacts () =
   check_clean a;
   check_clean b
 
+(* --- journal barriers --------------------------------------------------- *)
+
+(* A [Store.t] is a record of closures, so a wrapper sees every barrier
+   and every journal byte an endpoint writes. *)
+type counts = {
+  mutable wal_syncs : int;
+  mutable fleet_syncs : int;
+  mutable fleet_bytes : int; (* appended or replaced into the journal *)
+  mutable unsynced : int; (* journal records appended since its last barrier *)
+}
+
+let counting () =
+  let inner = Persist.Store.mem () in
+  let c = { wal_syncs = 0; fleet_syncs = 0; fleet_bytes = 0; unsynced = 0 } in
+  let store =
+    { inner with
+      Persist.Store.append =
+        (fun blob data ->
+          if blob = "fleet" then begin
+            c.fleet_bytes <- c.fleet_bytes + String.length data;
+            c.unsynced <- c.unsynced + 1
+          end;
+          inner.Persist.Store.append blob data);
+      replace =
+        (fun blob data ->
+          if blob = "fleet" then begin
+            c.fleet_bytes <- c.fleet_bytes + String.length data;
+            c.unsynced <- 0
+          end;
+          inner.Persist.Store.replace blob data);
+      fsync =
+        (fun blob ->
+          if blob = Persist.Store.wal_blob then c.wal_syncs <- c.wal_syncs + 1
+          else if blob = "fleet" then begin
+            c.fleet_syncs <- c.fleet_syncs + 1;
+            c.unsynced <- 0
+          end;
+          inner.Persist.Store.fsync blob) }
+  in
+  (store, c)
+
+let zero_barriers c =
+  c.wal_syncs <- 0;
+  c.fleet_syncs <- 0
+
+let barriers what c ~wal ~fleet =
+  Alcotest.(check (pair int int)) (what ^ " (WAL, fleet barriers)") (wal, fleet)
+    (c.wal_syncs, c.fleet_syncs);
+  zero_barriers c
+
+let del_view fleet =
+  List.map
+    (fun d ->
+      ( d.Distributed.Fleet.del_id,
+        d.Distributed.Fleet.del_base,
+        d.Distributed.Fleet.del_state = Distributed.Fleet.Active ))
+    (Distributed.Fleet.delegations fleet)
+
+let import_ids fleet =
+  List.map (fun i -> i.Distributed.Fleet.imp_del_id) (Distributed.Fleet.imports fleet)
+
+let check_dels what expected fleet =
+  Alcotest.(check (list (triple int int bool))) what expected (del_view fleet)
+
+(* Journal-then-ack pays one barrier where a message or an ack depends
+   on it and nowhere else: the exporter's share and [J_delegate], the
+   importer's [J_import]; then [J_pending], [J_unimport] and the local
+   revoke. The records of the acks ([J_acked], [J_revoked], [J_done])
+   wait for the next barrier. *)
+let test_barriers_per_delegate_and_revoke () =
+  let store_a, ca = counting () and store_b, cb = counting () in
+  let _net, a, b = mk_pair ~store_a ~store_b () in
+  zero_barriers ca;
+  zero_barriers cb;
+  let _ = delegate_page a ~peer:"beta" ~page:3 in
+  pump a b;
+  barriers "delegate, exporter" ca ~wal:1 ~fleet:1;
+  barriers "delegate, importer" cb ~wal:0 ~fleet:1;
+  let d = List.hd (Distributed.Fleet.delegations a.fleet) in
+  fok (Distributed.Fleet.revoke a.fleet ~caller:os ~cap:d.Distributed.Fleet.proxy_cap);
+  pump a b;
+  barriers "revoke, exporter" ca ~wal:1 ~fleet:1;
+  barriers "revoke, importer" cb ~wal:0 ~fleet:1;
+  Alcotest.(check int) "J_acked, J_revoked and J_done wait for the next barrier" 3
+    ca.unsynced;
+  check_clean a;
+  check_clean b
+
+(* Power fails right after a revoke converged, taking the unsynced
+   records of its ack with it. Recovery must still know the revocation
+   finished: its frozen cap is gone from the recovered tree. *)
+let test_crash_after_converged_revoke () =
+  let store_a, ca = counting () in
+  let net, a, b = mk_pair ~store_a () in
+  let _ = delegate_page a ~peer:"beta" ~page:4 in
+  let _ = delegate_page a ~peer:"beta" ~page:5 in
+  pump a b;
+  let victim = List.nth (Distributed.Fleet.delegations a.fleet) 1 in
+  fok (Distributed.Fleet.revoke a.fleet ~caller:os ~cap:victim.Distributed.Fleet.proxy_cap);
+  pump a b;
+  let dels = del_view a.fleet and imported = import_ids b.fleet in
+  let applied = Distributed.Fleet.applied b.fleet ~peer:"alpha" in
+  Alcotest.(check int) "the ack's records are unsynced at the crash" 3 ca.unsynced;
+  Persist.Store.power_fail a.store;
+  let a = recover_node net "alpha" a in
+  check_dels "delegations before any pump" dels a.fleet;
+  Alcotest.(check (list int)) "no pending revocation" [] (Distributed.Fleet.pending_revokes a.fleet);
+  ignore (fok (Distributed.Fleet.connect a.fleet ~peer:"beta" ~key));
+  pump a b;
+  check_dels "delegations after pumping" dels a.fleet;
+  Alcotest.(check (list int)) "the peer re-imports nothing" imported (import_ids b.fleet);
+  Alcotest.(check int) "the peer applies nothing new" applied
+    (Distributed.Fleet.applied b.fleet ~peer:"alpha");
+  check_clean a;
+  check_clean b
+
+(* Compaction installs its snapshot with one atomic replace: a crash at
+   the rename barrier leaves the old journal, and a compaction that
+   completes writes the snapshot once and nothing else. *)
+let test_compaction_writes_once () =
+  let store_a, ca = counting () in
+  let net, a, b = mk_pair ~store_a () in
+  List.iter (fun page -> ignore (delegate_page a ~peer:"beta" ~page)) [ 6; 7; 8 ];
+  pump a b;
+  let victim = List.nth (Distributed.Fleet.delegations a.fleet) 2 in
+  fok (Distributed.Fleet.revoke a.fleet ~caller:os ~cap:victim.Distributed.Fleet.proxy_cap);
+  pump a b;
+  let dels = del_view a.fleet and imported = import_ids b.fleet in
+  let old = Persist.Store.read a.store "fleet" in
+  (match
+     Fault.with_plan (Fault.nth "store.dir_fsync" 1) (fun () -> Distributed.Fleet.compact a.fleet)
+   with
+  | () -> Alcotest.fail "expected a crash at the rename barrier"
+  | exception Persist.Store.Crash _ -> ());
+  Alcotest.(check bool) "the old journal survives the crash" true
+    (Persist.Store.read a.store "fleet" = old);
+  let a = recover_node net "alpha" a in
+  check_dels "recovery rebuilds the delegations" dels a.fleet;
+  ignore (fok (Distributed.Fleet.connect a.fleet ~peer:"beta" ~key));
+  pump a b;
+  check_dels "and keeps them after pumping" dels a.fleet;
+  Alcotest.(check (list int)) "and the peer's imports" imported (import_ids b.fleet);
+  let bytes = ca.fleet_bytes in
+  Distributed.Fleet.compact a.fleet;
+  let blob = Persist.Store.read a.store "fleet" in
+  Alcotest.(check int) "one copy of the snapshot written" (String.length blob)
+    (ca.fleet_bytes - bytes);
+  (* Peer, channel counters, one record per live delegation. *)
+  let snapshot = 2 + List.length dels in
+  Alcotest.(check int) "the blob is exactly the snapshot" snapshot (fleet_records a);
+  let _ = delegate_page a ~peer:"beta" ~page:9 in
+  Alcotest.(check int) "the next barrier flushes only its own record" (snapshot + 1)
+    (fleet_records a);
+  pump a b;
+  check_clean a;
+  check_clean b
+
+(* A crash inside the repair of a torn journal tail must not cost a
+   valid record: the repair is one atomic truncation. *)
+let test_torn_tail_repair_crash () =
+  let net, a, b = mk_pair () in
+  let d0, _ = delegate_page a ~peer:"beta" ~page:2 in
+  pump a b;
+  let torn = Persist.Wal.frame ~seq:1_000 "torn" in
+  Persist.Store.append a.store "fleet" (String.sub torn 0 (String.length torn - 3));
+  Persist.Store.fsync a.store "fleet";
+  let valid = (Persist.Wal.read a.store ~blob:"fleet").Persist.Wal.records in
+  let image =
+    List.map
+      (fun blob -> (blob, Persist.Store.read a.store blob))
+      [ Persist.Store.wal_blob; Persist.Store.snap_blob; Persist.Store.seg_blob; "fleet" ]
+  in
+  List.iter
+    (fun point ->
+      let store = Persist.Store.mem ~preload:image () in
+      let m, _, _ = recover_monitor store in
+      (match
+         Fault.with_plan (Fault.nth point 1) (fun () ->
+             Distributed.Fleet.create ~store ~monitor:m ~name:"alpha" ~net ())
+       with
+      | _ -> ()
+      | exception Persist.Store.Crash _ -> ());
+      let m, _, _ = recover_monitor store in
+      let fleet = Distributed.Fleet.create ~store ~monitor:m ~name:"alpha" ~net () in
+      let survived = (Persist.Wal.read store ~blob:"fleet").Persist.Wal.records in
+      Alcotest.(check bool)
+        (point ^ " in the repair: every valid record survives")
+        true
+        (List.filteri (fun i _ -> i < List.length valid) survived = valid);
+      Alcotest.(check (list int)) (point ^ ": the delegation is recovered") [ d0 ]
+        (List.map (fun d -> d.Distributed.Fleet.del_id) (Distributed.Fleet.delegations fleet)))
+    [ "store.dir_fsync"; "snapshot.write" ]
+
 (* --- fleet attestation ------------------------------------------------ *)
 
 let test_fleet_attestation () =
@@ -661,7 +856,16 @@ let () =
           Alcotest.test_case "journal compaction bounds growth, survives recovery" `Quick
             test_journal_compaction_and_recovery;
           Alcotest.test_case "tick compacts at the built-in thresholds" `Quick
-            test_tick_compacts ] );
+            test_tick_compacts;
+          Alcotest.test_case "crash inside the torn-tail repair keeps every record" `Quick
+            test_torn_tail_repair_crash ] );
+      ( "barriers",
+        [ Alcotest.test_case "one barrier per record a message or ack needs" `Quick
+            test_barriers_per_delegate_and_revoke;
+          Alcotest.test_case "crash after a converged revoke" `Quick
+            test_crash_after_converged_revoke;
+          Alcotest.test_case "compaction writes the snapshot once, atomically" `Quick
+            test_compaction_writes_once ] );
       ( "attestation",
         [ Alcotest.test_case "fleet root binds member attestations" `Quick
             test_fleet_attestation ] );

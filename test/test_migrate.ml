@@ -86,11 +86,9 @@ let pump ?(rounds = 400) nodes =
     Alcotest.failf "no convergence within %d rounds" rounds
   end
 
-(* Crash-restart one endpoint: power fails (unsynced writes lost), then
-   a fresh machine recovers the monitor from the store, the fleet from
-   its journal, and the migration engine from its journal. *)
-let crash_recover net node =
-  Persist.Store.power_fail node.store;
+(* Power comes back on one endpoint: a fresh machine recovers the
+   monitor from the store and the fleet from its journal. *)
+let recover_fleet net node =
   let machine =
     Hw.Machine.create ~arch:Hw.Cpu.X86_64 ~cores:4 ~mem_size:(16 * 1024 * 1024) ()
   in
@@ -109,8 +107,15 @@ let crash_recover net node =
   | Ok (m, _) ->
     node.w <- { node.w with Testkit.monitor = m; machine; backend };
     node.fleet <-
-      Distributed.Fleet.create ~store:node.store ~monitor:m ~name:node.name ~net ();
-    node.mig <- Distributed.Migrate.attach ~fleet:node.fleet ~store:node.store
+      Distributed.Fleet.create ~store:node.store ~monitor:m ~name:node.name ~net ()
+
+(* Crash-restart one endpoint: power fails (unsynced writes lost), then
+   the monitor and fleet recover, and the migration engine recovers
+   from its journal. *)
+let crash_recover net node =
+  Persist.Store.power_fail node.store;
+  recover_fleet net node;
+  node.mig <- Distributed.Migrate.attach ~fleet:node.fleet ~store:node.store
 
 (* A sealed enclave with [pages] private pages at [base]; the first
    half carry content, the rest stay zero (so content-addressing has
@@ -380,6 +385,45 @@ let test_source_crash_resumes_with_dedup () =
     (Distributed.Migrate.proxy_domain a.mig ~mig <> None);
   check_clean a;
   check_clean b
+
+(* A crash inside the repair of a torn migration-journal tail must not
+   cost a valid record: the repair is one atomic truncation. *)
+let test_torn_tail_repair_crash () =
+  let net, a, b = mk_pair () in
+  let d, _, _ = build_enclave a ~base:0x40000 in
+  let mig = mok (Distributed.Migrate.start a.mig ~domain:d ~peer:"beta") in
+  pump [ a; b ];
+  let blob = "migrate" in
+  let torn = Persist.Wal.frame ~seq:1_000_000 "torn" in
+  Persist.Store.append a.store blob (String.sub torn 0 (String.length torn - 3));
+  Persist.Store.fsync a.store blob;
+  let valid = (Persist.Wal.read a.store ~blob).Persist.Wal.records in
+  Alcotest.(check bool) "the source journaled the migration" true (valid <> []);
+  let image =
+    List.map
+      (fun bl -> (bl, Persist.Store.read a.store bl))
+      [ Persist.Store.wal_blob; Persist.Store.snap_blob; Persist.Store.seg_blob; "fleet"; blob ]
+  in
+  List.iter
+    (fun point ->
+      let n = { a with store = Persist.Store.mem ~preload:image () } in
+      recover_fleet net n;
+      (match
+         Fault.with_plan (Fault.nth point 1) (fun () ->
+             Distributed.Migrate.attach ~fleet:n.fleet ~store:n.store)
+       with
+      | _ -> ()
+      | exception Persist.Store.Crash _ -> ());
+      crash_recover net n;
+      let survived = (Persist.Wal.read n.store ~blob).Persist.Wal.records in
+      Alcotest.(check bool)
+        (point ^ " in the repair: every valid record survives")
+        true
+        (List.filteri (fun i _ -> i < List.length valid) survived = valid);
+      match Distributed.Migrate.status n.mig ~mig with
+      | Some (Distributed.Migrate.Source, Distributed.Migrate.Committed) -> ()
+      | _ -> Alcotest.failf "%s: the committed migration was lost" point)
+    [ "store.dir_fsync"; "snapshot.write" ]
 
 let test_target_crash_resumes () =
   let net, a, b = mk_pair () in
@@ -712,6 +756,8 @@ let () =
             test_source_crash_resumes_with_dedup;
           Alcotest.test_case "target crash: resume from journaled chunks" `Quick
             test_target_crash_resumes;
+          Alcotest.test_case "crash inside the torn-tail repair keeps every record" `Quick
+            test_torn_tail_repair_crash;
           Alcotest.test_case "receipt chain survives target restart" `Quick
             test_receipt_survives_target_restart ] );
       ( "re-homing",

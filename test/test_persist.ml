@@ -762,6 +762,35 @@ let test_file_store_roundtrip () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
+(* [replace] substitutes a blob's durable contents and drops its
+   unflushed bytes, on the file store as on the mem device: bytes
+   appended before the replace must not be flushed behind the new
+   contents by the next fsync, while bytes appended after it must. *)
+let test_replace_drops_pending () =
+  let dir = "tyche-replace-test" in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  let blob = "fleet" in
+  List.iter
+    (fun store ->
+      let name = store.Persist.Store.store_name in
+      Persist.Store.append store blob "durable-";
+      Persist.Store.fsync store blob;
+      Persist.Store.append store blob "STALE-PENDING";
+      Persist.Store.replace store blob "snapshot";
+      Persist.Store.fsync store blob;
+      Alcotest.(check string) (name ^ ": replace drops pending") "snapshot"
+        (Persist.Store.read store blob);
+      Persist.Store.append store blob "-next";
+      Persist.Store.fsync store blob;
+      Alcotest.(check string) (name ^ ": later appends kept") "snapshot-next"
+        (Persist.Store.read store blob))
+    [ Persist.Store.mem (); Persist.Store.file ~dir ];
+  Alcotest.(check string) "file store reopens to the same bytes" "snapshot-next"
+    (Persist.Store.read (Persist.Store.file ~dir) blob);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* Monitor-level truncation semantics: recovery from ANY prefix of the
    durable WAL (including mid-record cuts) and any single bit flip must
    succeed from the seq-0 checkpoint, pass fsck, and recover at most the
@@ -906,6 +935,8 @@ let () =
         @ directed "bad code or range skipped like a crc error" test_bad_record_skipped
         @ directed "destroy + snapshot cadence" test_destroy_and_snapshot_cadence
         @ [ Alcotest.test_case "file store cold reopen" `Quick test_file_store_roundtrip;
+            Alcotest.test_case "replace drops pending bytes, mem and file" `Quick
+              test_replace_drops_pending;
             qt qcheck_monitor_truncation;
             qt qcheck_monitor_bitflip ] );
       ( "group commit",
