@@ -43,7 +43,9 @@ let boot ?(arch = Hw.Cpu.X86_64) ?(cores = 4) ?(mem_size = 32 * 1024 * 1024)
   let machine = Hw.Machine.create ~arch ~cores ~mem_size () in
   List.iter (Hw.Machine.attach_device machine) devices;
   let rng = Crypto.Rng.create ~seed in
-  let tpm = Rot.Tpm.create ~signer_height:10 rng in
+  (* The TPM's default 64 keys: no experiment signs more than E1's 23
+     quotes with one world's TPM, and key generation dominates boot. *)
+  let tpm = Rot.Tpm.create rng in
   let boot_report =
     Rot.Boot.measured_boot tpm machine ~firmware ~loader:loader_blob ~monitor_image
   in
@@ -1218,8 +1220,7 @@ let e14 ?(smoke = false) () =
     ~fast:(timed_loop ~n:(iters 2_000) (fun () -> ignore (Crypto.Sha256.string msg4k)))
     ~baseline:
       (timed_loop ~n:(iters 500) (fun () -> ignore (Crypto.Sha256.Spec.string msg4k)));
-  let rng = Crypto.Rng.create ~seed:41L in
-  let sk, _ = Crypto.Ots.generate rng in
+  let sk = Crypto.Ots.draw (Crypto.Rng.create ~seed:41L) in
   let links = Crypto.Ots.links () in
   ignore (Crypto.Ots.expand links sk);
   let digest = Crypto.Sha256.string "e14 message" in
@@ -1295,6 +1296,25 @@ let e14 ?(smoke = false) () =
              ignore (ok (Tyche.Monitor.attest m ~caller:os ~domain:att ~nonce:(fresh ())))))
       ~baseline:(timed_loop ~n:20 (fun () -> attest_spec m att (fresh ())))
   end;
+  (* Key generation: 256 one-time keys through [Keypool.generate_batch],
+     which derives the leaves on every hardware thread, against a loop
+     of [Keypool.generate] on one. Same keys on both sides; no floor,
+     since the ratio is bounded by the hardware threads the machine has
+     (2 here). *)
+  let keygen_n = 256 in
+  let per_key ns = ns /. float_of_int keygen_n in
+  add keygen_n "e14 keygen(256) batch vs sequential"
+    ~fast:
+      (per_key
+         (timed_loop ~n:2 (fun () ->
+              ignore (Crypto.Keypool.generate_batch (Crypto.Rng.create ~seed:47L) keygen_n))))
+    ~baseline:
+      (per_key
+         (timed_loop ~n:2 (fun () ->
+              let rng = Crypto.Rng.create ~seed:47L in
+              for _ = 1 to keygen_n do
+                ignore (Crypto.Keypool.generate rng)
+              done)));
   (* Batched attestation: one root signature over 64 one-page domains.
      Two baselines, reported separately: 64 sequential single attests on
      the unoptimized pipeline (the memoized body signed on the
@@ -1413,7 +1433,7 @@ let e14_twins () =
         ~fast:(words ~n:100 (fun () -> ignore (Crypto.Sha256.string msg)))
         ~baseline:(words ~n:10 (fun () -> ignore (Crypto.Sha256.Spec.string msg))))
     [ ("64B", msg64); ("4KiB", msg4k) ];
-  let sk, _ = Crypto.Ots.generate (Crypto.Rng.create ~seed:41L) in
+  let sk = Crypto.Ots.draw (Crypto.Rng.create ~seed:41L) in
   let links = Crypto.Ots.links () in
   ignore (Crypto.Ots.expand links sk);
   let digest = Crypto.Sha256.string "e14 message" in
@@ -1630,6 +1650,32 @@ let e16_floor op = if op = "e16 wal append" then Some 10.0 else None
    counters, per-domain counts, cascade-shape histograms on revoke.
    Both sides run moments apart on the same machine, so load cancels
    out of the ratio. *)
+(* A fresh world with journaled persistence (mem store, fsync every
+   op) and the share+revoke pair E17 and its twin run on it. *)
+let e17_pair () =
+  let w = boot () in
+  let m = w.monitor in
+  Tyche.Monitor.enable_persistence m ~store:(Persist.Store.mem ()) ~snapshot_every:max_int
+    ~fsync_every:1 ();
+  let d = ok (Tyche.Monitor.create_domain m ~caller:os ~name:"e17" ~kind:Tyche.Domain.Sandbox) in
+  let big = os_memory_cap w in
+  fun () ->
+    let c =
+      ok
+        (Tyche.Monitor.share m ~caller:os ~cap:big ~to_:d ~rights:Cap.Rights.rw
+           ~cleanup:Cap.Revocation.Keep ~subrange:(range ~base:0x400000 ~len:page) ())
+    in
+    ok (Tyche.Monitor.revoke m ~caller:os ~cap:c)
+
+(* An instrumented run must leave the span accounting balanced — a
+   leaked span here would also poison the chaos drivers' audit. *)
+let e17_audit () =
+  match Obs.check () with
+  | Ok () -> ()
+  | Error msg ->
+    Printf.printf "  !! Obs.check failed after instrumented run: %s\n" msg;
+    exit 1
+
 let e17 ?(smoke = false) () =
   if smoke then header "E17: observability overhead [smoke]"
   else header "E17: observability overhead (tracing on vs off, journaled op path)";
@@ -1644,32 +1690,8 @@ let e17 ?(smoke = false) () =
     let was = Obs.enabled () in
     Obs.set_enabled tracing;
     Obs.reset ();
-    let w = boot () in
-    let m = w.monitor in
-    let store = Persist.Store.mem () in
-    Tyche.Monitor.enable_persistence m ~store ~snapshot_every:max_int ~fsync_every:1 ();
-    let d =
-      ok (Tyche.Monitor.create_domain m ~caller:os ~name:"e17" ~kind:Tyche.Domain.Sandbox)
-    in
-    let big = os_memory_cap w in
-    let ns =
-      timed_loop ~n (fun () ->
-          let c =
-            ok
-              (Tyche.Monitor.share m ~caller:os ~cap:big ~to_:d ~rights:Cap.Rights.rw
-                 ~cleanup:Cap.Revocation.Keep ~subrange:(range ~base:0x400000 ~len:page) ())
-          in
-          ok (Tyche.Monitor.revoke m ~caller:os ~cap:c))
-    in
-    (* The instrumented run must leave the accounting balanced — a
-       leaked span here would also poison the chaos drivers' audit. *)
-    if tracing then begin
-      match Obs.check () with
-      | Ok () -> ()
-      | Error msg ->
-        Printf.printf "  !! Obs.check failed after instrumented run: %s\n" msg;
-        exit 1
-    end;
+    let ns = timed_loop ~n (e17_pair ()) in
+    if tracing then e17_audit ();
     Obs.set_enabled was;
     ns
   in
@@ -1713,6 +1735,67 @@ let e17 ?(smoke = false) () =
    single-digit percent, so 1.2x trips only if the instrumentation
    starts allocating or scanning per event. *)
 let e17_ceiling op = if op = "e17 journaled pair, tracing on" then Some 1.2 else None
+
+(* E17's deterministic twin, gated by bench-smoke (the wall ratio above
+   is gated by `dune build @perf`): the same journaled share+revoke
+   pair on two identically booted worlds, tracing off on one and on on
+   the other, counting the words each pair allocates (minor words plus
+   words allocated straight into the major heap, as E18 counts them)
+   and the Obs events it emits, then audits the traced run's spans as
+   [e17] does (the one tier-1 span audit on the journaled path). The
+   emit path's contract is zero allocation, so the two word counts are
+   equal; an emit that allocates one two-word block per event reads 24
+   words a pair more with tracing on (1,550.8 against 1,526.8). *)
+let e17_twin_pairs = 2_000
+let e17_twin_events = 12.
+
+let e17_twin () =
+  header "E17 twin: words and Obs events per journaled pair, tracing on vs off";
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let measure tracing =
+    let was = Obs.enabled () in
+    Obs.set_enabled tracing;
+    Obs.reset ();
+    let pair = e17_pair () in
+    for _ = 1 to 100 do
+      pair ()
+    done;
+    let e0 = Obs.written () in
+    let w0 = words () in
+    for _ = 1 to e17_twin_pairs do
+      pair ()
+    done;
+    let w1 = words () in
+    let e1 = Obs.written () in
+    if tracing then e17_audit ();
+    Obs.set_enabled was;
+    let per x = x /. float_of_int e17_twin_pairs in
+    (per (w1 -. w0), per (float_of_int (e1 - e0)))
+  in
+  let off_words, off_events = measure false in
+  let on_words, on_events = measure true in
+  row3 "e17 twin words per pair" (Printf.sprintf "%.1f on" on_words)
+    (Printf.sprintf "vs %.1f off" off_words);
+  row3 "e17 twin Obs events per pair" (Printf.sprintf "%.2f on" on_events)
+    (Printf.sprintf "vs %.2f off" off_events);
+  [ { size = e17_twin_pairs; op = "e17 twin words per pair"; indexed_ns = on_words;
+      reference_ns = off_words };
+    { size = e17_twin_pairs; op = "e17 twin Obs events per pair"; indexed_ns = on_events;
+      reference_ns = off_events } ]
+
+let e17_twin_failure r =
+  if r.op = "e17 twin words per pair" && r.indexed_ns <> r.reference_ns then
+    Some
+      (Printf.sprintf "%s: %.1f words with tracing on vs %.1f off (<> equal)" r.op r.indexed_ns
+         r.reference_ns)
+  else if r.op = "e17 twin Obs events per pair" && r.indexed_ns <> e17_twin_events then
+    Some
+      (Printf.sprintf "%s: %.2f events with tracing on (<> %.0f)" r.op r.indexed_ns
+         e17_twin_events)
+  else None
 
 (* E18: what durable *throughput* costs. Three row groups here, plus
    the revocation cascade in {!e18_cascade}:
@@ -2704,17 +2787,7 @@ let capops_smoke () =
               r.indexed_ns r.reference_ns floor
             :: !failures)
     (e16 ~smoke:true ());
-  List.iter
-    (fun r ->
-      match e17_ceiling r.op with
-      | None -> ()
-      | Some ceiling ->
-        if r.indexed_ns /. r.reference_ns > ceiling then
-          failures :=
-            Printf.sprintf "%s: %.0f ns traced vs %.0f ns untraced (> %.1fx)" r.op
-              r.indexed_ns r.reference_ns ceiling
-            :: !failures)
-    (e17 ~smoke:true ());
+  failures := List.filter_map e17_twin_failure (e17_twin ()) @ !failures;
   List.iter
     (fun r ->
       match e18_floor r.op with
@@ -2854,6 +2927,15 @@ let perf_gates () =
       (e14 ~smoke:true ())
     @ List.filter_map
         (fun r ->
+          match e17_ceiling r.op with
+          | Some ceiling when r.indexed_ns /. r.reference_ns > ceiling ->
+            Some
+              (Printf.sprintf "%s: %.0f ns traced vs %.0f ns untraced (> %.1fx)" r.op
+                 r.indexed_ns r.reference_ns ceiling)
+          | _ -> None)
+        (e17 ~smoke:true ())
+    @ List.filter_map
+        (fun r ->
           match e20_ceiling r.op with
           | Some ceiling when r.indexed_ns /. r.reference_ns > ceiling ->
             Some
@@ -2888,11 +2970,25 @@ let () =
     ablations ();
     extensions ();
     micro ();
-    let rows, _ = capops () in
+    (* In the listed order: [@] evaluates its right operand first, so
+       a chain of [@]s would run the experiments back to front. *)
     let rows =
-      rows @ e14 () @ e14_twins () @ e16 () @ e17 () @ e18 () @ fst (e18_cascade ())
-      @ capops_scaling () @ e19 () @ e20 () @ e20_twin ()
-      @ e21 () @ e22 ()
+      List.concat_map
+        (fun run -> run ())
+        [ (fun () -> fst (capops ()));
+          (fun () -> e14 ());
+          e14_twins;
+          (fun () -> e16 ());
+          (fun () -> e17 ());
+          e17_twin;
+          (fun () -> e18 ());
+          (fun () -> fst (e18_cascade ()));
+          (fun () -> capops_scaling ());
+          (fun () -> e19 ());
+          (fun () -> e20 ());
+          e20_twin;
+          (fun () -> e21 ());
+          (fun () -> e22 ()) ]
     in
     write_capops_json rows;
     Printf.printf "\nwrote %s (%d rows)\n" capops_json_file (List.length rows);

@@ -577,9 +577,8 @@ let subtree_nodes_child_first t id =
      child precedes its parent. *)
   !out
 
-let remove_and_collect t node =
+let remove_and_collect t node victims =
   touch t;
-  let victims = subtree_nodes_child_first t node.id in
   let effects =
     List.filter_map
       (fun (v : node) ->
@@ -635,46 +634,29 @@ let remove_and_collect t node =
 (* A pending remote revocation anywhere inside the target subtree must
    block local revocation: destroying the proxy's cap would erase the
    only local record that a remote machine still holds the resource.
-   The frozen set is tiny, so walking up from each frozen id is cheap
-   (and free when nothing is frozen). *)
-let frozen_in_subtree t id =
-  if Hashtbl.length t.frozen = 0 then None
-  else
-    Hashtbl.fold
-      (fun f () acc ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          let rec up current =
-            current = id
-            ||
-            match Hashtbl.find_opt t.nodes current with
-            | Some { parent = Some p; _ } -> up p
-            | _ -> false
-          in
-          if up f then Some f else None)
-      t.frozen None
+   Membership is tested on the victims revoke walks anyway, so a fleet's
+   frozen proxy caps elsewhere in the tree cost a revoke nothing. *)
+let frozen_victim t victims =
+  List.find_map (fun v -> if Hashtbl.mem t.frozen v.id then Some v.id else None) victims
 
 let revoke t id =
   let* n = find t id in
-  match frozen_in_subtree t id with
+  let victims = subtree_nodes_child_first t id in
+  match frozen_victim t victims with
   | Some f -> Error (Frozen f)
-  | None -> Ok (remove_and_collect t n)
+  | None -> Ok (remove_and_collect t n victims)
 
 let revoke_children t id =
   let* n = find t id in
-  match frozen_in_subtree t id with
-  | Some f -> Error (Frozen f)
-  | None ->
-  let effects =
-    List.concat_map
+  let subtrees =
+    List.filter_map
       (fun cid ->
-        match Hashtbl.find_opt t.nodes cid with
-        | Some c -> remove_and_collect t c
-        | None -> [])
+        Option.map (fun c -> (c, subtree_nodes_child_first t cid)) (Hashtbl.find_opt t.nodes cid))
       (children_list n)
   in
-  Ok effects
+  match frozen_victim t (n :: List.concat_map snd subtrees) with
+  | Some f -> Error (Frozen f)
+  | None -> Ok (List.concat_map (fun (c, victims) -> remove_and_collect t c victims) subtrees)
 
 (* Inspection *)
 

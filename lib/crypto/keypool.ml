@@ -18,9 +18,33 @@ type t = {
 
 let default_target = 128
 
+let leaf seed = Ots.public_key_digest (Ots.public_key seed)
+
 let generate rng =
-  let sk, pk = Ots.generate rng in
-  (sk, Ots.public_key_digest pk)
+  let seed = Ots.draw rng in
+  (seed, leaf seed)
+
+(* Seeds are drawn in order here; a leaf is a pure function of its seed,
+   so slice [k] of the leaves is computed on domain [k] (0: the caller).
+   Spawning is best-effort: OCaml 5.1 caps live domains at 128, so a
+   slice whose domain cannot start runs on the caller instead. *)
+let generate_batch rng n =
+  let seeds = Array.init n (fun _ -> Ots.draw rng) in
+  let leaves = Array.make n Sha256.zero in
+  let slices = max 1 (min n (Domain.recommended_domain_count ())) in
+  let slice k () =
+    for i = k * n / slices to ((k + 1) * n / slices) - 1 do
+      leaves.(i) <- leaf seeds.(i)
+    done
+  in
+  let spawn k = try Some (Domain.spawn (slice k)) with Failure _ -> None in
+  let helpers = List.init (slices - 1) (fun k -> spawn (k + 1)) in
+  Fun.protect
+    ~finally:(fun () -> List.iter (Option.iter Domain.join) helpers)
+    (fun () ->
+      List.iteri (fun k h -> if Option.is_none h then slice (k + 1) ()) helpers;
+      slice 0 ());
+  Array.map2 (fun seed l -> (seed, l)) seeds leaves
 
 (* Graceful-degradation injection points: a failed take degrades to
    on-demand generation (a miss, visible in [stats]); a failed
@@ -43,9 +67,7 @@ let create ?low_water ?(target = default_target) rng =
     { rng; stock = Queue.create (); lock = Mutex.create (); target; low_water;
       hits = 0; misses = 0 }
   in
-  for _ = 1 to target do
-    Queue.add (generate rng) t.stock
-  done;
+  Array.iter (fun handle -> Queue.add handle t.stock) (generate_batch rng target);
   t
 
 let size t = Mutex.protect t.lock (fun () -> Queue.length t.stock)
@@ -85,9 +107,9 @@ let replenish t =
           (* The expensive part (walking every chain for the leaf) runs
              outside the lock: concurrent signers keep taking from the
              stock while one of them rebuilds it. *)
-          let fresh = List.init need (fun _ -> generate t.rng) in
+          let fresh = generate_batch t.rng need in
           Mutex.protect t.lock (fun () ->
-              List.iter (fun handle -> Queue.add handle t.stock) fresh)
+              Array.iter (fun handle -> Queue.add handle t.stock) fresh)
         end
       end;
       Obs.Metrics.set_gauge stock_g (size t))

@@ -59,9 +59,8 @@ let expand links seed =
       done;
       Bytes.sub_string links (base + (chain_length * 32)) 32)
 
-let generate rng =
-  let seed = Rng.bytes rng 32 in
-  (seed, Array.init chain_count (fun i -> hash_times (secret seed i) chain_length))
+let draw rng = Rng.bytes rng 32
+let public_key seed = Array.init chain_count (fun i -> hash_times (secret seed i) chain_length)
 
 (* 4-bit chunks of the digest, most-significant nibble first, then a
    base-16 checksum of (15 - chunk) values to prevent chain extension. *)

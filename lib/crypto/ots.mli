@@ -19,8 +19,12 @@ type signature = string array
     inputs; well-formed signatures only come from {!sign} /
     {!signature_of_string}. *)
 
-val generate : Rng.t -> secret_key * public_key
-(** Draw a fresh seed; the public key walks its chains, keeping no links. *)
+val draw : Rng.t -> secret_key
+(** A fresh seed: the next 32 bytes of the [Rng]. *)
+
+val public_key : secret_key -> public_key
+(** Walk the key's chains, keeping no links (~1,070 compressions): a
+    pure function of the seed, so any domain may compute it. *)
 
 val links : unit -> links
 

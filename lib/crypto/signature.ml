@@ -19,8 +19,9 @@ type signature = {
 
 let create ?(height = 6) ?pool rng =
   if height < 0 || height > 16 then invalid_arg "Signature.create: height out of range";
-  let take () = match pool with Some p -> Keypool.take p | None -> Keypool.generate rng in
-  let keys = Array.init (1 lsl height) (fun _ -> take ()) in
+  let n = 1 lsl height in
+  let take p = Array.init n (fun _ -> Keypool.take p) in
+  let keys = match pool with Some p -> take p | None -> Keypool.generate_batch rng n in
   { seeds = Array.map fst keys;
     tree = Merkle.build (Array.to_list (Array.map snd keys));
     links = Ots.links ();

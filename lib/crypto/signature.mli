@@ -15,10 +15,13 @@ type signature
 val create : ?height:int -> ?pool:Keypool.t -> Rng.t -> signer
 (** [create ~height rng] builds a signer with [2^height] one-time keys
     (default height 6 = 64 signatures — enough for the test scenarios;
-    key generation is O(2^height) hash chains). When [pool] is given the
-    keys are drawn from it instead of generated on the spot, and every
-    subsequent {!sign} eagerly replenishes it — moving key generation
-    off the boot and rotation paths. *)
+    key generation is O(2^height) hash chains), generated on the spot by
+    {!Keypool.generate_batch} on every hardware thread. When [pool] is
+    given the keys are drawn from it one {!Keypool.take} at a time, and
+    every subsequent {!sign} eagerly replenishes it — moving key
+    generation off the boot and rotation paths. Unpooled, the keys are
+    byte for byte those of [2^height] sequential {!Keypool.generate}
+    calls on [rng]. *)
 
 val public_root : signer -> Sha256.digest
 (** The verification key: the Merkle root over all one-time public keys. *)

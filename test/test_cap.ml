@@ -638,6 +638,94 @@ let prop_frozen_tracks_delegations =
              (Captree.error_to_string e));
       true)
 
+(* Which frozen caps a revoke of [id] must refuse on, by definition:
+   walk up from every frozen cap and see whether the walk meets [id].
+   Revoke itself tests membership on the subtree it walks instead. *)
+let frozen_in_subtree_reference t id =
+  let rec up c = c = id || match Captree.parent t c with Some p -> up p | None -> false in
+  List.filter up (Captree.frozen_caps t)
+
+let prop_frozen_subtree_differential =
+  QCheck.Test.make ~name:"captree: revoke refuses iff the walk-up finds a frozen cap below"
+    ~count:300
+    QCheck.(
+      quad
+        (list_of_size Gen.(0 -- 60) (pair small_nat small_nat))
+        (list_of_size Gen.(0 -- 8) small_nat)
+        small_nat bool)
+    (fun (shares, frozen, target, children_only) ->
+      let t, root = fresh_with_root () in
+      let caps = ref [ root ] in
+      let pick i = List.nth !caps (i mod List.length !caps) in
+      List.iter
+        (fun (c, d) ->
+          match
+            Captree.share t (pick c) ~to_:(d mod 6) ~rights:Rights.full
+              ~cleanup:Revocation.Zero ()
+          with
+          | Ok (id, _) -> caps := id :: !caps
+          | Error _ -> ())
+        shares;
+      List.iter (fun f -> ignore (Captree.freeze t (pick f))) frozen;
+      let target = pick target in
+      let want = frozen_in_subtree_reference t target in
+      let got =
+        if children_only then Captree.revoke_children t target else Captree.revoke t target
+      in
+      match (got, want) with
+      | Ok _, [] -> true
+      | Error (Captree.Frozen f), _ :: _ when List.mem f want -> true
+      | Error (Captree.Frozen f), _ ->
+        QCheck.Test.fail_reportf "refused with Frozen %d; frozen caps below %d: [%s]" f target
+          (String.concat ";" (List.map string_of_int want))
+      | Ok _, f :: _ -> QCheck.Test.fail_reportf "revoked %d with frozen cap %d below it" target f
+      | Error e, _ -> QCheck.Test.fail_reportf "unexpected error %s" (Captree.error_to_string e))
+
+(* A fleet freezes one proxy cap per live delegation, so thousands of
+   frozen caps are normal; a revoke must not pay for the ones outside
+   its subtree. Words allocated per share+revoke of an unrelated leaf
+   (minor words plus words allocated straight into the major heap) with
+   1,000 frozen caps elsewhere stay within 1.5x of the count with 10; a
+   revoke that folds the whole frozen set reads about 17x. *)
+let test_revoke_cost_ignores_frozen_elsewhere () =
+  let words_per_pair frozen =
+    let t, root = fresh_with_root () in
+    let parked, _ =
+      ok (Captree.share t root ~to_:1 ~rights:Rights.full ~cleanup:Revocation.Keep ())
+    in
+    for _ = 1 to frozen do
+      let c, _ =
+        ok (Captree.share t parked ~to_:2 ~rights:Rights.full ~cleanup:Revocation.Keep ())
+      in
+      ok (Captree.freeze t c)
+    done;
+    let pair () =
+      let leaf, _ =
+        ok (Captree.share t root ~to_:3 ~rights:Rights.full ~cleanup:Revocation.Keep ())
+      in
+      ignore (ok (Captree.revoke t leaf))
+    in
+    for _ = 1 to 100 do
+      pair ()
+    done;
+    let words () =
+      let _, promoted, major = Gc.counters () in
+      Gc.minor_words () +. major -. promoted
+    in
+    let n = 1_000 in
+    let w0 = words () in
+    for _ = 1 to n do
+      pair ()
+    done;
+    (words () -. w0) /. float_of_int n
+  in
+  let few = words_per_pair 10 and many = words_per_pair 1_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words per pair with 1,000 frozen caps elsewhere vs %.0f with 10 (<= 1.5x)"
+       many few)
+    true
+    (many <= 1.5 *. few)
+
 (* The rights byte is the one codec the WAL, snapshots, fleet frames and
    migration manifests share: every 5-bit pattern round-trips, and a
    reserved bit (5-7) is refused rather than dropped. *)
@@ -671,7 +759,9 @@ let () =
           Alcotest.test_case "revoke_children" `Quick test_revoke_children_keeps_cap;
           Alcotest.test_case "circular sharing" `Quick test_circular_sharing_revocation;
           Alcotest.test_case "circular revocation index agreement" `Quick
-            test_circular_revocation_index_agreement ] );
+            test_circular_revocation_index_agreement;
+          Alcotest.test_case "revoke cost ignores frozen caps elsewhere" `Quick
+            test_revoke_cost_ignores_frozen_elsewhere ] );
       ("codes", [ Alcotest.test_case "rights bits" `Quick test_rights_bits ]);
       ( "refcounts",
         [ Alcotest.test_case "Fig. 4 region map" `Quick test_fig4_region_map;
@@ -686,4 +776,5 @@ let () =
           qt prop_refcount_consistent;
           qt prop_region_map_disjoint;
           qt prop_revoke_all_restores_root;
-          qt prop_frozen_tracks_delegations ] ) ]
+          qt prop_frozen_tracks_delegations;
+          qt prop_frozen_subtree_differential ] ) ]

@@ -131,6 +131,11 @@ let test_merkle_errors () =
     (Invalid_argument "Merkle.prove: index out of range") (fun () ->
       ignore (Merkle.prove t 1))
 
+(* A fresh one-time key pair: the next seed and its public key. *)
+let ots_key rng =
+  let sk = Ots.draw rng in
+  (sk, Ots.public_key sk)
+
 (* Expand a one-time key into a fresh link buffer and sign with it. *)
 let ots_sign sk msg =
   let links = Ots.links () in
@@ -139,9 +144,9 @@ let ots_sign sk msg =
 
 let test_ots_sign_verify () =
   let rng = Rng.create ~seed:11L in
-  let sk, pk = Ots.generate rng in
+  let sk, pk = ots_key rng in
   let links = Ots.links () in
-  Alcotest.(check string) "expand agrees with generate" (Ots.public_key_to_string pk)
+  Alcotest.(check string) "expand agrees with public_key" (Ots.public_key_to_string pk)
     (Ots.public_key_to_string (Ots.expand links sk));
   let msg = Sha256.string "attestation payload" in
   let sg = Ots.sign links msg in
@@ -151,7 +156,7 @@ let test_ots_sign_verify () =
 
 let test_ots_serialization () =
   let rng = Rng.create ~seed:12L in
-  let sk, pk = Ots.generate rng in
+  let sk, pk = ots_key rng in
   let msg = Sha256.string "m" in
   let sg = ots_sign sk msg in
   let pk' = Ots.public_key_of_string (Ots.public_key_to_string pk) in
@@ -163,8 +168,8 @@ let test_ots_serialization () =
 
 let test_ots_cross_key () =
   let rng = Rng.create ~seed:13L in
-  let sk1, _pk1 = Ots.generate rng in
-  let _sk2, pk2 = Ots.generate rng in
+  let sk1, _pk1 = ots_key rng in
+  let _sk2, pk2 = ots_key rng in
   let msg = Sha256.string "m" in
   Alcotest.(check bool) "foreign key rejected" false (Ots.verify pk2 msg (ots_sign sk1 msg))
 
@@ -298,7 +303,7 @@ let test_sha256_domain_safe () =
 
 let test_ots_verify_total () =
   let rng = Rng.create ~seed:21L in
-  let sk, pk = Ots.generate rng in
+  let sk, pk = ots_key rng in
   let msg = Sha256.string "total" in
   let sg = ots_sign sk msg in
   let wrong_len = Array.sub sg 0 10 in
@@ -313,7 +318,7 @@ let test_ots_verify_total () =
 
 let test_ots_sign_spec_identity () =
   let rng = Rng.create ~seed:22L in
-  let sk, pk = Ots.generate rng in
+  let sk, pk = ots_key rng in
   let msg = Sha256.string "spec twin" in
   let fast = ots_sign sk msg and spec = Ots.sign_spec sk msg in
   Alcotest.(check string) "byte-identical signatures"
@@ -365,6 +370,90 @@ let test_keypool_signer () =
   Alcotest.(check bool) "verifies" true (Signature.verify ~root "pooled signer" sg);
   (* The first sign eagerly replenished the stock back to target. *)
   Alcotest.(check int) "sign replenished" 8 (Keypool.size pool)
+
+(* The batch is [n] sequential [generate] calls, element for element,
+   and leaves the Rng where they leave it, however many domains derive
+   the leaves. [n] covers empty, fewer keys than hardware threads,
+   uneven slices and a signer-sized run either side of a power of two. *)
+let batch_sizes = [ 0; 1; 2; 3; 7; 64; 65; 1000 ]
+
+(* [handles] must be the ones sequential [generate] calls draw from an
+   Rng seeded [seed]; returns that Rng, advanced past them. *)
+let check_sequential what ~seed handles =
+  let rng = Rng.create ~seed in
+  Array.iteri
+    (fun i (sk, leaf) ->
+      let sk', leaf' = Keypool.generate rng in
+      if sk <> sk' || not (Sha256.equal leaf leaf') then
+        Alcotest.failf "%s: handle %d differs from sequential generate" what i)
+    handles;
+  rng
+
+let check_batch_sequential what ~seed n =
+  let what = Printf.sprintf "%s n=%d" what n in
+  let rng = Rng.create ~seed in
+  let batch = Keypool.generate_batch rng n in
+  Alcotest.(check int) (what ^ ": length") n (Array.length batch);
+  let seq_rng = check_sequential what ~seed batch in
+  Alcotest.(check int64) (what ^ ": next draw") (Rng.next_int64 seq_rng) (Rng.next_int64 rng)
+
+let test_keypool_batch_sequential () =
+  List.iter (fun n -> check_batch_sequential "caller" ~seed:(Int64.of_int (0x70 + n)) n) batch_sizes
+
+let test_keypool_batch_in_domains () =
+  (* From inside a spawned domain, whose helpers are then nested. *)
+  Domain.join
+    (Domain.spawn (fun () ->
+         List.iter (fun n -> check_batch_sequential "spawned" ~seed:0x71L n) [ 3; 65 ]));
+  (* Two pools filled at once from two domains: each stocks what
+     sequential draws from its own Rng give. *)
+  let fill seed () =
+    let pool = Keypool.create ~low_water:0 ~target:64 (Rng.create ~seed) in
+    Array.init 64 (fun _ -> Keypool.take pool)
+  in
+  let a = Domain.spawn (fill 0x72L) and b = Domain.spawn (fill 0x73L) in
+  List.iter
+    (fun (seed, handles) ->
+      ignore (check_sequential (Printf.sprintf "pool seed %Ld" seed) ~seed handles))
+    [ (0x72L, Domain.join a); (0x73L, Domain.join b) ]
+
+(* At the runtime's domain limit no helper can start: the caller
+   derives every slice, and the handles are still the sequential ones.
+   Domains parked on a held mutex fill the limit (128 live domains on a
+   64-bit OCaml 5.1); a batch that spawned unconditionally raised
+   [Failure "failed to allocate domain"] here. *)
+let test_keypool_batch_at_domain_limit () =
+  let gate = Mutex.create () in
+  Mutex.lock gate;
+  let rec park parked count =
+    if count = 128 then parked
+    else
+      match Domain.spawn (fun () -> Mutex.lock gate; Mutex.unlock gate) with
+      | d -> park (d :: parked) (count + 1)
+      | exception Failure _ -> parked
+  in
+  let parked = park [] 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.unlock gate;
+      List.iter Domain.join parked)
+    (fun () ->
+      Alcotest.(check bool) "domain limit reached" true (List.length parked < 128);
+      check_batch_sequential "at the domain limit" ~seed:0x74L 3)
+
+(* Key bytes pinned to values computed before key generation ran on
+   several domains: a height-6 unpooled signer's root and the last leaf
+   of a 64-key pool (the slice a spawned domain derives). *)
+let test_keygen_pinned () =
+  check_hex "height-6 unpooled signer root"
+    "7167a6746c10adf2b1f49668d1f2fbf19e60bb37b218f857b947f55134419ca3"
+    (Signature.public_root (Signature.create ~height:6 (Rng.create ~seed:0x60L)));
+  let pool = Keypool.create ~low_water:0 ~target:64 (Rng.create ~seed:0x61L) in
+  let handles = List.init 64 (fun _ -> Keypool.take pool) in
+  check_hex "64-key pool: last stock leaf"
+    "3fb16ccb80ca5b141214d2db29582c732c9cddd8db004633521c4425d33eec9a"
+    (snd (List.nth handles 63));
+  Alcotest.(check (pair int int)) "all from stock" (64, 0) (Keypool.stats pool)
 
 let test_signature_sign_spec_identity () =
   (* Every key, not just the first: [sign] reuses one link buffer, so a
@@ -488,7 +577,12 @@ let () =
       ( "keypool",
         [ Alcotest.test_case "prefill/take/replenish" `Quick test_keypool_basic;
           Alcotest.test_case "miss fallback" `Quick test_keypool_miss;
-          Alcotest.test_case "signer integration" `Quick test_keypool_signer ] );
+          Alcotest.test_case "signer integration" `Quick test_keypool_signer;
+          Alcotest.test_case "batch equals sequential" `Quick test_keypool_batch_sequential;
+          Alcotest.test_case "batch from spawned domains" `Quick test_keypool_batch_in_domains;
+          Alcotest.test_case "pinned key bytes" `Quick test_keygen_pinned;
+          Alcotest.test_case "batch at the domain limit" `Quick
+            test_keypool_batch_at_domain_limit ] );
       ( "signature",
         [ Alcotest.test_case "many-time + exhaustion" `Quick test_signature_many;
           Alcotest.test_case "serialization" `Quick test_signature_serialization;
