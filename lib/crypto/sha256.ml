@@ -1,18 +1,22 @@
 (* SHA-256, FIPS 180-4.
 
-   Two implementations live here. The hot one works on unboxed [Int32]
-   words: without flambda the native compiler unboxes int32 locals and
-   mutable variables into plain 32-bit registers (where rotates need no
-   masking, unlike tagged 63-bit ints), so the win over [Spec] comes
-   from removing everything else — the state, schedule and round
-   constants live in preallocated [Bytes] scratch buffers accessed with
-   the unsafe 32-bit load/store primitives (no bounds checks, no boxed
-   int32 array elements, no per-block allocation), message blocks are
-   compressed straight out of the source buffer, and the one-shot entry
-   points allocate nothing but the final digest. [Spec] below is the
-   original Int32 transliteration of the standard, kept as the
-   executable specification: tests cross-check the fast core against it
-   on random inputs, and the E14 bench uses it as the honest baseline. *)
+   The 64-byte block compression has two kernels. Where a CPUID probe
+   finds the x86 SHA extensions when this module initialises, [compress]
+   runs the C one in sha256_stubs.c. Elsewhere the OCaml one runs, on
+   unboxed [Int32] words: without flambda the native compiler unboxes
+   int32 locals and mutable variables into plain 32-bit registers (where
+   rotates need no masking, unlike tagged 63-bit ints), so its win over
+   [Spec] comes from removing everything else — the state, schedule and
+   round constants live in preallocated [Bytes] scratch buffers accessed
+   with the unsafe 32-bit load/store primitives (no bounds checks, no
+   boxed int32 array elements, no per-block allocation). Both keep the
+   same packed state under the same padding and context code, so every
+   digest is the same bytes on either. Blocks are compressed straight
+   out of the source buffer, and the one-shot entry points allocate
+   nothing but the final digest. [Spec] below is the original Int32
+   transliteration of the standard, kept as the executable
+   specification: tests cross-check the fast paths against it on random
+   inputs, and the E14 bench uses it as the honest baseline. *)
 
 type digest = string (* exactly 32 bytes *)
 
@@ -60,7 +64,7 @@ let init_state st =
 
 (* Compress one 64-byte block at [off] in [block] into state [st],
    using the 256-byte [w] as the message schedule. *)
-let compress st w block off =
+let compress_ocaml st w block off =
   for i = 0 to 15 do
     unsafe_set_32 w (i * 4) (get_be block (off + (i * 4)))
   done;
@@ -112,6 +116,16 @@ let compress st w block off =
   unsafe_set_32 st 20 (Int32.add (unsafe_get_32 st 20) !f);
   unsafe_set_32 st 24 (Int32.add (unsafe_get_32 st 24) !g);
   unsafe_set_32 st 28 (Int32.add (unsafe_get_32 st 28) !hh)
+
+external hw_available : unit -> bool = "caml_sha256_hw_available" [@@noalloc]
+
+(* Unchecked: callers hold a 32-byte state and 64 bytes at [off]. *)
+external compress_hw : Bytes.t -> Bytes.t -> int -> unit = "caml_sha256_compress" [@@noalloc]
+
+let hardware = hw_available ()
+
+let compress st w block off =
+  if hardware then compress_hw st block off else compress_ocaml st w block off
 
 let state_to_digest st =
   let out = Bytes.create 32 in
@@ -258,6 +272,19 @@ let equal = String.equal
 let compare = String.compare
 let pp fmt d = Format.pp_print_string fmt (to_hex d)
 let zero = String.make 32 '\x00'
+
+module Kernel = struct
+  type t = Hardware | Ocaml
+
+  let live = if hardware then Hardware else Ocaml
+
+  let compress k ~state ~block ~off =
+    if Bytes.length state <> 32 || off < 0 || Bytes.length block < off + 64 then
+      invalid_arg "Sha256.Kernel.compress: need a 32-byte state and a 64-byte block";
+    if k = Ocaml then compress_ocaml state (chain_scratch ()).w block off
+    else if hardware then compress_hw state block off
+    else invalid_arg "Sha256.Kernel.compress: no SHA extensions"
+end
 
 (* The original Int32 implementation, following the specification text
    closely so it can be audited against FIPS 180-4. Allocation-heavy

@@ -2,16 +2,17 @@
 
     This is the only hash used by the whole system: TPM PCR extension,
     domain measurements, Merkle trees and the hash-based signature scheme
-    are all built on it. The implementation is pure OCaml and processes
-    arbitrary [string] / [Bytes.t] messages.
+    are all built on it. It processes arbitrary [string] / [Bytes.t]
+    messages.
 
-    The compression core runs on unboxed [Int32] words held in
-    preallocated scratch buffers accessed with the unsafe 32-bit
-    primitives, and the one-shot entry points reuse a scratch context
-    per OCaml domain, so hashing allocates nothing but the returned
-    digest and is safe from any number of domains at once. The
-    original Int32 transliteration is preserved as {!Spec} and
-    cross-checked in tests. *)
+    The block compression runs on the x86 SHA extensions where a CPUID
+    probe finds them, and otherwise on an OCaml core of unboxed [Int32]
+    words in preallocated scratch buffers ({!Kernel}); both give the
+    same bytes. The one-shot entry points reuse a scratch context per
+    OCaml domain, so hashing allocates nothing but the returned digest
+    and is safe from any number of domains at once. The original Int32
+    transliteration is preserved as {!Spec} and cross-checked in
+    tests. *)
 
 type digest
 (** A 32-byte SHA-256 digest. Abstract to prevent confusion with raw
@@ -80,6 +81,20 @@ module Ctx : sig
   val reset : t -> unit
   (** Return the context to its freshly-created state so it can be
       reused without reallocating its buffers. *)
+end
+
+(** The two block-compression kernels, for tests to run side by side. *)
+module Kernel : sig
+  type t = Hardware  (** x86 SHA extensions, in C *) | Ocaml
+
+  val live : t
+  (** The kernel every hash runs: [Hardware] exactly when the CPU has
+      the SHA, SSSE3 and SSE4.1 extensions. *)
+
+  val compress : t -> state:Bytes.t -> block:Bytes.t -> off:int -> unit
+  (** Compress the 64 bytes of [block] at [off] into the 32-byte [state].
+      @raise Invalid_argument if a slice is out of bounds, or on
+      [Hardware] without the extensions. *)
 end
 
 (** The executable specification: the original Int32 implementation,

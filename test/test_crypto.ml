@@ -301,6 +301,66 @@ let test_sha256_domain_safe () =
   Alcotest.check mismatches "main domain: every digest matches the spec" (Ok 0) here;
   Alcotest.check mismatches "spawned domain: every digest matches the spec" (Ok 0) there
 
+(* The two compression kernels, state for state: random 32-byte states
+   and random blocks at every offset of a 128-byte buffer. *)
+let prop_kernels_agree =
+  QCheck.Test.make ~name:"sha256: hardware kernel equals OCaml kernel" ~count:500
+    QCheck.(
+      triple (string_of_size (Gen.return 32)) (string_of_size (Gen.return 128)) (int_range 0 63))
+    (fun (state, buf, off) ->
+      let run k =
+        let st = Bytes.of_string state in
+        Sha256.Kernel.compress k ~state:st ~block:(Bytes.of_string buf) ~off;
+        Bytes.to_string st
+      in
+      run Sha256.Kernel.Hardware = run Sha256.Kernel.Ocaml)
+
+let test_kernel_differential () =
+  if Sha256.Kernel.live <> Sha256.Kernel.Hardware then begin
+    print_endline "skipped: this CPU has no SHA extensions; only the OCaml kernel runs";
+    Alcotest.skip ()
+  end;
+  QCheck.Test.check_exn prop_kernels_agree
+
+(* An offset into C that nobody checked would read past the buffer. *)
+let test_kernel_bounds () =
+  let bad = Invalid_argument "Sha256.Kernel.compress: need a 32-byte state and a 64-byte block" in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (state, off) ->
+          Alcotest.check_raises "rejected" bad (fun () ->
+              Sha256.Kernel.compress k ~state ~block:(Bytes.create 128) ~off))
+        [ (Bytes.create 32, 65); (Bytes.create 32, -1); (Bytes.create 31, 0) ])
+    [ Sha256.Kernel.Ocaml; Sha256.Kernel.live ]
+
+(* On Linux x86-64 the hardware kernel runs exactly when /proc/cpuinfo
+   lists the extensions the probe asks CPUID for. A probe reading the
+   wrong bit would fall back silently: every digest stays right and
+   only the speed is gone. *)
+let test_kernel_selection () =
+  let flags =
+    match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+    | exception Sys_error _ -> None
+    | text ->
+      List.find_map
+        (fun line ->
+          match String.split_on_char ':' line with
+          | key :: value :: _ when String.trim key = "flags" ->
+            Some (String.split_on_char ' ' value)
+          | _ -> None)
+        (String.split_on_char '\n' text)
+  in
+  match flags with
+  | Some flags when Sys.word_size = 64 ->
+    let has f = List.mem f flags in
+    Alcotest.(check bool) "hardware kernel iff cpuinfo lists sha_ni, ssse3 and sse4_1"
+      (has "sha_ni" && has "ssse3" && has "sse4_1")
+      (Sha256.Kernel.live = Sha256.Kernel.Hardware)
+  | _ ->
+    print_endline "skipped: not Linux on x86-64 (no flags line in /proc/cpuinfo)";
+    Alcotest.skip ()
+
 let test_ots_verify_total () =
   let rng = Rng.create ~seed:21L in
   let sk, pk = ots_key rng in
@@ -550,6 +610,9 @@ let () =
           Alcotest.test_case "ctx reset" `Quick test_sha256_ctx_reset;
           Alcotest.test_case "hash32_sub" `Quick test_sha256_hash32_sub;
           Alcotest.test_case "two domains hash at once" `Quick test_sha256_domain_safe;
+          Alcotest.test_case "kernel differential" `Quick test_kernel_differential;
+          Alcotest.test_case "kernel bounds" `Quick test_kernel_bounds;
+          Alcotest.test_case "kernel selection" `Quick test_kernel_selection;
           qt prop_sha256_fast_equals_spec;
           qt prop_sha256_chunking ] );
       ( "hmac",
