@@ -24,9 +24,10 @@
    ack leaves, so an acked message can never be lost to a crash. The
    sender fsyncs its journal record before the first transmission, so a
    message a peer might have seen is always re-sendable after a crash.
-   Nothing else pays a barrier: the records of a received ack (and of
-   the revocation it completes) ride the next one, since losing them
-   costs only a retransmission the peer absorbs as a duplicate. A
+   Nothing else pays a barrier: the record of a received ack rides the
+   next one, since losing it costs only a retransmission the peer
+   absorbs as a duplicate, and the revocation an ack completes writes
+   nothing recovery cannot re-derive. A
    delegate therefore costs three barriers (the share's WAL record,
    [J_delegate], [J_import]) and so does a revoke ([J_pending],
    [J_unimport], the local revoke's WAL record).
@@ -104,20 +105,20 @@ module Wire = struct
   let encode_body ~origin ~seq msg =
     let buf = Buffer.create 64 in
     Persist.Wire.str buf origin;
-    Persist.Wire.i64 buf seq;
+    Persist.Wire.int buf seq;
     (match msg with
     | Delegate { del_id; base; len; rights } ->
       Persist.Wire.u8 buf 1;
-      Persist.Wire.i64 buf del_id;
-      Persist.Wire.i64 buf base;
-      Persist.Wire.i64 buf len;
+      Persist.Wire.int buf del_id;
+      Persist.Wire.int buf base;
+      Persist.Wire.int buf len;
       Persist.Wire.u8 buf rights
     | Revoke { del_id } ->
       Persist.Wire.u8 buf 2;
-      Persist.Wire.i64 buf del_id
+      Persist.Wire.int buf del_id
     | Ack { upto } ->
       Persist.Wire.u8 buf 3;
-      Persist.Wire.i64 buf upto
+      Persist.Wire.int buf upto
     | Data { chan; payload } ->
       Persist.Wire.u8 buf 4;
       Persist.Wire.str buf chan;
@@ -128,21 +129,21 @@ module Wire = struct
     match
       let r = Persist.Wire.reader body in
       let origin = Persist.Wire.get_str r in
-      let seq = Persist.Wire.get_i64 r in
+      let seq = Persist.Wire.get_int r in
       let msg =
         match Persist.Wire.get_u8 r with
         | 1 ->
-          let del_id = Persist.Wire.get_i64 r in
-          let base = Persist.Wire.get_i64 r in
-          let len = Persist.Wire.get_i64 r in
+          let del_id = Persist.Wire.get_int r in
+          let base = Persist.Wire.get_int r in
+          let len = Persist.Wire.get_int r in
           (* Rights travel as their [Cap.Rights] byte; a reserved bit
              is a malformed frame, not a right to drop. *)
           let rights = Persist.Wire.get_u8 r in
           if Cap.Rights.of_bits rights = None then
             raise (Persist.Wire.Corrupt "reserved rights bits");
           Delegate { del_id; base; len; rights }
-        | 2 -> Revoke { del_id = Persist.Wire.get_i64 r }
-        | 3 -> Ack { upto = Persist.Wire.get_i64 r }
+        | 2 -> Revoke { del_id = Persist.Wire.get_int r }
+        | 3 -> Ack { upto = Persist.Wire.get_int r }
         | 4 ->
           let chan = Persist.Wire.get_str r in
           let payload = Persist.Wire.get_str r in
@@ -183,17 +184,15 @@ let fleet_blob = "fleet"
      any message they make re-sendable leaves the machine (sender side);
      [J_import], [J_unimport] and [J_recv] before the ack for the
      message they record leaves (receiver side);
-   - [J_acked], [J_revoked] and [J_done] record a received ack and wait
-     for the next barrier: lost, the ack floor regresses and the peer
-     re-acks a retransmission it absorbs as a duplicate. Recovery
-     re-derives what they said — a durable ack floor confirms every
-     revocation at or below it, and a pending revocation whose frozen
-     cap is gone from the recovered tree ran its local cascade, which
-     only happens once every peer has acked. [J_done] keeps its own
-     barrier only when the revocation aborted and the cap survives;
-   - [J_acked] precedes [J_revoked] for the same ack, so the WAL's
-     longest-valid-prefix read can never see a confirmed revocation
-     whose ack floor was lost. *)
+   - [J_acked] records a received ack and waits for the next barrier:
+     lost, the ack floor regresses and the peer re-acks a
+     retransmission it absorbs as a duplicate;
+   - nothing records what recovery re-derives: a durable ack floor
+     confirms every revocation at or below it, and a pending
+     revocation whose frozen cap is gone from the recovered tree ran
+     its local cascade, which only happens once every peer has acked.
+     [J_done] retires a pending revocation only when it aborted and the
+     cap survives, and keeps its own barrier there. *)
 type jrec =
   | J_peer of { peer : string; proxy : Tyche.Domain.id }
   | J_delegate of
@@ -204,7 +203,6 @@ type jrec =
         applied : int }
   | J_unimport of { origin : string; del_id : int; applied : int }
   | J_pending of { cap : int; caller : int; dels : (string * int * int) list }
-  | J_revoked of { del_id : int }
   | J_acked of { peer : string; upto : int }
   | J_done of { cap : int }
   | J_chan of { peer : string; next_ : int; acked : int; applied : int }
@@ -229,65 +227,62 @@ let encode_jrec r =
   | J_peer { peer; proxy } ->
     Persist.Wire.u8 buf 1;
     Persist.Wire.str buf peer;
-    Persist.Wire.i64 buf proxy
+    Persist.Wire.int buf proxy
   | J_delegate { del_id; peer; proxy_cap; base; len; rights; seq } ->
     Persist.Wire.u8 buf 2;
-    Persist.Wire.i64 buf del_id;
+    Persist.Wire.int buf del_id;
     Persist.Wire.str buf peer;
-    Persist.Wire.i64 buf proxy_cap;
-    Persist.Wire.i64 buf base;
-    Persist.Wire.i64 buf len;
+    Persist.Wire.int buf proxy_cap;
+    Persist.Wire.int buf base;
+    Persist.Wire.int buf len;
     Persist.Wire.u8 buf rights;
-    Persist.Wire.i64 buf seq
+    Persist.Wire.int buf seq
   | J_import { origin; del_id; base; len; rights; applied } ->
     Persist.Wire.u8 buf 3;
     Persist.Wire.str buf origin;
-    Persist.Wire.i64 buf del_id;
-    Persist.Wire.i64 buf base;
-    Persist.Wire.i64 buf len;
+    Persist.Wire.int buf del_id;
+    Persist.Wire.int buf base;
+    Persist.Wire.int buf len;
     Persist.Wire.u8 buf rights;
-    Persist.Wire.i64 buf applied
+    Persist.Wire.int buf applied
   | J_unimport { origin; del_id; applied } ->
     Persist.Wire.u8 buf 4;
     Persist.Wire.str buf origin;
-    Persist.Wire.i64 buf del_id;
-    Persist.Wire.i64 buf applied
+    Persist.Wire.int buf del_id;
+    Persist.Wire.int buf applied
   | J_pending { cap; caller; dels } ->
     Persist.Wire.u8 buf 5;
-    Persist.Wire.i64 buf cap;
-    Persist.Wire.i64 buf caller;
+    Persist.Wire.int buf cap;
+    Persist.Wire.int buf caller;
     Persist.Wire.list buf
       (fun b (peer, del_id, seq) ->
         Persist.Wire.str b peer;
-        Persist.Wire.i64 b del_id;
-        Persist.Wire.i64 b seq)
+        Persist.Wire.int b del_id;
+        Persist.Wire.int b seq)
       dels
-  | J_revoked { del_id } ->
-    Persist.Wire.u8 buf 6;
-    Persist.Wire.i64 buf del_id
   | J_acked { peer; upto } ->
     Persist.Wire.u8 buf 7;
     Persist.Wire.str buf peer;
-    Persist.Wire.i64 buf upto
+    Persist.Wire.int buf upto
   | J_done { cap } ->
     Persist.Wire.u8 buf 8;
-    Persist.Wire.i64 buf cap
+    Persist.Wire.int buf cap
   | J_chan { peer; next_; acked; applied } ->
     Persist.Wire.u8 buf 9;
     Persist.Wire.str buf peer;
-    Persist.Wire.i64 buf next_;
-    Persist.Wire.i64 buf acked;
-    Persist.Wire.i64 buf applied
+    Persist.Wire.int buf next_;
+    Persist.Wire.int buf acked;
+    Persist.Wire.int buf applied
   | J_send { peer; seq; chan; payload } ->
     Persist.Wire.u8 buf 10;
     Persist.Wire.str buf peer;
-    Persist.Wire.i64 buf seq;
+    Persist.Wire.int buf seq;
     Persist.Wire.str buf chan;
     Persist.Wire.str buf payload
   | J_recv { origin; applied } ->
     Persist.Wire.u8 buf 11;
     Persist.Wire.str buf origin;
-    Persist.Wire.i64 buf applied);
+    Persist.Wire.int buf applied);
   Buffer.contents buf
 
 let decode_jrec payload =
@@ -296,62 +291,61 @@ let decode_jrec payload =
     match Persist.Wire.get_u8 r with
     | 1 ->
       let peer = Persist.Wire.get_str r in
-      let proxy = Persist.Wire.get_i64 r in
+      let proxy = Persist.Wire.get_int r in
       J_peer { peer; proxy }
     | 2 ->
-      let del_id = Persist.Wire.get_i64 r in
+      let del_id = Persist.Wire.get_int r in
       let peer = Persist.Wire.get_str r in
-      let proxy_cap = Persist.Wire.get_i64 r in
-      let base = Persist.Wire.get_i64 r in
-      let len = Persist.Wire.get_i64 r in
+      let proxy_cap = Persist.Wire.get_int r in
+      let base = Persist.Wire.get_int r in
+      let len = Persist.Wire.get_int r in
       let rights = Persist.Wire.get_u8 r in
-      let seq = Persist.Wire.get_i64 r in
+      let seq = Persist.Wire.get_int r in
       J_delegate { del_id; peer; proxy_cap; base; len; rights; seq }
     | 3 ->
       let origin = Persist.Wire.get_str r in
-      let del_id = Persist.Wire.get_i64 r in
-      let base = Persist.Wire.get_i64 r in
-      let len = Persist.Wire.get_i64 r in
+      let del_id = Persist.Wire.get_int r in
+      let base = Persist.Wire.get_int r in
+      let len = Persist.Wire.get_int r in
       let rights = Persist.Wire.get_u8 r in
-      let applied = Persist.Wire.get_i64 r in
+      let applied = Persist.Wire.get_int r in
       J_import { origin; del_id; base; len; rights; applied }
     | 4 ->
       let origin = Persist.Wire.get_str r in
-      let del_id = Persist.Wire.get_i64 r in
-      let applied = Persist.Wire.get_i64 r in
+      let del_id = Persist.Wire.get_int r in
+      let applied = Persist.Wire.get_int r in
       J_unimport { origin; del_id; applied }
     | 5 ->
-      let cap = Persist.Wire.get_i64 r in
-      let caller = Persist.Wire.get_i64 r in
+      let cap = Persist.Wire.get_int r in
+      let caller = Persist.Wire.get_int r in
       let dels =
         Persist.Wire.get_list r (fun b ->
             let peer = Persist.Wire.get_str b in
-            let del_id = Persist.Wire.get_i64 b in
-            let seq = Persist.Wire.get_i64 b in
+            let del_id = Persist.Wire.get_int b in
+            let seq = Persist.Wire.get_int b in
             (peer, del_id, seq))
       in
       J_pending { cap; caller; dels }
-    | 6 -> J_revoked { del_id = Persist.Wire.get_i64 r }
     | 7 ->
       let peer = Persist.Wire.get_str r in
-      let upto = Persist.Wire.get_i64 r in
+      let upto = Persist.Wire.get_int r in
       J_acked { peer; upto }
-    | 8 -> J_done { cap = Persist.Wire.get_i64 r }
+    | 8 -> J_done { cap = Persist.Wire.get_int r }
     | 9 ->
       let peer = Persist.Wire.get_str r in
-      let next_ = Persist.Wire.get_i64 r in
-      let acked = Persist.Wire.get_i64 r in
-      let applied = Persist.Wire.get_i64 r in
+      let next_ = Persist.Wire.get_int r in
+      let acked = Persist.Wire.get_int r in
+      let applied = Persist.Wire.get_int r in
       J_chan { peer; next_; acked; applied }
     | 10 ->
       let peer = Persist.Wire.get_str r in
-      let seq = Persist.Wire.get_i64 r in
+      let seq = Persist.Wire.get_int r in
       let chan = Persist.Wire.get_str r in
       let payload = Persist.Wire.get_str r in
       J_send { peer; seq; chan; payload }
     | 11 ->
       let origin = Persist.Wire.get_str r in
-      let applied = Persist.Wire.get_i64 r in
+      let applied = Persist.Wire.get_int r in
       J_recv { origin; applied }
     | t -> raise (Persist.Wire.Corrupt (Printf.sprintf "unknown fleet journal tag %d" t))
   in
@@ -646,9 +640,8 @@ let delegations_under t cap =
   walk [] cap |> List.sort (fun a b -> Int.compare a.del_id b.del_id)
 
 (* Retire a pending revocation: its delegations and the record itself.
-   [J_done] waits for the next barrier like the ack that led here. *)
+   Nothing is journaled: recovery finishes it again from the tree. *)
 let finish_pending t (p : pending_revoke) =
-  journal t (J_done { cap = p.pr_cap });
   List.iter (fun (_, del_id, _) -> remove_del t del_id) p.pr_dels;
   Hashtbl.remove t.pending p.pr_cap
 
@@ -694,10 +687,11 @@ let execute_pending t (p : pending_revoke) =
           | Error (Tyche.Monitor.Cap_error (Cap.Captree.No_such_capability _)) -> ()
           | Error _ -> Obs.Metrics.incr reject_c))
       p.pr_dels;
-    finish_pending t p;
     (* The cap survives an abort, so recovery cannot tell from the tree
        that this revocation is over: its [J_done] must be durable
        before the thawed subtree can be used again. *)
+    journal t (J_done { cap = p.pr_cap });
+    finish_pending t p;
     jsync t
   | Error _ ->
     (* Transient (e.g. an injected backend fault rolled the cascade
@@ -794,8 +788,7 @@ let set_data_handler t ~chan f = Hashtbl.replace t.handlers chan f
 (* --- receiving ------------------------------------------------------- *)
 
 (* Revocations the peer's ack floor covers: it dropped those imports.
-   The caller journals the [J_acked] that raised the floor first, so a
-   durable [J_revoked] always comes with a durable floor covering it. *)
+   Journals nothing: recovery calls this again on the durable floor. *)
 let confirm_revokes t ch =
   let confirmed =
     Hashtbl.fold
@@ -807,7 +800,6 @@ let confirm_revokes t ch =
   List.iter
     (fun d ->
       set_state t d Revoked;
-      journal t (J_revoked { del_id = d.del_id });
       Hashtbl.iter
         (fun _ p ->
           p.pr_waiting <-
@@ -983,9 +975,6 @@ let snapshot_records t =
   Hashtbl.iter
     (fun cap p -> add (J_pending { cap; caller = p.pr_caller; dels = p.pr_dels }))
     t.pending;
-  List.iter
-    (fun d -> if d.del_state = Revoked then add (J_revoked { del_id = d.del_id }))
-    dels;
   List.rev !recs
 
 let compact t =
@@ -1158,7 +1147,9 @@ let replay t =
   match t.store with
   | None -> ()
   | Some s ->
-    let { Persist.Wal.records; valid_bytes; truncated } = Persist.Wal.read s ~blob:fleet_blob in
+    let { Persist.Wal.records; valid_bytes; truncated; _ } =
+      Persist.Wal.read s ~blob:fleet_blob
+    in
     (* A crash can leave a torn frame at the end of the blob. Everything
        appended after it would be invisible to the longest-valid-prefix
        read of the NEXT recovery — which would silently roll back acked
@@ -1207,16 +1198,6 @@ let replay t =
               pr_caller = caller;
               pr_dels = dels;
               pr_waiting = List.map (fun (peer, id, _) -> (peer, id)) dels }
-        | J_revoked { del_id } -> (
-          match Hashtbl.find_opt t.dels del_id with
-          | Some d ->
-            set_state t d Revoked;
-            Hashtbl.iter
-              (fun _ p ->
-                p.pr_waiting <-
-                  List.filter (fun (_, id) -> id <> del_id) p.pr_waiting)
-              t.pending
-          | None -> ())
         | J_acked { peer; upto } ->
           let ch = channel_of t peer in
           ch.c_acked <- max ch.c_acked upto
@@ -1261,20 +1242,21 @@ let create ?store ~monitor ~name ~net () =
       clock = 0 }
   in
   replay t;
-  (* The records of received acks wait for a barrier that a crash may
-     have beaten; re-derive what they said. A durable ack floor confirms
-     every revocation at or below it. A pending revocation whose frozen
-     cap is gone from the recovered tree ran its local cascade: that
-     runs only once every peer has acked, a frozen cap cannot leave the
-     tree any other way, and [jsync] flushes the monitor before the
-     journal, so the tree is never behind the journal. *)
-  Hashtbl.iter (fun _ ch -> confirm_revokes t ch) t.channels;
+  (* Re-derive what the journal does not say. A pending revocation whose
+     frozen cap is gone from the recovered tree ran its local cascade:
+     that runs only once every peer has acked, a frozen cap cannot leave
+     the tree any other way, and [jsync] flushes the monitor before the
+     journal, so the tree is never behind the journal. Every revocation
+     completed since the last compaction is one of these: finishing
+     them first leaves [confirm_revokes] only the few still in flight.
+     A durable ack floor confirms every revocation at or below it. *)
   let tr = tree t in
   Hashtbl.fold
     (fun cap p acc -> if Cap.Captree.owner tr cap = None then p :: acc else acc)
     t.pending []
   |> List.sort (fun a b -> Int.compare a.pr_cap b.pr_cap)
   |> List.iter (finish_pending t);
+  Hashtbl.iter (fun _ ch -> confirm_revokes t ch) t.channels;
   (* Order matters: reconcile half-finished delegations while nothing is
      frozen (their revocations must not be refused), then re-freeze the
      journaled remote holders, then rebuild the retransmission window.

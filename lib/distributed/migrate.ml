@@ -103,32 +103,32 @@ module Wire = struct
   let put_manifest buf mf =
     Persist.Wire.str buf mf.mf_name;
     Persist.Wire.u8 buf mf.mf_kind;
-    Persist.Wire.i64 buf mf.mf_entry;
+    Persist.Wire.int buf mf.mf_entry;
     Persist.Wire.bool_ buf mf.mf_flush;
     Persist.Wire.str buf mf.mf_measurement;
     Persist.Wire.list buf
       (fun b (base, len, rights, cleanup) ->
-        Persist.Wire.i64 b base;
-        Persist.Wire.i64 b len;
+        Persist.Wire.int b base;
+        Persist.Wire.int b len;
         Persist.Wire.u8 b rights;
         Persist.Wire.u8 b cleanup)
       mf.mf_caps;
     Persist.Wire.list buf
       (fun b (base, len) ->
-        Persist.Wire.i64 b base;
-        Persist.Wire.i64 b len)
+        Persist.Wire.int b base;
+        Persist.Wire.int b len)
       mf.mf_measured;
     Persist.Wire.list buf
       (fun b (base, len, hash) ->
-        Persist.Wire.i64 b base;
-        Persist.Wire.i64 b len;
+        Persist.Wire.int b base;
+        Persist.Wire.int b len;
         Persist.Wire.str b hash)
       mf.mf_pages;
     Persist.Wire.list buf
       (fun b (peer, base, len, rights) ->
         Persist.Wire.str b peer;
-        Persist.Wire.i64 b base;
-        Persist.Wire.i64 b len;
+        Persist.Wire.int b base;
+        Persist.Wire.int b len;
         Persist.Wire.u8 b rights)
       mf.mf_dels;
     Persist.Wire.str buf mf.mf_att;
@@ -139,35 +139,35 @@ module Wire = struct
   let get_manifest r =
     let mf_name = Persist.Wire.get_str r in
     let mf_kind = Persist.Wire.get_u8 r in
-    let mf_entry = Persist.Wire.get_i64 r in
+    let mf_entry = Persist.Wire.get_int r in
     let mf_flush = Persist.Wire.get_bool r in
     let mf_measurement = digest32 r in
     let mf_caps =
       Persist.Wire.get_list r (fun b ->
-          let base = Persist.Wire.get_i64 b in
-          let len = Persist.Wire.get_i64 b in
+          let base = Persist.Wire.get_int b in
+          let len = Persist.Wire.get_int b in
           let rights = Persist.Wire.get_u8 b in
           let cleanup = Persist.Wire.get_u8 b in
           (base, len, rights, cleanup))
     in
     let mf_measured =
       Persist.Wire.get_list r (fun b ->
-          let base = Persist.Wire.get_i64 b in
-          let len = Persist.Wire.get_i64 b in
+          let base = Persist.Wire.get_int b in
+          let len = Persist.Wire.get_int b in
           (base, len))
     in
     let mf_pages =
       Persist.Wire.get_list r (fun b ->
-          let base = Persist.Wire.get_i64 b in
-          let len = Persist.Wire.get_i64 b in
+          let base = Persist.Wire.get_int b in
+          let len = Persist.Wire.get_int b in
           let hash = digest32 b in
           (base, len, hash))
     in
     let mf_dels =
       Persist.Wire.get_list r (fun b ->
           let peer = Persist.Wire.get_str b in
-          let base = Persist.Wire.get_i64 b in
-          let len = Persist.Wire.get_i64 b in
+          let base = Persist.Wire.get_int b in
+          let len = Persist.Wire.get_int b in
           let rights = Persist.Wire.get_u8 b in
           (peer, base, len, rights))
     in
@@ -306,7 +306,7 @@ let encode_jrec r =
   | MS_begin { mig; domain; peer; name } ->
     Persist.Wire.u8 buf 1;
     Persist.Wire.str buf mig;
-    Persist.Wire.i64 buf domain;
+    Persist.Wire.int buf domain;
     Persist.Wire.str buf peer;
     Persist.Wire.str buf name
   | MS_frozen { mig; image } ->
@@ -345,7 +345,7 @@ let encode_jrec r =
   | MT_adopted { mig; domain; root } ->
     Persist.Wire.u8 buf 11;
     Persist.Wire.str buf mig;
-    Persist.Wire.i64 buf domain;
+    Persist.Wire.int buf domain;
     Persist.Wire.str buf root
   | MT_live { mig } ->
     Persist.Wire.u8 buf 12;
@@ -363,7 +363,7 @@ let decode_jrec payload =
       match Persist.Wire.get_u8 r with
       | 1 ->
         let mig = Persist.Wire.get_str r in
-        let domain = Persist.Wire.get_i64 r in
+        let domain = Persist.Wire.get_int r in
         let peer = Persist.Wire.get_str r in
         let name = Persist.Wire.get_str r in
         MS_begin { mig; domain; peer; name }
@@ -390,7 +390,7 @@ let decode_jrec payload =
       | 10 -> MT_adopting { mig = Persist.Wire.get_str r }
       | 11 ->
         let mig = Persist.Wire.get_str r in
-        let domain = Persist.Wire.get_i64 r in
+        let domain = Persist.Wire.get_int r in
         MT_adopted { mig; domain; root = Persist.Wire.get_str r }
       | 12 -> MT_live { mig = Persist.Wire.get_str r }
       | 13 ->
@@ -427,6 +427,7 @@ type src = {
          (each was a genuine manifest of the frozen domain at the time
          it was offered). *)
   mutable sm_commit_due : bool; (* Re-send Commit after recovery. *)
+  mutable sm_abort_due : bool; (* Re-send Abort after recovery. *)
   mutable sm_pages : (string * string) list; (* hash -> bytes, volatile. *)
   mutable sm_todo : string list;
   mutable sm_inflight : string list;
@@ -567,20 +568,20 @@ let state_digest ~name ~kind ~entry ~flush ~measurement ~caps ~measured =
   Persist.Wire.str buf "tyche-migrate-state-v1";
   Persist.Wire.str buf name;
   Persist.Wire.u8 buf kind;
-  Persist.Wire.i64 buf entry;
+  Persist.Wire.int buf entry;
   Persist.Wire.bool_ buf flush;
   Persist.Wire.str buf measurement;
   Persist.Wire.list buf
     (fun b (base, len, rights, cleanup) ->
-      Persist.Wire.i64 b base;
-      Persist.Wire.i64 b len;
+      Persist.Wire.int b base;
+      Persist.Wire.int b len;
       Persist.Wire.u8 b rights;
       Persist.Wire.u8 b cleanup)
     (List.sort compare caps);
   Persist.Wire.list buf
     (fun b (base, len) ->
-      Persist.Wire.i64 b base;
-      Persist.Wire.i64 b len)
+      Persist.Wire.int b base;
+      Persist.Wire.int b len)
     measured;
   sha_raw (Buffer.contents buf)
 
@@ -590,8 +591,8 @@ let image_digest ~state ~pages =
   Persist.Wire.str buf state;
   Persist.Wire.list buf
     (fun b (base, len, hash) ->
-      Persist.Wire.i64 b base;
-      Persist.Wire.i64 b len;
+      Persist.Wire.int b base;
+      Persist.Wire.int b len;
       Persist.Wire.str b hash)
     (List.sort compare pages);
   sha_raw (Buffer.contents buf)
@@ -838,7 +839,8 @@ let start t ~domain ~peer =
       { sm_mig = mig; sm_domain = domain; sm_peer = peer;
         sm_name = Tyche.Domain.name dom; sm_phase = S_streaming; sm_offered = false;
         sm_need_seen = false; sm_prior_images = []; sm_commit_due = false;
-        sm_pages = []; sm_todo = []; sm_inflight = []; sm_manifest = None }
+        sm_abort_due = false; sm_pages = []; sm_todo = []; sm_inflight = [];
+        sm_manifest = None }
     in
     (match build_manifest t src with
     | Error e ->
@@ -1427,7 +1429,12 @@ let tick t =
           if try_send t ~peer:src.sm_peer (Wire.Commit { mig = src.sm_mig }) then
             src.sm_commit_due <- false
         end
-      | S_await_receipt | S_aborted _ -> ())
+      | S_aborted reason ->
+        if src.sm_abort_due then begin
+          if try_send t ~peer:src.sm_peer (Wire.Abort { mig = src.sm_mig; reason }) then
+            src.sm_abort_due <- false
+        end
+      | S_await_receipt -> ())
     t.srcs;
   Hashtbl.iter
     (fun _ tg ->
@@ -1479,12 +1486,19 @@ let resume_source t mig (r : src_replay) =
   let src =
     { sm_mig = mig; sm_domain = r.r_domain; sm_peer = r.r_peer; sm_name = r.r_name;
       sm_phase = S_streaming; sm_offered = false; sm_need_seen = false;
-      sm_prior_images = r.r_images; sm_commit_due = false; sm_pages = [];
-      sm_todo = []; sm_inflight = []; sm_manifest = None }
+      sm_prior_images = r.r_images; sm_commit_due = false; sm_abort_due = false;
+      sm_pages = []; sm_todo = []; sm_inflight = []; sm_manifest = None }
   in
   Hashtbl.replace t.srcs mig src;
+  let aborted reason =
+    src.sm_phase <- S_aborted reason;
+    (* The Abort frame may have died with the crash, and an abort taken
+       here has not sent one; the target absorbs duplicates and ignores
+       a migration it never heard of. *)
+    src.sm_abort_due <- true
+  in
   (match r.r_abort with
-  | Some reason -> src.sm_phase <- S_aborted reason
+  | Some reason -> aborted reason
   | None ->
     if r.r_done then begin
       src.sm_phase <- S_done;
@@ -1503,7 +1517,7 @@ let resume_source t mig (r : src_replay) =
         else begin
           jput t (MS_abort { mig; reason = "domain lost across restart" });
           jsync t;
-          src.sm_phase <- S_aborted "domain lost across restart"
+          aborted "domain lost across restart"
         end
       else begin
         ignore (Tyche.Monitor.freeze_domain m ~domain:r.r_domain);
@@ -1512,7 +1526,7 @@ let resume_source t mig (r : src_replay) =
           jput t (MS_abort { mig; reason = "manifest rebuild failed" });
           jsync t;
           ignore (Tyche.Monitor.thaw_domain m ~domain:r.r_domain);
-          src.sm_phase <- S_aborted "manifest rebuild failed"
+          aborted "manifest rebuild failed"
         | Ok _ ->
           if r.r_committing || r.r_receipt then begin
             src.sm_phase <- S_committing;
@@ -1595,7 +1609,7 @@ let attach ~fleet ~store =
   in
   Fleet.set_data_handler fleet ~chan:migrate_blob (fun origin payload ->
       handle t origin payload);
-  let { Persist.Wal.records; valid_bytes; truncated } =
+  let { Persist.Wal.records; valid_bytes; truncated; _ } =
     Persist.Wal.read store ~blob:migrate_blob
   in
   (* A crash can leave a torn frame at the end of the blob; anything

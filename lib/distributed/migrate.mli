@@ -38,9 +38,9 @@
     journal, re-freezes in-flight domains (the freeze latch is
     volatile), rebuilds the chunk store, and resumes — a source
     re-offers (the target's durable chunks dedup the re-send) or
-    re-runs its commit; a target re-runs adoption from the durable
-    manifest, re-imports adopted-but-not-yet-live page bytes, or
-    re-sends its receipt. A migration is never half-applied: exactly
+    re-runs its commit, and an aborted source re-sends its [Abort]; a
+    target re-runs adoption from the durable manifest, re-imports
+    adopted-but-not-yet-live page bytes, or re-sends its receipt. A migration is never half-applied: exactly
     one monitor hosts the domain live once the journals drain. *)
 
 type error =

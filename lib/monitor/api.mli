@@ -14,9 +14,9 @@
 (** The call type, its records and its wire format, from {!Op}.
 
     {!Op.encode} writes one {!Op.record} — a call plus who issued it —
-    as an opcode byte followed by fixed-width little-endian operands:
-    the register/shared-page layout a guest ABI would use, and byte for
-    byte the payload the write-ahead log stores for the same call.
+    as an opcode byte followed by varint operands ({!Persist.Wire}),
+    byte for byte the payload the write-ahead log stores for the same
+    call.
     {!Op.decode} is the total parser for it. *)
 include module type of struct
   include Op

@@ -14,19 +14,20 @@ type state = {
 
 (* --- codec ----------------------------------------------------------- *)
 
-(* The manifest's version byte. Records of any other version (the
-   retired version-1 and version-3 formats) fail to decode, so the
-   newest-valid scan skips them. *)
-let version = 2
+(* The manifest's version byte: 4 since integers became varints.
+   Records of any other version (the retired fixed-width version-2
+   format, and versions 1 and 3) fail to decode, so the newest-valid
+   scan skips them. *)
+let version = 4
 
 let bad what = raise (W.Corrupt ("bad " ^ what))
 
 (* [-1] stands for "none" (domain 0's creator, an unset entry point, a
    root's parent); ids and addresses are never negative. *)
-let opt b v = W.i64 b (Option.value v ~default:(-1))
+let opt b v = W.int b (Option.value v ~default:(-1))
 
 let get_opt r =
-  let v = W.get_i64 r in
+  let v = W.get_int r in
   if v < 0 then None else Some v
 
 let code what of_code r = match of_code (W.get_u8 r) with Some v -> v | None -> bad what
@@ -44,18 +45,18 @@ let of_index what table r =
   if i < Array.length table then table.(i) else bad what
 
 let range b r =
-  W.i64 b (Hw.Addr.Range.base r);
-  W.i64 b (Hw.Addr.Range.len r)
+  W.int b (Hw.Addr.Range.base r);
+  W.int b (Hw.Addr.Range.len r)
 
 let get_range r =
-  let base = W.get_i64 r in
-  let len = W.get_i64 r in
+  let base = W.get_int r in
+  let len = W.get_int r in
   match Hw.Addr.Range.make ~base ~len with
   | range -> range
   | exception Invalid_argument _ -> bad "range"
 
 let domain b d =
-  W.i64 b (Domain.id d);
+  W.int b (Domain.id d);
   W.str b (Domain.name d);
   W.u8 b (Domain.kind_to_code (Domain.kind d));
   opt b (Domain.created_by d);
@@ -66,7 +67,7 @@ let domain b d =
   W.str b (Option.fold ~none:"" ~some:Crypto.Sha256.to_raw (Domain.measurement d))
 
 let get_domain r =
-  let id = W.get_i64 r in
+  let id = W.get_int r in
   let name = W.get_str r in
   let kind = code "domain kind" Domain.kind_of_code r in
   let created_by = get_opt r in
@@ -84,35 +85,35 @@ let get_domain r =
     ~flush_on_transition ~measurement
 
 let node b (n : Cap.Captree.node_spec) =
-  W.i64 b n.ns_id;
+  W.int b n.ns_id;
   (match n.ns_resource with
   | Cap.Resource.Memory r ->
     W.u8 b 0;
     range b r
   | Cap.Resource.Cpu_core c ->
     W.u8 b 1;
-    W.i64 b c
+    W.int b c
   | Cap.Resource.Device d ->
     W.u8 b 2;
-    W.i64 b d);
+    W.int b d);
   W.u8 b (Cap.Rights.to_bits n.ns_rights);
-  W.i64 b n.ns_owner;
+  W.int b n.ns_owner;
   W.u8 b (Cap.Revocation.to_code n.ns_cleanup);
   opt b n.ns_parent;
   W.u8 b (index_of origins n.ns_origin);
   W.u8 b (index_of states n.ns_state)
 
 let get_node r : Cap.Captree.node_spec =
-  let ns_id = W.get_i64 r in
+  let ns_id = W.get_int r in
   let ns_resource =
     match W.get_u8 r with
     | 0 -> Cap.Resource.Memory (get_range r)
-    | 1 -> Cap.Resource.Cpu_core (W.get_i64 r)
-    | 2 -> Cap.Resource.Device (W.get_i64 r)
+    | 1 -> Cap.Resource.Cpu_core (W.get_int r)
+    | 2 -> Cap.Resource.Device (W.get_int r)
     | _ -> bad "resource tag"
   in
   let ns_rights = code "rights" Cap.Rights.of_bits r in
-  let ns_owner = W.get_i64 r in
+  let ns_owner = W.get_int r in
   let ns_cleanup = code "cleanup" Cap.Revocation.of_code r in
   let ns_parent = get_opt r in
   let ns_origin = of_index "origin" origins r in
@@ -148,17 +149,17 @@ let decode_segment payload =
 let encode_manifest s entries =
   let b = Buffer.create 1024 in
   W.u8 b version;
-  W.i64 b s.seq;
-  W.i64 b s.next_domain;
-  W.i64 b (Cap.Captree.next_id s.tree);
-  W.i64 b (Cap.Captree.generation s.tree);
+  W.int b s.seq;
+  W.int b s.next_domain;
+  W.int b (Cap.Captree.next_id s.tree);
+  W.int b (Cap.Captree.generation s.tree);
   W.list b domain s.domains;
-  W.list b W.i64 s.current;
-  W.list b (fun b stack -> W.list b W.i64 stack) s.stacks;
-  W.i64 b Cap.Captree.seg_span;
+  W.list b W.int s.current;
+  W.list b (fun b stack -> W.list b W.int stack) s.stacks;
+  W.int b Cap.Captree.seg_span;
   W.list b
     (fun b (bucket, h) ->
-      W.i64 b bucket;
+      W.int b bucket;
       W.str b h)
     entries;
   Buffer.contents b
@@ -168,17 +169,17 @@ let encode_manifest s entries =
 let decode_manifest segments payload =
   let r = W.reader payload in
   if W.get_u8 r <> version then bad "version";
-  let seq = W.get_i64 r in
-  let next_domain = W.get_i64 r in
-  let next_id = W.get_i64 r in
-  let generation = W.get_i64 r in
+  let seq = W.get_int r in
+  let next_domain = W.get_int r in
+  let next_id = W.get_int r in
+  let generation = W.get_int r in
   let domains = W.get_list r get_domain in
-  let current = W.get_list r W.get_i64 in
-  let stacks = W.get_list r (fun r -> W.get_list r W.get_i64) in
-  if W.get_i64 r <> Cap.Captree.seg_span then bad "segment span";
+  let current = W.get_list r W.get_int in
+  let stacks = W.get_list r (fun r -> W.get_list r W.get_int) in
+  if W.get_int r <> Cap.Captree.seg_span then bad "segment span";
   let entries =
     W.get_list r (fun r ->
-        let bucket = W.get_i64 r in
+        let bucket = W.get_int r in
         let h = W.get_str r in
         (bucket, h))
   in

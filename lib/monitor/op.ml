@@ -84,7 +84,7 @@ module W = Persist.Wire
 
 let encode record =
   let b = Buffer.create 48 in
-  let int v = W.i64 b v in
+  let int v = W.int b v in
   let range r =
     int (Hw.Addr.Range.base r);
     int (Hw.Addr.Range.len r)
@@ -167,7 +167,7 @@ let decode s =
   let bad msg = raise (W.Corrupt msg) in
   let r = W.reader s in
   let int () =
-    let v = W.get_i64 r in
+    let v = W.get_int r in
     if v < 0 then bad "negative operand" else v
   in
   let range () =

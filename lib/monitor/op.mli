@@ -73,8 +73,8 @@ val issued : int -> call -> record
 
 val encode : record -> string
 (** Opcode byte, then [by], then the operands, all on {!Persist.Wire}:
-    little-endian 64-bit integers, [u32]-prefixed strings, one byte for
-    a kind, a clean-up policy or a rights set, a flag byte before an
+    zigzag varint integers, varint-prefixed strings, one byte for a
+    kind, a clean-up policy or a rights set, a flag byte before an
     optional subrange. Opcodes 1–11 follow the call order above,
     [Call] is 12, [Return] 13, an eviction 14 (with the core and
     nothing else), [Enumerate] 15 and [Attest] 16. These bytes are the

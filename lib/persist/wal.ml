@@ -1,47 +1,53 @@
 type read_result = {
   records : (int * string) list;
+  sizes : int list;
   valid_bytes : int;
   truncated : bool;
 }
 
-(* body = i64 seq ^ payload, so a valid body is at least 8 bytes, and
-   a whole frame is 16 bytes longer than its payload. *)
+(* frame = uint body-length ^ u32 crc32(body) ^ body, where
+   body = uint seq ^ payload. *)
 let frame ~seq payload =
-  let body_len = 8 + String.length payload in
-  let b = Buffer.create (body_len + 8) in
-  Wire.u32 b body_len;
-  (* CRC over the body; computed on a throwaway buffer so the frame is
-     assembled in one pass. *)
-  let body = Buffer.create body_len in
-  Wire.i64 body seq;
+  let body = Buffer.create (String.length payload + 9) in
+  Wire.uint body seq;
   Buffer.add_string body payload;
   let body = Buffer.contents body in
+  let b = Buffer.create (String.length body + 13) in
+  Wire.uint b (String.length body);
   Wire.u32 b (Crc32.digest body);
   Buffer.add_string b body;
   Buffer.contents b
 
-let u32_at data pos =
-  Int32.to_int (Bytes.get_int32_le (Bytes.unsafe_of_string data) pos) land 0xFFFFFFFF
-
-let i64_at data pos = Int64.to_int (Bytes.get_int64_le (Bytes.unsafe_of_string data) pos)
+(* The frame at [pos], as (seq, payload, end offset), or [None] if it
+   cannot be trusted: a header cut short or not canonical, a length
+   that is empty, negative or past the end of [data], a CRC mismatch,
+   or a body whose seq does not fit in it. *)
+let frame_at data pos =
+  match
+    let r = Wire.reader ~pos data in
+    let len = Wire.get_uint r in
+    let crc = Wire.get_u32 r in
+    let body = Wire.pos r in
+    if len < 1 || len > String.length data - body then None
+    else if Crc32.digest_sub data ~pos:body ~len <> crc then None
+    else
+      let seq = Wire.get_uint r in
+      let stop = body + len in
+      if Wire.pos r > stop then None
+      else Some (seq, String.sub data (Wire.pos r) (stop - Wire.pos r), stop)
+  with
+  | v -> v
+  | exception Wire.Corrupt _ -> None
 
 let parse data =
-  let n = String.length data in
-  let rec go pos acc =
-    if n - pos < 8 then finish pos acc
-    else
-      let len = u32_at data pos in
-      let crc = u32_at data (pos + 4) in
-      if len < 8 || len > n - pos - 8 then finish pos acc
-      else if Crc32.digest_sub data ~pos:(pos + 8) ~len <> crc then finish pos acc
-      else
-        let seq = i64_at data (pos + 8) in
-        let payload = String.sub data (pos + 16) (len - 8) in
-        go (pos + 8 + len) ((seq, payload) :: acc)
-  and finish pos acc =
-    { records = List.rev acc; valid_bytes = pos; truncated = pos < n }
+  let rec go pos recs sizes =
+    match frame_at data pos with
+    | Some (seq, payload, stop) -> go stop ((seq, payload) :: recs) ((stop - pos) :: sizes)
+    | None ->
+      { records = List.rev recs; sizes = List.rev sizes; valid_bytes = pos;
+        truncated = pos < String.length data }
   in
-  go 0 []
+  go 0 [] []
 
 type replay = {
   applied : int;
@@ -50,27 +56,26 @@ type replay = {
   stopped : string option;
 }
 
-let replay { records; _ } ~after apply =
-  let rec go ~expected ~bytes ~applied = function
-    | (seq, payload) :: rest when seq <= after ->
-      go ~expected ~bytes:(bytes + 16 + String.length payload) ~applied rest
-    | (seq, payload) :: rest ->
+let replay { records; sizes; _ } ~after apply =
+  let rec go ~expected ~bytes ~applied records sizes =
+    match (records, sizes) with
+    | (seq, _) :: rest, size :: sizes when seq <= after ->
+      go ~expected ~bytes:(bytes + size) ~applied rest sizes
+    | (seq, payload) :: rest, size :: sizes -> (
       let stop why =
         { applied; last_seq = expected - 1; applied_bytes = bytes; stopped = Some why }
       in
       if seq <> expected then
         stop (Printf.sprintf "sequence gap: expected %d, found %d" expected seq)
-      else (
+      else
         match apply payload with
-        | Ok () ->
-          go ~expected:(seq + 1) ~bytes:(bytes + 16 + String.length payload)
-            ~applied:(applied + 1) rest
+        | Ok () -> go ~expected:(seq + 1) ~bytes:(bytes + size) ~applied:(applied + 1) rest sizes
         | Error why -> stop (Printf.sprintf "replay of seq %d failed: %s" seq why)
         | exception e ->
           stop (Printf.sprintf "replay raised at seq %d: %s" seq (Printexc.to_string e)))
-    | [] -> { applied; last_seq = expected - 1; applied_bytes = bytes; stopped = None }
+    | _ -> { applied; last_seq = expected - 1; applied_bytes = bytes; stopped = None }
   in
-  go ~expected:(after + 1) ~bytes:0 ~applied:0 records
+  go ~expected:(after + 1) ~bytes:0 ~applied:0 records sizes
 
 let append store ~blob ~seq payload = Store.append store blob (frame ~seq payload)
 let read store ~blob = parse (Store.read store blob)

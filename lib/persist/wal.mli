@@ -1,18 +1,26 @@
 (** Length-prefixed, CRC32-framed record log over a {!Store} blob.
 
-    Frame layout: [u32 body-length | u32 crc32(body) | body], where
-    [body = i64 sequence-number ^ payload]. The write-ahead log and
-    both checkpoint streams (manifests and segments) use this framing.
+    Frame layout: [varint body-length | u32 crc32(body) | body], where
+    [body = varint sequence-number ^ payload] and both varints are
+    {!Wire.uint}s. A frame is therefore 6 bytes longer than its payload
+    while both the body length and the seq are under 128, and 8 bytes
+    longer while both are under 2{^14}. The write-ahead log, both
+    checkpoint streams (manifests and segments) and the fleet and
+    migrate journals use this framing.
 
     Reading truncates at the first record that cannot be trusted — a
-    header that does not fit, a length pointing past the durable bytes,
-    or a CRC mismatch. Everything before the cut is returned; everything
-    from the cut on is reported ({!read_result.truncated}) and ignored.
+    header that does not fit or is not canonical, a length pointing
+    past the durable bytes, or a CRC mismatch. Everything before the
+    cut is returned; everything from the cut on is reported
+    ({!read_result.truncated}) and ignored.
     A torn tail is an expected artifact of power loss, never an error:
     recovery proceeds from the valid prefix. *)
 
 type read_result = {
   records : (int * string) list; (** (sequence number, payload), log order. *)
+  sizes : int list;
+      (** Each record's frame length, header included, in log order:
+          its extent in the blob. They sum to [valid_bytes]. *)
   valid_bytes : int; (** Length of the trusted prefix. *)
   truncated : bool; (** Bytes beyond the trusted prefix were discarded. *)
 }
@@ -29,9 +37,9 @@ type replay = {
   applied : int; (** Records re-applied. *)
   last_seq : int; (** Sequence number of the last record applied ([after] if none). *)
   applied_bytes : int;
-      (** Length of the log prefix replay accepted: every record before
-          the one it stopped at. The whole trusted prefix when replay ran
-          to the end. *)
+      (** Length of the log prefix replay accepted: the summed frame
+          sizes of every record before the one it stopped at. The whole
+          trusted prefix when replay ran to the end. *)
   stopped : string option; (** Why replay stopped before the end, if it did. *)
 }
 

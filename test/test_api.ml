@@ -98,24 +98,25 @@ let prop_strict_codes =
     ~count:300
     QCheck.(pair (int_bound 2) (int_bound 255))
     (fun (field, code) ->
-      let patched call pos =
-        let b = Bytes.of_string (Tyche.Api.encode (Tyche.Api.issued os call)) in
-        let pos = if pos < 0 then Bytes.length b + pos else pos in
-        Bytes.set b pos (Char.chr code);
+      let encode call = Tyche.Api.encode (Tyche.Api.issued os call) in
+      (* The field's byte is where the encodings of two calls differing
+         only in that field first differ. *)
+      let patched call other =
+        let b = Bytes.of_string (encode call) and o = encode other in
+        let rec at i = if Bytes.get b i <> o.[i] then i else at (i + 1) in
+        Bytes.set b (at 0) (Char.chr code);
         Bytes.to_string b
       in
-      let share =
-        Tyche.Api.Share
-          { cap = 7; to_ = 3; rights = Cap.Rights.rw; cleanup = Cap.Revocation.Zero;
-            subrange = None }
+      let share rights cleanup =
+        Tyche.Api.Share { cap = 7; to_ = 3; rights; cleanup; subrange = None }
       in
+      let create kind = Tyche.Api.Create_domain { name = "d"; kind } in
+      let base = share Cap.Rights.rw Cap.Revocation.Zero in
       let wire, meaningful =
         match field with
-        | 0 -> (patched share 25, code < 32)
-        | 1 -> (patched share 26, code < 4)
-        | _ ->
-          let create = Tyche.Api.Create_domain { name = "d"; kind = Tyche.Domain.Enclave } in
-          (patched create (-1), code < 6)
+        | 0 -> (patched base (share Cap.Rights.read_only Cap.Revocation.Zero), code < 32)
+        | 1 -> (patched base (share Cap.Rights.rw Cap.Revocation.Keep), code < 4)
+        | _ -> (patched (create Tyche.Domain.Enclave) (create Tyche.Domain.Sandbox), code < 6)
       in
       match Tyche.Api.decode wire with Ok _ -> meaningful | Error _ -> not meaningful)
 

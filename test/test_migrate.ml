@@ -286,6 +286,49 @@ let test_abort_thaws_unchanged () =
   check_clean a;
   check_clean b
 
+(* Power fails between the source's durable abort record and the Abort
+   frame's journal record (the frame's [J_send] is the second journal
+   append the abort makes). The target is still receiving and hears
+   nothing more from this migration, so the recovered source must send
+   the notice again. *)
+let test_abort_notice_survives_crash () =
+  let net, a, b = mk_pair () in
+  let d, _, _ = build_enclave a ~base:0x40000 in
+  let mig = mok (Distributed.Migrate.start a.mig ~domain:d ~peer:"beta") in
+  let receiving () =
+    Distributed.Migrate.status b.mig ~mig
+    = Some (Distributed.Migrate.Target, Distributed.Migrate.Receiving)
+  in
+  let rec until_receiving n =
+    if not (receiving ()) then
+      if n = 0 then Alcotest.fail "target never started receiving"
+      else begin
+        step [ a; b ];
+        until_receiving (n - 1)
+      end
+  in
+  until_receiving 10;
+  (match
+     Fault.with_plan (Fault.nth "snapshot.write" 2) (fun () ->
+         Distributed.Migrate.abort a.mig ~mig ~reason:"operator says no")
+   with
+  | _ -> Alcotest.fail "expected a crash journaling the abort notice"
+  | exception Persist.Store.Crash _ -> ());
+  crash_recover net a;
+  link a b;
+  pump [ a; b ];
+  (match Distributed.Migrate.status a.mig ~mig with
+  | Some (_, Distributed.Migrate.Aborted _) -> ()
+  | _ -> Alcotest.fail "source not aborted after recovery");
+  (match Distributed.Migrate.status b.mig ~mig with
+  | Some (_, Distributed.Migrate.Aborted _) -> ()
+  | _ -> Alcotest.fail "target never heard the abort");
+  Alcotest.(check bool) "the source hosts the domain, thawed" false
+    (Tyche.Monitor.domain_frozen a.w.Testkit.monitor ~domain:d);
+  Alcotest.(check bool) "no copy on beta" true (find_by_name b "traveller" = None);
+  check_clean a;
+  check_clean b
+
 (* --- revocation racing a migration ------------------------------------- *)
 
 (* [Fleet.revoke] aimed at the migrating domain's memory at every
@@ -759,7 +802,9 @@ let () =
           Alcotest.test_case "crash inside the torn-tail repair keeps every record" `Quick
             test_torn_tail_repair_crash;
           Alcotest.test_case "receipt chain survives target restart" `Quick
-            test_receipt_survives_target_restart ] );
+            test_receipt_survives_target_restart;
+          Alcotest.test_case "abort notice survives a source crash" `Quick
+            test_abort_notice_survives_crash ] );
       ( "re-homing",
         [ Alcotest.test_case "delegation import origin flips to the new host" `Quick
             test_rehoming_flips_import_origin ] );

@@ -134,9 +134,12 @@ let hex s =
     (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
 
 (* The WAL's on-disk format, pinned byte for byte: one record of every
-   logged shape, with the hex the log has always written for it. Stores
-   written before the codec moved into [Tyche.Op] must still recover,
-   and a changed byte would also move every store-bytes figure. *)
+   logged shape. Opcode and rights/clean-up bytes are fixed width, every
+   other integer a zigzag varint (3 is 06, 4096 is 80 40) and a string a
+   varint length then its bytes. The hex was transcoded field by field
+   from the fixed-width goldens the log wrote before integers became
+   varints. A changed byte breaks recovery of existing stores and moves
+   every store-bytes figure. *)
 let test_op_roundtrip () =
   let open Cap.Revocation in
   let rights =
@@ -148,33 +151,26 @@ let test_op_roundtrip () =
   let issued = Tyche.Op.issued in
   let golden : (Tyche.Op.record * string) list =
     [ ( issued 0 (Create_domain { name = "enclave-1"; kind = Tyche.Domain.Enclave }),
-        "01000000000000000009000000656e636c6176652d3102" );
-      ( issued 0 (Set_entry_point { domain = 3; entry = 0x40_0000 }),
-        "02000000000000000003000000000000000000400000000000" );
-      ( issued 1 (Set_flush_policy { domain = 3; flush = true }),
-        "030100000000000000030000000000000001" );
-      ( issued 0 (Mark_measured { domain = 3; range = range 4096 8192 }),
-        "040000000000000000030000000000000000100000000000000020000000000000" );
+        "010009656e636c6176652d3102" );
+      (issued 0 (Set_entry_point { domain = 3; entry = 0x40_0000 }), "02000680808004");
+      (issued 1 (Set_flush_policy { domain = 3; flush = true }), "03020601");
+      (issued 0 (Mark_measured { domain = 3; range = range 4096 8192 }), "0400068040808001");
       ( Tyche.Op.Issued { by = 0; call = Seal { domain = 3 }; digest = String.make 32 '\x7f' },
-        "050000000000000000030000000000000020000000"
-        ^ "7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f7f" );
-      (issued 0 (Destroy { domain = 3 }), "0600000000000000000300000000000000");
+        "05000620" ^ String.concat "" (List.init 32 (fun _ -> "7f")) );
+      (issued 0 (Destroy { domain = 3 }), "060006");
       ( issued 0
           (Share { cap = 7; to_ = 3; rights; cleanup = Zero; subrange = Some (range 0 4096) }),
-        "0700000000000000000700000000000000030000000000000015010100000000000000000010000000000000"
-      );
+        "07000e06150101008040" );
       ( issued 0 (Share { cap = 7; to_ = 3; rights; cleanup = Keep; subrange = None }),
-        "07000000000000000007000000000000000300000000000000150000" );
+        "07000e06150000" );
       ( issued 2 (Grant { cap = 9; to_ = 4; rights; cleanup = Zero_and_flush }),
-        "080200000000000000090000000000000004000000000000001503" );
-      ( issued 0 (Split { cap = 5; at = 12288 }),
-        "09000000000000000005000000000000000030000000000000" );
-      ( issued 0 (Carve { cap = 5; subrange = range 4096 4096 }),
-        "0a0000000000000000050000000000000000100000000000000010000000000000" );
-      (issued 0 (Revoke { cap = 11 }), "0b00000000000000000b00000000000000");
-      (issued 1 (Call { target = 3 }), "0c01000000000000000300000000000000");
-      (issued 1 Return, "0d0100000000000000");
-      (Tyche.Op.Evicted { core = 0 }, "0e0000000000000000") ]
+        "080412081503" );
+      (issued 0 (Split { cap = 5; at = 12288 }), "09000a80c001");
+      (issued 0 (Carve { cap = 5; subrange = range 4096 4096 }), "0a000a80408040");
+      (issued 0 (Revoke { cap = 11 }), "0b0016");
+      (issued 1 (Call { target = 3 }), "0c0206");
+      (issued 1 Return, "0d02");
+      (Tyche.Op.Evicted { core = 0 }, "0e00") ]
   in
   List.iter
     (fun (record, bytes) ->
@@ -185,38 +181,27 @@ let test_op_roundtrip () =
 
 let golden_segment =
   String.concat ""
-    [ "92e2e97183775fad378ecdb65a932903db167f54caf3f751be745cbd36d83c570b000000";
-      "010000000000000000000000000000000000f0ff00000000001f000000000000000000ff";
-      "ffffffffffffff000202000000000000000100000000000000001f000000000000000000";
-      "ffffffffffffffff000003000000000000000200010000000000001f0000000000000000";
-      "00ffffffffffffffff000004000000000000000000000000000000000010000000000000";
-      "1f0000000000000000000100000000000000030005000000000000000000100000000000";
-      "0000e0ff00000000001f0000000000000000000100000000000000030206000000000000";
-      "0000000000000000000000100000000000000b0100000000000000010400000000000000";
-      "010007000000000000000100000000000000001f01000000000000000002000000000000";
-      "000100080000000000000000001000000000000000200000000000001f00000000000000";
-      "000005000000000000000301090000000000000000003000000000000000c0ff00000000";
-      "001f000000000000000000050000000000000003000a0000000000000000001000000000";
-      "0000002000000000000007020000000000000002080000000000000002000b0000000000";
-      "00000200010000000000000102000000000000000303000000000000000100" ]
+    [ "2bf2eda6e58d668769ef67e6c0e495f8cf37225718e7e57c0503cd83dac95e960b020000";
+      "80c0ff0f1f00000100020401001f0000010000060280041f000001000008000080401f00";
+      "000203000a0080408080ff0f1f00000203020c000080400b02010801000e01001f020004";
+      "0100100080408080011f00000a0301120080c0018080fe0f1f00000a0300140080408080";
+      "0107040210020016028004010403060100" ]
 
 let golden_manifest =
   String.concat ""
-    [ "020f0000000000000003000000000000000c000000000000000e00000000000000030000";
-      "000000000000000000020000006f7300ffffffffffffffff00ffffffffffffffff000000";
-      "000000000000010000000000000003000000736278010000000000000000010000000000";
-      "00000001000000000000000000000000100000000000000120000000c1fc22d2205675e9";
-      "179a867d9c412fe2b0e32361663b53fd1a839f53752381b9020000000000000003000000";
-      "656e6302000000000000000000ffffffffffffffff000000000000000000010000000100";
-      "000000000000010000000100000000000000000000004000000000000000010000000000";
-      "0000000000002000000092e2e97183775fad378ecdb65a932903db167f54caf3f751be74";
-      "5cbd36d83c57" ]
+    [ "041e06181c0300026f7300010001000000020373627801000100010080400120c1fc22d2";
+      "205675e9179a867d9c412fe2b0e32361663b53fd1a839f53752381b90403656e63020000";
+      "01000000010201010080010100202bf2eda6e58d668769ef67e6c0e495f8cf37225718e7";
+      "e57c0503cd83dac95e96" ]
 
 (* The checkpoint's on-disk format, pinned byte for byte: a small tree
    covering every resource kind, origin, activation state and clean-up
    policy, plus sealed, measured and running domains, checkpointed into
-   a fresh store. Stores written by earlier builds must still recover,
-   and a changed byte would also move every store-bytes figure. *)
+   a fresh store. The manifest opens with version byte 4. Like the op
+   goldens, the hex was transcoded field by field from the version-2
+   (fixed-width) goldens, with the segment's hash recomputed over its
+   new body. A changed byte breaks recovery of existing stores and
+   moves every store-bytes figure. *)
 let test_checkpoint_golden () =
   let nic = Hw.Device.create ~kind:Hw.Device.Nic ~bus:1 ~dev:0 ~fn:0 () in
   let w = boot_x86 ~cores:1 ~devices:[ nic ] () in
@@ -310,6 +295,116 @@ let qcheck_bitflip =
       if not (is_prefix_of r.Persist.Wal.records all) then
         QCheck.Test.fail_reportf "flip at %d.%d: corrupt record admitted" pos bit;
       true)
+
+(* --- varints ------------------------------------------------------------ *)
+
+let encode f v =
+  let b = Buffer.create 10 in
+  f b v;
+  Buffer.contents b
+
+let corrupt f s =
+  match f (Persist.Wire.reader s) with
+  | _ -> false
+  | exception Persist.Wire.Corrupt _ -> true
+
+(* Both sides of every 7-bit boundary of the zigzag code, in both
+   signs, and the ends of the int range. *)
+let boundary_ints =
+  [ 0; 1; -1; min_int; max_int; min_int + 1; max_int - 1 ]
+  @ List.concat_map
+      (fun k ->
+        let p = 1 lsl ((7 * k) - 1) in
+        [ p - 1; p; -p; -p - 1 ])
+      [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+
+let test_int_boundaries () =
+  List.iter
+    (fun v ->
+      let s = encode Persist.Wire.int v in
+      let r = Persist.Wire.reader s in
+      Alcotest.(check int) (Printf.sprintf "%d round-trips" v) v (Persist.Wire.get_int r);
+      Persist.Wire.expect_end r)
+    boundary_ints;
+  List.iter
+    (fun (v, n) ->
+      Alcotest.(check int) (Printf.sprintf "%d takes %d bytes" v n) n
+        (String.length (encode Persist.Wire.int v)))
+    [ (0, 1); (-1, 1); (63, 1); (-64, 1); (64, 2); (-65, 2); (8191, 2); (8192, 3);
+      (max_int, 9); (min_int, 9) ]
+
+let prop_varint_roundtrip =
+  QCheck.Test.make ~name:"wire: int and uint round-trip any int" ~count:1000 QCheck.int
+    (fun v ->
+      let back f g =
+        let r = Persist.Wire.reader (encode f v) in
+        let w = g r in
+        Persist.Wire.expect_end r;
+        w = v
+      in
+      back Persist.Wire.int Persist.Wire.get_int && back Persist.Wire.uint Persist.Wire.get_uint)
+
+let test_varint_rejects () =
+  let rejects what s =
+    Alcotest.(check bool) (what ^ ": uint") true (corrupt Persist.Wire.get_uint s);
+    Alcotest.(check bool) (what ^ ": int") true (corrupt Persist.Wire.get_int s)
+  in
+  rejects "empty" "";
+  rejects "lone continuation" "\x80";
+  rejects "zero in two bytes" "\x80\x00";
+  rejects "127 in two bytes" "\xff\x00";
+  rejects "ten bytes" (String.make 9 '\xff' ^ "\x01");
+  rejects "continuation on the ninth byte" (String.make 9 '\x80')
+
+let prop_varint_strict =
+  QCheck.Test.make ~name:"wire: overlong, over-wide and truncated varints raise Corrupt"
+    ~count:500 QCheck.int (fun v ->
+      let s = encode Persist.Wire.int v in
+      let n = String.length s in
+      (* A trailing zero group: the same value, spelled one byte longer. *)
+      let overlong =
+        String.sub s 0 (n - 1) ^ String.make 1 (Char.chr (Char.code s.[n - 1] lor 0x80)) ^ "\x00"
+      in
+      (* Padded past nine bytes, it no longer fits in 63 bits. *)
+      let wide =
+        String.sub s 0 (n - 1)
+        ^ String.make 1 (Char.chr (Char.code s.[n - 1] lor 0x80))
+        ^ String.make (9 - n) '\x80' ^ "\x01"
+      in
+      corrupt Persist.Wire.get_int overlong
+      && corrupt Persist.Wire.get_int wide
+      && List.for_all (fun cut -> corrupt Persist.Wire.get_int (String.sub s 0 cut))
+           (List.init n Fun.id))
+
+(* Every byte prefix of a stream of frames, of seqs and body lengths on
+   either side of a varint boundary, parses to exactly the frames it
+   holds whole, and both [valid_bytes] and a full replay's
+   [applied_bytes] are their summed lengths. *)
+let prop_frame_prefixes =
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 0 300) (list_size (int_range 1 6) (string_size (int_range 0 200))))
+  in
+  QCheck.Test.make ~name:"wal: every prefix parses to its whole frames" ~count:60
+    (QCheck.make gen) (fun (first, payloads) ->
+      let records = List.mapi (fun i p -> (first + i, p)) payloads in
+      let frames = List.map (fun (seq, p) -> Persist.Wal.frame ~seq p) records in
+      let stream = String.concat "" frames in
+      List.for_all
+        (fun cut ->
+          let r = Persist.Wal.parse (String.sub stream 0 cut) in
+          let rec whole recs sizes n = function
+            | (rc, f) :: rest when n + String.length f <= cut ->
+              whole (rc :: recs) (String.length f :: sizes) (n + String.length f) rest
+            | _ -> (List.rev recs, List.rev sizes, n)
+          in
+          let expect, sizes, bytes = whole [] [] 0 (List.combine records frames) in
+          let replayed = Persist.Wal.replay r ~after:(first - 1) (fun _ -> Ok ()) in
+          r.Persist.Wal.records = expect && r.Persist.Wal.sizes = sizes
+          && r.Persist.Wal.valid_bytes = bytes
+          && replayed.Persist.Wal.applied_bytes = bytes
+          && r.Persist.Wal.truncated = (bytes < cut))
+        (List.init (String.length stream + 1) Fun.id))
 
 (* --- directed recovery ------------------------------------------------ *)
 
@@ -498,14 +593,38 @@ let test_bad_record_skipped arch () =
     check_fsck m2
   in
   (* Domain 0's kind byte follows the version, four counters, the list
-     count, its id and its name "os". *)
-  recover_with ~newest:(splice manifest (1 + 32 + 4 + 8 + 4 + 2) "\xff") ~segs;
+     count, its id and its name "os": the codec's own reader finds it. *)
+  let kind_at =
+    let r = Persist.Wire.reader manifest in
+    ignore (Persist.Wire.get_u8 r);
+    for _ = 1 to 4 do
+      ignore (Persist.Wire.get_int r)
+    done;
+    ignore (Persist.Wire.get_uint r);
+    ignore (Persist.Wire.get_int r);
+    ignore (Persist.Wire.get_str r);
+    Persist.Wire.pos r
+  in
+  recover_with ~newest:(splice manifest kind_at "\xff") ~segs;
   (* The newest segment's first node is domain 0's first memory root:
-     give it an empty range, re-hash, and point the manifest at it. *)
+     give it an empty range, re-hash, and point the manifest at it. Its
+     length follows the node count, its id, the memory tag and its base. *)
   let bucket, payload = List.nth segs (List.length segs - 1) in
   let old_hash = String.sub payload 0 32 in
   let body = String.sub payload 32 (String.length payload - 32) in
-  let body = splice body (4 + 8 + 1 + 8) (String.make 8 '\000') in
+  let body =
+    let r = Persist.Wire.reader body in
+    ignore (Persist.Wire.get_uint r);
+    ignore (Persist.Wire.get_int r);
+    ignore (Persist.Wire.get_u8 r);
+    ignore (Persist.Wire.get_int r);
+    let len_at = Persist.Wire.pos r in
+    ignore (Persist.Wire.get_int r);
+    let zero = Buffer.create 1 in
+    Persist.Wire.int zero 0;
+    String.sub body 0 len_at ^ Buffer.contents zero
+    ^ String.sub body (Persist.Wire.pos r) (String.length body - Persist.Wire.pos r)
+  in
   let new_hash = Crypto.Sha256.(to_raw (string body)) in
   let rec hash_at i = if String.sub manifest i 32 = old_hash then i else hash_at (i + 1) in
   recover_with
@@ -923,7 +1042,13 @@ let () =
           Alcotest.test_case "op codec roundtrip" `Quick test_op_roundtrip;
           Alcotest.test_case "checkpoint golden bytes" `Quick test_checkpoint_golden;
           qt qcheck_truncation;
-          qt qcheck_bitflip ] );
+          qt qcheck_bitflip;
+          qt prop_frame_prefixes ] );
+      ( "varints",
+        [ Alcotest.test_case "int round-trips at every boundary" `Quick test_int_boundaries;
+          Alcotest.test_case "malformed varints raise Corrupt" `Quick test_varint_rejects;
+          qt prop_varint_roundtrip;
+          qt prop_varint_strict ] );
       ( "recovery",
         directed "clean recover" test_clean_recover
         @ directed "crash at wal.append" test_crash_on_append
