@@ -29,10 +29,18 @@ let to_string = function
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
+let zero ~mem ~counter range =
+  let lines = (Hw.Addr.Range.len range + Hw.Cache.line_size - 1) / Hw.Cache.line_size in
+  Hw.Cycles.charge counter (lines * Hw.Cycles.Cost.zero_cache_line);
+  Hw.Physmem.zero_range mem range
+
 let apply t ~mem ~cache ~counter range =
-  if zeroes_memory t then begin
-    let lines = (Hw.Addr.Range.len range + Hw.Cache.line_size - 1) / Hw.Cache.line_size in
-    Hw.Cycles.charge counter (lines * Hw.Cycles.Cost.zero_cache_line);
-    Hw.Physmem.zero_range mem range
-  end;
+  if zeroes_memory t then zero ~mem ~counter range;
   if flushes_cache t then Hw.Cache.flush_range cache range
+
+let apply_all ~mem ~cache ~counter cleanups =
+  let union wanted =
+    Hw.Addr.Range.union (List.filter_map (fun (r, t) -> if wanted t then Some r else None) cleanups)
+  in
+  List.iter (zero ~mem ~counter) (union zeroes_memory);
+  List.iter (Hw.Cache.flush_range cache) (union flushes_cache)

@@ -39,3 +39,16 @@ val apply :
   unit
 (** Execute the clean-up on a memory range, charging the simulated cost
     of the zeroing stores and cache flushes. *)
+
+val apply_all :
+  mem:Hw.Physmem.t ->
+  cache:Hw.Cache.t ->
+  counter:Hw.Cycles.counter ->
+  (Hw.Addr.Range.t * t) list ->
+  unit
+(** Execute a whole call's clean-ups, cleaning each byte once: zero the
+    union of the zeroing ranges, then flush the union of the flushing
+    ranges, charging per line of those unions. Memory, resident lines
+    and taint end exactly as {!apply} on every pair in turn leaves
+    them, since zeroing and flushing are idempotent and touch disjoint
+    state; only the repeated work goes. *)

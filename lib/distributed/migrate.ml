@@ -1560,7 +1560,13 @@ let resume_target t mig (r : tgt_replay) =
   | Some s -> (match Wire.decode_manifest s with Ok mf -> tg.tm_manifest <- Some mf | Error _ -> ())
   | None -> ());
   match r.r_tabort with
-  | Some reason -> tg.tm_phase <- T_aborted reason
+  | Some reason ->
+    (* [target_abort] makes the abort durable before [adopt_cleanup]
+       destroys the copy through logged calls: a crash in between
+       leaves the copy behind, so finish the clean-up (safe to run
+       again: it does nothing once the domain is gone). *)
+    Option.iter (adopt_cleanup m) r.r_adopted;
+    tg.tm_phase <- T_aborted reason
   | None -> (
     match (r.r_live, r.r_adopted) with
     | true, Some domain ->

@@ -53,6 +53,28 @@ module Range = struct
     if a <= r.base || a >= limit r then None
     else Some (of_bounds ~lo:r.base ~hi:a, of_bounds ~lo:a ~hi:(limit r))
 
+  (* Sorts an array in place, where a list sort would allocate a list
+     per merge level, and compacts the merged runs into its prefix. *)
+  let union = function
+    | ([] | [ _ ]) as rs -> rs
+    | rs ->
+      let a = Array.of_list rs in
+      Array.sort compare a;
+      let k = ref 0 in
+      for i = 1 to Array.length a - 1 do
+        let run = a.(!k) and r = a.(i) in
+        if r.base > limit run then begin
+          incr k;
+          a.(!k) <- r
+        end
+        else if limit r > limit run then a.(!k) <- of_bounds ~lo:run.base ~hi:(limit r)
+      done;
+      let out = ref [] in
+      for i = !k downto 0 do
+        out := a.(i) :: !out
+      done;
+      !out
+
   let is_page_aligned r = is_page_aligned r.base && r.len land (page_size - 1) = 0
 
   let pages r =

@@ -53,6 +53,10 @@ module Range : sig
   (** Merge adjacent or overlapping ranges into one; [None] if disjoint
       with a gap. *)
 
+  val union : t list -> t list
+  (** The ranges' union as sorted, pairwise disjoint ranges; overlapping
+      or touching ranges merge, so no two results touch. *)
+
   val split_at : t -> int -> (t * t) option
   (** [split_at r a] cuts [r] at address [a] (strictly inside). *)
 

@@ -3,10 +3,10 @@
     The paper's §4.1 lets the parent choose what revocation and domain
     transitions clean up: zero the memory, flush the caches, both, or
     nothing. The simulator enforces those policies mechanically
-    ({!Cap.Revocation.apply}, the backends' transition flushes), but
-    until now nothing *observed* whether they actually stop a domain
-    from reading another domain's residue. This module is that
-    observer.
+    ({!Cap.Revocation.apply_all} at commit, the backends' transition
+    flushes), but until now nothing *observed* whether they actually
+    stop a domain from reading another domain's residue. This module is
+    that observer.
 
     On every detach/revoke and every flushing transition, the backend
     taints the affected state with the prior owner's domain id:

@@ -4,7 +4,7 @@ type t = {
   devices : (Domain.id, int list) Hashtbl.t;
   mutable journal : (unit -> unit) list;
   mutable journaling : bool;
-  mutable deferred : (unit -> unit) list;
+  mutable staged : (Hw.Addr.Range.t * Cap.Revocation.t) list;
 }
 
 let create machine ~backend =
@@ -13,34 +13,44 @@ let create machine ~backend =
     devices = Hashtbl.create 16;
     journal = [];
     journaling = false;
-    deferred = [] }
+    staged = [] }
 
 let journaling t = t.journaling
 let record t undo = t.journal <- undo :: t.journal
 
-(* Stage a destructive clean-up: run at commit inside a transaction,
-   immediately outside one (boot-time paths). *)
-let defer t cleanup = if t.journaling then t.deferred <- cleanup :: t.deferred else cleanup ()
+let clean t cleanups =
+  let m = t.machine in
+  Cap.Revocation.apply_all ~mem:m.Hw.Machine.mem ~cache:m.Hw.Machine.cache
+    ~counter:m.Hw.Machine.counter cleanups
+
+(* Stage a destructive clean-up as data: the commit cleans the whole
+   call's ranges at once, so a page several detaches share is zeroed
+   once. Outside a transaction (boot-time paths) it runs at once. *)
+let stage t range = function
+  | Cap.Revocation.Keep -> ()
+  | cleanup ->
+    if t.journaling then t.staged <- (range, cleanup) :: t.staged
+    else clean t [ (range, cleanup) ]
 
 let txn_begin t =
   if t.journaling then invalid_arg "Hw_txn.txn_begin: transaction already open";
   t.journal <- [];
-  t.deferred <- [];
+  t.staged <- [];
   t.journaling <- true
 
 let txn_commit t before_cleanups =
-  let cleanups = List.rev t.deferred in
+  let cleanups = t.staged in
   t.journaling <- false;
   t.journal <- [];
-  t.deferred <- [];
+  t.staged <- [];
   before_cleanups ();
-  List.iter (fun f -> f ()) cleanups
+  clean t cleanups
 
 let txn_rollback t =
   let undos = t.journal in
   t.journaling <- false;
   t.journal <- [];
-  t.deferred <- [];
+  t.staged <- [];
   (* Undo closures replay hardware writes; they must not re-trip the
      fault plan that caused the rollback. *)
   Fault.suspend (fun () -> List.iter (fun f -> f ()) undos)
@@ -154,10 +164,7 @@ let apply_unsafe t ~holdings ~map ~unmap ~program = function
       | Ok () ->
         (* Zeroing is destructive and has no inverse: stage it so a later
            failure in the same transaction never needs to un-zero. *)
-        let m = t.machine in
-        defer t (fun () ->
-          Cap.Revocation.apply cleanup ~mem:m.Hw.Machine.mem ~cache:m.Hw.Machine.cache
-            ~counter:m.Hw.Machine.counter r);
+        stage t r cleanup;
         Ok ()))
   | Cap.Captree.Attach { domain; resource = Cap.Resource.Device bdf; _ } ->
     Obs.Profile.span_h ~domain ~backend:t.backend h_iommu_grant @@ fun () ->

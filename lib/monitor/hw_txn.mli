@@ -3,13 +3,12 @@
     A backend keeps only its ISA's enforcement hardware: the EPTs of
     {!Backend_x86}, the PMP files of {!Backend_riscv}. Everything else
     it does to the machine lives here, once:
-    - the undo journal a {!Backend_intf.t.txn_begin} opens, with its
-      staged destructive clean-ups;
+    - the undo journal a {!Backend_intf.t.txn_begin} opens, with the
+      destructive clean-ups it stages;
     - each domain's devices and their IOMMU windows. A device's windows
       are the union of the memory its holders hold, each at
       [rw ∩ perm];
-    - the page and line taint a detach leaves and the staged
-      {!Cap.Revocation.apply};
+    - the page and line taint a detach leaves and its clean-up;
     - the line taint and cache flush of a flushing transition.
 
     While a transaction is open every mutation prepends its inverse to
@@ -29,8 +28,9 @@ val txn_begin : t -> unit
 (** @raise Invalid_argument if a transaction is already open. *)
 
 val txn_commit : t -> (unit -> unit) -> unit
-(** Drop the journal, run the hook, then the staged clean-ups in the
-    order they were staged. *)
+(** Drop the journal, run the hook, then run every staged clean-up
+    through one {!Cap.Revocation.apply_all}: a byte that several of the
+    call's detaches staged is zeroed once, and a line flushed once. *)
 
 val txn_rollback : t -> unit
 (** Run the journal newest first with fault injection suspended, and
@@ -54,9 +54,10 @@ val apply_effect :
     DMA grants, then [program]. A memory detach taints the residue,
     runs [unmap], revokes the range from the domain's devices and
     re-grants what their other holders hold, runs [program], then
-    stages the clean-up. A device detach re-grants what the remaining
-    holders hold. Build the closure once: each partial application
-    allocates. *)
+    stages its clean-up as a [(range, policy)] pair for {!txn_commit}
+    (nothing for [Keep]; outside a transaction it runs at once). A
+    device detach re-grants what the remaining holders hold. Build the
+    closure once: each partial application allocates. *)
 
 val flush_lines : t -> Domain.id -> unit
 (** A flushing transition out of the domain: taint its resident lines

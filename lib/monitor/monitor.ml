@@ -155,25 +155,15 @@ let victim_pieces victims =
   in
   sweep min_int [] [] events
 
-(* Sorted [(lo, hi)] union of intervals, touching ones merged. *)
-let union intervals =
-  List.sort compare intervals
-  |> List.fold_left
-       (fun acc (lo, hi) ->
-         match acc with
-         | (plo, phi) :: rest when lo <= phi -> (plo, max hi phi) :: rest
-         | _ -> (lo, hi) :: acc)
-       []
-  |> List.rev
-
-(* Cut sorted disjoint [pieces] along the sorted disjoint [cover]:
-   [(outside, inside)], each part keeping its piece's tag. *)
+(* Cut sorted disjoint [pieces] along the sorted disjoint ranges
+   [cover]: [(outside, inside)], each part keeping its piece's tag. *)
 let cut pieces cover =
   let rec go pieces cover out inn =
     match pieces, cover with
     | [], _ -> (List.rev out, List.rev inn)
     | p :: ps, [] -> go ps [] (p :: out) inn
-    | (lo, hi, c) :: ps, (clo, chi) :: cs ->
+    | (lo, hi, c) :: ps, r :: cs ->
+      let clo = Hw.Addr.Range.base r and chi = Hw.Addr.Range.limit r in
       if chi <= lo then go pieces cs out inn
       else if hi <= clo then go ps cover ((lo, hi, c) :: out) inn
       else if lo < clo then go ((clo, hi, c) :: ps) cover ((lo, clo, c) :: out) inn
@@ -183,37 +173,35 @@ let cut pieces cover =
   in
   go pieces cover [] []
 
-let bounds r = (Hw.Addr.Range.base r, Hw.Addr.Range.limit r)
-let range_of (lo, hi) = Hw.Addr.Range.of_bounds ~lo ~hi
-let span (lo, hi, _) = (lo, hi)
+let range_of (lo, hi, _) = Hw.Addr.Range.of_bounds ~lo ~hi
 
 (* One domain's share of the pass: (detaches, re-attaches). *)
 let canonical_domain tree domain victims =
   let pieces = victim_pieces victims in
   let survivors =
     List.concat_map
-      (fun run -> Cap.Captree.holdings_overlapping tree domain (range_of run))
-      (union (List.map span pieces))
+      (fun run -> Cap.Captree.holdings_overlapping tree domain run)
+      (Hw.Addr.Range.union (List.map range_of pieces))
     |> List.sort_uniq Int.compare
     |> List.filter_map (fun c ->
            match (Cap.Captree.resource tree c, Cap.Captree.rights tree c) with
            | Some (Cap.Resource.Memory held), Some rights -> Some (held, rights.Cap.Rights.perm)
            | _ -> None)
   in
-  let uncovered, covered = cut pieces (union (List.map (fun (r, _) -> bounds r) survivors)) in
-  let covered = union (List.map span covered) in
+  let uncovered, covered = cut pieces (Hw.Addr.Range.union (List.map fst survivors)) in
+  let covered = Hw.Addr.Range.union (List.map range_of covered) in
   let detach cleanup run =
-    Cap.Captree.Detach { domain; resource = Cap.Resource.Memory (range_of run); cleanup }
+    Cap.Captree.Detach { domain; resource = Cap.Resource.Memory run; cleanup }
   in
   let reattach (held, perm) =
     List.filter_map
       (fun run ->
         Option.map
           (fun piece -> Cap.Captree.Attach { domain; resource = Cap.Resource.Memory piece; perm })
-          (Hw.Addr.Range.intersect held (range_of run)))
+          (Hw.Addr.Range.intersect held run))
       covered
   in
-  ( List.map (fun (lo, hi, c) -> detach c (lo, hi)) uncovered
+  ( List.map (fun ((_, _, c) as piece) -> detach c (range_of piece)) uncovered
     @ List.map (detach Cap.Revocation.Keep) covered,
     List.concat_map reattach survivors )
 
@@ -1257,11 +1245,11 @@ let restore_state t (s : Checkpoint.state) =
    truth, so EPT/PMP/IOMMU/MMIO state is re-derived by registering every
    domain and re-attaching every *active* capability — minus the
    detach/attach churn of the history. Memory holdings are merged per
-   (owner, permission) with [union] before attaching: a long history
-   fragments the tree into many small active nodes whose live hardware
-   footprint was nevertheless a few merged translation entries, and
-   re-attaching them one-by-one can exceed a finite budget (PMP
-   entries) the live layout never needed. The union is the minimal
+   (owner, permission) with [Hw.Addr.Range.union] before attaching: a
+   long history fragments the tree into many small active nodes whose
+   live hardware footprint was nevertheless a few merged translation
+   entries, and re-attaching them one-by-one can exceed a finite budget
+   (PMP entries) the live layout never needed. The union is the minimal
    representation of exactly the same coverage. [Fsck.check] then
    cross-checks the result against the tree, exactly as the runtime
    invariant does. *)
@@ -1303,7 +1291,7 @@ let rebuild_hardware t =
             ( Format.asprintf "domain %d memory %a" owner Hw.Addr.Range.pp r,
               Cap.Captree.Attach
                 { domain = owner; resource = Cap.Resource.Memory r; perm } ))
-          (List.map range_of (union (List.map bounds !rs))))
+          (Hw.Addr.Range.union !rs))
       !groups
   in
   let other_effects =

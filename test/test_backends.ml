@@ -683,6 +683,75 @@ let test_riscv_ecall_cost () =
     (cost >= Hw.Cycles.Cost.ecall_machine_mode
      && cost < Hw.Cycles.Cost.ecall_machine_mode + (32 * Hw.Cycles.Cost.pmp_entry_write))
 
+(* --- clean-up cost: each revoked byte is cleaned once per call ---------
+
+   Domain 0 shares one page down a chain of sandboxes that never ran,
+   every link with [cleanup]; revoking domain 0's share detaches the
+   page from every link in one call. Each detach pays its backend's
+   unmap (an EPT unmap on x86; nothing on RISC-V, since no hart runs
+   the domain), but the call zeroes and flushes the page once however
+   many links held it. No TLB invalidation is charged: no core ever
+   entered a link. *)
+let page_lines = page / Hw.Cache.line_size
+
+let chain_revoke boot ~links cleanup =
+  let w = boot () in
+  let m = w.monitor in
+  Hw.Taint.set_mode w.machine.Hw.Machine.taint Hw.Taint.Enforce;
+  let base = 0x400000 in
+  let page_range = range ~base ~len:page in
+  let root =
+    get_ok
+      (Tyche.Monitor.share m ~caller:os ~cap:(os_memory_cap w)
+         ~to_:(get_ok (Tyche.Monitor.create_domain m ~caller:os ~name:"link0"
+                         ~kind:Tyche.Domain.Sandbox))
+         ~rights:Cap.Rights.rw ~cleanup ~subrange:page_range ())
+  in
+  let _ =
+    List.fold_left
+      (fun cap i ->
+        let holder = Option.get (Cap.Captree.owner (Tyche.Monitor.tree m) cap) in
+        let next =
+          get_ok
+            (Tyche.Monitor.create_domain m ~caller:os ~name:(Printf.sprintf "link%d" i)
+               ~kind:Tyche.Domain.Sandbox)
+        in
+        get_ok
+          (Tyche.Monitor.share m ~caller:holder ~cap ~to_:next ~rights:Cap.Rights.rw ~cleanup ()))
+      root
+      (List.init (links - 1) succ)
+  in
+  let mem = w.machine.Hw.Machine.mem and cache = w.machine.Hw.Machine.cache in
+  Hw.Physmem.write mem base (String.make page '\x5a');
+  for i = 0 to page_lines - 1 do
+    Hw.Cache.touch cache ~tag:os (base + (i * Hw.Cache.line_size))
+  done;
+  let cycles = revoke_cycles w root in
+  Alcotest.(check bool) "the page is zeroed" true
+    (String.for_all (( = ) '\x00') (Hw.Physmem.read mem page_range));
+  Alcotest.(check int) "no line of the page stays resident"
+    (if Cap.Revocation.flushes_cache cleanup then 0 else page_lines)
+    (List.length (Hw.Cache.resident_lines_in cache page_range));
+  check_clean w "after the chain revoke";
+  cycles
+
+let zero_page = page_lines * Hw.Cycles.Cost.zero_cache_line
+let flush_page = page_lines * Hw.Cycles.Cost.cache_flush_line
+
+let test_chain_zeroes_once (unmap, boot) () =
+  Alcotest.(check int) "three detaches, one page zeroing"
+    ((3 * unmap) + zero_page)
+    (chain_revoke boot ~links:3 Cap.Revocation.Zero)
+
+let test_pair_cleans_once (unmap, boot) () =
+  Alcotest.(check int) "two detaches, one zeroing, one flush"
+    ((2 * unmap) + zero_page + flush_page)
+    (chain_revoke boot ~links:2 Cap.Revocation.Zero_and_flush)
+
+let cleanup_archs =
+  [ ("x86", (Hw.Cycles.Cost.ept_unmap_page, fun () -> boot_x86 ()));
+    ("riscv", (0, fun () -> boot_riscv ())) ]
+
 let () =
   Alcotest.run "backends"
     [ ( "x86-vtx",
@@ -725,4 +794,12 @@ let () =
           Alcotest.test_case "transition reprograms PMP" `Quick
             test_riscv_transition_reprograms_pmp;
           Alcotest.test_case "ecall cost" `Quick test_riscv_ecall_cost;
-          Alcotest.test_case "sub-page granularity" `Quick test_riscv_subpage_granularity ] ) ]
+          Alcotest.test_case "sub-page granularity" `Quick test_riscv_subpage_granularity ] );
+      ( "cleanup-cost",
+        List.concat_map
+          (fun (arch, backend) ->
+            [ Alcotest.test_case ("chain of three zeroes the page once, " ^ arch) `Quick
+                (test_chain_zeroes_once backend);
+              Alcotest.test_case ("zero+flush pair cleans the page once, " ^ arch) `Quick
+                (test_pair_cleans_once backend) ])
+          cleanup_archs ) ]

@@ -560,6 +560,22 @@ let prop_merge_inverse_of_split =
         | Some m -> Addr.Range.equal m r
         | None -> false))
 
+(* [gen_range] works in 256-byte cells, so coverage is compared cell
+   by cell over every cell a generated range can reach. *)
+let prop_union =
+  QCheck.Test.make ~name:"range: union is sorted, separated and covers the same bytes"
+    ~count:300
+    QCheck.(list_of_size Gen.(0 -- 12) arb_range)
+    (fun rs ->
+      let u = Addr.Range.union rs in
+      let rec separated = function
+        | a :: (b :: _ as rest) -> Addr.Range.limit a < Addr.Range.base b && separated rest
+        | _ -> true
+      in
+      let covered rs cell = List.exists (fun r -> Addr.Range.contains r (cell * 256)) rs in
+      separated u
+      && List.for_all (fun cell -> covered rs cell = covered u cell) (List.init 252 Fun.id))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "hw"
@@ -572,7 +588,8 @@ let () =
           qt prop_subtract_disjoint;
           qt prop_subtract_preserves_bytes;
           qt prop_split_partitions;
-          qt prop_merge_inverse_of_split ] );
+          qt prop_merge_inverse_of_split;
+          qt prop_union ] );
       ( "physmem",
         [ Alcotest.test_case "read/write" `Quick test_physmem_rw;
           Alcotest.test_case "zero + measure" `Quick test_physmem_zero_measure;

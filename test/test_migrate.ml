@@ -329,6 +329,53 @@ let test_abort_notice_survives_crash () =
   check_clean a;
   check_clean b
 
+(* The target has adopted and parked its copy when the source aborts.
+   The target makes its abort record durable first and only then
+   destroys the copy through logged monitor calls, and power fails at
+   the destroy's WAL fsync. The recovered target knows the migration
+   aborted and must finish the clean-up: no copy survives. *)
+let test_aborted_target_finishes_cleanup () =
+  let net, a, b = mk_pair () in
+  let d, _, _ = build_enclave a ~base:0x40000 in
+  let mig = mok (Distributed.Migrate.start a.mig ~domain:d ~peer:"beta") in
+  let rec until_parked n =
+    match Distributed.Migrate.status b.mig ~mig with
+    | Some (_, Distributed.Migrate.Parked) -> ()
+    | _ ->
+      if n = 0 then Alcotest.fail "the target never parked the copy";
+      step [ a; b ];
+      until_parked (n - 1)
+  in
+  until_parked 20;
+  Alcotest.(check bool) "beta parks a copy" true (find_by_name b "traveller" <> None);
+  (* Keep the receipt from the source, which aborts. *)
+  Distributed.Network.partition net "alpha" "beta";
+  mok (Distributed.Migrate.abort a.mig ~mig ~reason:"operator says no");
+  Distributed.Network.heal net "alpha" "beta";
+  let rec until_crash n =
+    if n = 0 then Alcotest.fail "no crash inside the target's clean-up";
+    match Fault.with_plan (Fault.nth "wal.fsync" 1) (fun () -> step [ a; b ]) with
+    | () -> until_crash (n - 1)
+    | exception Persist.Store.Crash _ -> ()
+  in
+  until_crash 20;
+  crash_recover net b;
+  (match Distributed.Migrate.status b.mig ~mig with
+  | Some (_, Distributed.Migrate.Aborted _) -> ()
+  | _ -> Alcotest.fail "the recovered target does not know the abort");
+  Alcotest.(check bool) "no copy survives on beta after recovery" true
+    (find_by_name b "traveller" = None);
+  link a b;
+  pump [ a; b ];
+  (match Distributed.Migrate.status a.mig ~mig with
+  | Some (_, Distributed.Migrate.Aborted _) -> ()
+  | _ -> Alcotest.fail "source not aborted");
+  Alcotest.(check bool) "the source hosts the domain, thawed" false
+    (Tyche.Monitor.domain_frozen a.w.Testkit.monitor ~domain:d);
+  Alcotest.(check bool) "still no copy on beta" true (find_by_name b "traveller" = None);
+  check_clean a;
+  check_clean b
+
 (* --- revocation racing a migration ------------------------------------- *)
 
 (* [Fleet.revoke] aimed at the migrating domain's memory at every
@@ -804,7 +851,9 @@ let () =
           Alcotest.test_case "receipt chain survives target restart" `Quick
             test_receipt_survives_target_restart;
           Alcotest.test_case "abort notice survives a source crash" `Quick
-            test_abort_notice_survives_crash ] );
+            test_abort_notice_survives_crash;
+          Alcotest.test_case "aborted target finishes its clean-up after a crash" `Quick
+            test_aborted_target_finishes_cleanup ] );
       ( "re-homing",
         [ Alcotest.test_case "delegation import origin flips to the new host" `Quick
             test_rehoming_flips_import_origin ] );
