@@ -2612,22 +2612,22 @@ let e21_connect a b =
   Distributed.Migrate.set_peer_root b.mn_mig ~peer:a.mn_name
     (Tyche.Monitor.attestation_root a.mn_monitor)
 
-let e21_node net ~mem_size name seed =
+let e21_node ?(wrap = Fun.id) net ~mem_size name seed =
   (* Every migration spends monitor attestation signatures (the manifest
      binds a fresh batch-attest root); the default 2^6 signer runs dry
      under the 100-transfer wall loop. *)
   let w = boot ~mem_size ~seed ~signer_height:10 () in
-  let store = Persist.Store.mem () in
+  let store = wrap (Persist.Store.mem ()) in
   Tyche.Monitor.enable_persistence w.monitor ~store ();
   let fleet = Distributed.Fleet.create ~store ~monitor:w.monitor ~name ~net () in
-  let mig = Distributed.Migrate.attach ~fleet ~store in
+  let mig = Distributed.Migrate.attach ~fleet in
   { mn_name = name; mn_store = store; mn_monitor = w.monitor; mn_fleet = fleet;
     mn_mig = mig }
 
-let e21_pair ?(mem_size = 32 * 1024 * 1024) () =
+let e21_pair ?wrap ?(mem_size = 32 * 1024 * 1024) () =
   let net = Distributed.Network.create () in
-  let a = e21_node net ~mem_size "alpha" 0x21AL in
-  let b = e21_node net ~mem_size "beta" 0x21BL in
+  let a = e21_node ?wrap net ~mem_size "alpha" 0x21AL in
+  let b = e21_node ?wrap net ~mem_size "beta" 0x21BL in
   e21_connect a b;
   (net, a, b)
 
@@ -2652,7 +2652,7 @@ let e21_recover net ~mem_size node =
     node.mn_monitor <- m;
     node.mn_fleet <-
       Distributed.Fleet.create ~store:node.mn_store ~monitor:m ~name:node.mn_name ~net ();
-    node.mn_mig <- Distributed.Migrate.attach ~fleet:node.mn_fleet ~store:node.mn_store
+    node.mn_mig <- Distributed.Migrate.attach ~fleet:node.mn_fleet
 
 let e21_os_cap_over m sub =
   let tree = Tyche.Monitor.tree m in
@@ -2812,6 +2812,76 @@ let e21 ?(smoke = false) () =
       reference_ns = clean_ns };
     { size = k; op = "e21 incremental transfer bytes"; indexed_ns = wire; reference_ns = full } ]
 
+
+(* E21's deterministic twin: durability barriers per migration on the
+   same loss-free link, counted per blob through a wrapper around both
+   endpoints' stores, as E16's and E20's twins count theirs: ten
+   migrations of a 16-page enclave with 4 distinct pages, summed over
+   both machines. *)
+let e21_twin_migrations = 10
+
+let e21_twin () =
+  header "E21 twin: fsyncs per migration";
+  let syncs = Hashtbl.create 4 and records = ref 0 in
+  let count blob = Option.value ~default:0 (Hashtbl.find_opt syncs blob) in
+  let wrap inner =
+    { inner with
+      Persist.Store.append =
+        (fun blob data ->
+          if blob = "fleet" then incr records;
+          inner.Persist.Store.append blob data);
+      fsync =
+        (fun blob ->
+          Hashtbl.replace syncs blob (count blob + 1);
+          inner.Persist.Store.fsync blob) }
+  in
+  let _, a, b = e21_pair ~wrap () in
+  let doms =
+    List.init e21_twin_migrations (fun i ->
+        e21_enclave a
+          ~name:(Printf.sprintf "e21t-%03d" i)
+          ~base:(0x400000 + (i * 16 * page))
+          ~pages:16 ~distinct:4)
+  in
+  Hashtbl.reset syncs;
+  records := 0;
+  List.iter
+    (fun d ->
+      match Distributed.Migrate.start a.mn_mig ~domain:d ~peer:"beta" with
+      | Error e -> failwith ("e21 twin start: " ^ Distributed.Migrate.error_to_string e)
+      | Ok mig ->
+        e21_pump [ a; b ];
+        e21_committed a ~mig "twin")
+    doms;
+  let per n = float_of_int n /. float_of_int e21_twin_migrations in
+  let total = Hashtbl.fold (fun _ n acc -> acc + n) syncs 0 in
+  let row ?(reference = nan) op n =
+    row3 op (Printf.sprintf "%.1f" (per n))
+      (if Float.is_nan reference then "" else Printf.sprintf "vs %.1f journal records" reference);
+    { size = e21_twin_migrations; op; indexed_ns = per n; reference_ns = reference }
+  in
+  let fleet = row "e21 twin fleet fsyncs per migration" (count "fleet") ~reference:(per !records) in
+  let wal = row "e21 twin WAL fsyncs per migration" (count Persist.Store.wal_blob) in
+  [ fleet; wal; row "e21 twin fsyncs per migration" total ]
+
+(* Bounds for the twin. Barriers are exact both ways, as in E20's: one
+   more is a frame handler taking a barrier of its own on top of the
+   fleet's applied floor, one fewer a frame leaving before its record
+   is durable. Per migration, each of the 15 frames (an Offer, five
+   chunks — four distinct pages and the zero page — a Final and a
+   Commit one way; a Need, five chunk acks and a Receipt the other)
+   pays one fleet barrier when sent and one when applied, and the
+   target's adopting and the source's committing intents one each: 32.
+   The monitor's WAL pays 9. *)
+let e21_twin_failure r =
+  let exact n =
+    if r.indexed_ns = n then None
+    else Some (Printf.sprintf "%s: %.2f (<> %.0f)" r.op r.indexed_ns n)
+  in
+  match r.op with
+  | "e21 twin fleet fsyncs per migration" -> exact 32.
+  | "e21 twin WAL fsyncs per migration" -> exact 9.
+  | _ -> None
 
 (* E22: the byzantine domain-0 fuzzer as a measured experiment — how
    many hostile episodes the monitor survives, how many attacks it
@@ -2984,6 +3054,8 @@ let capops_smoke () =
           r.indexed_ns r.size
         :: !failures
   | None -> failures := "e22 byzantine bugs row missing" :: !failures);
+  (* Live migration: one shared journal pays one barrier per frame. *)
+  failures := List.filter_map e21_twin_failure (e21_twin ()) @ !failures;
   (* Live migration: incremental transfer must beat the full snapshot. *)
   (match
      List.find_opt
@@ -3104,6 +3176,7 @@ let () =
           (fun () -> e20 ());
           e20_twin;
           (fun () -> e21 ());
+          e21_twin;
           (fun () -> e22 ()) ]
     in
     write_capops_json rows;

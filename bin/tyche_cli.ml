@@ -437,7 +437,7 @@ let cmd_migrate =
       let store = Persist.Store.mem () in
       Tyche.Monitor.enable_persistence w.monitor ~store ();
       let fleet = Distributed.Fleet.create ~store ~monitor:w.monitor ~name ~net () in
-      let mig = Distributed.Migrate.attach ~fleet ~store in
+      let mig = Distributed.Migrate.attach ~fleet in
       (w, fleet, mig)
     in
     let wa, fa, ma = boot_node "alpha" in
@@ -504,7 +504,7 @@ let cmd_migrate =
     Printf.printf "converged in %d rounds:\n" !rounds;
     show "alpha" ma;
     show "beta" mb;
-    (match Distributed.Migrate.adopted_domain mb ~mig with
+    (match Distributed.Migrate.domain mb ~mig with
     | Some ad ->
       let dom = Option.get (Tyche.Monitor.find_domain wb.monitor ad) in
       Printf.printf "beta hosts domain %d (%s), sealed=%b frozen=%b\n" ad

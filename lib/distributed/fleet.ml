@@ -176,9 +176,12 @@ end
 
 let fleet_blob = "fleet"
 
-(* The journal is the fleet's redo log, riding in its own blob of the
-   monitor's store (mem-store appends to it tear and crash through the
-   [snapshot.write] fault point, file stores through real fsyncs).
+(* The journal is the machine's one redo log besides the monitor's WAL,
+   riding in its own blob of the monitor's store (mem-store appends to
+   it tear and crash through the [snapshot.write] fault point, file
+   stores through real fsyncs). It also carries the records of one
+   client protocol (live migration) as opaque [J_client] payloads: they
+   share its appends, barriers, torn-tail repair and compaction.
    Records, in the order constraints matter:
    - [J_peer], [J_delegate], [J_pending] and [J_send] are fsynced before
      any message they make re-sendable leaves the machine (sender side);
@@ -217,9 +220,15 @@ type jrec =
          from snapshots once the peer's cumulative ack covers [seq]. *)
   | J_recv of { origin : string; applied : int }
       (* Applied-floor advance for an inbound data frame. The payload is
-         not recorded here — the channel's handler journals its own
-         durable effect before this record is fsynced and the ack
-         leaves, and absorbs at-least-once redelivery idempotently. *)
+         not recorded here — the channel's handler appends its own
+         records first, this record's barrier makes both durable before
+         the ack leaves, and the handler absorbs at-least-once
+         redelivery idempotently. *)
+  | J_client of string
+      (* A client record, opaque to the fleet. Replay keeps them in
+         order, and compaction carries them unchanged, until the client
+         claims them ({!attach_client}); from then on compaction writes
+         the client's live records instead. *)
 
 let encode_jrec r =
   let buf = Buffer.create 48 in
@@ -282,7 +291,10 @@ let encode_jrec r =
   | J_recv { origin; applied } ->
     Persist.Wire.u8 buf 11;
     Persist.Wire.str buf origin;
-    Persist.Wire.int buf applied);
+    Persist.Wire.int buf applied
+  | J_client payload ->
+    Persist.Wire.u8 buf 12;
+    Persist.Wire.str buf payload);
   Buffer.contents buf
 
 let decode_jrec payload =
@@ -347,6 +359,7 @@ let decode_jrec payload =
       let origin = Persist.Wire.get_str r in
       let applied = Persist.Wire.get_int r in
       J_recv { origin; applied }
+    | 12 -> J_client (Persist.Wire.get_str r)
     | t -> raise (Persist.Wire.Corrupt (Printf.sprintf "unknown fleet journal tag %d" t))
   in
   Persist.Wire.expect_end r;
@@ -384,6 +397,10 @@ type pending_revoke = {
 }
 
 type outbox_entry = { ob_seq : int; ob_body : string; mutable ob_sent : int }
+
+(* The client's records: those replay found, newest first, until the
+   client attaches; then its live records, asked for at compaction. *)
+type client = Replayed of string list | Attached of (unit -> string list)
 
 type channel = {
   ch_peer : Network.endpoint;
@@ -427,6 +444,7 @@ type t = {
   handlers : (string, Network.endpoint -> string -> unit) Hashtbl.t;
   mutable next_del : int;
   mutable clock : int;
+  mutable client : client;
 }
 
 let base_backoff = 1
@@ -443,7 +461,7 @@ let journal t r =
     t.jrecs <- t.jrecs + 1;
     Persist.Wal.append s ~blob:fleet_blob ~seq:t.jseq (encode_jrec r)
 
-let jsync t =
+let barrier t =
   match t.store with
   | None -> ()
   | Some s ->
@@ -452,6 +470,14 @@ let jsync t =
        commit first, then make the fleet record durable. *)
     Tyche.Monitor.flush t.monitor;
     Persist.Store.fsync s fleet_blob
+
+let append t payload = journal t (J_client payload)
+
+let crash_at t point =
+  if Fault.fires point then begin
+    Option.iter Persist.Store.power_fail t.store;
+    raise (Persist.Store.Crash (Fault.name point))
+  end
 
 let add_del t d =
   Hashtbl.replace t.dels d.del_id d;
@@ -554,7 +580,7 @@ let connect t ~peer ~key =
     | Error e -> Error (Monitor_error e)
     | Ok proxy ->
       journal t (J_peer { peer; proxy });
-      jsync t;
+      barrier t;
       Hashtbl.replace t.proxies peer proxy;
       let ch = channel_of t peer in
       ch.ch_key <- Some key;
@@ -615,7 +641,7 @@ let delegate t ~caller ~cap ~peer ?subrange ~rights () =
         journal t
           (J_delegate
              { del_id; peer; proxy_cap; base; len; rights = rights_b; seq = ch.c_next });
-        jsync t;
+        barrier t;
         let seq = enqueue t ch body in
         add_del t
           { del_id; del_peer = peer; proxy_cap; del_base = base; del_len = len;
@@ -692,7 +718,7 @@ let execute_pending t (p : pending_revoke) =
        before the thawed subtree can be used again. *)
     journal t (J_done { cap = p.pr_cap });
     finish_pending t p;
-    jsync t
+    barrier t
   | Error _ ->
     (* Transient (e.g. an injected backend fault rolled the cascade
        back): re-freeze and leave the pending record; the next tick
@@ -747,7 +773,7 @@ let revoke t ~caller ~cap =
       in
       let jdels = List.map (fun (d, _, seq, _) -> (d.del_peer, d.del_id, seq)) planned in
       journal t (J_pending { cap; caller; dels = jdels });
-      jsync t;
+      barrier t;
       let p =
         { pr_cap = cap;
           pr_caller = caller;
@@ -777,7 +803,7 @@ let send_data t ~peer ~chan payload =
       Wire.encode_body ~origin:t.name ~seq:ch.c_next (Wire.Data { chan; payload })
     in
     journal t (J_send { peer; seq = ch.c_next; chan; payload });
-    jsync t;
+    barrier t;
     let seq = enqueue t ch body in
     Hashtbl.replace t.sends (peer, seq) (chan, payload);
     transmit t ch body;
@@ -860,14 +886,14 @@ let apply_data t ch ~origin ~seq msg =
       match msg with
       | Wire.Delegate { del_id; base; len; rights } ->
         journal t (J_import { origin; del_id; base; len; rights; applied = seq });
-        jsync t;
+        barrier t;
         Hashtbl.replace t.imports (origin, del_id)
           { imp_origin = origin; imp_del_id = del_id; imp_base = base; imp_len = len;
             imp_rights = rights };
         true
       | Wire.Revoke { del_id } ->
         journal t (J_unimport { origin; del_id; applied = seq });
-        jsync t;
+        barrier t;
         Hashtbl.remove t.imports (origin, del_id);
         true
       | Wire.Data { chan; payload } -> (
@@ -879,13 +905,13 @@ let apply_data t ch ~origin ~seq msg =
           Obs.Metrics.incr reject_c;
           false
         | Some f ->
-          (* Handler first: its own durable effect (the migration
-             journal record) must hit the medium before the floor
-             advances and the ack leaves — a crash in between makes the
+          (* Handler first: its records precede the floor's in the
+             journal, and this one barrier makes them durable together
+             before the ack leaves — a crash in between makes the
              sender retransmit into the handler's idempotent dedup. *)
           f origin payload;
           journal t (J_recv { origin; applied = seq });
-          jsync t;
+          barrier t;
           true)
       | Wire.Ack _ -> assert false
     in
@@ -939,7 +965,16 @@ let poll t =
    of live state in replay order and installs it as the whole blob with
    one atomic [Store.replace]: a crash leaves either the old journal or
    the snapshot, which replay to the same state. The snapshot subsumes
-   the records still waiting for a barrier, which the replace drops. *)
+   the records still waiting for a barrier, which the replace drops.
+   The client's records follow the fleet's own. *)
+let client_records t =
+  match t.client with Replayed l -> List.rev l | Attached live -> live ()
+
+let attach_client t ~live =
+  let replayed = match t.client with Replayed l -> List.rev l | Attached _ -> [] in
+  t.client <- Attached live;
+  replayed
+
 let snapshot_records t =
   let recs = ref [] in
   let add r = recs := r :: !recs in
@@ -977,11 +1012,11 @@ let snapshot_records t =
     t.pending;
   List.rev !recs
 
-let compact t =
+let write_snapshot t client =
   match t.store with
   | None -> ()
   | Some s ->
-    let recs = snapshot_records t in
+    let recs = snapshot_records t @ List.map (fun p -> J_client p) client in
     let b = Buffer.create 4096 in
     List.iter
       (fun r ->
@@ -989,10 +1024,12 @@ let compact t =
         Buffer.add_string b (Persist.Wal.frame ~seq:t.jseq (encode_jrec r)))
       recs;
     (* The snapshot names monitor state (proxy domains and caps), so that
-       state goes durable first, as in [jsync]. *)
+       state goes durable first, as in [barrier]. *)
     Tyche.Monitor.flush t.monitor;
     Persist.Store.replace s fleet_blob (Buffer.contents b);
     t.jrecs <- List.length recs
+
+let compact t = write_snapshot t (client_records t)
 
 (* Auto-compaction bounds: never bother below [compact_min] records, and
    only rewrite once the journal outnumbers live state [compact_ratio]:1. *)
@@ -1001,11 +1038,13 @@ let compact_ratio = 4
 
 let maybe_compact t =
   if t.store <> None && t.jrecs >= compact_min then begin
+    let client = client_records t in
     let live =
       Hashtbl.length t.proxies + Hashtbl.length t.channels + Hashtbl.length t.dels
       + Hashtbl.length t.imports + Hashtbl.length t.pending + Hashtbl.length t.sends
+      + List.length client
     in
-    if t.jrecs > compact_ratio * live then compact t
+    if t.jrecs > compact_ratio * live then write_snapshot t client
   end
 
 (* --- retry / degraded mode ------------------------------------------ *)
@@ -1213,6 +1252,10 @@ let replay t =
         | J_recv { origin; applied } ->
           let ch = channel_of t origin in
           ch.c_applied <- max ch.c_applied applied
+        | J_client payload -> (
+          match t.client with
+          | Replayed l -> t.client <- Replayed (payload :: l)
+          | Attached _ -> ())
         | J_done { cap } -> (
           match Hashtbl.find_opt t.pending cap with
           | Some p ->
@@ -1239,13 +1282,14 @@ let create ?store ~monitor ~name ~net () =
       sends = Hashtbl.create 16;
       handlers = Hashtbl.create 4;
       next_del = 1;
-      clock = 0 }
+      clock = 0;
+      client = Replayed [] }
   in
   replay t;
   (* Re-derive what the journal does not say. A pending revocation whose
      frozen cap is gone from the recovered tree ran its local cascade:
      that runs only once every peer has acked, a frozen cap cannot leave
-     the tree any other way, and [jsync] flushes the monitor before the
+     the tree any other way, and [barrier] flushes the monitor before the
      journal, so the tree is never behind the journal. Every revocation
      completed since the last compaction is one of these: finishing
      them first leaves [confirm_revokes] only the few still in flight.

@@ -71,8 +71,9 @@ val create :
     are re-frozen, the unacked outbox is reconstructed
     for retransmission, and half-finished delegations (shared to a proxy
     but never journaled, hence never sent) are reconciled by local
-    revocation. Session keys are volatile: re-issue {!connect} for every
-    peer after recovery. *)
+    revocation. A torn journal tail is cut off first, and the client's
+    records are kept for {!attach_client}. Session keys are volatile:
+    re-issue {!connect} for every peer after recovery. *)
 
 val connect : t -> peer:Network.endpoint -> key:string -> (Tyche.Domain.id, error) result
 (** Introduce (or re-key) a peer. The first call creates the
@@ -112,12 +113,38 @@ val set_data_handler :
   t -> chan:string -> (Network.endpoint -> string -> unit) -> unit
 (** Register the inbound dispatch for [chan] ([handler origin payload]).
     Called in strict sequence order per origin, {e before} the fleet
-    journals the applied floor and acks — so a handler must make its own
-    effects durable synchronously and absorb at-least-once redelivery
+    journals the applied floor and acks. A handler journals its effects
+    with {!append} and takes no barrier of its own: the applied floor's
+    barrier, or that of a frame the handler sends, makes them durable
+    before the ack leaves. It must absorb at-least-once redelivery
     idempotently (a crash between the handler and the ack makes the
     sender retransmit). Handlers are volatile, like session keys:
     re-register after recovery before polling; frames arriving for an
     unregistered channel are left unacked for the sender to retry. *)
+
+(** {2 The shared journal}
+
+    One client protocol (live migration) journals in the fleet's blob
+    instead of keeping a journal of its own: its records ride the
+    fleet's appends, barriers, torn-tail repair and compaction. *)
+
+val attach_client : t -> live:(unit -> string list) -> string list
+(** Claim the client records that recovery replayed, in journal order,
+    and register [live]: from now on compaction writes the records
+    [live ()] returns in their place. Until then compaction carries the
+    replayed ones unchanged. *)
+
+val append : t -> string -> unit
+(** Append one client record. Durable at the next {!barrier}. *)
+
+val barrier : t -> unit
+(** Flush the monitor's pending writes, then fsync the journal: every
+    record appended so far is durable, and never ahead of the monitor
+    state it names. A no-op without a store. *)
+
+val crash_at : t -> Fault.point -> unit
+(** If [point] fires, fail this endpoint's power: every unsynced write
+    of its store is lost, and [Persist.Store.Crash] is raised. *)
 
 val revoke : t -> caller:Tyche.Domain.id -> cap:Cap.Captree.cap_id -> (unit, error) result
 (** Cascading revocation that crosses machines. If nothing below [cap]
@@ -149,9 +176,10 @@ val tick : t -> unit
 
 val compact : t -> unit
 (** Rewrite the fleet journal to a snapshot of live state (peers,
-    channel counters, active delegations, imports, pending revocations),
-    dropping records that recovery no longer needs — completed
-    delegations, retired imports, superseded ack floors. The snapshot is
+    channel counters, active delegations, imports, pending revocations,
+    then the client's live records), dropping records that recovery no
+    longer needs — completed delegations, retired imports, superseded
+    ack floors. The snapshot is
     written once: framed and installed as the whole blob with one atomic
     [Persist.Store.replace], after the monitor's pending writes are
     flushed, so a crash leaves either the old journal or the snapshot.

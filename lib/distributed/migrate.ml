@@ -8,14 +8,16 @@
      page grid, each piece shipped as [Chunk { hash; bytes }] and stored
      durably on the target keyed by hash — an [Offer] lists the hashes
      and the target's [Need] answers with only the ones it lacks, so a
-     resumed (or repeated) migration never re-sends bytes the target
-     already persisted, and zero pages collapse to one chunk;
-   - a dual durable journal (the ["migrate"] blob on each store): every
-     state transition is fsynced before the message it makes meaningful
-     leaves, so a crash-restart of either endpoint resumes mid-protocol
-     or aborts cleanly — the source domain stays frozen-but-alive until
-     the target's fsck-verified receipt, and exactly one monitor hosts
-     the domain once the journals drain;
+     resumed migration never re-sends bytes the target already
+     persisted, and zero pages collapse to one chunk;
+   - crash resumption from the machine's one journal: migration records
+     ride the fleet's journal ({!Fleet.append}), its barriers, torn-tail
+     repair and compaction. Every state a peer may act on is durable
+     before the message that makes it meaningful leaves, so a
+     crash-restart of either endpoint resumes mid-protocol or aborts
+     cleanly — the source domain stays frozen-but-alive until the
+     target's fsck-verified receipt, and exactly one monitor hosts the
+     domain once the protocol drains;
    - the receipt chain: [Final] carries the domain's batch attestation
      and the Merkle root of the source's pre-migration batch-attest,
      plus portable digests of configuration and content. The target
@@ -23,10 +25,9 @@
      after adopting through the public logged monitor API — recomputes
      both digests from its own tree and memory before acking.
 
-   Chunk bytes live in the same journal as the state records (they are
-   [MT_chunk] records), NOT in the checkpoint segment blob: the
-   monitor's segment GC validates node-list payloads and would drop
-   opaque page bytes on its next sweep. *)
+   Chunk bytes live in the journal with the state records, NOT in the
+   checkpoint segment blob: the monitor's segment GC validates node-list
+   payloads and would drop opaque page bytes on its next sweep. *)
 
 let ( let* ) = Result.bind
 
@@ -269,141 +270,6 @@ module Wire = struct
     | exception Persist.Wire.Corrupt e -> Error e
 end
 
-(* --- durable journal --------------------------------------------------- *)
-
-let migrate_blob = "migrate"
-
-(* Source records trace Offered → Streaming → Committing → Committed;
-   target records trace Receiving → Parked → Live. Chunks are plain
-   journal records so the content-addressed store and the protocol
-   state share one fsync discipline. *)
-type jrec =
-  | MS_begin of { mig : string; domain : int; peer : string; name : string }
-  | MS_frozen of { mig : string; image : string }
-      (* [image] is the offered manifest's image digest: a resumed
-         source accepts a receipt for it even when its own volatile page
-         content died with the crash (the target's adopted copy is then
-         the only surviving copy of the pre-crash content). *)
-  | MS_receipt of { mig : string; image : string }
-  | MS_committing of { mig : string }
-  | MS_done of { mig : string }
-  | MS_abort of { mig : string; reason : string }
-  | MT_begin of { mig : string; origin : string }
-  | MT_chunk of { hash : string; bytes : string }
-  | MT_final of { mig : string; manifest : string }
-  | MT_adopting of { mig : string }
-  | MT_adopted of { mig : string; domain : int; root : string }
-      (* [root] pins the origin's attestation root the manifest was
-         verified against at adoption time: the receipt stays bound to
-         the source's PRE-migration batch root even after the source
-         crash-recovers under a fresh signer. *)
-  | MT_live of { mig : string }
-  | MT_abort of { mig : string; reason : string }
-
-let encode_jrec r =
-  let buf = Buffer.create 48 in
-  (match r with
-  | MS_begin { mig; domain; peer; name } ->
-    Persist.Wire.u8 buf 1;
-    Persist.Wire.str buf mig;
-    Persist.Wire.int buf domain;
-    Persist.Wire.str buf peer;
-    Persist.Wire.str buf name
-  | MS_frozen { mig; image } ->
-    Persist.Wire.u8 buf 2;
-    Persist.Wire.str buf mig;
-    Persist.Wire.str buf image
-  | MS_receipt { mig; image } ->
-    Persist.Wire.u8 buf 3;
-    Persist.Wire.str buf mig;
-    Persist.Wire.str buf image
-  | MS_committing { mig } ->
-    Persist.Wire.u8 buf 4;
-    Persist.Wire.str buf mig
-  | MS_done { mig } ->
-    Persist.Wire.u8 buf 5;
-    Persist.Wire.str buf mig
-  | MS_abort { mig; reason } ->
-    Persist.Wire.u8 buf 6;
-    Persist.Wire.str buf mig;
-    Persist.Wire.str buf reason
-  | MT_begin { mig; origin } ->
-    Persist.Wire.u8 buf 7;
-    Persist.Wire.str buf mig;
-    Persist.Wire.str buf origin
-  | MT_chunk { hash; bytes } ->
-    Persist.Wire.u8 buf 8;
-    Persist.Wire.str buf hash;
-    Persist.Wire.str buf bytes
-  | MT_final { mig; manifest } ->
-    Persist.Wire.u8 buf 9;
-    Persist.Wire.str buf mig;
-    Persist.Wire.str buf manifest
-  | MT_adopting { mig } ->
-    Persist.Wire.u8 buf 10;
-    Persist.Wire.str buf mig
-  | MT_adopted { mig; domain; root } ->
-    Persist.Wire.u8 buf 11;
-    Persist.Wire.str buf mig;
-    Persist.Wire.int buf domain;
-    Persist.Wire.str buf root
-  | MT_live { mig } ->
-    Persist.Wire.u8 buf 12;
-    Persist.Wire.str buf mig
-  | MT_abort { mig; reason } ->
-    Persist.Wire.u8 buf 13;
-    Persist.Wire.str buf mig;
-    Persist.Wire.str buf reason);
-  Buffer.contents buf
-
-let decode_jrec payload =
-  match
-    let r = Persist.Wire.reader payload in
-    let rec_ =
-      match Persist.Wire.get_u8 r with
-      | 1 ->
-        let mig = Persist.Wire.get_str r in
-        let domain = Persist.Wire.get_int r in
-        let peer = Persist.Wire.get_str r in
-        let name = Persist.Wire.get_str r in
-        MS_begin { mig; domain; peer; name }
-      | 2 ->
-        let mig = Persist.Wire.get_str r in
-        MS_frozen { mig; image = Persist.Wire.get_str r }
-      | 3 ->
-        let mig = Persist.Wire.get_str r in
-        MS_receipt { mig; image = Persist.Wire.get_str r }
-      | 4 -> MS_committing { mig = Persist.Wire.get_str r }
-      | 5 -> MS_done { mig = Persist.Wire.get_str r }
-      | 6 ->
-        let mig = Persist.Wire.get_str r in
-        MS_abort { mig; reason = Persist.Wire.get_str r }
-      | 7 ->
-        let mig = Persist.Wire.get_str r in
-        MT_begin { mig; origin = Persist.Wire.get_str r }
-      | 8 ->
-        let hash = Persist.Wire.get_str r in
-        MT_chunk { hash; bytes = Persist.Wire.get_str r }
-      | 9 ->
-        let mig = Persist.Wire.get_str r in
-        MT_final { mig; manifest = Persist.Wire.get_str r }
-      | 10 -> MT_adopting { mig = Persist.Wire.get_str r }
-      | 11 ->
-        let mig = Persist.Wire.get_str r in
-        let domain = Persist.Wire.get_int r in
-        MT_adopted { mig; domain; root = Persist.Wire.get_str r }
-      | 12 -> MT_live { mig = Persist.Wire.get_str r }
-      | 13 ->
-        let mig = Persist.Wire.get_str r in
-        MT_abort { mig; reason = Persist.Wire.get_str r }
-      | t -> raise (Persist.Wire.Corrupt (Printf.sprintf "unknown migrate jrec %d" t))
-    in
-    Persist.Wire.expect_end r;
-    rec_
-  with
-  | r -> Some r
-  | exception Persist.Wire.Corrupt _ -> None
-
 (* --- runtime state ----------------------------------------------------- *)
 
 type src_phase =
@@ -419,15 +285,16 @@ type src = {
   sm_peer : string;
   sm_name : string;
   mutable sm_phase : src_phase;
+  mutable sm_images : string list;
+      (* Image digests of every manifest this migration offered, in any
+         life. A receipt for any of them is acceptable: each was a
+         genuine manifest of the frozen domain when offered, and after a
+         crash the target's adopted copy may be the only one left with
+         the pre-crash content. *)
+  mutable sm_due : bool; (* The Commit or Abort notice is still owed. *)
+  mutable sm_stamp : int;
   mutable sm_offered : bool; (* Offer acknowledged send since (re)start. *)
   mutable sm_need_seen : bool; (* The target answered with its Need. *)
-  mutable sm_prior_images : string list;
-      (* Image digests journaled at freeze time by pre-crash lives of
-         this migration; a receipt for any of them is still acceptable
-         (each was a genuine manifest of the frozen domain at the time
-         it was offered). *)
-  mutable sm_commit_due : bool; (* Re-send Commit after recovery. *)
-  mutable sm_abort_due : bool; (* Re-send Abort after recovery. *)
   mutable sm_pages : (string * string) list; (* hash -> bytes, volatile. *)
   mutable sm_todo : string list;
   mutable sm_inflight : string list;
@@ -438,30 +305,33 @@ type tgt_phase =
   | T_receiving
   | T_adopted of int
   | T_live of int
-  | T_aborted of string
+  | T_aborted of { reason : string; copy : int option }
+      (* [copy] is the adopted domain the abort destroys, if there was
+         one: a crash inside that clean-up is finished on recovery. *)
 
 type tgt = {
   tm_mig : string;
   tm_origin : string;
   mutable tm_phase : tgt_phase;
+  mutable tm_offered : string list; (* The newest Offer's hashes. *)
   mutable tm_manifest : Wire.manifest option;
-  mutable tm_adopt_due : bool; (* Re-run adoption after recovery. *)
   mutable tm_cleanup : bool; (* A partial adopt may exist; destroy it first. *)
-  mutable tm_receipt_due : bool;
   mutable tm_root : string option;
       (* Origin attestation root pinned at adoption (raw digest); the
          receipt verifies against it, not the mutable peer-root table. *)
+  mutable tm_stamp : int;
+  mutable tm_adopt_due : bool; (* Re-run adoption after recovery. *)
+  mutable tm_receipt_due : bool;
   mutable tm_redelegate : (string * int * int * int) list;
 }
 
 type t = {
   fleet : Fleet.t;
-  store : Persist.Store.t;
-  mutable jseq : int;
   chunks : (string, string) Hashtbl.t; (* hash -> bytes, durable mirror. *)
   srcs : (string, src) Hashtbl.t;
   tgts : (string, tgt) Hashtbl.t;
   mutable counter : int;
+  mutable stamp : int; (* Orders the state records, newest highest. *)
   peer_roots : (string, Crypto.Sha256.digest) Hashtbl.t; (* volatile *)
   deferred : (string * Wire.frame) Queue.t; (* (peer, frame) awaiting a session. *)
 }
@@ -501,59 +371,247 @@ let tgt_phase tg =
   | T_receiving -> Receiving
   | T_adopted _ -> Parked
   | T_live _ -> Live
-  | T_aborted r -> Aborted r
+  | T_aborted { reason; _ } -> Aborted reason
 
 let terminal_src s = match s.sm_phase with S_done | S_aborted _ -> true | _ -> false
 let terminal_tgt tg = match tg.tm_phase with T_live _ | T_aborted _ -> true | _ -> false
 
-let update_active t =
-  let n = ref 0 in
-  Hashtbl.iter (fun _ s -> if not (terminal_src s) then incr n) t.srcs;
-  Hashtbl.iter (fun _ tg -> if not (terminal_tgt tg) then incr n) t.tgts;
-  Obs.Metrics.set_gauge active_g !n
+let new_src ~mig ~domain ~peer ~name ~phase ~images =
+  { sm_mig = mig; sm_domain = domain; sm_peer = peer; sm_name = name; sm_phase = phase;
+    sm_images = images; sm_due = false; sm_stamp = 0; sm_offered = false;
+    sm_need_seen = false; sm_pages = []; sm_todo = []; sm_inflight = [];
+    sm_manifest = None }
+
+let new_tgt ~mig ~origin ~phase ~offered ~cleanup ~root =
+  { tm_mig = mig; tm_origin = origin; tm_phase = phase; tm_offered = offered;
+    tm_manifest = None; tm_cleanup = cleanup; tm_root = root; tm_stamp = 0;
+    tm_adopt_due = false; tm_receipt_due = false; tm_redelegate = [] }
 
 let monitor t = Fleet.monitor t.fleet
+let named m name = List.find_opt (fun d -> Tyche.Domain.name d = name) (Tyche.Monitor.domains m)
 
-let jput t r =
-  t.jseq <- t.jseq + 1;
-  Persist.Wal.append t.store ~blob:migrate_blob ~seq:t.jseq (encode_jrec r)
+(* --- durable records --------------------------------------------------- *)
 
-(* Like the fleet journal: the monitor's group commit flushes first, so
-   a migrate record never references monitor state that did not make it
-   to disk. *)
-let jsync t =
-  Tyche.Monitor.flush (monitor t);
-  Persist.Store.fsync t.store migrate_blob
+(* Three record kinds, appended to the fleet's journal:
+   - the whole state of one migration in one role. The newest record
+     for a migration replaces every earlier one, so replay needs no
+     fold, and compaction writes each live migration's record out again
+     as it stands. Every state record carries the id counter, so the
+     newest one restores it;
+   - a target's manifest, written once when [Final] arrives;
+   - a chunk, keyed by its hash.
+   Source states trace Streaming → Committing → Done, target states
+   Receiving → Parked → Live; either may end Aborted. *)
 
-let crash_at point what =
-  fun store ->
-   if Fault.fires point then begin
-     Persist.Store.power_fail store;
-     raise (Persist.Store.Crash what)
-   end
+let record f =
+  let buf = Buffer.create 64 in
+  f buf;
+  Buffer.contents buf
 
-let crash_chunk = crash_at chunk_point "migrate.chunk"
-let crash_commit = crash_at commit_point "migrate.commit"
-let crash_abort = crash_at abort_point "migrate.abort"
+let src_record t s =
+  record (fun b ->
+      Persist.Wire.u8 b 1;
+      Persist.Wire.str b s.sm_mig;
+      Persist.Wire.int b t.counter;
+      Persist.Wire.int b s.sm_domain;
+      Persist.Wire.str b s.sm_peer;
+      Persist.Wire.str b s.sm_name;
+      Persist.Wire.list b Persist.Wire.str s.sm_images;
+      match s.sm_phase with
+      | S_streaming | S_await_receipt -> Persist.Wire.u8 b 0
+      | S_committing -> Persist.Wire.u8 b 1
+      | S_done -> Persist.Wire.u8 b 2
+      | S_aborted reason ->
+        Persist.Wire.u8 b 3;
+        Persist.Wire.str b reason)
+
+let tgt_record t tg =
+  record (fun b ->
+      Persist.Wire.u8 b 2;
+      Persist.Wire.str b tg.tm_mig;
+      Persist.Wire.int b t.counter;
+      Persist.Wire.str b tg.tm_origin;
+      Persist.Wire.list b Persist.Wire.str tg.tm_offered;
+      Persist.Wire.bool_ b tg.tm_cleanup;
+      Persist.Wire.str b (Option.value tg.tm_root ~default:"");
+      match tg.tm_phase with
+      | T_receiving -> Persist.Wire.u8 b 0
+      | T_adopted d ->
+        Persist.Wire.u8 b 1;
+        Persist.Wire.int b d
+      | T_live d ->
+        Persist.Wire.u8 b 2;
+        Persist.Wire.int b d
+      | T_aborted { reason; copy } ->
+        Persist.Wire.u8 b 3;
+        Persist.Wire.str b reason;
+        Persist.Wire.int b (Option.value copy ~default:(-1)))
+
+let manifest_record tg mf =
+  record (fun b ->
+      Persist.Wire.u8 b 3;
+      Persist.Wire.str b tg.tm_mig;
+      Wire.put_manifest b mf)
+
+let chunk_record hash bytes =
+  record (fun b ->
+      Persist.Wire.u8 b 4;
+      Persist.Wire.str b hash;
+      Persist.Wire.str b bytes)
+
+let next_stamp t =
+  t.stamp <- t.stamp + 1;
+  t.stamp
+
+let save_src t s =
+  s.sm_stamp <- next_stamp t;
+  Fleet.append t.fleet (src_record t s)
+
+let save_tgt t tg =
+  tg.tm_stamp <- next_stamp t;
+  Fleet.append t.fleet (tgt_record t tg)
+
+(* Apply one replayed record; a record that does not decode is skipped. *)
+let replay t payload =
+  let r = Persist.Wire.reader payload in
+  let corrupt () = raise (Persist.Wire.Corrupt "unknown migrate record") in
+  match
+    let apply =
+      match Persist.Wire.get_u8 r with
+      | 1 ->
+        let mig = Persist.Wire.get_str r in
+        let counter = Persist.Wire.get_int r in
+        let domain = Persist.Wire.get_int r in
+        let peer = Persist.Wire.get_str r in
+        let name = Persist.Wire.get_str r in
+        let images = Persist.Wire.get_list r Persist.Wire.get_str in
+        let phase =
+          match Persist.Wire.get_u8 r with
+          | 0 -> S_streaming
+          | 1 -> S_committing
+          | 2 -> S_done
+          | 3 -> S_aborted (Persist.Wire.get_str r)
+          | _ -> corrupt ()
+        in
+        fun () ->
+          t.counter <- max t.counter counter;
+          let s = new_src ~mig ~domain ~peer ~name ~phase ~images in
+          s.sm_stamp <- next_stamp t;
+          Hashtbl.replace t.srcs mig s
+      | 2 ->
+        let mig = Persist.Wire.get_str r in
+        let counter = Persist.Wire.get_int r in
+        let origin = Persist.Wire.get_str r in
+        let offered = Persist.Wire.get_list r Persist.Wire.get_str in
+        let cleanup = Persist.Wire.get_bool r in
+        let root = match Persist.Wire.get_str r with "" -> None | root -> Some root in
+        let phase =
+          match Persist.Wire.get_u8 r with
+          | 0 -> T_receiving
+          | 1 -> T_adopted (Persist.Wire.get_int r)
+          | 2 -> T_live (Persist.Wire.get_int r)
+          | 3 ->
+            let reason = Persist.Wire.get_str r in
+            let copy = match Persist.Wire.get_int r with -1 -> None | d -> Some d in
+            T_aborted { reason; copy }
+          | _ -> corrupt ()
+        in
+        fun () ->
+          t.counter <- max t.counter counter;
+          let tg = new_tgt ~mig ~origin ~phase ~offered ~cleanup ~root in
+          tg.tm_stamp <- next_stamp t;
+          tg.tm_manifest <- Option.bind (Hashtbl.find_opt t.tgts mig) (fun p -> p.tm_manifest);
+          Hashtbl.replace t.tgts mig tg
+      | 3 ->
+        let mig = Persist.Wire.get_str r in
+        let mf = Wire.get_manifest r in
+        fun () -> Option.iter (fun tg -> tg.tm_manifest <- Some mf) (Hashtbl.find_opt t.tgts mig)
+      | 4 ->
+        let hash = Persist.Wire.get_str r in
+        let bytes = Persist.Wire.get_str r in
+        fun () -> Hashtbl.replace t.chunks hash bytes
+      | _ -> corrupt ()
+    in
+    Persist.Wire.expect_end r;
+    apply
+  with
+  | apply -> apply ()
+  | exception Persist.Wire.Corrupt _ -> ()
+
+(* What compaction writes: every migration still in memory (see
+   [settle]), oldest first, each target followed by its manifest, then
+   the chunks. *)
+let live_records t =
+  let migs =
+    Hashtbl.fold (fun _ s acc -> (s.sm_stamp, [ src_record t s ]) :: acc) t.srcs []
+  in
+  let migs =
+    Hashtbl.fold
+      (fun _ tg acc ->
+        let mf = Option.to_list (Option.map (manifest_record tg) tg.tm_manifest) in
+        (tg.tm_stamp, tgt_record t tg :: mf) :: acc)
+      t.tgts migs
+  in
+  List.concat_map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) migs)
+  @ Hashtbl.fold (fun hash bytes acc -> chunk_record hash bytes :: acc) t.chunks []
+
+(* Terminal migrations that owe their peer nothing more that are kept
+   so [status] and [verify_receipt] still answer for them, across a
+   crash too. *)
+let recent_outcomes = 4
+
+(* Drop what no longer needs keeping, in memory and so in the next
+   compaction: the terminal migrations that owe nothing, beyond the
+   [recent_outcomes] newest, and the chunks no Receiving or Parked
+   target names. Runs after every operation. *)
+let settle t =
+  let active = ref 0 and outcomes = ref [] in
+  Hashtbl.iter
+    (fun mig s ->
+      if not (terminal_src s) then incr active
+      else if not s.sm_due then
+        outcomes := (s.sm_stamp, fun () -> Hashtbl.remove t.srcs mig) :: !outcomes)
+    t.srcs;
+  Hashtbl.iter
+    (fun mig tg ->
+      if not (terminal_tgt tg) then incr active
+      else if tg.tm_redelegate = [] then
+        outcomes := (tg.tm_stamp, fun () -> Hashtbl.remove t.tgts mig) :: !outcomes)
+    t.tgts;
+  Obs.Metrics.set_gauge active_g !active;
+  List.sort (fun (a, _) (b, _) -> Int.compare b a) !outcomes
+  |> List.iteri (fun i (_, forget) -> if i >= recent_outcomes then forget ());
+  let named = Hashtbl.create 16 in
+  let name h = Hashtbl.replace named h () in
+  Hashtbl.iter
+    (fun _ tg ->
+      match tg.tm_phase with
+      | T_receiving | T_adopted _ ->
+        List.iter name tg.tm_offered;
+        Option.iter (fun mf -> List.iter (fun (_, _, h) -> name h) mf.Wire.mf_pages) tg.tm_manifest
+      | T_live _ | T_aborted _ -> ())
+    t.tgts;
+  Hashtbl.filter_map_inplace (fun h b -> if Hashtbl.mem named h then Some b else None) t.chunks
 
 let sha_raw s = Crypto.Sha256.(to_raw (string s))
 
 (* --- sending ----------------------------------------------------------- *)
 
+let chan = "migrate"
+
 (* Best-effort send with a deferred queue: a frame that cannot leave yet
    (peer not re-keyed after recovery) is retried from [tick]. Offers are
-   never deferred — the source re-offers from tick until one sends. *)
-let post t ~peer frame =
-  match Fleet.send_data t.fleet ~peer ~chan:migrate_blob (Wire.encode_frame frame) with
-  | Ok _ -> true
-  | Error _ ->
-    Queue.add (peer, frame) t.deferred;
-    false
-
+   never deferred — the source re-offers from tick until one sends. A
+   sent frame's barrier also makes every record journaled before it
+   durable. *)
 let try_send t ~peer frame =
-  match Fleet.send_data t.fleet ~peer ~chan:migrate_blob (Wire.encode_frame frame) with
-  | Ok _ -> true
-  | Error _ -> false
+  Result.is_ok (Fleet.send_data t.fleet ~peer ~chan (Wire.encode_frame frame))
+
+let post t ~peer frame =
+  try_send t ~peer frame
+  ||
+  (Queue.add (peer, frame) t.deferred;
+   false)
 
 (* --- portable digests -------------------------------------------------- *)
 
@@ -642,34 +700,41 @@ let read_pages m pieces =
       (base, len, sha_raw bytes, bytes))
     pieces
 
-(* Recompute the portable digests from this monitor's own tree and
-   memory — what the target checks after adoption, and what
-   [verify_receipt] re-checks after any crash. *)
-let local_digests m domain =
+(* A sealed domain with its measurement. *)
+let sealed m domain =
   match Tyche.Monitor.find_domain m domain with
+  | Some dom -> Option.map (fun meas -> (dom, meas)) (Tyche.Domain.measurement dom)
   | None -> None
-  | Some dom ->
-    (match Tyche.Domain.measurement dom with
-    | None -> None
-    | Some meas ->
-      let caps = mem_caps m domain in
-      let measured =
-        List.map
-          (fun r -> (Hw.Addr.Range.base r, Hw.Addr.Range.len r))
-          (Tyche.Domain.measured_ranges dom)
-      in
-      let state =
-        state_digest ~name:(Tyche.Domain.name dom)
-          ~kind:(Tyche.Domain.kind_to_code (Tyche.Domain.kind dom))
-          ~entry:(Option.value (Tyche.Domain.entry_point dom) ~default:(-1))
-          ~flush:(Tyche.Domain.flush_on_transition dom)
-          ~measurement:(Crypto.Sha256.to_raw meas) ~caps ~measured
-      in
-      let pages =
-        read_pages m (page_pieces (List.map (fun (b, l, _, _) -> (b, l)) caps))
-        |> List.map (fun (b, l, h, _) -> (b, l, h))
-      in
-      Some (state, image_digest ~state ~pages))
+
+(* The portable description of a sealed domain, from this monitor's own
+   tree and memory: memory caps, measured ranges, state digest, and the
+   pages with their hashes and bytes. *)
+let describe m dom meas =
+  let caps = mem_caps m (Tyche.Domain.id dom) in
+  let measured =
+    List.map
+      (fun r -> (Hw.Addr.Range.base r, Hw.Addr.Range.len r))
+      (Tyche.Domain.measured_ranges dom)
+  in
+  let state =
+    state_digest ~name:(Tyche.Domain.name dom)
+      ~kind:(Tyche.Domain.kind_to_code (Tyche.Domain.kind dom))
+      ~entry:(Option.value (Tyche.Domain.entry_point dom) ~default:(-1))
+      ~flush:(Tyche.Domain.flush_on_transition dom)
+      ~measurement:(Crypto.Sha256.to_raw meas) ~caps ~measured
+  in
+  (caps, measured, state, read_pages m (page_pieces (List.map (fun (b, l, _, _) -> (b, l)) caps)))
+
+let page_hashes pages = List.map (fun (b, l, h, _) -> (b, l, h)) pages
+
+(* Recompute the portable digests — what the target checks after
+   adoption, and what [verify_receipt] re-checks after any crash. *)
+let local_digests m domain =
+  Option.map
+    (fun (dom, meas) ->
+      let _, _, state, pages = describe m dom meas in
+      (state, image_digest ~state ~pages:(page_hashes pages)))
+    (sealed m domain)
 
 (* Outbound fleet delegations whose local parent cap is owned by the
    domain — the set commit re-homes. *)
@@ -686,27 +751,16 @@ let dels_of_domain t domain =
 
 let build_manifest t src =
   let m = monitor t in
-  match Tyche.Monitor.find_domain m src.sm_domain with
-  | None -> Error (Refused "domain disappeared")
-  | Some dom ->
-    (match Tyche.Domain.measurement dom with
-    | None -> Error (Refused "only sealed domains migrate")
-    | Some meas ->
-      let caps = mem_caps m src.sm_domain in
-      let pages4 =
-        read_pages m (page_pieces (List.map (fun (b, l, _, _) -> (b, l)) caps))
-      in
-      let pages = List.map (fun (b, l, h, _) -> (b, l, h)) pages4 in
+  match sealed m src.sm_domain with
+  | None -> Error (Refused "domain is gone or unsealed")
+  | Some (dom, meas) ->
+      let caps, measured, state, pages4 = describe m dom meas in
+      let pages = page_hashes pages4 in
       (* Dedup the byte map by hash (zero pages collapse here too). *)
       let bytes_by_hash =
         List.fold_left
           (fun acc (_, _, h, bytes) -> if List.mem_assoc h acc then acc else (h, bytes) :: acc)
           [] pages4
-      in
-      let measured =
-        List.map
-          (fun r -> (Hw.Addr.Range.base r, Hw.Addr.Range.len r))
-          (Tyche.Domain.measured_ranges dom)
       in
       let dels =
         List.filter_map
@@ -728,18 +782,11 @@ let build_manifest t src =
         | None -> Error (Refused "domain missing from batch attestation")
         | Some att ->
           let root = Crypto.Sha256.to_raw att.Tyche.Attestation.evidence.batch_root in
-          let entry = Option.value (Tyche.Domain.entry_point dom) ~default:(-1) in
-          let state =
-            state_digest ~name:(Tyche.Domain.name dom)
-              ~kind:(Tyche.Domain.kind_to_code (Tyche.Domain.kind dom))
-              ~entry ~flush:(Tyche.Domain.flush_on_transition dom)
-              ~measurement:(Crypto.Sha256.to_raw meas) ~caps ~measured
-          in
           let image = image_digest ~state ~pages in
           let mf =
             { Wire.mf_name = Tyche.Domain.name dom;
               mf_kind = Tyche.Domain.kind_to_code (Tyche.Domain.kind dom);
-              mf_entry = entry;
+              mf_entry = Option.value (Tyche.Domain.entry_point dom) ~default:(-1);
               mf_flush = Tyche.Domain.flush_on_transition dom;
               mf_measurement = Crypto.Sha256.to_raw meas;
               mf_caps = caps;
@@ -753,7 +800,7 @@ let build_manifest t src =
           in
           src.sm_pages <- bytes_by_hash;
           src.sm_manifest <- Some mf;
-          Ok mf)))
+          Ok mf))
 
 (* --- source: admission and start --------------------------------------- *)
 
@@ -825,40 +872,27 @@ let send_offer t src =
 let start t ~domain ~peer =
   let m = monitor t in
   let* dom = admit_source t ~domain in
+  let* () = Result.map_error (fun e -> Monitor_error e) (Tyche.Monitor.freeze_domain m ~domain) in
   let mig = Printf.sprintf "%s:%d" (Fleet.endpoint_name t.fleet) t.counter in
   t.counter <- t.counter + 1;
-  jput t (MS_begin { mig; domain; peer; name = Tyche.Domain.name dom });
-  jsync t;
-  match Tyche.Monitor.freeze_domain m ~domain with
+  let src =
+    new_src ~mig ~domain ~peer ~name:(Tyche.Domain.name dom) ~phase:S_streaming ~images:[]
+  in
+  match build_manifest t src with
   | Error e ->
-    jput t (MS_abort { mig; reason = "freeze refused" });
-    jsync t;
-    Error (Monitor_error e)
-  | Ok () ->
-    let src =
-      { sm_mig = mig; sm_domain = domain; sm_peer = peer;
-        sm_name = Tyche.Domain.name dom; sm_phase = S_streaming; sm_offered = false;
-        sm_need_seen = false; sm_prior_images = []; sm_commit_due = false;
-        sm_abort_due = false; sm_pages = []; sm_todo = []; sm_inflight = [];
-        sm_manifest = None }
-    in
-    (match build_manifest t src with
-    | Error e ->
-      jput t (MS_abort { mig; reason = "manifest build failed" });
-      jsync t;
-      ignore (Tyche.Monitor.thaw_domain m ~domain);
-      Error e
-    | Ok _ ->
-      let image =
-        match src.sm_manifest with Some mf -> mf.Wire.mf_image | None -> ""
-      in
-      jput t (MS_frozen { mig; image });
-      jsync t;
-      Hashtbl.replace t.srcs mig src;
-      Obs.Metrics.incr started_c;
-      send_offer t src;
-      update_active t;
-      Ok mig)
+    ignore (Tyche.Monitor.thaw_domain m ~domain);
+    Error e
+  | Ok mf ->
+    src.sm_images <- [ mf.Wire.mf_image ];
+    Hashtbl.replace t.srcs mig src;
+    save_src t src;
+    Obs.Metrics.incr started_c;
+    (* The Offer's barrier makes the migration durable; an Offer that
+       waits for a session leaves that to an explicit one. *)
+    send_offer t src;
+    if not src.sm_offered then Fleet.barrier t.fleet;
+    settle t;
+    Ok mig
 
 (* --- source: streaming ------------------------------------------------- *)
 
@@ -872,7 +906,7 @@ let maybe_final t src =
   then begin
     match src.sm_manifest with
     | Some mf ->
-      if post t ~peer:src.sm_peer (Wire.Final { mig = src.sm_mig; manifest = mf }) then ();
+      ignore (post t ~peer:src.sm_peer (Wire.Final { mig = src.sm_mig; manifest = mf }));
       src.sm_phase <- S_await_receipt
     | None -> ()
   end
@@ -900,25 +934,33 @@ let pump t src =
 
 (* --- source: abort ----------------------------------------------------- *)
 
+(* A terminal source owes its target one notice, Commit or Abort, until
+   a send of it succeeds; [tick] retries. *)
+let send_notice t src =
+  let frame =
+    match src.sm_phase with
+    | S_aborted reason -> Wire.Abort { mig = src.sm_mig; reason }
+    | _ -> Wire.Commit { mig = src.sm_mig }
+  in
+  src.sm_due <- not (try_send t ~peer:src.sm_peer frame)
+
 let source_abort t src ~reason ~notify =
   if not (terminal_src src) then begin
-    crash_abort t.store;
-    jput t (MS_abort { mig = src.sm_mig; reason });
-    jsync t;
-    (match Tyche.Monitor.find_domain (monitor t) src.sm_domain with
-    | Some _ -> ignore (Tyche.Monitor.thaw_domain (monitor t) ~domain:src.sm_domain)
-    | None -> ());
+    Fleet.crash_at t.fleet abort_point;
     src.sm_phase <- S_aborted reason;
+    save_src t src;
+    (* Durable before the thaw lets the domain run again. *)
+    Fleet.barrier t.fleet;
+    ignore (Tyche.Monitor.thaw_domain (monitor t) ~domain:src.sm_domain);
     Obs.Metrics.incr aborted_c;
-    if notify then ignore (post t ~peer:src.sm_peer (Wire.Abort { mig = src.sm_mig; reason }));
-    update_active t
+    if notify then send_notice t src
   end
 
 (* --- source: commit ---------------------------------------------------- *)
 
 let finish_commit t src =
   let m = monitor t in
-  crash_commit t.store;
+  Fleet.crash_at t.fleet commit_point;
   let proxy_name = "remote:" ^ src.sm_peer ^ ":" ^ src.sm_name in
   let destroy_ok =
     match Tyche.Monitor.find_domain m src.sm_domain with
@@ -939,21 +981,17 @@ let finish_commit t src =
        to go live, so aborting keeps exactly one copy runnable. *)
     source_abort t src ~reason:"local destroy failed" ~notify:true
   else begin
-    let exists =
-      List.exists
-        (fun d -> Tyche.Domain.name d = proxy_name)
-        (Tyche.Monitor.domains m)
-    in
-    if not exists then
+    if named m proxy_name = None then
       ignore
         (Tyche.Monitor.create_domain m ~caller:Tyche.Domain.initial ~name:proxy_name
            ~kind:Tyche.Domain.Remote);
-    jput t (MS_done { mig = src.sm_mig });
-    jsync t;
-    ignore (post t ~peer:src.sm_peer (Wire.Commit { mig = src.sm_mig }));
     src.sm_phase <- S_done;
+    save_src t src;
     Obs.Metrics.incr committed_c;
-    update_active t
+    (* The Commit's barrier makes the outcome durable; a Commit that
+       waits for a session leaves that to an explicit one. *)
+    send_notice t src;
+    if src.sm_due then Fleet.barrier t.fleet
   end
 
 (* Idempotent; re-entered from tick until the re-homed delegations'
@@ -976,27 +1014,21 @@ let advance_commit t src =
 let on_receipt t src image =
   match src.sm_phase with
   | S_await_receipt | S_streaming ->
-    let expected =
-      match src.sm_manifest with Some mf -> mf.Wire.mf_image | None -> ""
-    in
-    (* A receipt for an image journaled by a pre-crash life of this
-       migration is equally binding: the target's adopted copy carries
-       the pre-crash content, which this machine no longer holds. *)
-    if image <> expected && not (List.mem image src.sm_prior_images) then
+    if not (List.mem image src.sm_images) then
       source_abort t src ~reason:"receipt digest mismatch" ~notify:true
     else begin
-      crash_commit t.store;
-      jput t (MS_receipt { mig = src.sm_mig; image });
-      jput t (MS_committing { mig = src.sm_mig });
-      jsync t;
+      Fleet.crash_at t.fleet commit_point;
       src.sm_phase <- S_committing;
+      save_src t src;
+      (* Durable before the commit destroys the local copy. *)
+      Fleet.barrier t.fleet;
       advance_commit t src
     end
   | S_done ->
     (* A duplicate receipt after commit means the target never saw the
        Commit (e.g. it died in flight across a target restart): answer
        it again. The target absorbs duplicate Commits. *)
-    src.sm_commit_due <- true
+    src.sm_due <- true
   | S_committing | S_aborted _ -> () (* duplicate receipt *)
 
 (* --- target: adoption -------------------------------------------------- *)
@@ -1065,6 +1097,9 @@ let adopt_cleanup m domain =
     let caller = Option.value (Tyche.Domain.created_by dom) ~default:Tyche.Domain.initial in
     ignore (Tyche.Monitor.destroy_domain m ~caller ~domain)
 
+let cleanup_named m name =
+  Option.iter (fun d -> adopt_cleanup m (Tyche.Domain.id d)) (named m name)
+
 (* The manifest's caps with their codes decoded, or [None] if any cap
    or delegation carries an unknown rights or clean-up code. Decoding
    is strict and happens before anything is applied, so such a manifest
@@ -1095,8 +1130,7 @@ let adopt t tg (mf : Wire.manifest) =
     List.filter (fun (_, _, h) -> not (Hashtbl.mem t.chunks h)) mf.mf_pages
   in
   if missing <> [] then Error "chunks missing from the durable store"
-  else if List.exists (fun d -> Tyche.Domain.name d = mf.mf_name) (Tyche.Monitor.domains m)
-  then Error ("domain name already in use: " ^ mf.mf_name)
+  else if named m mf.mf_name <> None then Error ("domain name already in use: " ^ mf.mf_name)
   else if
     not
       (List.for_all
@@ -1114,8 +1148,11 @@ let adopt t tg (mf : Wire.manifest) =
         Error "manifest names an inadmissible domain kind"
       | Some _, None -> Error "manifest carries an unknown rights or clean-up code"
       | Some kind, Some caps ->
-        jput t (MT_adopting { mig = tg.tm_mig });
-        jsync t;
+        (* The adopting intent is durable before the first monitor
+           mutation, so recovery knows a partial copy may exist. *)
+        tg.tm_cleanup <- true;
+        save_tgt t tg;
+        Fleet.barrier t.fleet;
         let result =
           let* domain =
             Result.map_error Tyche.Monitor.error_to_string
@@ -1196,61 +1233,62 @@ let adopt t tg (mf : Wire.manifest) =
           if not (Tyche.Fsck.ok report) then Error "fsck rejected the adopted state"
           else Ok domain
         in
+        tg.tm_cleanup <- false;
         (match result with
         | Error reason ->
           (* Undo the partial reassembly before reporting. *)
-          (match
-             List.find_opt (fun d -> Tyche.Domain.name d = mf.mf_name) (Tyche.Monitor.domains m)
-           with
-          | Some d -> adopt_cleanup m (Tyche.Domain.id d)
-          | None -> ());
+          cleanup_named m mf.mf_name;
           Error reason
         | Ok domain ->
-          let root =
-            match Hashtbl.find_opt t.peer_roots tg.tm_origin with
-            | Some r -> Crypto.Sha256.to_raw r
-            | None -> ""
-          in
-          jput t (MT_adopted { mig = tg.tm_mig; domain; root });
-          jsync t;
-          if root <> "" then tg.tm_root <- Some root;
+          (match Hashtbl.find_opt t.peer_roots tg.tm_origin with
+          | Some r -> tg.tm_root <- Some (Crypto.Sha256.to_raw r)
+          | None -> ());
           tg.tm_phase <- T_adopted domain;
           tg.tm_adopt_due <- false;
           tg.tm_receipt_due <- true;
+          save_tgt t tg;
           Ok domain)))
 
 let target_abort t tg ~reason ~notify =
   if not (terminal_tgt tg) then begin
-    crash_abort t.store;
-    jput t (MT_abort { mig = tg.tm_mig; reason });
-    jsync t;
-    (match tg.tm_phase with
-    | T_adopted domain -> adopt_cleanup (monitor t) domain
-    | _ -> ());
-    tg.tm_phase <- T_aborted reason;
+    Fleet.crash_at t.fleet abort_point;
+    let copy = match tg.tm_phase with T_adopted d -> Some d | _ -> None in
+    tg.tm_phase <- T_aborted { reason; copy };
+    save_tgt t tg;
+    (* The abort is durable before the clean-up destroys the copy; a
+       crash in between leaves recovery to finish it. *)
+    Option.iter
+      (fun d ->
+        Fleet.barrier t.fleet;
+        adopt_cleanup (monitor t) d)
+      copy;
     Obs.Metrics.incr aborted_c;
-    if notify then ignore (post t ~peer:tg.tm_origin (Wire.Abort { mig = tg.tm_mig; reason }));
-    update_active t
+    if notify && not (post t ~peer:tg.tm_origin (Wire.Abort { mig = tg.tm_mig; reason })) then
+      Fleet.barrier t.fleet
   end
+
+let send_receipt t tg =
+  match tg.tm_manifest with
+  | Some mf ->
+    if try_send t ~peer:tg.tm_origin (Wire.Receipt { mig = tg.tm_mig; image = mf.Wire.mf_image })
+    then tg.tm_receipt_due <- false
+  | None -> ()
 
 let run_adopt t tg =
   match tg.tm_manifest with
   | None -> ()
   | Some mf ->
     if tg.tm_cleanup then begin
-      (match
-         List.find_opt (fun d -> Tyche.Domain.name d = mf.Wire.mf_name)
-           (Tyche.Monitor.domains (monitor t))
-       with
-      | Some d -> adopt_cleanup (monitor t) (Tyche.Domain.id d)
-      | None -> ());
+      cleanup_named (monitor t) mf.Wire.mf_name;
       tg.tm_cleanup <- false
     end;
     (match adopt t tg mf with
     | Ok _ ->
-      if try_send t ~peer:tg.tm_origin (Wire.Receipt { mig = tg.tm_mig; image = mf.Wire.mf_image })
-      then tg.tm_receipt_due <- false;
-      update_active t
+      (* The Receipt's barrier makes the parked state durable; a
+         Receipt that waits for a session leaves that to an explicit
+         one. *)
+      send_receipt t tg;
+      if tg.tm_receipt_due then Fleet.barrier t.fleet
     | Error reason -> target_abort t tg ~reason ~notify:true)
 
 (* --- target: re-delegation after commit -------------------------------- *)
@@ -1288,126 +1326,134 @@ let try_redelegate t tg domain =
             | Error _ -> true (* peer not connected yet; retry on tick *)))
       tg.tm_redelegate
 
+
+(* The manifest's delegations to re-home from here. One whose peer is
+   this endpoint collapses to locality: the remote holder just became
+   the local host. *)
+let redelegations t tg =
+  match tg.tm_manifest with
+  | Some mf ->
+    List.filter (fun (peer, _, _, _) -> peer <> Fleet.endpoint_name t.fleet) mf.Wire.mf_dels
+  | None -> []
+
+(* The Live record rides the barrier of the Commit's applied floor, or
+   of the first re-delegation: the thaw it precedes is volatile. *)
 let on_commit t tg =
   match tg.tm_phase with
   | T_adopted domain ->
-    jput t (MT_live { mig = tg.tm_mig });
-    jsync t;
-    ignore (Tyche.Monitor.thaw_domain (monitor t) ~domain);
     tg.tm_phase <- T_live domain;
-    (match tg.tm_manifest with
-    | Some mf ->
-      (* A delegation whose peer is this endpoint collapses to
-         locality: the remote holder just became the local host. *)
-      tg.tm_redelegate <-
-        List.filter
-          (fun (peer, _, _, _) -> peer <> Fleet.endpoint_name t.fleet)
-          mf.Wire.mf_dels;
-      try_redelegate t tg domain
-    | None -> ());
-    update_active t
+    save_tgt t tg;
+    ignore (Tyche.Monitor.thaw_domain (monitor t) ~domain);
+    tg.tm_redelegate <- redelegations t tg;
+    try_redelegate t tg domain
   | T_live _ | T_receiving | T_aborted _ -> ()
 
 (* --- inbound frame dispatch -------------------------------------------- *)
 
-let ensure_tgt t ~origin mig =
-  match Hashtbl.find_opt t.tgts mig with
-  | Some tg -> tg
-  | None ->
-    jput t (MT_begin { mig; origin });
-    jsync t;
-    let tg =
-      { tm_mig = mig; tm_origin = origin; tm_phase = T_receiving; tm_manifest = None;
-        tm_adopt_due = false; tm_cleanup = false; tm_receipt_due = false;
-        tm_root = None; tm_redelegate = [] }
-    in
-    Hashtbl.replace t.tgts mig tg;
-    update_active t;
-    tg
+(* A frame's records take no barrier of their own: they ride the
+   barrier of a frame the handler posts, or of the applied floor the
+   fleet journals before it acks. *)
 
 let store_chunk t hash bytes =
   if Hashtbl.mem t.chunks hash then Obs.Metrics.incr dedup_c
   else begin
-    crash_chunk t.store;
-    jput t (MT_chunk { hash; bytes });
-    jsync t;
+    Fleet.crash_at t.fleet chunk_point;
+    Fleet.append t.fleet (chunk_record hash bytes);
     Hashtbl.replace t.chunks hash bytes;
     Obs.Metrics.incr chunks_rx_c
   end
 
-let handle t origin payload =
-  match Wire.decode_frame payload with
-  | Error _ -> Obs.Metrics.incr reject_c
-  | Ok frame -> (
-    match frame with
-    | Wire.Offer { mig; hashes } ->
-      let tg = ensure_tgt t ~origin mig in
-      (match tg.tm_phase with
-      | T_adopted _ ->
-        (* Already parked a verified copy; a re-offer (resumed source)
-           only needs the receipt re-bound, never a re-stream. *)
-        List.iter (fun _ -> Obs.Metrics.incr dedup_c)
-          (List.filter (fun h -> Hashtbl.mem t.chunks h) hashes);
-        tg.tm_receipt_due <- true
-      | T_receiving ->
-        let missing = List.filter (fun h -> not (Hashtbl.mem t.chunks h)) hashes in
-        List.iter (fun _ -> Obs.Metrics.incr dedup_c)
-          (List.filter (fun h -> Hashtbl.mem t.chunks h) hashes);
-        ignore (post t ~peer:origin (Wire.Need { mig; hashes = missing }))
-      | T_live _ | T_aborted _ -> ())
-    | Wire.Need { mig; hashes } -> (
-      match Hashtbl.find_opt t.srcs mig with
-      | None -> Obs.Metrics.incr reject_c
-      | Some src ->
-        if src.sm_phase = S_streaming then begin
-          src.sm_need_seen <- true;
-          src.sm_todo <-
-            List.filter (fun h -> not (List.mem h src.sm_inflight)) hashes;
-          pump t src
-        end)
-    | Wire.Chunk { mig; hash; bytes } ->
-      let tg = ensure_tgt t ~origin mig in
-      if not (terminal_tgt tg) then begin
-        if sha_raw bytes <> hash then
-          target_abort t tg ~reason:"chunk content does not match its hash" ~notify:true
-        else begin
-          store_chunk t hash bytes;
-          ignore (post t ~peer:origin (Wire.Chunk_ack { mig; hash }))
-        end
-      end
-    | Wire.Chunk_ack { mig; hash } -> (
-      match Hashtbl.find_opt t.srcs mig with
-      | None -> ()
-      | Some src ->
-        src.sm_inflight <- List.filter (fun h -> h <> hash) src.sm_inflight;
-        if src.sm_phase = S_streaming then pump t src)
-    | Wire.Final { mig; manifest } ->
-      let tg = ensure_tgt t ~origin mig in
-      (match tg.tm_phase with
+let on_frame t origin = function
+  | Wire.Offer { mig; hashes } -> (
+    (* Only an Offer opens a migration on the target: the source sends
+       nothing else before the Need that answers it. *)
+    let tg =
+      match Hashtbl.find_opt t.tgts mig with
+      | Some tg -> tg
+      | None ->
+        let tg =
+          new_tgt ~mig ~origin ~phase:T_receiving ~offered:hashes ~cleanup:false ~root:None
+        in
+        Hashtbl.replace t.tgts mig tg;
+        save_tgt t tg;
+        tg
+    in
+    let held = List.filter (Hashtbl.mem t.chunks) hashes in
+    match tg.tm_phase with
+    | T_adopted _ ->
+      (* Already parked a verified copy; a re-offer (resumed source)
+         only needs the receipt re-bound, never a re-stream. *)
+      List.iter (fun _ -> Obs.Metrics.incr dedup_c) held;
+      tg.tm_receipt_due <- true
+    | T_receiving ->
+      if tg.tm_offered <> hashes then begin
+        tg.tm_offered <- hashes;
+        save_tgt t tg
+      end;
+      List.iter (fun _ -> Obs.Metrics.incr dedup_c) held;
+      let missing = List.filter (fun h -> not (Hashtbl.mem t.chunks h)) hashes in
+      ignore (post t ~peer:origin (Wire.Need { mig; hashes = missing }))
+    | T_live _ | T_aborted _ -> ())
+  | Wire.Need { mig; hashes } -> (
+    match Hashtbl.find_opt t.srcs mig with
+    | None -> Obs.Metrics.incr reject_c
+    | Some src ->
+      if src.sm_phase = S_streaming then begin
+        src.sm_need_seen <- true;
+        src.sm_todo <- List.filter (fun h -> not (List.mem h src.sm_inflight)) hashes;
+        pump t src
+      end)
+  | Wire.Chunk { mig; hash; bytes } -> (
+    match Hashtbl.find_opt t.tgts mig with
+    | None -> Obs.Metrics.incr reject_c
+    | Some tg when terminal_tgt tg -> ()
+    | Some tg ->
+      if sha_raw bytes <> hash then
+        target_abort t tg ~reason:"chunk content does not match its hash" ~notify:true
+      else begin
+        store_chunk t hash bytes;
+        ignore (post t ~peer:origin (Wire.Chunk_ack { mig; hash }))
+      end)
+  | Wire.Chunk_ack { mig; hash } -> (
+    match Hashtbl.find_opt t.srcs mig with
+    | None -> ()
+    | Some src ->
+      src.sm_inflight <- List.filter (fun h -> h <> hash) src.sm_inflight;
+      if src.sm_phase = S_streaming then pump t src)
+  | Wire.Final { mig; manifest } -> (
+    match Hashtbl.find_opt t.tgts mig with
+    | None -> Obs.Metrics.incr reject_c
+    | Some tg -> (
+      match tg.tm_phase with
       | T_receiving ->
         (* A re-offered migration may replace a stale manifest (the
            resumed source has a fresh signer); digests are unchanged. *)
-        jput t (MT_final { mig; manifest = Wire.encode_manifest manifest });
-        jsync t;
+        Fleet.append t.fleet (manifest_record tg manifest);
         tg.tm_manifest <- Some manifest;
         run_adopt t tg
       | T_adopted _ ->
         (* Duplicate Final after a crash window: receipt again. *)
         tg.tm_receipt_due <- true
-      | T_live _ | T_aborted _ -> ())
-    | Wire.Receipt { mig; image } -> (
-      match Hashtbl.find_opt t.srcs mig with
-      | None -> Obs.Metrics.incr reject_c
-      | Some src -> on_receipt t src image)
-    | Wire.Commit { mig } -> (
-      match Hashtbl.find_opt t.tgts mig with
-      | None -> Obs.Metrics.incr reject_c
-      | Some tg -> on_commit t tg)
-    | Wire.Abort { mig; reason } -> (
-      match (Hashtbl.find_opt t.srcs mig, Hashtbl.find_opt t.tgts mig) with
-      | Some src, _ -> source_abort t src ~reason:("peer: " ^ reason) ~notify:false
-      | None, Some tg -> target_abort t tg ~reason:("peer: " ^ reason) ~notify:false
-      | None, None -> ()))
+      | T_live _ | T_aborted _ -> ()))
+  | Wire.Receipt { mig; image } -> (
+    match Hashtbl.find_opt t.srcs mig with
+    | None -> Obs.Metrics.incr reject_c
+    | Some src -> on_receipt t src image)
+  | Wire.Commit { mig } -> (
+    match Hashtbl.find_opt t.tgts mig with
+    | None -> Obs.Metrics.incr reject_c
+    | Some tg -> on_commit t tg)
+  | Wire.Abort { mig; reason } -> (
+    match (Hashtbl.find_opt t.srcs mig, Hashtbl.find_opt t.tgts mig) with
+    | Some src, _ -> source_abort t src ~reason:("peer: " ^ reason) ~notify:false
+    | None, Some tg -> target_abort t tg ~reason:("peer: " ^ reason) ~notify:false
+    | None, None -> ())
+
+let handle t origin payload =
+  (match Wire.decode_frame payload with
+  | Error _ -> Obs.Metrics.incr reject_c
+  | Ok frame -> on_frame t origin frame);
+  settle t
 
 (* --- driver ------------------------------------------------------------ *)
 
@@ -1424,271 +1470,109 @@ let tick t =
       | S_streaming ->
         if not src.sm_offered then send_offer t src else maybe_final t src
       | S_committing -> advance_commit t src
-      | S_done ->
-        if src.sm_commit_due then begin
-          if try_send t ~peer:src.sm_peer (Wire.Commit { mig = src.sm_mig }) then
-            src.sm_commit_due <- false
-        end
-      | S_aborted reason ->
-        if src.sm_abort_due then begin
-          if try_send t ~peer:src.sm_peer (Wire.Abort { mig = src.sm_mig; reason }) then
-            src.sm_abort_due <- false
-        end
+      | S_done | S_aborted _ -> if src.sm_due then send_notice t src
       | S_await_receipt -> ())
     t.srcs;
   Hashtbl.iter
     (fun _ tg ->
       match tg.tm_phase with
       | T_receiving -> if tg.tm_adopt_due then run_adopt t tg
-      | T_adopted _ ->
-        if tg.tm_receipt_due then begin
-          match tg.tm_manifest with
-          | Some mf ->
-            if
-              try_send t ~peer:tg.tm_origin
-                (Wire.Receipt { mig = tg.tm_mig; image = mf.Wire.mf_image })
-            then tg.tm_receipt_due <- false
-          | None -> ()
-        end
+      | T_adopted _ -> if tg.tm_receipt_due then send_receipt t tg
       | T_live domain -> if tg.tm_redelegate <> [] then try_redelegate t tg domain
       | T_aborted _ -> ())
-    t.tgts
+    t.tgts;
+  settle t
 
 (* --- recovery ---------------------------------------------------------- *)
 
-(* Fold the journal into the phase each migration had durably reached.
-   [attach] then re-establishes the volatile side: freeze latches, page
-   maps, manifests, due-flags for the messages whose sends may have been
-   lost with the crash. *)
-type src_replay = {
-  mutable r_domain : int;
-  mutable r_peer : string;
-  mutable r_name : string;
-  mutable r_receipt : bool;
-  mutable r_committing : bool;
-  mutable r_done : bool;
-  mutable r_abort : string option;
-  mutable r_images : string list;
-}
-
-type tgt_replay = {
-  mutable r_origin : string;
-  mutable r_manifest : string option;
-  mutable r_adopting : bool;
-  mutable r_adopted : int option;
-  mutable r_live : bool;
-  mutable r_tabort : string option;
-  mutable r_root : string option;
-}
-
-let resume_source t mig (r : src_replay) =
+(* [attach] replays the newest state of each migration, then
+   re-establishes the volatile side: freeze latches, page maps,
+   manifests, due-flags for the messages whose sends may have been lost
+   with the crash. *)
+let resume_source t src =
   let m = monitor t in
-  let src =
-    { sm_mig = mig; sm_domain = r.r_domain; sm_peer = r.r_peer; sm_name = r.r_name;
-      sm_phase = S_streaming; sm_offered = false; sm_need_seen = false;
-      sm_prior_images = r.r_images; sm_commit_due = false; sm_abort_due = false;
-      sm_pages = []; sm_todo = []; sm_inflight = []; sm_manifest = None }
-  in
-  Hashtbl.replace t.srcs mig src;
-  let aborted reason =
-    src.sm_phase <- S_aborted reason;
-    (* The Abort frame may have died with the crash, and an abort taken
-       here has not sent one; the target absorbs duplicates and ignores
-       a migration it never heard of. *)
-    src.sm_abort_due <- true
-  in
-  (match r.r_abort with
-  | Some reason -> aborted reason
-  | None ->
-    if r.r_done then begin
-      src.sm_phase <- S_done;
-      (* The Commit frame may have died with the crash; the target
-         absorbs duplicates. *)
-      src.sm_commit_due <- true
+  match src.sm_phase with
+  | S_done | S_aborted _ ->
+    (* The notice may have died with the crash; the target absorbs
+       duplicates and ignores a migration it never heard of. *)
+    src.sm_due <- true
+  | S_streaming | S_await_receipt | S_committing ->
+    Obs.Metrics.incr resumed_c;
+    if Tyche.Monitor.find_domain m src.sm_domain = None then begin
+      (* Crashed between destroy and the Done record: finish the swap. *)
+      if src.sm_phase = S_committing then advance_commit t src
+      else source_abort t src ~reason:"domain lost across restart" ~notify:true
     end
     else begin
-      Obs.Metrics.incr resumed_c;
-      if Tyche.Monitor.find_domain m r.r_domain = None then
-        if r.r_committing then begin
-          (* Crashed between destroy and MS_done: finish the swap. *)
-          src.sm_phase <- S_committing;
-          advance_commit t src
+      ignore (Tyche.Monitor.freeze_domain m ~domain:src.sm_domain);
+      match build_manifest t src with
+      | Error _ -> source_abort t src ~reason:"manifest rebuild failed" ~notify:true
+      | Ok mf ->
+        if src.sm_phase = S_committing then advance_commit t src
+        else if not (List.mem mf.Wire.mf_image src.sm_images) then begin
+          (* Re-offer from tick; the target's durable chunks dedup the
+             re-send. Journal the rebuilt image too, so a second crash
+             still honours a receipt the target binds to this offer:
+             the re-offer's barrier makes it durable. *)
+          src.sm_images <- mf.Wire.mf_image :: src.sm_images;
+          save_src t src
         end
-        else begin
-          jput t (MS_abort { mig; reason = "domain lost across restart" });
-          jsync t;
-          aborted "domain lost across restart"
-        end
-      else begin
-        ignore (Tyche.Monitor.freeze_domain m ~domain:r.r_domain);
-        match build_manifest t src with
-        | Error _ ->
-          jput t (MS_abort { mig; reason = "manifest rebuild failed" });
-          jsync t;
-          ignore (Tyche.Monitor.thaw_domain m ~domain:r.r_domain);
-          aborted "manifest rebuild failed"
-        | Ok _ ->
-          if r.r_committing || r.r_receipt then begin
-            src.sm_phase <- S_committing;
-            advance_commit t src
-          end
-          else begin
-            (* Re-offer; the target's durable chunks dedup the re-send.
-               The send itself waits for the session re-key. Journal the
-               rebuilt image too, so a second crash still honours a
-               receipt the target binds to this offer. *)
-            (match src.sm_manifest with
-            | Some mf when not (List.mem mf.Wire.mf_image src.sm_prior_images) ->
-              jput t (MS_frozen { mig; image = mf.Wire.mf_image });
-              jsync t;
-              src.sm_prior_images <- mf.Wire.mf_image :: src.sm_prior_images
-            | _ -> ());
-            src.sm_phase <- S_streaming
-          end
-      end
-    end)
+    end
 
-let resume_target t mig (r : tgt_replay) =
+let resume_target t tg =
   let m = monitor t in
-  let tg =
-    { tm_mig = mig; tm_origin = r.r_origin; tm_phase = T_receiving; tm_manifest = None;
-      tm_adopt_due = false; tm_cleanup = false; tm_receipt_due = false;
-      tm_root = r.r_root; tm_redelegate = [] }
-  in
-  Hashtbl.replace t.tgts mig tg;
-  (match r.r_manifest with
-  | Some s -> (match Wire.decode_manifest s with Ok mf -> tg.tm_manifest <- Some mf | Error _ -> ())
-  | None -> ());
-  match r.r_tabort with
-  | Some reason ->
+  match tg.tm_phase with
+  | T_aborted { copy; _ } ->
     (* [target_abort] makes the abort durable before [adopt_cleanup]
        destroys the copy through logged calls: a crash in between
        leaves the copy behind, so finish the clean-up (safe to run
        again: it does nothing once the domain is gone). *)
-    Option.iter (adopt_cleanup m) r.r_adopted;
-    tg.tm_phase <- T_aborted reason
-  | None -> (
-    match (r.r_live, r.r_adopted) with
-    | true, Some domain ->
-      tg.tm_phase <- T_live domain;
-      (* Re-delegations may have been cut short; rebuild the remainder
-         from the manifest, minus what the fleet journal already has
-         (the [existing_delegation] filter in {!try_redelegate}). *)
-      (match tg.tm_manifest with
-      | Some mf ->
-        tg.tm_redelegate <-
-          List.filter
-            (fun (peer, _, _, _) -> peer <> Fleet.endpoint_name t.fleet)
-            mf.Wire.mf_dels
-      | None -> ())
-    | _, Some domain when Tyche.Monitor.find_domain m domain <> None ->
-      Obs.Metrics.incr resumed_c;
-      (* Adopted but not yet live: the image bytes are volatile — put
-         them back from the durable chunk store, re-freeze, and stand
-         ready to re-send the receipt. *)
-      (match tg.tm_manifest with
-      | Some mf ->
-        let mem = (Tyche.Monitor.machine m).Hw.Machine.mem in
-        List.iter
-          (fun (base, _, h) ->
-            match Hashtbl.find_opt t.chunks h with
-            | Some bytes -> Hw.Physmem.write mem base bytes
-            | None -> ())
-          mf.Wire.mf_pages
-      | None -> ());
-      ignore (Tyche.Monitor.freeze_domain m ~domain);
-      tg.tm_phase <- T_adopted domain;
-      tg.tm_receipt_due <- true
-    | _, Some _ | _, None ->
-      Obs.Metrics.incr resumed_c;
-      (* Still receiving, or a partial adoption whose MT_adopted never
-         became durable: clean up by name and re-run from the manifest
-         when present; otherwise wait for the source to re-offer. *)
-      tg.tm_cleanup <- r.r_adopting;
-      tg.tm_adopt_due <- tg.tm_manifest <> None)
+    Option.iter (adopt_cleanup m) copy
+  | T_live _ ->
+    (* Re-delegations may have been cut short; rebuild the remainder
+       from the manifest, minus what the fleet journal already has
+       (the [existing_delegation] filter in {!try_redelegate}). *)
+    tg.tm_redelegate <- redelegations t tg
+  | T_adopted domain when Tyche.Monitor.find_domain m domain <> None ->
+    Obs.Metrics.incr resumed_c;
+    (* Adopted but not yet live: the image bytes are volatile — put
+       them back from the durable chunk store, re-freeze, and stand
+       ready to re-send the receipt. *)
+    (match tg.tm_manifest with
+    | Some mf ->
+      let mem = (Tyche.Monitor.machine m).Hw.Machine.mem in
+      List.iter
+        (fun (base, _, h) ->
+          match Hashtbl.find_opt t.chunks h with
+          | Some bytes -> Hw.Physmem.write mem base bytes
+          | None -> ())
+        mf.Wire.mf_pages
+    | None -> ());
+    ignore (Tyche.Monitor.freeze_domain m ~domain);
+    tg.tm_receipt_due <- true
+  | T_adopted _ | T_receiving ->
+    Obs.Metrics.incr resumed_c;
+    (* Still receiving, or an adoption that did not survive: clean up
+       by name and re-run from the manifest when present; otherwise
+       wait for the source to re-offer. *)
+    tg.tm_cleanup <- tg.tm_cleanup || tg.tm_phase <> T_receiving;
+    tg.tm_phase <- T_receiving;
+    tg.tm_adopt_due <- tg.tm_manifest <> None
 
-let attach ~fleet ~store =
+let attach ~fleet =
   let t =
-    { fleet; store; jseq = 0; chunks = Hashtbl.create 64;
-      srcs = Hashtbl.create 4; tgts = Hashtbl.create 4; counter = 0;
-      peer_roots = Hashtbl.create 4; deferred = Queue.create () }
+    { fleet; chunks = Hashtbl.create 64; srcs = Hashtbl.create 4; tgts = Hashtbl.create 4;
+      counter = 0; stamp = 0; peer_roots = Hashtbl.create 4; deferred = Queue.create () }
   in
-  Fleet.set_data_handler fleet ~chan:migrate_blob (fun origin payload ->
-      handle t origin payload);
-  let { Persist.Wal.records; valid_bytes; truncated; _ } =
-    Persist.Wal.read store ~blob:migrate_blob
+  Fleet.set_data_handler fleet ~chan (fun origin payload -> handle t origin payload);
+  List.iter (replay t) (Fleet.attach_client fleet ~live:(fun () -> live_records t));
+  let oldest_first stamp tbl =
+    Hashtbl.fold (fun _ x acc -> x :: acc) tbl []
+    |> List.sort (fun a b -> Int.compare (stamp a) (stamp b))
   in
-  (* A crash can leave a torn frame at the end of the blob; anything
-     appended after it would be invisible to the longest-valid-prefix
-     read of the NEXT recovery. Cut the journal back to its valid
-     prefix, atomically, before any new record lands behind the tear. *)
-  if truncated then Persist.Store.truncate store migrate_blob valid_bytes;
-  let srcs : (string, src_replay) Hashtbl.t = Hashtbl.create 4 in
-  let tgts : (string, tgt_replay) Hashtbl.t = Hashtbl.create 4 in
-  let src_order = ref [] and tgt_order = ref [] in
-  let src_of mig =
-    match Hashtbl.find_opt srcs mig with
-    | Some r -> r
-    | None ->
-      let r =
-        { r_domain = -1; r_peer = ""; r_name = ""; r_receipt = false;
-          r_committing = false; r_done = false; r_abort = None; r_images = [] }
-      in
-      Hashtbl.replace srcs mig r;
-      src_order := mig :: !src_order;
-      r
-  in
-  let tgt_of mig =
-    match Hashtbl.find_opt tgts mig with
-    | Some r -> r
-    | None ->
-      let r =
-        { r_origin = ""; r_manifest = None; r_adopting = false; r_adopted = None;
-          r_live = false; r_tabort = None; r_root = None }
-      in
-      Hashtbl.replace tgts mig r;
-      tgt_order := mig :: !tgt_order;
-      r
-  in
-  List.iter
-    (fun (seq, payload) ->
-      if seq > t.jseq then t.jseq <- seq;
-      match decode_jrec payload with
-      | None -> ()
-      | Some (MS_begin { mig; domain; peer; name }) ->
-        let r = src_of mig in
-        r.r_domain <- domain;
-        r.r_peer <- peer;
-        r.r_name <- name;
-        (* Reserve the id-space suffix so resumed endpoints never reuse
-           a migration id. *)
-        (match String.rindex_opt mig ':' with
-        | Some i -> (
-          match int_of_string_opt (String.sub mig (i + 1) (String.length mig - i - 1)) with
-          | Some n when n >= t.counter -> t.counter <- n + 1
-          | _ -> ())
-        | None -> ())
-      | Some (MS_frozen { mig; image }) ->
-        let r = src_of mig in
-        r.r_images <- image :: r.r_images
-      | Some (MS_receipt { mig; _ }) -> (src_of mig).r_receipt <- true
-      | Some (MS_committing { mig }) -> (src_of mig).r_committing <- true
-      | Some (MS_done { mig }) -> (src_of mig).r_done <- true
-      | Some (MS_abort { mig; reason }) -> (src_of mig).r_abort <- Some reason
-      | Some (MT_begin { mig; origin }) -> (tgt_of mig).r_origin <- origin
-      | Some (MT_chunk { hash; bytes }) -> Hashtbl.replace t.chunks hash bytes
-      | Some (MT_final { mig; manifest }) -> (tgt_of mig).r_manifest <- Some manifest
-      | Some (MT_adopting { mig }) -> (tgt_of mig).r_adopting <- true
-      | Some (MT_adopted { mig; domain; root }) ->
-        let r = tgt_of mig in
-        r.r_adopted <- Some domain;
-        if root <> "" then r.r_root <- Some root
-      | Some (MT_live { mig }) -> (tgt_of mig).r_live <- true
-      | Some (MT_abort { mig; reason }) -> (tgt_of mig).r_tabort <- Some reason)
-    records;
-  List.iter (fun mig -> resume_source t mig (Hashtbl.find srcs mig)) (List.rev !src_order);
-  List.iter (fun mig -> resume_target t mig (Hashtbl.find tgts mig)) (List.rev !tgt_order);
-  update_active t;
+  List.iter (resume_source t) (oldest_first (fun s -> s.sm_stamp) t.srcs);
+  List.iter (resume_target t) (oldest_first (fun tg -> tg.tm_stamp) t.tgts);
+  settle t;
   t
 
 (* --- public surface ---------------------------------------------------- *)
@@ -1699,9 +1583,11 @@ let abort t ~mig ~reason =
   match (Hashtbl.find_opt t.srcs mig, Hashtbl.find_opt t.tgts mig) with
   | Some src, _ ->
     source_abort t src ~reason ~notify:true;
+    settle t;
     Ok ()
   | None, Some tg ->
     target_abort t tg ~reason ~notify:true;
+    settle t;
     Ok ()
   | None, None -> Error (Unknown_migration mig)
 
@@ -1724,18 +1610,18 @@ let idle t =
   && Hashtbl.fold (fun _ s acc -> acc && terminal_src s) t.srcs true
   && Hashtbl.fold (fun _ tg acc -> acc && terminal_tgt tg) t.tgts true
 
-let adopted_domain t ~mig =
-  match Hashtbl.find_opt t.tgts mig with
-  | Some { tm_phase = T_adopted d; _ } | Some { tm_phase = T_live d; _ } -> Some d
-  | _ -> None
+let domain t ~mig =
+  match (Hashtbl.find_opt t.srcs mig, Hashtbl.find_opt t.tgts mig) with
+  | Some { sm_phase = S_done; _ }, _ -> None
+  | Some src, _ -> Some src.sm_domain
+  | None, Some { tm_phase = T_adopted d | T_live d | T_aborted { copy = Some d; _ }; _ } ->
+    Some d
+  | None, _ -> None
 
 let proxy_domain t ~mig =
   match Hashtbl.find_opt t.srcs mig with
   | Some ({ sm_phase = S_done; _ } as src) ->
-    let name = "remote:" ^ src.sm_peer ^ ":" ^ src.sm_name in
-    List.find_map
-      (fun d -> if Tyche.Domain.name d = name then Some (Tyche.Domain.id d) else None)
-      (Tyche.Monitor.domains (monitor t))
+    Option.map Tyche.Domain.id (named (monitor t) ("remote:" ^ src.sm_peer ^ ":" ^ src.sm_name))
   | _ -> None
 
 let chunk_count t = Hashtbl.length t.chunks

@@ -7,8 +7,8 @@
     outbox, cumulative acks, capped-exponential retry) instead of
     rebuilding it. A migration ships a {e sealed, quiescent} domain as
     content-addressed page chunks — the target answers an [Offer] with
-    the hashes it does {e not} already hold, so a resumed or repeated
-    transfer sends only missing bytes — followed by a [Final] manifest
+    the hashes it does {e not} already hold, so a resumed transfer
+    sends only missing bytes — followed by a [Final] manifest
     binding the domain's configuration, capability layout, measurement
     and page hashes to the source's pre-migration batch-attestation
     Merkle root.
@@ -32,16 +32,29 @@
 
     {2 Crash recovery}
 
-    Both endpoints journal into the ["migrate"] blob of their durable
-    store, fsynced before the message each record makes meaningful
-    leaves the machine. {!attach} {e is} recovery: it replays the
-    journal, re-freezes in-flight domains (the freeze latch is
-    volatile), rebuilds the chunk store, and resumes — a source
+    A machine keeps one journal: migration records ride its {!Fleet}
+    journal — one whole-state record per migration and role (the
+    newest wins), a target's manifest, and chunks. A record is durable
+    before the message it makes meaningful leaves the machine: a frame
+    handler's records ride the barrier of the frame it sends or of the
+    fleet's applied floor, and an intent that must precede a monitor
+    action (adopting, committing, aborting) takes its own. {!attach}
+    {e is} recovery: it re-freezes in-flight domains (the freeze latch
+    is volatile), rebuilds the chunk store, and resumes — a source
     re-offers (the target's durable chunks dedup the re-send) or
-    re-runs its commit, and an aborted source re-sends its [Abort]; a
-    target re-runs adoption from the durable manifest, re-imports
-    adopted-but-not-yet-live page bytes, or re-sends its receipt. A migration is never half-applied: exactly
-    one monitor hosts the domain live once the journals drain. *)
+    re-runs its commit, and a terminal source re-sends its [Commit] or
+    [Abort]; a target re-runs adoption from the durable manifest,
+    re-imports adopted-but-not-yet-live page bytes, re-sends its
+    receipt, or finishes an aborted adoption's clean-up. Exactly one
+    monitor hosts the domain live once the protocol drains.
+
+    Memory, and so the fleet's compaction, keeps every migration not
+    yet terminal, every terminal one that still owes its peer a
+    [Commit], an [Abort] or re-delegations, the four newest other
+    outcomes (so {!status} and {!verify_receipt} still answer for
+    them), the id counter, and only the chunks a receiving or parked
+    target names. Stores holding a ["migrate"] blob of an earlier
+    release are not read. *)
 
 type error =
   | Fleet_error of Fleet.error
@@ -94,12 +107,12 @@ end
 
 type t
 
-val attach : fleet:Fleet.t -> store:Persist.Store.t -> t
-(** Attach the migration engine to [fleet], journaling in [store]'s
-    ["migrate"] blob, streaming at most 4 unacked chunks at a time.
-    Registers the ["migrate"] data handler — attachment {e is}
-    recovery, see above. Attach after every {!Fleet.create} (handlers
-    are volatile), before polling. *)
+val attach : fleet:Fleet.t -> t
+(** Attach the migration engine to [fleet], journaling in the fleet's
+    journal, streaming at most 4 unacked chunks at a time. Registers
+    the ["migrate"] data handler and claims the fleet's replayed client
+    records — attachment {e is} recovery, see above. Attach after every
+    {!Fleet.create} (handlers are volatile), before polling. *)
 
 val set_peer_root : t -> peer:Network.endpoint -> Crypto.Sha256.digest -> unit
 (** Install [peer]'s monitor attestation root (obtained out of band,
@@ -149,19 +162,22 @@ val pp_phase : Format.formatter -> phase -> unit
 
 val status : t -> mig:string -> (role * phase) option
 val migrations : t -> (string * role * phase) list
-(** Every migration this endpoint knows, sorted by id. *)
+(** Every migration this endpoint keeps (see above), sorted by id. *)
 
 val idle : t -> bool
 (** No migration in a non-terminal phase and nothing deferred. *)
 
-val adopted_domain : t -> mig:string -> Tyche.Domain.id option
-(** Target side: the adopted domain once created. *)
+val domain : t -> mig:string -> Tyche.Domain.id option
+(** The local domain of a migration. Source side: the migrating domain,
+    until the commit destroys it. Target side: the adopted copy once
+    created — after an abort too, which must have destroyed it. *)
 
 val proxy_domain : t -> mig:string -> Tyche.Domain.id option
 (** Source side: the [remote:<peer>:<name>] proxy once committed. *)
 
 val chunk_count : t -> int
-(** Distinct content-addressed chunks held durably (dedup store). *)
+(** Distinct content-addressed chunks held durably (dedup store): the
+    ones a receiving or parked target names. *)
 
 (** {2 Transfer receipts}
 

@@ -53,7 +53,6 @@ val duplicate : t -> endpoint -> seed:int -> bool
 val partition : t -> endpoint -> endpoint -> unit
 val heal : t -> endpoint -> endpoint -> unit
 val heal_all : t -> unit
-val partitioned : t -> endpoint -> endpoint -> bool
 
 (** {2 Statistics} *)
 

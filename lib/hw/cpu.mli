@@ -46,9 +46,6 @@ val asid : t -> int
 val set_asid : t -> int -> unit
 (** The address-space tag used for TLB entries (the VPID on x86). *)
 
-val register_count : int
-(** 16 general-purpose registers per core. *)
-
 val get_reg : t -> int -> int
 val set_reg : t -> int -> int -> unit
 (** General-purpose register access for the code currently running on

@@ -12,7 +12,6 @@ module Cost = struct
   let process_context_switch = 3000
   let sgx_eenter = 3800
   let sgx_eexit = 3300
-  let sgx_aex = 7000
   let sgx_ecreate = 10000
   let sgx_eadd_page = 12000
   let sgx_einit = 50000

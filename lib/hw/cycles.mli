@@ -22,8 +22,8 @@ val charge : counter -> int -> unit
 
 (** Calibrated event costs, in cycles. [vmcall_roundtrip] covers VM exit +
     handler entry + VM resume; [vmfunc] is an EPTP switch without a VM
-    exit; [sgx_aex] is an asynchronous enclave exit; [ecall_machine_mode]
-    is a RISC-V U/S to M-mode trap and return; [tlb_shootdown_ipi] is
+    exit; [ecall_machine_mode] is a RISC-V U/S to M-mode trap and
+    return; [tlb_shootdown_ipi] is
     charged per remote core; [cache_flush_full] is a WBINVD-style full
     writeback-invalidate; [zero_cache_line] zeroes 64 bytes of memory;
     [measurement_per_page] hashes one 4 KiB page for attestation. *)
@@ -34,7 +34,6 @@ module Cost : sig
   val process_context_switch : int
   val sgx_eenter : int
   val sgx_eexit : int
-  val sgx_aex : int
   val sgx_ecreate : int
   val sgx_eadd_page : int
   val sgx_einit : int

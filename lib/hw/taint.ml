@@ -102,8 +102,6 @@ let clear_pages t range =
 let clear_line t line = Hashtbl.remove t.lines line
 let clear_all_lines t = Hashtbl.reset t.lines
 
-let clear_tlb_entry t ~asid ~gpa = Hashtbl.remove t.tlb (asid, Addr.align_down gpa)
-
 let clear_tlb_asid t ~asid =
   let victims =
     Hashtbl.fold (fun (a, g) _ acc -> if a = asid then (a, g) :: acc else acc) t.tlb []

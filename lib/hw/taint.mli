@@ -87,7 +87,6 @@ val undo : t -> undo -> unit
 val clear_pages : t -> Addr.Range.t -> unit
 val clear_line : t -> int -> unit
 val clear_all_lines : t -> unit
-val clear_tlb_entry : t -> asid:int -> gpa:Addr.t -> unit
 val clear_tlb_asid : t -> asid:int -> unit
 val clear_all_tlb : t -> unit
 

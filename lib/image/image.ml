@@ -1,9 +1,5 @@
 type visibility = Confidential | Shared
 
-let pp_visibility fmt = function
-  | Confidential -> Format.pp_print_string fmt "confidential"
-  | Shared -> Format.pp_print_string fmt "shared"
-
 type segment = {
   seg_name : string;
   vaddr : int;

@@ -15,8 +15,6 @@ type visibility =
   | Confidential (** Granted exclusively; creator loses access. *)
   | Shared (** Shared with the creator (refcount 2). *)
 
-val pp_visibility : Format.formatter -> visibility -> unit
-
 type segment = {
   seg_name : string; (** e.g. ".text", ".data", ".shared". *)
   vaddr : int; (** Offset from the image's load base; page-aligned. *)

@@ -20,7 +20,6 @@ type t = {
 let name t = t.name
 let mode t = t.mode
 let device t = t.device
-let dma_buffer t = t.dma_buffer
 let sandbox_domain t = Option.map (fun h -> h.Libtyche.Handle.domain) t.sandbox
 
 let buffer_bytes = 2 * Hw.Addr.page_size

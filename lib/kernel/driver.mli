@@ -20,7 +20,6 @@ type t
 val name : t -> string
 val mode : t -> mode
 val device : t -> Hw.Device.t
-val dma_buffer : t -> Hw.Addr.Range.t
 val sandbox_domain : t -> Tyche.Domain.id option
 
 val attach_trusted :

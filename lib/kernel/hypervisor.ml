@@ -6,10 +6,6 @@ type vm_id = int
 
 type vm_state = Running | Halted
 
-let pp_vm_state fmt = function
-  | Running -> Format.pp_print_string fmt "running"
-  | Halted -> Format.pp_print_string fmt "halted"
-
 type guest_ctx = {
   vm : vm_id;
   ram : Hw.Addr.Range.t;

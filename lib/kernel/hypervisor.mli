@@ -24,8 +24,6 @@ type vm_id = int
 
 type vm_state = Running | Halted
 
-val pp_vm_state : Format.formatter -> vm_state -> unit
-
 (** What a guest vCPU can do during one scheduling quantum. All memory
     access happens while the guest domain is entered on the core, so
     every load/store is hardware-checked against the guest's EPT. *)

@@ -143,7 +143,6 @@ let run t ?(max_quanta = 10_000) () =
         (fun proc ->
           if Process.state proc = Process.Ready && !quanta < max_quanta then begin
             incr quanta;
-            Process.note_quantum proc;
             (* Switching between distinct processes costs what it costs
                on a commodity kernel. *)
             if t.last_ran <> Some (Process.pid proc) then

@@ -2,12 +2,6 @@ type pid = int
 
 type state = Ready | Running | Blocked | Exited of int
 
-let pp_state fmt = function
-  | Ready -> Format.pp_print_string fmt "ready"
-  | Running -> Format.pp_print_string fmt "running"
-  | Blocked -> Format.pp_print_string fmt "blocked"
-  | Exited code -> Format.fprintf fmt "exited(%d)" code
-
 type ctx = {
   pid : pid;
   core : int;
@@ -34,11 +28,10 @@ type t = {
   page_table : Hw.Page_table.t;
   program : program;
   mutable state : state;
-  mutable quanta : int;
 }
 
 let make ~pid ~name ~mem ~core ~page_table ~program =
-  { pid; name; mem; core; page_table; program; state = Ready; quanta = 0 }
+  { pid; name; mem; core; page_table; program; state = Ready }
 
 let core t = t.core
 
@@ -50,5 +43,3 @@ let mem t = t.mem
 let state t = t.state
 let set_state t s = t.state <- s
 let program t = t.program
-let quanta_used t = t.quanta
-let note_quantum t = t.quanta <- t.quanta + 1

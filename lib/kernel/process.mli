@@ -14,8 +14,6 @@ type pid = int
 
 type state = Ready | Running | Blocked | Exited of int
 
-val pp_state : Format.formatter -> state -> unit
-
 (** What a program can do during its quantum: the syscall interface. *)
 type ctx = {
   pid : pid;
@@ -64,5 +62,3 @@ val mem : t -> Hw.Addr.Range.t
 val state : t -> state
 val set_state : t -> state -> unit
 val program : t -> program
-val quanta_used : t -> int
-val note_quantum : t -> unit

@@ -14,7 +14,6 @@ type t = {
 let range t = t.range
 let owner t = t.owner
 let peer t = t.peer
-let peer_cap t = t.peer_cap
 
 let header_bytes = 4 + 32 (* length prefix + MAC *)
 

@@ -26,7 +26,6 @@ val create :
 val range : t -> Hw.Addr.Range.t
 val owner : t -> Tyche.Domain.id
 val peer : t -> Tyche.Domain.id
-val peer_cap : t -> Cap.Captree.cap_id
 
 val is_private : t -> Tyche.Monitor.t -> bool
 (** Judiciary check: the channel memory is reachable by exactly its two

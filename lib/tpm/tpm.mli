@@ -8,9 +8,6 @@
 
 type t
 
-val pcr_count : int
-(** 24 PCRs, as in TPM 2.0. *)
-
 val drtm_pcr : int
 (** PCR 17: the dynamic-launch measurement register. *)
 
@@ -52,7 +49,4 @@ module Quote : sig
   val verify : root:Crypto.Sha256.digest -> t -> bool
   (** Check the signature binds these PCR values and nonce to the TPM
       whose endorsement root is [root]. *)
-
-  val signed_payload : t -> string
-  (** The exact bytes the signature covers (exposed for tamper tests). *)
 end

@@ -7,11 +7,6 @@
     quote it then derives trust in the *monitor's attestation key*,
     which makes tier-two domain attestations checkable. *)
 
-val expected_key_binding_pcr : Crypto.Sha256.digest list -> Crypto.Sha256.digest
-(** The value PCR 18 holds once the given attestation roots were bound
-    into it at boot, in that order: each binding extends the PCR, so
-    [[r1; r2]] gives H(H(zero ‖ r1) ‖ r2). *)
-
 val verify_boot_chain :
   tpm_root:Crypto.Sha256.digest ->
   expected_pcrs:(int * Crypto.Sha256.digest) list ->

@@ -25,8 +25,6 @@ type requirement =
       (** The platform keeps the domain's memory under a private
           encryption key — required for physical-attack resistance. *)
 
-val pp_requirement : Format.formatter -> requirement -> unit
-
 type t = requirement list
 
 val check : t -> Tyche.Attestation.t -> (unit, string list) result

@@ -29,16 +29,6 @@ type decision = {
 
 val pp_decision : Format.formatter -> decision -> unit
 
-val establish_trust :
-  reference_values ->
-  nonce:string ->
-  boot_quote:Rot.Tpm.Quote.t ->
-  attestations:(Tyche.Attestation.t * Policy.t) list ->
-  decision
-(** One-shot evaluation: boot chain first (its failure taints
-    everything), then each attestation's signature, freshness and
-    policy. *)
-
 val attest_and_decide :
   Tyche.Monitor.t ->
   reference_values ->

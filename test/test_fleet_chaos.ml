@@ -63,7 +63,8 @@ let reconnect a b =
   | Error e -> fail "connect %s->%s: %s" b.name a.name (Distributed.Fleet.error_to_string e)
 
 (* Crash-restart: fresh machine and backend, monitor recovery from the
-   store, fleet recovery from the journal in the same store. *)
+   store, fleet recovery from the journal in the same store, then the
+   cross-journal audit of the recovered machine. *)
 let recover net node =
   let machine = Hw.Machine.create ~arch:Hw.Cpu.X86_64 ~cores:4 ~mem_size:(16 * 1024 * 1024) () in
   let rng = Crypto.Rng.create ~seed:0x99L in
@@ -82,7 +83,10 @@ let recover net node =
     node.monitor <- m;
     node.fleet <-
       Distributed.Fleet.create ~store:node.store ~monitor:m ~name:node.name ~net ();
-    node.local_shares <- []
+    node.local_shares <- [];
+    match Testkit.audit_recovery node.fleet with
+    | [] -> ()
+    | vs -> fail "%s after recovery: %s" node.name (String.concat "; " vs)
 
 let pick rng = function
   | [] -> None

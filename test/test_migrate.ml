@@ -32,12 +32,12 @@ type node = {
   store : Persist.Store.t;
 }
 
-let mk_node net name seed =
-  let w = boot_x86 ~seed () in
+let mk_node ?signer_height net name seed =
+  let w = boot_x86 ?signer_height ~seed () in
   let store = Persist.Store.mem () in
   Tyche.Monitor.enable_persistence w.Testkit.monitor ~store ();
   let fleet = Distributed.Fleet.create ~store ~monitor:w.Testkit.monitor ~name ~net () in
-  let mig = Distributed.Migrate.attach ~fleet ~store in
+  let mig = Distributed.Migrate.attach ~fleet in
   { name; w; fleet; mig; store }
 
 (* Sessions and peer attestation roots are both volatile: (re)establish
@@ -87,8 +87,8 @@ let pump ?(rounds = 400) nodes =
   end
 
 (* Power comes back on one endpoint: a fresh machine recovers the
-   monitor from the store and the fleet from its journal. *)
-let recover_fleet net node =
+   monitor from the store, then the fleet from its journal. *)
+let recover_monitor node =
   let machine =
     Hw.Machine.create ~arch:Hw.Cpu.X86_64 ~cores:4 ~mem_size:(16 * 1024 * 1024) ()
   in
@@ -104,23 +104,26 @@ let recover_fleet net node =
       ~monitor_range:br.Rot.Boot.monitor_range
   with
   | Error e -> Alcotest.failf "%s: recovery failed: %s" node.name e
-  | Ok (m, _) ->
-    node.w <- { node.w with Testkit.monitor = m; machine; backend };
-    node.fleet <-
-      Distributed.Fleet.create ~store:node.store ~monitor:m ~name:node.name ~net ()
+  | Ok (m, _) -> node.w <- { node.w with Testkit.monitor = m; machine; backend }
+
+let recover_fleet net node =
+  recover_monitor node;
+  node.fleet <-
+    Distributed.Fleet.create ~store:node.store ~monitor:node.w.Testkit.monitor ~name:node.name
+      ~net ()
 
 (* Crash-restart one endpoint: power fails (unsynced writes lost), then
-   the monitor and fleet recover, and the migration engine recovers
-   from its journal. *)
+   the monitor and fleet recover, and the migration engine claims its
+   records from the fleet's journal. *)
 let crash_recover net node =
   Persist.Store.power_fail node.store;
   recover_fleet net node;
-  node.mig <- Distributed.Migrate.attach ~fleet:node.fleet ~store:node.store
+  node.mig <- Distributed.Migrate.attach ~fleet:node.fleet
 
 (* A sealed enclave with [pages] private pages at [base]; the first
-   half carry content, the rest stay zero (so content-addressing has
-   something to dedup). *)
-let build_enclave ?(pages = 6) ?(name = "traveller") ?(core = 0) node ~base =
+   [distinct] (half, by default) carry content, the rest stay zero (so
+   content-addressing has something to dedup). *)
+let build_enclave ?(pages = 6) ?distinct ?(name = "traveller") ?(core = 0) node ~base =
   let m = node.w.Testkit.monitor in
   let d =
     get_ok (Tyche.Monitor.create_domain m ~caller:os ~name ~kind:Tyche.Domain.Enclave)
@@ -129,7 +132,7 @@ let build_enclave ?(pages = 6) ?(name = "traveller") ?(core = 0) node ~base =
   let piece =
     get_ok (Tyche.Monitor.carve m ~caller:os ~cap:(os_memory_cap node.w) ~subrange:sub)
   in
-  for i = 0 to (pages / 2) - 1 do
+  for i = 0 to Option.value distinct ~default:(pages / 2) - 1 do
     get_ok
       (Tyche.Monitor.store_string m ~core:0 (base + (i * page))
          (Printf.sprintf "%s-page-%04d" name i))
@@ -168,6 +171,7 @@ let test_migrate_happy_path () =
   let base = 0x40000 in
   let d, sub, _ = build_enclave a ~base ~pages:6 in
   let before = Hw.Physmem.read (mem_of a) sub in
+  let rx0 = counter "migrate.chunks_rx" in
   let mig = mok (Distributed.Migrate.start a.mig ~domain:d ~peer:"beta") in
   pump [ a; b ];
   (* Source side: committed, domain gone, proxy in its place. *)
@@ -190,7 +194,7 @@ let test_migrate_happy_path () =
   (match Distributed.Migrate.status b.mig ~mig with
   | Some (Distributed.Migrate.Target, Distributed.Migrate.Live) -> ()
   | _ -> Alcotest.fail "target not live");
-  let ad = Option.get (Distributed.Migrate.adopted_domain b.mig ~mig) in
+  let ad = Option.get (Distributed.Migrate.domain b.mig ~mig) in
   let dom = Option.get (Tyche.Monitor.find_domain b.w.Testkit.monitor ad) in
   Alcotest.(check string) "name survives" "traveller" (Tyche.Domain.name dom);
   Alcotest.(check bool) "sealed" true (Tyche.Domain.is_sealed dom);
@@ -200,9 +204,11 @@ let test_migrate_happy_path () =
     (Hw.Physmem.read (mem_of b) sub);
   Alcotest.(check bool) "entry point survives" true
     (Tyche.Domain.entry_point dom = Some base);
-  (* Zero pages collapsed: 6 pages, 3 written distinct + 3 zero = 4 chunks. *)
+  (* Zero pages collapsed: 6 pages, 3 written distinct + 3 zero = 4
+     chunks stored. The live copy needs none of them any more. *)
   Alcotest.(check int) "zero pages dedup to one chunk" 4
-    (Distributed.Migrate.chunk_count b.mig);
+    (counter "migrate.chunks_rx" - rx0);
+  Alcotest.(check int) "a live copy keeps no chunk" 0 (Distributed.Migrate.chunk_count b.mig);
   (* The receipt chain verifies on the target. *)
   Alcotest.(check bool) "receipt verifies" true
     (Distributed.Migrate.verify_receipt b.mig ~mig);
@@ -461,7 +467,7 @@ let test_source_crash_resumes_with_dedup () =
   (match Distributed.Migrate.status b.mig ~mig with
   | Some (Distributed.Migrate.Target, Distributed.Migrate.Live) -> ()
   | _ -> Alcotest.fail "target not live after resume");
-  let ad = Option.get (Distributed.Migrate.adopted_domain b.mig ~mig) in
+  let ad = Option.get (Distributed.Migrate.domain b.mig ~mig) in
   Alcotest.(check string) "content intact across the resume" before
     (Hw.Physmem.read (mem_of b) sub);
   (* The parked target committed its banked copy without any re-stream:
@@ -476,14 +482,15 @@ let test_source_crash_resumes_with_dedup () =
   check_clean a;
   check_clean b
 
-(* A crash inside the repair of a torn migration-journal tail must not
-   cost a valid record: the repair is one atomic truncation. *)
+(* A crash inside the repair of a torn journal tail must not cost a
+   valid migration record: the fleet repairs the journal it shares
+   with the migration engine in one atomic truncation. *)
 let test_torn_tail_repair_crash () =
   let net, a, b = mk_pair () in
   let d, _, _ = build_enclave a ~base:0x40000 in
   let mig = mok (Distributed.Migrate.start a.mig ~domain:d ~peer:"beta") in
   pump [ a; b ];
-  let blob = "migrate" in
+  let blob = "fleet" in
   let torn = Persist.Wal.frame ~seq:1_000_000 "torn" in
   Persist.Store.append a.store blob (String.sub torn 0 (String.length torn - 3));
   Persist.Store.fsync a.store blob;
@@ -492,15 +499,16 @@ let test_torn_tail_repair_crash () =
   let image =
     List.map
       (fun bl -> (bl, Persist.Store.read a.store bl))
-      [ Persist.Store.wal_blob; Persist.Store.snap_blob; Persist.Store.seg_blob; "fleet"; blob ]
+      [ Persist.Store.wal_blob; Persist.Store.snap_blob; Persist.Store.seg_blob; blob ]
   in
   List.iter
     (fun point ->
       let n = { a with store = Persist.Store.mem ~preload:image () } in
-      recover_fleet net n;
+      recover_monitor n;
       (match
          Fault.with_plan (Fault.nth point 1) (fun () ->
-             Distributed.Migrate.attach ~fleet:n.fleet ~store:n.store)
+             Distributed.Fleet.create ~store:n.store ~monitor:n.w.Testkit.monitor ~name:n.name
+               ~net ())
        with
       | _ -> ()
       | exception Persist.Store.Crash _ -> ());
@@ -611,7 +619,7 @@ let test_rehoming_flips_import_origin () =
     Alcotest.(check int) "re-homed base" base dl.Distributed.Fleet.del_base
   | l -> Alcotest.failf "expected 1 active delegation on beta, got %d" (List.length l));
   (* The re-homed holder shows in beta's attestation like any other. *)
-  let ad = Option.get (Distributed.Migrate.adopted_domain b.mig ~mig) in
+  let ad = Option.get (Distributed.Migrate.domain b.mig ~mig) in
   let tree = Tyche.Monitor.tree b.w.Testkit.monitor in
   let holders = Cap.Captree.holders tree (Cap.Resource.Memory dsub) in
   Alcotest.(check bool) "adopted domain holds its page" true (List.mem ad holders);
@@ -620,6 +628,78 @@ let test_rehoming_flips_import_origin () =
     | Some p -> List.mem p holders
     | None -> false);
   List.iter check_clean [ a; b; g ]
+
+(* --- bounded state -------------------------------------------------------- *)
+
+(* Compaction bounds what each machine keeps in its one journal: over
+   100 loss-free alpha -> beta migrations, neither the journal nor the
+   chunk store grows past twice what it reached in the first 20 (each
+   migration adds 4 new chunks and about 20 KB of records, so an
+   unbounded store grows 5x). Peaks over 20-migration windows, since
+   each compaction shrinks the journal. A compacted journal still
+   restores the id counter: after a crash, neither side re-issues a
+   migration id. *)
+let test_state_bounded () =
+  let net = Distributed.Network.create () in
+  let a = mk_node ~signer_height:7 net "alpha" 0x81L in
+  let b = mk_node ~signer_height:7 net "beta" 0x82L in
+  link a b;
+  let used = ref [] in
+  let start x ~domain ~peer =
+    let mig = mok (Distributed.Migrate.start x.mig ~domain ~peer) in
+    if List.mem mig !used then Alcotest.failf "migration id %s issued twice" mig;
+    used := mig :: !used;
+    mig
+  in
+  let journal n = String.length (Persist.Store.read n.store "fleet") in
+  let chunks n = Distributed.Migrate.chunk_count n.mig in
+  let samples = Array.make 101 [] in
+  for i = 1 to 100 do
+    let base = 0x400000 + ((i - 1) * 16 * page) in
+    let d, _, _ = build_enclave a ~pages:16 ~distinct:4 ~name:(Printf.sprintf "b%03d" i) ~base in
+    ignore (start a ~domain:d ~peer:"beta");
+    pump [ a; b ];
+    samples.(i) <- [ journal a; journal b; chunks a; chunks b ]
+  done;
+  let peak lo hi k =
+    let m = ref 0 in
+    for i = lo to hi do
+      m := max !m (List.nth samples.(i) k)
+    done;
+    !m
+  in
+  List.iteri
+    (fun k what ->
+      let early = peak 1 20 k and late = peak 81 100 k in
+      if late > 2 * early then
+        Alcotest.failf "%s: peak %d over migrations 81-100 vs %d over 1-20 (> 2x)" what late
+          early)
+    [ "alpha journal bytes"; "beta journal bytes"; "alpha chunks"; "beta chunks" ];
+  List.iter
+    (fun n ->
+      Alcotest.(check int) (n.name ^ " keeps one journal") 0
+        (String.length (Persist.Store.read n.store "migrate")))
+    [ a; b ];
+  (* Beta migrates one back, so both sides have issued ids; then both
+     compact and crash. *)
+  let back = Option.get (find_by_name b "b100") in
+  ignore (start b ~domain:(Tyche.Domain.id back) ~peer:"alpha");
+  pump [ a; b ];
+  List.iter
+    (fun n ->
+      Distributed.Fleet.compact n.fleet;
+      crash_recover net n)
+    [ a; b ];
+  link a b;
+  let d, _, _ =
+    build_enclave a ~pages:16 ~distinct:4 ~name:"b101" ~base:(0x400000 + (100 * 16 * page))
+  in
+  ignore (start a ~domain:d ~peer:"beta");
+  let again = Option.get (find_by_name b "b099") in
+  ignore (start b ~domain:(Tyche.Domain.id again) ~peer:"alpha");
+  pump [ a; b ];
+  check_clean a;
+  check_clean b
 
 (* --- differential: migrated vs never-migrated -------------------------- *)
 
@@ -694,7 +774,7 @@ let test_differential_migrated_vs_replay () =
   let pre_migrated = probe m d in
   let mig = mok (Distributed.Migrate.start a.mig ~domain:d ~peer:"beta") in
   pump [ a; b ];
-  let ad = Option.get (Distributed.Migrate.adopted_domain b.mig ~mig) in
+  let ad = Option.get (Distributed.Migrate.domain b.mig ~mig) in
   let post_migrated = probe b.w.Testkit.monitor ad in
   (* World 2: identical trace, no migration. *)
   let w2 = boot_x86 ~seed:0x91L () in
@@ -857,6 +937,9 @@ let () =
       ( "re-homing",
         [ Alcotest.test_case "delegation import origin flips to the new host" `Quick
             test_rehoming_flips_import_origin ] );
+      ( "bounded state",
+        [ Alcotest.test_case "100 migrations: journal and chunks stay within 2x of 20" `Quick
+            test_state_bounded ] );
       ( "differential",
         [ Alcotest.test_case "migrated state equals unmigrated replay" `Quick
             test_differential_migrated_vs_replay ] );

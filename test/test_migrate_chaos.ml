@@ -56,7 +56,7 @@ let mk_node net name seed =
   let store = Persist.Store.mem () in
   Tyche.Monitor.enable_persistence w.Testkit.monitor ~store ();
   let fleet = Distributed.Fleet.create ~store ~monitor:w.Testkit.monitor ~name ~net () in
-  let mig = Distributed.Migrate.attach ~fleet ~store in
+  let mig = Distributed.Migrate.attach ~fleet in
   { name; store; monitor = w.Testkit.monitor; fleet; mig }
 
 (* Sessions, data handlers and peer attestation roots are all volatile:
@@ -75,7 +75,8 @@ let reconnect a b =
 
 (* Crash-restart: fresh machine and backend, monitor recovery from the
    store, fleet recovery from its journal, migration recovery from the
-   "migrate" journal (attach IS recovery). *)
+   records it shares that journal with (attach IS recovery), then the
+   cross-journal audit of the recovered machine. *)
 let recover net node =
   let machine =
     Hw.Machine.create ~arch:Hw.Cpu.X86_64 ~cores:4 ~mem_size:(16 * 1024 * 1024) ()
@@ -96,7 +97,10 @@ let recover net node =
     node.monitor <- m;
     node.fleet <-
       Distributed.Fleet.create ~store:node.store ~monitor:m ~name:node.name ~net ();
-    node.mig <- Distributed.Migrate.attach ~fleet:node.fleet ~store:node.store
+    node.mig <- Distributed.Migrate.attach ~fleet:node.fleet;
+    match Testkit.audit_recovery ~mig:node.mig node.fleet with
+    | [] -> ()
+    | vs -> fail "%s after recovery: %s" node.name (String.concat "; " vs)
 
 (* The os capability containing [sub] on this node. *)
 let cap_over m sub =
@@ -152,7 +156,7 @@ let run ~seed =
         recover net node;
         reconnect node other;
         let { Persist.Wal.records; truncated; _ } =
-          Persist.Wal.read node.store ~blob:"migrate"
+          Persist.Wal.read node.store ~blob:"fleet"
         in
         Printf.sprintf "crash:%s (journal %d records%s; replayed: %s)" point
           (List.length records)
@@ -420,7 +424,7 @@ let run ~seed =
       | Some dom ->
         if not (Tyche.Domain.is_sealed dom) then fail "ep %d: adopted copy unsealed" ep);
       let ad =
-        match Distributed.Migrate.adopted_domain y.mig ~mig with
+        match Distributed.Migrate.domain y.mig ~mig with
         | Some id -> id
         | None -> fail "ep %d: no adopted domain id" ep
       in

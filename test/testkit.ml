@@ -256,3 +256,82 @@ let chaos_check_obs ~suite ~seed ~where =
     prerr_endline (chaos_replay_line ~suite ~seed);
     Printf.eprintf "FAIL: %s: obs self-audit: %s\n%!" where msg;
     exit 1
+
+(* --- cross-journal audit after a recovery ----------------------------
+
+   A recovered machine's monitor, fleet journal and migration records
+   must tell one story: a migration abort makes claim C6's clean-up
+   promise across machines, and recovery rebuilds it from the journal.
+   Three rules, checked through the public inspection API only:
+   - every frozen domain is the domain of a source still migrating, or
+     the copy of a parked target;
+   - no aborted target's adopted copy survives;
+   - every frozen proxy cap backs a live delegation or lies under a
+     pending revocation.
+   Returns the violations; empty when the layers agree. Without [mig]
+   the migration rules see no migrations. *)
+let audit_recovery ?mig fleet =
+  let module M = Distributed.Migrate in
+  let module F = Distributed.Fleet in
+  let m = F.monitor fleet in
+  let tree = Tyche.Monitor.tree m in
+  let migs =
+    match mig with
+    | Some g ->
+      List.map (fun (id, role, phase) -> (id, role, phase, M.domain g ~mig:id)) (M.migrations g)
+    | None -> []
+  in
+  let holds d (_, role, phase, dom) =
+    dom = Some d
+    &&
+    match (role, phase) with
+    | M.Source, (M.Offered | M.Streaming | M.Committing) | M.Target, M.Parked -> true
+    | _ -> false
+  in
+  let frozen =
+    List.filter_map
+      (fun dom ->
+        let d = Tyche.Domain.id dom in
+        if Tyche.Monitor.domain_frozen m ~domain:d && not (List.exists (holds d) migs) then
+          Some
+            (Printf.sprintf "domain %d (%s) is frozen, but no migration in flight holds it" d
+               (Tyche.Domain.name dom))
+        else None)
+      (Tyche.Monitor.domains m)
+  in
+  let survivors =
+    List.filter_map
+      (fun (id, role, phase, dom) ->
+        match (role, phase, dom) with
+        | M.Target, M.Aborted _, Some d when Tyche.Monitor.find_domain m d <> None ->
+          Some (Printf.sprintf "migration %s aborted, but its copy (domain %d) survives" id d)
+        | _ -> None)
+      migs
+  in
+  let remote cap =
+    match Cap.Captree.owner tree cap with
+    | Some o -> (
+      match Tyche.Monitor.find_domain m o with
+      | Some dom -> Tyche.Domain.kind dom = Tyche.Domain.Remote
+      | None -> false)
+    | None -> false
+  in
+  let backed cap =
+    List.exists
+      (fun d -> d.F.proxy_cap = cap && d.F.del_state <> F.Revoked)
+      (F.delegations fleet)
+    || List.exists
+         (fun p -> p = cap || Cap.Captree.is_ancestor tree ~ancestor:p cap)
+         (F.pending_revokes fleet)
+  in
+  let proxies =
+    List.filter_map
+      (fun cap ->
+        if remote cap && not (backed cap) then
+          Some
+            (Printf.sprintf
+               "proxy cap %d is frozen, but backs no live delegation or pending revocation" cap)
+        else None)
+      (Cap.Captree.frozen_caps tree)
+  in
+  frozen @ survivors @ proxies
