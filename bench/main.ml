@@ -1909,35 +1909,31 @@ let e17_twin_failure r =
          e17_twin_events)
   else None
 
-(* E18: what durable *throughput* costs. Three row groups here, plus
-   the revocation cascade in {!e18_cascade}:
-   - "e18 group commit(64)": per-record cost of the redo log on a real
-     filesystem when 64 records share one fsync, against the per-op
-     fsync discipline the group queue replaces. Runs at the persist
-     layer so the ratio isolates the durability barrier, not monitor
-     op execution.
+(* E18: what durable *throughput* costs. Three row groups, plus the
+   revocation cascade in {!e18_cascade}:
+   - "e18 group commit(64)" ({!e18_group}): per-record cost of the redo
+     log on a real filesystem when 64 records share one fsync, against
+     the per-op fsync discipline the group queue replaces. Runs at the
+     persist layer so the ratio isolates the durability barrier, not
+     monitor op execution. `dune build @perf` gates it; bench-smoke
+     gates {!e18_twin}, its count twin.
    - "e18 ckpt pause@10k": the stop-the-world pause of an incremental
      checkpoint at steady state (one dirty bucket) on a 10k-cap world,
      against a cold checkpoint of the same world (the first one into an
      empty store, which serializes every bucket).
    - "e18 ckpt bytes@10k": bytes appended to the manifest and segment
      streams by that incremental checkpoint vs the cold one. *)
-let e18 ?(smoke = false) () =
-  if smoke then header "E18: durable throughput [smoke]"
-  else header "E18: durable throughput — group commit, incremental checkpoints";
-  let rows = ref [] in
-  let add size op ~fast ~baseline note =
-    rows := { size; op; indexed_ns = fast; reference_ns = baseline } :: !rows;
-    row3 op (Printf.sprintf "%.0f ns/op" fast) note
-  in
-  (* --- group commit on the file store --- *)
+let e18_payload = String.make 96 'r'
+
+let e18_group ?(smoke = false) () =
+  if smoke then header "E18: group commit on the file store [smoke]"
+  else header "E18: group commit on the file store";
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "tyche-bench-e18" in
   let wipe () =
     if Sys.file_exists dir then
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
   in
   wipe ();
-  let payload = String.make 96 'r' in
   let n_rec = if smoke then 2_000 else 20_000 in
   let run_group max_batch =
     let store = Persist.Store.file ~dir in
@@ -1949,7 +1945,7 @@ let e18 ?(smoke = false) () =
     let ns =
       timed_loop ~n:n_rec (fun () ->
           incr seq;
-          Persist.Group.append g ~seq:!seq payload)
+          Persist.Group.append g ~seq:!seq e18_payload)
     in
     Persist.Group.flush g;
     ns
@@ -1958,8 +1954,92 @@ let e18 ?(smoke = false) () =
   let batched_ns = run_group 64 in
   wipe ();
   if Sys.file_exists dir then Sys.rmdir dir;
-  add n_rec "e18 group commit(64) file store" ~fast:batched_ns ~baseline:per_op_ns
+  let op = "e18 group commit(64) file store" in
+  row3 op (Printf.sprintf "%.0f ns/op" batched_ns)
     (Printf.sprintf "vs %.0f ns per-op fsync, %.1fx" per_op_ns (per_op_ns /. batched_ns));
+  [ { size = n_rec; op; indexed_ns = batched_ns; reference_ns = per_op_ns } ]
+
+(* E18's deterministic twin: what "e18 group commit(64)" defers and
+   writes, counted through a wrapper around a mem store. [e18_twin_records]
+   records of the same 96-byte payload through a queue with max_batch
+   64: WAL fsyncs and appends, against one each per record without
+   group commit, and WAL bytes per record, against the same records
+   framed one per frame. *)
+let e18_twin_records = 1_000
+
+let e18_twin () =
+  header "E18 twin: WAL fsyncs, appends and bytes under group commit(64)";
+  let n = e18_twin_records in
+  let syncs = ref 0 and appends = ref 0 and bytes = ref 0 in
+  let inner = Persist.Store.mem () in
+  let store =
+    { inner with
+      Persist.Store.append =
+        (fun blob data ->
+          if blob = Persist.Store.wal_blob then begin
+            incr appends;
+            bytes := !bytes + String.length data
+          end;
+          inner.Persist.Store.append blob data);
+      fsync =
+        (fun blob ->
+          if blob = Persist.Store.wal_blob then incr syncs;
+          inner.Persist.Store.fsync blob) }
+  in
+  let g = Persist.Group.create ~max_batch:64 store ~blob:Persist.Store.wal_blob ~durable_seq:0 in
+  for seq = 1 to n do
+    Persist.Group.append g ~seq e18_payload
+  done;
+  Persist.Group.flush g;
+  let one_per_frame =
+    List.fold_left
+      (fun acc seq -> acc + String.length (Persist.Wal.frame ~seq e18_payload))
+      0 (List.init n succ)
+  in
+  let per r = float_of_int r /. float_of_int n in
+  let rows =
+    [ { size = n; op = "e18 twin WAL fsyncs"; indexed_ns = float_of_int !syncs;
+        reference_ns = float_of_int n };
+      { size = n; op = "e18 twin WAL appends"; indexed_ns = float_of_int !appends;
+        reference_ns = float_of_int n };
+      { size = n; op = "e18 twin WAL bytes per record"; indexed_ns = per !bytes;
+        reference_ns = per one_per_frame } ]
+  in
+  row3 "e18 twin WAL fsyncs" (string_of_int !syncs) (Printf.sprintf "for %d records" n);
+  row3 "e18 twin WAL appends" (string_of_int !appends) (Printf.sprintf "for %d records" n);
+  row3 "e18 twin WAL bytes per record" (Printf.sprintf "%.2f B" (per !bytes))
+    (Printf.sprintf "vs %.2f B one record per frame" (per one_per_frame));
+  rows
+
+(* Bounds for the twin. A flush makes its batch durable with one append
+   of one frame and one fsync, so both counts are exactly one per 64
+   records, rounded up; a queue that fsyncs every record reads 1,000 of
+   each. In a batch frame a record is its payload and a one-byte
+   length, 97 B, plus its share of the frame's header (a marker, the
+   body length, the CRC and the first seq: 8 or 9 bytes, 0.14 B a
+   record), so 97.14 B a record; a flush that frames each record alone
+   reads 102.87 B (1-byte length, 4-byte CRC and 1- or 2-byte seq
+   each). *)
+let e18_twin_failure r =
+  let batches = float_of_int ((e18_twin_records + 63) / 64) in
+  let exact n =
+    if r.indexed_ns = n then None
+    else Some (Printf.sprintf "%s: %.0f (<> %.0f)" r.op r.indexed_ns n)
+  in
+  match r.op with
+  | "e18 twin WAL fsyncs" | "e18 twin WAL appends" -> exact batches
+  | "e18 twin WAL bytes per record" when r.indexed_ns > 97.5 ->
+    Some (Printf.sprintf "%s: %.2f B (> 97.5 B)" r.op r.indexed_ns)
+  | _ -> None
+
+let e18 ?(smoke = false) () =
+  if smoke then header "E18: durable throughput [smoke]"
+  else header "E18: durable throughput — incremental checkpoints";
+  let rows = ref [] in
+  let add size op ~fast ~baseline note =
+    rows := { size; op; indexed_ns = fast; reference_ns = baseline } :: !rows;
+    row3 op (Printf.sprintf "%.0f ns/op" fast) note
+  in
   (* --- incremental vs cold checkpoint on a 10k-cap world ---
      Smoke keeps the full 10k-cap world: building it is plain shares
      (cheap), and the acceptance ratio is defined at 10k — a smaller
@@ -2166,9 +2246,10 @@ let e18_cascade ?(smoke = false) () =
 let e18_words_ceiling = 1.5
 
 (* Floors for the E18 ratios (same busy-CI discipline as {!e16_floor}):
-   - group commit: 64 records per fsync amortizes the dominant barrier
-     cost; healthy runs sit far above 10x on a real filesystem, so 5x
-     only trips if batching stops deferring the fsync.
+   - group commit, gated by `dune build @perf` (bench-smoke gates
+     {!e18_twin} instead): 64 records per fsync amortizes the dominant
+     barrier cost; healthy runs sit far above 10x on a real filesystem,
+     so 5x only trips if batching stops deferring the fsync.
    - ckpt pause: steady state re-serializes one dirty 64-id bucket out
      of ~160; the cold checkpoint serializes every bucket. The
      acceptance target is >= 10x smaller at 10k caps; smoke runs the
@@ -2964,6 +3045,7 @@ let capops_smoke () =
   (* Its replayed-record counts are the gate; it fails on its own. *)
   ignore (e16_recover ~smoke:true ());
   failures := List.filter_map e17_twin_failure (e17_twin ()) @ !failures;
+  failures := List.filter_map e18_twin_failure (e18_twin ()) @ !failures;
   List.iter
     (fun r ->
       match e18_floor r.op with
@@ -3098,6 +3180,7 @@ let perf_gates () =
   let e14_rows = e14 ~smoke:true () in
   let e16_rows = e16 ~smoke:true () in
   let e17_rows = e17 ~smoke:true () in
+  let e18_rows = e18_group ~smoke:true () in
   let e20_rows = e20 ~smoke:true () in
   let floor_failures floor_of =
     List.filter_map (fun r ->
@@ -3111,6 +3194,7 @@ let perf_gates () =
   let failures =
     floor_failures e14_floor e14_rows
     @ floor_failures e16_floor e16_rows
+    @ floor_failures e18_floor e18_rows
     @ List.filter_map
         (fun r ->
           match e17_ceiling r.op with
@@ -3169,6 +3253,8 @@ let () =
           e16_twin;
           (fun () -> e17 ());
           e17_twin;
+          (fun () -> e18_group ());
+          e18_twin;
           (fun () -> e18 ());
           (fun () -> fst (e18_cascade ()));
           (fun () -> capops_scaling ());

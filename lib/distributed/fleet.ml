@@ -962,8 +962,9 @@ let poll t =
    superseded ack floors leave records behind that replay no longer
    needs, so an append-only blob (and its recovery replay) would grow
    without bound over the endpoint's life. Compaction frames a snapshot
-   of live state in replay order and installs it as the whole blob with
-   one atomic [Store.replace]: a crash leaves either the old journal or
+   of live state in replay order, as one batch frame (its seqs are
+   consecutive), and installs it as the whole blob with one atomic
+   [Store.replace]: a crash leaves either the old journal or
    the snapshot, which replay to the same state. The snapshot subsumes
    the records still waiting for a barrier, which the replace drops.
    The client's records follow the fleet's own. *)
@@ -1017,16 +1018,13 @@ let write_snapshot t client =
   | None -> ()
   | Some s ->
     let recs = snapshot_records t @ List.map (fun p -> J_client p) client in
-    let b = Buffer.create 4096 in
-    List.iter
-      (fun r ->
-        t.jseq <- t.jseq + 1;
-        Buffer.add_string b (Persist.Wal.frame ~seq:t.jseq (encode_jrec r)))
-      recs;
+    let first = t.jseq + 1 in
+    t.jseq <- t.jseq + List.length recs;
+    let frames = Persist.Wal.frames (List.mapi (fun i r -> (first + i, encode_jrec r)) recs) in
     (* The snapshot names monitor state (proxy domains and caps), so that
        state goes durable first, as in [barrier]. *)
     Tyche.Monitor.flush t.monitor;
-    Persist.Store.replace s fleet_blob (Buffer.contents b);
+    Persist.Store.replace s fleet_blob frames;
     t.jrecs <- List.length recs
 
 let compact t = write_snapshot t (client_records t)

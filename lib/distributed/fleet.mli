@@ -180,7 +180,8 @@ val compact : t -> unit
     then the client's live records), dropping records that recovery no
     longer needs — completed delegations, retired imports, superseded
     ack floors. The snapshot is
-    written once: framed and installed as the whole blob with one atomic
+    written once: framed as one batch frame ({!Persist.Wal.frames}) and
+    installed as the whole blob with one atomic
     [Persist.Store.replace], after the monitor's pending writes are
     flushed, so a crash leaves either the old journal or the snapshot.
     May raise [Persist.Store.Crash] at the [store.dir_fsync] fault

@@ -635,10 +635,10 @@ type recovery_report = {
    front end keeps no checkpoints — its log is the full history; shard
    checkpointing is future work). Fault injection is masked during
    replay, as in [Monitor.recover]. *)
-let recover ~shards ?signer_height ?keypool ~rng ~mk ~store () =
+let recover ~shards ?signer_height ?keypool ?fsync_every ~rng ~mk ~store () =
   let t = boot ~shards ?signer_height ?keypool ~rng ~mk () in
   let wal = Persist.Wal.read store ~blob:Persist.Store.wal_blob in
-  enable_persistence t ~store ();
+  enable_persistence t ~store ?fsync_every ();
   let fp = Option.get t.persist in
   fp.fp_replaying <- true;
   let r =
@@ -649,9 +649,16 @@ let recover ~shards ?signer_height ?keypool ~rng ~mk ~store () =
   in
   (* No checkpoint retires this log, so cut a torn or unreplayable tail
      before the first new append: a frame written behind it would be
-     durable but unreachable to the next recovery's prefix scan. *)
-  if wal.Persist.Wal.truncated || r.Persist.Wal.applied_bytes < wal.Persist.Wal.valid_bytes
-  then Persist.Store.truncate store Persist.Store.wal_blob r.Persist.Wal.applied_bytes;
+     durable but unreachable to the next recovery's prefix scan. The cut
+     rewrites the log as the records replay applied (the first [applied]
+     over seq 0, which it skips), in one atomic swap, so a batch frame it
+     stopped inside keeps its applied head and the next seq follows it. *)
+  if wal.Persist.Wal.truncated || r.Persist.Wal.stopped <> None then
+    Persist.Store.replace store Persist.Store.wal_blob
+      (Persist.Wal.frames
+         (List.to_seq wal.Persist.Wal.records
+         |> Seq.filter (fun (seq, _) -> seq > 0)
+         |> Seq.take r.Persist.Wal.applied |> List.of_seq));
   fp.fp_seq <- r.Persist.Wal.last_seq;
   Persist.Group.note_durable fp.fp_group ~seq:fp.fp_seq;
   ( t,

@@ -115,6 +115,7 @@ val recover :
   shards:int ->
   ?signer_height:int ->
   ?keypool:Crypto.Keypool.t ->
+  ?fsync_every:int ->
   rng:Crypto.Rng.t ->
   mk:
     (shard:int ->
@@ -125,5 +126,8 @@ val recover :
 (** Crash-restart: boot a fresh federation with [mk] and replay the
     front-end WAL through {!dispatch} (a [Seal] record installs its
     recorded digest on every shard), stopping at the first record that
-    cannot be trusted. The blob is then cut back to the replayed prefix,
-    so operations acknowledged after recovery survive the next crash. *)
+    cannot be trusted. If it stopped early or the log's tail was torn,
+    the blob is then rewritten as the records replay applied, so
+    operations acknowledged after recovery survive the next crash with
+    no sequence gap. New operations log with group commit at
+    [fsync_every], as after {!enable_persistence}. *)

@@ -4,6 +4,7 @@ type t = {
   max_batch : int;
   now : unit -> int;
   instrument : bool;
+  mutable queued : (int * string) list; (* pending records, newest first *)
   mutable pending : int;
   mutable first_stamp : int;
   mutable durable_seq : int;
@@ -22,9 +23,10 @@ let create ?(max_batch = 1) ?(now = fun () -> 0) store ~blob ~durable_seq =
     max_batch;
     now;
     (* A queue that never batches (max_batch 1) has no amortization to
-       report; skipping its metrics keeps the per-op fsync path exactly
-       as cheap as before group commit existed. *)
+       report; skipping its metrics keeps clock reads and histogram
+       updates off the per-op fsync path. *)
     instrument = max_batch > 1;
+    queued = [];
     pending = 0;
     first_stamp = 0;
     durable_seq;
@@ -36,11 +38,13 @@ let durable_seq t = t.durable_seq
 
 let flush t =
   if t.pending > 0 then begin
-    let batch = t.pending in
-    (* Clear before the fsync: if the injected power failure fires, the
-       pending records are gone from the medium and this queue's monitor
-       is dead — recovery starts from the durable prefix. *)
+    let batch = t.pending and records = List.rev t.queued in
+    (* Clear before the write: if the injected power failure fires, the
+       pending records are gone from the medium (or torn) and this
+       queue's monitor is dead — recovery starts from the durable prefix. *)
     t.pending <- 0;
+    t.queued <- [];
+    Store.append t.store t.blob (Wal.frames records);
     Store.fsync t.store t.blob;
     t.durable_seq <- t.tail_seq;
     if t.instrument then begin
@@ -52,7 +56,7 @@ let flush t =
 
 let append t ~seq payload =
   if t.pending = 0 && t.instrument then t.first_stamp <- t.now ();
-  Wal.append t.store ~blob:t.blob ~seq payload;
+  t.queued <- (seq, payload) :: t.queued;
   t.pending <- t.pending + 1;
   t.tail_seq <- seq;
   if t.pending >= t.max_batch then flush t
@@ -60,6 +64,6 @@ let append t ~seq payload =
 let note_durable t ~seq =
   if seq > t.tail_seq then t.tail_seq <- seq;
   if seq > t.durable_seq then t.durable_seq <- seq;
-  (* A checkpoint covering the whole tail retires the batch: the WAL
-     records it subsumes are about to be compacted away. *)
-  if t.durable_seq >= t.tail_seq then t.pending <- 0
+  (* A checkpoint covering the whole tail retires the batch: its
+     records are never written. *)
+  if t.durable_seq >= t.tail_seq then (t.pending <- 0; t.queued <- [])

@@ -3,7 +3,9 @@
     The monitor commits an operation in memory, appends its redo record
     here, and the queue decides when the expensive durability barrier
     actually runs: after {!val-append} has accumulated [max_batch]
-    records, or on an explicit {!val-flush}. An
+    records, or on an explicit {!val-flush}. A flush writes the batch as
+    one {!Wal} frame in one store append, then fsyncs; with [max_batch]
+    1 that frame is the record's own, as before batch frames. An
     operation counts as *acknowledged* only once its batch is durable —
     {!val-durable_seq} is the acknowledgement floor recovery must honor
     (the redo-log contract: acknowledged ops are never lost; pending
@@ -29,19 +31,22 @@ val create :
     acknowledgement floor (the checkpoint seq at creation). *)
 
 val append : t -> seq:int -> string -> unit
-(** Append one committed record; flush if the batch is full. May raise
-    {!Store.Crash} from the underlying append or the triggered flush. *)
+(** Append one committed record; flush if the batch is full. A batch
+    frame holds one run of consecutive seqs, so a break in the
+    numbering starts another frame. May raise {!Store.Crash} from the
+    triggered flush. *)
 
 val flush : t -> unit
 (** Make every pending record durable now. No-op when nothing is
-    pending. May raise {!Store.Crash} at the [wal.fsync] point, in
-    which case the pending records were lost (never torn) and the
-    acknowledgement floor is unchanged. *)
+    pending. May raise {!Store.Crash} at the [wal.append] point (a torn
+    write, after which the CRC keeps the batch whole or drops it) or
+    the [wal.fsync] point (the batch lost); either way no record is
+    half-kept and the acknowledgement floor is unchanged. *)
 
 val note_durable : t -> seq:int -> unit
 (** Raise the acknowledgement floor to [seq] — called after a
     checkpoint whose manifest covers everything up to [seq]. When the
-    floor reaches the tail, pending-batch accounting resets (the
+    floor reaches the tail, the pending batch is dropped unwritten (the
     checkpoint subsumed those records). *)
 
 val pending : t -> int

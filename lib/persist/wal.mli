@@ -1,32 +1,37 @@
 (** Length-prefixed, CRC32-framed record log over a {!Store} blob.
 
-    Frame layout: [varint body-length | u32 crc32(body) | body], where
-    [body = varint sequence-number ^ payload] and both varints are
-    {!Wire.uint}s. A frame is therefore 6 bytes longer than its payload
-    while both the body length and the seq are under 128, and 8 bytes
-    longer while both are under 2{^14}. The write-ahead log, both
-    checkpoint streams (manifests and segments) and the fleet and
-    migrate journals use this framing.
+    Two frame shapes, both [varint body-length | u32 crc32(body) | body]
+    ({!Wire.uint} varints):
+    - one record, [body = varint seq ^ payload]: 6 bytes over its payload
+      while the body length and the seq are under 128, 8 under 2{^14};
+    - a batch of two or more records with consecutive seqs, after a
+      [0x00] byte (the body length no one-record frame has):
+      [body = varint first-seq ^ (varint length ^ payload)...], the
+      records filling the body exactly, under one header and one CRC.
+    The write-ahead log, both checkpoint streams (manifests and
+    segments) and the fleet journal use this framing; group commit,
+    {!compact} and the fleet journal's compaction write batches.
 
-    Reading truncates at the first record that cannot be trusted — a
+    Reading truncates at the first frame that cannot be trusted — a
     header that does not fit or is not canonical, a length pointing
-    past the durable bytes, or a CRC mismatch. Everything before the
-    cut is returned; everything from the cut on is reported
-    ({!read_result.truncated}) and ignored.
-    A torn tail is an expected artifact of power loss, never an error:
-    recovery proceeds from the valid prefix. *)
+    past the durable bytes, a CRC mismatch, or a batch of one record or
+    whose records do not fill its body — so each frame is taken whole
+    or not at all. Everything from the cut on is reported
+    ({!read_result.truncated}) and ignored: a torn tail is an expected
+    artifact of power loss, never an error. *)
 
 type read_result = {
   records : (int * string) list; (** (sequence number, payload), log order. *)
-  sizes : int list;
-      (** Each record's frame length, header included, in log order:
-          its extent in the blob. They sum to [valid_bytes]. *)
   valid_bytes : int; (** Length of the trusted prefix. *)
   truncated : bool; (** Bytes beyond the trusted prefix were discarded. *)
 }
 
 val frame : seq:int -> string -> string
 (** One framed record, ready to append. *)
+
+val frames : (int * string) list -> string
+(** Records framed for one append, each maximal run of consecutive seqs
+    as one frame. *)
 
 val parse : string -> read_result
 (** Decode a blob's durable bytes. Total: never raises. *)
@@ -36,10 +41,6 @@ val parse : string -> read_result
 type replay = {
   applied : int; (** Records re-applied. *)
   last_seq : int; (** Sequence number of the last record applied ([after] if none). *)
-  applied_bytes : int;
-      (** Length of the log prefix replay accepted: the summed frame
-          sizes of every record before the one it stopped at. The whole
-          trusted prefix when replay ran to the end. *)
   stopped : string option; (** Why replay stopped before the end, if it did. *)
 }
 
@@ -50,8 +51,10 @@ val replay : read_result -> after:int -> (string -> (unit, string) result) -> re
     at a sequence gap, at an [Error], or when [apply] raises, so the
     state is the longest prefix-consistent history the durable bytes
     support. A writer that keeps appending after recovery must first
-    cut the blob back to [applied_bytes]: a frame written behind a torn
-    or rejected tail would be durable but unreachable. *)
+    rewrite the blob to the records applied: a frame written behind a
+    torn or rejected tail would be durable but unreachable, and a cut
+    at the batch frame replay stopped inside would lose the records it
+    applied from it, a seq gap. *)
 
 val append : Store.t -> blob:string -> seq:int -> string -> unit
 (** Frame and append one record (durable only after [Store.fsync]). *)
@@ -63,6 +66,6 @@ val compact : Store.t -> blob:string -> upto:int -> int
     sequence number [<= upto] — the checkpoint already covers them —
     and returns the number of records dropped. If every record is
     covered the blob is reset (which also clears any torn tail); if
-    only a prefix is covered the surviving suffix is rewritten with an
-    atomic {!Store.replace}. May raise {!Store.Crash} at the
-    [store.dir_fsync] fault point. *)
+    only a prefix is covered the surviving suffix is rewritten as
+    {!frames} with an atomic {!Store.replace}. May raise {!Store.Crash}
+    at the [store.dir_fsync] fault point. *)

@@ -376,35 +376,103 @@ let prop_varint_strict =
       && List.for_all (fun cut -> corrupt Persist.Wire.get_int (String.sub s 0 cut))
            (List.init n Fun.id))
 
-(* Every byte prefix of a stream of frames, of seqs and body lengths on
-   either side of a varint boundary, parses to exactly the frames it
-   holds whole, and both [valid_bytes] and a full replay's
-   [applied_bytes] are their summed lengths. *)
+(* Every byte prefix of a stream that mixes one-record frames and batch
+   frames of 2-70 records, of seqs, payload lengths and body lengths on
+   either side of a varint boundary, parses to exactly the records of
+   the frames it holds whole: [valid_bytes] is the whole frames' summed
+   lengths, and a full replay applies every record they hold. *)
 let prop_frame_prefixes =
-  let gen =
-    QCheck.Gen.(
-      pair (int_range 0 300) (list_size (int_range 1 6) (string_size (int_range 0 200))))
+  let payload =
+    QCheck.Gen.(string_size (frequency [ (4, int_range 0 20); (1, int_range 120 140) ]))
   in
+  let frame_gen =
+    QCheck.Gen.(
+      frequency [ (1, map (fun p -> [ p ]) payload); (1, list_size (int_range 2 70) payload) ])
+  in
+  let gen = QCheck.Gen.(pair (int_range 0 300) (list_size (int_range 1 5) frame_gen)) in
   QCheck.Test.make ~name:"wal: every prefix parses to its whole frames" ~count:60
-    (QCheck.make gen) (fun (first, payloads) ->
-      let records = List.mapi (fun i p -> (first + i, p)) payloads in
-      let frames = List.map (fun (seq, p) -> Persist.Wal.frame ~seq p) records in
-      let stream = String.concat "" frames in
+    (QCheck.make gen) (fun (first, groups) ->
+      (* Each group of payloads is one frame, numbered on from the last. *)
+      let _, frames =
+        List.fold_left
+          (fun (seq, acc) payloads ->
+            let records = List.mapi (fun i p -> (seq + i, p)) payloads in
+            let f = Persist.Wal.frames records in
+            if (List.length records > 1) <> (f.[0] = '\x00') then
+              QCheck.Test.fail_reportf "seq %d: %d records in the wrong frame shape" seq
+                (List.length records);
+            (seq + List.length records, (records, f) :: acc))
+          (first, []) groups
+      in
+      let frames = List.rev frames in
+      let stream = String.concat "" (List.map snd frames) in
       List.for_all
         (fun cut ->
           let r = Persist.Wal.parse (String.sub stream 0 cut) in
-          let rec whole recs sizes n = function
-            | (rc, f) :: rest when n + String.length f <= cut ->
-              whole (rc :: recs) (String.length f :: sizes) (n + String.length f) rest
-            | _ -> (List.rev recs, List.rev sizes, n)
+          let rec whole recs n = function
+            | (rs, f) :: rest when n + String.length f <= cut ->
+              whole (List.rev_append rs recs) (n + String.length f) rest
+            | _ -> (List.rev recs, n)
           in
-          let expect, sizes, bytes = whole [] [] 0 (List.combine records frames) in
+          let expect, bytes = whole [] 0 frames in
           let replayed = Persist.Wal.replay r ~after:(first - 1) (fun _ -> Ok ()) in
-          r.Persist.Wal.records = expect && r.Persist.Wal.sizes = sizes
+          r.Persist.Wal.records = expect
           && r.Persist.Wal.valid_bytes = bytes
-          && replayed.Persist.Wal.applied_bytes = bytes
+          && replayed.Persist.Wal.applied = List.length expect
           && r.Persist.Wal.truncated = (bytes < cut))
         (List.init (String.length stream + 1) Fun.id))
+
+(* A malformed batch frame cuts the log exactly where a CRC mismatch in
+   the batch cuts it: the frame before it survives, the batch and every
+   frame after it do not. Each malformed body carries a valid CRC, so
+   only the batch rules can refuse it; the records must fill the body,
+   so bytes after the last record that make no whole record (a varint
+   cut short) are refused like a length past the body. *)
+let test_batch_strictness () =
+  let before = Persist.Wal.frame ~seq:1 "first" and after = Persist.Wal.frame ~seq:5 "after" in
+  let batch body =
+    let b = Buffer.create 64 in
+    Buffer.add_char b '\x00';
+    Persist.Wire.uint b (String.length body);
+    Persist.Wire.u32 b (Persist.Crc32.digest body);
+    Buffer.add_string b body;
+    Buffer.contents b
+  in
+  let body payloads =
+    encode Persist.Wire.uint 2 ^ String.concat "" (List.map (encode Persist.Wire.str) payloads)
+  in
+  let good = batch (body [ "bb"; "ccc"; "dddd" ]) in
+  Alcotest.(check string) "the writer spells the batch so"
+    (Persist.Wal.frames [ (2, "bb"); (3, "ccc"); (4, "dddd") ])
+    good;
+  let parse frame = Persist.Wal.parse (before ^ frame ^ after) in
+  Alcotest.(check (list (pair int string))) "well formed"
+    [ (1, "first"); (2, "bb"); (3, "ccc"); (4, "dddd"); (5, "after") ]
+    (parse good).Persist.Wal.records;
+  let cuts what frame =
+    let r = parse frame in
+    Alcotest.(check (list (pair int string))) (what ^ ": records") [ (1, "first") ]
+      r.Persist.Wal.records;
+    Alcotest.(check int) (what ^ ": valid bytes") (String.length before) r.Persist.Wal.valid_bytes;
+    Alcotest.(check bool) (what ^ ": truncated") true r.Persist.Wal.truncated
+  in
+  let flip s pos bit =
+    String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor (1 lsl bit)) else c) s
+  in
+  cuts "crc mismatch" (flip good 3 0);
+  cuts "a batch of one record" (batch (body [ "bb" ]));
+  cuts "a batch of no record" (batch (body []));
+  cuts "a record length past the body" (batch (body [ "bb"; "ccc" ] ^ "\x05dd"));
+  cuts "bytes after the last record" (batch (body [ "bb"; "ccc" ] ^ "\x80"));
+  cuts "a non-canonical record length"
+    (batch (encode Persist.Wire.uint 2 ^ "\x82\x00bb" ^ encode Persist.Wire.str "ccc"));
+  cuts "a non-canonical first seq"
+    (batch ("\x82\x00" ^ String.concat "" (List.map (encode Persist.Wire.str) [ "bb"; "cc" ])));
+  for pos = 0 to String.length good - 1 do
+    for bit = 0 to 7 do
+      cuts (Printf.sprintf "bit %d of byte %d flipped" bit pos) (flip good pos bit)
+    done
+  done
 
 (* --- directed recovery ------------------------------------------------ *)
 
@@ -688,6 +756,97 @@ let test_group_commit_unacked_may_drop arch () =
   Alcotest.(check int) "exactly the durable batches recovered" acked
     report.Tyche.Monitor.rr_seq;
   check_fsck m2
+
+(* A batching queue writes nothing until its flush, then the whole
+   batch in one append of one frame; a batch a checkpoint covers is
+   never written. A queue of one writes each record's own frame. *)
+let test_group_one_frame_per_flush () =
+  let appends = ref [] in
+  let inner = Persist.Store.mem () in
+  let store =
+    { inner with
+      Persist.Store.append =
+        (fun blob data ->
+          appends := data :: !appends;
+          inner.Persist.Store.append blob data) }
+  in
+  let g = Persist.Group.create ~max_batch:4 store ~blob:Persist.Store.wal_blob ~durable_seq:0 in
+  let add = List.iter (fun seq -> Persist.Group.append g ~seq (Printf.sprintf "r%d" seq)) in
+  add [ 1; 2; 3 ];
+  Alcotest.(check int) "nothing written before the flush" 0 (List.length !appends);
+  Persist.Group.note_durable g ~seq:3;
+  Persist.Group.flush g;
+  Alcotest.(check int) "a covered batch is never written" 0 (List.length !appends);
+  add [ 4; 5; 6; 7 ];
+  Alcotest.(check int) "a full batch flushes in one append" 1 (List.length !appends);
+  Alcotest.(check int) "and is acknowledged" 7 (Persist.Group.durable_seq g);
+  let wal = Persist.Wal.read store ~blob:Persist.Store.wal_blob in
+  Alcotest.(check (list (pair int string))) "its records"
+    [ (4, "r4"); (5, "r5"); (6, "r6"); (7, "r7") ]
+    wal.Persist.Wal.records;
+  Alcotest.(check string) "in one batch frame"
+    (Persist.Wal.frames wal.Persist.Wal.records)
+    (List.hd !appends);
+  Alcotest.(check char) "batch frame marker" '\x00' (List.hd !appends).[0];
+  let g1 = Persist.Group.create store ~blob:Persist.Store.wal_blob ~durable_seq:7 in
+  Persist.Group.append g1 ~seq:8 "r8";
+  Alcotest.(check string) "at max_batch 1, the record's own frame" (Persist.Wal.frame ~seq:8 "r8")
+    (List.hd !appends)
+
+(* The same calls logged one record per frame (fsync_every 1) and 64
+   records per frame: both WAL blobs hold the same (seq, payload)
+   records, the batched one in fewer bytes, and both recover to the
+   same state and attestation bodies. 131 records: two full batches
+   and a partial third. *)
+let test_batched_vs_unbatched arch () =
+  let run fsync_every =
+    let w = boot_arch arch in
+    let m = w.monitor in
+    let store = Persist.Store.mem () in
+    Tyche.Monitor.enable_persistence m ~store ~fsync_every ();
+    ignore (workload w);
+    let sink =
+      get_ok (Tyche.Monitor.create_domain m ~caller:os ~name:"sink" ~kind:Tyche.Domain.Sandbox)
+    in
+    let big = os_memory_cap w in
+    let base =
+      match Cap.Captree.resource (Tyche.Monitor.tree m) big with
+      | Some (Cap.Resource.Memory r) -> Hw.Addr.Range.base r
+      | _ -> Alcotest.fail "os memory cap is not memory"
+    in
+    (* Share+revoke pairs: the RISC-V sink has PMP room for few
+       scattered pages. *)
+    for i = 0 to 59 do
+      let page = Hw.Addr.Range.make ~base:(base + (i * Hw.Addr.page_size)) ~len:Hw.Addr.page_size in
+      let c =
+        get_ok
+          (Tyche.Monitor.share m ~caller:os ~cap:big ~to_:sink ~rights:Cap.Rights.rw
+             ~cleanup:Cap.Revocation.Zero ~subrange:page ())
+      in
+      get_ok (Tyche.Monitor.revoke m ~caller:os ~cap:c)
+    done;
+    Tyche.Monitor.flush m;
+    store
+  in
+  let one = run 1 and batched = run 64 in
+  let wal store = Persist.Store.read store Persist.Store.wal_blob in
+  let records store = (Persist.Wal.parse (wal store)).Persist.Wal.records in
+  Alcotest.(check int) "records logged" 131 (List.length (records one));
+  Alcotest.(check (list (pair int string))) "same records" (records one) (records batched);
+  if String.length (wal batched) >= String.length (wal one) then
+    Alcotest.failf "batched blob %d B, one record per frame %d B" (String.length (wal batched))
+      (String.length (wal one));
+  let m1, r1 = get_ok_str (recover_from arch one) in
+  let m64, r64 = get_ok_str (recover_from arch batched) in
+  Alcotest.(check int) "every record replayed" 131 r64.Tyche.Monitor.rr_replayed;
+  Alcotest.(check int) "same seq" r1.Tyche.Monitor.rr_seq r64.Tyche.Monitor.rr_seq;
+  check_fingerprint_eq (fingerprint m1) (fingerprint m64);
+  List.iter2
+    (fun (id, a) (id', b) ->
+      Alcotest.(check int) "same domain" id id';
+      Alcotest.(check bool) (Printf.sprintf "domain %d attestation body" id) true
+        (Tyche.Fsck.body_equal a b))
+    (attest_all m1) (attest_all m64)
 
 (* --- incremental checkpoints, compaction, GC -------------------------- *)
 
@@ -1043,7 +1202,9 @@ let () =
           Alcotest.test_case "checkpoint golden bytes" `Quick test_checkpoint_golden;
           qt qcheck_truncation;
           qt qcheck_bitflip;
-          qt prop_frame_prefixes ] );
+          qt prop_frame_prefixes;
+          Alcotest.test_case "malformed batch cuts like a crc mismatch" `Quick
+            test_batch_strictness ] );
       ( "varints",
         [ Alcotest.test_case "int round-trips at every boundary" `Quick test_int_boundaries;
           Alcotest.test_case "malformed varints raise Corrupt" `Quick test_varint_rejects;
@@ -1066,7 +1227,10 @@ let () =
             qt qcheck_monitor_bitflip ] );
       ( "group commit",
         directed "ack floor + explicit flush" test_group_commit_ack_floor
-        @ directed "unacked batch may drop, never tear" test_group_commit_unacked_may_drop );
+        @ directed "unacked batch may drop, never tear" test_group_commit_unacked_may_drop
+        @ [ Alcotest.test_case "one frame per flush, covered batch never written" `Quick
+              test_group_one_frame_per_flush ]
+        @ directed "batched and unbatched logs replay alike" test_batched_vs_unbatched );
       ( "incremental checkpoints",
         directed "wal compaction" test_wal_compaction
         @ directed "content-addressed dedup" test_incremental_dedup

@@ -392,6 +392,133 @@ let test_torn_tail_recovery () =
     ids names;
   check_shards t2
 
+(* A store whose WAL fsyncs are counted. *)
+let counting_store () =
+  let fsyncs = ref 0 in
+  let inner = Persist.Store.mem () in
+  ( { inner with
+      Persist.Store.fsync =
+        (fun blob ->
+          if blob = Persist.Store.wal_blob then incr fsyncs;
+          inner.Persist.Store.fsync blob) },
+    fsyncs )
+
+(* 64 share+revoke pairs on shard 1's memory: 128 logged ops. *)
+let pairs t d =
+  let mem = sharded_os_memory_cap t ~shard:1 in
+  for i = 0 to 63 do
+    let sub = range ~base:(stride + ((256 + i) * page)) ~len:page in
+    let c = id_of (share t ~subrange:sub mem d) in
+    ignore (get_ok (fed t (Revoke { cap = c })))
+  done
+
+(* A recovered federation logs with the group commit it is given, as a
+   recovered monitor does: 128 ops cost 2 WAL fsyncs at 64 records a
+   batch, and 128 without the argument. *)
+let test_recover_keeps_group_commit () =
+  let store, fsyncs = counting_store () in
+  let seed = 0x64L in
+  let t = boot_sharded ~seed ~shards:2 () in
+  Tyche.Sharded.enable_persistence t ~store ~fsync_every:64 ();
+  let d = create t "sink" in
+  Tyche.Sharded.flush t;
+  let fsyncs_after_recovery ?fsync_every () =
+    let t', _ =
+      Tyche.Sharded.recover ~shards:2 ?fsync_every ~rng:(Crypto.Rng.create ~seed)
+        ~mk:(recovery_mk seed) ~store ()
+    in
+    fsyncs := 0;
+    pairs t' d;
+    !fsyncs
+  in
+  Alcotest.(check int) "128 ops at fsync_every 64" 2 (fsyncs_after_recovery ~fsync_every:64 ());
+  Alcotest.(check int) "128 ops at the default" 128 (fsyncs_after_recovery ())
+
+(* A batch frame whose second record does not decode, under a valid CRC:
+   recovery applies the records before it and cuts the log behind
+   them, so it must keep the batch's applied head, or the next append
+   leaves a sequence gap that hides every later op from the next
+   recovery. *)
+let test_replay_stops_inside_batch () =
+  let seed = 0xBA7CL in
+  let recover store =
+    Tyche.Sharded.recover ~shards:2 ~rng:(Crypto.Rng.create ~seed) ~mk:(recovery_mk seed)
+      ~store ()
+  in
+  (* The records of five creates, logged one per frame. *)
+  let made, records =
+    let store = Persist.Store.mem () in
+    let t = boot_sharded ~seed ~shards:2 () in
+    Tyche.Sharded.enable_persistence t ~store ();
+    let made = List.map (create t) [ "a"; "b"; "c"; "d"; "e" ] in
+    (made, (Persist.Wal.read store ~blob:Persist.Store.wal_blob).Persist.Wal.records)
+  in
+  let batch = List.mapi (fun i (seq, p) -> (seq, if i = 1 then "\xff" else p)) (List.tl records) in
+  let wal = Persist.Wal.frames [ List.hd records ] ^ Persist.Wal.frames batch in
+  let store = Persist.Store.mem ~preload:[ (Persist.Store.wal_blob, wal) ] () in
+  let t1, rep1 = recover store in
+  Alcotest.(check int) "records before the bad one applied" 2 rep1.Tyche.Sharded.sr_replayed;
+  Alcotest.(check bool) "stopped at the bad record" true
+    (rep1.Tyche.Sharded.sr_stopped_early <> None);
+  let ids = List.map (create t1) [ "x"; "y" ] in
+  Tyche.Sharded.flush t1;
+  Alcotest.(check (option int)) "acknowledged" (Some 4) (Tyche.Sharded.durable_seq t1);
+  let t2, rep2 = recover store in
+  Alcotest.(check (option string)) "no sequence gap" None rep2.Tyche.Sharded.sr_stopped_early;
+  Alcotest.(check (option int)) "every acknowledged op recovered" (Some 4)
+    (Tyche.Sharded.persist_seq t2);
+  List.iter2
+    (fun id name ->
+      match Tyche.Sharded.find_domain t2 id with
+      | Some d -> Alcotest.(check string) "domain survives" name (Tyche.Domain.name d)
+      | None -> Alcotest.failf "acknowledged domain %s lost" name)
+    (List.filteri (fun i _ -> i < 2) made @ ids)
+    [ "a"; "b"; "x"; "y" ];
+  check_shards t2
+
+(* The same ops logged one record per frame (fsync_every 1) and 64
+   records per frame by a 2-shard federation: both WAL blobs hold the
+   same (seq, payload) records, the batched one in fewer bytes, and
+   both recover to the same shards and attestation bodies. *)
+let test_batched_vs_unbatched () =
+  let seed = 0x7A11L in
+  let run fsync_every =
+    let store = Persist.Store.mem () in
+    let t = boot_sharded ~seed ~shards:2 () in
+    Tyche.Sharded.enable_persistence t ~store ~fsync_every ();
+    let d, _ = spread_domain t in
+    let e, _, _ = sealed_enclave t ~core:(Tyche.Sharded.cores_per_shard t) in
+    pairs t d;
+    Tyche.Sharded.flush t;
+    (store, e)
+  in
+  let one, e = run 1 in
+  let batched, _ = run 64 in
+  let wal store = Persist.Store.read store Persist.Store.wal_blob in
+  let records store = (Persist.Wal.parse (wal store)).Persist.Wal.records in
+  Alcotest.(check bool) "over two batches logged" true (List.length (records one) > 128);
+  Alcotest.(check (list (pair int string))) "same records" (records one) (records batched);
+  if String.length (wal batched) >= String.length (wal one) then
+    Alcotest.failf "batched blob %d B, one record per frame %d B" (String.length (wal batched))
+      (String.length (wal one));
+  let recovered store =
+    let t, rep =
+      Tyche.Sharded.recover ~shards:2 ~rng:(Crypto.Rng.create ~seed) ~mk:(recovery_mk seed)
+        ~store ()
+    in
+    Alcotest.(check (option string)) "replay ran to the end" None
+      rep.Tyche.Sharded.sr_stopped_early;
+    let body =
+      match fed t (Attest { domain = e; nonce = "batched" }) with
+      | Ok (Tyche.Api.R_attestation a) -> a
+      | r -> Alcotest.failf "attest: %a" Tyche.Api.pp_response r
+    in
+    (snapshot t, body)
+  in
+  let s1, a1 = recovered one and s64, a64 = recovered batched in
+  Alcotest.(check bool) "same shard states" true (s1 = s64);
+  Alcotest.(check bool) "same attestation body" true (Tyche.Fsck.body_equal a1 a64)
+
 let () =
   Alcotest.run "sharded"
     [
@@ -415,5 +542,11 @@ let () =
         [ Alcotest.test_case "seal and aggregate attestation" `Quick test_seal_and_attest ] );
       ( "durability",
         [ Alcotest.test_case "WAL recovery rebuilds the federation" `Quick test_persist_recover;
-          Alcotest.test_case "recovery cuts a torn WAL tail" `Quick test_torn_tail_recovery ] );
+          Alcotest.test_case "recovery cuts a torn WAL tail" `Quick test_torn_tail_recovery;
+          Alcotest.test_case "recovery keeps group commit" `Quick
+            test_recover_keeps_group_commit;
+          Alcotest.test_case "replay stopped inside a batch leaves no gap" `Quick
+            test_replay_stops_inside_batch;
+          Alcotest.test_case "batched and unbatched logs replay alike" `Quick
+            test_batched_vs_unbatched ] );
     ]
