@@ -1938,15 +1938,8 @@ let e18_group ?(smoke = false) () =
   let run_group max_batch =
     let store = Persist.Store.file ~dir in
     Persist.Store.reset store Persist.Store.wal_blob;
-    let g =
-      Persist.Group.create ~max_batch store ~blob:Persist.Store.wal_blob ~durable_seq:0
-    in
-    let seq = ref 0 in
-    let ns =
-      timed_loop ~n:n_rec (fun () ->
-          incr seq;
-          Persist.Group.append g ~seq:!seq e18_payload)
-    in
+    let g = Persist.Group.create ~max_batch store in
+    let ns = timed_loop ~n:n_rec (fun () -> Persist.Group.append g e18_payload) in
     Persist.Group.flush g;
     ns
   in
@@ -1986,9 +1979,9 @@ let e18_twin () =
           if blob = Persist.Store.wal_blob then incr syncs;
           inner.Persist.Store.fsync blob) }
   in
-  let g = Persist.Group.create ~max_batch:64 store ~blob:Persist.Store.wal_blob ~durable_seq:0 in
-  for seq = 1 to n do
-    Persist.Group.append g ~seq e18_payload
+  let g = Persist.Group.create ~max_batch:64 store in
+  for _ = 1 to n do
+    Persist.Group.append g e18_payload
   done;
   Persist.Group.flush g;
   let one_per_frame =

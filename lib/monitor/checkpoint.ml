@@ -324,7 +324,6 @@ let write w ~group s =
   w.tails_ok <- true;
   w.covered <- Cap.Captree.generation tree;
   Persist.Group.note_durable group ~seq:s.seq;
-  ignore (Persist.Wal.compact store ~blob:Persist.Store.wal_blob ~upto:s.seq);
   let live = Hashtbl.create (List.length entries) in
   List.iter (fun (_, h) -> Hashtbl.replace live h ()) entries;
   if Hashtbl.length w.durable > (2 * Hashtbl.length live) + 8 then begin

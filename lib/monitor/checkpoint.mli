@@ -23,7 +23,9 @@
     + serialize the buckets mutated since the previous checkpoint,
       append and fsync the segments not already durable;
     + append and fsync the manifest — the commit point;
-    + compact the WAL prefix the manifest covers;
+    + hand [state.seq] to the group-commit writer, which raises its
+      acknowledgement floor and compacts the WAL prefix the manifest
+      covers ({!Persist.Group.note_durable});
     + drop segments the newest manifest no longer references, once
       dead ones dominate.
 
@@ -52,8 +54,9 @@ val writer : Persist.Store.t -> writer
     repairs torn tails and serializes every bucket. *)
 
 val write : writer -> group:Persist.Group.t -> state -> unit
-(** Take a checkpoint of [state] in the order above. At the commit
-    point [group]'s acknowledgement floor rises to [state.seq]. May
+(** Take a checkpoint of [state] in the order above. After the commit
+    point [group] takes over: its acknowledgement floor rises to
+    [state.seq] and it compacts the WAL. May
     raise {!Persist.Store.Crash} at the [segment.write],
     [snapshot.write], [manifest.swap] or [store.dir_fsync] fault points.
     A crash of [manifest.swap] leaves a deterministic torn prefix of the

@@ -36,11 +36,10 @@ type attest_entry = {
 }
 
 (* Durable redo layer (armed by [enable_persistence] or [recover]).
-   [p_seq] numbers committed operations; the WAL holds records
-   [checkpoint seq+1 .. p_seq] (minus an unsynced or torn tail), and
-   each checkpoint records the seq it covers, so recovery can replay
-   exactly the suffix. [p_replaying] mutes logging while recovery
-   re-executes the suffix through the normal API. *)
+   [p_group] numbers committed operations; the WAL holds records
+   [checkpoint seq+1 .. Group.seq] (minus an unsynced or torn tail),
+   and each checkpoint records the seq it covers, so recovery can
+   replay exactly the suffix. *)
 type persist_cfg = {
   p_snapshot_every : int;
   (* Group-commit queue over the WAL blob: appends accumulate and one
@@ -48,9 +47,7 @@ type persist_cfg = {
      acknowledgement floor recovery must honor). *)
   p_group : Persist.Group.t;
   p_ckpt : Checkpoint.writer;
-  mutable p_seq : int;
   mutable p_since_snapshot : int;
-  mutable p_replaying : bool;
 }
 
 type t = {
@@ -258,7 +255,7 @@ let cap_result t = function
    cadence. *)
 let write_checkpoint t cfg =
   Checkpoint.write cfg.p_ckpt ~group:cfg.p_group
-    { Checkpoint.seq = cfg.p_seq;
+    { Checkpoint.seq = Persist.Group.seq cfg.p_group;
       next_domain = t.next_domain;
       domains = domains t;
       current = Array.to_list t.current;
@@ -268,16 +265,13 @@ let write_checkpoint t cfg =
 
 (* Log one committed operation. Called after the in-memory commit: if
    the append crashes, memory is ahead of the log by exactly the ops the
-   durable prefix is missing — the redo-log contract. During recovery
-   replay, logging is muted (the records already exist). *)
+   durable prefix is missing — the redo-log contract. Recovery arms the
+   log only after replay (the records already exist). *)
 let log_op t op =
   match t.persist with
   | None -> ()
-  | Some cfg when cfg.p_replaying -> ()
   | Some cfg ->
-    let seq = cfg.p_seq + 1 in
-    cfg.p_seq <- seq;
-    Persist.Group.append cfg.p_group ~seq (Op.encode op);
+    Persist.Group.append cfg.p_group (Op.encode op);
     cfg.p_since_snapshot <- cfg.p_since_snapshot + 1;
     if cfg.p_since_snapshot >= cfg.p_snapshot_every then write_checkpoint t cfg
 
@@ -1108,32 +1102,24 @@ let observe t =
 
 (* Durability: enable, checkpoint, recover (crash-restart). *)
 
-let make_persist_cfg t ~store ~ckpt ~snapshot_every ~fsync_every =
+let make_persist_cfg ~group ~ckpt ~snapshot_every =
   if snapshot_every <= 0 then invalid_arg "Monitor.enable_persistence: snapshot_every";
-  if fsync_every <= 0 then invalid_arg "Monitor.enable_persistence: fsync_every";
-  let group =
-    Persist.Group.create ~max_batch:fsync_every
-      ~now:(fun () -> Hw.Machine.cycles t.machine)
-      store ~blob:Persist.Store.wal_blob ~durable_seq:0
-  in
-  { p_snapshot_every = snapshot_every;
-    p_group = group;
-    p_ckpt = ckpt;
-    p_seq = 0;
-    p_since_snapshot = 0;
-    p_replaying = false }
+  { p_snapshot_every = snapshot_every; p_group = group; p_ckpt = ckpt; p_since_snapshot = 0 }
+
+(* The group-commit clock: flush waits in this machine's cycles. *)
+let cycles t () = Hw.Machine.cycles t.machine
 
 let enable_persistence t ~store ?(snapshot_every = 1000) ?(fsync_every = 1) () =
-  let cfg =
-    make_persist_cfg t ~store ~ckpt:(Checkpoint.writer store) ~snapshot_every ~fsync_every
-  in
+  let group = Persist.Group.create ~max_batch:fsync_every ~now:(cycles t) store in
+  let cfg = make_persist_cfg ~group ~ckpt:(Checkpoint.writer store) ~snapshot_every in
   t.persist <- Some cfg;
   (* Baseline checkpoint at seq 0: from here on the store can always
      answer "newest checkpoint + WAL suffix", even before the first
      cadence-driven one. *)
   write_checkpoint t cfg
 
-let persist_seq t = match t.persist with Some cfg -> Some cfg.p_seq | None -> None
+let persist_seq t =
+  match t.persist with Some cfg -> Some (Persist.Group.seq cfg.p_group) | None -> None
 
 let checkpoint t =
   match t.persist with
@@ -1169,7 +1155,7 @@ let pp_recovery_report fmt r =
     r.rr_snapshot_seq r.rr_snapshots_scanned
     (if r.rr_snapshot_torn then ", torn tail" else "")
     r.rr_wal_records r.rr_replayed
-    (if r.rr_wal_truncated then ", torn tail discarded" else "")
+    (if r.rr_wal_truncated then ", tail cut" else "")
     (match r.rr_stopped_early with
     | Some why -> Printf.sprintf ", stopped early: %s" why
     | None -> "")
@@ -1201,7 +1187,7 @@ let adopt_seal t ~caller ~domain ~measurement =
     Ok ()
   | Error e -> Error (Domain_config e)
 
-(* Re-execute one logged record (logging is muted by [p_replaying]).
+(* Re-execute one logged record (logging is not armed yet).
    Every record was appended only after the original call committed, so
    replay against the same starting state must succeed; a failure means
    the log and checkpoint disagree and replay stops at the last consistent
@@ -1329,67 +1315,53 @@ let rebuild_hardware t =
 let recover ?(signer_height = 6) ?keypool ?(snapshot_every = 1000) ?(fsync_every = 1) machine
     ~store ~backend ~tpm ~rng ~monitor_range =
   let loaded = Checkpoint.load store in
-  let wal = Persist.Wal.read store ~blob:Persist.Store.wal_blob in
   let t = make_monitor ~signer_height ?keypool machine ~backend ~tpm ~rng in
   Obs.set_clock (fun () -> Hw.Machine.cycles machine);
-  (* The loaded writer re-serializes only what replay dirties. *)
-  let cfg =
-    make_persist_cfg t ~store ~ckpt:loaded.Checkpoint.writer ~snapshot_every ~fsync_every
-  in
-  (* Reconstruction re-executes operations that already committed once;
-     re-injecting API-level faults would fail them a second time and
-     diverge from the durable history, so injection is masked — exactly
-     like the backends' rollback paths. The closing checkpoint below
-     runs unmasked: it is new durable work and may legitimately crash
-     (leaving the old checkpoint and uncompacted WAL, still recoverable). *)
-  let setup =
+  (* Reconstruction re-installs state that already committed once;
+     re-injecting API-level faults would diverge from the durable
+     history, so injection is masked — exactly like the backends'
+     rollback paths. *)
+  let base =
     Fault.suspend (fun () ->
-        let* base_seq =
-          match loaded.Checkpoint.state with
-          | Some s ->
-            let* () = restore_state t s in
-            let* () = rebuild_hardware t in
-            Ok s.Checkpoint.seq
-          | None ->
-            (* No decodable checkpoint: fall back to the boot baseline —
-               the state [enable_persistence] captured at seq 0 — and
-               replay the whole log. *)
-            endow_initial t ~monitor_range;
-            Ok 0
-        in
-        t.persist <- Some cfg;
-        cfg.p_replaying <- true;
-        let r =
-          Fun.protect
-            ~finally:(fun () -> cfg.p_replaying <- false)
-            (fun () -> Persist.Wal.replay wal ~after:base_seq (replay_record t))
-        in
-        cfg.p_seq <- r.Persist.Wal.last_seq;
-        Ok (r.Persist.Wal.applied, r.Persist.Wal.stopped))
+        match loaded.Checkpoint.state with
+        | Some s ->
+          let* () = restore_state t s in
+          let* () = rebuild_hardware t in
+          Ok s.Checkpoint.seq
+        | None ->
+          (* No decodable checkpoint: fall back to the boot baseline —
+             the state [enable_persistence] captured at seq 0 — and
+             replay the whole log. *)
+          endow_initial t ~monitor_range;
+          Ok 0)
   in
-  match setup with
+  match base with
   | Error why -> Error why
-  | Ok (applied, stopped) ->
-    (match stopped with
-    | Some why -> Log.warn (fun m -> m "recovery stopped replay early: %s" why)
-    | None -> ());
-    if wal.Persist.Wal.truncated then
-      Log.warn (fun m ->
-          m "recovery discarded a torn WAL tail after %d valid bytes"
-            wal.Persist.Wal.valid_bytes);
+  | Ok after ->
+    let group, r =
+      Persist.Group.recover ~max_batch:fsync_every ~now:(cycles t) store ~after
+        (replay_record t)
+    in
+    Option.iter (fun why -> Log.warn (fun m -> m "recovery stopped replay early: %s" why))
+      r.Persist.Group.stopped;
+    (* The loaded writer re-serializes only what replay dirtied. *)
+    let cfg = make_persist_cfg ~group ~ckpt:loaded.Checkpoint.writer ~snapshot_every in
+    t.persist <- Some cfg;
     (* Checkpoint the recovered state so the store is checkpoint-current
-       and the (possibly torn) WAL suffix is retired. *)
+       and the WAL suffix is retired. It runs unmasked: it is new
+       durable work and may legitimately crash (leaving the old
+       checkpoint and the WAL, still recoverable). *)
     write_checkpoint t cfg;
     let report =
       { rr_snapshot_seq =
           (match loaded.Checkpoint.state with Some s -> s.Checkpoint.seq | None -> -1);
         rr_snapshots_scanned = loaded.Checkpoint.scanned;
         rr_snapshot_torn = loaded.Checkpoint.torn;
-        rr_wal_records = List.length wal.Persist.Wal.records;
-        rr_replayed = applied;
-        rr_wal_truncated = wal.Persist.Wal.truncated || stopped <> None;
-        rr_stopped_early = stopped;
-        rr_seq = cfg.p_seq }
+        rr_wal_records = r.Persist.Group.records;
+        rr_replayed = r.Persist.Group.replayed;
+        rr_wal_truncated = r.Persist.Group.cut;
+        rr_stopped_early = r.Persist.Group.stopped;
+        rr_seq = Persist.Group.seq group }
     in
     Log.info (fun m -> m "recovered: %a" pp_recovery_report report);
     Ok (t, report)

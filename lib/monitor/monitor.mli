@@ -305,15 +305,16 @@ val exec : t -> caller:Domain.id -> core:int -> Op.call -> (Op.result_value, err
 
     A logical redo layer: every committed mutating API call appends a
     CRC-framed record to a {!Persist.Store} WAL through a group-commit
-    queue ({!Persist.Group}), and periodic checkpoints bound the replay
+    queue ({!Persist.Group}, which numbers, writes, compacts and
+    recovers the WAL), and periodic checkpoints bound the replay
     distance. Checkpoints are incremental ({!Checkpoint}): only captree
     buckets dirtied since the previous checkpoint are re-serialized, as
     content-addressed segments a manifest names; the WAL prefix the
     manifest covers is compacted away and unreferenced segments are
     collected. {!recover} rebuilds a monitor from the newest valid
     checkpoint plus the trusted WAL suffix — a torn tail (power loss
-    mid-write) is detected by the framing and discarded, never
-    trusted. Run {!Fsck.check} on the result before serving. *)
+    mid-write) is detected by the framing and cut, never trusted. Run
+    {!Fsck.check} on the result before serving. *)
 
 val enable_persistence :
   t ->
@@ -327,7 +328,8 @@ val enable_persistence :
     seq-0 checkpoint). [snapshot_every] (default 1000) checkpoints and
     retires the WAL every N committed operations. [fsync_every]
     (default 1) is the group-commit batch size: one fsync acknowledges
-    up to N committed records. A crash loses at most the
+    up to N committed records. Both must be positive
+    ([Invalid_argument] otherwise). A crash loses at most the
     unacknowledged tail of one batch — {!durable_seq} is the floor
     recovery honors, and the framing guarantees the survivors are a
     consistent prefix. May raise {!Persist.Store.Crash} under fault
@@ -363,7 +365,7 @@ type recovery_report = {
   rr_snapshot_torn : bool; (** The checkpoint stream had an undecodable record or tail. *)
   rr_wal_records : int; (** Records in the trusted WAL prefix. *)
   rr_replayed : int; (** Records actually re-executed. *)
-  rr_wal_truncated : bool; (** A torn/corrupt WAL tail was discarded. *)
+  rr_wal_truncated : bool; (** Bytes past the replayed records were cut from the WAL. *)
   rr_stopped_early : string option; (** Why replay stopped, if not at the end. *)
   rr_seq : int; (** Committed-operation index after recovery. *)
 }
@@ -385,14 +387,17 @@ val recover :
 (** Crash-restart: rebuild a monitor on a fresh machine/backend from the
     store's durable bytes. Loads the newest decodable checkpoint (or the
     boot baseline if none), re-derives hardware state from the restored
-    tree, replays the WAL suffix (stopping, never failing, at the first
-    record that cannot be trusted), re-arms persistence and writes a
-    fresh checkpoint. The new monitor has a fresh attestation signer —
-    one-time signing keys are deliberately not durable — so verifiers
-    re-fetch the root via {!boot_quote}; attestation *bodies* are
-    byte-identical to the pre-crash tree's. [Error] means the store and
-    machine disagree structurally (wrong core count, a re-attach the
-    backend refuses), not a torn log or an undecodable checkpoint. *)
+    tree, replays the WAL suffix through {!Persist.Group.recover}
+    (stopping, never failing, at the first record that cannot be
+    trusted, and cutting the log behind the records it applied, so an
+    operation acknowledged after recovery follows them), re-arms
+    persistence and writes a fresh checkpoint. The new monitor has a
+    fresh attestation signer — one-time signing keys are deliberately
+    not durable — so verifiers re-fetch the root via {!boot_quote};
+    attestation *bodies* are byte-identical to the pre-crash tree's.
+    [Error] means the store and machine disagree structurally (wrong
+    core count, a re-attach the backend refuses), not a torn log or an
+    undecodable checkpoint. *)
 
 (** {2 Multi-monitor coordination}
 

@@ -51,11 +51,12 @@ type shard = {
   s_wseq : int Atomic.t;
 }
 
+(* The front-end redo log: [fp_lock] serializes every use of
+   [fp_group] — writers on several Domains append, any Domain may
+   flush. *)
 type persist_front = {
   fp_group : Persist.Group.t;
   fp_lock : Mutex.t;
-  mutable fp_seq : int;
-  mutable fp_replaying : bool;
 }
 
 type t = {
@@ -228,12 +229,8 @@ let find_domain t id = Monitor.find_domain (shard0 t).s_monitor id
 let log_record t record =
   match t.persist with
   | None -> ()
-  | Some fp when fp.fp_replaying -> ()
   | Some fp ->
-    Mutex.protect fp.fp_lock (fun () ->
-        let seq = fp.fp_seq + 1 in
-        fp.fp_seq <- seq;
-        Persist.Group.append fp.fp_group ~seq (Op.encode record))
+    Mutex.protect fp.fp_lock (fun () -> Persist.Group.append fp.fp_group (Op.encode record))
 
 let log_op t ~by call = log_record t (Op.issued by call)
 
@@ -589,20 +586,23 @@ let dispatch t ~caller ~core (call : Api.call) : Api.response =
 
 (* --- durability ------------------------------------------------------ *)
 
-let enable_persistence t ~store ?(fsync_every = 1) () =
-  let group =
-    Persist.Group.create ~max_batch:fsync_every
-      ~now:(fun () -> Hw.Machine.cycles (shard0 t).s_machine)
-      store ~blob:Persist.Store.wal_blob ~durable_seq:0
-  in
-  t.persist <-
-    Some { fp_group = group; fp_lock = Mutex.create (); fp_seq = 0; fp_replaying = false }
+(* The group-commit clock: flush waits in shard 0's cycles. *)
+let cycles t () = Hw.Machine.cycles (shard0 t).s_machine
 
-let flush t = match t.persist with None -> () | Some fp -> Persist.Group.flush fp.fp_group
-let persist_seq t = Option.map (fun fp -> fp.fp_seq) t.persist
+let arm t group = t.persist <- Some { fp_group = group; fp_lock = Mutex.create () }
+
+let enable_persistence t ~store ?fsync_every () =
+  arm t (Persist.Group.create ?max_batch:fsync_every ~now:(cycles t) store)
+
+let flush t =
+  match t.persist with
+  | None -> ()
+  | Some fp -> Mutex.protect fp.fp_lock (fun () -> Persist.Group.flush fp.fp_group)
+
+let persist_seq t = Option.map (fun fp -> Persist.Group.seq fp.fp_group) t.persist
 let durable_seq t = Option.map (fun fp -> Persist.Group.durable_seq fp.fp_group) t.persist
 
-(* Replay one global-id record (logging muted by [fp_replaying]) through
+(* Replay one global-id record (logging is not armed yet) through
    [dispatch], as [Monitor]'s replay does through [Monitor.exec]. Memory
    contents are not durable, so a [Seal] installs the recorded digest
    on every shard instead of re-measuring. *)
@@ -633,36 +633,17 @@ type recovery_report = {
 (* Crash-restart for a sharded deployment: boot a fresh federation and
    redo the whole front-end WAL through the sharded dispatch (the
    front end keeps no checkpoints — its log is the full history; shard
-   checkpointing is future work). Fault injection is masked during
-   replay, as in [Monitor.recover]. *)
+   checkpointing is future work). [Persist.Group.recover] masks fault
+   injection during replay and cuts what it could not replay, as for
+   [Monitor.recover]. *)
 let recover ~shards ?signer_height ?keypool ?fsync_every ~rng ~mk ~store () =
   let t = boot ~shards ?signer_height ?keypool ~rng ~mk () in
-  let wal = Persist.Wal.read store ~blob:Persist.Store.wal_blob in
-  enable_persistence t ~store ?fsync_every ();
-  let fp = Option.get t.persist in
-  fp.fp_replaying <- true;
-  let r =
-    Fun.protect
-      ~finally:(fun () -> fp.fp_replaying <- false)
-      (fun () ->
-        Fault.suspend (fun () -> Persist.Wal.replay wal ~after:0 (replay_record t)))
+  let group, r =
+    Persist.Group.recover ?max_batch:fsync_every ~now:(cycles t) store ~after:0 (replay_record t)
   in
-  (* No checkpoint retires this log, so cut a torn or unreplayable tail
-     before the first new append: a frame written behind it would be
-     durable but unreachable to the next recovery's prefix scan. The cut
-     rewrites the log as the records replay applied (the first [applied]
-     over seq 0, which it skips), in one atomic swap, so a batch frame it
-     stopped inside keeps its applied head and the next seq follows it. *)
-  if wal.Persist.Wal.truncated || r.Persist.Wal.stopped <> None then
-    Persist.Store.replace store Persist.Store.wal_blob
-      (Persist.Wal.frames
-         (List.to_seq wal.Persist.Wal.records
-         |> Seq.filter (fun (seq, _) -> seq > 0)
-         |> Seq.take r.Persist.Wal.applied |> List.of_seq));
-  fp.fp_seq <- r.Persist.Wal.last_seq;
-  Persist.Group.note_durable fp.fp_group ~seq:fp.fp_seq;
+  arm t group;
   ( t,
-    { sr_wal_records = List.length wal.Persist.Wal.records;
-      sr_replayed = r.Persist.Wal.applied;
-      sr_wal_truncated = wal.Persist.Wal.truncated;
-      sr_stopped_early = r.Persist.Wal.stopped } )
+    { sr_wal_records = r.Persist.Group.records;
+      sr_replayed = r.Persist.Group.replayed;
+      sr_wal_truncated = r.Persist.Group.cut;
+      sr_stopped_early = r.Persist.Group.stopped } )

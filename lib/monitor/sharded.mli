@@ -99,16 +99,23 @@ val boot_quote : t -> nonce:string -> Rot.Tpm.Quote.t
 
 val enable_persistence :
   t -> store:Persist.Store.t -> ?fsync_every:int -> unit -> unit
+(** Arm the front-end redo log: every committed call appends a record
+    through a {!Persist.Group} at [fsync_every] records a batch
+    (default 1; [Invalid_argument] unless positive). The front end
+    keeps no checkpoints, so the WAL is the whole history. *)
 
 val flush : t -> unit
+(** Make every pending record durable. Safe from any Domain: appends
+    and flushes share one lock. *)
+
 val persist_seq : t -> int option
 val durable_seq : t -> int option
 
 type recovery_report = {
-  sr_wal_records : int;
-  sr_replayed : int;
-  sr_wal_truncated : bool;
-  sr_stopped_early : string option;
+  sr_wal_records : int; (** Records in the trusted WAL prefix. *)
+  sr_replayed : int; (** Records re-executed. *)
+  sr_wal_truncated : bool; (** Bytes past the replayed records were cut from the WAL. *)
+  sr_stopped_early : string option; (** Why replay stopped, if not at the end. *)
 }
 
 val recover :
@@ -125,9 +132,9 @@ val recover :
   t * recovery_report
 (** Crash-restart: boot a fresh federation with [mk] and replay the
     front-end WAL through {!dispatch} (a [Seal] record installs its
-    recorded digest on every shard), stopping at the first record that
-    cannot be trusted. If it stopped early or the log's tail was torn,
-    the blob is then rewritten as the records replay applied, so
+    recorded digest on every shard) with {!Persist.Group.recover}, as
+    {!Monitor.recover} does: it stops at the first record that cannot
+    be trusted and cuts the log behind the records applied, so
     operations acknowledged after recovery survive the next crash with
     no sequence gap. New operations log with group commit at
     [fsync_every], as after {!enable_persistence}. *)

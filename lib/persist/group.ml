@@ -1,6 +1,5 @@
 type t = {
   store : Store.t;
-  blob : string;
   max_batch : int;
   now : unit -> int;
   instrument : bool;
@@ -15,11 +14,10 @@ let h_batch = Obs.Metrics.histogram "persist.group.batch"
 let h_wait = Obs.Metrics.histogram "persist.group.flush_wait"
 let c_flush = Obs.Metrics.counter "persist.group.flushes"
 
-let create ?(max_batch = 1) ?(now = fun () -> 0) store ~blob ~durable_seq =
-  let max_batch = max 1 max_batch in
+let create ?(max_batch = 1) ?(now = fun () -> 0) store =
+  if max_batch < 1 then invalid_arg "Persist.Group.create: max_batch";
   {
     store;
-    blob;
     max_batch;
     now;
     (* A queue that never batches (max_batch 1) has no amortization to
@@ -29,12 +27,13 @@ let create ?(max_batch = 1) ?(now = fun () -> 0) store ~blob ~durable_seq =
     queued = [];
     pending = 0;
     first_stamp = 0;
-    durable_seq;
-    tail_seq = durable_seq;
+    durable_seq = 0;
+    tail_seq = 0;
   }
 
 let pending t = t.pending
 let durable_seq t = t.durable_seq
+let seq t = t.tail_seq
 
 let flush t =
   if t.pending > 0 then begin
@@ -44,8 +43,8 @@ let flush t =
        queue's monitor is dead — recovery starts from the durable prefix. *)
     t.pending <- 0;
     t.queued <- [];
-    Store.append t.store t.blob (Wal.frames records);
-    Store.fsync t.store t.blob;
+    Store.append t.store Store.wal_blob (Wal.frames records);
+    Store.fsync t.store Store.wal_blob;
     t.durable_seq <- t.tail_seq;
     if t.instrument then begin
       Obs.Metrics.incr c_flush;
@@ -54,16 +53,52 @@ let flush t =
     end
   end
 
-let append t ~seq payload =
+let append t payload =
   if t.pending = 0 && t.instrument then t.first_stamp <- t.now ();
-  t.queued <- (seq, payload) :: t.queued;
+  t.tail_seq <- t.tail_seq + 1;
+  t.queued <- (t.tail_seq, payload) :: t.queued;
   t.pending <- t.pending + 1;
-  t.tail_seq <- seq;
   if t.pending >= t.max_batch then flush t
 
+(* Rewrite the log as [records], in one atomic swap: a crash leaves the
+   old log or the new one. *)
+let rewrite t records = Store.replace t.store Store.wal_blob (Wal.frames records)
+
 let note_durable t ~seq =
-  if seq > t.tail_seq then t.tail_seq <- seq;
   if seq > t.durable_seq then t.durable_seq <- seq;
   (* A checkpoint covering the whole tail retires the batch: its
      records are never written. *)
-  if t.durable_seq >= t.tail_seq then (t.pending <- 0; t.queued <- [])
+  if t.durable_seq >= t.tail_seq then (t.pending <- 0; t.queued <- []);
+  (* Drop the covered prefix; replay skips covered records if a crash
+     keeps the full log. *)
+  let wal = Wal.read t.store ~blob:Store.wal_blob in
+  let keep = List.filter (fun (s, _) -> s > seq) wal.Wal.records in
+  if wal.Wal.truncated || List.compare_lengths keep wal.Wal.records < 0 then rewrite t keep
+
+type recovery = {
+  records : int;
+  replayed : int;
+  cut : bool;
+  stopped : string option;
+}
+
+let recover ?max_batch ?now store ~after apply =
+  let t = create ?max_batch ?now store in
+  let wal = Wal.read store ~blob:Store.wal_blob in
+  (* Injecting faults into operations that committed once would diverge
+     from the durable history. *)
+  let r = Fault.suspend (fun () -> Wal.replay wal ~after apply) in
+  (* A frame appended behind a torn or unreplayed tail would be
+     unreachable, and a cut at the batch frame replay stopped inside
+     would leave a seq gap: keep exactly the records applied. This is
+     new durable work, so it runs unmasked. *)
+  let cut = wal.Wal.truncated || r.Wal.stopped <> None in
+  if cut then
+    rewrite t
+      (List.to_seq wal.Wal.records
+      |> Seq.filter (fun (seq, _) -> seq > after)
+      |> Seq.take r.Wal.applied |> List.of_seq);
+  t.durable_seq <- r.Wal.last_seq;
+  t.tail_seq <- r.Wal.last_seq;
+  let records = List.length wal.Wal.records in
+  (t, { records; replayed = r.Wal.applied; cut; stopped = r.Wal.stopped })

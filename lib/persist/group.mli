@@ -1,5 +1,8 @@
 (** Group commit: batch many committed operations under one [fsync].
 
+    It alone numbers, writes, compacts and recovers {!Store.wal_blob},
+    for a monitor and for a sharded front end alike.
+
     The monitor commits an operation in memory, appends its redo record
     here, and the queue decides when the expensive durability barrier
     actually runs: after {!val-append} has accumulated [max_batch]
@@ -19,22 +22,15 @@
 
 type t
 
-val create :
-  ?max_batch:int ->
-  ?now:(unit -> int) ->
-  Store.t ->
-  blob:string ->
-  durable_seq:int ->
-  t
-(** [max_batch] defaults to 1 (fsync per append — the pre-group-commit
-    behavior); [now] defaults to a frozen clock. [durable_seq] seeds the
-    acknowledgement floor (the checkpoint seq at creation). *)
+val create : ?max_batch:int -> ?now:(unit -> int) -> Store.t -> t
+(** A writer whose first record is seq 1. [max_batch] defaults to 1
+    (fsync per append — the pre-group-commit behavior) and must be
+    positive ([Invalid_argument] otherwise); [now] defaults to a frozen
+    clock. *)
 
-val append : t -> seq:int -> string -> unit
-(** Append one committed record; flush if the batch is full. A batch
-    frame holds one run of consecutive seqs, so a break in the
-    numbering starts another frame. May raise {!Store.Crash} from the
-    triggered flush. *)
+val append : t -> string -> unit
+(** Append one committed record, numbered {!val-seq} + 1; flush if the
+    batch is full. May raise {!Store.Crash} from the triggered flush. *)
 
 val flush : t -> unit
 (** Make every pending record durable now. No-op when nothing is
@@ -44,13 +40,40 @@ val flush : t -> unit
     half-kept and the acknowledgement floor is unchanged. *)
 
 val note_durable : t -> seq:int -> unit
-(** Raise the acknowledgement floor to [seq] — called after a
-    checkpoint whose manifest covers everything up to [seq]. When the
-    floor reaches the tail, the pending batch is dropped unwritten (the
-    checkpoint subsumed those records). *)
+(** A checkpoint covering every record up to [seq] is durable: raise
+    the acknowledgement floor to [seq], drop the pending batch unwritten
+    once the floor reaches the tail, and durably drop the covered
+    records from the log in one atomic {!Store.replace}. May raise
+    {!Store.Crash} at the [store.dir_fsync] point, leaving the full
+    log, whose covered records replay skips. *)
 
 val pending : t -> int
 (** Records appended but not yet durable. *)
 
 val durable_seq : t -> int
 (** Highest sequence number known durable (the acknowledgement floor). *)
+
+val seq : t -> int
+(** Sequence number of the last record appended or recovered. *)
+
+type recovery = {
+  records : int; (** Records in the durable log. *)
+  replayed : int; (** Records applied. *)
+  cut : bool; (** Bytes past the replayed records were cut from the log. *)
+  stopped : string option; (** Why replay stopped before the end, if it did. *)
+}
+
+val recover :
+  ?max_batch:int ->
+  ?now:(unit -> int) ->
+  Store.t ->
+  after:int ->
+  (string -> (unit, string) result) ->
+  t * recovery
+(** [recover store ~after apply] replays the log through [apply] with
+    fault injection suspended, as {!Wal.replay} does. If the tail was
+    torn or replay stopped, it then rewrites the log as the records
+    applied, with injection unmasked. The writer it returns numbers its
+    next record after them; arm logging only then, since the replayed
+    records are already logged. May raise {!Store.Crash} from the
+    rewrite. *)

@@ -5,10 +5,9 @@
     for the content-addressed captree segments they name. Appends land
     in a volatile pending buffer; {!fsync} moves pending bytes to the
     durable medium; {!read} returns durable bytes only (what a restart
-    would actually find). {!reset} durably truncates a blob (the WAL
-    once a checkpoint covers all of it); {!replace} atomically
-    substitutes a blob's entire durable contents (WAL compaction,
-    segment collection).
+    would actually find). {!reset} durably empties a blob; {!replace}
+    atomically substitutes a blob's entire durable contents (WAL
+    compaction and recovery, segment collection).
 
     Two implementations:
     - {!mem}: an in-memory block device with *injectable torn writes*.

@@ -112,17 +112,3 @@ let replay { records; _ } ~after apply =
 
 let append store ~blob ~seq payload = Store.append store blob (frame ~seq payload)
 let read store ~blob = parse (Store.read store blob)
-
-let compact store ~blob ~upto =
-  let { records; _ } = read store ~blob in
-  let keep = List.filter (fun (seq, _) -> seq > upto) records in
-  let n_keep = List.length keep and n_all = List.length records in
-  if n_keep = 0 then begin
-    (* Everything (and any torn tail) is covered by the checkpoint. *)
-    if Store.read store blob <> "" then Store.reset store blob
-  end
-  else if n_keep < n_all then
-    (* Rewrite the suffix atomically: a crash leaves either the full log
-       or the compacted one, both of which recovery handles. *)
-    Store.replace store blob (frames keep);
-  n_all - n_keep

@@ -9,8 +9,9 @@
       [body = varint first-seq ^ (varint length ^ payload)...], the
       records filling the body exactly, under one header and one CRC.
     The write-ahead log, both checkpoint streams (manifests and
-    segments) and the fleet journal use this framing; group commit,
-    {!compact} and the fleet journal's compaction write batches.
+    segments) and the fleet journal use this framing; group commit
+    ({!Group}, which also compacts and recovers the write-ahead log)
+    and the fleet journal's compaction write batches.
 
     Reading truncates at the first frame that cannot be trusted — a
     header that does not fit or is not canonical, a length pointing
@@ -50,22 +51,10 @@ val replay : read_result -> after:int -> (string -> (unit, string) result) -> re
     below [after] (a checkpoint covers them). It stops — never fails —
     at a sequence gap, at an [Error], or when [apply] raises, so the
     state is the longest prefix-consistent history the durable bytes
-    support. A writer that keeps appending after recovery must first
-    rewrite the blob to the records applied: a frame written behind a
-    torn or rejected tail would be durable but unreachable, and a cut
-    at the batch frame replay stopped inside would lose the records it
-    applied from it, a seq gap. *)
+    support. A writer that keeps appending must first rewrite the blob
+    to the records applied, as {!Group.recover} does. *)
 
 val append : Store.t -> blob:string -> seq:int -> string -> unit
 (** Frame and append one record (durable only after [Store.fsync]). *)
 
 val read : Store.t -> blob:string -> read_result
-
-val compact : Store.t -> blob:string -> upto:int -> int
-(** [compact store ~blob ~upto] durably drops every record with
-    sequence number [<= upto] — the checkpoint already covers them —
-    and returns the number of records dropped. If every record is
-    covered the blob is reset (which also clears any torn tail); if
-    only a prefix is covered the surviving suffix is rewritten as
-    {!frames} with an atomic {!Store.replace}. May raise {!Store.Crash}
-    at the [store.dir_fsync] fault point. *)

@@ -716,12 +716,63 @@ let test_destroy_and_snapshot_cadence arch () =
   check_fingerprint_eq fp (fingerprint m2);
   check_fsck m2
 
-(* --- group commit ----------------------------------------------------- *)
-
 let get_durable m =
   match Tyche.Monitor.durable_seq m with
   | Some d -> d
   | None -> Alcotest.fail "durable_seq: persistence should be enabled"
+
+(* A record that does not decode under a valid CRC stops replay:
+   recovery cuts the log behind the records it applied, so an op
+   acknowledged afterwards follows them. Keeping the bad record and its
+   successors would give the new op the bad record's seq, and the next
+   recovery would stop at the old record again and lose the op. *)
+let test_replay_stops_at_bad_record arch () =
+  let w = boot_arch arch in
+  let store = Persist.Store.mem () in
+  Tyche.Monitor.enable_persistence w.monitor ~store ();
+  let create m name =
+    get_ok (Tyche.Monitor.create_domain m ~caller:os ~name ~kind:Tyche.Domain.Sandbox)
+  in
+  let names = List.init 10 (Printf.sprintf "d%d") in
+  let made = List.map (create w.monitor) names in
+  let read blob = Persist.Store.read store blob in
+  let records = (Persist.Wal.parse (read Persist.Store.wal_blob)).Persist.Wal.records in
+  Alcotest.(check (list int)) "ten records" (List.init 10 succ) (List.map fst records);
+  let wal =
+    String.concat ""
+      (List.map (fun (seq, p) -> Persist.Wal.frame ~seq (if seq = 5 then "\xff" else p)) records)
+  in
+  let copy =
+    Persist.Store.mem
+      ~preload:
+        [ (Persist.Store.wal_blob, wal);
+          (Persist.Store.snap_blob, read Persist.Store.snap_blob);
+          (Persist.Store.seg_blob, read Persist.Store.seg_blob) ]
+      ()
+  in
+  let m1, rep1 = get_ok_str (recover_from arch copy) in
+  Alcotest.(check int) "records before the bad one applied" 4 rep1.Tyche.Monitor.rr_replayed;
+  Alcotest.(check bool) "stopped at the bad record" true
+    (rep1.Tyche.Monitor.rr_stopped_early <> None);
+  Alcotest.(check bool) "the rest cut from the log" true rep1.Tyche.Monitor.rr_wal_truncated;
+  let x = create m1 "x" in
+  Alcotest.(check int) "acknowledged" 5 (get_durable m1);
+  Alcotest.(check (list int)) "logged after the applied records" [ 5 ]
+    (List.map fst (Persist.Wal.read copy ~blob:Persist.Store.wal_blob).Persist.Wal.records);
+  let m2, rep2 = get_ok_str (recover_from arch copy) in
+  Alcotest.(check (option string)) "replay ran to the end" None
+    rep2.Tyche.Monitor.rr_stopped_early;
+  Alcotest.(check int) "every acknowledged op recovered" 5 rep2.Tyche.Monitor.rr_seq;
+  List.iter2
+    (fun id name ->
+      match Tyche.Monitor.find_domain m2 id with
+      | Some d -> Alcotest.(check string) "domain survives" name (Tyche.Domain.name d)
+      | None -> Alcotest.failf "acknowledged domain %s lost" name)
+    (List.filteri (fun i _ -> i < 4) made @ [ x ])
+    (List.filteri (fun i _ -> i < 4) names @ [ "x" ]);
+  check_fsck m2
+
+(* --- group commit ----------------------------------------------------- *)
 
 let test_group_commit_ack_floor arch () =
   let w = boot_arch arch in
@@ -770,8 +821,8 @@ let test_group_one_frame_per_flush () =
           appends := data :: !appends;
           inner.Persist.Store.append blob data) }
   in
-  let g = Persist.Group.create ~max_batch:4 store ~blob:Persist.Store.wal_blob ~durable_seq:0 in
-  let add = List.iter (fun seq -> Persist.Group.append g ~seq (Printf.sprintf "r%d" seq)) in
+  let g = Persist.Group.create ~max_batch:4 store in
+  let add = List.iter (fun seq -> Persist.Group.append g (Printf.sprintf "r%d" seq)) in
   add [ 1; 2; 3 ];
   Alcotest.(check int) "nothing written before the flush" 0 (List.length !appends);
   Persist.Group.note_durable g ~seq:3;
@@ -788,9 +839,10 @@ let test_group_one_frame_per_flush () =
     (Persist.Wal.frames wal.Persist.Wal.records)
     (List.hd !appends);
   Alcotest.(check char) "batch frame marker" '\x00' (List.hd !appends).[0];
-  let g1 = Persist.Group.create store ~blob:Persist.Store.wal_blob ~durable_seq:7 in
-  Persist.Group.append g1 ~seq:8 "r8";
-  Alcotest.(check string) "at max_batch 1, the record's own frame" (Persist.Wal.frame ~seq:8 "r8")
+  Alcotest.(check int) "numbered by the queue" 7 (Persist.Group.seq g);
+  let g1 = Persist.Group.create store in
+  Persist.Group.append g1 "r1";
+  Alcotest.(check string) "at max_batch 1, the record's own frame" (Persist.Wal.frame ~seq:1 "r1")
     (List.hd !appends)
 
 (* The same calls logged one record per frame (fsync_every 1) and 64
@@ -1224,7 +1276,8 @@ let () =
             Alcotest.test_case "replace drops pending bytes, mem and file" `Quick
               test_replace_drops_pending;
             qt qcheck_monitor_truncation;
-            qt qcheck_monitor_bitflip ] );
+            qt qcheck_monitor_bitflip ]
+        @ directed "replay stopped at a bad record leaves no gap" test_replay_stops_at_bad_record );
       ( "group commit",
         directed "ack floor + explicit flush" test_group_commit_ack_floor
         @ directed "unacked batch may drop, never tear" test_group_commit_unacked_may_drop

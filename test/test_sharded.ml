@@ -177,26 +177,37 @@ let test_2pc_commit_fault () =
 
 (* ---------------- parallel execution ---------------- *)
 
-(* Writers hammer their own shard from separate OCaml Domains while
-   readers sweep the optimistic queries. The assertion is absence of
-   crashes/corruption: per-shard invariants and fsck afterwards. *)
+(* Fresh per-shard worlds for recovery to rebuild onto, matching
+   [boot_sharded ~seed]'s shards. *)
+let recovery_mk seed ~shard = shard_world ~seed ~shard ()
+
+(* Writers share and revoke on their own shard from separate OCaml
+   Domains while a reader sweeps the optimistic queries and the main
+   Domain flushes the group-commit log (64 records a batch): every
+   call succeeds, per-shard invariants and fsck hold, the WAL holds
+   seqs 1..persist_seq once each, and recovery rebuilds each shard's
+   captree. A flush outside the log's lock races the writers' appends
+   and loses or repeats records. *)
 let test_parallel_writers () =
-  let shards = 2 in
-  let t = boot_sharded ~shards ~mem_size:(4 * 1024 * 1024) () in
+  let shards = 2 and iters = 8_000 and seed = 0x9A7L in
+  let store = Persist.Store.mem () in
+  let t = boot_sharded ~seed ~shards () in
+  Tyche.Sharded.enable_persistence t ~store ~fsync_every:64 ();
   let d = create t "load" in
-  let iters = 200 in
+  let finished = Atomic.make 0 in
   let writer shard () =
-    let base_cap = sharded_os_memory_cap t ~shard in
+    let mem = sharded_os_memory_cap t ~shard in
+    let ok = ref 0 in
     for i = 0 to iters - 1 do
       let sub = range ~base:((shard * stride) + ((256 + (i mod 64)) * page)) ~len:page in
-      match fed t (Carve { cap = base_cap; subrange = sub }) with
-      | Ok (Tyche.Api.R_cap carved) ->
-        (match share t ~rights:Cap.Rights.read_only ~cleanup:Cap.Revocation.Keep carved d with
-        | Ok (Tyche.Api.R_cap shared) -> ignore (fed t (Revoke { cap = shared }))
-        | _ -> ());
-        ignore (fed t (Revoke { cap = carved }))
-      | _ -> ()
-    done
+      (match share t ~subrange:sub mem d with
+      | Ok (Tyche.Api.R_cap c) ->
+        incr ok;
+        if Result.is_ok (fed t (Revoke { cap = c })) then incr ok
+      | _ -> ())
+    done;
+    Atomic.incr finished;
+    !ok
   in
   let reader () =
     for i = 0 to (iters * 2) - 1 do
@@ -207,11 +218,25 @@ let test_parallel_writers () =
       ignore (Tyche.Sharded.caps_of t d)
     done
   in
-  let spawned =
-    List.init shards (fun s -> Stdlib.Domain.spawn (writer s))
-    @ [ Stdlib.Domain.spawn reader ]
+  let writers = List.init shards (fun s -> Stdlib.Domain.spawn (writer s)) in
+  let reading = Stdlib.Domain.spawn reader in
+  while Atomic.get finished < shards do
+    Tyche.Sharded.flush t
+  done;
+  List.iteri
+    (fun s w ->
+      Alcotest.(check int) (Printf.sprintf "shard %d calls" s) (2 * iters) (Stdlib.Domain.join w))
+    writers;
+  Stdlib.Domain.join reading;
+  Tyche.Sharded.flush t;
+  let logged = 1 + (2 * shards * iters) in
+  Alcotest.(check (option int)) "every call logged" (Some logged) (Tyche.Sharded.persist_seq t);
+  Alcotest.(check (list int)) "WAL seqs" (List.init logged succ)
+    (List.map fst (Persist.Wal.read store ~blob:Persist.Store.wal_blob).Persist.Wal.records);
+  let t', _ =
+    Tyche.Sharded.recover ~shards ~rng:(Crypto.Rng.create ~seed) ~mk:(recovery_mk seed) ~store ()
   in
-  List.iter Stdlib.Domain.join spawned;
+  Alcotest.(check bool) "recovery rebuilds every shard" true (snapshot t = snapshot t');
   check_shards t;
   ignore (get_ok ~msg:"destroy after load" (destroy t d));
   check_shards t
@@ -302,10 +327,6 @@ let test_seal_and_attest () =
   check_shards t
 
 (* ---------------- durability ---------------- *)
-
-(* Fresh per-shard worlds for recovery to rebuild onto, matching
-   [boot_sharded ~seed]'s shards. *)
-let recovery_mk seed ~shard = shard_world ~seed ~shard ()
 
 let test_persist_recover () =
   let store = Persist.Store.mem () in
@@ -434,6 +455,26 @@ let test_recover_keeps_group_commit () =
   Alcotest.(check int) "128 ops at fsync_every 64" 2 (fsyncs_after_recovery ~fsync_every:64 ());
   Alcotest.(check int) "128 ops at the default" 128 (fsyncs_after_recovery ())
 
+(* The batch size has one check, in [Persist.Group.create]: a
+   federation refuses [fsync_every] 0, as a monitor does, instead of
+   running at 1. *)
+let test_fsync_every_zero_refused () =
+  let seed = 0x2E0L in
+  let store = Persist.Store.mem () in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted fsync_every 0" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "enable_persistence" (fun () ->
+      Tyche.Sharded.enable_persistence (boot_sharded ~seed ~shards:2 ()) ~store ~fsync_every:0 ());
+  refused "recover" (fun () ->
+      ignore
+        (Tyche.Sharded.recover ~shards:2 ~fsync_every:0 ~rng:(Crypto.Rng.create ~seed)
+           ~mk:(recovery_mk seed) ~store ()));
+  refused "Monitor.enable_persistence" (fun () ->
+      Tyche.Monitor.enable_persistence (boot_x86 ()).monitor ~store ~fsync_every:0 ())
+
 (* A batch frame whose second record does not decode, under a valid CRC:
    recovery applies the records before it and cuts the log behind
    them, so it must keep the batch's applied head, or the next append
@@ -548,5 +589,6 @@ let () =
           Alcotest.test_case "replay stopped inside a batch leaves no gap" `Quick
             test_replay_stops_inside_batch;
           Alcotest.test_case "batched and unbatched logs replay alike" `Quick
-            test_batched_vs_unbatched ] );
+            test_batched_vs_unbatched;
+          Alcotest.test_case "fsync_every 0 is refused" `Quick test_fsync_every_zero_refused ] );
     ]
