@@ -24,13 +24,15 @@
    ack leaves, so an acked message can never be lost to a crash. The
    sender fsyncs its journal record before the first transmission, so a
    message a peer might have seen is always re-sendable after a crash.
-   Nothing else pays a barrier: the record of a received ack rides the
-   next one, since losing it costs only a retransmission the peer
-   absorbs as a duplicate, and the revocation an ack completes writes
-   nothing recovery cannot re-derive. A
-   delegate therefore costs three barriers (the share's WAL record,
-   [J_delegate], [J_import]) and so does a revoke ([J_pending],
-   [J_unimport], the local revoke's WAL record).
+   Nothing else is journaled. A received ack writes no record: every
+   record that names a channel carries the channel's cumulative ack
+   floor, so the floor reaches the medium with the next such record,
+   and losing it costs only a retransmission the peer absorbs as a
+   duplicate. The revocation an ack completes writes nothing recovery
+   cannot re-derive. A delegate therefore costs three barriers and two
+   fleet records (the share's WAL record, [J_delegate], [J_import]),
+   and so does a revoke ([J_pending], [J_unimport], the local revoke's
+   WAL record).
 
    Remote-held caps are frozen in the local captree for the whole life
    of the delegation: the proxy's cap (and therefore any local attempt
@@ -187,38 +189,46 @@ let fleet_blob = "fleet"
      any message they make re-sendable leaves the machine (sender side);
      [J_import], [J_unimport] and [J_recv] before the ack for the
      message they record leaves (receiver side);
-   - [J_acked] records a received ack and waits for the next barrier:
-     lost, the ack floor regresses and the peer re-acks a
-     retransmission it absorbs as a duplicate;
+   - [J_peer] binds a peer's name to its proxy domain id; every other
+     record names its channel by that id, stamped with the channel's
+     cumulative ack floor at the time of writing ([link]). Replay folds
+     the floors with [max], so a received ack needs no record of its
+     own: its floor reaches the medium with the next record that names
+     its channel, or at compaction ([J_chan]). Lost, the floor regresses
+     and the peer re-acks a retransmission it absorbs as a duplicate;
    - nothing records what recovery re-derives: a durable ack floor
      confirms every revocation at or below it, and a pending
      revocation whose frozen cap is gone from the recovered tree ran
      its local cascade, which only happens once every peer has acked.
      [J_done] retires a pending revocation only when it aborted and the
-     cap survives, and keeps its own barrier there. *)
+     cap survives, and keeps its own barrier there.
+   Tags 2-5, 7 and 9-11 are the records of the journal format that
+   spelled out the peer's name and journaled acks on their own; a
+   journal holding one is refused, not replayed in part. *)
+type link = { proxy : Tyche.Domain.id; acked : int }
+
 type jrec =
   | J_peer of { peer : string; proxy : Tyche.Domain.id }
   | J_delegate of
-      { del_id : int; peer : string; proxy_cap : int; base : int; len : int;
-        rights : int; seq : int }
+      { link : link; del_id : int; proxy_cap : int; base : int; len : int; rights : int;
+        seq : int }
   | J_import of
-      { origin : string; del_id : int; base : int; len : int; rights : int;
-        applied : int }
-  | J_unimport of { origin : string; del_id : int; applied : int }
-  | J_pending of { cap : int; caller : int; dels : (string * int * int) list }
-  | J_acked of { peer : string; upto : int }
+      { link : link; del_id : int; base : int; len : int; rights : int; applied : int }
+  | J_unimport of { link : link; del_id : int; applied : int }
+  | J_pending of { cap : int; caller : int; dels : (link * int * int) list }
+      (* (channel, del_id, revoke seq) per delegation in the subtree. *)
   | J_done of { cap : int }
-  | J_chan of { peer : string; next_ : int; acked : int; applied : int }
+  | J_chan of { link : link; next_ : int; applied : int }
       (* Snapshot of a channel's counters, written only by compaction:
          without it, a compacted journal whose completed delegations and
          retired imports were pruned would lose [c_next] (seq reuse the
          peer absorbs as duplicates) and [c_applied] (re-imported
          revoked delegations). *)
-  | J_send of { peer : string; seq : int; chan : string; payload : string }
+  | J_send of { link : link; seq : int; chan : string; payload : string }
       (* An outbound data frame, durable before first transmission so a
          recovering sender can rebuild its retransmission window. Pruned
          from snapshots once the peer's cumulative ack covers [seq]. *)
-  | J_recv of { origin : string; applied : int }
+  | J_recv of { link : link; applied : int }
       (* Applied-floor advance for an inbound data frame. The payload is
          not recorded here — the channel's handler appends its own
          records first, this record's barrier makes both durable before
@@ -230,6 +240,15 @@ type jrec =
          claims them ({!attach_client}); from then on compaction writes
          the client's live records instead. *)
 
+let put_link buf { proxy; acked } =
+  Persist.Wire.uint buf proxy;
+  Persist.Wire.uint buf acked
+
+let get_link r =
+  let proxy = Persist.Wire.get_uint r in
+  let acked = Persist.Wire.get_uint r in
+  { proxy; acked }
+
 let encode_jrec r =
   let buf = Buffer.create 48 in
   (match r with
@@ -237,64 +256,59 @@ let encode_jrec r =
     Persist.Wire.u8 buf 1;
     Persist.Wire.str buf peer;
     Persist.Wire.int buf proxy
-  | J_delegate { del_id; peer; proxy_cap; base; len; rights; seq } ->
-    Persist.Wire.u8 buf 2;
+  | J_done { cap } ->
+    Persist.Wire.u8 buf 8;
+    Persist.Wire.int buf cap
+  | J_client payload ->
+    Persist.Wire.u8 buf 12;
+    Persist.Wire.str buf payload
+  | J_delegate { link; del_id; proxy_cap; base; len; rights; seq } ->
+    Persist.Wire.u8 buf 13;
+    put_link buf link;
     Persist.Wire.int buf del_id;
-    Persist.Wire.str buf peer;
     Persist.Wire.int buf proxy_cap;
     Persist.Wire.int buf base;
     Persist.Wire.int buf len;
     Persist.Wire.u8 buf rights;
     Persist.Wire.int buf seq
-  | J_import { origin; del_id; base; len; rights; applied } ->
-    Persist.Wire.u8 buf 3;
-    Persist.Wire.str buf origin;
+  | J_import { link; del_id; base; len; rights; applied } ->
+    Persist.Wire.u8 buf 14;
+    put_link buf link;
     Persist.Wire.int buf del_id;
     Persist.Wire.int buf base;
     Persist.Wire.int buf len;
     Persist.Wire.u8 buf rights;
     Persist.Wire.int buf applied
-  | J_unimport { origin; del_id; applied } ->
-    Persist.Wire.u8 buf 4;
-    Persist.Wire.str buf origin;
+  | J_unimport { link; del_id; applied } ->
+    Persist.Wire.u8 buf 15;
+    put_link buf link;
     Persist.Wire.int buf del_id;
     Persist.Wire.int buf applied
   | J_pending { cap; caller; dels } ->
-    Persist.Wire.u8 buf 5;
+    Persist.Wire.u8 buf 16;
     Persist.Wire.int buf cap;
     Persist.Wire.int buf caller;
     Persist.Wire.list buf
-      (fun b (peer, del_id, seq) ->
-        Persist.Wire.str b peer;
+      (fun b (link, del_id, seq) ->
+        put_link b link;
         Persist.Wire.int b del_id;
         Persist.Wire.int b seq)
       dels
-  | J_acked { peer; upto } ->
-    Persist.Wire.u8 buf 7;
-    Persist.Wire.str buf peer;
-    Persist.Wire.int buf upto
-  | J_done { cap } ->
-    Persist.Wire.u8 buf 8;
-    Persist.Wire.int buf cap
-  | J_chan { peer; next_; acked; applied } ->
-    Persist.Wire.u8 buf 9;
-    Persist.Wire.str buf peer;
+  | J_chan { link; next_; applied } ->
+    Persist.Wire.u8 buf 17;
+    put_link buf link;
     Persist.Wire.int buf next_;
-    Persist.Wire.int buf acked;
     Persist.Wire.int buf applied
-  | J_send { peer; seq; chan; payload } ->
-    Persist.Wire.u8 buf 10;
-    Persist.Wire.str buf peer;
+  | J_send { link; seq; chan; payload } ->
+    Persist.Wire.u8 buf 18;
+    put_link buf link;
     Persist.Wire.int buf seq;
     Persist.Wire.str buf chan;
     Persist.Wire.str buf payload
-  | J_recv { origin; applied } ->
-    Persist.Wire.u8 buf 11;
-    Persist.Wire.str buf origin;
-    Persist.Wire.int buf applied
-  | J_client payload ->
-    Persist.Wire.u8 buf 12;
-    Persist.Wire.str buf payload);
+  | J_recv { link; applied } ->
+    Persist.Wire.u8 buf 19;
+    put_link buf link;
+    Persist.Wire.int buf applied);
   Buffer.contents buf
 
 let decode_jrec payload =
@@ -305,65 +319,62 @@ let decode_jrec payload =
       let peer = Persist.Wire.get_str r in
       let proxy = Persist.Wire.get_int r in
       J_peer { peer; proxy }
-    | 2 ->
+    | 8 -> J_done { cap = Persist.Wire.get_int r }
+    | 12 -> J_client (Persist.Wire.get_str r)
+    | 13 ->
+      let link = get_link r in
       let del_id = Persist.Wire.get_int r in
-      let peer = Persist.Wire.get_str r in
       let proxy_cap = Persist.Wire.get_int r in
       let base = Persist.Wire.get_int r in
       let len = Persist.Wire.get_int r in
       let rights = Persist.Wire.get_u8 r in
       let seq = Persist.Wire.get_int r in
-      J_delegate { del_id; peer; proxy_cap; base; len; rights; seq }
-    | 3 ->
-      let origin = Persist.Wire.get_str r in
+      J_delegate { link; del_id; proxy_cap; base; len; rights; seq }
+    | 14 ->
+      let link = get_link r in
       let del_id = Persist.Wire.get_int r in
       let base = Persist.Wire.get_int r in
       let len = Persist.Wire.get_int r in
       let rights = Persist.Wire.get_u8 r in
       let applied = Persist.Wire.get_int r in
-      J_import { origin; del_id; base; len; rights; applied }
-    | 4 ->
-      let origin = Persist.Wire.get_str r in
+      J_import { link; del_id; base; len; rights; applied }
+    | 15 ->
+      let link = get_link r in
       let del_id = Persist.Wire.get_int r in
       let applied = Persist.Wire.get_int r in
-      J_unimport { origin; del_id; applied }
-    | 5 ->
+      J_unimport { link; del_id; applied }
+    | 16 ->
       let cap = Persist.Wire.get_int r in
       let caller = Persist.Wire.get_int r in
       let dels =
         Persist.Wire.get_list r (fun b ->
-            let peer = Persist.Wire.get_str b in
+            let link = get_link b in
             let del_id = Persist.Wire.get_int b in
             let seq = Persist.Wire.get_int b in
-            (peer, del_id, seq))
+            (link, del_id, seq))
       in
       J_pending { cap; caller; dels }
-    | 7 ->
-      let peer = Persist.Wire.get_str r in
-      let upto = Persist.Wire.get_int r in
-      J_acked { peer; upto }
-    | 8 -> J_done { cap = Persist.Wire.get_int r }
-    | 9 ->
-      let peer = Persist.Wire.get_str r in
+    | 17 ->
+      let link = get_link r in
       let next_ = Persist.Wire.get_int r in
-      let acked = Persist.Wire.get_int r in
       let applied = Persist.Wire.get_int r in
-      J_chan { peer; next_; acked; applied }
-    | 10 ->
-      let peer = Persist.Wire.get_str r in
+      J_chan { link; next_; applied }
+    | 18 ->
+      let link = get_link r in
       let seq = Persist.Wire.get_int r in
       let chan = Persist.Wire.get_str r in
       let payload = Persist.Wire.get_str r in
-      J_send { peer; seq; chan; payload }
-    | 11 ->
-      let origin = Persist.Wire.get_str r in
+      J_send { link; seq; chan; payload }
+    | 19 ->
+      let link = get_link r in
       let applied = Persist.Wire.get_int r in
-      J_recv { origin; applied }
-    | 12 -> J_client (Persist.Wire.get_str r)
+      J_recv { link; applied }
     | t -> raise (Persist.Wire.Corrupt (Printf.sprintf "unknown fleet journal tag %d" t))
   in
   Persist.Wire.expect_end r;
   rec_
+
+exception Corrupt_journal of { seq : int; reason : string }
 
 (* --- state ----------------------------------------------------------- *)
 
@@ -404,6 +415,7 @@ type client = Replayed of string list | Attached of (unit -> string list)
 
 type channel = {
   ch_peer : Network.endpoint;
+  ch_proxy : Tyche.Domain.id; (* the peer's proxy domain; names it in the journal *)
   mutable ch_key : string option; (* session key; volatile by design *)
   mutable c_next : int; (* next data seq to assign *)
   mutable c_acked : int; (* peer's cumulative ack floor *)
@@ -425,7 +437,9 @@ type t = {
   net : Network.t;
   store : Persist.Store.t option;
   mutable jseq : int;
-  mutable jrecs : int; (* records currently in the fleet blob *)
+  mutable jbytes : int; (* payload bytes of the records in the fleet blob *)
+  mutable snap_recs : int; (* records of the last snapshot written *)
+  mutable snap_bytes : int; (* and their payload bytes; 0 before the first *)
   channels : (Network.endpoint, channel) Hashtbl.t;
   dels : (int, delegation) Hashtbl.t;
   (* Two views of [dels]: by proxy cap, so a revoke walks the revoked
@@ -434,7 +448,6 @@ type t = {
   by_proxy : (Cap.Captree.cap_id, delegation) Hashtbl.t;
   revoking : (int, delegation) Hashtbl.t;
   imports : (Network.endpoint * int, import) Hashtbl.t;
-  proxies : (Network.endpoint, Tyche.Domain.id) Hashtbl.t;
   pending : (Cap.Captree.cap_id, pending_revoke) Hashtbl.t;
   (* Unacked outbound data frames, (peer, seq) -> (chan, payload):
      mirrors the J_send records still live in the journal. *)
@@ -458,8 +471,12 @@ let journal t r =
   | None -> ()
   | Some s ->
     t.jseq <- t.jseq + 1;
-    t.jrecs <- t.jrecs + 1;
-    Persist.Wal.append s ~blob:fleet_blob ~seq:t.jseq (encode_jrec r)
+    let payload = encode_jrec r in
+    t.jbytes <- t.jbytes + String.length payload;
+    Persist.Wal.append s ~blob:fleet_blob ~seq:t.jseq payload
+
+(* A record's reference to its channel, stamped with the ack floor. *)
+let link_of ch = { proxy = ch.ch_proxy; acked = ch.c_acked }
 
 let barrier t =
   match t.store with
@@ -508,13 +525,16 @@ let degraded_count t =
     (fun _ ch acc -> match ch.ch_state with Degraded _ -> acc + 1 | Healthy -> acc)
     t.channels 0
 
-let channel_of t peer =
+(* A peer's channel opens with its proxy domain ({!connect}, or [J_peer]
+   on replay), so every channel has one to be named by. *)
+let open_channel t peer proxy =
   match Hashtbl.find_opt t.channels peer with
   | Some ch -> ch
   | None ->
     let link = "fleet.link." ^ t.name ^ "." ^ peer in
     let ch =
       { ch_peer = peer;
+        ch_proxy = proxy;
         ch_key = None;
         c_next = 1;
         c_acked = 0;
@@ -540,6 +560,8 @@ let channel_of t peer =
     Hashtbl.add t.channels peer ch;
     ch
 
+let channel_of t peer = Hashtbl.find t.channels peer
+
 let transmit t ch body =
   match ch.ch_key with
   | None -> ()
@@ -562,16 +584,15 @@ let enqueue t ch body =
 
 let ( let* ) = Result.bind
 
-let proxy t ~peer = Hashtbl.find_opt t.proxies peer
+let proxy t ~peer = Option.map (fun ch -> ch.ch_proxy) (Hashtbl.find_opt t.channels peer)
 
 let connect t ~peer ~key =
-  match Hashtbl.find_opt t.proxies peer with
-  | Some proxy ->
+  match Hashtbl.find_opt t.channels peer with
+  | Some ch ->
     (* Re-provisioning a session key after recovery or re-establishment:
        durable state is untouched. *)
-    let ch = channel_of t peer in
     ch.ch_key <- Some key;
-    Ok proxy
+    Ok ch.ch_proxy
   | None -> (
     match
       Tyche.Monitor.create_domain t.monitor ~caller:Tyche.Domain.initial
@@ -581,8 +602,7 @@ let connect t ~peer ~key =
     | Ok proxy ->
       journal t (J_peer { peer; proxy });
       barrier t;
-      Hashtbl.replace t.proxies peer proxy;
-      let ch = channel_of t peer in
+      let ch = open_channel t peer proxy in
       ch.ch_key <- Some key;
       Ok proxy)
 
@@ -609,7 +629,6 @@ let delegate t ~caller ~cap ~peer ?subrange ~rights () =
   | None -> Error (Unknown_peer peer)
   | Some ch when ch.ch_key = None -> Error (No_session peer)
   | Some ch -> (
-    let proxy = Hashtbl.find t.proxies peer in
     match Cap.Captree.resource (tree t) cap with
     | None ->
       Error (Monitor_error (Tyche.Monitor.Cap_error (Cap.Captree.No_such_capability cap)))
@@ -621,7 +640,7 @@ let delegate t ~caller ~cap ~peer ?subrange ~rights () =
          the proxy can never re-share or re-grant locally. *)
       let local_rights = { rights with Cap.Rights.can_share = false; can_grant = false } in
       match
-        Tyche.Monitor.share t.monitor ~caller ~cap ~to_:proxy ~rights:local_rights
+        Tyche.Monitor.share t.monitor ~caller ~cap ~to_:ch.ch_proxy ~rights:local_rights
           ~cleanup:Cap.Revocation.Keep ?subrange ()
       with
       | Error e -> Error (Monitor_error e)
@@ -640,7 +659,8 @@ let delegate t ~caller ~cap ~peer ?subrange ~rights () =
         in
         journal t
           (J_delegate
-             { del_id; peer; proxy_cap; base; len; rights = rights_b; seq = ch.c_next });
+             { link = link_of ch; del_id; proxy_cap; base; len; rights = rights_b;
+               seq = ch.c_next });
         barrier t;
         let seq = enqueue t ch body in
         add_del t
@@ -733,6 +753,12 @@ let execute_pending t (p : pending_revoke) =
       p.pr_dels;
     Obs.Metrics.incr reject_c
 
+let pending_record t ~cap ~caller dels =
+  J_pending
+    { cap;
+      caller;
+      dels = List.map (fun (peer, del_id, seq) -> (link_of (channel_of t peer), del_id, seq)) dels }
+
 let revoke t ~caller ~cap =
   match overlapping_pending t cap with
   | Some pcap -> Error (Revocation_pending pcap)
@@ -772,7 +798,7 @@ let revoke t ~caller ~cap =
           chans
       in
       let jdels = List.map (fun (d, _, seq, _) -> (d.del_peer, d.del_id, seq)) planned in
-      journal t (J_pending { cap; caller; dels = jdels });
+      journal t (pending_record t ~cap ~caller jdels);
       barrier t;
       let p =
         { pr_cap = cap;
@@ -802,7 +828,7 @@ let send_data t ~peer ~chan payload =
     let body =
       Wire.encode_body ~origin:t.name ~seq:ch.c_next (Wire.Data { chan; payload })
     in
-    journal t (J_send { peer; seq = ch.c_next; chan; payload });
+    journal t (J_send { link = link_of ch; seq = ch.c_next; chan; payload });
     barrier t;
     let seq = enqueue t ch body in
     Hashtbl.replace t.sends (peer, seq) (chan, payload);
@@ -840,10 +866,11 @@ let run_ready t =
   |> List.sort (fun a b -> Int.compare a.pr_cap b.pr_cap)
   |> List.iter (execute_pending t)
 
+(* Journals nothing: the next record that names [ch] carries the raised
+   floor ([link_of]). *)
 let on_ack t ch upto =
   Obs.Metrics.incr acks_rx_c;
   if upto > ch.c_acked then begin
-    journal t (J_acked { peer = ch.ch_peer; upto });
     (* A cumulative ack always covers an outbox prefix (ascending seq),
        so draining pops from the front — O(covered), not O(window). *)
     let rec drain () =
@@ -885,14 +912,14 @@ let apply_data t ch ~origin ~seq msg =
     let applied =
       match msg with
       | Wire.Delegate { del_id; base; len; rights } ->
-        journal t (J_import { origin; del_id; base; len; rights; applied = seq });
+        journal t (J_import { link = link_of ch; del_id; base; len; rights; applied = seq });
         barrier t;
         Hashtbl.replace t.imports (origin, del_id)
           { imp_origin = origin; imp_del_id = del_id; imp_base = base; imp_len = len;
             imp_rights = rights };
         true
       | Wire.Revoke { del_id } ->
-        journal t (J_unimport { origin; del_id; applied = seq });
+        journal t (J_unimport { link = link_of ch; del_id; applied = seq });
         barrier t;
         Hashtbl.remove t.imports (origin, del_id);
         true
@@ -910,7 +937,7 @@ let apply_data t ch ~origin ~seq msg =
              before the ack leaves — a crash in between makes the
              sender retransmit into the handler's idempotent dedup. *)
           f origin payload;
-          journal t (J_recv { origin; applied = seq });
+          journal t (J_recv { link = link_of ch; applied = seq });
           barrier t;
           true)
       | Wire.Ack _ -> assert false
@@ -959,9 +986,9 @@ let poll t =
 (* --- journal compaction ---------------------------------------------- *)
 
 (* The journal is a redo log: completed delegations, retired imports and
-   superseded ack floors leave records behind that replay no longer
-   needs, so an append-only blob (and its recovery replay) would grow
-   without bound over the endpoint's life. Compaction frames a snapshot
+   acked data frames leave records behind that replay no longer needs,
+   so an append-only blob (and its recovery replay) would grow without
+   bound over the endpoint's life. Compaction frames a snapshot
    of live state in replay order, as one batch frame (its seqs are
    consecutive), and installs it as the whole blob with one atomic
    [Store.replace]: a crash leaves either the old journal or
@@ -979,10 +1006,10 @@ let attach_client t ~live =
 let snapshot_records t =
   let recs = ref [] in
   let add r = recs := r :: !recs in
-  Hashtbl.iter (fun peer proxy -> add (J_peer { peer; proxy })) t.proxies;
   Hashtbl.iter
     (fun peer ch ->
-      add (J_chan { peer; next_ = ch.c_next; acked = ch.c_acked; applied = ch.c_applied }))
+      add (J_peer { peer; proxy = ch.ch_proxy });
+      add (J_chan { link = link_of ch; next_ = ch.c_next; applied = ch.c_applied }))
     t.channels;
   let dels =
     Hashtbl.fold (fun _ d acc -> d :: acc) t.dels []
@@ -992,9 +1019,9 @@ let snapshot_records t =
     (fun d ->
       add
         (J_delegate
-           { del_id = d.del_id; peer = d.del_peer; proxy_cap = d.proxy_cap;
-             base = d.del_base; len = d.del_len; rights = d.del_rights;
-             seq = d.del_seq }))
+           { link = link_of (channel_of t d.del_peer); del_id = d.del_id;
+             proxy_cap = d.proxy_cap; base = d.del_base; len = d.del_len;
+             rights = d.del_rights; seq = d.del_seq }))
     dels;
   Hashtbl.iter
     (fun _ i ->
@@ -1002,14 +1029,15 @@ let snapshot_records t =
          and the J_chan record above already carries the real one. *)
       add
         (J_import
-           { origin = i.imp_origin; del_id = i.imp_del_id; base = i.imp_base;
-             len = i.imp_len; rights = i.imp_rights; applied = 0 }))
+           { link = link_of (channel_of t i.imp_origin); del_id = i.imp_del_id;
+             base = i.imp_base; len = i.imp_len; rights = i.imp_rights; applied = 0 }))
     t.imports;
   Hashtbl.iter
-    (fun (peer, seq) (chan, payload) -> add (J_send { peer; seq; chan; payload }))
+    (fun (peer, seq) (chan, payload) ->
+      add (J_send { link = link_of (channel_of t peer); seq; chan; payload }))
     t.sends;
   Hashtbl.iter
-    (fun cap p -> add (J_pending { cap; caller = p.pr_caller; dels = p.pr_dels }))
+    (fun cap p -> add (pending_record t ~cap ~caller:p.pr_caller p.pr_dels))
     t.pending;
   List.rev !recs
 
@@ -1018,31 +1046,40 @@ let write_snapshot t client =
   | None -> ()
   | Some s ->
     let recs = snapshot_records t @ List.map (fun p -> J_client p) client in
+    let payloads = List.map encode_jrec recs in
     let first = t.jseq + 1 in
     t.jseq <- t.jseq + List.length recs;
-    let frames = Persist.Wal.frames (List.mapi (fun i r -> (first + i, encode_jrec r)) recs) in
+    let frames = Persist.Wal.frames (List.mapi (fun i p -> (first + i, p)) payloads) in
     (* The snapshot names monitor state (proxy domains and caps), so that
        state goes durable first, as in [barrier]. *)
     Tyche.Monitor.flush t.monitor;
     Persist.Store.replace s fleet_blob frames;
-    t.jrecs <- List.length recs
+    t.jbytes <- List.fold_left (fun n p -> n + String.length p) 0 payloads;
+    t.snap_recs <- List.length recs;
+    t.snap_bytes <- t.jbytes
 
 let compact t = write_snapshot t (client_records t)
 
-(* Auto-compaction bounds: never bother below [compact_min] records, and
-   only rewrite once the journal outnumbers live state [compact_ratio]:1. *)
-let compact_min = 128
+(* Auto-compaction weighs record bytes, not records: the journal is
+   rewritten once its records' payloads weigh [compact_ratio] times what
+   its live records would, and never below [compact_floor] bytes. A live
+   record weighs what the last snapshot's records did on average, so
+   dead 4 KB frames count at their size, not as one record each; before
+   the first snapshot nothing weighs a live record, and the floor alone
+   decides. Framing is left out on both sides: an appended record pays
+   a frame header that a snapshot's record, batched, does not. *)
+let compact_floor = 4096
 let compact_ratio = 4
 
 let maybe_compact t =
-  if t.store <> None && t.jrecs >= compact_min then begin
+  if t.store <> None && t.jbytes >= compact_floor then begin
     let client = client_records t in
     let live =
-      Hashtbl.length t.proxies + Hashtbl.length t.channels + Hashtbl.length t.dels
-      + Hashtbl.length t.imports + Hashtbl.length t.pending + Hashtbl.length t.sends
-      + List.length client
+      2 * Hashtbl.length t.channels + Hashtbl.length t.dels + Hashtbl.length t.imports
+      + Hashtbl.length t.pending + Hashtbl.length t.sends + List.length client
     in
-    if t.jrecs > compact_ratio * live then write_snapshot t client
+    if t.snap_recs = 0 || t.jbytes * t.snap_recs > compact_ratio * live * t.snap_bytes then
+      write_snapshot t client
   end
 
 (* --- retry / degraded mode ------------------------------------------ *)
@@ -1106,7 +1143,7 @@ let reconcile t =
   let known = Hashtbl.create 16 in
   Hashtbl.iter (fun _ d -> Hashtbl.replace known d.proxy_cap ()) t.dels;
   Hashtbl.iter
-    (fun _ proxy ->
+    (fun _ ch ->
       List.iter
         (fun cap ->
           if not (Hashtbl.mem known cap) then begin
@@ -1120,8 +1157,8 @@ let reconcile t =
             | Ok () -> ()
             | Error _ -> Obs.Metrics.incr reject_c
           end)
-        (Cap.Captree.all_caps_of_domain tr proxy))
-    t.proxies
+        (Cap.Captree.all_caps_of_domain tr ch.ch_proxy))
+    t.channels
 
 let rebuild_outboxes t =
   let staged = Hashtbl.create 4 in
@@ -1193,73 +1230,88 @@ let replay t =
        imports. Cut the journal back to its valid prefix, atomically,
        before any new record lands behind the tear. *)
     if truncated then Persist.Store.truncate s fleet_blob valid_bytes;
-    t.jrecs <- List.length records;
-    List.iter
-      (fun (seq, payload) ->
-        t.jseq <- max t.jseq seq;
-        match decode_jrec payload with
-        | exception Persist.Wire.Corrupt _ -> ()
-        | J_peer { peer; proxy } ->
-          Hashtbl.replace t.proxies peer proxy;
-          ignore (channel_of t peer)
-        | J_delegate { del_id; peer; proxy_cap; base; len; rights; seq } ->
-          let ch = channel_of t peer in
-          ch.c_next <- max ch.c_next (seq + 1);
-          t.next_del <- max t.next_del (del_id + 1);
-          add_del t
-            { del_id; del_peer = peer; proxy_cap; del_base = base; del_len = len;
-              del_rights = rights; del_seq = seq; del_state = Active; revoke_seq = 0 }
-        | J_import { origin; del_id; base; len; rights; applied } ->
-          let ch = channel_of t origin in
-          ch.c_applied <- max ch.c_applied applied;
-          Hashtbl.replace t.imports (origin, del_id)
-            { imp_origin = origin; imp_del_id = del_id; imp_base = base;
-              imp_len = len; imp_rights = rights }
-        | J_unimport { origin; del_id; applied } ->
-          let ch = channel_of t origin in
-          ch.c_applied <- max ch.c_applied applied;
-          Hashtbl.remove t.imports (origin, del_id)
-        | J_pending { cap; caller; dels } ->
-          List.iter
-            (fun (peer, del_id, seq) ->
-              let ch = channel_of t peer in
+    t.jbytes <- List.fold_left (fun n (_, p) -> n + String.length p) 0 records;
+    (* Channels by the proxy id the records name them by. [J_peer]
+       precedes every record that names its channel: {!connect} journals
+       it first, and a snapshot writes it first. *)
+    let links = Hashtbl.create 4 in
+    let chan (l : link) =
+      match Hashtbl.find_opt links l.proxy with
+      | None ->
+        raise (Persist.Wire.Corrupt (Printf.sprintf "no peer has proxy domain %d" l.proxy))
+      | Some ch ->
+        ch.c_acked <- max ch.c_acked l.acked;
+        ch
+    in
+    let apply = function
+      | J_peer { peer; proxy } -> Hashtbl.replace links proxy (open_channel t peer proxy)
+      | J_delegate { link; del_id; proxy_cap; base; len; rights; seq } ->
+        let ch = chan link in
+        ch.c_next <- max ch.c_next (seq + 1);
+        t.next_del <- max t.next_del (del_id + 1);
+        add_del t
+          { del_id; del_peer = ch.ch_peer; proxy_cap; del_base = base; del_len = len;
+            del_rights = rights; del_seq = seq; del_state = Active; revoke_seq = 0 }
+      | J_import { link; del_id; base; len; rights; applied } ->
+        let ch = chan link in
+        ch.c_applied <- max ch.c_applied applied;
+        Hashtbl.replace t.imports (ch.ch_peer, del_id)
+          { imp_origin = ch.ch_peer; imp_del_id = del_id; imp_base = base; imp_len = len;
+            imp_rights = rights }
+      | J_unimport { link; del_id; applied } ->
+        let ch = chan link in
+        ch.c_applied <- max ch.c_applied applied;
+        Hashtbl.remove t.imports (ch.ch_peer, del_id)
+      | J_pending { cap; caller; dels } ->
+        let dels =
+          List.map
+            (fun (link, del_id, seq) ->
+              let ch = chan link in
               ch.c_next <- max ch.c_next (seq + 1);
-              match Hashtbl.find_opt t.dels del_id with
+              (match Hashtbl.find_opt t.dels del_id with
               | Some d ->
                 set_state t d Revoking;
                 d.revoke_seq <- seq
-              | None -> ())
-            dels;
-          Hashtbl.replace t.pending cap
-            { pr_cap = cap;
-              pr_caller = caller;
-              pr_dels = dels;
-              pr_waiting = List.map (fun (peer, id, _) -> (peer, id)) dels }
-        | J_acked { peer; upto } ->
-          let ch = channel_of t peer in
-          ch.c_acked <- max ch.c_acked upto
-        | J_chan { peer; next_; acked; applied } ->
-          let ch = channel_of t peer in
-          ch.c_next <- max ch.c_next next_;
-          ch.c_acked <- max ch.c_acked acked;
-          ch.c_applied <- max ch.c_applied applied
-        | J_send { peer; seq; chan; payload } ->
-          let ch = channel_of t peer in
-          ch.c_next <- max ch.c_next (seq + 1);
-          Hashtbl.replace t.sends (peer, seq) (chan, payload)
-        | J_recv { origin; applied } ->
-          let ch = channel_of t origin in
-          ch.c_applied <- max ch.c_applied applied
-        | J_client payload -> (
-          match t.client with
-          | Replayed l -> t.client <- Replayed (payload :: l)
-          | Attached _ -> ())
-        | J_done { cap } -> (
-          match Hashtbl.find_opt t.pending cap with
-          | Some p ->
-            List.iter (fun (_, del_id, _) -> remove_del t del_id) p.pr_dels;
-            Hashtbl.remove t.pending cap
-          | None -> ()))
+              | None -> ());
+              (ch.ch_peer, del_id, seq))
+            dels
+        in
+        Hashtbl.replace t.pending cap
+          { pr_cap = cap;
+            pr_caller = caller;
+            pr_dels = dels;
+            pr_waiting = List.map (fun (peer, id, _) -> (peer, id)) dels }
+      | J_chan { link; next_; applied } ->
+        let ch = chan link in
+        ch.c_next <- max ch.c_next next_;
+        ch.c_applied <- max ch.c_applied applied
+      | J_send { link; seq; chan = c; payload } ->
+        let ch = chan link in
+        ch.c_next <- max ch.c_next (seq + 1);
+        Hashtbl.replace t.sends (ch.ch_peer, seq) (c, payload)
+      | J_recv { link; applied } ->
+        let ch = chan link in
+        ch.c_applied <- max ch.c_applied applied
+      | J_client payload -> (
+        match t.client with
+        | Replayed l -> t.client <- Replayed (payload :: l)
+        | Attached _ -> ())
+      | J_done { cap } -> (
+        match Hashtbl.find_opt t.pending cap with
+        | Some p ->
+          List.iter (fun (_, del_id, _) -> remove_del t del_id) p.pr_dels;
+          Hashtbl.remove t.pending cap
+        | None -> ())
+    in
+    (* A record that passed its CRC but does not decode is a journal this
+       code did not write (another format, or a bug): skipping it could
+       drop a delegation the peer still holds, so recovery stops. *)
+    List.iter
+      (fun (seq, payload) ->
+        t.jseq <- max t.jseq seq;
+        match apply (decode_jrec payload) with
+        | () -> ()
+        | exception Persist.Wire.Corrupt reason -> raise (Corrupt_journal { seq; reason }))
       records
 
 let create ?store ~monitor ~name ~net () =
@@ -1269,13 +1321,14 @@ let create ?store ~monitor ~name ~net () =
       net;
       store;
       jseq = 0;
-      jrecs = 0;
+      jbytes = 0;
+      snap_bytes = 0;
+      snap_recs = 0;
       channels = Hashtbl.create 4;
       dels = Hashtbl.create 16;
       by_proxy = Hashtbl.create 16;
       revoking = Hashtbl.create 4;
       imports = Hashtbl.create 16;
-      proxies = Hashtbl.create 4;
       pending = Hashtbl.create 4;
       sends = Hashtbl.create 16;
       handlers = Hashtbl.create 4;

@@ -19,7 +19,11 @@
     The outbox is journaled in the ["fleet"] blob of the monitor's
     durable store, and both sides journal-and-fsync {e before} acking or
     first-sending — a crash-restart on either end loses no delegation
-    and no revocation.
+    and no revocation. Journal records name a peer by its proxy domain
+    id and carry the channel's cumulative ack floor; a received ack
+    writes no record of its own, so after a crash the recovered floor
+    can lag the last ack received, which costs only retransmissions the
+    peer absorbs as duplicates.
 
     {2 Degraded mode}
 
@@ -73,7 +77,19 @@ val create :
     but never journaled, hence never sent) are reconciled by local
     revocation. A torn journal tail is cut off first, and the client's
     records are kept for {!attach_client}. Session keys are volatile:
-    re-issue {!connect} for every peer after recovery. *)
+    re-issue {!connect} for every peer after recovery. Raises
+    {!Corrupt_journal} on a record that passed its CRC but does not
+    decode. *)
+
+exception Corrupt_journal of { seq : int; reason : string }
+(** Raised by {!create} when the journal holds a record that passed its
+    CRC but does not decode: a tag this code does not know, a malformed
+    body, or a channel named by a proxy id that no earlier record bound
+    to a peer. [seq] is the record's journal sequence number. Recovery
+    stops there rather than skip it, since a skipped delegation record
+    would make reconciliation revoke a capability the peer still
+    imports. Fleet journals written before records named their peer by
+    proxy id and carried ack floors are refused this way. *)
 
 val connect : t -> peer:Network.endpoint -> key:string -> (Tyche.Domain.id, error) result
 (** Introduce (or re-key) a peer. The first call creates the
@@ -171,16 +187,17 @@ val tick : t -> unit
 (** Advance logical time one step: retransmit due outboxes (capped
     exponential backoff), demote silent peers to {!Degraded}, retry
     pending revocations whose acks are all in, and compact the journal
-    once it holds at least 128 records and they outnumber live state
-    4:1. *)
+    once its records weigh at least 4 KB and four times what its live
+    records weigh, a live record weighing what the last snapshot's
+    records did on average (framing left out; before the first
+    snapshot, the 4 KB floor alone decides). *)
 
 val compact : t -> unit
 (** Rewrite the fleet journal to a snapshot of live state (peers,
     channel counters, active delegations, imports, pending revocations,
     then the client's live records), dropping records that recovery no
-    longer needs — completed delegations, retired imports, superseded
-    ack floors. The snapshot is
-    written once: framed as one batch frame ({!Persist.Wal.frames}) and
+    longer needs — completed delegations, retired imports, acked data
+    frames. The snapshot is written once: framed as one batch frame ({!Persist.Wal.frames}) and
     installed as the whole blob with one atomic
     [Persist.Store.replace], after the monitor's pending writes are
     flushed, so a crash leaves either the old journal or the snapshot.

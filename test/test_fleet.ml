@@ -56,20 +56,17 @@ let recover_node net name node =
   let fleet = Distributed.Fleet.create ~store:node.store ~monitor:m ~name ~net () in
   { node with w = { node.w with Testkit.monitor = m; machine; backend }; fleet }
 
-let pump ?(rounds = 200) a b =
+let pump_all ?(rounds = 200) nodes =
+  let idle () = List.for_all (fun x -> Distributed.Fleet.idle x.fleet) nodes in
   let n = ref 0 in
-  while
-    (not (Distributed.Fleet.idle a.fleet && Distributed.Fleet.idle b.fleet))
-    && !n < rounds
-  do
+  while (not (idle ())) && !n < rounds do
     incr n;
-    Distributed.Fleet.tick a.fleet;
-    Distributed.Fleet.tick b.fleet;
-    ignore (Distributed.Fleet.poll a.fleet);
-    ignore (Distributed.Fleet.poll b.fleet)
+    List.iter (fun x -> Distributed.Fleet.tick x.fleet) nodes;
+    List.iter (fun x -> ignore (Distributed.Fleet.poll x.fleet)) nodes
   done;
-  if not (Distributed.Fleet.idle a.fleet && Distributed.Fleet.idle b.fleet) then
-    Alcotest.failf "fleet did not converge within %d rounds" rounds
+  if not (idle ()) then Alcotest.failf "fleet did not converge within %d rounds" rounds
+
+let pump ?rounds a b = pump_all ?rounds [ a; b ]
 
 let os_mem_range node =
   let cap = Testkit.os_memory_cap node.w in
@@ -498,10 +495,11 @@ let test_journal_compaction_and_recovery () =
   check_clean b
 
 (* The compaction thresholds are built in: the ticks inside [pump]
-   compact the exporter's journal once it holds 128 records and they
-   outnumber live state 4:1, with no explicit [compact]. A cycle writes
-   about four records (J_delegate, J_pending and two J_acked), so the
-   journal grows through 30 cycles and has been rewritten by 45. *)
+   compact the exporter's journal once its records weigh 4 KB and four
+   times what its live records do, with no explicit [compact]. A cycle
+   writes two records (J_delegate and J_pending) of about 25 payload
+   bytes together, so the journal grows through 150 cycles and has been
+   rewritten by 175. *)
 let test_tick_compacts () =
   let _net, a, b = mk_pair () in
   let cycles lo hi =
@@ -513,13 +511,13 @@ let test_tick_compacts () =
       pump a b
     done
   in
-  cycles 1 30;
-  let after_30 = fleet_records a in
-  cycles 31 45;
-  let after_45 = fleet_records a in
-  if after_45 >= after_30 then
-    Alcotest.failf "tick never compacted: %d records after 30 cycles, %d after 45" after_30
-      after_45;
+  cycles 1 150;
+  let after_150 = fleet_records a in
+  cycles 151 175;
+  let after_175 = fleet_records a in
+  if after_175 >= after_150 then
+    Alcotest.failf "tick never compacted: %d records after 150 cycles, %d after 175"
+      after_150 after_175;
   check_clean a;
   check_clean b
 
@@ -590,8 +588,9 @@ let check_dels what expected fleet =
 (* Journal-then-ack pays one barrier where a message or an ack depends
    on it and nowhere else: the exporter's share and [J_delegate], the
    importer's [J_import]; then [J_pending], [J_unimport] and the local
-   revoke. The record of the revoke's ack ([J_acked]) waits for the
-   next barrier, and the revocation it completes journals nothing. *)
+   revoke. A received ack journals nothing (the next record that names
+   its channel carries the floor), and neither does the revocation it
+   completes, so no record waits for the next barrier. *)
 let test_barriers_per_delegate_and_revoke () =
   let store_a, ca = counting () and store_b, cb = counting () in
   let _net, a, b = mk_pair ~store_a ~store_b () in
@@ -606,13 +605,14 @@ let test_barriers_per_delegate_and_revoke () =
   pump a b;
   barriers "revoke, exporter" ca ~wal:1 ~fleet:1;
   barriers "revoke, importer" cb ~wal:0 ~fleet:1;
-  Alcotest.(check int) "only J_acked waits for the next barrier" 1 ca.unsynced;
+  Alcotest.(check int) "no record waits for the next barrier" 0 ca.unsynced;
   check_clean a;
   check_clean b
 
-(* Power fails right after a revoke converged, taking the unsynced
-   records of its ack with it. Recovery must still know the revocation
-   finished: its frozen cap is gone from the recovered tree. *)
+(* Power fails right after a revoke converged. Its ack wrote no record,
+   so the durable ack floor is the one [J_pending] carried, below the
+   Revoke. Recovery must still know the revocation finished: its frozen
+   cap is gone from the recovered tree. *)
 let test_crash_after_converged_revoke () =
   let store_a, ca = counting () in
   let net, a, b = mk_pair ~store_a () in
@@ -624,7 +624,7 @@ let test_crash_after_converged_revoke () =
   pump a b;
   let dels = del_view a.fleet and imported = import_ids b.fleet in
   let applied = Distributed.Fleet.applied b.fleet ~peer:"alpha" in
-  Alcotest.(check int) "the ack's record is unsynced at the crash" 1 ca.unsynced;
+  Alcotest.(check int) "nothing is unsynced at the crash" 0 ca.unsynced;
   Persist.Store.power_fail a.store;
   let a = recover_node net "alpha" a in
   check_dels "delegations before any pump" dels a.fleet;
@@ -637,6 +637,63 @@ let test_crash_after_converged_revoke () =
     (Distributed.Fleet.applied b.fleet ~peer:"alpha");
   check_clean a;
   check_clean b
+
+(* A received ack's floor reaches the medium with the next record that
+   names its channel, not with the next barrier. Alpha delegates to beta
+   and to gamma, and both acks arrive; a second delegation to gamma then
+   carries gamma's floor but not beta's. A crash there costs beta one
+   retransmission, which it absorbs as a duplicate and re-acks. Once a
+   record names beta (alpha imports a delegation from beta), the same
+   crash re-sends nothing to beta. *)
+let test_floor_rides_its_channel () =
+  let crash_and_recover ~beta_named =
+    let net = Distributed.Network.create () in
+    let a = mk_node net "alpha" 0x71L in
+    let b = mk_node net "beta" 0x72L in
+    let g = mk_node net "gamma" 0x73L in
+    List.iter
+      (fun (x, peer) -> ignore (fok (Distributed.Fleet.connect x.fleet ~peer ~key)))
+      [ (a, "beta"); (a, "gamma"); (b, "alpha"); (g, "alpha") ];
+    let _ = delegate_page a ~peer:"beta" ~page:3 in
+    let _ = delegate_page a ~peer:"gamma" ~page:4 in
+    pump_all [ a; b; g ];
+    Alcotest.(check (pair int int)) "both acks in" (1, 1)
+      (Distributed.Fleet.acked a.fleet ~peer:"beta", Distributed.Fleet.acked a.fleet ~peer:"gamma");
+    let _ = delegate_page a ~peer:"gamma" ~page:5 in
+    if beta_named then begin
+      let _ = delegate_page b ~peer:"alpha" ~page:6 in
+      ignore (Distributed.Fleet.poll a.fleet)
+    end;
+    let imported = import_ids b.fleet and applied = Distributed.Fleet.applied b.fleet ~peer:"alpha" in
+    Persist.Store.power_fail a.store;
+    let a = recover_node net "alpha" a in
+    List.iter
+      (fun peer -> ignore (fok (Distributed.Fleet.connect a.fleet ~peer ~key)))
+      [ "beta"; "gamma" ];
+    let floors =
+      (Distributed.Fleet.acked a.fleet ~peer:"beta", Distributed.Fleet.acked a.fleet ~peer:"gamma")
+    in
+    let resend = Distributed.Fleet.backlog a.fleet ~peer:"beta" in
+    pump_all [ a; b; g ];
+    Alcotest.(check (list int)) "beta imports nothing new" imported (import_ids b.fleet);
+    Alcotest.(check int) "beta applies nothing new" applied
+      (Distributed.Fleet.applied b.fleet ~peer:"alpha");
+    Alcotest.(check int) "beta's floor is back" 1 (Distributed.Fleet.acked a.fleet ~peer:"beta");
+    let retries =
+      List.assoc "fleet.link.alpha.beta.retries"
+        (Tyche.Monitor.observe a.w.Testkit.monitor).Obs.r_counters
+    in
+    List.iter check_clean [ a; b; g ];
+    (floors, resend, retries > 0)
+  in
+  let floors, resend, resent = crash_and_recover ~beta_named:false in
+  Alcotest.(check (pair int int)) "durable floors: gamma's only" (0, 1) floors;
+  Alcotest.(check int) "beta's delegation waits to be re-sent" 1 resend;
+  Alcotest.(check bool) "and is re-sent" true resent;
+  let floors, resend, resent = crash_and_recover ~beta_named:true in
+  Alcotest.(check (pair int int)) "durable floors: both" (1, 1) floors;
+  Alcotest.(check int) "nothing waits to be re-sent to beta" 0 resend;
+  Alcotest.(check bool) "nothing is re-sent to beta" false resent
 
 (* Compaction installs its snapshot with one atomic replace: a crash at
    the rename barrier leaves the old journal, and a compaction that
@@ -714,6 +771,40 @@ let test_torn_tail_repair_crash () =
       Alcotest.(check (list int)) (point ^ ": the delegation is recovered") [ d0 ]
         (List.map (fun d -> d.Distributed.Fleet.del_id) (Distributed.Fleet.delegations fleet)))
     [ "store.dir_fsync"; "snapshot.write" ]
+
+(* A record that passes its CRC but does not decode stops recovery with
+   an error that names it, instead of being skipped: a skipped
+   [J_delegate] would make reconciliation revoke a cap the peer still
+   imports. The spliced records are one with an unknown tag and the
+   same delegation in the layout of the journal format that spelled
+   out the peer's name (tag 2), which this code no longer reads. *)
+let test_undecodable_record_stops_recovery () =
+  let old_delegate =
+    let buf = Buffer.create 32 in
+    Persist.Wire.u8 buf 2;
+    Persist.Wire.int buf 1;
+    Persist.Wire.str buf "beta";
+    List.iter (Persist.Wire.int buf) [ 40; 0x402000; Hw.Addr.page_size ];
+    Persist.Wire.u8 buf (Cap.Rights.to_bits Cap.Rights.rw);
+    Persist.Wire.int buf 1;
+    Buffer.contents buf
+  in
+  List.iter
+    (fun (what, payload) ->
+      let net, a, b = mk_pair () in
+      let _ = delegate_page a ~peer:"beta" ~page:2 in
+      pump a b;
+      let seq =
+        1 + List.fold_left (fun m (s, _) -> max m s) 0
+              (Persist.Wal.read a.store ~blob:"fleet").Persist.Wal.records
+      in
+      Persist.Store.append a.store "fleet" (Persist.Wal.frame ~seq payload);
+      Persist.Store.fsync a.store "fleet";
+      match recover_node net "alpha" a with
+      | _ -> Alcotest.failf "%s: recovery replayed past record %d" what seq
+      | exception Distributed.Fleet.Corrupt_journal { seq = bad; reason = _ } ->
+        Alcotest.(check int) (what ^ ": the failure names the record") seq bad)
+    [ ("unknown tag", "\xff"); ("old J_delegate layout", old_delegate) ]
 
 (* --- fleet attestation ------------------------------------------------ *)
 
@@ -857,12 +948,16 @@ let () =
           Alcotest.test_case "tick compacts at the built-in thresholds" `Quick
             test_tick_compacts;
           Alcotest.test_case "crash inside the torn-tail repair keeps every record" `Quick
-            test_torn_tail_repair_crash ] );
+            test_torn_tail_repair_crash;
+          Alcotest.test_case "an undecodable record stops recovery" `Quick
+            test_undecodable_record_stops_recovery ] );
       ( "barriers",
         [ Alcotest.test_case "one barrier per record a message or ack needs" `Quick
             test_barriers_per_delegate_and_revoke;
           Alcotest.test_case "crash after a converged revoke" `Quick
             test_crash_after_converged_revoke;
+          Alcotest.test_case "an ack floor rides the records of its channel" `Quick
+            test_floor_rides_its_channel;
           Alcotest.test_case "compaction writes the snapshot once, atomically" `Quick
             test_compaction_writes_once ] );
       ( "attestation",

@@ -636,9 +636,12 @@ let test_rehoming_flips_import_origin () =
    chunk store grows past twice what it reached in the first 20 (each
    migration adds 4 new chunks and about 20 KB of records, so an
    unbounded store grows 5x). Peaks over 20-migration windows, since
-   each compaction shrinks the journal. A compacted journal still
-   restores the id counter: after a crash, neither side re-issues a
-   migration id. *)
+   each compaction shrinks the journal. Compaction weighs bytes, so 4 KB
+   chunk records and acked chunk frames do not wait for a record count:
+   the peak over migrations 81-100 stays under 96 KB a machine (27 KB on
+   alpha and 80 KB on beta; a trigger that counted 128 records let it
+   reach 173 and 164 KB). A compacted journal still restores the id
+   counter: after a crash, neither side re-issues a migration id. *)
 let test_state_bounded () =
   let net = Distributed.Network.create () in
   let a = mk_node ~signer_height:7 net "alpha" 0x81L in
@@ -668,6 +671,14 @@ let test_state_bounded () =
     done;
     !m
   in
+  Printf.printf "peak fleet blob over migrations 81-100: alpha %d B, beta %d B\n"
+    (peak 81 100 0) (peak 81 100 1);
+  List.iteri
+    (fun k who ->
+      let late = peak 81 100 k in
+      if late > 96 * 1024 then
+        Alcotest.failf "%s journal peaks at %d B over migrations 81-100 (> 96 KB)" who late)
+    [ "alpha"; "beta" ];
   List.iteri
     (fun k what ->
       let early = peak 1 20 k and late = peak 81 100 k in

@@ -1040,9 +1040,7 @@ let test_crash_on_dir_fsync arch () =
   check_fsck m2
 
 let test_dir_fsync_on_file_store () =
-  let dir = "tyche-dirsync-test" in
-  if Sys.file_exists dir then
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  let dir, remove = temp_store_dir "tyche-dirsync-" in
   let w = boot_x86 () in
   let store = Persist.Store.file ~dir in
   let before = Obs.Metrics.counter_value "store.dir_fsync" in
@@ -1071,13 +1069,10 @@ let test_dir_fsync_on_file_store () =
   Alcotest.(check int) "seq recovered" (workload_ops + 1) report.Tyche.Monitor.rr_seq;
   check_fingerprint_eq fp (fingerprint m2);
   check_fsck m2;
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir
+  remove ()
 
 let test_file_store_roundtrip () =
-  let dir = "tyche-store-test" in
-  if Sys.file_exists dir then
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  let dir, remove = temp_store_dir "tyche-store-" in
   let w = boot_x86 () in
   let store = Persist.Store.file ~dir in
   Tyche.Monitor.enable_persistence w.monitor ~store ();
@@ -1089,17 +1084,14 @@ let test_file_store_roundtrip () =
   Alcotest.(check int) "seq recovered" workload_ops report.Tyche.Monitor.rr_seq;
   check_fingerprint_eq fp (fingerprint m2);
   check_fsck m2;
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir
+  remove ()
 
 (* [replace] substitutes a blob's durable contents and drops its
    unflushed bytes, on the file store as on the mem device: bytes
    appended before the replace must not be flushed behind the new
    contents by the next fsync, while bytes appended after it must. *)
 let test_replace_drops_pending () =
-  let dir = "tyche-replace-test" in
-  if Sys.file_exists dir then
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  let dir, remove = temp_store_dir "tyche-replace-" in
   let blob = "fleet" in
   List.iter
     (fun store ->
@@ -1118,8 +1110,7 @@ let test_replace_drops_pending () =
     [ Persist.Store.mem (); Persist.Store.file ~dir ];
   Alcotest.(check string) "file store reopens to the same bytes" "snapshot-next"
     (Persist.Store.read (Persist.Store.file ~dir) blob);
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir
+  remove ()
 
 (* Monitor-level truncation semantics: recovery from ANY prefix of the
    durable WAL (including mid-record cuts) and any single bit flip must

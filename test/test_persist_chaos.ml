@@ -52,27 +52,12 @@ type backend_kind = Mem | File
 let backend_name = function Mem -> "mem" | File -> "file"
 
 (* File-backend runs each get a private scratch directory so the two
-   transcript-compared runs start from identical (empty) media. *)
-let run_counter = ref 0
-
+   transcript-compared runs start from identical (empty) media, and
+   concurrent chaos processes never touch each other's stores. *)
 let fresh_store = function
   | Mem -> (Persist.Store.mem (), fun () -> ())
   | File ->
-    incr run_counter;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "tyche-chaos-%d" !run_counter)
-    in
-    let wipe () =
-      if Sys.file_exists dir then
-        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
-    in
-    wipe ();
-    let cleanup () =
-      wipe ();
-      if Sys.file_exists dir then Sys.rmdir dir
-    in
+    let dir, cleanup = Testkit.temp_store_dir "tyche-chaos-" in
     (Persist.Store.file ~dir, cleanup)
 
 (* A machine + backend + monitor-range triple; recovery builds a fresh

@@ -225,6 +225,18 @@ let check_no_violations monitor =
       (String.concat "; "
          (List.map (Format.asprintf "%a" Tyche.Invariants.pp_violation) vs))
 
+(* A fresh, empty directory for a file store, and the function that
+   removes it with its blobs. [Filename.temp_dir] makes a new one on
+   every call, so two processes that share a temp directory never share
+   a store. *)
+let temp_store_dir prefix =
+  let dir = Filename.temp_dir prefix "" in
+  let remove () =
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  in
+  (dir, remove)
+
 (* --- chaos-seed replay conventions -----------------------------------
 
    Both chaos drivers (test_fault's fault-plan sweeps and
