@@ -2567,7 +2567,9 @@ let e20_ceiling op =
    message or an ack depends on — [J_delegate], [J_import], [J_pending],
    [J_unimport] — and the monitor one WAL barrier each for the share and
    the local revoke. The reference is the pair's journal records, what
-   an outbox that fsyncs every record would pay. Compaction is left out:
+   an outbox that fsyncs every record would pay, counted inside the
+   frames the journal's barriers write (a barrier writes every record
+   queued since the last one as one frame). Compaction is left out:
    the loss-free pump never ticks, and a compaction is one [replace],
    no append and no barrier. *)
 let e20_twin_pairs = 64
@@ -2580,7 +2582,7 @@ let e20_twin () =
       Persist.Store.append =
         (fun blob data ->
           if blob = "fleet" then begin
-            incr records;
+            records := !records + List.length (Persist.Wal.parse data).Persist.Wal.records;
             bytes := !bytes + String.length data
           end;
           inner.Persist.Store.append blob data);
@@ -2890,7 +2892,8 @@ let e21 ?(smoke = false) () =
    same loss-free link, counted per blob through a wrapper around both
    endpoints' stores, as E16's and E20's twins count theirs: ten
    migrations of a 16-page enclave with 4 distinct pages, summed over
-   both machines. *)
+   both machines. The reference counts the journal records inside the
+   frames its barriers write. *)
 let e21_twin_migrations = 10
 
 let e21_twin () =
@@ -2901,7 +2904,8 @@ let e21_twin () =
     { inner with
       Persist.Store.append =
         (fun blob data ->
-          if blob = "fleet" then incr records;
+          if blob = "fleet" then
+            records := !records + List.length (Persist.Wal.parse data).Persist.Wal.records;
           inner.Persist.Store.append blob data);
       fsync =
         (fun blob ->

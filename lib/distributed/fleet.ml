@@ -20,10 +20,12 @@
      order). Dedup is by (origin, seq), so post-recovery re-sends and
      adversarial duplicates are absorbed idempotently.
 
-   Journal-then-ack: the receiver fsyncs its journal record before the
+   Journal-then-ack: the receiver's journal record is durable before the
    ack leaves, so an acked message can never be lost to a crash. The
-   sender fsyncs its journal record before the first transmission, so a
-   message a peer might have seen is always re-sendable after a crash.
+   sender's is durable before the first transmission, so a message a
+   peer might have seen is always re-sendable after a crash. A barrier
+   flushes the monitor, then the journal, so no record is ever durable
+   ahead of the monitor state it names.
    Nothing else is journaled. A received ack writes no record: every
    record that names a channel carries the channel's cumulative ack
    floor, so the floor reaches the medium with the next such record,
@@ -179,11 +181,12 @@ end
 let fleet_blob = "fleet"
 
 (* The journal is the machine's one redo log besides the monitor's WAL,
-   riding in its own blob of the monitor's store (mem-store appends to
-   it tear and crash through the [snapshot.write] fault point, file
-   stores through real fsyncs). It also carries the records of one
-   client protocol (live migration) as opaque [J_client] payloads: they
-   share its appends, barriers, torn-tail repair and compaction.
+   riding in its own blob of the monitor's store, which [Persist.Group]
+   numbers, flushes as one frame per barrier (a mem-store append tears
+   through the [snapshot.write] fault point), cuts and compacts, as it
+   does the WAL. It also carries the records of one client protocol
+   (live migration) as opaque [J_client] payloads: they share its
+   barriers and compaction.
    Records, in the order constraints matter:
    - [J_peer], [J_delegate], [J_pending] and [J_send] are fsynced before
      any message they make re-sendable leaves the machine (sender side);
@@ -410,8 +413,11 @@ type pending_revoke = {
 type outbox_entry = { ob_seq : int; ob_body : string; mutable ob_sent : int }
 
 (* The client's records: those replay found, newest first, until the
-   client attaches; then its live records, asked for at compaction. *)
-type client = Replayed of string list | Attached of (unit -> string list)
+   client attaches; then its live records, asked for at compaction, and
+   their count, asked for on every tick. *)
+type client =
+  | Replayed of string list
+  | Attached of { live : unit -> string list; count : unit -> int }
 
 type channel = {
   ch_peer : Network.endpoint;
@@ -436,7 +442,7 @@ type t = {
   name : Network.endpoint;
   net : Network.t;
   store : Persist.Store.t option;
-  mutable jseq : int;
+  mutable log : Persist.Group.t option; (* the journal's writer, once replay accepted it *)
   mutable jbytes : int; (* payload bytes of the records in the fleet blob *)
   mutable snap_recs : int; (* records of the last snapshot written *)
   mutable snap_bytes : int; (* and their payload bytes; 0 before the first *)
@@ -467,26 +473,25 @@ let degrade_after = 3
 let tree t = Tyche.Monitor.tree t.monitor
 
 let journal t r =
-  match t.store with
+  match t.log with
   | None -> ()
-  | Some s ->
-    t.jseq <- t.jseq + 1;
+  | Some g ->
     let payload = encode_jrec r in
     t.jbytes <- t.jbytes + String.length payload;
-    Persist.Wal.append s ~blob:fleet_blob ~seq:t.jseq payload
+    Persist.Group.append g payload
 
 (* A record's reference to its channel, stamped with the ack floor. *)
 let link_of ch = { proxy = ch.ch_proxy; acked = ch.c_acked }
 
 let barrier t =
-  match t.store with
+  match t.log with
   | None -> ()
-  | Some s ->
+  | Some g ->
     (* The fleet journal must never get ahead of the monitor state it
-       references (proxy domains, shares): flush the monitor's group
-       commit first, then make the fleet record durable. *)
+       references (proxy domains, shares): its queue writes nothing
+       until this flush, which follows the monitor's. *)
     Tyche.Monitor.flush t.monitor;
-    Persist.Store.fsync s fleet_blob
+    Persist.Group.flush g
 
 let append t payload = journal t (J_client payload)
 
@@ -691,6 +696,17 @@ let finish_pending t (p : pending_revoke) =
   List.iter (fun (_, del_id, _) -> remove_del t del_id) p.pr_dels;
   Hashtbl.remove t.pending p.pr_cap
 
+(* Retire a proxy cap with its delegator's authority: the owner of the
+   cap it was shared from. *)
+let revoke_proxy_cap t cap =
+  let tr = tree t in
+  let caller =
+    match Cap.Captree.parent tr cap with
+    | Some pid -> Option.value (Cap.Captree.owner tr pid) ~default:Tyche.Domain.initial
+    | None -> Tyche.Domain.initial
+  in
+  Tyche.Monitor.revoke t.monitor ~caller ~cap
+
 let execute_pending t (p : pending_revoke) =
   (* Every peer confirmed: nothing remote holds the subtree any more.
      Thaw the bookkeeping freezes and run the ordinary local cascade.
@@ -716,21 +732,13 @@ let execute_pending t (p : pending_revoke) =
        tree stops claiming remote holders that no longer exist, then
        complete the pending record. *)
     Obs.Metrics.incr aborted_c;
-    let tr = tree t in
     List.iter
       (fun (_, del_id, _) ->
         match Hashtbl.find_opt t.dels del_id with
         | None -> ()
-        | Some d ->
-          let caller =
-            match Cap.Captree.parent tr d.proxy_cap with
-            | Some pid ->
-              Option.value (Cap.Captree.owner tr pid) ~default:Tyche.Domain.initial
-            | None -> Tyche.Domain.initial
-          in
-          (match Tyche.Monitor.revoke t.monitor ~caller ~cap:d.proxy_cap with
-          | Ok () -> ()
-          | Error (Tyche.Monitor.Cap_error (Cap.Captree.No_such_capability _)) -> ()
+        | Some d -> (
+          match revoke_proxy_cap t d.proxy_cap with
+          | Ok () | Error (Tyche.Monitor.Cap_error (Cap.Captree.No_such_capability _)) -> ()
           | Error _ -> Obs.Metrics.incr reject_c))
       p.pr_dels;
     (* The cap survives an abort, so recovery cannot tell from the tree
@@ -967,6 +975,9 @@ let handle t raw =
             if not (Wire.verify ~key ~body ~mac) then Obs.Metrics.incr reject_c
             else
               match msg with
+              | Wire.Ack { upto } when upto >= ch.c_next ->
+                (* An ack for a message never sent would bury every real ack. *)
+                Obs.Metrics.incr reject_c
               | Wire.Ack { upto } -> on_ack t ch upto
               | Wire.Delegate _ | Wire.Revoke _ | Wire.Data _ ->
                 apply_data t ch ~origin ~seq msg)))
@@ -988,19 +999,18 @@ let poll t =
 (* The journal is a redo log: completed delegations, retired imports and
    acked data frames leave records behind that replay no longer needs,
    so an append-only blob (and its recovery replay) would grow without
-   bound over the endpoint's life. Compaction frames a snapshot
-   of live state in replay order, as one batch frame (its seqs are
-   consecutive), and installs it as the whole blob with one atomic
-   [Store.replace]: a crash leaves either the old journal or
+   bound over the endpoint's life. Compaction snapshots live state in
+   replay order and installs it as the whole journal
+   ([Persist.Group.install]): a crash leaves either the old journal or
    the snapshot, which replay to the same state. The snapshot subsumes
-   the records still waiting for a barrier, which the replace drops.
+   the records still waiting for a barrier, which the install drops.
    The client's records follow the fleet's own. *)
-let client_records t =
-  match t.client with Replayed l -> List.rev l | Attached live -> live ()
+let client_records t = match t.client with Replayed l -> List.rev l | Attached c -> c.live ()
+let client_count t = match t.client with Replayed l -> List.length l | Attached c -> c.count ()
 
-let attach_client t ~live =
+let attach_client t ~live ~count =
   let replayed = match t.client with Replayed l -> List.rev l | Attached _ -> [] in
-  t.client <- Attached live;
+  t.client <- Attached { live; count };
   replayed
 
 let snapshot_records t =
@@ -1041,24 +1051,19 @@ let snapshot_records t =
     t.pending;
   List.rev !recs
 
-let write_snapshot t client =
-  match t.store with
+let compact t =
+  match t.log with
   | None -> ()
-  | Some s ->
-    let recs = snapshot_records t @ List.map (fun p -> J_client p) client in
+  | Some g ->
+    let recs = snapshot_records t @ List.map (fun p -> J_client p) (client_records t) in
     let payloads = List.map encode_jrec recs in
-    let first = t.jseq + 1 in
-    t.jseq <- t.jseq + List.length recs;
-    let frames = Persist.Wal.frames (List.mapi (fun i p -> (first + i, p)) payloads) in
     (* The snapshot names monitor state (proxy domains and caps), so that
        state goes durable first, as in [barrier]. *)
     Tyche.Monitor.flush t.monitor;
-    Persist.Store.replace s fleet_blob frames;
+    Persist.Group.install g payloads;
     t.jbytes <- List.fold_left (fun n p -> n + String.length p) 0 payloads;
     t.snap_recs <- List.length recs;
     t.snap_bytes <- t.jbytes
-
-let compact t = write_snapshot t (client_records t)
 
 (* Auto-compaction weighs record bytes, not records: the journal is
    rewritten once its records' payloads weigh [compact_ratio] times what
@@ -1072,14 +1077,13 @@ let compact_floor = 4096
 let compact_ratio = 4
 
 let maybe_compact t =
-  if t.store <> None && t.jbytes >= compact_floor then begin
-    let client = client_records t in
+  if t.log <> None && t.jbytes >= compact_floor then begin
     let live =
       2 * Hashtbl.length t.channels + Hashtbl.length t.dels + Hashtbl.length t.imports
-      + Hashtbl.length t.pending + Hashtbl.length t.sends + List.length client
+      + Hashtbl.length t.pending + Hashtbl.length t.sends + client_count t
     in
     if t.snap_recs = 0 || t.jbytes * t.snap_recs > compact_ratio * live * t.snap_bytes then
-      write_snapshot t client
+      compact t
   end
 
 (* --- retry / degraded mode ------------------------------------------ *)
@@ -1146,17 +1150,8 @@ let reconcile t =
     (fun _ ch ->
       List.iter
         (fun cap ->
-          if not (Hashtbl.mem known cap) then begin
-            let caller =
-              match Cap.Captree.parent tr cap with
-              | Some pid ->
-                Option.value (Cap.Captree.owner tr pid) ~default:Tyche.Domain.initial
-              | None -> Tyche.Domain.initial
-            in
-            match Tyche.Monitor.revoke t.monitor ~caller ~cap with
-            | Ok () -> ()
-            | Error _ -> Obs.Metrics.incr reject_c
-          end)
+          if not (Hashtbl.mem known cap) then
+            match revoke_proxy_cap t cap with Ok () -> () | Error _ -> Obs.Metrics.incr reject_c)
         (Cap.Captree.all_caps_of_domain tr ch.ch_proxy))
     t.channels
 
@@ -1217,102 +1212,91 @@ let rebuild_outboxes t =
       update_backlog t ch)
     t.channels
 
-let replay t =
-  match t.store with
-  | None -> ()
-  | Some s ->
-    let { Persist.Wal.records; valid_bytes; truncated; _ } =
-      Persist.Wal.read s ~blob:fleet_blob
-    in
-    (* A crash can leave a torn frame at the end of the blob. Everything
-       appended after it would be invisible to the longest-valid-prefix
-       read of the NEXT recovery — which would silently roll back acked
-       imports. Cut the journal back to its valid prefix, atomically,
-       before any new record lands behind the tear. *)
-    if truncated then Persist.Store.truncate s fleet_blob valid_bytes;
-    t.jbytes <- List.fold_left (fun n (_, p) -> n + String.length p) 0 records;
-    (* Channels by the proxy id the records name them by. [J_peer]
-       precedes every record that names its channel: {!connect} journals
-       it first, and a snapshot writes it first. *)
-    let links = Hashtbl.create 4 in
-    let chan (l : link) =
-      match Hashtbl.find_opt links l.proxy with
-      | None ->
-        raise (Persist.Wire.Corrupt (Printf.sprintf "no peer has proxy domain %d" l.proxy))
-      | Some ch ->
-        ch.c_acked <- max ch.c_acked l.acked;
-        ch
-    in
-    let apply = function
-      | J_peer { peer; proxy } -> Hashtbl.replace links proxy (open_channel t peer proxy)
-      | J_delegate { link; del_id; proxy_cap; base; len; rights; seq } ->
-        let ch = chan link in
-        ch.c_next <- max ch.c_next (seq + 1);
-        t.next_del <- max t.next_del (del_id + 1);
-        add_del t
-          { del_id; del_peer = ch.ch_peer; proxy_cap; del_base = base; del_len = len;
-            del_rights = rights; del_seq = seq; del_state = Active; revoke_seq = 0 }
-      | J_import { link; del_id; base; len; rights; applied } ->
-        let ch = chan link in
-        ch.c_applied <- max ch.c_applied applied;
-        Hashtbl.replace t.imports (ch.ch_peer, del_id)
-          { imp_origin = ch.ch_peer; imp_del_id = del_id; imp_base = base; imp_len = len;
-            imp_rights = rights }
-      | J_unimport { link; del_id; applied } ->
-        let ch = chan link in
-        ch.c_applied <- max ch.c_applied applied;
-        Hashtbl.remove t.imports (ch.ch_peer, del_id)
-      | J_pending { cap; caller; dels } ->
-        let dels =
-          List.map
-            (fun (link, del_id, seq) ->
-              let ch = chan link in
-              ch.c_next <- max ch.c_next (seq + 1);
-              (match Hashtbl.find_opt t.dels del_id with
-              | Some d ->
-                set_state t d Revoking;
-                d.revoke_seq <- seq
-              | None -> ());
-              (ch.ch_peer, del_id, seq))
-            dels
-        in
-        Hashtbl.replace t.pending cap
-          { pr_cap = cap;
-            pr_caller = caller;
-            pr_dels = dels;
-            pr_waiting = List.map (fun (peer, id, _) -> (peer, id)) dels }
-      | J_chan { link; next_; applied } ->
-        let ch = chan link in
-        ch.c_next <- max ch.c_next next_;
-        ch.c_applied <- max ch.c_applied applied
-      | J_send { link; seq; chan = c; payload } ->
-        let ch = chan link in
-        ch.c_next <- max ch.c_next (seq + 1);
-        Hashtbl.replace t.sends (ch.ch_peer, seq) (c, payload)
-      | J_recv { link; applied } ->
-        let ch = chan link in
-        ch.c_applied <- max ch.c_applied applied
-      | J_client payload -> (
-        match t.client with
-        | Replayed l -> t.client <- Replayed (payload :: l)
-        | Attached _ -> ())
-      | J_done { cap } -> (
-        match Hashtbl.find_opt t.pending cap with
-        | Some p ->
-          List.iter (fun (_, del_id, _) -> remove_del t del_id) p.pr_dels;
-          Hashtbl.remove t.pending cap
-        | None -> ())
-    in
-    (* A record that passed its CRC but does not decode is a journal this
-       code did not write (another format, or a bug): skipping it could
-       drop a delegation the peer still holds, so recovery stops. *)
-    List.iter
-      (fun (seq, payload) ->
-        t.jseq <- max t.jseq seq;
-        match apply (decode_jrec payload) with
-        | () -> ()
-        | exception Persist.Wire.Corrupt reason -> raise (Corrupt_journal { seq; reason }))
-      records
+(* [records] are the journal's durable records ({!Persist.Group.reopen}
+   cuts a torn tail only once this returns). *)
+let replay t records =
+  t.jbytes <- List.fold_left (fun n (_, p) -> n + String.length p) 0 records;
+  (* Channels by the proxy id the records name them by. [J_peer]
+     precedes every record that names its channel: {!connect} journals
+     it first, and a snapshot writes it first. *)
+  let links = Hashtbl.create 4 in
+  let chan (l : link) =
+    match Hashtbl.find_opt links l.proxy with
+    | None ->
+      raise (Persist.Wire.Corrupt (Printf.sprintf "no peer has proxy domain %d" l.proxy))
+    | Some ch ->
+      ch.c_acked <- max ch.c_acked l.acked;
+      ch
+  in
+  let apply = function
+    | J_peer { peer; proxy } -> Hashtbl.replace links proxy (open_channel t peer proxy)
+    | J_delegate { link; del_id; proxy_cap; base; len; rights; seq } ->
+      let ch = chan link in
+      ch.c_next <- max ch.c_next (seq + 1);
+      t.next_del <- max t.next_del (del_id + 1);
+      add_del t
+        { del_id; del_peer = ch.ch_peer; proxy_cap; del_base = base; del_len = len;
+          del_rights = rights; del_seq = seq; del_state = Active; revoke_seq = 0 }
+    | J_import { link; del_id; base; len; rights; applied } ->
+      let ch = chan link in
+      ch.c_applied <- max ch.c_applied applied;
+      Hashtbl.replace t.imports (ch.ch_peer, del_id)
+        { imp_origin = ch.ch_peer; imp_del_id = del_id; imp_base = base; imp_len = len;
+          imp_rights = rights }
+    | J_unimport { link; del_id; applied } ->
+      let ch = chan link in
+      ch.c_applied <- max ch.c_applied applied;
+      Hashtbl.remove t.imports (ch.ch_peer, del_id)
+    | J_pending { cap; caller; dels } ->
+      let dels =
+        List.map
+          (fun (link, del_id, seq) ->
+            let ch = chan link in
+            ch.c_next <- max ch.c_next (seq + 1);
+            (match Hashtbl.find_opt t.dels del_id with
+            | Some d ->
+              set_state t d Revoking;
+              d.revoke_seq <- seq
+            | None -> ());
+            (ch.ch_peer, del_id, seq))
+          dels
+      in
+      Hashtbl.replace t.pending cap
+        { pr_cap = cap;
+          pr_caller = caller;
+          pr_dels = dels;
+          pr_waiting = List.map (fun (peer, id, _) -> (peer, id)) dels }
+    | J_chan { link; next_; applied } ->
+      let ch = chan link in
+      ch.c_next <- max ch.c_next next_;
+      ch.c_applied <- max ch.c_applied applied
+    | J_send { link; seq; chan = c; payload } ->
+      let ch = chan link in
+      ch.c_next <- max ch.c_next (seq + 1);
+      Hashtbl.replace t.sends (ch.ch_peer, seq) (c, payload)
+    | J_recv { link; applied } ->
+      let ch = chan link in
+      ch.c_applied <- max ch.c_applied applied
+    | J_client payload -> (
+      match t.client with
+      | Replayed l -> t.client <- Replayed (payload :: l)
+      | Attached _ -> ())
+    | J_done { cap } -> (
+      match Hashtbl.find_opt t.pending cap with
+      | Some p ->
+        List.iter (fun (_, del_id, _) -> remove_del t del_id) p.pr_dels;
+        Hashtbl.remove t.pending cap
+      | None -> ())
+  in
+  (* A record that passed its CRC but does not decode is a journal this
+     code did not write (another format, or a bug): skipping it could
+     drop a delegation the peer still holds, so recovery stops. *)
+  List.iter
+    (fun (seq, payload) ->
+      match apply (decode_jrec payload) with
+      | () -> ()
+      | exception Persist.Wire.Corrupt reason -> raise (Corrupt_journal { seq; reason }))
+    records
 
 let create ?store ~monitor ~name ~net () =
   let t =
@@ -1320,7 +1304,7 @@ let create ?store ~monitor ~name ~net () =
       name;
       net;
       store;
-      jseq = 0;
+      log = None;
       jbytes = 0;
       snap_bytes = 0;
       snap_recs = 0;
@@ -1336,7 +1320,7 @@ let create ?store ~monitor ~name ~net () =
       clock = 0;
       client = Replayed [] }
   in
-  replay t;
+  t.log <- Option.map (fun s -> Persist.Group.reopen ~blob:fleet_blob s (replay t)) store;
   (* Re-derive what the journal does not say. A pending revocation whose
      frozen cap is gone from the recovered tree ran its local cascade:
      that runs only once every peer has acked, a frozen cap cannot leave

@@ -17,13 +17,14 @@
     out-of-order arrivals are dropped (retransmission restores order),
     so replay by the adversary or by a recovering sender is idempotent.
     The outbox is journaled in the ["fleet"] blob of the monitor's
-    durable store, and both sides journal-and-fsync {e before} acking or
-    first-sending — a crash-restart on either end loses no delegation
-    and no revocation. Journal records name a peer by its proxy domain
-    id and carry the channel's cumulative ack floor; a received ack
-    writes no record of its own, so after a crash the recovered floor
-    can lag the last ack received, which costs only retransmissions the
-    peer absorbs as duplicates.
+    durable store, and both sides make their journal record durable
+    {e before} acking or first-sending — a crash-restart on either end
+    loses no delegation and no revocation. Journal records name a peer
+    by its proxy domain id and carry the channel's cumulative ack floor;
+    a received ack writes no record of its own, so after a crash the
+    recovered floor can lag the last ack received, which costs only
+    retransmissions the peer absorbs as duplicates. An ack for a
+    message never sent is refused.
 
     {2 Degraded mode}
 
@@ -67,7 +68,9 @@ val create :
   t
 (** Create the fleet endpoint for [monitor], speaking as [name] on
     [net]. When [store] is given, the fleet journals into its ["fleet"]
-    blob and — creation {e is} recovery — replays any existing journal:
+    blob, which a {!Persist.Group} writes, and — creation {e is}
+    recovery — replays the journal's durable records, whatever seq
+    they are numbered from:
     channels, delegations, imports and pending revocations are rebuilt,
     revocations the durable ack floor covers are confirmed, pending
     revocations whose frozen cap is gone from the recovered tree (their
@@ -75,11 +78,11 @@ val create :
     are re-frozen, the unacked outbox is reconstructed
     for retransmission, and half-finished delegations (shared to a proxy
     but never journaled, hence never sent) are reconciled by local
-    revocation. A torn journal tail is cut off first, and the client's
-    records are kept for {!attach_client}. Session keys are volatile:
-    re-issue {!connect} for every peer after recovery. Raises
-    {!Corrupt_journal} on a record that passed its CRC but does not
-    decode. *)
+    revocation. The client's records are kept for {!attach_client}.
+    Session keys are volatile: re-issue {!connect} for every peer after
+    recovery. A torn journal tail is cut once replay succeeds; raises
+    {!Corrupt_journal}, cutting nothing, on a record that passed its
+    CRC but does not decode. *)
 
 exception Corrupt_journal of { seq : int; reason : string }
 (** Raised by {!create} when the journal holds a record that passed its
@@ -142,21 +145,23 @@ val set_data_handler :
 
     One client protocol (live migration) journals in the fleet's blob
     instead of keeping a journal of its own: its records ride the
-    fleet's appends, barriers, torn-tail repair and compaction. *)
+    fleet's queue, barriers and compaction. *)
 
-val attach_client : t -> live:(unit -> string list) -> string list
+val attach_client : t -> live:(unit -> string list) -> count:(unit -> int) -> string list
 (** Claim the client records that recovery replayed, in journal order,
     and register [live]: from now on compaction writes the records
-    [live ()] returns in their place. Until then compaction carries the
-    replayed ones unchanged. *)
+    [live ()] returns in their place, and {!tick} weighs [count ()],
+    their number, without encoding them. Until then compaction carries
+    the replayed ones unchanged. *)
 
 val append : t -> string -> unit
 (** Append one client record. Durable at the next {!barrier}. *)
 
 val barrier : t -> unit
-(** Flush the monitor's pending writes, then fsync the journal: every
-    record appended so far is durable, and never ahead of the monitor
-    state it names. A no-op without a store. *)
+(** Flush the monitor's pending writes, then the journal's queued
+    records as one frame: every record appended so far is durable, and
+    never ahead of the monitor state it names, since only this flush
+    and {!compact} write the journal. A no-op without a store. *)
 
 val crash_at : t -> Fault.point -> unit
 (** If [point] fires, fail this endpoint's power: every unsynced write
@@ -197,13 +202,13 @@ val compact : t -> unit
     channel counters, active delegations, imports, pending revocations,
     then the client's live records), dropping records that recovery no
     longer needs — completed delegations, retired imports, acked data
-    frames. The snapshot is written once: framed as one batch frame ({!Persist.Wal.frames}) and
-    installed as the whole blob with one atomic
-    [Persist.Store.replace], after the monitor's pending writes are
-    flushed, so a crash leaves either the old journal or the snapshot.
-    May raise [Persist.Store.Crash] at the [store.dir_fsync] fault
-    point. A no-op without a store. {!tick} calls this automatically
-    (see there). *)
+    frames. The snapshot is written once, after the monitor's pending
+    writes are flushed: {!Persist.Group.install} makes it the whole
+    journal, numbered from 1, with one atomic [Persist.Store.replace],
+    so a crash leaves either the old journal or the snapshot. May
+    raise [Persist.Store.Crash] at the [store.dir_fsync] fault point.
+    A no-op without a store. {!tick} calls this automatically (see
+    there). *)
 
 (** {2 Inspection} *)
 

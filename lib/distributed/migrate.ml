@@ -11,13 +11,13 @@
      resumed migration never re-sends bytes the target already
      persisted, and zero pages collapse to one chunk;
    - crash resumption from the machine's one journal: migration records
-     ride the fleet's journal ({!Fleet.append}), its barriers, torn-tail
-     repair and compaction. Every state a peer may act on is durable
-     before the message that makes it meaningful leaves, so a
-     crash-restart of either endpoint resumes mid-protocol or aborts
-     cleanly — the source domain stays frozen-but-alive until the
-     target's fsck-verified receipt, and exactly one monitor hosts the
-     domain once the protocol drains;
+     ride the fleet's journal ({!Fleet.append}), which [Persist.Group]
+     writes, its barriers and its compaction. Every state a peer may act
+     on is durable before the message that makes it meaningful leaves,
+     so a crash-restart of either endpoint resumes mid-protocol or
+     aborts cleanly — the source domain stays frozen-but-alive until
+     the target's fsck-verified receipt, and exactly one monitor hosts
+     the domain once the protocol drains;
    - the receipt chain: [Final] carries the domain's batch attestation
      and the Merkle root of the source's pre-migration batch-attest,
      plus portable digests of configuration and content. The target
@@ -540,20 +540,21 @@ let replay t payload =
 
 (* What compaction writes: every migration still in memory (see
    [settle]), oldest first, each target followed by its manifest, then
-   the chunks. *)
-let live_records t =
+   the chunks. Each record is encoded when called, so the fleet counts
+   them on every tick and encodes them only for a snapshot. *)
+let live t =
   let migs =
-    Hashtbl.fold (fun _ s acc -> (s.sm_stamp, [ src_record t s ]) :: acc) t.srcs []
+    Hashtbl.fold (fun _ s acc -> (s.sm_stamp, [ (fun () -> src_record t s) ]) :: acc) t.srcs []
   in
   let migs =
     Hashtbl.fold
       (fun _ tg acc ->
-        let mf = Option.to_list (Option.map (manifest_record tg) tg.tm_manifest) in
-        (tg.tm_stamp, tgt_record t tg :: mf) :: acc)
+        let mf = Option.to_list (Option.map (fun mf () -> manifest_record tg mf) tg.tm_manifest) in
+        (tg.tm_stamp, (fun () -> tgt_record t tg) :: mf) :: acc)
       t.tgts migs
   in
   List.concat_map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) migs)
-  @ Hashtbl.fold (fun hash bytes acc -> chunk_record hash bytes :: acc) t.chunks []
+  @ Hashtbl.fold (fun hash bytes acc -> (fun () -> chunk_record hash bytes) :: acc) t.chunks []
 
 (* Terminal migrations that owe their peer nothing more that are kept
    so [status] and [verify_receipt] still answer for them, across a
@@ -1565,7 +1566,10 @@ let attach ~fleet =
       counter = 0; stamp = 0; peer_roots = Hashtbl.create 4; deferred = Queue.create () }
   in
   Fleet.set_data_handler fleet ~chan (fun origin payload -> handle t origin payload);
-  List.iter (replay t) (Fleet.attach_client fleet ~live:(fun () -> live_records t));
+  List.iter (replay t)
+    (Fleet.attach_client fleet
+       ~live:(fun () -> List.map (fun record -> record ()) (live t))
+       ~count:(fun () -> List.length (live t)));
   let oldest_first stamp tbl =
     Hashtbl.fold (fun _ x acc -> x :: acc) tbl []
     |> List.sort (fun a b -> Int.compare (stamp a) (stamp b))

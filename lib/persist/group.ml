@@ -1,5 +1,6 @@
 type t = {
   store : Store.t;
+  blob : string;
   max_batch : int;
   now : unit -> int;
   instrument : bool;
@@ -18,6 +19,7 @@ let create ?(max_batch = 1) ?(now = fun () -> 0) store =
   if max_batch < 1 then invalid_arg "Persist.Group.create: max_batch";
   {
     store;
+    blob = Store.wal_blob;
     max_batch;
     now;
     (* A queue that never batches (max_batch 1) has no amortization to
@@ -43,8 +45,8 @@ let flush t =
        queue's monitor is dead — recovery starts from the durable prefix. *)
     t.pending <- 0;
     t.queued <- [];
-    Store.append t.store Store.wal_blob (Wal.frames records);
-    Store.fsync t.store Store.wal_blob;
+    Store.append t.store t.blob (Wal.frames records);
+    Store.fsync t.store t.blob;
     t.durable_seq <- t.tail_seq;
     if t.instrument then begin
       Obs.Metrics.incr c_flush;
@@ -62,7 +64,14 @@ let append t payload =
 
 (* Rewrite the log as [records], in one atomic swap: a crash leaves the
    old log or the new one. *)
-let rewrite t records = Store.replace t.store Store.wal_blob (Wal.frames records)
+let rewrite t records = Store.replace t.store t.blob (Wal.frames records)
+
+let install t payloads =
+  t.pending <- 0;
+  t.queued <- [];
+  rewrite t (List.mapi (fun i p -> (i + 1, p)) payloads);
+  t.tail_seq <- List.length payloads;
+  t.durable_seq <- t.tail_seq
 
 let note_durable t ~seq =
   if seq > t.durable_seq then t.durable_seq <- seq;
@@ -71,9 +80,18 @@ let note_durable t ~seq =
   if t.durable_seq >= t.tail_seq then (t.pending <- 0; t.queued <- []);
   (* Drop the covered prefix; replay skips covered records if a crash
      keeps the full log. *)
-  let wal = Wal.read t.store ~blob:Store.wal_blob in
+  let wal = Wal.read t.store ~blob:t.blob in
   let keep = List.filter (fun (s, _) -> s > seq) wal.Wal.records in
   if wal.Wal.truncated || List.compare_lengths keep wal.Wal.records < 0 then rewrite t keep
+
+let reopen ~blob store replay =
+  let log = Wal.read store ~blob in
+  replay log.Wal.records;
+  (* A frame behind a torn tail would be unreachable; a refused log stays as it was. *)
+  if log.Wal.truncated then Store.truncate store blob log.Wal.valid_bytes;
+  let seq = List.fold_left (fun _ (seq, _) -> seq) 0 log.Wal.records in
+  { (create store) with
+    blob; max_batch = max_int; instrument = false; durable_seq = seq; tail_seq = seq }
 
 type recovery = {
   records : int;

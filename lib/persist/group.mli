@@ -1,7 +1,7 @@
 (** Group commit: batch many committed operations under one [fsync].
 
-    It alone numbers, writes, compacts and recovers {!Store.wal_blob},
-    for a monitor and for a sharded front end alike.
+    It alone numbers, writes, cuts and compacts a machine's two logs,
+    {!Store.wal_blob} and the fleet journal ({!val-reopen}).
 
     The monitor commits an operation in memory, appends its redo record
     here, and the queue decides when the expensive durability barrier
@@ -15,7 +15,7 @@
     unacknowledged ops may be dropped by a crash but never torn).
 
     Two histograms ([persist.group.batch], [persist.group.flush_wait])
-    and a flush counter record the amortization actually achieved.
+    and a flush counter record the write-ahead log's amortization only.
 
     The clock is injected ([now]) so the monitor can time the flush
     wait in deterministic machine cycles — chaos runs replay. *)
@@ -23,10 +23,10 @@
 type t
 
 val create : ?max_batch:int -> ?now:(unit -> int) -> Store.t -> t
-(** A writer whose first record is seq 1. [max_batch] defaults to 1
-    (fsync per append — the pre-group-commit behavior) and must be
-    positive ([Invalid_argument] otherwise); [now] defaults to a frozen
-    clock. *)
+(** A writer of {!Store.wal_blob} whose first record is seq 1.
+    [max_batch] defaults to 1 (fsync per append — the pre-group-commit
+    behavior) and must be positive ([Invalid_argument] otherwise); [now]
+    defaults to a frozen clock. *)
 
 val append : t -> string -> unit
 (** Append one committed record, numbered {!val-seq} + 1; flush if the
@@ -34,10 +34,15 @@ val append : t -> string -> unit
 
 val flush : t -> unit
 (** Make every pending record durable now. No-op when nothing is
-    pending. May raise {!Store.Crash} at the [wal.append] point (a torn
+    pending. May raise {!Store.Crash} at the blob's append point (a torn
     write, after which the CRC keeps the batch whole or drops it) or
     the [wal.fsync] point (the batch lost); either way no record is
     half-kept and the acknowledgement floor is unchanged. *)
+
+val install : t -> string list -> unit
+(** Make [payloads], numbered from 1, the whole log in one atomic
+    {!Store.replace}; the queued records are dropped unwritten. May raise
+    {!Store.Crash} at the [store.dir_fsync] point, leaving the old log. *)
 
 val note_durable : t -> seq:int -> unit
 (** A checkpoint covering every record up to [seq] is durable: raise
@@ -56,6 +61,13 @@ val durable_seq : t -> int
 val seq : t -> int
 (** Sequence number of the last record appended or recovered. *)
 
+val reopen : blob:string -> Store.t -> ((int * string) list -> unit) -> t
+(** [reopen ~blob store replay] hands [replay] [blob]'s durable records,
+    in log order, seqs unchecked. If it returns, a torn tail is cut
+    ({!Store.truncate}) and the result writes [blob], numbered after
+    the last record, only on {!val-flush}, without metrics; if it
+    raises, the blob is left as it was. *)
+
 type recovery = {
   records : int; (** Records in the durable log. *)
   replayed : int; (** Records applied. *)
@@ -70,7 +82,7 @@ val recover :
   after:int ->
   (string -> (unit, string) result) ->
   t * recovery
-(** [recover store ~after apply] replays the log through [apply] with
+(** [recover store ~after apply] replays {!Store.wal_blob} through [apply] with
     fault injection suspended, as {!Wal.replay} does. If the tail was
     torn or replay stopped, it then rewrites the log as the records
     applied, with injection unmasked. The writer it returns numbers its

@@ -9,9 +9,8 @@
       [body = varint first-seq ^ (varint length ^ payload)...], the
       records filling the body exactly, under one header and one CRC.
     The write-ahead log, both checkpoint streams (manifests and
-    segments) and the fleet journal use this framing; group commit
-    ({!Group}, which also compacts and recovers the write-ahead log)
-    and the fleet journal's compaction write batches.
+    segments) and the fleet journal use this framing; {!Group}, which
+    writes, compacts and cuts both logs, writes batches.
 
     Reading truncates at the first frame that cannot be trusted — a
     header that does not fit or is not canonical, a length pointing

@@ -18,15 +18,15 @@ type node = {
   store : Persist.Store.t;
 }
 
-let mk_node ?(store = Persist.Store.mem ()) net name seed =
+let mk_node ?(store = Persist.Store.mem ()) ?fsync_every net name seed =
   let w = Testkit.boot_x86 ~seed () in
-  Tyche.Monitor.enable_persistence w.Testkit.monitor ~store ();
+  Tyche.Monitor.enable_persistence w.Testkit.monitor ~store ?fsync_every ();
   let fleet = Distributed.Fleet.create ~store ~monitor:w.Testkit.monitor ~name ~net () in
   { w; fleet; store }
 
-let mk_pair ?store_a ?store_b () =
+let mk_pair ?store_a ?store_b ?fsync_every_a () =
   let net = Distributed.Network.create () in
-  let a = mk_node ?store:store_a net "alpha" 0x71L in
+  let a = mk_node ?store:store_a ?fsync_every:fsync_every_a net "alpha" 0x71L in
   let b = mk_node ?store:store_b net "beta" 0x72L in
   ignore (fok (Distributed.Fleet.connect a.fleet ~peer:"beta" ~key));
   ignore (fok (Distributed.Fleet.connect b.fleet ~peer:"alpha" ~key));
@@ -35,7 +35,7 @@ let mk_pair ?store_a ?store_b () =
 (* "Power comes back": fresh machine + backend, monitor recovery from
    the store, fleet recovery from the same store's journal. The session
    key is volatile, so the caller re-connects. *)
-let recover_monitor store =
+let recover_monitor ?fsync_every store =
   let machine = Hw.Machine.create ~arch:Hw.Cpu.X86_64 ~cores:4 ~mem_size:(16 * 1024 * 1024) () in
   let rng = Crypto.Rng.create ~seed:0x99L in
   let tpm = Rot.Tpm.create rng in
@@ -46,13 +46,13 @@ let recover_monitor store =
   let backend = Backend_x86.create machine () in
   match
     Tyche.Monitor.recover machine ~store ~backend ~tpm ~rng
-      ~monitor_range:br.Rot.Boot.monitor_range
+      ~monitor_range:br.Rot.Boot.monitor_range ?fsync_every
   with
   | Error e -> Alcotest.failf "recovery failed: %s" e
   | Ok (m, _report) -> (m, machine, backend)
 
-let recover_node net name node =
-  let m, machine, backend = recover_monitor node.store in
+let recover_node ?fsync_every net name node =
+  let m, machine, backend = recover_monitor ?fsync_every node.store in
   let fleet = Distributed.Fleet.create ~store:node.store ~monitor:m ~name ~net () in
   { node with w = { node.w with Testkit.monitor = m; machine; backend }; fleet }
 
@@ -92,6 +92,20 @@ let check_clean node =
   let fr = Tyche.Fsck.check node.w.Testkit.monitor in
   if not (Tyche.Fsck.ok fr) then
     Alcotest.failf "fsck: %s" (Format.asprintf "%a" Tyche.Fsck.pp fr)
+
+let del_view fleet =
+  List.map
+    (fun d ->
+      ( d.Distributed.Fleet.del_id,
+        d.Distributed.Fleet.del_base,
+        d.Distributed.Fleet.del_state = Distributed.Fleet.Active ))
+    (Distributed.Fleet.delegations fleet)
+
+let import_ids fleet =
+  List.map (fun i -> i.Distributed.Fleet.imp_del_id) (Distributed.Fleet.imports fleet)
+
+let check_dels what expected fleet =
+  Alcotest.(check (list (triple int int bool))) what expected (del_view fleet)
 
 (* --- delegation visibility ------------------------------------------- *)
 
@@ -357,6 +371,50 @@ let test_duplicate_reorder_absorbed () =
   check_clean a;
   check_clean b
 
+(* A peer holding the session key can seal an ack for a message never
+   sent. Taken as a floor, it would bury every real ack below it: the
+   outbox would never drain and the peer would turn [Degraded]. It is
+   refused and counted as rejected; after a crash-restart of alpha,
+   its recovered state equals the live one. *)
+let test_forged_ack_refused () =
+  let net, a, b = mk_pair () in
+  let rejected () =
+    List.assoc "fleet.rejected" (Tyche.Monitor.observe a.w.Testkit.monitor).Obs.r_counters
+  in
+  let before = rejected () in
+  Distributed.Network.send net ~from_:"beta" ~to_:"alpha"
+    Distributed.Fleet.Wire.(seal ~key (encode_body ~origin:"beta" ~seq:0 (Ack { upto = 100 })));
+  ignore (Distributed.Fleet.poll a.fleet);
+  Alcotest.(check int) "the forged ack is rejected" (before + 1) (rejected ());
+  Alcotest.(check int) "and raises no floor" 0 (Distributed.Fleet.acked a.fleet ~peer:"beta");
+  let del, _ = delegate_page a ~peer:"beta" ~page:3 in
+  let _ = delegate_page a ~peer:"beta" ~page:4 in
+  pump a b;
+  Alcotest.(check (list int)) "beta imports both" [ del; del + 1 ] (import_ids b.fleet);
+  Alcotest.(check bool) "beta stays healthy" true
+    (Distributed.Fleet.peer_state a.fleet ~peer:"beta" = Some Distributed.Fleet.Healthy);
+  (* A revocation held pending by a partition, then a crash. *)
+  Distributed.Network.partition net "alpha" "beta";
+  let d = List.hd (Distributed.Fleet.delegations a.fleet) in
+  fok (Distributed.Fleet.revoke a.fleet ~caller:os ~cap:d.Distributed.Fleet.proxy_cap);
+  let state x =
+    ( del_view x.fleet,
+      Distributed.Fleet.pending_revokes x.fleet,
+      Distributed.Fleet.backlog x.fleet ~peer:"beta" )
+  in
+  let live = state a in
+  Persist.Store.power_fail a.store;
+  let a = recover_node net "alpha" a in
+  let recovered = state a in
+  Alcotest.(check bool) "recovered delegations, pending revocations and backlog are the live ones"
+    true (live = recovered);
+  ignore (fok (Distributed.Fleet.connect a.fleet ~peer:"beta" ~key));
+  Distributed.Network.heal net "alpha" "beta";
+  pump a b;
+  Alcotest.(check (list int)) "the revoked import is gone" [ del + 1 ] (import_ids b.fleet);
+  check_clean a;
+  check_clean b
+
 (* --- crash-restart and reconciliation -------------------------------- *)
 
 let test_crash_before_journal_reconciles () =
@@ -524,40 +582,41 @@ let test_tick_compacts () =
 (* --- journal barriers --------------------------------------------------- *)
 
 (* A [Store.t] is a record of closures, so a wrapper sees every barrier
-   and every journal byte an endpoint writes. *)
+   and every journal byte an endpoint writes. The journal's records wait
+   in its queue until a barrier writes them all in one frame, so the
+   wrapper counts the records inside each frame: a record that rode a
+   later record's barrier is one more record than that barrier's own. *)
 type counts = {
   mutable wal_syncs : int;
   mutable fleet_syncs : int;
   mutable fleet_bytes : int; (* appended or replaced into the journal *)
-  mutable unsynced : int; (* journal records appended since its last barrier *)
+  mutable unsynced : int; (* journal records that waited for a later record's barrier *)
+  mutable snapshots : int; (* compactions installed *)
 }
 
 let counting () =
   let inner = Persist.Store.mem () in
-  let c = { wal_syncs = 0; fleet_syncs = 0; fleet_bytes = 0; unsynced = 0 } in
+  let c = { wal_syncs = 0; fleet_syncs = 0; fleet_bytes = 0; unsynced = 0; snapshots = 0 } in
   let store =
     { inner with
       Persist.Store.append =
         (fun blob data ->
           if blob = "fleet" then begin
             c.fleet_bytes <- c.fleet_bytes + String.length data;
-            c.unsynced <- c.unsynced + 1
+            c.unsynced <- c.unsynced + List.length (Persist.Wal.parse data).Persist.Wal.records - 1
           end;
           inner.Persist.Store.append blob data);
       replace =
         (fun blob data ->
           if blob = "fleet" then begin
             c.fleet_bytes <- c.fleet_bytes + String.length data;
-            c.unsynced <- 0
+            c.snapshots <- c.snapshots + 1
           end;
           inner.Persist.Store.replace blob data);
       fsync =
         (fun blob ->
           if blob = Persist.Store.wal_blob then c.wal_syncs <- c.wal_syncs + 1
-          else if blob = "fleet" then begin
-            c.fleet_syncs <- c.fleet_syncs + 1;
-            c.unsynced <- 0
-          end;
+          else if blob = "fleet" then c.fleet_syncs <- c.fleet_syncs + 1;
           inner.Persist.Store.fsync blob) }
   in
   (store, c)
@@ -571,19 +630,13 @@ let barriers what c ~wal ~fleet =
     (c.wal_syncs, c.fleet_syncs);
   zero_barriers c
 
-let del_view fleet =
-  List.map
-    (fun d ->
-      ( d.Distributed.Fleet.del_id,
-        d.Distributed.Fleet.del_base,
-        d.Distributed.Fleet.del_state = Distributed.Fleet.Active ))
-    (Distributed.Fleet.delegations fleet)
-
-let import_ids fleet =
-  List.map (fun i -> i.Distributed.Fleet.imp_del_id) (Distributed.Fleet.imports fleet)
-
-let check_dels what expected fleet =
-  Alcotest.(check (list (triple int int bool))) what expected (del_view fleet)
+(* No journal record waited for a later record's barrier, and none is
+   waiting now: one more barrier writes nothing. *)
+let nothing_waits what node c =
+  Alcotest.(check int) (what ^ ": no record rode another's barrier") 0 c.unsynced;
+  zero_barriers c;
+  Distributed.Fleet.barrier node.fleet;
+  barriers (what ^ ": one more barrier writes nothing") c ~wal:0 ~fleet:0
 
 (* Journal-then-ack pays one barrier where a message or an ack depends
    on it and nowhere else: the exporter's share and [J_delegate], the
@@ -605,7 +658,8 @@ let test_barriers_per_delegate_and_revoke () =
   pump a b;
   barriers "revoke, exporter" ca ~wal:1 ~fleet:1;
   barriers "revoke, importer" cb ~wal:0 ~fleet:1;
-  Alcotest.(check int) "no record waits for the next barrier" 0 ca.unsynced;
+  nothing_waits "no record waits for the next barrier, exporter" a ca;
+  nothing_waits "no record waits for the next barrier, importer" b cb;
   check_clean a;
   check_clean b
 
@@ -624,7 +678,7 @@ let test_crash_after_converged_revoke () =
   pump a b;
   let dels = del_view a.fleet and imported = import_ids b.fleet in
   let applied = Distributed.Fleet.applied b.fleet ~peer:"alpha" in
-  Alcotest.(check int) "nothing is unsynced at the crash" 0 ca.unsynced;
+  nothing_waits "nothing is unsynced at the crash" a ca;
   Persist.Store.power_fail a.store;
   let a = recover_node net "alpha" a in
   check_dels "delegations before any pump" dels a.fleet;
@@ -736,6 +790,38 @@ let test_compaction_writes_once () =
   check_clean a;
   check_clean b
 
+(* Compaction asks the client for its live records once per snapshot
+   it writes: every other tick weighs the client's record count. The
+   client keeps its last eight 200-byte records live, so after each
+   snapshot the journal passes the 4 KB floor a dozen ticks before it
+   weighs four times its live records. *)
+let test_compaction_asks_client_once_per_snapshot () =
+  let store_a, ca = counting () in
+  let _net, a, _b = mk_pair ~store_a () in
+  let live = ref [] and asked = ref 0 in
+  let replayed =
+    Distributed.Fleet.attach_client a.fleet
+      ~live:(fun () -> incr asked; !live)
+      ~count:(fun () -> List.length !live)
+  in
+  Alcotest.(check (list string)) "nothing replayed" [] replayed;
+  ca.snapshots <- 0;
+  for i = 1 to 200 do
+    let r = Printf.sprintf "%03d%s" i (String.make 197 'c') in
+    Distributed.Fleet.append a.fleet r;
+    Distributed.Fleet.barrier a.fleet;
+    live := r :: List.filteri (fun j _ -> j < 7) !live;
+    Distributed.Fleet.tick a.fleet
+  done;
+  Alcotest.(check bool) "the journal was compacted more than once" true (ca.snapshots > 1);
+  Printf.printf "%d snapshots, live records asked for %d times\n" ca.snapshots !asked;
+  Alcotest.(check int) "live records asked for once per snapshot" ca.snapshots !asked;
+  let journal = (Persist.Wal.read a.store ~blob:"fleet").Persist.Wal.records in
+  Alcotest.(check bool) "the live records are in the journal" true
+    (List.for_all
+       (fun r -> List.exists (fun (_, p) -> String.ends_with ~suffix:r p) journal)
+       !live)
+
 (* A crash inside the repair of a torn journal tail must not cost a
    valid record: the repair is one atomic truncation. *)
 let test_torn_tail_repair_crash () =
@@ -777,7 +863,9 @@ let test_torn_tail_repair_crash () =
    [J_delegate] would make reconciliation revoke a cap the peer still
    imports. The spliced records are one with an unknown tag and the
    same delegation in the layout of the journal format that spelled
-   out the peer's name (tag 2), which this code no longer reads. *)
+   out the peer's name (tag 2), which this code no longer reads. The
+   refusal cuts nothing, not even a torn tail behind the record, so a
+   second recovery refuses the same record. *)
 let test_undecodable_record_stops_recovery () =
   let old_delegate =
     let buf = Buffer.create 32 in
@@ -789,8 +877,10 @@ let test_undecodable_record_stops_recovery () =
     Persist.Wire.int buf 1;
     Buffer.contents buf
   in
+  let torn = Persist.Wal.frame ~seq:1_000 "torn" in
+  let torn = String.sub torn 0 (String.length torn - 3) in
   List.iter
-    (fun (what, payload) ->
+    (fun (what, payload, tail) ->
       let net, a, b = mk_pair () in
       let _ = delegate_page a ~peer:"beta" ~page:2 in
       pump a b;
@@ -798,13 +888,129 @@ let test_undecodable_record_stops_recovery () =
         1 + List.fold_left (fun m (s, _) -> max m s) 0
               (Persist.Wal.read a.store ~blob:"fleet").Persist.Wal.records
       in
-      Persist.Store.append a.store "fleet" (Persist.Wal.frame ~seq payload);
+      Persist.Store.append a.store "fleet" (Persist.Wal.frame ~seq payload ^ tail);
       Persist.Store.fsync a.store "fleet";
-      match recover_node net "alpha" a with
-      | _ -> Alcotest.failf "%s: recovery replayed past record %d" what seq
-      | exception Distributed.Fleet.Corrupt_journal { seq = bad; reason = _ } ->
-        Alcotest.(check int) (what ^ ": the failure names the record") seq bad)
-    [ ("unknown tag", "\xff"); ("old J_delegate layout", old_delegate) ]
+      let journal = Persist.Store.read a.store "fleet" in
+      List.iter
+        (fun attempt ->
+          (match recover_node net "alpha" a with
+          | _ -> Alcotest.failf "%s: recovery replayed past record %d" what seq
+          | exception Distributed.Fleet.Corrupt_journal { seq = bad; reason = _ } ->
+            Alcotest.(check int) (what ^ attempt ^ ": the failure names the record") seq bad);
+          Alcotest.(check string) (what ^ attempt ^ ": the journal is unchanged") journal
+            (Persist.Store.read a.store "fleet"))
+        [ ""; ", again" ])
+    [ ("unknown tag", "\xff", "");
+      ("old J_delegate layout", old_delegate, "");
+      ("unknown tag before a torn tail", "\xff", torn) ]
+
+(* A journal numbered from any seq is read: compaction used to number
+   its snapshot after the records it replaced, so a journal compacted
+   once starts above 1. Recovery replays it and keeps its bytes, and
+   the next record is numbered after its last. *)
+let test_renumbered_journal_recovers () =
+  let net, a, b = mk_pair () in
+  List.iter (fun page -> ignore (delegate_page a ~peer:"beta" ~page)) [ 2; 3 ];
+  pump a b;
+  let dels = del_view a.fleet in
+  let records = (Persist.Wal.read a.store ~blob:"fleet").Persist.Wal.records in
+  let renumbered = Persist.Wal.frames (List.mapi (fun i (_, p) -> (51 + i, p)) records) in
+  Persist.Store.replace a.store "fleet" renumbered;
+  let a = recover_node net "alpha" a in
+  check_dels "the renumbered journal's delegations" dels a.fleet;
+  Alcotest.(check string) "its bytes are kept" renumbered (Persist.Store.read a.store "fleet");
+  ignore (fok (Distributed.Fleet.connect a.fleet ~peer:"beta" ~key));
+  let _ = delegate_page a ~peer:"beta" ~page:4 in
+  pump a b;
+  let seqs = List.map fst (Persist.Wal.read a.store ~blob:"fleet").Persist.Wal.records in
+  Alcotest.(check (list int)) "the next record follows the last"
+    (List.init (List.length records + 1) (fun i -> 51 + i))
+    seqs;
+  let dels = del_view a.fleet in
+  let a = recover_node net "alpha" a in
+  check_dels "and recovers with them" dels a.fleet;
+  ignore (fok (Distributed.Fleet.connect a.fleet ~peer:"beta" ~key));
+  pump a b;
+  check_clean a;
+  check_clean b
+
+(* A fleet record is never durable ahead of the monitor state it names,
+   even while the monitor batches its WAL: with alpha's monitor at
+   [fsync_every] 64, every write to alpha's journal finds the monitor's
+   queue flushed. *)
+let test_journal_write_finds_monitor_flushed () =
+  let monitor = ref None and writes = ref 0 in
+  let inner = Persist.Store.mem () in
+  let store_a =
+    { inner with
+      Persist.Store.append =
+        (fun blob data ->
+          (match !monitor with
+          | Some m when blob = "fleet" ->
+            incr writes;
+            let durable = Tyche.Monitor.durable_seq m and logged = Tyche.Monitor.persist_seq m in
+            if durable <> logged then
+              Alcotest.failf "journal write %d finds monitor records pending (durable %d of %d)"
+                !writes (Option.get durable) (Option.get logged)
+          | Some _ | None -> ());
+          inner.Persist.Store.append blob data) }
+  in
+  let net = Distributed.Network.create () in
+  let b = mk_node net "beta" 0x72L in
+  let a = mk_node ~store:store_a ~fsync_every:64 net "alpha" 0x71L in
+  monitor := Some a.w.Testkit.monitor;
+  ignore (fok (Distributed.Fleet.connect a.fleet ~peer:"beta" ~key));
+  ignore (fok (Distributed.Fleet.connect b.fleet ~peer:"alpha" ~key));
+  List.iter (fun page -> ignore (delegate_page a ~peer:"beta" ~page)) [ 3; 4; 5 ];
+  let _ = delegate_page b ~peer:"alpha" ~page:6 in
+  pump a b;
+  let d = List.hd (Distributed.Fleet.delegations a.fleet) in
+  fok (Distributed.Fleet.revoke a.fleet ~caller:os ~cap:d.Distributed.Fleet.proxy_cap);
+  pump a b;
+  Distributed.Fleet.compact a.fleet;
+  Alcotest.(check bool) "alpha wrote its journal" true (!writes >= 5);
+  check_clean a;
+  check_clean b
+
+(* The crash that ordering prevents: power fails at the first journal
+   write inside [delegate], over successive pages, until a torn write
+   keeps the whole [J_delegate]. Alpha's monitor batches 64 records a
+   flush. Every recovered delegation's proxy cap must be held by the
+   proxy: a record whose share was lost would have beta import a page
+   that alpha's tree shows as domain 0's alone. *)
+let test_crash_keeps_no_record_without_its_share () =
+  let net, a, b = mk_pair ~fsync_every_a:64 () in
+  let kept = ref 0 and page = ref 0 and a = ref a in
+  while !kept = 0 && !page < 200 do
+    incr page;
+    let before = List.length (Distributed.Fleet.delegations !a.fleet) in
+    (match
+       Fault.with_plan (Fault.nth "snapshot.write" 1) (fun () ->
+           delegate_page !a ~peer:"beta" ~page:!page)
+     with
+    | _ -> Alcotest.failf "page %d: expected a crash at the journal write" !page
+    | exception Persist.Store.Crash _ -> ());
+    a := recover_node ~fsync_every:64 net "alpha" !a;
+    ignore (fok (Distributed.Fleet.connect !a.fleet ~peer:"beta" ~key));
+    let tree = Tyche.Monitor.tree !a.w.Testkit.monitor in
+    let proxy = Distributed.Fleet.proxy !a.fleet ~peer:"beta" in
+    let dels = Distributed.Fleet.delegations !a.fleet in
+    List.iter
+      (fun d ->
+        if Cap.Captree.owner tree d.Distributed.Fleet.proxy_cap <> proxy then
+          Alcotest.failf "page %d: delegation %d's proxy cap %d is not the proxy's" !page
+            d.Distributed.Fleet.del_id d.Distributed.Fleet.proxy_cap)
+      dels;
+    if List.length dels > before then incr kept
+  done;
+  if !kept = 0 then Alcotest.failf "no crash in %d kept its J_delegate" !page;
+  Printf.printf "the crash at page %d kept its J_delegate\n" !page;
+  pump !a b;
+  Alcotest.(check int) "beta imports what alpha delegated"
+    (List.length (Distributed.Fleet.delegations !a.fleet))
+    (List.length (Distributed.Fleet.imports b.fleet));
+  check_clean !a;
+  check_clean b
 
 (* --- fleet attestation ------------------------------------------------ *)
 
@@ -950,7 +1156,13 @@ let () =
           Alcotest.test_case "crash inside the torn-tail repair keeps every record" `Quick
             test_torn_tail_repair_crash;
           Alcotest.test_case "an undecodable record stops recovery" `Quick
-            test_undecodable_record_stops_recovery ] );
+            test_undecodable_record_stops_recovery;
+          Alcotest.test_case "a journal numbered from seq 51 recovers" `Quick
+            test_renumbered_journal_recovers;
+          Alcotest.test_case "compaction asks the client once per snapshot" `Quick
+            test_compaction_asks_client_once_per_snapshot;
+          Alcotest.test_case "an ack for a message never sent is refused" `Quick
+            test_forged_ack_refused ] );
       ( "barriers",
         [ Alcotest.test_case "one barrier per record a message or ack needs" `Quick
             test_barriers_per_delegate_and_revoke;
@@ -959,7 +1171,11 @@ let () =
           Alcotest.test_case "an ack floor rides the records of its channel" `Quick
             test_floor_rides_its_channel;
           Alcotest.test_case "compaction writes the snapshot once, atomically" `Quick
-            test_compaction_writes_once ] );
+            test_compaction_writes_once;
+          Alcotest.test_case "every journal write finds the monitor flushed" `Quick
+            test_journal_write_finds_monitor_flushed;
+          Alcotest.test_case "a crash keeps no record without its share" `Quick
+            test_crash_keeps_no_record_without_its_share ] );
       ( "attestation",
         [ Alcotest.test_case "fleet root binds member attestations" `Quick
             test_fleet_attestation ] );

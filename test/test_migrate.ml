@@ -483,8 +483,8 @@ let test_source_crash_resumes_with_dedup () =
   check_clean b
 
 (* A crash inside the repair of a torn journal tail must not cost a
-   valid migration record: the fleet repairs the journal it shares
-   with the migration engine in one atomic truncation. *)
+   valid migration record: the journal the fleet shares with the
+   migration engine is repaired in one atomic truncation. *)
 let test_torn_tail_repair_crash () =
   let net, a, b = mk_pair () in
   let d, _, _ = build_enclave a ~base:0x40000 in
